@@ -31,9 +31,16 @@
 // The port binds before the engine exists: until warm-up completes, GET
 // /healthz answers 200 "warming" and everything else answers 503 with
 // Retry-After — never connection-refused. -lazy maps the snapshot instead
-// of decoding it (segments load on first query, under the -lazy-budget
-// resident-byte cap), which shrinks that warming window to the metadata
-// read and lets the process serve an index bigger than RAM.
+// of decoding it, which shrinks that warming window to the metadata read
+// and lets the process serve an index bigger than RAM. Posting lists are
+// what is paged: each is decoded when a query first probes it, and
+// -lazy-budget caps the decoded lists kept resident (lists no query has
+// probed lately are dropped first and re-decoded on demand). The feature
+// dictionary and a per-shard offset directory — built, with the segment's
+// one CRC check, on the shard's first probe — are pinned outside the
+// budget. In /stats and /metrics, resident_shards counts open directories,
+// resident_bytes the decoded lists, shard_faults posting-list decodes and
+// shard_evictions lists evicted.
 //
 // -super additionally hosts a supergraph-containment engine on the same
 // dataset, served under mode=super and maintained O(delta) after each
@@ -78,8 +85,8 @@ func main() {
 		workers   = flag.Int("workers", 0, "execution slots (0 = one per CPU)")
 		queue     = flag.Int("queue", 0, "admission slots beyond workers (0 = 4x workers)")
 		snapshot  = flag.String("snapshot", "", "engine snapshot path: restored at start if present, written on shutdown")
-		lazy      = flag.Bool("lazy", false, "map the snapshot lazily: serve once metadata is read, fault posting shards in on first touch")
-		lazyBudg  = flag.Int64("lazy-budget", 0, "resident posting-byte budget for -lazy (0 = unbounded)")
+		lazy      = flag.Bool("lazy", false, "map the snapshot lazily: serve once metadata is read, decode each posting list when a query first probes it (dictionary and per-shard offset directories stay pinned; a segment's CRC is checked once, on its shard's first probe)")
+		lazyBudg  = flag.Int64("lazy-budget", 0, "budget in bytes on the decoded posting lists -lazy keeps resident, pinned parts excluded (0 = unbounded)")
 		delta     = flag.String("delta", "", "index delta-journal lineage file for mutation persistence")
 		maintain  = flag.Duration("maintain-every", 30*time.Second, "journal maintenance interval (needs -delta)")
 		timeout   = flag.Duration("timeout", 10*time.Second, "default per-query deadline (0 = none)")

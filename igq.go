@@ -165,27 +165,40 @@
 // run — time-to-first-query is O(index) and peak memory is the whole
 // index. LoadEngineFile(..., WithLazyLoad(budget)) changes the shape of
 // both: the snapshot file is mapped (mmap where the platform has it, pread
-// otherwise), only the cheap metadata is decoded up front — header,
-// feature dictionary, the per-shard segment directory, and a full scan of
-// any delta-journal tail (torn tails recover exactly as in an eager load)
-// — and each posting shard is decoded on the first query that touches it,
-// CRC-verified at that moment. Time-to-first-query becomes O(touched
-// shards); budget bounds the decoded bytes kept resident, with
-// least-recently-touched shards evicted and re-decoded (re-verified) on
-// the next touch, so the engine serves snapshots larger than memory.
+// otherwise) and only the cheap metadata is decoded up front — header,
+// feature dictionary, the table of where each shard's segment lies, and a
+// full scan of any delta-journal tail (torn tails recover exactly as in an
+// eager load).
+//
+// What is paged is the posting list. The first query to probe a shard
+// reads that shard's segment once, verifies its CRC — then and only then —
+// and scans it into an offset directory (12 bytes per dictionary entry,
+// slot and offset together); after that a probe decodes exactly the list
+// it asks for, from that list's byte span, and keeps it in a slot where
+// the next probe finds it with one atomic load. What is pinned, outside
+// the budget, is the dictionary, those directories, and the replayed
+// journal overlay of a shard that had one. budget bounds the decoded lists:
+// once over it, lists no query has probed since the evictor's last pass
+// are dropped and re-decoded when next probed, so a budget costs the cold
+// tail of the feature distribution, not every query, and the engine serves
+// snapshots larger than memory.
 //
 // Laziness is observationally invisible: answers, statistics and re-saved
 // bytes are identical to an eager load's — only latency and residency
 // move. The differences that do show: the snapshot file must stay intact
-// behind the engine (Engine.Close releases it; MaterializeIndex faults
-// everything in first so serving can continue without the file), mutations
+// behind the engine (Engine.Close releases it; MaterializeIndex decodes
+// everything first so serving can continue without the file), mutations
 // force full materialisation before applying, and corruption confined to
-// one shard surfaces on first touch — as a contained *PanicError wrapping
-// trie.ErrCorrupt on queries routed to that shard — instead of failing the
-// load, leaving every other shard serving. Engine.Stats and
-// Engine.Residency expose the moving parts (resident shards and bytes,
-// fault and eviction counts); the "lazyload" experiment gates the
-// time-to-first-query win and the budget ceiling.
+// one shard surfaces on that shard's first probe — as a contained
+// *PanicError carrying trie.ErrCorrupt on the queries routed to it —
+// instead of failing the load, leaving every other shard serving; a read
+// error on a later posting decode is contained the same way and retried on
+// the next probe. Engine.Stats and Engine.Residency expose the moving
+// parts: ResidentShards counts shards whose directory is open,
+// ResidentBytes the decoded lists, ShardFaults posting-list decodes
+// (re-decodes included) and ShardEvictions lists evicted. The "lazyload"
+// experiment gates the time-to-first-query win, the budget ceiling and the
+// cost of serving under half the working set.
 //
 // # Serving
 //
@@ -443,13 +456,15 @@ type EngineStats struct {
 
 	// Residency of a lazily loaded dataset index (see WithLazyLoad); all
 	// zero for eagerly loaded or freshly built engines.
+	// The unit of residency is the posting list; the shard-named counters
+	// keep their names (and /stats keys, and metric names).
 	LazyLoaded      bool  // serving from a lazy snapshot, not yet materialised
 	TotalShards     int   // posting shards in the dataset index
-	ResidentShards  int   // shards currently decoded in memory
-	ResidentBytes   int64 // decoded posting bytes currently resident
-	LazyBudgetBytes int64 // configured residency budget (0 = unbounded)
-	ShardFaults     int64 // segment fault-ins since load (refaults included)
-	ShardEvictions  int64 // shards evicted under the budget
+	ResidentShards  int   // shards whose offset directory is open (pinned once open)
+	ResidentBytes   int64 // decoded posting lists currently resident
+	LazyBudgetBytes int64 // configured budget on ResidentBytes (0 = unbounded)
+	ShardFaults     int64 // posting-list decodes since load (re-decodes after eviction included)
+	ShardEvictions  int64 // posting lists evicted under the budget
 }
 
 // newMethod constructs the (unbuilt) dataset index selected by opt, which

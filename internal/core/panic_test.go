@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/index/ggsx"
+	"repro/internal/trie"
 )
 
 // TestShadowBuildPanicContained pins the §5.2 async-build containment
@@ -15,7 +17,10 @@ import (
 // later flushes don't block forever), must leave the committed snapshot
 // serving, and must surface through Options.PanicHandler. The poison is a
 // window entry with a nil query graph — a stand-in for a latent bug that
-// only detonates during the rebuild's feature enumeration.
+// only detonates during the rebuild's feature enumeration. BuildWorkers is
+// forced to 2 so the detonation happens on a trie.ParallelFor worker
+// goroutine at any GOMAXPROCS: the panic has to be carried back to the
+// builder goroutine, whose recover is the only one there is.
 func TestShadowBuildPanicContained(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := buildDB(rng, 15)
@@ -24,10 +29,13 @@ func TestShadowBuildPanicContained(t *testing.T) {
 
 	panics := make(chan any, 1)
 	ig := New(m, db, Options{
-		CacheSize: 10, Window: 3, AsyncMaintenance: true,
+		CacheSize: 10, Window: 3, AsyncMaintenance: true, BuildWorkers: 2,
 		PanicHandler: func(r any, stack []byte) {
 			if len(stack) == 0 {
 				t.Error("PanicHandler got an empty stack")
+			}
+			if wp, ok := r.(*trie.WorkerPanic); !ok || !bytes.Contains(wp.Stack, []byte("features.PathsID")) {
+				t.Errorf("PanicHandler got %T, want *trie.WorkerPanic carrying the worker's stack", r)
 			}
 			panics <- r
 		},
@@ -80,6 +88,55 @@ func TestShadowBuildPanicContained(t *testing.T) {
 	ig.waitShadowLocked()
 	ig.mu.Unlock()
 	if ig.Flushes() <= flushesBefore {
+		t.Fatalf("no flush completed after the contained panic (%d)", ig.Flushes())
+	}
+	if ig.CacheLen() == 0 {
+		t.Fatal("cache empty after post-panic flushes")
+	}
+}
+
+// TestSyncFlushPanicContained is the same poison on the synchronous flush
+// path at build width 2: the panic must arrive on the flushing goroutine —
+// in production the query's, under Engine.Query's recover — as a
+// *trie.WorkerPanic, not kill the process from a worker goroutine; the
+// committed snapshot keeps serving and later flushes proceed.
+func TestSyncFlushPanicContained(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	db := buildDB(rng, 15)
+	m := ggsx.New(ggsx.DefaultOptions())
+	m.Build(db)
+	ig := New(m, db, Options{CacheSize: 10, Window: 3, BuildWorkers: 2})
+	qs := workload(rng, db, 6)
+	for _, q := range qs {
+		ig.Query(q.Clone())
+	}
+	probe := qs[0].Clone()
+	before := ig.Query(probe.Clone()).Answer
+	flushesBefore := ig.Flushes()
+
+	recovered := func() (r any) {
+		ig.mu.Lock()
+		defer ig.mu.Unlock()
+		defer func() { r = recover() }()
+		ig.window = append(ig.window, &entry{id: 9999}, &entry{id: 9998})
+		ig.flushLocked()
+		return nil
+	}()
+	wp, ok := recovered.(*trie.WorkerPanic)
+	if !ok {
+		t.Fatalf("flushLocked recovered %T (%v), want *trie.WorkerPanic", recovered, recovered)
+	}
+	if !bytes.Contains(wp.Stack, []byte("features.PathsID")) {
+		t.Errorf("WorkerPanic stack does not show the panic site:\n%s", wp.Stack)
+	}
+
+	if after := ig.Query(probe.Clone()).Answer; !reflect.DeepEqual(after, before) {
+		t.Fatalf("answers changed across a contained panic: %v -> %v", before, after)
+	}
+	for _, q := range workload(rng, db, 12) {
+		ig.Query(q.Clone())
+	}
+	if ig.Flushes() <= flushesBefore+1 {
 		t.Fatalf("no flush completed after the contained panic (%d)", ig.Flushes())
 	}
 	if ig.CacheLen() == 0 {

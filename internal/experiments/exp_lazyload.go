@@ -15,32 +15,39 @@ import (
 	"repro/internal/index/ggsx"
 	"repro/internal/persistio"
 	"repro/internal/stats"
+	"repro/internal/trie"
 	"repro/internal/workload"
 )
 
-// Extension experiment (perf): lazy segment loading. Coldstart showed that
+// Extension experiment (perf): lazy loading. Coldstart showed that
 // restoring a snapshot beats rebuilding; this experiment measures the next
-// step — not decoding the snapshot at all until a query asks for it. Two
+// step — not decoding the snapshot at all until a query asks for it. Three
 // claims are gated:
 //
-//   - Time-to-first-query: mapping the file and decoding only the shards
-//     the first query touches must answer in ≤ half the eager restore's
-//     load-everything-then-answer time (and the margin grows with index
-//     size, since the eager leg is O(index) and the lazy leg O(touched)).
-//   - Bounded residency: under a byte budget of half the full index, a
-//     Zipf-skewed query stream must complete with identical answers while
-//     resident posting bytes stay within the budget — the eviction clock
-//     actually holds the line, it does not just report it.
+//   - Time-to-first-query: mapping the file, scanning the shards the first
+//     query touches and decoding only the posting lists it probes must
+//     answer in ≤ half the eager restore's load-everything-then-answer
+//     time (and the margin grows with index size, since the eager leg is
+//     O(index) and the lazy leg O(touched)).
+//   - Bounded residency: under a byte budget of half the posting lists the
+//     workload touches, a Zipf-skewed query stream must complete with
+//     identical answers while resident posting bytes stay within the
+//     budget — the eviction clock actually holds the line, it does not
+//     just report it.
+//   - A budget costs the cold tail, not every query: that same stream
+//     under the half budget must take ≤ 2× the wall time it takes
+//     unbudgeted.
 func init() {
 	register(Experiment{
 		ID:    "lazyload",
-		Title: "Lazy segment loading: time-to-first-query + bounded residency vs eager restore (perf, extension)",
+		Title: "Lazy loading: time-to-first-query, bounded residency and replay cost under a half budget (perf, extension)",
 		Run:   runLazyload,
 	})
 }
 
 const (
-	lazyTTFQRatioMax = 0.5 // lazy TTFQ must be ≤ half the eager TTFQ
+	lazyTTFQRatioMax   = 0.5 // lazy TTFQ must be ≤ half the eager TTFQ
+	lazyReplayRatioMax = 2.0 // half-budget skewed replay must take ≤ 2× the unbudgeted one
 )
 
 type lazyloadReport struct {
@@ -60,10 +67,14 @@ type lazyloadReport struct {
 	Faults          int64   `json:"faults"`
 	Evictions       int64   `json:"evictions"`
 	SkewedQueries   int     `json:"skewed_queries"`
+	ReplayFullNs    float64 `json:"replay_unbudgeted_ns"`
+	ReplayBudgetNs  float64 `json:"replay_half_budget_ns"`
+	ReplayRatio     float64 `json:"replay_ratio"`
 	AnswersIdentity bool    `json:"answers_identical"`
 	Gates           struct {
-		TTFQRatioMax float64 `json:"ttfq_ratio_max"`
-		Pass         bool    `json:"pass"`
+		TTFQRatioMax   float64 `json:"ttfq_ratio_max"`
+		ReplayRatioMax float64 `json:"replay_ratio_max"`
+		Pass           bool    `json:"pass"`
 	} `json:"gates"`
 }
 
@@ -167,45 +178,73 @@ func runLazyload(cfg Config, w io.Writer) error {
 	sort.Float64s(lazyNs)
 	medEager, medLazy := eagerNs[trials/2], lazyNs[trials/2]
 
-	// Bounded-residency leg: total resident posting bytes measured on an
-	// unbudgeted copy with the whole workload faulted in, then a fresh lazy
-	// load under half that budget serving a Zipf-skewed stream (hot head,
-	// long tail — the access pattern eviction is for).
-	probe := fresh()
-	src, err := persistio.OpenMapped(snapPath)
+	// Bounded-residency leg: the posting bytes the workload touches are
+	// measured on an unbudgeted load with every query run once; then a
+	// Zipf-skewed stream (hot head, long tail — the access pattern eviction
+	// is for) is replayed from cold on fresh loads, unbudgeted and under
+	// half that budget, interleaved, timing both.
+	openLazy := func(budget int64) (*ggsx.Index, func(), error) {
+		x := fresh()
+		src, err := persistio.OpenMapped(snapPath)
+		if err != nil {
+			return nil, nil, err
+		}
+		if _, err := x.LoadIndexLazy(src, db, budget); err != nil {
+			src.Close()
+			return nil, nil, err
+		}
+		return x, func() { src.Close() }, nil
+	}
+	probe, closeProbe, err := openLazy(0)
 	if err != nil {
 		return err
 	}
-	defer src.Close()
-	if _, err := probe.LoadIndexLazy(src, db, 0); err != nil {
-		return err
-	}
+	defer closeProbe()
 	for _, q := range qs {
 		probe.Filter(q.G)
 	}
 	indexBytes := probe.Residency().ResidentBytes
 	budget := indexBytes / 2
 
-	bounded := fresh()
-	bsrc, err := persistio.OpenMapped(snapPath)
-	if err != nil {
-		return err
-	}
-	defer bsrc.Close()
-	if _, err := bounded.LoadIndexLazy(bsrc, db, budget); err != nil {
-		return err
-	}
 	zrng := rand.New(rand.NewSource(cfg.Seed * 13))
 	zipf := rand.NewZipf(zrng, 1.2, 1.0, uint64(len(qs)-1))
-	nSkewed := cfg.scaled(400, 150)
-	identical := true
-	for i := 0; i < nSkewed; i++ {
-		qi := int(zipf.Uint64())
-		if got := bounded.Filter(qs[qi].G); !reflect.DeepEqual(got, want[qi][0]) {
-			return fmt.Errorf("skewed query %d (workload %d) diverges under budget", i, qi)
-		}
+	skewed := make([]int, cfg.scaled(400, 150))
+	for i := range skewed {
+		skewed[i] = int(zipf.Uint64())
 	}
-	res := bounded.Residency()
+	nSkewed := len(skewed)
+	replay := func(budget int64) (time.Duration, trie.Residency, error) {
+		x, done, err := openLazy(budget)
+		if err != nil {
+			return 0, trie.Residency{}, err
+		}
+		defer done()
+		t0 := time.Now()
+		for i, qi := range skewed {
+			if got := x.Filter(qs[qi].G); !reflect.DeepEqual(got, want[qi][0]) {
+				return 0, trie.Residency{}, fmt.Errorf("skewed query %d (workload %d) diverges under budget %d", i, qi, budget)
+			}
+		}
+		return time.Since(t0), x.Residency(), nil
+	}
+	var fullNs, budgetNs []float64
+	var res trie.Residency
+	for t := 0; t < trials; t++ {
+		df, _, err := replay(0)
+		if err != nil {
+			return err
+		}
+		var dh time.Duration
+		if dh, res, err = replay(budget); err != nil {
+			return err
+		}
+		fullNs = append(fullNs, float64(df.Nanoseconds()))
+		budgetNs = append(budgetNs, float64(dh.Nanoseconds()))
+	}
+	sort.Float64s(fullNs)
+	sort.Float64s(budgetNs)
+	medFull, medBudget := fullNs[trials/2], budgetNs[trials/2]
+
 	rep := lazyloadReport{
 		Seed: cfg.Seed, Scale: cfg.Scale, NumGraphs: len(db), Shards: shards,
 		SnapshotBytes: fi.Size(), IndexBytes: indexBytes,
@@ -213,19 +252,28 @@ func runLazyload(cfg Config, w io.Writer) error {
 		BudgetBytes: budget, ResidentBytes: res.ResidentBytes,
 		ResidentShards: res.ResidentShards, TotalShards: res.TotalShards,
 		Faults: res.Faults, Evictions: res.Evictions,
-		SkewedQueries: nSkewed, AnswersIdentity: identical,
+		SkewedQueries: nSkewed, AnswersIdentity: true,
+		ReplayFullNs: medFull, ReplayBudgetNs: medBudget, ReplayRatio: medBudget / medFull,
 	}
 	rep.Gates.TTFQRatioMax = lazyTTFQRatioMax
+	rep.Gates.ReplayRatioMax = lazyReplayRatioMax
 	rep.Gates.Pass = true
 	var gateErr error
-	if rep.TTFQRatio > lazyTTFQRatioMax {
+	switch {
+	case rep.TTFQRatio > lazyTTFQRatioMax:
 		gateErr = fmt.Errorf("lazy TTFQ %.0fns is %.2fx eager %.0fns, above the %.2fx gate",
 			medLazy, rep.TTFQRatio, medEager, lazyTTFQRatioMax)
-	} else if res.ResidentBytes > budget && res.ResidentShards > 1 {
-		// One oversized shard is allowed to stand alone (the evictor never
-		// evicts the last resident shard); two or more must fit the budget.
+	case res.ResidentBytes > budget:
+		// The evictor lets a single list larger than the whole budget stand
+		// alone; half the touched index is far above any one list, so here
+		// the budget is a hard ceiling.
 		gateErr = fmt.Errorf("resident %d bytes over the %d budget after the skewed stream",
 			res.ResidentBytes, budget)
+	case res.Evictions == 0:
+		gateErr = fmt.Errorf("the half budget (%d bytes) never evicted: the bounded leg measured nothing", budget)
+	case rep.ReplayRatio > lazyReplayRatioMax:
+		gateErr = fmt.Errorf("skewed replay under the half budget took %.0fns, %.2fx the unbudgeted %.0fns, above the %.1fx gate",
+			medBudget, rep.ReplayRatio, medFull, lazyReplayRatioMax)
 	}
 	if gateErr != nil {
 		rep.Gates.Pass = false
@@ -236,13 +284,16 @@ func runLazyload(cfg Config, w io.Writer) error {
 	tb.AddRowf("TTFQ eager", time.Duration(medEager))
 	tb.AddRowf("TTFQ lazy", time.Duration(medLazy))
 	tb.AddRowf("TTFQ ratio", fmt.Sprintf("%.3fx (gate ≤ %.2fx)", rep.TTFQRatio, lazyTTFQRatioMax))
-	tb.AddRowf("posting bytes", fmt.Sprintf("%d B (all shards resident)", indexBytes))
+	tb.AddRowf("posting bytes", fmt.Sprintf("%d B (every list the workload probes, decoded)", indexBytes))
 	tb.AddRowf("budget", fmt.Sprintf("%d B", budget))
-	tb.AddRowf("resident", fmt.Sprintf("%d B in %d/%d shards after %d skewed queries",
+	tb.AddRowf("resident", fmt.Sprintf("%d B of lists, %d/%d directories open, after %d skewed queries",
 		res.ResidentBytes, res.ResidentShards, res.TotalShards, nSkewed))
-	tb.AddRowf("faults/evictions", fmt.Sprintf("%d / %d", res.Faults, res.Evictions))
-	fmt.Fprintf(w, "Lazy segment loading vs eager restore (GGSX, interleaved TTFQ medians of %d):\n%s", trials, tb)
-	fmt.Fprintf(w, "\nExpected shape: the lazy leg answers its first query after reading only the header,\ndictionary and segment directory plus the touched shards, so TTFQ drops well below\nthe eager restore and the gap widens with index size; under a half-index budget the\nZipf stream faults the hot head in, evicts the cold tail, and never diverges.\n")
+	tb.AddRowf("list decodes/evictions", fmt.Sprintf("%d / %d", res.Faults, res.Evictions))
+	tb.AddRowf("replay unbudgeted", time.Duration(medFull))
+	tb.AddRowf("replay half budget", time.Duration(medBudget))
+	tb.AddRowf("replay ratio", fmt.Sprintf("%.3fx (gate ≤ %.1fx)", rep.ReplayRatio, lazyReplayRatioMax))
+	fmt.Fprintf(w, "Lazy loading vs eager restore (GGSX, interleaved medians of %d):\n%s", trials, tb)
+	fmt.Fprintf(w, "\nExpected shape: the lazy leg answers its first query after reading only the header,\ndictionary and segment table, scanning the touched shards and decoding the probed\nlists, so TTFQ drops well below the eager restore and the gap widens with index size;\nunder a half budget the Zipf stream keeps the hot head's lists resident, re-decodes\nthe cold tail's, never diverges, and pays well under 2x for it.\n")
 
 	if cfg.BenchJSONPath != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")

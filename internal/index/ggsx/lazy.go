@@ -15,9 +15,9 @@ var (
 	_ index.ResidencyReporter = (*Index)(nil)
 )
 
-// LoadIndexLazy implements index.LazyLoadable: like LoadIndex, but posting
-// segments stay undecoded until a query first touches their shard, and
-// budget bounds the resident decoded bytes (0 = unbounded). src must stay
+// LoadIndexLazy implements index.LazyLoadable: like LoadIndex, but a
+// posting list stays undecoded until a query first probes it, and budget
+// bounds the decoded lists kept resident (0 = unbounded). src must stay
 // open and immutable until the index is materialised or discarded. The
 // explicit shard-count option is not applied — the lazy index adopts the
 // snapshot's saved layout (see index.LazyLoadable).
@@ -75,8 +75,8 @@ func (x *Index) LoadIndexLazy(src trie.RandomAccessFile, db []*graph.Graph, budg
 	return index.LoadReport{Bytes: envBytes + n, RecoveredTail: rec}, nil
 }
 
-// Materialize implements index.LazyLoadable: faults in every remaining
-// shard, releasing the dependency on the lazy source. No-op when the index
+// Materialize implements index.LazyLoadable: decodes every segment whole,
+// releasing the dependency on the lazy source. No-op when the index
 // was loaded eagerly or built fresh.
 func (x *Index) Materialize() error {
 	if x.tr == nil {

@@ -27,7 +27,7 @@ func TestLoadIndexLazyDifferential(t *testing.T) {
 	if _, err := eager.LoadIndex(bytes.NewReader(buf.Bytes()), db); err != nil {
 		t.Fatal(err)
 	}
-	for _, budget := range []int64{0, 8 << 10} {
+	for _, budget := range []int64{0, 2 << 10} { // unbounded; under half the lists these queries touch
 		lazy := New(Options{MaxPathLen: 3, BuildWorkers: 2})
 		rep, err := lazy.LoadIndexLazy(bytes.NewReader(buf.Bytes()), db, budget)
 		if err != nil {
@@ -38,7 +38,7 @@ func TestLoadIndexLazyDifferential(t *testing.T) {
 		}
 		res := lazy.Residency()
 		if !res.Lazy || res.ResidentShards != 0 {
-			t.Fatalf("post-open residency %+v: want lazy with zero resident shards (O(touched) TTFQ)", res)
+			t.Fatalf("post-open residency %+v: want lazy with no directory open (O(touched) TTFQ)", res)
 		}
 		for i, q := range qs {
 			if !reflect.DeepEqual(eager.Filter(q), lazy.Filter(q)) {
@@ -49,11 +49,16 @@ func TestLoadIndexLazyDifferential(t *testing.T) {
 			}
 		}
 		res = lazy.Residency()
-		if res.Faults == 0 {
-			t.Error("queries answered without any shard fault-in")
+		if res.Faults == 0 || res.ResidentShards == 0 {
+			t.Errorf("queries answered without a posting decode or an open directory: %+v", res)
 		}
-		if budget > 0 && res.ResidentBytes > budget && res.ResidentShards > 1 {
+		// 40-graph lists are a few hundred bytes: none is let through over
+		// the 2 KiB budget, so it holds outright.
+		if budget > 0 && res.ResidentBytes > budget {
 			t.Errorf("resident %d bytes over budget %d: %+v", res.ResidentBytes, budget, res)
+		}
+		if budget > 0 && res.Evictions == 0 {
+			t.Errorf("budget %d never evicted a list: %+v", budget, res)
 		}
 		if err := lazy.Materialize(); err != nil {
 			t.Fatal(err)

@@ -8,11 +8,14 @@ import (
 // Lazy index loading. A Persistable's LoadIndex decodes the entire snapshot
 // before the first query can run; LazyLoadable is the capability for methods
 // that can instead open a snapshot from a random-access source, decode only
-// the cheap metadata eagerly (envelope, dictionary, segment directory,
-// journal tail) and fault individual posting shards in on first touch. It is
-// what lets a serving process answer its first query in O(touched shards)
-// time — and hold an index bigger than RAM under a residency budget — at the
-// price of per-shard decode latency on cold paths.
+// the cheap metadata eagerly (envelope, dictionary, segment table, journal
+// tail) and page posting lists in as queries probe them. The first probe of
+// a shard reads its segment once — CRC-checked there, and only there — to
+// build a pinned offset directory; every later probe decodes just the list
+// it asks for from that list's byte span. It is what lets a serving process
+// answer its first query in O(touched shards) reading and O(touched lists)
+// decoding — and hold an index bigger than RAM under a residency budget —
+// at the price of one list decode on cold paths.
 //
 // The lazy contract is observational equivalence: a lazily opened index
 // must answer every query, report every statistic and re-save byte-for-byte
@@ -24,19 +27,21 @@ type LazyLoadable interface {
 	Persistable
 
 	// LoadIndexLazy restores a SaveIndex snapshot from src without decoding
-	// posting segments up front. budget bounds resident decoded bytes
-	// (0 = unbounded); least-recently-touched shards are evicted and
-	// re-faulted (re-verifying their checksums) on the next touch. src must
-	// remain open and immutable for the lifetime of the loaded index — it
-	// is read again on every shard fault.
+	// posting segments up front. budget bounds the decoded posting lists
+	// kept resident (0 = unbounded; the dictionary and the per-shard offset
+	// directories are pinned outside it): a CLOCK hand evicts lists not
+	// probed since its last pass, and an evicted list is re-decoded from
+	// its byte span on the next probe. src must remain open and immutable
+	// for the lifetime of the loaded index — it is read again on every
+	// posting decode.
 	//
 	// Unlike LoadIndex, an explicit shard-count option is not applied: the
 	// lazy index adopts the snapshot's saved shard layout, because the
-	// segment directory is the unit of deferred decoding. Layout never
-	// affects answers; call Materialize and re-save to change it.
+	// directories map that layout's segments. Layout never affects
+	// answers; call Materialize and re-save to change it.
 	LoadIndexLazy(src trie.RandomAccessFile, db []*graph.Graph, budget int64, opts ...LoadOption) (LoadReport, error)
 
-	// Materialize faults in every remaining shard and converts the index to
+	// Materialize decodes every segment whole and converts the index to
 	// the fully-resident representation LoadIndex would have produced,
 	// releasing the dependency on src. Mutating operations call it
 	// implicitly. It is idempotent and a no-op on an eagerly loaded index.
@@ -44,8 +49,9 @@ type LazyLoadable interface {
 }
 
 // ResidencyReporter is implemented by indexes that can describe how much of
-// their posting data is currently decoded — the serving layer's residency
-// gauges come from here. Eagerly loaded indexes report Lazy == false.
+// their posting data is currently decoded (see trie.Residency for what
+// each counter counts) — the serving layer's residency gauges come from
+// here. Eagerly loaded indexes report Lazy == false.
 type ResidencyReporter interface {
 	Residency() trie.Residency
 }

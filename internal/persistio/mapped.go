@@ -1,12 +1,13 @@
 package persistio
 
 // Read-only random access. Snapshot loads historically streamed the whole
-// file through an io.Reader; the lazy segment loader instead needs to jump
-// straight to a shard's segment body without touching the bytes in
-// between. RandomAccess is that shape — io.ReaderAt plus a length — and
-// OpenMapped is the file-backed constructor: the file is memory-mapped
-// where the platform supports it (reads are then plain page faults, and
-// an evicted shard costs nothing until re-touched), with a pread
+// file through an io.Reader; the lazy loader instead needs to jump
+// straight to a shard's segment body, or to one posting list's byte span
+// inside it, without touching the bytes in between. RandomAccess is that
+// shape — io.ReaderAt plus a length — and OpenMapped is the file-backed
+// constructor: the file is memory-mapped where the platform supports it
+// (reads are then plain page faults, and an evicted posting list costs
+// nothing until it is probed again), with a pread
 // (*os.File.ReadAt) fallback everywhere else. MemMapped serves tests and
 // fuzz targets from a byte slice, and FaultMapped injects read failures
 // for the crash/corruption suites.
@@ -167,8 +168,9 @@ func (m *MemMapped) Close() error {
 
 // FaultMapped wraps a RandomAccess with injectable read failures, the
 // random-access sibling of FaultFile: the crash/corruption suites use it
-// to prove that an I/O error surfacing at shard fault-in poisons only that
-// fault-in, not the rest of the resident index.
+// to prove that an I/O error surfacing when the lazy loader opens a shard
+// or decodes a posting list fails only that probe, not the rest of the
+// resident index.
 type FaultMapped struct {
 	inner RandomAccess
 
@@ -197,8 +199,8 @@ func (f *FaultMapped) FailReads(err error) {
 }
 
 // Reads returns the number of ReadAt calls that reached the wrapper
-// (including injected failures) — how many segment fetches actually
-// happened, for re-fault assertions.
+// (including injected failures) — how many fetches from the mapping
+// actually happened, for re-decode assertions.
 func (f *FaultMapped) Reads() int64 { return f.readCalls.Load() }
 
 func (f *FaultMapped) ReadAt(p []byte, off int64) (int, error) {

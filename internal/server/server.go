@@ -733,8 +733,11 @@ func emitEngineMetrics(w io.Writer, mode string, st igq.EngineStats) {
 	fmt.Fprintf(w, "igq_engine_cached_queries{mode=%q} %d\n", mode, st.CachedQueries)
 	fmt.Fprintf(w, "igq_engine_window_pending{mode=%q} %d\n", mode, st.WindowPending)
 	fmt.Fprintf(w, "igq_engine_flushes_total{mode=%q} %d\n", mode, st.Flushes)
-	// Residency gauges of a lazily loaded index (all zero when eager);
-	// sampling them is atomic reads — a scrape never forces shards in.
+	// Residency gauges of a lazily loaded index (all zero when eager); a
+	// scrape never decodes anything. The unit is the posting list, under
+	// the names the shard-granular loader gave them: resident_shards is
+	// shards with an open offset directory, resident_bytes the decoded
+	// lists, shard_faults list decodes, shard_evictions lists evicted.
 	lazy := 0
 	if st.LazyLoaded {
 		lazy = 1

@@ -2,6 +2,9 @@ package trie
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/features"
@@ -123,7 +126,7 @@ func FuzzTrieReadFrom(f *testing.F) {
 	if _, _, err := probe.OpenLazy(bytes.NewReader(dense.Bytes()), LazyOptions{}); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(dense.Bytes()[:probe.lazyLive.Load().dir[1].off-2])
+	f.Add(dense.Bytes()[:probe.lazyLive.Load().segs[1].off-2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := NewSharded(features.NewDict(), 0)
@@ -255,4 +258,128 @@ func (m *memFile) Seek(offset int64, whence int) (int64, error) {
 		m.off = int64(len(m.b)) + offset
 	}
 	return m.off, nil
+}
+
+// segmentBodies returns the segment bodies of a well-formed snapshot.
+func segmentBodies(f *testing.F, snap []byte) [][]byte {
+	f.Helper()
+	tr := NewSharded(features.NewDict(), 0)
+	if _, _, err := tr.OpenLazy(bytes.NewReader(snap), LazyOptions{}); err != nil {
+		f.Fatal(err)
+	}
+	var out [][]byte
+	for _, seg := range tr.lazyLive.Load().segs {
+		out = append(out, snap[seg.off:seg.off+int64(seg.len)])
+	}
+	return out
+}
+
+// scanFuzzKeys is the dictionary size of FuzzLazySegmentScan's wrapper.
+const scanFuzzKeys = 64
+
+// scanFuzzSnapshot frames body as segment 0 of a two-shard v3 snapshot over
+// a fixed dictionary (segment 1 is empty), with a correct length and CRC,
+// so arbitrary bytes reach the framing scan and the posting decoders. It
+// also returns the body's extent within the snapshot.
+func scanFuzzSnapshot(body []byte) (snap []byte, lo, hi int64) {
+	snap = append(snap, persistMagic...)
+	snap = append(snap, uv(persistVersion, 2, scanFuzzKeys)...)
+	for i := 0; i < scanFuzzKeys; i++ {
+		snap = append(snap, 2, 'k', byte('0'+i))
+	}
+	snap = append(snap, uv(uint64(len(body)))...)
+	snap = binary.LittleEndian.AppendUint32(snap, crc32.ChecksumIEEE(body))
+	lo = int64(len(snap))
+	snap = append(snap, body...)
+	hi = int64(len(snap))
+	snap = append(snap, 1) // segment 1: one byte,
+	snap = binary.LittleEndian.AppendUint32(snap, crc32.ChecksumIEEE([]byte{0}))
+	snap = append(snap, 0) // nfeat = 0
+	return append(snap, sectionEnd), lo, hi
+}
+
+// boundedReader fails the test on any read that leaves [lo, hi) once armed.
+type boundedReader struct {
+	*bytes.Reader
+	t      *testing.T
+	lo, hi int64 // armed when hi > 0
+}
+
+func (b *boundedReader) ReadAt(p []byte, off int64) (int, error) {
+	if b.hi > 0 && (off < b.lo || off+int64(len(p)) > b.hi) {
+		b.t.Fatalf("lazy phase read [%d, %d) outside the segment body [%d, %d)", off, off+int64(len(p)), b.lo, b.hi)
+	}
+	return b.Reader.ReadAt(p, off)
+}
+
+// FuzzLazySegmentScan feeds arbitrary segment bodies to the lazy loader's
+// two-step path — the open-time framing scan, then one posting-list decode
+// per probe from the recorded byte span — and holds it to the whole-segment
+// decoder: it must never panic (other than the contractual
+// *ShardFaultError), never read outside the body, reject with ErrCorrupt
+// exactly the bodies decodeSegment rejects, and decode every list of an
+// accepted body identically, re-decodes after eviction included.
+func FuzzLazySegmentScan(f *testing.F) {
+	var seed, dense bytes.Buffer
+	if _, err := fuzzSeedTrie().WriteTo(&seed); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := fuzzDenseSeedTrie().WriteTo(&dense); err != nil {
+		f.Fatal(err)
+	}
+	for _, snap := range [][]byte{seed.Bytes(), dense.Bytes(), encodeLegacySnapshot(2, 4, legacyDataset())} {
+		for _, body := range segmentBodies(f, snap) {
+			f.Add(body)
+			f.Add(body[:len(body)*2/3]) // truncated mid-list
+			if len(body) > 2 {
+				flip := append([]byte(nil), body...)
+				flip[len(flip)/2] ^= 0x04
+				f.Add(flip)
+			}
+		}
+	}
+	// The corpus' structurally invalid container payloads, as feature 0.
+	for _, payload := range [][]byte{
+		append([]byte{3}, uv(2, 1, 1)...),             // reserved tag
+		append([]byte{segTagBitmap}, uv(3, 0, 0)...),  // zero words
+		append([]byte{segTagRuns}, uv(4, 1, 0, 2)...), // length mismatch
+	} {
+		f.Add(append(uv(1, 0), payload...))
+	}
+	f.Add(uv(2, 0, 0))                                                              // duplicate feature ID
+	f.Add(append(uv(1, 1), append([]byte{segTagArray}, uv(1, 5)...)...))            // odd ID in the even segment
+	f.Add(append(uv(1, scanFuzzKeys), append([]byte{segTagArray}, uv(1, 5)...)...)) // ID outside the dictionary
+	f.Add(append(append(uv(1, 0), append([]byte{segTagArray}, uv(1, 5)...)...), 0)) // trailing byte
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		snap, lo, hi := scanFuzzSnapshot(body)
+		remap := make([]features.FeatureID, scanFuzzKeys)
+		for i := range remap {
+			remap[i] = features.FeatureID(i)
+		}
+		want := make(map[features.FeatureID]PostingList)
+		_, wantErr := decodeSegment(body, want, remap, 1, 0, persistVersion, AdaptiveContainers)
+
+		src := &boundedReader{Reader: bytes.NewReader(snap), t: t}
+		lz := openLazy(t, src, 1) // one byte: every probe evicts the last list
+		src.lo, src.hi = lo, hi
+		for pass := 0; pass < 2; pass++ {
+			for i := 0; i < scanFuzzKeys; i += 2 { // shard 0 holds the even IDs
+				id := features.FeatureID(i)
+				pl, sfe := probeFault(t, lz, id)
+				switch {
+				case wantErr != nil && (sfe == nil || !errors.Is(sfe, ErrCorrupt)):
+					t.Fatalf("decodeSegment rejects the body (%v) but probe %d got %v", wantErr, id, sfe)
+				case wantErr == nil && sfe != nil:
+					t.Fatalf("decodeSegment accepts the body but probe %d failed: %v", id, sfe)
+				case wantErr == nil && !plEqual(pl, want[id]):
+					t.Fatalf("probe %d decodes %v, decodeSegment %v", id, pl.Postings(), want[id].Postings())
+				}
+			}
+		}
+		src.hi = 0 // Materialize reads the other segment too
+		if err := lz.Materialize(); (err == nil) != (wantErr == nil) {
+			t.Fatalf("Materialize = %v, decodeSegment = %v", err, wantErr)
+		}
+	})
 }

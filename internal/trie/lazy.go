@@ -1,41 +1,54 @@
 package trie
 
-// Lazy segment loading: serve a snapshot bigger than RAM with
-// O(touched-shards) time-to-first-query.
+// Lazy loading: serve a snapshot bigger than RAM, paging posting lists.
 //
 // OpenLazy splits the streaming load (ReadFrom) into two phases:
 //
 //   - The *eager phase* reads only what every query needs up front: the
 //     header, the full dictionary (interned in ID order, exactly like
-//     ReadFrom), a segment *directory* of {offset, length, CRC} triples —
-//     the bodies themselves are skipped, not read — and the complete
-//     trailing section stream, with the same torn-tail recovery contract
-//     as the streaming loader. Journal ops are decoded and validated in
-//     full, their new feature keys interned in the exact order a live
-//     replay would intern them, and the ops are projected into per-shard
-//     pending overlays.
-//   - The *lazy phase* is demand paging: the first GetByID probe into a
-//     shard faults its segment in — one positioned read of the body,
-//     CRC-checked and decoded only then — and replays the shard's pending
-//     overlay through the same Mutation.Apply path live mutation uses, so
-//     the resident shard is bit-identical to what the eager loader would
-//     have produced. The replay runs once per shard: its outcome is kept
-//     as a compact patch (post-replay containers for exactly the features
-//     the overlay touches), so a shard that is evicted and re-faulted
-//     re-reads and re-verifies its segment but applies the patch instead
-//     of replaying the journal again. A byte-budgeted evictor returns the
-//     least recently used shards to disk.
+//     ReadFrom), a segment table of {offset, length, CRC} triples — the
+//     bodies themselves are skipped, not read — and the complete trailing
+//     section stream, with the same torn-tail recovery contract as the
+//     streaming loader. Journal ops are decoded and validated in full,
+//     their new feature keys interned in the exact order a live replay
+//     would intern them, and the ops are projected into per-shard pending
+//     overlays.
+//   - The *lazy phase* is demand paging at posting-list granularity. The
+//     first probe into a shard opens its *directory*: one positioned read
+//     of the segment body, the CRC check, and an allocation-free framing
+//     scan (the ordinary decoders in skip mode, so it accepts and rejects
+//     exactly what a full decode would) that records where each feature's
+//     entry starts. A journaled shard also replays its pending overlay
+//     then, once, over just the features the overlay touches, through the
+//     same Mutation.Apply path live mutation uses; the outcome is kept as
+//     a compact patch that every later probe consults before the segment
+//     bytes. After that a probe decodes only the posting list it asks for,
+//     from that list's byte span, and publishes it in a per-shard slot
+//     array indexed by id >> log2(shards); a hit is one mask, one atomic
+//     pointer load and a reference-bit store. A CLOCK hand over the slots
+//     evicts decoded lists — never directories — once the resident bytes
+//     exceed the budget.
+//
+// What is pinned, outside the budget: the dictionary; 8 bytes of slot per
+// dictionary entry from open; 4 bytes of offset per entry of every shard
+// whose directory is open; and the overlay patches of journaled shards.
+// What is paged, inside the budget: decoded posting lists, at the eager
+// store's 48 + SizeBytes() accounting.
 //
 // Error placement moves with the work: base damage that the streaming
 // loader reports at load time (a bad segment CRC, a corrupt posting list)
-// surfaces from OpenLazy only when it is structural to the directory
-// (truncated bodies, bad lengths) and otherwise at fault-in, wrapped in
-// ErrCorrupt, poisoning only the touched shard. Read paths that cannot
-// return an error (GetByID) panic with *ShardFaultError; the engine's
-// query panic containment converts that into a query error.
+// surfaces from OpenLazy only when it is structural to the segment table
+// (truncated bodies, bad lengths) and otherwise when the shard's directory
+// is opened, wrapped in ErrCorrupt, poisoning only that shard — the
+// directory stays closed and a later probe retries. The CRC is checked
+// there (and again when Materialize decodes a whole segment), not on each
+// posting decode: a later decode re-reads only its span, validates it
+// structurally, and on failure leaves its slot cold. Read paths that cannot
+// return an error (GetByID) panic with *ShardFaultError; the engine's query
+// panic containment converts that into a query error.
 //
 // Mutation, persistence and whole-store accounting force-materialise
-// first (Materialize / ensureMaterialized): every shard is faulted in,
+// first (Materialize / ensureMaterialized): every segment is decoded whole,
 // the byte trie is rebuilt, and the trie becomes an ordinary eager trie —
 // a Materialize'd lazy load is observationally identical to ReadFrom,
 // including re-Save bytes.
@@ -45,6 +58,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -65,36 +79,40 @@ type RandomAccessFile interface {
 // LazyOptions configures OpenLazy.
 type LazyOptions struct {
 	// Workers is the decode parallelism used by Materialize (≤ 0 selects
-	// GOMAXPROCS); individual fault-ins are single-shard and unaffected.
+	// GOMAXPROCS); individual probes decode one list and are unaffected.
 	Workers int
 	// Strict fails the open on *any* structural damage, including a torn
 	// trailing journal section the default mode would recover from.
 	Strict bool
-	// BudgetBytes bounds the resident shards' decoded footprint; once
-	// exceeded, fault-ins evict least-recently-used shards until back
-	// under budget (the shard just faulted is never the victim, so the
-	// resident set holds at least one shard — a single shard larger than
-	// the budget stays resident alone). 0 means unbounded.
+	// BudgetBytes bounds the decoded posting lists kept resident; once
+	// exceeded, a decode evicts lists the CLOCK hand finds unreferenced
+	// until back under budget (the list just decoded is never the victim,
+	// so a single list larger than the budget stays resident alone).
+	// Directories, the dictionary and overlay patches are pinned and not
+	// counted. 0 means unbounded.
 	BudgetBytes int64
 }
 
 // Residency reports a trie's lazy-loading state. The zero value (Lazy
-// false) means the trie was not lazily opened.
+// false) means the trie was not lazily opened. The unit of residency is
+// the posting list; the shard-named fields keep their names for the
+// serving layer's gauges.
 type Residency struct {
 	Lazy           bool
 	TotalShards    int
-	ResidentShards int
-	ResidentBytes  int64
+	ResidentShards int   // shards whose directory is open (all of them once Materialized)
+	ResidentBytes  int64 // decoded posting lists resident, 48 + SizeBytes() each (the whole store once Materialized)
 	BudgetBytes    int64
-	Faults         int64 // segment fault-ins, including refaults after eviction
-	Evictions      int64
-	OverlayReplays int64 // journal-overlay replays (once per journaled shard; refaults reuse the cached patch)
+	Faults         int64 // posting-list decodes from segment bytes, re-decodes after eviction included
+	Evictions      int64 // posting lists evicted under the budget
+	OverlayReplays int64 // journal-overlay replays (once per journaled shard, when its directory opens)
 	Materialized   bool
 }
 
 // ShardFaultError is the panic payload of a lazy read path that cannot
-// return an error (GetByID, Walk postings): faulting the shard's segment
-// in failed. Shard is -1 when the failure was a whole-trie materialise.
+// return an error (GetByID, Walk postings): opening the shard's directory
+// or decoding the probed list failed. Shard is -1 when the failure was a
+// whole-trie materialise.
 type ShardFaultError struct {
 	Shard int
 	Err   error
@@ -109,50 +127,56 @@ func (e *ShardFaultError) Error() string {
 
 func (e *ShardFaultError) Unwrap() error { return e.Err }
 
-// lazySeg is one segment-directory entry: where a shard's body lives.
+// lazySeg is one segment-table entry: where a shard's body lives.
 type lazySeg struct {
 	off int64 // absolute body offset within src
 	len int   // body length
 	crc uint32
 }
 
-// shardResident is one faulted-in shard. Immutable once published, so an
-// in-flight reader holding it across an eviction keeps consistent data.
-type shardResident struct {
-	posts   map[features.FeatureID]PostingList
-	drained []features.FeatureID // features the overlay replay drained (dead)
-	bytes   int64                // decoded footprint, SizeBytes accounting
+// lazyList is one decoded posting list in its residency slot. Immutable
+// once published apart from the reference bit, so a reader holding it (or
+// the PostingList copied out of it) across an eviction keeps consistent
+// data — eviction only unpublishes.
+type lazyList struct {
+	pl    PostingList
+	bytes int64       // 48 + pl.SizeBytes(): the eager store's per-feature accounting
+	ref   atomic.Bool // CLOCK reference bit: set by probes, cleared by the hand
 }
 
-// overlayPatch is the cached outcome of a shard's one-time journal-overlay
-// replay: the post-replay containers of exactly the features the overlay
-// ops touch (set), the touched features the replay drained away (del), and
-// the dead-set contribution. Applying it to a freshly decoded segment is
-// O(touched features) and lands on the same state the replay produced —
-// legal because overlays never change after OpenLazy (mutation goes
-// through Materialize first) and the containers are immutable once a
-// resident is published. If overlays ever become mutable on a live lazy
+// shardDir is one shard's open directory, pinned once published. off holds
+// CSR offsets over the slot array: slot i's entry (its idΔ varint and
+// posting list) is body[off[i]:off[i+1]], empty when the segment holds no
+// such feature.
+//
+// patch and drained are the cached outcome of a journaled shard's one-time
+// overlay replay (both nil otherwise): the post-replay list of every
+// feature the overlay ops touch — the zero list where the replay deleted
+// it, or it never existed — and the dead-set contribution. Probes consult
+// the patch before the segment bytes, and Materialize lays it over the
+// whole-segment decode — legal because overlays never change after
+// OpenLazy (mutation goes through Materialize first) and lists are
+// immutable once built. If overlays ever become mutable on a live lazy
 // trie, the patch must be dropped wherever they change.
-type overlayPatch struct {
-	set     map[features.FeatureID]PostingList
-	del     []features.FeatureID
+type shardDir struct {
+	off     []uint32
+	patch   map[features.FeatureID]PostingList
 	drained []features.FeatureID
 }
 
-// lazyShard is one shard's residency slot.
+// lazyShard is one shard's residency state.
 type lazyShard struct {
-	val     atomic.Pointer[shardResident] // nil = cold (on disk)
-	mu      sync.Mutex                    // serialises fault-in of this shard
-	lastUse atomic.Int64                  // clock tick of the last probe
-	replay  *overlayPatch                 // guarded by mu: set by the first overlay replay
+	slots []atomic.Pointer[lazyList] // by id >> log2(shards); nil = cold
+	dir   atomic.Pointer[shardDir]   // nil until the first probe opens it
+	mu    sync.Mutex                 // serialises opening the directory
 }
 
 // lazyState is everything OpenLazy defers: the mapped source, the segment
-// directory, the per-shard journal overlays, and the residency table.
+// table, the per-shard journal overlays, and the residency slots.
 type lazyState struct {
 	src      RandomAccessFile
 	dict     *features.Dict
-	dir      []lazySeg
+	segs     []lazySeg
 	overlays [][]mutOp // per-shard projected journal ops, replay order
 	remap    []features.FeatureID
 	version  uint64
@@ -160,21 +184,30 @@ type lazyState struct {
 	budget   int64
 	workers  int
 	mask     uint32
+	shift    uint32 // log2(shards)
+	nIDs     int    // dictionary length at open: the cycle of the CLOCK hand
 
 	shards []lazyShard
-	clock  atomic.Int64
+	eager  []shard    // the owning trie's shards, filled in by Materialize
 	matMu  sync.Mutex // serialises Materialize
 
-	// mu guards the accounting below and every val.Store (publish and
-	// evict), so resident counters never drift from the table.
-	mu           sync.Mutex
-	resBytes     int64
-	resShards    int
-	faults       int64
-	evictions    int64
-	replays      int64 // actual overlay replays (not patch applications)
-	sealed       bool // Materialize under way/done: eviction disabled
-	materialized bool
+	// srcMu orders cold probes against Materialize: a probe holds it shared
+	// while it reads src and publishes; Materialize takes it exclusively to
+	// set materialized, after which cold probes answer from eager and src
+	// is never read again — so the caller may close it.
+	srcMu        sync.RWMutex
+	materialized atomic.Bool
+
+	// mu guards the accounting below and every slot and directory Store,
+	// so the counters never drift from the table.
+	mu        sync.Mutex
+	hand      int // next feature ID the CLOCK hand inspects
+	resBytes  int64
+	resLists  int
+	openDirs  int
+	faults    int64
+	evictions int64
+	replays   int64
 }
 
 // raScanner adapts a RandomAccessFile to the byteScanner shape the header
@@ -264,17 +297,17 @@ func (r *raScanner) Skip(n int64) {
 }
 
 // OpenLazy replaces the trie's contents with a snapshot opened for lazy
-// segment loading: the eager phase above runs now, segment bodies decode
-// on first touch. Contract mirrors ReadFromOptions — same dictionary
-// interning, same saved-layout adoption, same torn-tail recovery and byte
-// count (the count covers the whole consumed prefix, including a
-// discarded tail) — except that base damage *inside* a segment body
-// (CRC, posting structure) surfaces at fault-in rather than here.
+// loading: the eager phase above runs now, posting lists decode on first
+// touch. Contract mirrors ReadFromOptions — same dictionary interning,
+// same saved-layout adoption, same torn-tail recovery and byte count (the
+// count covers the whole consumed prefix, including a discarded tail) —
+// except that base damage *inside* a segment body (CRC, posting structure)
+// surfaces when that shard's directory is opened rather than here.
 //
 // Two snapshot shapes cannot load lazily and transparently fall back to a
 // full eager decode over src: version-1 files (no section stream) and
 // loads into a non-empty dictionary (the ID remap breaks the segment ↔
-// shard correspondence fault-in relies on). Either way the returned
+// shard correspondence the directories rely on). Either way the returned
 // values are exactly what ReadFromOptions would report.
 //
 // The trie adopts the *saved* shard layout; Reshard (which would
@@ -289,62 +322,20 @@ func (t *Trie) OpenLazy(src RandomAccessFile, opt LazyOptions) (int64, *TailReco
 	}
 
 	ra := newRAScanner(src)
-	var magic [len(persistMagic)]byte
-	if _, err := io.ReadFull(ra, magic[:]); err != nil {
-		return 0, nil, fmt.Errorf("%w: reading magic: %v", ErrCorrupt, err)
-	}
-	if string(magic[:]) != persistMagic {
-		return 0, nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
-	}
-	version, err := binary.ReadUvarint(ra)
+	version, k, remap, identity, err := readPreamble(ra, t.dict)
 	if err != nil {
-		return 0, nil, fmt.Errorf("%w: reading version: %v", ErrCorrupt, err)
+		return 0, nil, err
 	}
-	if version < 1 || version > persistVersion {
-		return 0, nil, fmt.Errorf("trie: snapshot version %d unsupported (this build reads ≤ %d)", version, persistVersion)
-	}
-	if version < 2 {
+	if version < 2 || !identity {
+		// No section stream, or a pre-populated dictionary moved the IDs:
+		// interning is idempotent, so the restart re-interns harmlessly.
 		return fullDecode()
 	}
-	savedShards, err := binary.ReadUvarint(ra)
-	if err != nil {
-		return 0, nil, fmt.Errorf("%w: reading shard count: %v", ErrCorrupt, err)
-	}
-	k := int(savedShards)
-	if k < 1 || k > maxShards || k&(k-1) != 0 {
-		return 0, nil, fmt.Errorf("%w: shard count %d not a power of two in [1, %d]", ErrCorrupt, k, maxShards)
-	}
 
-	// Dictionary: intern the saved keys in ID order, exactly like ReadFrom.
-	// A non-identity remap (pre-populated dictionary) breaks the segment ↔
-	// shard correspondence, so bail out to the streaming loader — interning
-	// is idempotent, so the restart re-interns the same keys harmlessly.
-	nKeys, err := binary.ReadUvarint(ra)
-	if err != nil || nKeys > maxDictLen {
-		return 0, nil, fmt.Errorf("%w: dictionary size", ErrCorrupt)
-	}
-	var kbuf []byte
-	for i := uint64(0); i < nKeys; i++ {
-		klen, err := binary.ReadUvarint(ra)
-		if err != nil || klen > maxKeyLen {
-			return 0, nil, fmt.Errorf("%w: dictionary key length", ErrCorrupt)
-		}
-		if cap(kbuf) < int(klen) {
-			kbuf = make([]byte, klen)
-		}
-		kbuf = kbuf[:klen]
-		if _, err := io.ReadFull(ra, kbuf); err != nil {
-			return 0, nil, fmt.Errorf("%w: reading dictionary key: %v", ErrCorrupt, err)
-		}
-		if t.dict.Intern(string(kbuf)) != features.FeatureID(i) {
-			return fullDecode()
-		}
-	}
-
-	// Segment directory: frame fields only, bodies skipped. Bounds-check
+	// Segment table: frame fields only, bodies skipped. Bounds-check
 	// every body against the source length so base truncation fails here —
 	// the streaming loader's strictness — not as a spurious tail recovery.
-	dir := make([]lazySeg, k)
+	segs := make([]lazySeg, k)
 	for s := 0; s < k; s++ {
 		segLen, err := binary.ReadUvarint(ra)
 		if err != nil || segLen > maxSegmentLen {
@@ -358,64 +349,20 @@ func (t *Trie) OpenLazy(src RandomAccessFile, opt LazyOptions) (int64, *TailReco
 		if off+int64(segLen) > src.Size() {
 			return 0, nil, fmt.Errorf("%w: segment %d body: truncated", ErrCorrupt, s)
 		}
-		dir[s] = lazySeg{off: off, len: int(segLen), crc: binary.LittleEndian.Uint32(crcBuf[:])}
+		segs[s] = lazySeg{off: off, len: int(segLen), crc: binary.LittleEndian.Uint32(crcBuf[:])}
 		ra.Skip(int64(segLen))
 	}
 
-	// Section stream: identical scan and recovery semantics to readFrom.
-	type journalRec struct {
-		stamp JournalStamp
-		ops   []mutOp
-	}
-	var journals []journalRec
-	var rec *TailRecovery
-	committed := ra.Offset()
-	fail := func(dropped []byte, cause error) error {
-		if opt.Strict {
-			return cause
-		}
-		rec = &TailRecovery{CommittedBytes: committed, DroppedOps: journalOpCount(dropped)}
-		return nil
-	}
-	for rec == nil {
-		tag, err := ra.ReadByte()
-		if err != nil {
-			if err := fail(nil, fmt.Errorf("%w: reading section tag: %v", ErrCorrupt, err)); err != nil {
-				return 0, nil, err
-			}
-			break
-		}
-		if tag == sectionEnd {
-			break
-		}
-		if tag != sectionJournal {
-			if err := fail(nil, fmt.Errorf("%w: unknown section tag %q", ErrCorrupt, tag)); err != nil {
-				return 0, nil, err
-			}
-			break
-		}
-		body, partial, err := readSectionPartial(ra, "journal")
-		if err != nil {
-			if err := fail(partial, err); err != nil {
-				return 0, nil, err
-			}
-			break
-		}
-		stamp, ops, err := decodeJournalBody(body)
-		if err != nil {
-			if err := fail(body, err); err != nil {
-				return 0, nil, err
-			}
-			break
-		}
-		journals = append(journals, journalRec{stamp: stamp, ops: ops})
-		committed = ra.Offset()
+	// Section stream: the streaming loader's scan and recovery semantics.
+	journals, rec, err := readSectionStream(ra, ra.Offset, opt.Strict)
+	if err != nil {
+		return 0, nil, err
 	}
 	consumed := ra.Offset()
 	if rec != nil {
 		// The whole tail beyond the committed prefix is untrustworthy; the
 		// streaming loader consumes and discards it, so report the same.
-		rec.DiscardedBytes = src.Size() - committed
+		rec.DiscardedBytes = src.Size() - rec.CommittedBytes
 		consumed = src.Size()
 	}
 
@@ -477,14 +424,16 @@ func (t *Trie) OpenLazy(src RandomAccessFile, opt LazyOptions) (int64, *TailReco
 		}
 	}
 
-	remap := make([]features.FeatureID, nKeys)
-	for i := range remap {
-		remap[i] = features.FeatureID(i)
+	// Placeholder shards (filled in by Materialize) and an empty byte trie
+	// (rebuilt by Materialize — Walk/NodeCount materialise first).
+	shards := make([]shard, k)
+	for i := range shards {
+		shards[i].posts = make(map[features.FeatureID]PostingList)
 	}
 	ls := &lazyState{
 		src:      src,
 		dict:     t.dict,
-		dir:      dir,
+		segs:     segs,
 		overlays: overlays,
 		remap:    remap,
 		version:  version,
@@ -492,15 +441,17 @@ func (t *Trie) OpenLazy(src RandomAccessFile, opt LazyOptions) (int64, *TailReco
 		budget:   opt.BudgetBytes,
 		workers:  opt.Workers,
 		mask:     mask,
+		shift:    uint32(bits.TrailingZeros(uint(k))),
+		nIDs:     t.dict.Len(),
 		shards:   make([]lazyShard, k),
+		eager:    shards,
+	}
+	// One slot per dictionary entry, journal-new features included: IDs
+	// interned after this point hold no postings here and fall off the end.
+	for i := range ls.shards {
+		ls.shards[i].slots = make([]atomic.Pointer[lazyList], (ls.nIDs+k-1)/k)
 	}
 
-	// Install: placeholder shards (replaced by Materialize), empty byte
-	// trie (rebuilt by Materialize — Walk/NodeCount materialise first).
-	shards := make([]shard, k)
-	for i := range shards {
-		shards[i].posts = make(map[features.FeatureID]PostingList)
-	}
 	t.shards = shards
 	t.mask = mask
 	t.root = node{}
@@ -517,161 +468,283 @@ func (t *Trie) OpenLazy(src RandomAccessFile, opt LazyOptions) (int64, *TailReco
 	return consumed, rec, nil
 }
 
-// get serves one probe from the resident table, faulting the shard in on
-// first touch. Fault failure panics with *ShardFaultError (GetByID cannot
+// get serves one probe: a resident list straight from its slot, anything
+// else through fault. Failure panics with *ShardFaultError (GetByID cannot
 // return an error); the engine's query panic containment converts it.
 func (ls *lazyState) get(id features.FeatureID) PostingList {
 	s := int(uint32(id) & ls.mask)
-	sh := &ls.shards[s]
-	sh.lastUse.Store(ls.clock.Add(1))
-	if res := sh.val.Load(); res != nil {
-		return res.posts[id]
+	slots := ls.shards[s].slots
+	slot := int(uint32(id) >> ls.shift)
+	if slot >= len(slots) {
+		return PostingList{} // interned after the snapshot was opened
 	}
-	res, err := ls.faultIn(s)
+	if l := slots[slot].Load(); l != nil {
+		if !l.ref.Load() { // test first: hot lists stay in shared cache lines
+			l.ref.Store(true)
+		}
+		return l.pl
+	}
+	pl, err := ls.fault(s, slot, id)
 	if err != nil {
 		panic(&ShardFaultError{Shard: s, Err: err})
 	}
-	return res.posts[id]
+	return pl
 }
 
-// faultIn loads shard s's segment: positioned read, CRC check, decode,
-// overlay replay, publish. Failure leaves the shard cold and poisons
-// nothing else; a later touch retries from scratch.
-func (ls *lazyState) faultIn(s int) (*shardResident, error) {
-	sh := &ls.shards[s]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if res := sh.val.Load(); res != nil {
-		return res, nil
+// fault is the cold path of a probe: open the shard's directory if this is
+// its first touch, then take the list from the overlay patch or decode it
+// from its byte span, and publish it. Failure leaves the slot cold and
+// poisons nothing else; a later probe retries from scratch.
+func (ls *lazyState) fault(s, slot int, id features.FeatureID) (PostingList, error) {
+	ls.srcMu.RLock()
+	defer ls.srcMu.RUnlock()
+	if ls.materialized.Load() {
+		return ls.eager[s].posts[id], nil // a probe that outlived Materialize
 	}
-	seg := ls.dir[s]
-	body := make([]byte, seg.len)
-	if seg.len > 0 {
-		if n, err := ls.src.ReadAt(body, seg.off); n < len(body) {
-			if err == nil {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, fmt.Errorf("trie: shard %d segment read: %w", s, err)
+	d, err := ls.openDir(s, nil)
+	if err != nil {
+		return PostingList{}, err
+	}
+	pl, patched := d.patch[id]
+	if !patched {
+		lo, hi := d.off[slot], d.off[slot+1]
+		if lo == hi {
+			return PostingList{}, nil // no such feature in this snapshot
 		}
+		buf := make([]byte, hi-lo)
+		if err := ls.readAt(buf, ls.segs[s].off+int64(lo)); err != nil {
+			return PostingList{}, fmt.Errorf("trie: shard %d posting read: %w", s, err)
+		}
+		if pl, err = ls.decodeEntry(buf); err != nil {
+			return PostingList{}, fmt.Errorf("segment %d: %w", s, err)
+		}
+	}
+	if pl.Len() == 0 {
+		return pl, nil
+	}
+	return ls.publish(&ls.shards[s].slots[slot], pl, !patched), nil
+}
+
+// decodeEntry decodes one directory entry — the idΔ varint the open-time
+// scan already placed, then the posting list — which must fill b exactly.
+func (ls *lazyState) decodeEntry(b []byte) (PostingList, error) {
+	d := segDecoder{b: b}
+	if _, err := d.uvarint(); err != nil {
+		return PostingList{}, err
+	}
+	pl, err := d.decodeList(ls.version, ls.policy)
+	if err == nil && d.off != len(b) {
+		err = fmt.Errorf("%w: posting list ends %d bytes short of its directory span", ErrCorrupt, len(b)-d.off)
+	}
+	return pl, err
+}
+
+// publish installs a freshly obtained list in its slot and charges the
+// budget; decoded says it came from segment bytes (a fault) rather than
+// the pinned overlay patch. A probe that lost the race for the slot
+// returns the winner's list.
+func (ls *lazyState) publish(slot *atomic.Pointer[lazyList], pl PostingList, decoded bool) PostingList {
+	l := &lazyList{pl: pl, bytes: 48 + int64(pl.SizeBytes())}
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	if decoded {
+		ls.faults++
+	}
+	if cur := slot.Load(); cur != nil {
+		return cur.pl
+	}
+	slot.Store(l)
+	ls.resBytes += l.bytes
+	ls.resLists++
+	if ls.budget > 0 {
+		ls.evictLocked(l)
+	}
+	return pl
+}
+
+// evictLocked (ls.mu held) advances the CLOCK hand over the feature IDs
+// until the resident footprint is back under budget: a referenced list
+// loses its bit and survives this pass, an unreferenced one is
+// unpublished. The list just published (keep) is exempt, so progress is
+// guaranteed and a list larger than the budget stays resident alone.
+func (ls *lazyState) evictLocked(keep *lazyList) {
+	for ls.resBytes > ls.budget && ls.resLists > 1 {
+		id := uint32(ls.hand)
+		if ls.hand++; ls.hand == ls.nIDs {
+			ls.hand = 0
+		}
+		slot := &ls.shards[id&ls.mask].slots[id>>ls.shift]
+		switch l := slot.Load(); {
+		case l == nil || l == keep:
+		case l.ref.Load():
+			l.ref.Store(false)
+		default:
+			slot.Store(nil)
+			ls.resBytes -= l.bytes
+			ls.resLists--
+			ls.evictions++
+		}
+	}
+}
+
+func (ls *lazyState) readAt(p []byte, off int64) error {
+	if n, err := ls.src.ReadAt(p, off); n < len(p) {
+		if err == nil {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	return nil
+}
+
+// readSegment reads shard s's whole segment body and verifies its CRC.
+func (ls *lazyState) readSegment(s int) ([]byte, error) {
+	seg := ls.segs[s]
+	body := make([]byte, seg.len)
+	if err := ls.readAt(body, seg.off); err != nil {
+		return nil, fmt.Errorf("trie: shard %d segment read: %w", s, err)
 	}
 	if crc32.ChecksumIEEE(body) != seg.crc {
 		return nil, fmt.Errorf("%w: segment %d CRC mismatch", ErrCorrupt, s)
 	}
-	posts := make(map[features.FeatureID]PostingList)
-	if _, err := decodeSegment(body, posts, ls.remap, ls.mask, uint32(s), ls.version, ls.policy); err != nil {
-		return nil, fmt.Errorf("segment %d: %w", s, err)
-	}
-	res := &shardResident{posts: posts}
-	replayed := false
-	if ops := ls.overlays[s]; len(ops) > 0 {
-		if p := sh.replay; p != nil {
-			// Refault after eviction: the overlay was already replayed once
-			// and cannot have changed since OpenLazy, so patch the fresh
-			// decode instead of replaying the journal ops again.
-			for id, pl := range p.set {
-				posts[id] = pl
-			}
-			for _, id := range p.del {
-				delete(posts, id)
-			}
-			res.drained = p.drained
-		} else {
-			// First fault: replay the shard's pending overlay through the
-			// live mutation path against a single-shard scratch trie (mask 0
-			// routes every projected feature to its slot 0), so the resident
-			// state is bit-identical to an eager load's journal replay. Apply
-			// is copy-on-write, so `posts` survives as the pre-replay base
-			// the patch below is diffed against.
-			tmp := &Trie{dict: ls.dict, shards: []shard{{posts: posts}}, policy: ls.policy}
-			nt := (&Mutation{base: tmp, ops: ops}).Apply()
-			res.posts = nt.shards[0].posts
-			for id := range nt.dead {
-				res.drained = append(res.drained, id)
-			}
-			sh.replay = overlayPatchOf(ls.dict, ops, res)
-			replayed = true
-		}
-	}
-	res.bytes = 48 // shard header, same accounting as SizeBytes
-	for _, pl := range res.posts {
-		res.bytes += 48 + int64(pl.SizeBytes())
-	}
-
-	ls.mu.Lock()
-	sh.val.Store(res)
-	ls.resBytes += res.bytes
-	ls.resShards++
-	ls.faults++
-	if replayed {
-		ls.replays++
-	}
-	if ls.budget > 0 && !ls.sealed {
-		ls.evictLocked(s)
-	}
-	ls.mu.Unlock()
-	return res, nil
+	return body, nil
 }
 
-// overlayPatchOf diffs one replay's outcome down to a patch. The touched
-// set is read off the ops themselves — append/re-home features were
-// pre-interned by OpenLazy and scrub keys were projected only when the
-// dictionary knows them, so Lookup resolves everything the replay could
-// have edited; a touched feature absent from the post-replay map was
-// deleted (drained, or scrubbed before it ever resurrected).
-func overlayPatchOf(dict *features.Dict, ops []mutOp, res *shardResident) *overlayPatch {
-	touched := make(map[features.FeatureID]struct{})
-	note := func(key string) {
-		if id, ok := dict.Lookup(key); ok {
-			touched[id] = struct{}{}
+// openDir returns shard s's directory, building it on first touch from
+// body (read and CRC-checked here when the caller has not already): the
+// framing scan, plus the overlay replay for a journaled shard. Failure
+// leaves the directory closed; the next touch retries.
+func (ls *lazyState) openDir(s int, body []byte) (*shardDir, error) {
+	sh := &ls.shards[s]
+	if d := sh.dir.Load(); d != nil {
+		return d, nil
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if d := sh.dir.Load(); d != nil {
+		return d, nil
+	}
+	if body == nil {
+		var err error
+		if body, err = ls.readSegment(s); err != nil {
+			return nil, err
 		}
+	}
+	// The scan: every entry's framing and posting list is validated by the
+	// ordinary decoders in skip mode, and off[slot] is set to the start of
+	// the first entry at or after slot — features arrive in ascending ID
+	// order, hence ascending slot order.
+	off := make([]uint32, len(sh.slots)+1)
+	next := 0
+	sd := &segDecoder{b: body, skip: true}
+	err := walkSegment(sd, ls.remap, ls.mask, uint32(s), func(id features.FeatureID, entry int) error {
+		for slot := int(uint32(id) >> ls.shift); next <= slot; next++ {
+			off[next] = uint32(entry)
+		}
+		_, err := sd.decodeList(ls.version, ls.policy)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("segment %d: %w", s, err)
+	}
+	for ; next < len(off); next++ {
+		off[next] = uint32(len(body))
+	}
+	d := &shardDir{off: off}
+	ops := ls.overlays[s]
+	if len(ops) > 0 {
+		if d.patch, d.drained, err = ls.replayOverlay(ops, body, off); err != nil {
+			return nil, fmt.Errorf("segment %d: %w", s, err)
+		}
+	}
+	ls.mu.Lock()
+	sh.dir.Store(d)
+	ls.openDirs++
+	if len(ops) > 0 {
+		ls.replays++
+	}
+	ls.mu.Unlock()
+	return d, nil
+}
+
+// replayOverlay replays one shard's pending journal ops, once, through the
+// live mutation path against a single-shard scratch trie (mask 0 routes
+// every projected feature to its slot 0) holding just the features the ops
+// touch — Apply edits nothing else — so the patched lists are bit-identical
+// to an eager load's journal replay. The touched set is read off the ops
+// themselves: append/re-home features were pre-interned by OpenLazy and
+// scrub keys were projected only when the dictionary knows them, so Lookup
+// resolves everything the replay could edit.
+func (ls *lazyState) replayOverlay(ops []mutOp, body []byte, off []uint32) (patch map[features.FeatureID]PostingList, drained []features.FeatureID, err error) {
+	patch = make(map[features.FeatureID]PostingList)  // every touched feature
+	posts := make(map[features.FeatureID]PostingList) // those the segment holds
+	note := func(key string) error {
+		id, ok := ls.dict.Lookup(key)
+		if _, seen := patch[id]; !ok || seen {
+			return nil
+		}
+		patch[id] = PostingList{}
+		slot := uint32(id) >> ls.shift
+		if lo, hi := off[slot], off[slot+1]; lo < hi {
+			if posts[id], err = ls.decodeEntry(body[lo:hi]); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	for _, op := range ops {
 		for _, f := range op.feats {
-			note(f.Key)
+			if err := note(f.Key); err != nil {
+				return nil, nil, err
+			}
 		}
 		for _, key := range op.scrub {
-			note(key)
+			if err := note(key); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
-	p := &overlayPatch{set: make(map[features.FeatureID]PostingList, len(touched)), drained: res.drained}
-	for id := range touched {
-		if pl, ok := res.posts[id]; ok {
-			p.set[id] = pl
+	tmp := &Trie{dict: ls.dict, shards: []shard{{posts: posts}}, policy: ls.policy}
+	nt := (&Mutation{base: tmp, ops: ops}).Apply()
+	for id := range patch {
+		patch[id] = nt.shards[0].posts[id] // the zero list where the replay deleted it
+	}
+	for id := range nt.dead {
+		drained = append(drained, id)
+	}
+	return patch, drained, nil
+}
+
+// decodeShard is Materialize's whole-shard path: the segment decoded in
+// full exactly as the streaming loader would, with the overlay patch laid
+// over it. It opens the shard's directory on the way (sharing the one body
+// read), so a journaled shard's overlay is still replayed exactly once.
+func (ls *lazyState) decodeShard(s int) (map[features.FeatureID]PostingList, []features.FeatureID, error) {
+	body, err := ls.readSegment(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	d, err := ls.openDir(s, body)
+	if err != nil {
+		return nil, nil, err
+	}
+	posts := make(map[features.FeatureID]PostingList)
+	if _, err := decodeSegment(body, posts, ls.remap, ls.mask, uint32(s), ls.version, ls.policy); err != nil {
+		return nil, nil, fmt.Errorf("segment %d: %w", s, err)
+	}
+	for id, pl := range d.patch {
+		if pl.Len() > 0 {
+			posts[id] = pl
 		} else {
-			p.del = append(p.del, id)
+			delete(posts, id)
 		}
 	}
-	return p
+	return posts, d.drained, nil
 }
 
-// evictLocked (ls.mu held) returns least-recently-used shards to disk
-// until the resident footprint is back under budget. The shard just
-// faulted (keep, -1 for none) is exempt, so progress is guaranteed and at
-// least one shard stays resident. Evicted *shardResident values stay
-// valid for readers that already hold them — eviction only unpublishes.
-func (ls *lazyState) evictLocked(keep int) {
-	for ls.resBytes > ls.budget && ls.resShards > 1 {
-		victim, oldest := -1, int64(0)
-		for i := range ls.shards {
-			if i == keep || ls.shards[i].val.Load() == nil {
-				continue
-			}
-			if u := ls.shards[i].lastUse.Load(); victim == -1 || u < oldest {
-				victim, oldest = i, u
-			}
-		}
-		if victim == -1 {
-			return
-		}
-		res := ls.shards[victim].val.Swap(nil)
-		ls.resBytes -= res.bytes
-		ls.resShards--
-		ls.evictions++
-	}
-}
-
-// FaultInShard forces shard s resident (tests and warm-up). No-op with a
-// nil error on an eager or already-materialised trie.
+// FaultInShard opens shard s's directory (tests and warm-up): the segment
+// is read, CRC-checked and scanned, no posting list is decoded. No-op with
+// a nil error on an eager or already-materialised trie.
 func (t *Trie) FaultInShard(s int) error {
 	ls := t.lazyLive.Load()
 	if ls == nil {
@@ -680,18 +753,22 @@ func (t *Trie) FaultInShard(s int) error {
 	if s < 0 || s >= len(ls.shards) {
 		return fmt.Errorf("trie: shard %d out of range [0, %d)", s, len(ls.shards))
 	}
-	ls.shards[s].lastUse.Store(ls.clock.Add(1))
-	_, err := ls.faultIn(s)
+	ls.srcMu.RLock()
+	defer ls.srcMu.RUnlock()
+	if ls.materialized.Load() {
+		return nil
+	}
+	_, err := ls.openDir(s, nil)
 	return err
 }
 
-// Materialize faults every shard in, rebuilds the byte trie and converts
-// the trie into an ordinary eager one — afterwards it is observationally
-// identical to a ReadFrom of the same snapshot (answers, Walk order,
-// NodeCount, SizeBytes, re-Save bytes) and src is no longer needed.
-// Mutation and persistence call this implicitly. Concurrent readers keep
-// being served from the resident table until the switch is published. On
-// error (a corrupt or unreadable segment) the trie stays lazy and
+// Materialize decodes every segment whole, rebuilds the byte trie and
+// converts the trie into an ordinary eager one — afterwards it is
+// observationally identical to a ReadFrom of the same snapshot (answers,
+// Walk order, NodeCount, SizeBytes, re-Save bytes) and src is no longer
+// needed. Mutation and persistence call this implicitly. Concurrent
+// readers keep being served from the slots until the switch is published.
+// On error (a corrupt or unreadable segment) the trie stays lazy and
 // serviceable for every healthy shard. No-op on an eager trie.
 func (t *Trie) Materialize() error {
 	ls := t.lazyLive.Load()
@@ -703,52 +780,59 @@ func (t *Trie) Materialize() error {
 	if t.lazyLive.Load() == nil {
 		return nil // lost the race to a concurrent Materialize
 	}
-	ls.mu.Lock()
-	ls.sealed = true // no eviction while we pin everything resident
-	ls.mu.Unlock()
 	k := len(ls.shards)
-	residents := make([]*shardResident, k)
+	posts := make([]map[features.FeatureID]PostingList, k)
+	drained := make([][]features.FeatureID, k)
 	errs := make([]error, k)
 	ParallelFor(k, ls.workers, func(_ int, claim func() int) {
 		for s := claim(); s >= 0; s = claim() {
-			residents[s], errs[s] = ls.faultIn(s)
+			posts[s], drained[s], errs[s] = ls.decodeShard(s)
 		}
 	})
 	for s, err := range errs {
 		if err != nil {
-			ls.mu.Lock()
-			ls.sealed = false
-			if ls.budget > 0 {
-				ls.evictLocked(-1)
-			}
-			ls.mu.Unlock()
 			return fmt.Errorf("trie: materialize shard %d: %w", s, err)
 		}
 	}
-	// Install the resident maps and rebuild the byte trie (a pure function
+	// Install the decoded maps and rebuild the byte trie (a pure function
 	// of the key set; insertion order is irrelevant). Concurrent readers
-	// still route through the resident table until the Store(nil) below
-	// publishes the eager trie — the atomic pointer is the release/acquire
-	// edge covering all these plain writes.
+	// still route through the slots until the Store(nil) below publishes
+	// the eager trie — the atomic pointer is the release/acquire edge
+	// covering all these plain writes.
 	t.root = node{}
 	t.nodes = 0
 	t.dead = nil
+	full := int64(48 * k) // shard headers, same accounting as SizeBytes
 	for s := 0; s < k; s++ {
-		t.shards[s].posts = residents[s].posts
-		for id := range residents[s].posts {
+		t.shards[s].posts = posts[s]
+		for id, pl := range posts[s] {
 			t.insertPath(t.dict.Key(id), id)
+			full += 48 + int64(pl.SizeBytes())
 		}
-		for _, id := range residents[s].drained {
+		for _, id := range drained[s] {
 			if t.dead == nil {
 				t.dead = make(map[features.FeatureID]struct{})
 			}
 			t.dead[id] = struct{}{}
 		}
 	}
-	ls.mu.Lock()
-	ls.materialized = true
-	ls.mu.Unlock()
+	// Wait out the cold probes still reading src; later ones see the flag
+	// and answer from the maps just installed (ls.eager is t.shards).
+	ls.srcMu.Lock()
+	ls.materialized.Store(true)
+	ls.srcMu.Unlock()
 	t.lazyLive.Store(nil)
+	// Nothing publishes any more: drop the paged lists and the directories
+	// (Residency keeps ls reachable) and report the whole store resident.
+	ls.mu.Lock()
+	for s := range ls.shards {
+		for i := range ls.shards[s].slots {
+			ls.shards[s].slots[i].Store(nil)
+		}
+		ls.shards[s].dir.Store(nil)
+	}
+	ls.resBytes, ls.resLists, ls.openDirs = full, 0, k
+	ls.mu.Unlock()
 	return nil
 }
 
@@ -777,12 +861,12 @@ func (t *Trie) Residency() Residency {
 	return Residency{
 		Lazy:           true,
 		TotalShards:    len(ls.shards),
-		ResidentShards: ls.resShards,
+		ResidentShards: ls.openDirs,
 		ResidentBytes:  ls.resBytes,
 		BudgetBytes:    ls.budget,
 		Faults:         ls.faults,
 		Evictions:      ls.evictions,
 		OverlayReplays: ls.replays,
-		Materialized:   ls.materialized,
+		Materialized:   ls.materialized.Load(),
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/features"
@@ -70,6 +71,117 @@ func eagerLoad(t *testing.T, data []byte) (*Trie, int64, *TailRecovery) {
 	return tr, n, rec
 }
 
+// listBytes is the residency accounting of one decoded list.
+func listBytes(pl PostingList) int64 { return 48 + int64(pl.SizeBytes()) }
+
+// largestList returns the residency footprint of tr's biggest posting list
+// — what a budget smaller than it must still let through, alone.
+func largestList(tr *Trie) int64 {
+	var most int64
+	for i := 0; i < tr.Dict().Len(); i++ {
+		most = max(most, listBytes(tr.GetByID(features.FeatureID(i))))
+	}
+	return most
+}
+
+// fullResidentBytes is the footprint of every list of tr decoded at once.
+func fullResidentBytes(tr *Trie) int64 {
+	var sum int64
+	for i := 0; i < tr.Dict().Len(); i++ {
+		if pl := tr.GetByID(features.FeatureID(i)); pl.Len() > 0 {
+			sum += listBytes(pl)
+		}
+	}
+	return sum
+}
+
+// openLazy opens data lazily under budget, failing the test on error.
+func openLazy(t *testing.T, src RandomAccessFile, budget int64) *Trie {
+	t.Helper()
+	tr := NewSharded(features.NewDict(), 0)
+	if _, _, err := tr.OpenLazy(src, LazyOptions{BudgetBytes: budget}); err != nil {
+		t.Fatalf("OpenLazy: %v", err)
+	}
+	return tr
+}
+
+// slotOf returns the residency slot of id (nil-safe for tests only on IDs
+// inside the dictionary the snapshot was opened with).
+func slotOf(tr *Trie, id features.FeatureID) *atomic.Pointer[lazyList] {
+	ls := tr.lazyLive.Load()
+	return &ls.shards[uint32(id)&ls.mask].slots[uint32(id)>>ls.shift]
+}
+
+// mustSave serialises tr.
+func mustSave(t *testing.T, tr *Trie) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestOpenLazyBudgetSweep is the differential at the unit of residency:
+// for budgets from unbounded down to one byte, random probe orders, with
+// and without a journal overlay, every dictionary ID — present, absent,
+// drained by the journal, or interned after the open — answers exactly as
+// an eager load does, the resident bytes never exceed max(budget, largest
+// list) after any probe, and materialise + re-save is byte-identical.
+func TestOpenLazyBudgetSweep(t *testing.T) {
+	for _, journaled := range []bool{false, true} {
+		base := randomTrie(t, 8, 180, 50, true, 97)
+		var j *Journal
+		if journaled {
+			j = journalFor(t, base, 50)
+		}
+		data := snapshotBytes(t, base, j, JournalStamp{DBChecksum: 3, NumGraphs: 51})
+		want, _, _ := eagerLoad(t, data)
+		n := want.Dict().Len()
+		// A query-time feature: interned after the load, no postings, and
+		// (on the lazy side) an ID beyond the slot arrays.
+		const lateKey = "lazy:interned-after-open"
+		want.Dict().Intern(lateKey)
+		wantSave := mustSave(t, want)
+		full, largest := fullResidentBytes(want), largestList(want)
+		for bi, budget := range []int64{0, full * 9 / 10, full / 2, largest - 1, 1} {
+			t.Run(fmt.Sprintf("journaled=%v/budget=%d", journaled, budget), func(t *testing.T) {
+				got := openLazy(t, bytes.NewReader(data), budget)
+				late := got.Dict().Intern(lateKey)
+				rng := rand.New(rand.NewSource(int64(100*bi) + 7))
+				for pass := 0; pass < 3; pass++ {
+					for _, i := range rng.Perm(n + 1) {
+						id := features.FeatureID(i)
+						if i == n {
+							id = late
+						}
+						if !plEqual(got.GetByID(id), want.GetByID(id)) {
+							t.Fatalf("pass %d: GetByID(%d) diverges from eager load", pass, id)
+						}
+						if res := got.Residency(); budget > 0 && res.ResidentBytes > max(budget, largest) {
+							t.Fatalf("pass %d, after GetByID(%d): resident %d bytes, budget %d, largest list %d",
+								pass, id, res.ResidentBytes, budget, largest)
+						}
+					}
+				}
+				res := got.Residency()
+				if budget == 0 && (res.Evictions != 0 || res.ResidentBytes != full) {
+					t.Errorf("unbounded: %d evictions, %d resident bytes, want 0 and %d", res.Evictions, res.ResidentBytes, full)
+				}
+				if budget > 0 && budget < full && res.Evictions == 0 {
+					t.Errorf("budget %d under the full %d bytes never evicted: %+v", budget, full, res)
+				}
+				if err := got.Materialize(); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(mustSave(t, got), wantSave) {
+					t.Error("materialise + re-save differs from the eager re-save")
+				}
+			})
+		}
+	}
+}
+
 // TestOpenLazyDifferential is the core lazy-vs-eager equivalence matrix:
 // shards × journaled × budget (0 = unbounded, tiny = eviction pressure) ×
 // workers. Every probe, every aggregate and the re-Save bytes must agree
@@ -127,14 +239,17 @@ func TestOpenLazyDifferential(t *testing.T) {
 							t.Errorf("TotalShards = %d, want %d", res.TotalShards, shards)
 						}
 						if budget == 0 && res.Evictions != 0 {
-							t.Errorf("unbounded budget evicted %d shards", res.Evictions)
+							t.Errorf("unbounded budget evicted %d lists", res.Evictions)
 						}
-						if budget > 0 && res.ResidentBytes > budget && res.ResidentShards > 1 {
-							t.Errorf("resident %d bytes over budget %d with %d shards resident",
-								res.ResidentBytes, budget, res.ResidentShards)
+						if budget > 0 && res.ResidentBytes > max(budget, largestList(want)) {
+							t.Errorf("resident %d bytes over budget %d (largest list %d)",
+								res.ResidentBytes, budget, largestList(want))
 						}
-						if res.Faults < int64(res.ResidentShards) {
-							t.Errorf("faults %d < resident shards %d", res.Faults, res.ResidentShards)
+						if res.ResidentShards != shards {
+							t.Errorf("probing every ID opened %d of %d directories", res.ResidentShards, shards)
+						}
+						if res.Faults == 0 {
+							t.Error("every feature probed without one posting decode")
 						}
 
 						// Materialise: aggregates and Walk agree with eager.
@@ -172,49 +287,61 @@ func TestOpenLazyDifferential(t *testing.T) {
 	}
 }
 
-// TestOpenLazyEvictionRefault drives a budget small enough that a skewed
-// probe stream keeps re-faulting shards; answers must stay correct and
-// the counters must show real evictions and refaults.
+// TestOpenLazyEvictionRefault drives a budget of a quarter of the decoded
+// postings: every pass over the dictionary must evict and re-decode lists,
+// answers must stay correct, the counters must show it, and a list handed
+// to a reader must stay valid after the hand has evicted it.
 func TestOpenLazyEvictionRefault(t *testing.T) {
 	base := randomTrie(t, 8, 200, 60, true, 13)
 	data := snapshotBytes(t, base, nil, JournalStamp{})
 	want, _, _ := eagerLoad(t, data)
+	budget := fullResidentBytes(want) / 4
+	got := openLazy(t, bytes.NewReader(data), budget)
 
-	// Size the budget at roughly two shards: every round trip over all
-	// shards must evict.
-	probe := NewSharded(features.NewDict(), 0)
-	if _, _, err := probe.OpenLazy(bytes.NewReader(data), LazyOptions{}); err != nil {
-		t.Fatal(err)
+	// Take one list and keep it across its own eviction.
+	var heldID features.FeatureID
+	for want.GetByID(heldID).Len() == 0 {
+		heldID++
 	}
-	for s := 0; s < probe.ShardCount(); s++ {
-		if err := probe.FaultInShard(s); err != nil {
-			t.Fatal(err)
-		}
+	held := got.GetByID(heldID)
+	if slotOf(got, heldID).Load() == nil {
+		t.Fatal("a probed list was not published in its slot")
 	}
-	budget := probe.Residency().ResidentBytes / 4
 
-	got := NewSharded(features.NewDict(), 0)
-	if _, _, err := got.OpenLazy(bytes.NewReader(data), LazyOptions{BudgetBytes: budget}); err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(17))
+	lists := int64(0)
 	for pass := 0; pass < 4; pass++ {
 		for _, i := range rng.Perm(want.Dict().Len()) {
 			id := features.FeatureID(i)
+			if id == heldID {
+				continue // let the hand take it
+			}
 			if !plEqual(got.GetByID(id), want.GetByID(id)) {
 				t.Fatalf("pass %d: GetByID(%d) diverges under eviction pressure", pass, id)
 			}
+			if pass == 0 && want.GetByID(id).Len() > 0 {
+				lists++
+			}
 		}
+	}
+	if slotOf(got, heldID).Load() != nil {
+		t.Fatal("the held list survived four passes under a quarter budget: eviction never reached it")
+	}
+	if !plEqual(held, want.GetByID(heldID)) {
+		t.Fatal("a list handed to a reader changed after its eviction")
 	}
 	res := got.Residency()
 	if res.Evictions == 0 {
 		t.Fatalf("no evictions under budget %d: %+v", budget, res)
 	}
-	if res.Faults <= int64(res.TotalShards) {
-		t.Fatalf("no refaults recorded: %+v", res)
+	if res.Faults <= lists {
+		t.Fatalf("no re-decodes recorded (%d distinct lists): %+v", lists, res)
 	}
-	if res.ResidentBytes > budget && res.ResidentShards > 1 {
+	if res.ResidentBytes > max(budget, largestList(want)) {
 		t.Fatalf("resident bytes %d over budget %d: %+v", res.ResidentBytes, budget, res)
+	}
+	if res.ResidentShards != res.TotalShards {
+		t.Fatalf("directories are never evicted, yet %d of %d are open", res.ResidentShards, res.TotalShards)
 	}
 	// The store must still materialise and re-save identically.
 	if err := got.Materialize(); err != nil {
@@ -225,23 +352,19 @@ func TestOpenLazyEvictionRefault(t *testing.T) {
 	}
 }
 
-// TestOpenLazyOverlayReplayCache: a journaled shard replays its overlay on
-// the first fault only — evict/refault cycles re-read and re-verify the
-// segment (Faults keeps climbing) but reuse the cached patch, so
-// OverlayReplays stays at one per journaled shard and answers, drained
-// bookkeeping and re-Save bytes still match an eager load exactly.
+// TestOpenLazyOverlayReplayCache: a journaled shard replays its overlay
+// once, when its directory opens — evict/re-decode cycles of its lists
+// (Faults keeps climbing) reuse the cached patch, so OverlayReplays stays
+// at one per journaled shard; features the overlay touched are served from
+// the patch without a decode; and answers, drained bookkeeping and re-Save
+// bytes still match an eager load exactly.
 func TestOpenLazyOverlayReplayCache(t *testing.T) {
 	base := randomTrie(t, 4, 120, 40, true, 83)
 	j := journalFor(t, base, 40)
 	data := snapshotBytes(t, base, j, JournalStamp{DBChecksum: 19, NumGraphs: 41})
 	want, _, _ := eagerLoad(t, data)
 
-	// Size the budget at about half the resident footprint so cycling over
-	// all shards must evict, and count the journaled shards.
-	probe := NewSharded(features.NewDict(), 0)
-	if _, _, err := probe.OpenLazy(bytes.NewReader(data), LazyOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	probe := openLazy(t, bytes.NewReader(data), 0)
 	journaled := 0
 	for _, ops := range probe.lazyLive.Load().overlays {
 		if len(ops) > 0 {
@@ -251,45 +374,40 @@ func TestOpenLazyOverlayReplayCache(t *testing.T) {
 	if journaled == 0 {
 		t.Fatal("journalFor produced no per-shard overlays; the test is vacuous")
 	}
-	for s := 0; s < probe.ShardCount(); s++ {
-		if err := probe.FaultInShard(s); err != nil {
-			t.Fatal(err)
-		}
+	// keys[0] is appended to by the journal: its first probe opens the
+	// directory, replays, and answers from the patch — no segment decode.
+	touched, _ := probe.Dict().Lookup(base.Dict().Keys()[0])
+	if !plEqual(probe.GetByID(touched), want.GetByID(touched)) {
+		t.Fatal("patched feature diverges from eager load")
 	}
-	budget := probe.Residency().ResidentBytes / 2
+	if res := probe.Residency(); res.OverlayReplays != 1 || res.Faults != 0 || res.ResidentShards != 1 {
+		t.Fatalf("one patched probe: %+v, want 1 replay, 0 faults, 1 open directory", res)
+	}
 
-	got := NewSharded(features.NewDict(), 0)
-	if _, _, err := got.OpenLazy(bytes.NewReader(data), LazyOptions{BudgetBytes: budget}); err != nil {
-		t.Fatal(err)
-	}
+	budget := fullResidentBytes(want) / 2
+	got := openLazy(t, bytes.NewReader(data), budget)
+	var lastFaults int64
 	for pass := 0; pass < 5; pass++ {
-		for s := 0; s < got.ShardCount(); s++ {
-			if err := got.FaultInShard(s); err != nil {
-				t.Fatal(err)
+		for i := 0; i < want.Dict().Len(); i++ {
+			id := features.FeatureID(i)
+			if !plEqual(got.GetByID(id), want.GetByID(id)) {
+				t.Fatalf("pass %d: GetByID(%d) diverges", pass, id)
 			}
 		}
-		if replays := got.Residency().OverlayReplays; replays != int64(journaled) {
-			t.Fatalf("pass %d: OverlayReplays = %d, want %d (one per journaled shard, refaults must reuse the patch)",
-				pass, replays, journaled)
+		res := got.Residency()
+		if res.OverlayReplays != int64(journaled) {
+			t.Fatalf("pass %d: OverlayReplays = %d, want %d (one per journaled shard, re-decodes must reuse the patch)",
+				pass, res.OverlayReplays, journaled)
 		}
+		if res.Faults <= lastFaults {
+			t.Fatalf("pass %d: Faults stuck at %d under a half budget (no re-decodes)", pass, res.Faults)
+		}
+		lastFaults = res.Faults
 	}
-	res := got.Residency()
-	if res.Evictions == 0 {
-		t.Fatalf("no evictions under budget %d: %+v (refaults never exercised)", budget, res)
-	}
-	if res.Faults <= int64(res.TotalShards) {
-		t.Fatalf("no refaults recorded: %+v", res)
+	if res := got.Residency(); res.Evictions == 0 {
+		t.Fatalf("no evictions under budget %d: %+v", budget, res)
 	}
 
-	// Patched refaults must be answer-identical to the replayed first fault
-	// (and hence to an eager load), including drained/dead bookkeeping and
-	// the re-saved bytes.
-	for i := 0; i < want.Dict().Len(); i++ {
-		id := features.FeatureID(i)
-		if !plEqual(got.GetByID(id), want.GetByID(id)) {
-			t.Fatalf("GetByID(%d) diverges after patched refaults", id)
-		}
-	}
 	if err := got.Materialize(); err != nil {
 		t.Fatal(err)
 	}
@@ -297,17 +415,10 @@ func TestOpenLazyOverlayReplayCache(t *testing.T) {
 		t.Errorf("DeadLen = %d, want %d (cached drained set lost)", got.DeadLen(), want.DeadLen())
 	}
 	if !reflect.DeepEqual(dump(got), dump(want)) {
-		t.Error("materialised contents differ from eager load after patched refaults")
+		t.Error("materialised contents differ from eager load after patched re-decodes")
 	}
-	var gotSave, wantSave bytes.Buffer
-	if _, err := got.WriteTo(&gotSave); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := want.WriteTo(&wantSave); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotSave.Bytes(), wantSave.Bytes()) {
-		t.Error("re-Save bytes differ after patched refaults")
+	if !bytes.Equal(mustSave(t, got), mustSave(t, want)) {
+		t.Error("re-Save bytes differ after patched re-decodes")
 	}
 }
 
@@ -363,6 +474,57 @@ func TestOpenLazyConcurrent(t *testing.T) {
 	}
 }
 
+// TestOpenLazyConcurrentEviction (run with -race) keeps the CLOCK hand
+// busy under the readers: six goroutines probe one small overlapping set
+// of IDs under a budget of a few lists, so every list is being published,
+// referenced, stripped of its bit and evicted while others read it. No
+// Materialize — eviction runs to the end.
+func TestOpenLazyConcurrentEviction(t *testing.T) {
+	base := randomTrie(t, 4, 150, 50, true, 29)
+	data := snapshotBytes(t, base, nil, JournalStamp{})
+	want, _, _ := eagerLoad(t, data)
+	var hot []features.FeatureID
+	for i := 0; i < want.Dict().Len() && len(hot) < 24; i++ {
+		if want.GetByID(features.FeatureID(i)).Len() > 0 {
+			hot = append(hot, features.FeatureID(i))
+		}
+	}
+	expect := make(map[features.FeatureID][]Posting, len(hot))
+	for _, id := range hot {
+		expect[id] = want.GetByID(id).Postings()
+	}
+
+	got := openLazy(t, bytes.NewReader(data), 3*largestList(want))
+	var wg sync.WaitGroup
+	errCh := make(chan error, 6)
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 2000; i++ {
+				id := hot[rng.Intn(len(hot))]
+				if got := got.GetByID(id).Postings(); !reflect.DeepEqual(got, expect[id]) {
+					errCh <- fmt.Errorf("worker %d: GetByID(%d) diverged", w, id)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	res := got.Residency()
+	if res.Evictions == 0 {
+		t.Fatalf("the hand never evicted: %+v", res)
+	}
+	if res.ResidentBytes > 3*largestList(want) {
+		t.Fatalf("resident %d bytes over the budget %d at rest", res.ResidentBytes, 3*largestList(want))
+	}
+}
+
 // corruptShardBody locates shard s's segment body via a pristine lazy
 // open and returns a copy of data with one body byte flipped.
 func corruptShardBody(t *testing.T, data []byte, s int) []byte {
@@ -371,7 +533,7 @@ func corruptShardBody(t *testing.T, data []byte, s int) []byte {
 	if _, _, err := probe.OpenLazy(bytes.NewReader(data), LazyOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	seg := probe.lazyLive.Load().dir[s]
+	seg := probe.lazyLive.Load().segs[s]
 	if seg.len == 0 {
 		t.Fatalf("shard %d has an empty segment body", s)
 	}
@@ -453,42 +615,115 @@ func TestOpenLazyCorruptSegmentIsolation(t *testing.T) {
 	}
 }
 
-// TestOpenLazyEvictThenRefaultCRC corrupts a shard's backing bytes *after*
-// it was served once and then evicted: the refault must re-verify the CRC
-// and surface ErrCorrupt — rot between eviction and re-touch is caught.
+// flakyReader is a RandomAccessFile over a live byte slice (in-place edits
+// model on-disk rot under an open mapping) that counts the bytes read and
+// fails every read while err is set.
+type flakyReader struct {
+	b     []byte
+	bytes int64
+	err   error
+}
+
+func (f *flakyReader) ReadAt(p []byte, off int64) (int, error) {
+	if f.err != nil {
+		return 0, f.err
+	}
+	f.bytes += int64(len(p))
+	return bytes.NewReader(f.b).ReadAt(p, off)
+}
+
+func (f *flakyReader) Size() int64 { return int64(len(f.b)) }
+
+// probeFault runs GetByID and returns the *ShardFaultError it panicked
+// with, or nil when it answered.
+func probeFault(t *testing.T, tr *Trie, id features.FeatureID) (pl PostingList, sfe *ShardFaultError) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			var ok bool
+			if sfe, ok = r.(*ShardFaultError); !ok {
+				t.Fatalf("GetByID(%d) panicked with %v, want *ShardFaultError", id, r)
+			}
+		}
+	}()
+	return tr.GetByID(id), nil
+}
+
+// TestOpenLazyEvictThenRefaultCRC pins where the checksum is paid: once,
+// when a shard's directory opens. An evicted list's re-decode reads only
+// its own span — rot elsewhere in the segment no longer reaches it, rot
+// inside its span surfaces as ErrCorrupt from the structural checks, and a
+// failed read surfaces as the I/O error; either failure leaves the slot
+// cold and poisons nothing, so the same probe succeeds once the bytes (or
+// the device) are back.
 func TestOpenLazyEvictThenRefaultCRC(t *testing.T) {
 	base := randomTrie(t, 4, 120, 40, false, 41)
-	data := append([]byte(nil), snapshotBytes(t, base, nil, JournalStamp{})...)
+	src := &flakyReader{b: snapshotBytes(t, base, nil, JournalStamp{})}
+	want, _, _ := eagerLoad(t, src.b)
+	got := openLazy(t, src, 1) // one byte: every probe evicts the previous list
 
-	probe := NewSharded(features.NewDict(), 0)
-	if _, _, err := probe.OpenLazy(bytes.NewReader(data), LazyOptions{}); err != nil {
-		t.Fatal(err)
+	// Two features of shard 0, a and b, both present.
+	var ids []features.FeatureID
+	for i := 0; i < want.Dict().Len() && len(ids) < 2; i++ {
+		if id := features.FeatureID(i); got.ShardOf(id) == 0 && want.GetByID(id).Len() > 0 {
+			ids = append(ids, id)
+		}
 	}
-	dir := probe.lazyLive.Load().dir
-	if err := probe.FaultInShard(0); err != nil {
-		t.Fatal(err)
+	a, b := ids[0], ids[1]
+	if !plEqual(got.GetByID(a), want.GetByID(a)) || !plEqual(got.GetByID(b), want.GetByID(b)) {
+		t.Fatal("clean probes diverge")
 	}
-	oneShard := probe.Residency().ResidentBytes
+	if slotOf(got, a).Load() != nil {
+		t.Fatal("a one-byte budget kept two lists resident")
+	}
+	ls := got.lazyLive.Load()
+	seg, off := ls.segs[0], ls.shards[0].dir.Load().off
+	spanOf := func(id features.FeatureID) (lo, hi int64) {
+		slot := uint32(id) >> ls.shift
+		return seg.off + int64(off[slot]), seg.off + int64(off[slot+1])
+	}
 
-	// bytes.Reader serves the live slice, so in-place corruption below
-	// models on-disk rot under an open mapping.
-	got := NewSharded(features.NewDict(), 0)
-	if _, _, err := got.OpenLazy(bytes.NewReader(data), LazyOptions{BudgetBytes: oneShard}); err != nil {
-		t.Fatal(err)
+	// Re-decoding a reads a's span and nothing else.
+	lo, hi := spanOf(a)
+	before := src.bytes
+	if !plEqual(got.GetByID(a), want.GetByID(a)) {
+		t.Fatal("re-decode diverges")
 	}
-	if err := got.FaultInShard(0); err != nil {
-		t.Fatal(err) // clean first fault: CRC passes
+	if read := src.bytes - before; read != hi-lo {
+		t.Fatalf("re-decode read %d bytes, the list's span is %d (segment %d)", read, hi-lo, seg.len)
 	}
-	if err := got.FaultInShard(1); err != nil {
-		t.Fatal(err) // budget of ~one shard: this evicts shard 0
+
+	// Rot in b's span: a keeps answering (no whole-segment CRC on a
+	// re-decode), b fails structurally, and recovers with the byte.
+	blo, _ := spanOf(b)
+	flags := &src.b[blo+1] // entries here are a one-byte idΔ, then the flags byte
+	saved := *flags
+	*flags = 0xF0 // reserved flag bits
+	if !plEqual(got.GetByID(a), want.GetByID(a)) {
+		t.Fatal("rot in a neighbouring span reached this list's re-decode")
 	}
-	res := got.Residency()
-	if res.Evictions == 0 {
-		t.Fatalf("expected shard 0 evicted, residency %+v", res)
+	if _, sfe := probeFault(t, got, b); sfe == nil || sfe.Shard != 0 || !errors.Is(sfe, ErrCorrupt) {
+		t.Fatalf("probe of a rotten span = %v, want *ShardFaultError(ErrCorrupt) on shard 0", sfe)
 	}
-	data[dir[0].off+1] ^= 0x01 // rot shard 0's body behind its back
-	if err := got.FaultInShard(0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("refault after rot = %v, want ErrCorrupt (CRC must be re-verified)", err)
+	if slotOf(got, b).Load() != nil {
+		t.Fatal("a failed decode published something")
+	}
+	*flags = saved
+	if pl, sfe := probeFault(t, got, b); sfe != nil || !plEqual(pl, want.GetByID(b)) {
+		t.Fatalf("probe after the rot was repaired: %v", sfe)
+	}
+
+	// A failing device: the I/O error, not ErrCorrupt; cold slot; recovers.
+	src.err = errors.New("injected EIO")
+	if _, sfe := probeFault(t, got, a); sfe == nil || !errors.Is(sfe, src.err) || errors.Is(sfe, ErrCorrupt) {
+		t.Fatalf("probe over a failing device = %v, want the injected error", sfe)
+	}
+	if slotOf(got, a).Load() != nil {
+		t.Fatal("a failed read published something")
+	}
+	src.err = nil
+	if pl, sfe := probeFault(t, got, a); sfe != nil || !plEqual(pl, want.GetByID(a)) {
+		t.Fatalf("probe after the device recovered: %v", sfe)
 	}
 }
 
@@ -604,5 +839,57 @@ func TestOpenLazyMutationMaterializes(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("post-mutation snapshots differ")
+	}
+}
+
+// panickyReader is a RandomAccessFile whose reads panic once armed — a
+// stand-in for a latent bug inside a Materialize worker body.
+type panickyReader struct {
+	*bytes.Reader
+	armed atomic.Bool
+}
+
+func (p *panickyReader) ReadAt(b []byte, off int64) (int, error) {
+	if p.armed.Load() {
+		panic("poisoned segment read")
+	}
+	return p.Reader.ReadAt(b, off)
+}
+
+// TestMaterializePanicContained: Materialize fans its segment decodes out
+// through ParallelFor; at width 2 a panic in one of them must come back to
+// the caller as a *WorkerPanic carrying the worker's stack — whatever
+// recover guards the caller contains it — and leave the trie lazy, intact
+// and materialisable once the poison is gone.
+func TestMaterializePanicContained(t *testing.T) {
+	base := randomTrie(t, 8, 120, 40, true, 59)
+	data := snapshotBytes(t, base, nil, JournalStamp{})
+	want, _, _ := eagerLoad(t, data)
+	src := &panickyReader{Reader: bytes.NewReader(data)}
+	got := NewSharded(features.NewDict(), 0)
+	if _, _, err := got.OpenLazy(src, LazyOptions{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	src.armed.Store(true)
+	recovered := func() (r any) {
+		defer func() { r = recover() }()
+		return got.Materialize()
+	}()
+	wp, ok := recovered.(*WorkerPanic)
+	if !ok || wp.Value != "poisoned segment read" {
+		t.Fatalf("Materialize recovered %T (%v), want *WorkerPanic of the poisoned read", recovered, recovered)
+	}
+	if !bytes.Contains(wp.Stack, []byte("readSegment")) {
+		t.Errorf("WorkerPanic stack does not show the panic site:\n%s", wp.Stack)
+	}
+	if res := got.Residency(); !res.Lazy || res.Materialized {
+		t.Fatalf("residency after a panicked materialise: %+v", res)
+	}
+	src.armed.Store(false)
+	if err := got.Materialize(); err != nil {
+		t.Fatalf("Materialize after the poison was removed: %v", err)
+	}
+	if !reflect.DeepEqual(dump(got), dump(want)) {
+		t.Error("contents differ from eager load after a contained materialise panic")
 	}
 }

@@ -98,19 +98,26 @@ package trie
 //     given the header's dictionary, any segment decodes independently of
 //     the others, which is what lets ReadFrom fan the segment decodes out
 //     over worker goroutines — and what the lazy loader (OpenLazy,
-//     lazy.go) exploits: its eager phase parses only the segment
-//     *directory* — each segment's {offset, length, CRC} frame, bodies
-//     skipped with a positioned seek — plus the header, dictionary and
-//     full section stream, then faults each body in on the first probe of
-//     its shard. The lazy contract per segment: the directory is valid
-//     only if every body lies inside the file (bounds are verified at
-//     open, so base truncation still fails the open, exactly like
-//     ReadFrom); the CRC is verified when the body is read, at every
-//     fault-in — including refaults after eviction — so silent on-disk
-//     rot surfaces as ErrCorrupt on the touched shard and poisons no
-//     other shard; and journal ops project per shard (a feature's ops
-//     route by its ID) so replaying a shard's overlay at fault-in yields
-//     state bit-identical to the streaming loader's whole-file replay.
+//     lazy.go) exploits: its eager phase parses only the segment *table*
+//     — each segment's {offset, length, CRC} frame, bodies skipped with a
+//     positioned seek — plus the header, dictionary and full section
+//     stream. The lazy contract per segment: the table is valid only if
+//     every body lies inside the file (bounds are verified at open, so
+//     base truncation still fails the open, exactly like ReadFrom). The
+//     first probe of a shard reads its body once, verifies the CRC and
+//     scans the framing with the decoders below in skip mode — the same
+//     checks, nothing allocated — recording where each feature's entry
+//     starts; silent on-disk rot present then surfaces as ErrCorrupt on
+//     that shard and poisons no other. From there on the unit of decoding
+//     is the posting list: a probe re-reads just its entry's byte span and
+//     decodes it with decodePostingList, with no second CRC — damage
+//     arriving after the scan is caught only where it breaks that list's
+//     structure. Entries are self-delimiting and carry no cross-entry
+//     state beyond the idΔ the scan already resolved, which is what makes
+//     a single list decodable from its span on this unchanged format; and
+//     journal ops project per shard (a feature's ops route by its ID), so
+//     replaying a shard's overlay when its directory opens yields lists
+//     bit-identical to the streaming loader's whole-file replay.
 //   - The section stream is what makes an on-disk snapshot *appendable*:
 //     AppendJournalSection (journal.go) replaces the trailing terminator
 //     with one more CRC-guarded journal section plus a fresh terminator,
@@ -506,59 +513,9 @@ func (t *Trie) TailRecovery() *TailRecovery { return t.recovered }
 
 func (t *Trie) readFrom(cr *countingScanner, opt LoadOptions) (*TailRecovery, error) {
 	workers := opt.Workers
-	var magic [len(persistMagic)]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: reading magic: %v", ErrCorrupt, err)
-	}
-	if string(magic[:]) != persistMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
-	}
-	version, err := binary.ReadUvarint(cr)
+	version, k, remap, identity, err := readPreamble(cr, t.dict)
 	if err != nil {
-		return nil, fmt.Errorf("%w: reading version: %v", ErrCorrupt, err)
-	}
-	if version < 1 || version > persistVersion {
-		return nil, fmt.Errorf("trie: snapshot version %d unsupported (this build reads ≤ %d)", version, persistVersion)
-	}
-	savedShards, err := binary.ReadUvarint(cr)
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading shard count: %v", ErrCorrupt, err)
-	}
-	k := int(savedShards)
-	if k < 1 || k > maxShards || k&(k-1) != 0 {
-		return nil, fmt.Errorf("%w: shard count %d not a power of two in [1, %d]", ErrCorrupt, k, maxShards)
-	}
-
-	// Dictionary: intern the saved keys in ID order, building the old→new
-	// ID remap. A fresh dictionary yields the identity remap, which keeps
-	// the segment→shard correspondence of the saved layout and unlocks the
-	// parallel decode below.
-	nKeys, err := binary.ReadUvarint(cr)
-	if err != nil || nKeys > maxDictLen {
-		return nil, fmt.Errorf("%w: dictionary size", ErrCorrupt)
-	}
-	// remap grows as keys actually arrive, so a lying count cannot force a
-	// large upfront allocation.
-	remap := make([]features.FeatureID, 0, min(nKeys, 1<<16))
-	identity := true
-	var kbuf []byte
-	for i := uint64(0); i < nKeys; i++ {
-		klen, err := binary.ReadUvarint(cr)
-		if err != nil || klen > maxKeyLen {
-			return nil, fmt.Errorf("%w: dictionary key length", ErrCorrupt)
-		}
-		if cap(kbuf) < int(klen) {
-			kbuf = make([]byte, klen)
-		}
-		kbuf = kbuf[:klen]
-		if _, err := io.ReadFull(cr, kbuf); err != nil {
-			return nil, fmt.Errorf("%w: reading dictionary key: %v", ErrCorrupt, err)
-		}
-		id := t.dict.Intern(string(kbuf))
-		remap = append(remap, id)
-		if id != features.FeatureID(i) {
-			identity = false
-		}
+		return nil, err
 	}
 
 	// Read the segment bodies (CRC-checked) before decoding anything, so a
@@ -575,65 +532,19 @@ func (t *Trie) readFrom(cr *countingScanner, opt LoadOptions) (*TailRecovery, er
 	// Version ≥ 2 snapshots carry a trailing section stream. Read and
 	// decode every journal section before installing anything, so a corrupt
 	// journal fails the load with the trie untouched (apart from dictionary
-	// interning, as documented). A structural failure anywhere in the
-	// stream marks everything from the last fully-committed section onward
-	// as a torn tail: fatal under opt.Strict, recovered otherwise (the
-	// crash-mid-append signature — see the Durability section above).
-	type journalRec struct {
-		stamp JournalStamp
-		ops   []mutOp
-	}
+	// interning, as documented).
 	var journals []journalRec
 	var rec *TailRecovery
 	if version >= 2 {
-		committed := cr.n // end of the valid prefix (terminator excluded)
-		fail := func(dropped []byte, cause error) error {
-			if opt.Strict {
-				return cause
-			}
-			rec = &TailRecovery{CommittedBytes: committed, DroppedOps: journalOpCount(dropped)}
-			return nil
-		}
-		for rec == nil {
-			tag, err := cr.ReadByte()
-			if err != nil {
-				if err := fail(nil, fmt.Errorf("%w: reading section tag: %v", ErrCorrupt, err)); err != nil {
-					return nil, err
-				}
-				break
-			}
-			if tag == sectionEnd {
-				break
-			}
-			if tag != sectionJournal {
-				if err := fail(nil, fmt.Errorf("%w: unknown section tag %q", ErrCorrupt, tag)); err != nil {
-					return nil, err
-				}
-				break
-			}
-			body, partial, err := readSectionPartial(cr, "journal")
-			if err != nil {
-				if err := fail(partial, err); err != nil {
-					return nil, err
-				}
-				break
-			}
-			stamp, ops, err := decodeJournalBody(body)
-			if err != nil {
-				if err := fail(body, err); err != nil {
-					return nil, err
-				}
-				break
-			}
-			journals = append(journals, journalRec{stamp: stamp, ops: ops})
-			committed = cr.n
+		if journals, rec, err = readSectionStream(cr, func() int64 { return cr.n }, opt.Strict); err != nil {
+			return nil, err
 		}
 		if rec != nil {
 			// Consume the rest of the torn tail so the byte count (and a
 			// combined-snapshot loader's stream position) reflects that
 			// nothing after the committed prefix is trustworthy.
 			_, _ = io.Copy(io.Discard, cr)
-			rec.DiscardedBytes = cr.n - committed
+			rec.DiscardedBytes = cr.n - rec.CommittedBytes
 		}
 	}
 
@@ -700,6 +611,112 @@ func (t *Trie) readFrom(cr *countingScanner, opt LoadOptions) (*TailRecovery, er
 	return rec, nil
 }
 
+// readPreamble reads a snapshot's header and dictionary — the part both
+// loaders decode eagerly — interning the saved keys through dict in ID
+// order and building the old→new ID remap. identity reports that every key
+// landed on its saved ID (a fresh dictionary), which keeps the segment →
+// shard correspondence of the saved layout: the streaming loader's parallel
+// decode and the whole of the lazy loader depend on it. remap grows as keys
+// actually arrive, so a lying count cannot force a large allocation.
+func readPreamble(r byteScanner, dict *features.Dict) (version uint64, shards int, remap []features.FeatureID, identity bool, err error) {
+	fail := func(format string, args ...any) (uint64, int, []features.FeatureID, bool, error) {
+		return 0, 0, nil, false, fmt.Errorf(format, args...)
+	}
+	var magic [len(persistMagic)]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
+		return fail("%w: reading magic: %v", ErrCorrupt, err)
+	}
+	if string(magic[:]) != persistMagic {
+		return fail("%w: bad magic %q", ErrCorrupt, magic)
+	}
+	if version, err = binary.ReadUvarint(r); err != nil {
+		return fail("%w: reading version: %v", ErrCorrupt, err)
+	}
+	if version < 1 || version > persistVersion {
+		return fail("trie: snapshot version %d unsupported (this build reads ≤ %d)", version, persistVersion)
+	}
+	savedShards, err := binary.ReadUvarint(r)
+	if err != nil {
+		return fail("%w: reading shard count: %v", ErrCorrupt, err)
+	}
+	k := int(savedShards)
+	if k < 1 || k > maxShards || k&(k-1) != 0 {
+		return fail("%w: shard count %d not a power of two in [1, %d]", ErrCorrupt, k, maxShards)
+	}
+	nKeys, err := binary.ReadUvarint(r)
+	if err != nil || nKeys > maxDictLen {
+		return fail("%w: dictionary size", ErrCorrupt)
+	}
+	remap = make([]features.FeatureID, 0, min(nKeys, 1<<16))
+	identity = true
+	var kbuf []byte
+	for i := uint64(0); i < nKeys; i++ {
+		klen, err := binary.ReadUvarint(r)
+		if err != nil || klen > maxKeyLen {
+			return fail("%w: dictionary key length", ErrCorrupt)
+		}
+		if cap(kbuf) < int(klen) {
+			kbuf = make([]byte, klen)
+		}
+		kbuf = kbuf[:klen]
+		if _, err := io.ReadFull(r, kbuf); err != nil {
+			return fail("%w: reading dictionary key: %v", ErrCorrupt, err)
+		}
+		id := dict.Intern(string(kbuf))
+		remap = append(remap, id)
+		if id != features.FeatureID(i) {
+			identity = false
+		}
+	}
+	return version, k, remap, identity, nil
+}
+
+// journalRec is one decoded journal section of the trailing stream.
+type journalRec struct {
+	stamp JournalStamp
+	ops   []mutOp
+}
+
+// readSectionStream reads the trailing section stream up to its terminator,
+// decoding every journal section in full (nothing of a section is applied
+// unless all of it decodes). offset reports the bytes consumed from r so
+// far. A structural failure anywhere marks everything from the last
+// fully-committed section onward as a torn tail — the crash-mid-append
+// signature, see the Durability section above: fatal under strict,
+// otherwise reported as a TailRecovery whose DiscardedBytes the caller
+// fills in, since only it knows how the tail is consumed.
+func readSectionStream(r byteScanner, offset func() int64, strict bool) ([]journalRec, *TailRecovery, error) {
+	var journals []journalRec
+	committed := offset() // end of the valid prefix (terminator excluded)
+	for {
+		var dropped []byte
+		tag, err := r.ReadByte()
+		switch {
+		case err != nil:
+			err = fmt.Errorf("%w: reading section tag: %v", ErrCorrupt, err)
+		case tag == sectionEnd:
+			return journals, nil, nil
+		case tag != sectionJournal:
+			err = fmt.Errorf("%w: unknown section tag %q", ErrCorrupt, tag)
+		default:
+			var body []byte
+			if body, dropped, err = readSectionPartial(r, "journal"); err == nil {
+				var j journalRec
+				if j.stamp, j.ops, err = decodeJournalBody(body); err == nil {
+					journals = append(journals, j)
+					committed = offset()
+					continue
+				}
+				dropped = body
+			}
+		}
+		if strict {
+			return nil, nil, err
+		}
+		return journals, &TailRecovery{CommittedBytes: committed, DroppedOps: journalOpCount(dropped)}, nil
+	}
+}
+
 // readSection reads one length-prefixed CRC-guarded block (segments and
 // journal sections share the frame). The body buffer grows as bytes
 // actually arrive, so a corrupt length cannot force an absurd allocation.
@@ -763,54 +780,77 @@ func readFullCapped(r io.Reader, n uint64) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeSegment decodes one segment body into posts, remapping feature IDs.
-// With wantMask != 0 callers assert every decoded (remapped) ID belongs to
-// shard wantShard — the identity-remap fast path, where posts is that
-// shard's private map. version selects the posting-list wire form (≥ 3:
-// containers; ≤ 2: flat runs, with empty features legal only in version
-// 1); decoded lists are promoted to the canonical container kind under
-// policy. Returns the decoded (remapped) feature IDs.
-func decodeSegment(body []byte, posts map[features.FeatureID]PostingList, remap []features.FeatureID, wantMask, wantShard uint32, version uint64, policy ContainerPolicy) ([]features.FeatureID, error) {
-	d := segDecoder{b: body}
+// walkSegment drives one segment body's framing — the feature count, the
+// strictly ascending feature-ID deltas, dictionary membership and the
+// no-trailing-bytes rule — and calls each with d positioned at the feature's
+// posting list, which each must consume through d (decodeList). entry is the
+// body offset of the feature's idΔ varint, so consecutive entries tile the
+// body. With wantMask != 0 callers assert every (remapped) ID belongs to
+// shard wantShard — the identity-remap layout, where a segment is exactly
+// one shard. Shared by the whole-segment decode below and the lazy
+// loader's open-time scan (lazy.go), so the two accept and reject alike.
+func walkSegment(d *segDecoder, remap []features.FeatureID, wantMask, wantShard uint32, each func(id features.FeatureID, entry int) error) error {
 	nFeat, err := d.uvarint()
-	if err != nil || nFeat > uint64(len(body)) {
-		return nil, fmt.Errorf("%w: feature count", ErrCorrupt)
+	if err != nil || nFeat > uint64(len(d.b)) {
+		return fmt.Errorf("%w: feature count", ErrCorrupt)
 	}
-	ids := make([]features.FeatureID, 0, nFeat)
 	var prevID uint64
 	for f := uint64(0); f < nFeat; f++ {
+		entry := d.off
 		delta, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		oldID := prevID + delta
 		if f > 0 && delta == 0 {
-			return nil, fmt.Errorf("%w: duplicate feature ID", ErrCorrupt)
+			return fmt.Errorf("%w: duplicate feature ID", ErrCorrupt)
 		}
 		prevID = oldID
 		if oldID >= uint64(len(remap)) {
-			return nil, fmt.Errorf("%w: feature ID %d outside dictionary", ErrCorrupt, oldID)
+			return fmt.Errorf("%w: feature ID %d outside dictionary", ErrCorrupt, oldID)
 		}
 		id := remap[oldID]
 		if wantMask != 0 && uint32(id)&wantMask != wantShard {
-			return nil, fmt.Errorf("%w: feature ID %d in wrong segment", ErrCorrupt, oldID)
+			return fmt.Errorf("%w: feature ID %d in wrong segment", ErrCorrupt, oldID)
 		}
-		var pl PostingList
-		if version >= 3 {
-			pl, err = d.decodePostingList(policy)
-		} else {
-			pl, err = d.decodeLegacyPostings(version, policy)
+		if err := each(id, entry); err != nil {
+			return err
 		}
+	}
+	if d.off != len(d.b) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b)-d.off)
+	}
+	return nil
+}
+
+// decodeSegment decodes one segment body into posts, remapping feature IDs
+// (see walkSegment for wantMask/wantShard). version selects the
+// posting-list wire form; decoded lists are promoted to the canonical
+// container kind under policy. Returns the decoded (remapped) feature IDs.
+func decodeSegment(body []byte, posts map[features.FeatureID]PostingList, remap []features.FeatureID, wantMask, wantShard uint32, version uint64, policy ContainerPolicy) ([]features.FeatureID, error) {
+	d := &segDecoder{b: body}
+	var ids []features.FeatureID
+	err := walkSegment(d, remap, wantMask, wantShard, func(id features.FeatureID, _ int) error {
+		pl, err := d.decodeList(version, policy)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		posts[id] = pl
 		ids = append(ids, id)
+		return nil
+	})
+	return ids, err
+}
+
+// decodeList decodes one feature's posting list in the wire form version
+// selects (≥ 3: containers; ≤ 2: flat runs, with empty features legal only
+// in version 1). In skip mode (d.skip) every structural check still runs
+// but nothing is allocated and the zero list is returned.
+func (d *segDecoder) decodeList(version uint64, policy ContainerPolicy) (PostingList, error) {
+	if version >= 3 {
+		return d.decodePostingList(policy)
 	}
-	if d.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body)-d.off)
-	}
-	return ids, nil
+	return d.decodeLegacyPostings(version, policy)
 }
 
 // decodeLegacyPostings decodes one feature's version ≤ 2 flat posting run
@@ -826,7 +866,10 @@ func (d *segDecoder) decodeLegacyPostings(version uint64, policy ContainerPolicy
 	if nPosts == 0 && version >= 2 {
 		return zero, fmt.Errorf("%w: feature with no postings", ErrCorrupt)
 	}
-	ps := make([]Posting, 0, nPosts)
+	var ps []Posting
+	if !d.skip {
+		ps = make([]Posting, 0, nPosts)
+	}
 	var prevG uint64
 	for p := uint64(0); p < nPosts; p++ {
 		gDelta, err := d.uvarint()
@@ -845,11 +888,13 @@ func (d *segDecoder) decodeLegacyPostings(version uint64, policy ContainerPolicy
 		if g > math.MaxInt32 || count > math.MaxInt32 {
 			return zero, fmt.Errorf("%w: posting field overflow", ErrCorrupt)
 		}
-		locs, err := d.decodeLocs()
+		locs, _, err := d.decodeLocs()
 		if err != nil {
 			return zero, err
 		}
-		ps = append(ps, Posting{Graph: int32(g), Count: int32(count), Locs: locs})
+		if !d.skip {
+			ps = append(ps, Posting{Graph: int32(g), Count: int32(count), Locs: locs})
+		}
 	}
 	return sealPostings(policy, ps), nil
 }
@@ -857,7 +902,8 @@ func (d *segDecoder) decodeLegacyPostings(version uint64, policy ContainerPolicy
 // decodePostingList decodes one feature's version ≥ 3 container-form
 // posting list, validating every structural invariant (the fuzz targets
 // drive this path with corrupt payloads), and promotes a non-canonical but
-// valid container to the reader's canonical kind.
+// valid container to the reader's canonical kind. In skip mode the same
+// checks run over the same bytes, allocation-free.
 func (d *segDecoder) decodePostingList(policy ContainerPolicy) (PostingList, error) {
 	var zero PostingList
 	flags, err := d.byte()
@@ -881,9 +927,12 @@ func (d *segDecoder) decodePostingList(policy ContainerPolicy) (PostingList, err
 		if card > uint64(d.remaining()) {
 			return zero, fmt.Errorf("%w: array cardinality", ErrCorrupt)
 		}
-		ids := make([]int32, card)
+		var ids []int32
+		if !d.skip {
+			ids = make([]int32, card)
+		}
 		var prevG uint64
-		for i := range ids {
+		for i := uint64(0); i < card; i++ {
 			gDelta, err := d.uvarint()
 			if err != nil {
 				return zero, err
@@ -896,10 +945,14 @@ func (d *segDecoder) decodePostingList(policy ContainerPolicy) (PostingList, err
 				return zero, fmt.Errorf("%w: graph id overflow", ErrCorrupt)
 			}
 			prevG = g
-			ids[i] = int32(g)
+			if ids != nil {
+				ids[i] = int32(g)
+			}
 		}
-		nruns = countRuns(ids)
-		c = &ArrayContainer{ids: ids}
+		if !d.skip {
+			nruns = countRuns(ids)
+			c = &ArrayContainer{ids: ids}
+		}
 	case segTagBitmap:
 		baseWord, err := d.uvarint()
 		if err != nil {
@@ -915,22 +968,34 @@ func (d *segDecoder) decodePostingList(policy ContainerPolicy) (PostingList, err
 		if baseWord+nWords > 1<<25 { // max representable id must fit int32
 			return zero, fmt.Errorf("%w: bitmap span overflow", ErrCorrupt)
 		}
-		words := make([]uint64, nWords)
-		pop := 0
-		for i := range words {
-			words[i] = binary.LittleEndian.Uint64(d.b[d.off:])
-			d.off += 8
-			pop += bits.OnesCount64(words[i])
+		var words []uint64
+		if !d.skip {
+			words = make([]uint64, nWords)
 		}
-		if words[0] == 0 || words[len(words)-1] == 0 {
+		pop := 0
+		var first, last uint64
+		for i := uint64(0); i < nWords; i++ {
+			last = binary.LittleEndian.Uint64(d.b[d.off:])
+			d.off += 8
+			pop += bits.OnesCount64(last)
+			if i == 0 {
+				first = last
+			}
+			if words != nil {
+				words[i] = last
+			}
+		}
+		if first == 0 || last == 0 {
 			return zero, fmt.Errorf("%w: denormalised bitmap (zero edge word)", ErrCorrupt)
 		}
 		if uint64(pop) != card {
 			return zero, fmt.Errorf("%w: bitmap popcount %d ≠ cardinality %d", ErrCorrupt, pop, card)
 		}
-		b := &BitmapContainer{base: int32(baseWord << 6), words: words, card: int(card)}
-		nruns = b.runCount()
-		c = b
+		if !d.skip {
+			b := &BitmapContainer{base: int32(baseWord << 6), words: words, card: int(card)}
+			nruns = b.runCount()
+			c = b
+		}
 	case segTagRuns:
 		nRuns, err := d.uvarint()
 		if err != nil {
@@ -939,10 +1004,13 @@ func (d *segDecoder) decodePostingList(policy ContainerPolicy) (PostingList, err
 		if nRuns == 0 || nRuns > uint64(d.remaining())/2 || nRuns > card {
 			return zero, fmt.Errorf("%w: run count", ErrCorrupt)
 		}
-		runs := make([]Run, nRuns)
+		var runs []Run
+		if !d.skip {
+			runs = make([]Run, nRuns)
+		}
 		prevEnd := int64(-2)
 		total := uint64(0)
-		for i := range runs {
+		for i := uint64(0); i < nRuns; i++ {
 			gap, err := d.uvarint()
 			if err != nil {
 				return zero, err
@@ -955,15 +1023,19 @@ func (d *segDecoder) decodePostingList(policy ContainerPolicy) (PostingList, err
 			if length > math.MaxInt32 || start+int64(length) > math.MaxInt32 {
 				return zero, fmt.Errorf("%w: run overflow", ErrCorrupt)
 			}
-			runs[i] = Run{Start: int32(start), End: int32(start + int64(length))}
-			prevEnd = int64(runs[i].End)
+			prevEnd = start + int64(length)
+			if runs != nil {
+				runs[i] = Run{Start: int32(start), End: int32(prevEnd)}
+			}
 			total += length + 1
 		}
 		if total != card {
 			return zero, fmt.Errorf("%w: run lengths sum %d ≠ cardinality %d", ErrCorrupt, total, card)
 		}
-		nruns = int(nRuns)
-		c = &RunContainer{runs: runs, card: int(card)}
+		if !d.skip {
+			nruns = int(nRuns)
+			c = &RunContainer{runs: runs, card: int(card)}
+		}
 	default:
 		return zero, fmt.Errorf("%w: reserved container tag", ErrCorrupt)
 	}
@@ -972,9 +1044,12 @@ func (d *segDecoder) decodePostingList(policy ContainerPolicy) (PostingList, err
 		if card > uint64(d.remaining()) {
 			return zero, fmt.Errorf("%w: counts length", ErrCorrupt)
 		}
-		counts := make([]int32, card)
+		var counts []int32
+		if !d.skip {
+			counts = make([]int32, card)
+		}
 		uniform := true
-		for i := range counts {
+		for i := uint64(0); i < card; i++ {
 			v, err := d.uvarint()
 			if err != nil {
 				return zero, err
@@ -985,7 +1060,9 @@ func (d *segDecoder) decodePostingList(policy ContainerPolicy) (PostingList, err
 			if v != 1 {
 				uniform = false
 			}
-			counts[i] = int32(v)
+			if counts != nil {
+				counts[i] = int32(v)
+			}
 		}
 		if uniform {
 			return zero, fmt.Errorf("%w: denormalised counts (all 1)", ErrCorrupt)
@@ -996,22 +1073,30 @@ func (d *segDecoder) decodePostingList(policy ContainerPolicy) (PostingList, err
 		if card > uint64(d.remaining()) {
 			return zero, fmt.Errorf("%w: locations length", ErrCorrupt)
 		}
-		locs := make([][]int32, card)
+		var locs [][]int32
+		if !d.skip {
+			locs = make([][]int32, card)
+		}
 		any := false
-		for i := range locs {
-			ls, err := d.decodeLocs()
+		for i := uint64(0); i < card; i++ {
+			ls, n, err := d.decodeLocs()
 			if err != nil {
 				return zero, err
 			}
-			if len(ls) > 0 {
+			if n > 0 {
 				any = true
 			}
-			locs[i] = ls
+			if locs != nil {
+				locs[i] = ls
+			}
 		}
 		if !any {
 			return zero, fmt.Errorf("%w: denormalised locations (all empty)", ErrCorrupt)
 		}
 		pl.locs = locs
+	}
+	if d.skip {
+		return zero, nil
 	}
 	// Promote a valid-but-non-canonical container to the reader's canonical
 	// kind (also the policy override point: an ArrayOnlyContainers reader
@@ -1022,39 +1107,45 @@ func (d *segDecoder) decodePostingList(policy ContainerPolicy) (PostingList, err
 	return pl, nil
 }
 
-// decodeLocs decodes one posting's delta-encoded sorted location list.
-func (d *segDecoder) decodeLocs() ([]int32, error) {
+// decodeLocs decodes one posting's delta-encoded sorted location list and
+// returns it with its length (in skip mode only the length).
+func (d *segDecoder) decodeLocs() ([]int32, uint64, error) {
 	nLocs, err := d.uvarint()
 	if err != nil || nLocs > uint64(d.remaining()) {
-		return nil, fmt.Errorf("%w: location count", ErrCorrupt)
+		return nil, 0, fmt.Errorf("%w: location count", ErrCorrupt)
 	}
-	if nLocs == 0 {
-		return nil, nil
+	var locs []int32
+	if nLocs > 0 && !d.skip {
+		locs = make([]int32, nLocs)
 	}
-	locs := make([]int32, nLocs)
 	var prevL uint64
-	for l := range locs {
+	for l := uint64(0); l < nLocs; l++ {
 		lDelta, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		v := prevL + lDelta
 		if l > 0 && lDelta == 0 {
-			return nil, fmt.Errorf("%w: duplicate location", ErrCorrupt)
+			return nil, 0, fmt.Errorf("%w: duplicate location", ErrCorrupt)
 		}
 		if v > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: location overflow", ErrCorrupt)
+			return nil, 0, fmt.Errorf("%w: location overflow", ErrCorrupt)
 		}
 		prevL = v
-		locs[l] = int32(v)
+		if locs != nil {
+			locs[l] = int32(v)
+		}
 	}
-	return locs, nil
+	return locs, nLocs, nil
 }
 
-// segDecoder is a varint cursor over one in-memory segment body.
+// segDecoder is a varint cursor over one in-memory segment body. With skip
+// set the posting-list decoders validate exactly as usual but allocate and
+// return nothing — the lazy loader's open-time framing scan.
 type segDecoder struct {
-	b   []byte
-	off int
+	b    []byte
+	off  int
+	skip bool
 }
 
 func (d *segDecoder) uvarint() (uint64, error) {

@@ -44,7 +44,9 @@
 package trie
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"sync"
@@ -126,8 +128,8 @@ type Trie struct {
 	probeCost int
 
 	// lazyLive is non-nil while this trie serves a lazily-opened snapshot
-	// (OpenLazy, lazy.go): GetByID routes through its resident-shard table
-	// and whole-store operations materialise first. Materialize clears it.
+	// (OpenLazy, lazy.go): GetByID routes through its residency slots and
+	// whole-store operations materialise first. Materialize clears it.
 	lazyLive atomic.Pointer[lazyState]
 
 	// lazyOrigin is set once by OpenLazy and survives Materialize, so
@@ -306,9 +308,10 @@ func (t *Trie) Get(key string) []Posting {
 // GetByID returns the postings for an interned feature (a zero PostingList
 // if this trie holds none). On an eager trie this is lock-free: one mask
 // plus one map probe against an immutable shard. On a lazily-opened trie
-// (OpenLazy) the probe routes through the resident-shard table, faulting
-// the shard's segment in on first touch — a fault-in failure panics with
-// *ShardFaultError (see lazy.go).
+// (OpenLazy) the probe routes through the residency slots — one atomic load
+// for a resident list; otherwise the list is decoded from its byte span,
+// opening the shard's directory first if this is its first touch — and a
+// failure there panics with *ShardFaultError (see lazy.go).
 func (t *Trie) GetByID(id features.FeatureID) PostingList {
 	if ls := t.lazyLive.Load(); ls != nil {
 		return ls.get(id)
@@ -412,10 +415,10 @@ func (t *Trie) removePath(key string) {
 // accounting.
 func (t *Trie) SizeBytes() int {
 	if t.lazyLive.Load() != nil {
-		// Lazily opened: report the resident footprint instead of forcing
-		// every shard in — a monitoring scrape must never defeat laziness.
-		// Converges on the eager figure as shards fault in; identical after
-		// Materialize (which also builds the byte-trie nodes counted below).
+		// Lazily opened: report the resident posting lists instead of
+		// decoding everything — a monitoring scrape must never defeat
+		// laziness. The eager figure (which also counts the byte-trie nodes
+		// and shard headers below) applies once Materialize has run.
 		return int(t.Residency().ResidentBytes)
 	}
 	sz := 0
@@ -477,6 +480,12 @@ func (t *Trie) DeadLen() int {
 // ParallelFor returns after every worker has finished, so it establishes
 // the happens-before edge parallel builds rely on. Shared by the shard
 // merge below, the path-method builds and core's cache-side index builds.
+//
+// A panic in a worker body does not kill the process: the first one is
+// captured with its goroutine's stack and, once every worker has joined,
+// re-raised on the caller as a *WorkerPanic — so whatever recover guards
+// the caller (Engine.Query, the shadow builder) contains it exactly as it
+// would at width 1.
 func ParallelFor(n, workers int, body func(worker int, claim func() int)) {
 	if workers > n {
 		workers = n
@@ -494,14 +503,42 @@ func ParallelFor(n, workers int, body func(worker int, claim func() int)) {
 		return
 	}
 	var wg sync.WaitGroup
+	var first atomic.Pointer[WorkerPanic]
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					first.CompareAndSwap(nil, &WorkerPanic{Value: r, Stack: debug.Stack()})
+				}
+			}()
 			body(w, claim)
 		}(w)
 	}
 	wg.Wait()
+	if p := first.Load(); p != nil {
+		panic(p)
+	}
+}
+
+// WorkerPanic is the value ParallelFor panics with on its caller when a
+// worker body panicked: the original panic value and the worker
+// goroutine's stack at the panic site (the re-raise's own stack no longer
+// shows it).
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("%v\n\nworker goroutine stack:\n%s", p.Value, p.Stack)
+}
+
+// Unwrap exposes an error panic value to errors.Is/As.
+func (p *WorkerPanic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
 }
 
 // stagedPosting is one posting awaiting its shard merge.

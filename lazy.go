@@ -13,10 +13,11 @@ import (
 )
 
 // Lazy engine loading: LoadEngineFile(..., WithLazyLoad(budget)) maps the
-// snapshot instead of decoding it, so the engine binds its first query in
-// O(touched shards) time and can serve an index bigger than RAM under a
-// resident-byte budget. See the package comment ("Serving indexes bigger
-// than RAM") for the model and its trade-offs.
+// snapshot instead of decoding it, so the engine binds its first query
+// after reading only the shards — and decoding only the posting lists — it
+// touches, and can serve an index bigger than RAM under a resident-byte
+// budget. See the package comment ("Serving indexes bigger than RAM") for
+// the model and its trade-offs.
 
 // EngineLoadOption customises one LoadEngineFile call (as opposed to
 // EngineOptions, which configure the engine itself).
@@ -28,19 +29,25 @@ type engineLoadConfig struct {
 }
 
 // WithLazyLoad makes LoadEngineFile open the snapshot lazily: the header,
-// dictionary, segment directory and journal tail are read eagerly (and any
-// torn tail recovered exactly as in an eager load), but posting segments
-// are decoded only when a query first touches their shard. budgetBytes
-// bounds the decoded bytes kept resident (least-recently-touched shards are
-// evicted and transparently re-decoded — with their checksums re-verified —
-// on the next touch); 0 means unbounded.
+// dictionary, segment table and journal tail are read eagerly (and any torn
+// tail recovered exactly as in an eager load), and nothing else until a
+// query asks. What is paged is the posting list: a probe decodes just the
+// list it needs from that list's byte span in the mapping. What is pinned
+// is the dictionary and, per shard, an offset directory built on the
+// shard's first probe by one read of its segment — which is also the one
+// moment the segment's checksum is verified. budgetBytes bounds the decoded
+// lists kept resident (lists not probed since the evictor's last pass go
+// first and are transparently re-decoded on the next probe); 0 means
+// unbounded. The pinned parts are outside the budget.
 //
-// The snapshot file backs the engine for as long as any shard is
-// non-resident: it must not be modified, and Engine.Close releases it.
-// Corruption confined to one shard's segment surfaces on first touch as a
-// contained *PanicError (wrapping trie.ErrCorrupt) on queries routed to it;
-// other shards keep answering. Methods without lazy support (anything but
-// GGSX and Grapes) fall back to a plain eager load.
+// The snapshot file backs the engine for as long as it serves lazily: it
+// must not be modified, and Engine.Close releases it. Corruption confined
+// to one shard's segment surfaces on that shard's first probe, and a
+// failing read on any later posting decode, as a contained *PanicError
+// (carrying trie.ErrCorrupt or the I/O error) on the queries that needed
+// those bytes; other shards keep answering and the failed probe is retried
+// from scratch next time. Methods without lazy support (anything but GGSX
+// and Grapes) fall back to a plain eager load.
 func WithLazyLoad(budgetBytes int64) EngineLoadOption {
 	return func(c *engineLoadConfig) {
 		c.lazy = true
@@ -48,13 +55,13 @@ func WithLazyLoad(budgetBytes int64) EngineLoadOption {
 	}
 }
 
-// errLazyUnsupported reports a method that cannot defer segment decoding;
+// errLazyUnsupported reports a method that cannot defer posting decoding;
 // LoadEngineFile falls back to the eager path on it.
 var errLazyUnsupported = errors.New("igq: method does not support lazy index loading")
 
 // loadEngineLazy is LoadEngineReport over a random-access snapshot source,
-// deferring posting-segment decodes to first touch. src must stay open and
-// immutable while any shard is non-resident; when src is an io.Closer the
+// deferring posting-list decodes to first probe. src must stay open and
+// immutable until the index is materialised; when src is an io.Closer the
 // returned engine owns it (Engine.Close).
 func loadEngineLazy(src trie.RandomAccessFile, db []*Graph, opt EngineOptions, budget int64) (*Engine, LoadReport, error) {
 	if len(db) == 0 {
@@ -143,7 +150,7 @@ func loadEngineFileLazy(path string, db []*Graph, opt EngineOptions, budget int6
 		return nil, rep, err
 	}
 	if rep.RecoveredTail != nil {
-		// Re-saving reads every shard through the mapping (WriteTo
+		// Re-saving reads every segment through the mapping (WriteTo
 		// materialises), so repair before closing it.
 		if err := SaveEngineFile(path, e); err != nil {
 			e.Close()
@@ -160,9 +167,9 @@ func loadEngineFileLazy(path string, db []*Graph, opt EngineOptions, budget int6
 // Close releases the snapshot mapping backing a lazily loaded engine. It is
 // a no-op for eagerly loaded or freshly built engines, and for lazy engines
 // whose index has been fully materialised the mapping is simply returned to
-// the OS. Closing while shards are still non-resident invalidates further
-// cold queries (they fail with a contained *PanicError); call
-// MaterializeIndex first to keep serving without the file.
+// the OS. Closing an engine that still serves lazily invalidates every
+// later posting decode (those queries fail with a contained *PanicError);
+// call MaterializeIndex first to keep serving without the file.
 func (e *Engine) Close() error {
 	e.mutMu.Lock()
 	defer e.mutMu.Unlock()
@@ -178,8 +185,8 @@ func (e *Engine) closeLazySrcLocked() error {
 	return src.Close()
 }
 
-// MaterializeIndex faults in every remaining shard of a lazily loaded
-// index and releases the backing snapshot mapping, leaving the engine in
+// MaterializeIndex decodes the whole of a lazily loaded index and
+// releases the backing snapshot mapping, leaving the engine in
 // exactly the state an eager load would have produced. No-op (and nil) when
 // nothing is lazy. Mutating operations (AddGraphs, RemoveGraphs) call the
 // materialisation step implicitly.
@@ -205,9 +212,10 @@ func (e *Engine) materializeIndexLocked() error {
 }
 
 // Residency reports how much of the dataset index is decoded in memory.
-// For lazily loaded engines the counters move as queries fault shards in
-// and the budget evicts them; eager engines report Lazy == false. Cheap to
-// sample at any time (atomic reads; no query-path cost).
+// For lazily loaded engines the counters move as queries open shard
+// directories and decode posting lists and the budget evicts lists; eager
+// engines report Lazy == false. Cheap to sample at any time (one short
+// lock the query hot path never takes).
 func (e *Engine) Residency() trie.Residency {
 	if rr, ok := e.view.Load().m.(index.ResidencyReporter); ok {
 		return rr.Residency()
