@@ -91,7 +91,6 @@ func BenchmarkFig18IndexSizes(b *testing.B) { runExperiment(b, "fig18") }
 // Ablations and extensions (DESIGN.md additions beyond the paper's figures).
 func BenchmarkAblationPaths(b *testing.B)     { runExperiment(b, "ablation-paths") }
 func BenchmarkAblationEviction(b *testing.B)  { runExperiment(b, "ablation-eviction") }
-func BenchmarkAblationEngines(b *testing.B)   { runExperiment(b, "ablation-engines") }
 func BenchmarkAblationPartition(b *testing.B) { runExperiment(b, "ablation-partition") }
 func BenchmarkSupergraphSpeedup(b *testing.B) { runExperiment(b, "supergraph-speedup") }
 func BenchmarkServing(b *testing.B)           { runExperiment(b, "serving") }

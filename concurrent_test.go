@@ -3,10 +3,13 @@ package igq
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/index"
 )
 
 // Engine-level concurrency tests (run with -race): one cache-enabled Engine
@@ -211,21 +214,62 @@ func TestEngineSaveCacheConcurrentSnapshot(t *testing.T) {
 	}
 }
 
+// cancelAtTest cancels a context from inside the k-th isomorphism test.
+// Embedding only the interface sends every test through Verify.
+type cancelAtTest struct {
+	index.Method
+	cancel func()
+	k, n   int
+}
+
+func (c *cancelAtTest) Verify(q *Graph, id int32) bool {
+	if c.n++; c.n == c.k {
+		c.cancel()
+	}
+	return c.Method.Verify(q, id)
+}
+
+// TestEngineQueryCancellation: a context cancelled before a query starts or
+// in the middle of its verification returns ctx's error on the cached and on
+// the WithoutCache path alike (one shared loop), and the query leaves no
+// trace in the statistics or the cache.
 func TestEngineQueryCancellation(t *testing.T) {
 	db := smallDB(t)
-	eng, err := NewEngine(db, EngineOptions{Method: GGSX, CacheSize: 10, Window: 5})
+	c := &cancelAtTest{cancel: func() {}}
+	eng, err := NewEngine(db, EngineOptions{Method: GGSX, CacheSize: 10, Window: 5,
+		WrapMethod: func(m any) any { c.Method = m.(index.Method); return c }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	q := ExtractQuery(db[0], 0, 4)
+	q := ExtractQuery(db[0], 0, 3)
 	if _, err := eng.Query(ctx, q); err == nil {
 		t.Fatal("cancelled context not honoured (cached path)")
 	}
 	if _, err := eng.Query(ctx, q, WithoutCache()); err == nil {
 		t.Fatal("cancelled context not honoured (plain path)")
 	}
+
+	if n := len(c.Filter(q)); n < 2 {
+		t.Fatalf("query has %d candidates; nothing to cancel in the middle of", n)
+	}
+	before := eng.Stats()
+	for name, opts := range map[string][]QueryOption{"cached": nil, "plain": {WithoutCache()}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		c.cancel, c.k, c.n = cancel, 2, 0
+		if _, err := eng.Query(ctx, q, opts...); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s path: err = %v after %d tests, want context.Canceled", name, err, c.n)
+		}
+		if c.n != 2 {
+			t.Errorf("%s path: %d tests ran, cancellation came during the 2nd", name, c.n)
+		}
+		if after := eng.Stats(); after != before {
+			t.Errorf("%s path: cancelled query left a trace:\n before %+v\n after  %+v", name, before, after)
+		}
+	}
+	c.k = 0
+
 	// The engine still serves fresh contexts afterwards.
 	if _, err := eng.Query(context.Background(), q); err != nil {
 		t.Fatal(err)

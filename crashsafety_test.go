@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -261,13 +262,21 @@ func TestSaveEngineFilePreservesOnError(t *testing.T) {
 
 // poisonIndex wraps a live GGSX index and panics when verifying one
 // specific query pointer — a stand-in for a latent bug in a method's
-// verification path. Embedding keeps every optional capability (Mutable,
-// Persistable, CountFilterer, DictProvider) promoted; the mutation
-// methods re-wrap so the poison survives copy-on-write generation swaps.
+// verification path: the prepared handle passes the victim's first k-1
+// candidates through to the real matcher and panics on the k-th. Embedding
+// keeps every optional capability (Mutable, Persistable, CountFilterer,
+// DictProvider) promoted — which is also why Prepare must be overridden
+// beside Verify; the mutation methods re-wrap so the poison survives
+// copy-on-write generation swaps.
 type poisonIndex struct {
 	*ggsx.Index
 	victim *Graph
 	hits   *atomic.Int64
+	k      *atomic.Int64
+}
+
+func (p *poisonIndex) rewrap(m index.Mutable) *poisonIndex {
+	return &poisonIndex{Index: m.(*ggsx.Index), victim: p.victim, hits: p.hits, k: p.k}
 }
 
 func (p *poisonIndex) Verify(q *Graph, id int32) bool {
@@ -278,12 +287,36 @@ func (p *poisonIndex) Verify(q *Graph, id int32) bool {
 	return p.Index.Verify(q, id)
 }
 
+func (p *poisonIndex) Prepare(q *Graph) index.Verifier {
+	inner := p.Index.Prepare(q)
+	if q != p.victim {
+		return inner
+	}
+	return &poisonVerifier{inner: inner, left: p.k.Load(), hits: p.hits}
+}
+
+// poisonVerifier counts down on the one goroutine the verification loop
+// runs on.
+type poisonVerifier struct {
+	inner index.Verifier
+	left  int64
+	hits  *atomic.Int64
+}
+
+func (v *poisonVerifier) Verify(id int32) bool {
+	if v.left--; v.left <= 0 {
+		v.hits.Add(1)
+		panic("poisonIndex: verification bug")
+	}
+	return v.inner.Verify(id)
+}
+
 func (p *poisonIndex) AppendGraphs(gs []*Graph) (index.Mutable, []*Graph, error) {
 	m, db, err := p.Index.AppendGraphs(gs)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &poisonIndex{Index: m.(*ggsx.Index), victim: p.victim, hits: p.hits}, db, nil
+	return p.rewrap(m), db, nil
 }
 
 func (p *poisonIndex) RemoveGraphs(positions []int) (index.Mutable, []*Graph, []int32, error) {
@@ -291,7 +324,7 @@ func (p *poisonIndex) RemoveGraphs(positions []int) (index.Mutable, []*Graph, []
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return &poisonIndex{Index: m.(*ggsx.Index), victim: p.victim, hits: p.hits}, db, mapping, nil
+	return p.rewrap(m), db, mapping, nil
 }
 
 // TestQueryPanicIsolation: a panic in the verification hot path of one
@@ -307,16 +340,48 @@ func TestQueryPanicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A victim with real candidates, so Verify actually runs.
-	victim := ExtractQuery(db[0], 0, 6)
-	var hits atomic.Int64
+	// A victim with at least two candidates, so verification actually runs
+	// and can be poisoned mid-loop.
 	v := eng.view.Load()
-	pm := &poisonIndex{Index: v.m.(*ggsx.Index), victim: victim, hits: &hits}
+	var victim *Graph
+	for size := 6; size >= 2 && victim == nil; size-- {
+		if q := ExtractQuery(db[0], 0, size); len(v.m.Filter(q)) >= 2 {
+			victim = q
+		}
+	}
+	if victim == nil {
+		t.Fatal("no victim query with two candidates; a poison on the second would never fire")
+	}
+	var hits, k atomic.Int64
+	pm := &poisonIndex{Index: v.m.(*ggsx.Index), victim: victim, hits: &hits, k: &k}
 	eng.view.Store(&engineView{db: v.db, m: pm})
 	eng.ig.Store(core.New(pm, v.db, eng.coreOptions()))
-	if got := pm.Filter(victim); len(got) == 0 {
-		t.Fatal("victim query has no candidates; the poison would never fire")
+
+	// Mid-loop first, on a cold cache where nothing prunes the candidates:
+	// the first test runs on the real matcher, the second panics — through
+	// the cached path and through WithoutCache's, which share the loop. The
+	// query is contained, leaves nothing in the cache, and the next query
+	// (whose tests draw the matcher's pooled state again) answers.
+	k.Store(2)
+	for i, opts := range [][]QueryOption{nil, {WithoutCache()}} {
+		var pe *PanicError
+		if _, err := eng.Query(context.Background(), victim, opts...); !errors.As(err, &pe) {
+			t.Fatalf("mid-loop poison %d: err = %v, want *PanicError", i, err)
+		}
+		if st := eng.Stats(); st.Panics != int64(i+1) || st.WindowPending != 0 || st.CachedQueries != 0 {
+			t.Fatalf("mid-loop poison %d: stats %+v, want %d panics and an empty cache", i, st, i+1)
+		}
+		innocent := ExtractQuery(db[2], 0, 5)
+		res, err := eng.Query(context.Background(), innocent, WithoutAdmission())
+		if err != nil {
+			t.Fatalf("query after mid-loop poison %d: %v", i, err)
+		}
+		if want := index.Answer(pm.Index, innocent); !slices.Equal(res.IDs, want) {
+			t.Fatalf("query after mid-loop poison %d answered %v, want %v", i, res.IDs, want)
+		}
 	}
+	midLoop := eng.Stats().Panics
+	k.Store(1) // from here on the first surviving candidate trips it
 
 	qs := engineQueries(db, 40, 9)
 	victimAt := map[int]bool{}
@@ -370,8 +435,8 @@ func TestQueryPanicIsolation(t *testing.T) {
 	if hits.Load() == 0 {
 		t.Fatal("poison never fired — the test proved nothing")
 	}
-	if got := eng.Stats().Panics; got != int64(panics) {
-		t.Fatalf("Stats().Panics = %d, want %d", got, panics)
+	if got := eng.Stats().Panics; got != midLoop+int64(panics) {
+		t.Fatalf("Stats().Panics = %d, want %d", got, midLoop+int64(panics))
 	}
 
 	// The engine is still fully serviceable: fresh queries answer and the

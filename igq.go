@@ -301,7 +301,7 @@ func LoadGraphs(path string) ([]*Graph, error) { return graph.LoadFile(path) }
 func SaveGraphs(path string, gs []*Graph) error { return graph.SaveFile(path, gs) }
 
 // IsSubgraph reports whether pattern ⊆ target (labeled subgraph
-// isomorphism, VF2).
+// isomorphism).
 func IsSubgraph(pattern, target *Graph) bool { return iso.Subgraph(pattern, target) }
 
 // Isomorphic reports whether two labeled graphs are isomorphic.
@@ -606,11 +606,12 @@ func (p *PanicError) Error() string {
 // (EngineOptions.Supergraph), the dataset graphs contained in q.
 //
 // Safe for concurrent use from any number of goroutines. ctx is checked
-// before work starts and inside the candidate-verification loop — the
-// dominant cost of a hard query — and a cancelled query returns ctx's
-// error, leaving no trace in the cache. A panic anywhere in the query
-// path — a poisoned query graph, a buggy method — is contained to this
-// call and surfaced as a *PanicError instead of crashing the process.
+// before work starts and before every isomorphism test of the
+// verification loop — one loop (index.VerifyCandidates) for cached and
+// WithoutCache queries alike — and a cancelled query returns ctx's error,
+// leaving no trace in the cache or the statistics. A panic anywhere in the
+// query path — a poisoned query graph, a buggy method — is contained to
+// this call and surfaced as a *PanicError instead of crashing the process.
 func (e *Engine) Query(ctx context.Context, q *Graph, opts ...QueryOption) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -652,22 +653,17 @@ func (e *Engine) Query(ctx context.Context, q *Graph, opts ...QueryOption) (res 
 	return e.resultFor(o.Dataset, o.Answer, st), nil
 }
 
-// queryPlain is the cache-free filter-then-verify path with cooperative
-// cancellation.
+// queryPlain is the cache-free filter-then-verify path, with the same
+// cooperative cancellation as the cached one.
 func (e *Engine) queryPlain(ctx context.Context, q *Graph) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
 	v := e.view.Load() // one generation for the whole call
 	cands := v.m.Filter(q)
-	var ids []int32
-	for _, id := range cands {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		if v.m.Verify(q, id) {
-			ids = append(ids, id)
-		}
+	ids, err := index.VerifyCandidates(ctx, v.m, q, cands)
+	if err != nil {
+		return Result{}, err
 	}
 	st := QueryStats{
 		BaseCandidates:  len(cands),

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -219,9 +220,51 @@ func TestSaveUnderConcurrentLoad(t *testing.T) {
 	}
 }
 
+// cancelOnTest wraps a method so that the k-th isomorphism test of a query
+// cancels a context from inside the verification loop. Embedding only the
+// interface drops Prepare, so tests go through Verify one by one;
+// cancelOnPreparedTest offers the capability and counts on the handle.
+type cancelOnTest struct {
+	index.Method
+	cancel func()
+	k, n   int
+}
+
+func (c *cancelOnTest) tested() {
+	if c.n++; c.n == c.k {
+		c.cancel()
+	}
+}
+
+func (c *cancelOnTest) Verify(q *graph.Graph, id int32) bool {
+	c.tested()
+	return c.Method.Verify(q, id)
+}
+
+type cancelOnPreparedTest struct{ *cancelOnTest }
+
+func (c cancelOnPreparedTest) Prepare(q *graph.Graph) index.Verifier {
+	return cancellingVerifier{c.cancelOnTest, c.Method.(index.Preparer).Prepare(q)}
+}
+
+type cancellingVerifier struct {
+	c     *cancelOnTest
+	inner index.Verifier
+}
+
+func (v cancellingVerifier) Verify(id int32) bool {
+	v.c.tested()
+	return v.inner.Verify(id)
+}
+
+// TestQueryCtxCancellation: a context cancelled before the query starts, or
+// while its candidates are being tested — on either route of the shared
+// verification loop — returns ctx's error, tests nothing further, and leaves
+// no trace: no admission, and no credit to the cached entry that pruned for
+// the query.
 func TestQueryCtxCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(175))
-	db := buildDB(rng, 20)
+	db := buildDB(rng, 30)
 	m := ggsx.New(ggsx.DefaultOptions())
 	m.Build(db)
 	ig := New(m, db, Options{CacheSize: 10, Window: 5})
@@ -243,5 +286,56 @@ func TestQueryCtxCancellation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(o.Answer, index.Answer(m, q)) {
 		t.Error("post-cancellation query wrong")
+	}
+
+	// Mid-verification: the second isomorphism test cancels the context.
+	order := db[0].BFSOrder(0)
+	small, _ := db[0].InducedSubgraph(order[:2]) // cached first; an Isuper hit of q
+	q, _ = db[0].InducedSubgraph(order[:3])
+
+	for name, prepared := range map[string]bool{"verify": false, "prepare": true} {
+		c := &cancelOnTest{Method: m, cancel: func() {}}
+		var wrapped index.Method = c
+		if prepared {
+			wrapped = cancelOnPreparedTest{c}
+		}
+		ig := New(wrapped, db, Options{CacheSize: 10, Window: 1})
+		ig.Query(small)
+		if ig.CacheLen() != 1 {
+			t.Fatalf("%s: setup query not cached", name)
+		}
+		e := ig.snap.Load().entries[0]
+		hits := e.hits.Load()
+
+		ctx, cancel := context.WithCancel(context.Background())
+		c.cancel, c.k, c.n = cancel, 2, 0
+		o, err := ig.QueryCtx(ctx, q)
+		if !errors.Is(err, context.Canceled) || o != nil {
+			t.Fatalf("%s: outcome %v, err %v; want context.Canceled (tests run: %d)", name, o, err, c.n)
+		}
+		if c.n != 2 {
+			t.Errorf("%s: %d tests ran, cancellation came during the 2nd", name, c.n)
+		}
+		if ig.WindowLen() != 0 || ig.CacheLen() != 1 {
+			t.Errorf("%s: cancelled query admitted: window=%d cache=%d", name, ig.WindowLen(), ig.CacheLen())
+		}
+		if got := e.hits.Load(); got != hits {
+			t.Errorf("%s: cancelled query credited its hit: H=%d, was %d", name, got, hits)
+		}
+
+		c.k, c.n = 0, 0
+		o, err = ig.QueryCtx(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(o.Answer, index.Answer(m, q)) {
+			t.Errorf("%s: post-cancellation query wrong", name)
+		}
+		if o.DatasetIsoTests != c.n || o.DatasetIsoTests != o.FinalCandidates {
+			t.Errorf("%s: %d tests counted, %d run, %d candidates", name, o.DatasetIsoTests, c.n, o.FinalCandidates)
+		}
+		if e.hits.Load() != hits+1 {
+			t.Errorf("%s: the completed query did not credit the entry the cancelled one skipped", name)
+		}
 	}
 }

@@ -89,9 +89,6 @@ type Options struct {
 	Labels int
 	// Mode selects subgraph (default) or supergraph query processing.
 	Mode Mode
-	// Parallel runs the three filtering paths concurrently, as in the
-	// paper's system description (Fig 6, step 1).
-	Parallel bool
 	// DisableSub / DisableSuper switch off one knowledge path (ablation).
 	DisableSub   bool
 	DisableSuper bool
@@ -373,7 +370,8 @@ func (q *IGQ) SizeBytes() int {
 	return sz
 }
 
-// subgraphTest is the cache-side isomorphism test (small graphs; VF2).
+// subgraphTest is the cache-side isomorphism test (small graphs, each pair
+// met once per lookup: the pattern is compiled per test, not kept).
 func subgraphTest(p, t *graph.Graph) bool { return iso.Subgraph(p, t) }
 
 // Query processes one query through the full iGQ pipeline of Fig 6 and
@@ -425,37 +423,18 @@ func (q *IGQ) run(ctx context.Context, g *graph.Graph, admit bool) (*Outcome, er
 	}
 
 	var cs []int32
-	var subHits, superHits []*entry
-	var identical *entry
-
-	lookup := func() {
-		t0 := time.Now()
-		subHits, superHits, identical = q.cacheLookup(snap, g, qfp, qf, sc, out)
-		out.CacheDur = time.Since(t0)
-	}
-	filter := func() {
-		t0 := time.Now()
-		if countFilter != nil {
-			cs = normalizeIDs(countFilter.FilterByFeatureCounts(qf))
-		} else {
-			cs = normalizeIDs(snap.m.Filter(g))
-		}
-		out.FilterDur = time.Since(t0)
-	}
-	if q.opt.Parallel {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			filter()
-		}()
-		lookup()
-		wg.Wait()
+	t0 := time.Now()
+	if countFilter != nil {
+		cs = normalizeIDs(countFilter.FilterByFeatureCounts(qf))
 	} else {
-		filter()
-		lookup()
+		cs = normalizeIDs(snap.m.Filter(g))
 	}
+	out.FilterDur = time.Since(t0)
 	out.BaseCandidates = len(cs)
+
+	t0 = time.Now()
+	subHits, superHits, identical := q.cacheLookup(snap, g, qfp, qf, sc, out)
+	out.CacheDur = time.Since(t0)
 
 	// unionSide entries contribute answers directly (formulas 3–4);
 	// intersectSide entries bound the candidate set (formula 5). §4.4: the
@@ -506,18 +485,14 @@ func (q *IGQ) run(ctx context.Context, g *graph.Graph, admit bool) (*Outcome, er
 	out.FinalCandidates = len(pruned)
 
 	// Verification stage: the dominant cost, and therefore where
-	// cancellation is checked. A cancelled query commits nothing.
-	t0 := time.Now()
-	var verified []int32
-	for _, id := range pruned {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out.DatasetIsoTests++
-		if snap.m.Verify(g, id) {
-			verified = append(verified, id)
-		}
+	// cancellation is checked (before every test). A cancelled query
+	// commits nothing.
+	t0 = time.Now()
+	verified, err := index.VerifyCandidates(ctx, snap.m, g, pruned)
+	if err != nil {
+		return nil, err
 	}
+	out.DatasetIsoTests = len(pruned)
 	out.Verified = len(verified)
 	out.VerifyDur = time.Since(t0)
 

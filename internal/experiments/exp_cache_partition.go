@@ -7,56 +7,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/index/ggsx"
-	"repro/internal/iso"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
-
-// Ablation: verification engines. The paper builds on VF2 and cites Ullmann
-// as the root of the field; Grapes internally uses RI. This runner compares
-// the three engines' verification effort on identical candidate sets
-// (GGSX filtering, AIDS workload) — grounding the repository's choice of
-// per-method engines.
-func init() {
-	register(Experiment{
-		ID:    "ablation-engines",
-		Title: "Ablation: VF2 vs RI vs Ullmann verification (AIDS/GGSX)",
-		Run: func(cfg Config, w io.Writer) error {
-			cfg = cfg.withDefaults()
-			spec := scaledAIDS(cfg)
-			db := dataset.Generate(spec)
-			qs := workload.Generate(db, workload.Spec{
-				NumQueries: cfg.scaled(200, 80),
-				GraphDist:  workload.Uniform, NodeDist: workload.Uniform,
-				Seed: cfg.Seed + 11000,
-			})
-			tb := stats.NewTable("engine", "avg.query.ms", "avg.assignments")
-			for _, alg := range []iso.Algorithm{iso.VF2, iso.RI, iso.Ullmann} {
-				m := ggsx.New(ggsx.Options{MaxPathLen: 4, VerifyAlg: alg})
-				m.Build(db)
-				res := runBaseline(m, qs)
-				ms := avgOf(res, func(q queryMetrics) float64 { return float64(q.TotalNs) / 1e6 })
-				// effort counters measured separately on the same pairs
-				var assigns, tests int64
-				for _, q := range qs {
-					for _, id := range m.Filter(q.G) {
-						_, st := iso.SubgraphStats(q.G, db[id], alg)
-						assigns += st.Assignments
-						tests++
-					}
-				}
-				tb.AddRowf(alg.String(), ms, float64(assigns)/float64(tests))
-			}
-			fmt.Fprint(w, tb)
-			fmt.Fprintln(w, "\nReading: Ullmann's matrix refinement tries fewer assignments but")
-			fmt.Fprintln(w, "pays for per-branch matrix copies; the backtracking engines (VF2's")
-			fmt.Fprintln(w, "terminal look-ahead, RI's static ordering) land close together and")
-			fmt.Fprintln(w, "lead on wall-clock — consistent with the field's convergence on them.")
-			return nil
-		},
-	})
-}
 
 // Extension: unified vs size-partitioned cache. Fig 10's discussion notes
 // that iGQ keeps ONE cache shared by all query-size groups ("the various

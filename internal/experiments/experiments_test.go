@@ -20,7 +20,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig1", "fig2", "fig3",
 		"fig7", "fig8", "fig9", "fig10", "fig11",
 		"fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-		"ablation-paths", "ablation-eviction", "ablation-engines",
+		"ablation-paths", "ablation-eviction",
 		"ablation-partition", "supergraph-speedup",
 	}
 	for _, id := range wantIDs {

@@ -115,7 +115,7 @@ func readOne(sc *scanner) (*Graph, error) {
 	if err != nil || n < 0 {
 		return nil, sc.errf("bad vertex count %q", nStr)
 	}
-	g := New(n)
+	g := New(min(n, 1<<12)) // a capacity hint only: the count is untrusted input
 	g.ID = id
 	for i := 0; i < n; i++ {
 		lStr, ok := sc.next()

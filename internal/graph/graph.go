@@ -91,6 +91,17 @@ func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 // owned by the graph and must not be modified.
 func (g *Graph) Neighbors(v int) []int32 { return g.adj[v] }
 
+// NeighborLabels returns the edge labels aligned index-by-index with
+// Neighbors(v), or nil when no edge of the graph carries a label (every
+// edge label is then 0). The returned slice is owned by the graph and must
+// not be modified.
+func (g *Graph) NeighborLabels(v int) []Label {
+	if g.elabels == nil {
+		return nil
+	}
+	return g.elabels[v]
+}
+
 // AddEdge inserts the undirected unlabeled edge (u, v). It reports whether
 // the edge was newly added; self-loops and duplicates are rejected
 // (returning false), matching the simple-graph model of the paper.

@@ -5,7 +5,9 @@
 // canonization is linear-time — trees (up to 6 vertices) and simple cycles
 // (up to 8 edges) — and hashes them into a fixed-width bitmap (4096 bits)
 // per graph. Filtering is a bitwise subset test: q can only be contained in
-// G if bitmap(q) ⊆ bitmap(G). Verification uses VF2.
+// G if bitmap(q) ⊆ bitmap(G). Verification is a subgraph isomorphism test
+// of the query against the candidate graph (the paper's CT-Index uses a
+// modified VF2; here it is package iso's one compiled matcher).
 //
 // Deviation note (also in DESIGN.md): tree/cycle enumeration explodes on
 // dense graphs, so enumeration accepts per-graph budgets. A dataset graph
@@ -52,7 +54,10 @@ type Index struct {
 	fps []Bitmap
 }
 
-var _ index.Method = (*Index)(nil)
+var (
+	_ index.Method   = (*Index)(nil)
+	_ index.Preparer = (*Index)(nil)
+)
 
 // New returns an unbuilt CT-Index.
 func New(opt Options) *Index {
@@ -125,10 +130,14 @@ func (x *Index) Filter(q *graph.Graph) []int32 {
 	return out
 }
 
-// Verify implements index.Method with a first-match VF2 test (the paper's
-// CT-Index verification stage is a modified VF2).
+// Verify implements index.Method with a first-match test.
 func (x *Index) Verify(q *graph.Graph, id int32) bool {
 	return iso.Subgraph(q, x.db[id])
+}
+
+// Prepare implements index.Preparer.
+func (x *Index) Prepare(q *graph.Graph) index.Verifier {
+	return index.PrepareSubgraph(x.db, q)
 }
 
 // SizeBytes implements index.Method: the fingerprints dominate.

@@ -6,7 +6,8 @@
 // them in a suffix-tree-like trie with per-graph occurrence counts. A query
 // graph is decomposed the same way; a dataset graph survives filtering only
 // if it contains every query path feature at least as many times as the
-// query does. Verification is a VF2 subgraph isomorphism test.
+// query does. Verification is a subgraph isomorphism test of the query
+// against the candidate graph (package iso's compiled matcher).
 //
 // Filtering runs on interned feature IDs: the query is canonicalised once
 // against the index's dictionary (read-only, allocation-free), the
@@ -27,9 +28,6 @@ type Options struct {
 	// MaxPathLen is the maximum path length in edges (paper default 4;
 	// Fig 18 also evaluates 5).
 	MaxPathLen int
-	// VerifyAlg selects the verification engine (default VF2, the
-	// original GGSX choice; RI and Ullmann enable engine ablations).
-	VerifyAlg iso.Algorithm
 	// Shards is the postings shard count of the path trie (rounded up to a
 	// power of two; 0 = trie.DefaultShards()).
 	Shards int
@@ -40,7 +38,7 @@ type Options struct {
 }
 
 // DefaultOptions mirrors the paper's configuration.
-func DefaultOptions() Options { return Options{MaxPathLen: 4, VerifyAlg: iso.VF2} }
+func DefaultOptions() Options { return Options{MaxPathLen: 4} }
 
 // Index is the GGSX method. Create with New, then Build. Dataset mutation
 // (AppendGraphs/RemoveGraphs) is copy-on-write: it returns a new Index
@@ -58,6 +56,7 @@ var (
 	_ index.Method        = (*Index)(nil)
 	_ index.DictProvider  = (*Index)(nil)
 	_ index.CountFilterer = (*Index)(nil)
+	_ index.Preparer      = (*Index)(nil)
 )
 
 // New returns an unbuilt GGSX index.
@@ -163,10 +162,14 @@ func FilterFresh(tr *trie.Trie, qf features.IDSet, nGraphs int, s *index.CountFi
 	return copyIDs(index.FilterCountGE(tr, qf, s))
 }
 
-// Verify implements index.Method with a first-match test on the configured
-// engine.
+// Verify implements index.Method with a first-match test.
 func (x *Index) Verify(q *graph.Graph, id int32) bool {
-	return iso.SubgraphAlg(q, x.db[id], x.opt.VerifyAlg)
+	return iso.Subgraph(q, x.db[id])
+}
+
+// Prepare implements index.Preparer.
+func (x *Index) Prepare(q *graph.Graph) index.Verifier {
+	return index.PrepareSubgraph(x.db, q)
 }
 
 // SizeBytes implements index.Method: the path trie plus the feature

@@ -10,15 +10,27 @@
 // (exactly the paper's description of per-thread tries merged into the
 // graph's path index).
 //
-// Location information pays off at verification: the query can only embed
-// among vertices where its features occur, so Grapes induces the subgraph
-// of the candidate on the located vertices, splits it into connected
-// components, and runs VF2 only on components large enough to host the
-// query — typically small, which is what makes Grapes fast on large graphs.
+// Verification does not use the location lists. Grapes' published strategy
+// restricts the test to the candidate's *located* vertices — the union,
+// over the query's features, of the vertices their occurrences touch —
+// induces that subgraph, splits it into connected components and matches
+// component by component. But a 0-edge path is a feature too
+// (features.Paths: "a 0-edge path is a single vertex"), so every vertex of
+// the candidate whose label occurs in the query is located by that label's
+// own feature, and every longer feature only re-locates a subset of those:
+// the located set is exactly {v ∈ g : label(v) ∈ labels(q)}. The matcher's
+// label check confines the search to those vertices anyway, and its
+// parent-directed candidate generation never leaves the component it
+// started in — so materialising the restriction per candidate (location
+// probes, union, induced subgraph, components, a second induced graph each)
+// bought nothing and was over 90 % of the cost of a test. Verify therefore
+// tests the dataset graph itself with the compiled matcher of package iso,
+// for connected and disconnected queries alike, and nothing on the query
+// path reads Posting.Locs; the lists remain part of the index's stored form.
 //
-// Filtering and location lookup run on interned feature IDs (see package
-// ggsx); the string-based enumeration is only used at build time, where the
-// location records are produced.
+// Filtering runs on interned feature IDs (see package ggsx); the
+// string-based enumeration is only used at build time, where the location
+// records are produced.
 package grapes
 
 import (
@@ -57,24 +69,13 @@ type Index struct {
 	dict *features.Dict
 	tr   *trie.Trie
 	log  *index.DeltaLog // unsaved mutations; shared across generations
-
-	// memo of the last query's features: Verify runs once per candidate of
-	// the same query, so re-enumerating per candidate would be wasteful. A
-	// hit requires both the same *Graph and an unchanged structural
-	// fingerprint — pointer identity alone would serve stale features to a
-	// caller that mutates a query graph in place between queries (or after
-	// the allocator reuses a freed graph's address).
-	mu     sync.Mutex
-	lastQ  *graph.Graph
-	lastFP uint64
-	lastF  []features.IDCount
-	memoS  *features.Scratch
 }
 
 var (
 	_ index.Method        = (*Index)(nil)
 	_ index.DictProvider  = (*Index)(nil)
 	_ index.CountFilterer = (*Index)(nil)
+	_ index.Preparer      = (*Index)(nil)
 )
 
 // New returns an unbuilt Grapes index.
@@ -89,8 +90,7 @@ func New(opt Options) *Index {
 		opt.BuildWorkers = opt.Threads
 	}
 	d := features.NewDict()
-	return &Index{opt: opt, dict: d, tr: trie.NewSharded(d, opt.Shards),
-		log: index.NewDeltaLog(), memoS: features.NewScratch()}
+	return &Index{opt: opt, dict: d, tr: trie.NewSharded(d, opt.Shards), log: index.NewDeltaLog()}
 }
 
 // Name implements index.Method, including the thread count as in the paper.
@@ -129,16 +129,15 @@ func (x *Index) FeatureMaxPathLen() int { return x.opt.MaxPathLen }
 // feed the graph-level workers — a handful of huge graphs, or an explicit
 // single build worker — the legacy per-vertex-range strategy applies
 // Threads-way parallelism *within* each graph instead, the original Grapes
-// description. Both strategies produce the same index. The trie, the
-// query-feature memo and the dictionary contents are reset on entry — the
-// *Dict object handed out by FeatureDict stays valid, but a re-Build does
-// not retain the previous dataset's dead vocabulary.
+// description. Both strategies produce the same index. The trie and the
+// dictionary contents are reset on entry — the *Dict object handed out by
+// FeatureDict stays valid, but a re-Build does not retain the previous
+// dataset's dead vocabulary.
 func (x *Index) Build(db []*graph.Graph) {
 	x.db = db
 	x.dict.Reset()
 	x.tr = trie.NewSharded(x.dict, x.opt.Shards)
 	x.log.NoteFullSave(0) // a rebuild invalidates any snapshot lineage
-	x.resetMemo()
 	opt := features.PathOptions{MaxLen: x.opt.MaxPathLen, Locations: true}
 	if x.opt.Threads > 1 && (x.opt.BuildWorkers <= 1 || len(db) < 2*x.opt.BuildWorkers) {
 		for i, g := range db {
@@ -201,70 +200,15 @@ func (x *Index) FilterByFeatureCounts(qf features.IDSet) []int32 {
 	return ggsx.FilterFresh(x.tr, qf, len(x.db), s)
 }
 
-// Verify implements index.Method using location-restricted components.
-//
-// The located vertex set is the union of the candidate's occurrences of the
-// query's features; since every vertex of an embedding occurs in some query
-// feature occurrence (at minimum its single-vertex label path), the image of
-// any embedding lies inside the located set, and — for a connected query —
-// inside one connected component of the induced subgraph.
+// Verify implements index.Method: q ⊆ db[id], tested on the dataset graph
+// itself (see the package comment on why not on its located vertices).
 func (x *Index) Verify(q *graph.Graph, id int32) bool {
-	g := x.db[id]
-	if q.NumVertices() == 0 {
-		return true // the empty pattern embeds everywhere
-	}
-	if !q.IsConnected() {
-		// Component restriction is unsound for disconnected queries;
-		// fall back to a whole-graph test (RI, Grapes' matcher).
-		return iso.SubgraphAlg(q, g, iso.RI)
-	}
-	qf := x.queryFeatures(q)
-	var located []int32
-	for _, fc := range qf {
-		pl := x.tr.GetByID(fc.ID)
-		if i, ok := pl.Rank(id); ok {
-			located = unionInto(located, pl.LocsAt(i))
-		}
-	}
-	vs := make([]int, len(located))
-	for i, v := range located {
-		vs[i] = int(v)
-	}
-	sub, _ := g.InducedSubgraph(vs)
-	return iso.SubgraphConnectedComponents(q, sub, sub.ConnectedComponents())
+	return iso.Subgraph(q, x.db[id])
 }
 
-// queryFeatures returns (and memoises) the interned path features of q.
-// Unknown features carry no location information, so lookup-only
-// enumeration is sufficient here. The returned slice is freshly allocated
-// per distinct query and never mutated afterwards, so concurrent Verify
-// calls may keep using a snapshot after the memo moves on.
-//
-// The memo key is (pointer, structural fingerprint): the fingerprint
-// detects in-place mutation of the same graph object (and address reuse),
-// while the pointer check turns a would-be fingerprint collision between
-// two distinct graphs into a harmless recomputation instead of a wrong
-// verification. The hash is paid on every Verify call, but it is O(|q|)
-// on the small query graph and is dwarfed by the induced-subgraph + VF2
-// test that follows (engine query stream benches at parity with the
-// pointer-only memo).
-func (x *Index) queryFeatures(q *graph.Graph) []features.IDCount {
-	fp := graph.Fingerprint(q)
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.lastQ != q || x.lastFP != fp {
-		qf := features.PathsID(q, features.PathOptions{MaxLen: x.opt.MaxPathLen}, x.dict, x.memoS, false)
-		x.lastQ, x.lastFP = q, fp
-		x.lastF = append([]features.IDCount(nil), qf.Counts...)
-	}
-	return x.lastF
-}
-
-// resetMemo invalidates the query-feature memo (Build and LoadIndex).
-func (x *Index) resetMemo() {
-	x.mu.Lock()
-	x.lastQ, x.lastFP, x.lastF = nil, 0, nil
-	x.mu.Unlock()
+// Prepare implements index.Preparer.
+func (x *Index) Prepare(q *graph.Graph) index.Verifier {
+	return index.PrepareSubgraph(x.db, q)
 }
 
 // SizeBytes implements index.Method: the path trie (postings + location
@@ -272,28 +216,3 @@ func (x *Index) resetMemo() {
 // vocabulary (see ggsx.SizeBytes on why the dictionary is counted at its
 // owner and why retired features are excluded).
 func (x *Index) SizeBytes() int { return x.tr.SizeBytes() + x.tr.LiveDictSizeBytes() }
-
-func unionInto(dst, src []int32) []int32 {
-	if len(dst) == 0 {
-		return append(dst, src...)
-	}
-	out := make([]int32, 0, len(dst)+len(src))
-	i, j := 0, 0
-	for i < len(dst) && j < len(src) {
-		switch {
-		case dst[i] < src[j]:
-			out = append(out, dst[i])
-			i++
-		case dst[i] > src[j]:
-			out = append(out, src[j])
-			j++
-		default:
-			out = append(out, dst[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, dst[i:]...)
-	out = append(out, src[j:]...)
-	return out
-}

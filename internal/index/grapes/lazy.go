@@ -68,13 +68,10 @@ func (x *Index) LoadIndexLazy(src trie.RandomAccessFile, db []*graph.Graph, budg
 		base = rec.CommittedBytes
 	}
 	x.log.NoteFullSave(base)
-	x.resetMemo()
 	return index.LoadReport{Bytes: envBytes + n, RecoveredTail: rec}, nil
 }
 
 // Materialize implements index.LazyLoadable (see ggsx.Index.Materialize).
-// The query-feature memo survives: materialisation changes representation,
-// never answers.
 func (x *Index) Materialize() error {
 	if x.tr == nil {
 		return errors.New("grapes: Materialize before Build or LoadIndex")

@@ -8,8 +8,8 @@ import (
 	"repro/internal/index"
 )
 
-// TestLoadIndexLazyDifferential: the Grapes lazy path — location lists and
-// the query-feature memo included — answers identically to an eager load,
+// TestLoadIndexLazyDifferential: the Grapes lazy path — location lists
+// included — answers identically to an eager load,
 // under eviction pressure, and materialises into the identical index.
 func TestLoadIndexLazyDifferential(t *testing.T) {
 	db := randomDB(40, 11)
@@ -31,8 +31,8 @@ func TestLoadIndexLazyDifferential(t *testing.T) {
 	if res := lazy.Residency(); !res.Lazy || res.ResidentShards != 0 {
 		t.Fatalf("post-open residency %+v: want lazy, nothing resident", res)
 	}
-	// Two passes: the second hits the query-feature memo over already- and
-	// not-yet-resident shards alike.
+	// Two passes: the second runs over already- and not-yet-resident lists
+	// alike.
 	for pass := 0; pass < 2; pass++ {
 		for i, q := range qs {
 			if !reflect.DeepEqual(eager.Filter(q), lazy.Filter(q)) {

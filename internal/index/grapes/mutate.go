@@ -2,10 +2,8 @@ package grapes
 
 // Incremental dataset maintenance: Grapes mutates through the shared path
 // staging of package ggsx (exactly as Build shares ggsx.BuildPaths), with
-// location recording on so re-homed and appended postings carry the vertex
-// sets location-restricted verification depends on. Mutation is
-// copy-on-write: the returned generation gets a fresh query-feature memo
-// (the old one may hold features of graphs that moved), while the receiver
+// location recording on so re-homed and appended postings carry their
+// vertex sets like built ones. Mutation is copy-on-write: the receiver
 // keeps serving the old dataset untouched.
 
 import (
@@ -33,9 +31,9 @@ func (x *Index) pathOptions() features.PathOptions {
 }
 
 // clone returns a new generation over (db, tr) sharing the dictionary and
-// delta log, with a fresh query-feature memo.
+// delta log.
 func (x *Index) clone(db []*graph.Graph, tr *trie.Trie) *Index {
-	return &Index{opt: x.opt, db: db, dict: x.dict, tr: tr, log: x.log, memoS: features.NewScratch()}
+	return &Index{opt: x.opt, db: db, dict: x.dict, tr: tr, log: x.log}
 }
 
 // AppendGraphs implements index.Mutable (see ggsx.Index.AppendGraphs).

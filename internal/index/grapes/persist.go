@@ -52,11 +52,10 @@ func (x *Index) writeIndex(w io.Writer) (int64, error) {
 }
 
 // LoadIndex implements index.Persistable: restores a SaveIndex snapshot,
-// replacing the index state (dictionary contents included) and
-// invalidating the query-feature memo. Validated against db via the
-// embedded checksum (index.ErrDatasetMismatch on divergence); segment
-// decodes fan out over the build-worker count. The loaded index answers
-// identically to a fresh Build over db.
+// replacing the index state (dictionary contents included). Validated
+// against db via the embedded checksum (index.ErrDatasetMismatch on
+// divergence); segment decodes fan out over the build-worker count. The
+// loaded index answers identically to a fresh Build over db.
 //
 // Torn trailing journal sections are salvaged by default and reported in
 // LoadReport.RecoveredTail; index.StrictLoad fails on any damage instead
@@ -113,6 +112,5 @@ func (x *Index) LoadIndex(r io.Reader, db []*graph.Graph, opts ...index.LoadOpti
 		base = rec.CommittedBytes // torn bytes are not part of the new base
 	}
 	x.log.NoteFullSave(base)
-	x.resetMemo()
 	return index.LoadReport{Bytes: cr.N, RecoveredTail: rec}, nil
 }

@@ -7,6 +7,7 @@ package index_test
 // place on the underlying method M.
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -85,6 +86,64 @@ func TestMethodsAgreeWithBruteForce(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s trial %d: answer %v, oracle %v\nquery:\n%s",
 					m.Name(), trial, got, want, graph.DOT(q))
+			}
+		}
+	}
+}
+
+// methodOnly hides every optional capability of a method, Prepare included:
+// what a wrapper embedding only index.Method looks like to the shared loop.
+type methodOnly struct{ index.Method }
+
+// TestMethodsPrepareVerifyOracleAgree: for every method and every
+// (query, dataset graph) pair — candidates or not — Verify, the prepared
+// handle and the brute-force isomorphism oracle give the same verdict, and
+// the shared verification loop returns the same candidates whether it
+// prepares the query or calls Verify one candidate at a time.
+func TestMethodsPrepareVerifyOracleAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	db := buildTestDB(rng, 25)
+	all := index.AllIDs(len(db))
+	for _, m := range append(methodsUnderTest(), index.NewBruteForce()) {
+		m.Build(db)
+		p, ok := m.(index.Preparer)
+		if !ok {
+			t.Fatalf("%s does not offer Prepare", m.Name())
+		}
+		for trial := 0; trial < 30; trial++ {
+			var q *graph.Graph
+			switch trial % 3 {
+			case 0:
+				q = connectedQuery(rng, db[rng.Intn(len(db))], 2+rng.Intn(4))
+			case 1:
+				q = randomGraph(rng, 2+rng.Intn(4), 0.5, 4)
+			default:
+				q = randomGraph(rng, rng.Intn(5), 0.2, 4) // sparse: disconnected, sometimes empty
+			}
+			h := p.Prepare(q)
+			var want []int32
+			for id, g := range db {
+				ref := iso.Reference(q, g)
+				if ref {
+					want = append(want, int32(id))
+				}
+				if got := m.Verify(q, int32(id)); got != ref {
+					t.Fatalf("%s trial %d graph %d: Verify = %v, oracle %v\nquery:\n%s",
+						m.Name(), trial, id, got, ref, graph.DOT(q))
+				}
+				if got := h.Verify(int32(id)); got != ref {
+					t.Fatalf("%s trial %d graph %d: prepared Verify = %v, oracle %v\nquery:\n%s",
+						m.Name(), trial, id, got, ref, graph.DOT(q))
+				}
+			}
+			prepared, err1 := index.VerifyCandidates(context.Background(), m, q, all)
+			plain, err2 := index.VerifyCandidates(context.Background(), methodOnly{m}, q, all)
+			if err1 != nil || err2 != nil {
+				t.Fatal(err1, err2)
+			}
+			if !reflect.DeepEqual(prepared, want) || !reflect.DeepEqual(plain, want) {
+				t.Fatalf("%s trial %d: loop returned %v (prepared) / %v (plain), oracle %v",
+					m.Name(), trial, prepared, plain, want)
 			}
 		}
 	}

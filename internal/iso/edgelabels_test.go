@@ -24,20 +24,23 @@ func labeledEdgePair(pl, tl graph.Label) (p, t *graph.Graph) {
 }
 
 func TestEdgeLabelMustMatch(t *testing.T) {
-	for _, alg := range []Algorithm{VF2, RI, Ullmann} {
-		p, tg := labeledEdgePair(1, 1)
-		if !SubgraphAlg(p, tg, alg) {
-			t.Errorf("%v: matching edge labels rejected", alg)
-		}
-		p2, tg2 := labeledEdgePair(1, 2)
-		if SubgraphAlg(p2, tg2, alg) {
-			t.Errorf("%v: mismatched edge labels accepted", alg)
-		}
-		// unlabeled pattern edge (0) cannot match labeled target edge
-		p3, tg3 := labeledEdgePair(0, 2)
-		if SubgraphAlg(p3, tg3, alg) {
-			t.Errorf("%v: unlabeled pattern edge matched labeled target edge", alg)
-		}
+	p, tg := labeledEdgePair(1, 1)
+	if !Subgraph(p, tg) {
+		t.Error("matching edge labels rejected")
+	}
+	p2, tg2 := labeledEdgePair(1, 2)
+	if Subgraph(p2, tg2) {
+		t.Error("mismatched edge labels accepted")
+	}
+	// unlabeled pattern edge (0) cannot match labeled target edge
+	p3, tg3 := labeledEdgePair(0, 2)
+	if Subgraph(p3, tg3) {
+		t.Error("unlabeled pattern edge matched labeled target edge")
+	}
+	// ... nor a labeled pattern edge an unlabeled target edge
+	p4, tg4 := labeledEdgePair(2, 0)
+	if Subgraph(p4, tg4) {
+		t.Error("labeled pattern edge matched unlabeled target edge")
 	}
 }
 
@@ -85,6 +88,9 @@ func randomLabeledGraph(rng *rand.Rand, n int, pEdge float64, vLabels, eLabels i
 	return g
 }
 
+// TestQuickLabeledEnginesAgree: the compiled engine and the brute-force
+// oracle agree on arbitrary vertex- and edge-labelled pairs, through both
+// the one-shot and the compiled entry point.
 func TestQuickLabeledEnginesAgree(t *testing.T) {
 	f := func(seedP, seedT int64) bool {
 		rp := rand.New(rand.NewSource(seedP))
@@ -92,9 +98,7 @@ func TestQuickLabeledEnginesAgree(t *testing.T) {
 		pat := randomLabeledGraph(rp, 1+rp.Intn(4), 0.5, 2, 2)
 		tgt := randomLabeledGraph(rt, 3+rt.Intn(5), 0.45, 2, 2)
 		want := bruteForceExists(pat, tgt)
-		return SubgraphAlg(pat, tgt, VF2) == want &&
-			SubgraphAlg(pat, tgt, RI) == want &&
-			SubgraphAlg(pat, tgt, Ullmann) == want
+		return Subgraph(pat, tgt) == want && Compile(pat).Match(tgt) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -110,10 +114,8 @@ func TestLabeledPlantedAlwaysFound(t *testing.T) {
 			order = order[:4]
 		}
 		pat, _ := tgt.InducedSubgraph(order)
-		for _, alg := range []Algorithm{VF2, RI, Ullmann} {
-			if !SubgraphAlg(pat, tgt, alg) {
-				t.Fatalf("trial %d: %v missed planted labeled subgraph", trial, alg)
-			}
+		if !Subgraph(pat, tgt) {
+			t.Fatalf("trial %d: missed planted labeled subgraph", trial)
 		}
 	}
 }

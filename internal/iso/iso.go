@@ -10,17 +10,18 @@
 // GraphGrepSX, Grapes and CT-Index, whose verification stages the paper
 // builds on.
 //
-// Three engines are provided, mirroring the verification landscape of the
-// paper's baselines:
-//
-//   - VF2 (Cordella et al. [9]): incremental core expansion with
-//     terminal-set ("frontier") look-ahead pruning, relaxed soundly for
-//     monomorphism. Used by GGSX and (modified) by CT-Index; the default.
-//   - RI (Bonnici et al.): static GreatestConstraintFirst variable ordering
-//     with parent-directed candidate generation and lightweight live
-//     checks — the matcher inside Grapes.
-//   - Ullmann [39]: the classic matrix-refinement algorithm, kept as the
-//     historical baseline and for ablation benchmarks.
+// One engine serves every caller: a backtracking search in the RI family
+// (Bonnici et al., the matcher inside Grapes) — a static connectivity-first
+// matching order, candidates drawn from the adjacency of an already matched
+// neighbour's image, label/degree/adjacency feasibility checks and one step
+// of free-neighbour look-ahead. The pattern side of that work is compiled
+// once (Compile → Program) and the per-test state is pooled, so a query is
+// compiled once and then tested against each candidate graph in place,
+// without allocating. The uncompiled entry points below compile into the
+// pooled state and are allocation-free as well. On the benchmark's
+// (query, candidate) pairs RI's order beat VF2's terminal-set look-ahead,
+// which is why there is no second engine; bruteForceExists (Reference) is
+// the independent oracle the engine is tested against.
 //
 // All searches stop at the first embedding unless asked to enumerate, which
 // matches the paper's alteration of Grapes ("stop query processing when the
@@ -31,78 +32,16 @@ import (
 	"repro/internal/graph"
 )
 
-// Algorithm selects the subgraph isomorphism engine.
-type Algorithm int
-
-const (
-	// VF2 is the default terminal-set engine (the paper's most-used choice).
-	VF2 Algorithm = iota
-	// RI is the static-ordering engine used by Grapes.
-	RI
-	// Ullmann is the classic matrix-refinement algorithm.
-	Ullmann
-)
-
-// String returns the engine name.
-func (a Algorithm) String() string {
-	switch a {
-	case VF2:
-		return "VF2"
-	case RI:
-		return "RI"
-	case Ullmann:
-		return "Ullmann"
-	default:
-		return "unknown"
-	}
-}
-
-// Stats accumulates search-effort counters for a single test. The recursion
-// count is the number of (pattern-vertex, target-vertex) assignments tried;
-// it is the hardware-independent proxy for verification effort used in
-// ablation experiments.
-type Stats struct {
-	Assignments int64 // candidate pair assignments attempted
-	Backtracks  int64 // assignments undone
-}
-
-// Subgraph reports whether pattern ⊆ target using the VF2 engine.
+// Subgraph reports whether pattern ⊆ target.
 func Subgraph(pattern, target *graph.Graph) bool {
-	return SubgraphAlg(pattern, target, VF2)
-}
-
-// SubgraphAlg reports whether pattern ⊆ target using the chosen engine.
-func SubgraphAlg(pattern, target *graph.Graph, alg Algorithm) bool {
-	switch alg {
-	case Ullmann:
-		return ullmannExists(pattern, target, nil)
-	case RI:
-		return riExists(pattern, target, nil)
-	default:
-		return vf2Exists(pattern, target, nil)
-	}
-}
-
-// SubgraphStats is Subgraph with effort counters.
-func SubgraphStats(pattern, target *graph.Graph, alg Algorithm) (bool, Stats) {
-	var st Stats
-	var ok bool
-	switch alg {
-	case Ullmann:
-		ok = ullmannExists(pattern, target, &st)
-	case RI:
-		ok = riExists(pattern, target, &st)
-	default:
-		ok = vf2Exists(pattern, target, &st)
-	}
-	return ok, st
+	return matchOnce(pattern, target, nil)
 }
 
 // FindEmbedding returns one embedding of pattern into target as a slice
 // mapping pattern vertex → target vertex, or nil if none exists.
 func FindEmbedding(pattern, target *graph.Graph) []int {
 	var out []int
-	enumerate(pattern, target, 1, func(m []int32) bool {
+	matchOnce(pattern, target, func(m []int32) bool {
 		out = make([]int, len(m))
 		for i, v := range m {
 			out[i] = int(v)
@@ -117,7 +56,7 @@ func FindEmbedding(pattern, target *graph.Graph) []int {
 // count separately, as each is a distinct injection.
 func CountEmbeddings(pattern, target *graph.Graph, limit int) int {
 	n := 0
-	enumerate(pattern, target, limit, func([]int32) bool {
+	matchOnce(pattern, target, func([]int32) bool {
 		n++
 		return limit <= 0 || n < limit
 	})
@@ -128,7 +67,7 @@ func CountEmbeddings(pattern, target *graph.Graph, limit int) int {
 // the search space is exhausted. The mapping slice is reused between calls;
 // callers must copy it if they retain it.
 func EnumerateEmbeddings(pattern, target *graph.Graph, fn func(mapping []int32) bool) {
-	enumerate(pattern, target, 0, fn)
+	matchOnce(pattern, target, fn)
 }
 
 // Isomorphic reports whether a and b are isomorphic labeled graphs.
@@ -142,26 +81,5 @@ func Isomorphic(a, b *graph.Graph) bool {
 	if !graph.SameSignature(a, b) {
 		return false
 	}
-	return vf2Exists(a, b, nil)
-}
-
-// SubgraphConnectedComponents reports whether pattern ⊆ target, restricting
-// the search to the given target components. Testing each connected
-// component of a (possibly disconnected) pattern independently is NOT sound
-// in general (components could collide on target vertices), so this helper
-// exists for the common case where the caller knows the pattern is
-// connected — the Grapes verification strategy, hence the RI engine. comps
-// lists target vertex sets; the pattern is matched against each induced
-// component until one embeds it.
-func SubgraphConnectedComponents(pattern, target *graph.Graph, comps [][]int) bool {
-	for _, comp := range comps {
-		if len(comp) < pattern.NumVertices() {
-			continue
-		}
-		sub, _ := target.InducedSubgraph(comp)
-		if riExists(pattern, sub, nil) {
-			return true
-		}
-	}
-	return false
+	return matchOnce(a, b, nil)
 }

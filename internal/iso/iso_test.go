@@ -117,20 +117,16 @@ func TestSubgraphNonInduced(t *testing.T) {
 	tgt.AddEdge(0, 1)
 	tgt.AddEdge(1, 2)
 	tgt.AddEdge(0, 2)
-	for _, alg := range []Algorithm{VF2, RI, Ullmann} {
-		if !SubgraphAlg(p, tgt, alg) {
-			t.Errorf("%v rejected non-induced embedding", alg)
-		}
+	if !Subgraph(p, tgt) {
+		t.Error("non-induced embedding rejected")
 	}
 }
 
 func TestEmptyPattern(t *testing.T) {
 	empty := graph.New(0)
 	tgt := pathGraph(1, 2)
-	for _, alg := range []Algorithm{VF2, RI, Ullmann} {
-		if !SubgraphAlg(empty, tgt, alg) {
-			t.Errorf("%v: empty pattern should embed everywhere", alg)
-		}
+	if !Subgraph(empty, tgt) || !Compile(empty).Match(tgt) {
+		t.Error("empty pattern should embed everywhere")
 	}
 	if !Subgraph(empty, graph.New(0)) {
 		t.Error("empty into empty")
@@ -237,11 +233,9 @@ func TestAgainstBruteForce(t *testing.T) {
 		tgt := randomGraph(rng, 3+rng.Intn(6), 0.4, 2+rng.Intn(2))
 		pat := randomGraph(rng, 1+rng.Intn(4), 0.5, 2+rng.Intn(2))
 		want := bruteForceExists(pat, tgt)
-		for _, alg := range []Algorithm{VF2, RI, Ullmann} {
-			if got := SubgraphAlg(pat, tgt, alg); got != want {
-				t.Fatalf("trial %d: %v=%v brute=%v\npat=%s\ntgt=%s",
-					trial, alg, got, want, graph.DOT(pat), graph.DOT(tgt))
-			}
+		if got := Subgraph(pat, tgt); got != want {
+			t.Fatalf("trial %d: engine=%v brute=%v\npat=%s\ntgt=%s",
+				trial, got, want, graph.DOT(pat), graph.DOT(tgt))
 		}
 	}
 }
@@ -251,10 +245,8 @@ func TestPlantedAlwaysFound(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		tgt := randomGraph(rng, 6+rng.Intn(10), 0.3, 4)
 		pat := randomConnectedSubgraph(rng, tgt, 2+rng.Intn(5))
-		for _, alg := range []Algorithm{VF2, RI, Ullmann} {
-			if !SubgraphAlg(pat, tgt, alg) {
-				t.Fatalf("trial %d: %v missed planted subgraph", trial, alg)
-			}
+		if !Subgraph(pat, tgt) {
+			t.Fatalf("trial %d: missed planted subgraph", trial)
 		}
 	}
 }
@@ -301,50 +293,6 @@ func TestIsomorphic(t *testing.T) {
 	}
 }
 
-func TestStatsPopulated(t *testing.T) {
-	pat := pathGraph(1, 1, 1)
-	tgt := cycleGraph(1, 1, 1, 1)
-	for _, alg := range []Algorithm{VF2, RI, Ullmann} {
-		ok, st := SubgraphStats(pat, tgt, alg)
-		if !ok || st.Assignments == 0 {
-			t.Errorf("%v stats: ok=%v assignments=%d", alg, ok, st.Assignments)
-		}
-	}
-}
-
-func TestSubgraphConnectedComponents(t *testing.T) {
-	// target: triangle(1,1,1) ∪ path(2,2); pattern: edge(2,2) lives only in
-	// the second component.
-	tgt := graph.New(5)
-	tgt.AddVertex(1)
-	tgt.AddVertex(1)
-	tgt.AddVertex(1)
-	tgt.AddVertex(2)
-	tgt.AddVertex(2)
-	tgt.AddEdge(0, 1)
-	tgt.AddEdge(1, 2)
-	tgt.AddEdge(0, 2)
-	tgt.AddEdge(3, 4)
-	pat := pathGraph(2, 2)
-	comps := tgt.ConnectedComponents()
-	if !SubgraphConnectedComponents(pat, tgt, comps) {
-		t.Error("component-restricted search missed embedding")
-	}
-	pat2 := pathGraph(1, 2)
-	if SubgraphConnectedComponents(pat2, tgt, comps) {
-		t.Error("cross-component pattern falsely embedded")
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	if VF2.String() != "VF2" || RI.String() != "RI" || Ullmann.String() != "Ullmann" {
-		t.Error("Algorithm.String broken")
-	}
-	if Algorithm(99).String() != "unknown" {
-		t.Error("unknown algorithm name")
-	}
-}
-
 func TestLabelHistogramPruning(t *testing.T) {
 	// pattern needs two label-7 vertices, target has one: must refuse fast
 	p := graph.New(2)
@@ -357,29 +305,12 @@ func TestLabelHistogramPruning(t *testing.T) {
 	tgt.AddVertex(1)
 	tgt.AddEdge(0, 1)
 	tgt.AddEdge(1, 2)
-	for _, alg := range []Algorithm{VF2, RI, Ullmann} {
-		if SubgraphAlg(p, tgt, alg) {
-			t.Errorf("%v embedded label-count-infeasible pattern", alg)
-		}
+	if Subgraph(p, tgt) || Compile(p).Match(tgt) {
+		t.Error("label-count-infeasible pattern embedded")
 	}
-}
-
-func BenchmarkVF2SmallSparse(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	tgt := randomGraph(rng, 40, 0.08, 6)
-	pat := randomConnectedSubgraph(rng, tgt, 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Subgraph(pat, tgt)
-	}
-}
-
-func BenchmarkUllmannSmallSparse(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	tgt := randomGraph(rng, 40, 0.08, 6)
-	pat := randomConnectedSubgraph(rng, tgt, 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SubgraphAlg(pat, tgt, Ullmann)
+	// ... and by the histogram cut, before any search: no state is sized.
+	s := new(state)
+	if s.run(Compile(p), tgt, nil) || s.used != nil {
+		t.Error("histogram cut did not refuse before the search")
 	}
 }

@@ -21,7 +21,7 @@ func (gs graphSpec) build() (pat, tgt *graph.Graph) {
 		pt = 0.6
 	}
 	tgt = specGraph(gs.SeedT, 3+int(gs.NT%6), pt, 2)
-	pat = specGraph(gs.SeedP, 1+int(gs.NP%4), 0.5, 2)
+	pat = specGraph(gs.SeedP, 1+int(gs.NP%5), 0.5, 2)
 	return pat, tgt
 }
 
@@ -41,15 +41,14 @@ func specGraph(seed int64, n int, p float64, labels int) *graph.Graph {
 	return g
 }
 
-// TestQuickEnginesAgree: all three engines and the brute-force oracle agree
-// on arbitrary inputs (property-based form of the engine conformance test).
+// TestQuickEnginesAgree: the compiled engine and the brute-force oracle
+// agree on arbitrary inputs — patterns of up to five vertices, disconnected
+// ones and ones larger than the target included.
 func TestQuickEnginesAgree(t *testing.T) {
 	f := func(gs graphSpec) bool {
 		pat, tgt := gs.build()
 		want := bruteForceExists(pat, tgt)
-		return SubgraphAlg(pat, tgt, VF2) == want &&
-			SubgraphAlg(pat, tgt, RI) == want &&
-			SubgraphAlg(pat, tgt, Ullmann) == want
+		return Subgraph(pat, tgt) == want && Compile(pat).Match(tgt) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
@@ -93,15 +92,5 @@ func TestQuickTransitivity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkRISmallSparse(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	tgt := randomGraph(rng, 40, 0.08, 6)
-	pat := randomConnectedSubgraph(rng, tgt, 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SubgraphAlg(pat, tgt, RI)
 	}
 }

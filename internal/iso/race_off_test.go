@@ -1,0 +1,5 @@
+//go:build !race
+
+package iso
+
+const raceEnabled = false

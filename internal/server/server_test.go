@@ -442,6 +442,17 @@ func (s *gatedGrapes) Verify(q *igq.Graph, id int32) bool {
 	return s.Index.Verify(q, id)
 }
 
+// Prepare keeps the prepared route behind the gate: embedding promotes
+// grapes' own Prepare, which would bypass the Verify override.
+func (s *gatedGrapes) Prepare(q *igq.Graph) index.Verifier { return gatedVerifier{s, q} }
+
+type gatedVerifier struct {
+	s *gatedGrapes
+	q *igq.Graph
+}
+
+func (v gatedVerifier) Verify(id int32) bool { return v.s.Verify(v.q, id) }
+
 // TestGracefulShutdownDrainAndSnapshot: Shutdown must let an in-flight
 // query finish, then write a snapshot that restores to an engine with
 // identical answers.
