@@ -29,6 +29,23 @@ type entry struct {
 	hits       atomic.Int64  // H(g): times found as sub/supergraph of a query
 	removed    atomic.Int64  // R(g): candidates pruned because of this entry
 	logCost    atomic.Uint64 // ln C(g) as float64 bits: log-sum-exp of alleviated test costs
+
+	// base memoises the credit of an identical hit (nil until known). Any
+	// goroutine may replace it; the memos it can race over are equal.
+	base atomic.Pointer[baseMemo]
+}
+
+// baseMemo is what M.Filter contributes to an identical hit on this entry,
+// on one dataset generation: the size of CS(g) and the log-sum-exp of the
+// test costs over it — the hit prunes all of CS(g). It is exact, not a
+// bound: CS(g) is a function of g's isomorphism-invariant features, so an
+// identical query on the same generation filters to the same set. A memo
+// whose dbGen is not the querying snapshot's is stale and is recomputed by
+// the hit that finds it.
+type baseMemo struct {
+	dbGen   int64
+	n       int
+	logCost float64
 }
 
 // newEntry builds a cache entry; logCost starts at -Inf (C(g) = 0).
@@ -47,7 +64,8 @@ func newEntry(id int32, g *graph.Graph, answer []int32, seq int64) *entry {
 // withAnswer returns a copy of e carrying a different answer set — the
 // copy-on-write step of dataset-mutation patching. Metadata (hits,
 // removed, logCost) carries over by value; the graph and fingerprint are
-// shared (the cached query itself is untouched by dataset mutation).
+// shared (the cached query itself is untouched by dataset mutation). The
+// base memo does not carry over: it describes the previous generation.
 func (e *entry) withAnswer(answer []int32) *entry {
 	ne := &entry{
 		id:         e.id,
@@ -60,6 +78,16 @@ func (e *entry) withAnswer(answer []int32) *entry {
 	ne.removed.Store(e.removed.Load())
 	ne.logCost.Store(e.logCost.Load())
 	return ne
+}
+
+// sizeBytes approximates the entry's footprint: graph, answer set, metadata
+// and, once taken, the base memo.
+func (e *entry) sizeBytes() int {
+	sz := e.g.SizeBytes() + 4*len(e.answer) + 64
+	if e.base.Load() != nil {
+		sz += 24
+	}
+	return sz
 }
 
 // loadLogCost returns ln C(g).

@@ -18,6 +18,16 @@
 // subgraph hit) short-circuit verification entirely, and §4.4's inverse
 // wiring supports supergraph query processing with the same two indexes.
 //
+// A query runs in one order: fingerprint probe → feature enumeration →
+// M.Filter → Isub/Isuper lookup → verification. The probe recognises an
+// identical cached query from a fingerprint table and answers it there and
+// then — the stages after it exist to prune and verify a candidate set the
+// hit does not need. What the hit still owes the replacement policy, the
+// §5.1 credit over all of CS(g), comes from a per-entry memo of CS(g)'s
+// size and cost taken when the entry was admitted (entry.base); the filter
+// runs for a hit only to make that memo anew, once after a dataset mutation
+// or a Load.
+//
 // # Concurrency model
 //
 // Query, QueryCtx and QueryNoAdmit are safe for concurrent use from any
@@ -90,6 +100,7 @@ type Options struct {
 	// Mode selects subgraph (default) or supergraph query processing.
 	Mode Mode
 	// DisableSub / DisableSuper switch off one knowledge path (ablation).
+	// The §4.3 identical probe belongs to neither and stays on.
 	DisableSub   bool
 	DisableSuper bool
 	// Eviction selects the replacement policy (ablation of §5.1).
@@ -163,7 +174,10 @@ type Outcome struct {
 	// by the time they look.
 	Dataset []*graph.Graph
 
-	BaseCandidates  int // |CS(g)| from M alone
+	// BaseCandidates is |CS(g)| from M alone. On an identical hit it is the
+	// entry's memoised value for this dataset generation — equal to what the
+	// filter would return, without running it.
+	BaseCandidates  int
 	FinalCandidates int // candidates verified after iGQ pruning
 	Verified        int // final candidates that passed verification
 	DatasetIsoTests int // subgraph isomorphism tests against dataset graphs
@@ -172,8 +186,8 @@ type Outcome struct {
 	SuperHits       int // |Isuper(g)| (verified)
 	Short           ShortCircuit
 
-	FilterDur time.Duration // M.Filter time
-	CacheDur  time.Duration // Isub+Isuper lookup & verification time
+	FilterDur time.Duration // M.Filter time; 0 on an identical hit that found its memo
+	CacheDur  time.Duration // fingerprint probe + Isub/Isuper lookup, cache-side tests included
 	VerifyDur time.Duration // dataset verification time
 }
 
@@ -194,9 +208,21 @@ type snapshot struct {
 	m       index.Method
 	dbGen   int64 // dataset generation: bumped by each mutation, kept by flushes
 	entries []*entry
-	byID    map[int32]*entry
+	byID    map[int32]*entry    // slot id → entry, for the Isub/Isuper candidates
+	byFP    map[uint64][]*entry // structural fingerprint → entries, for the identical probe
 	isub    *subIndex
 	isuper  *ContainmentIndex
+}
+
+// newSnapshot assembles a snapshot over entries, deriving both lookup tables.
+func newSnapshot(db []*graph.Graph, m index.Method, dbGen int64, entries []*entry, isub *subIndex, isuper *ContainmentIndex) *snapshot {
+	s := &snapshot{db: db, m: m, dbGen: dbGen, entries: entries, isub: isub, isuper: isuper,
+		byID: make(map[int32]*entry, len(entries)), byFP: make(map[uint64][]*entry, len(entries))}
+	for _, e := range entries {
+		s.byID[e.id] = e
+		s.byFP[e.fp] = append(s.byFP[e.fp], e)
+	}
+	return s
 }
 
 // IGQ wraps a built index.Method with the query-graph cache. Safe for
@@ -275,7 +301,7 @@ func New(m index.Method, db []*graph.Graph, opt Options) *IGQ {
 	} else {
 		q.dict = features.NewDict()
 	}
-	q.installEntries(nil, m, db)
+	q.installEntries(nil, m, db, 0)
 	return q
 }
 
@@ -349,10 +375,11 @@ func (q *IGQ) CacheSize() int { return q.opt.CacheSize }
 func (q *IGQ) WindowSize() int { return q.opt.Window }
 
 // SizeBytes reports the iGQ space overhead: both cache-side indexes, the
-// stored query graphs, their answer sets and metadata (paper Fig 18). The
-// feature dictionary is counted only when iGQ owns a private one — when the
-// wrapped method shares its dictionary (index.DictProvider), the method's
-// SizeBytes already accounts for it.
+// stored query graphs, their answer sets, metadata and base memos, and the
+// snapshot's fingerprint table (paper Fig 18). The feature dictionary is
+// counted only when iGQ owns a private one — when the wrapped method shares
+// its dictionary (index.DictProvider), the method's SizeBytes already
+// accounts for it.
 func (q *IGQ) SizeBytes() int {
 	snap := q.snap.Load()
 	sz := snap.isub.SizeBytes() + snap.isuper.SizeBytes()
@@ -360,15 +387,19 @@ func (q *IGQ) SizeBytes() int {
 		sz += q.dict.SizeBytes()
 	}
 	for _, e := range snap.entries {
-		sz += e.g.SizeBytes() + 4*len(e.answer) + 64
+		sz += e.sizeBytes() + byFPEntryBytes
 	}
 	q.mu.Lock()
 	for _, e := range q.window {
-		sz += e.g.SizeBytes() + 4*len(e.answer) + 64
+		sz += e.sizeBytes()
 	}
 	q.mu.Unlock()
 	return sz
 }
+
+// byFPEntryBytes approximates one entry's share of snapshot.byFP: the key,
+// a one-element bucket (slice header + pointer) and the map's bookkeeping.
+const byFPEntryBytes = 8 + 24 + 8 + 8
 
 // subgraphTest is the cache-side isomorphism test (small graphs, each pair
 // met once per lookup: the pattern is compiled per test, not kept).
@@ -405,36 +436,44 @@ func (q *IGQ) run(ctx context.Context, g *graph.Graph, admit bool) (*Outcome, er
 	snap := q.snap.Load()
 	q.seq.Add(1)
 	out := &Outcome{Dataset: snap.db}
+
+	// §4.3 optimal case 1: identical query. It is recognised from the
+	// fingerprint table alone, so a hit answers before the query's features
+	// are enumerated, before the dataset is filtered and before Isub/Isuper
+	// are probed. The entry is credited with the whole of CS(g) from its
+	// memo; only a hit that finds no memo for this dataset generation
+	// filters, to make one.
+	qfp := graph.Fingerprint(g)
+	t0 := time.Now()
+	identical := snap.identical(g, qfp, out)
+	out.CacheDur = time.Since(t0)
+	if identical != nil {
+		base := identical.base.Load()
+		if base == nil || base.dbGen != snap.dbGen {
+			sc := q.getScratch()
+			_, cs := q.baseCandidates(snap, g, sc, out)
+			base = q.newBaseMemo(snap, g.NumVertices(), cs)
+			q.putScratch(sc)
+			identical.base.Store(base)
+		}
+		out.BaseCandidates = base.n
+		out.SubHits, out.SuperHits = 1, 1 // an identical query is both
+		out.Short = IdenticalHit
+		if len(identical.answer) > 0 {
+			out.Answer = append([]int32(nil), identical.answer...)
+		}
+		identical.applyCredit(int64(base.n), base.logCost)
+		return out, nil
+	}
+
 	sc := q.getScratch()
 	defer q.putScratch(sc)
 	sc.credits = sc.credits[:0]
-
-	// One lookup-only enumeration serves the cache probe and (when the
-	// method shares our dictionary) dataset filtering. The dictionary is
-	// not grown here: features of g enter it at admission/flush time.
-	qf := features.PathsID(g, features.PathOptions{MaxLen: q.opt.MaxPathLen}, q.dict, sc.feat, false)
-	qfp := graph.Fingerprint(g)
-
-	// The count-based fast path is only sound when the method's index was
-	// built over the same dictionary at the same feature length.
-	countFilter, _ := snap.m.(index.CountFilterer)
-	if countFilter != nil && (!q.methodDict || countFilter.FeatureMaxPathLen() != q.opt.MaxPathLen) {
-		countFilter = nil
-	}
-
-	var cs []int32
-	t0 := time.Now()
-	if countFilter != nil {
-		cs = normalizeIDs(countFilter.FilterByFeatureCounts(qf))
-	} else {
-		cs = normalizeIDs(snap.m.Filter(g))
-	}
-	out.FilterDur = time.Since(t0)
-	out.BaseCandidates = len(cs)
+	qf, cs := q.baseCandidates(snap, g, sc, out)
 
 	t0 = time.Now()
-	subHits, superHits, identical := q.cacheLookup(snap, g, qfp, qf, sc, out)
-	out.CacheDur = time.Since(t0)
+	subHits, superHits := q.cacheLookup(snap, g, qf, sc, out)
+	out.CacheDur += time.Since(t0)
 
 	// unionSide entries contribute answers directly (formulas 3–4);
 	// intersectSide entries bound the candidate set (formula 5). §4.4: the
@@ -445,18 +484,6 @@ func (q *IGQ) run(ctx context.Context, g *graph.Graph, admit bool) (*Outcome, er
 	}
 	out.SubHits, out.SuperHits = len(subHits), len(superHits)
 
-	// §4.3 optimal case 1: identical query (recognised during lookup).
-	if identical != nil {
-		out.SubHits, out.SuperHits = 1, 1 // an identical query is both
-		out.Short = IdenticalHit
-		if len(identical.answer) > 0 {
-			out.Answer = append([]int32(nil), identical.answer...)
-		}
-		q.pendCredit(sc, snap.db, identical, g.NumVertices(), cs)
-		q.commit(sc, snap.dbGen, nil, 0, nil, false)
-		return out, nil
-	}
-
 	// §4.3 optimal case 2: an empty-answer hit on the intersect side
 	// empties the candidate set outright.
 	for _, e := range intersectSide {
@@ -464,7 +491,7 @@ func (q *IGQ) run(ctx context.Context, g *graph.Graph, admit bool) (*Outcome, er
 			out.Short = EmptyAnswerHit
 			out.Answer = nil
 			q.pendCredit(sc, snap.db, e, g.NumVertices(), cs)
-			q.commit(sc, snap.dbGen, g, qfp, nil, admit)
+			q.commit(sc, snap, g, qfp, nil, cs, admit)
 			return out, nil
 		}
 	}
@@ -506,20 +533,60 @@ func (q *IGQ) run(ctx context.Context, g *graph.Graph, admit bool) (*Outcome, er
 	}
 	out.Answer = answer
 
-	q.commit(sc, snap.dbGen, g, qfp, answer, admit)
+	q.commit(sc, snap, g, qfp, answer, cs, admit)
 	return out, nil
 }
 
-// cacheLookup finds and verifies the Isub and Isuper hits for query g
-// against one snapshot.
-//
-// Fast path (§4.3's "easily recognized" identical case): candidates with
-// matching vertex/edge counts and structural fingerprint are tested first;
-// a confirmed identical query makes every other cache probe moot. Same-size
-// candidates whose fingerprints differ cannot be sub- or supergraph hits at
-// all (equal sizes + containment ⇒ isomorphism ⇒ equal fingerprints), so
-// the regular loops skip them without testing.
-func (q *IGQ) cacheLookup(snap *snapshot, g *graph.Graph, qfp uint64, qf features.IDSet, sc *queryScratch, out *Outcome) (subHits, superHits []*entry, identical *entry) {
+// identical returns the committed entry isomorphic to g, if any (§4.3's
+// "easily recognized" case): entries sharing g's structural fingerprint and
+// its vertex and edge counts are tested, at one cache-side isomorphism test
+// each.
+func (s *snapshot) identical(g *graph.Graph, qfp uint64, out *Outcome) *entry {
+	nv, ne := g.NumVertices(), g.NumEdges()
+	for _, e := range s.byFP[qfp] {
+		if e.g.NumVertices() == nv && e.g.NumEdges() == ne {
+			out.CacheIsoTests++
+			if subgraphTest(g, e.g) {
+				return e
+			}
+		}
+	}
+	return nil
+}
+
+// baseCandidates computes CS(g) = M.Filter(g) over snap's dataset
+// generation, recording its size and duration in out. One lookup-only
+// enumeration serves dataset filtering (when the method shares our
+// dictionary) and the cache probe that follows, so the features are
+// returned too. The dictionary is not grown here: features of g enter it at
+// admission/flush time.
+func (q *IGQ) baseCandidates(snap *snapshot, g *graph.Graph, sc *queryScratch, out *Outcome) (features.IDSet, []int32) {
+	qf := features.PathsID(g, features.PathOptions{MaxLen: q.opt.MaxPathLen}, q.dict, sc.feat, false)
+
+	// The count-based fast path is only sound when the method's index was
+	// built over the same dictionary at the same feature length.
+	countFilter, _ := snap.m.(index.CountFilterer)
+	if countFilter != nil && (!q.methodDict || countFilter.FeatureMaxPathLen() != q.opt.MaxPathLen) {
+		countFilter = nil
+	}
+
+	var cs []int32
+	t0 := time.Now()
+	if countFilter != nil {
+		cs = normalizeIDs(countFilter.FilterByFeatureCounts(qf))
+	} else {
+		cs = normalizeIDs(snap.m.Filter(g))
+	}
+	out.FilterDur = time.Since(t0)
+	out.BaseCandidates = len(cs)
+	return qf, cs
+}
+
+// cacheLookup finds and verifies the Isub and Isuper hits for a query g
+// that is not identical to any committed entry. Candidates of g's own size
+// are skipped untested: equal sizes + containment ⇒ isomorphism, which the
+// identical probe has already ruled out.
+func (q *IGQ) cacheLookup(snap *snapshot, g *graph.Graph, qf features.IDSet, sc *queryScratch, out *Outcome) (subHits, superHits []*entry) {
 	var subCands, superCands []int32
 	if !q.opt.DisableSub {
 		subCands = snap.isub.candidates(qf, sc.sub)
@@ -530,15 +597,6 @@ func (q *IGQ) cacheLookup(snap *snapshot, g *graph.Graph, qfp uint64, qf feature
 	nv, ne := g.NumVertices(), g.NumEdges()
 	sameSize := func(e *entry) bool {
 		return e.g.NumVertices() == nv && e.g.NumEdges() == ne
-	}
-	for _, id := range index.UnionSorted(subCands, superCands) {
-		e := snap.byID[id]
-		if sameSize(e) && e.fp == qfp {
-			out.CacheIsoTests++
-			if subgraphTest(g, e.g) {
-				return nil, nil, e
-			}
-		}
 	}
 	// union-side entries with empty answers neither prune nor contribute
 	// answers, so their verification is skipped; intersect-side empties are
@@ -564,43 +622,58 @@ func (q *IGQ) cacheLookup(snap *snapshot, g *graph.Graph, qfp uint64, qf feature
 			superHits = append(superHits, e)
 		}
 	}
-	return subHits, superHits, nil
+	return subHits, superHits
 }
 
 // pendCredit buffers one entry's hit credit: the pruned candidates' cost
 // contribution is folded into a single log-sum-exp delta here, lock-free,
 // so the later application under IGQ.mu is O(1) per credited entry.
 func (q *IGQ) pendCredit(sc *queryScratch, db []*graph.Graph, e *entry, queryNodes int, prunedIDs []int32) {
-	delta := math.Inf(-1)
-	for _, id := range prunedIDs {
-		delta = LogSumExp(delta, LogIsoCost(queryNodes, db[id].NumVertices(), q.opt.Labels))
+	sc.credits = append(sc.credits, pendingCredit{e: e, removed: int64(len(prunedIDs)), logCost: q.logIsoCostSum(db, queryNodes, prunedIDs)})
+}
+
+// logIsoCostSum is the log-sum-exp of the §5.1 test costs a queryNodes-vertex
+// query would pay against the dataset graphs ids (-Inf if none).
+func (q *IGQ) logIsoCostSum(db []*graph.Graph, queryNodes int, ids []int32) float64 {
+	sum := math.Inf(-1)
+	for _, id := range ids {
+		sum = LogSumExp(sum, LogIsoCost(queryNodes, db[id].NumVertices(), q.opt.Labels))
 	}
-	sc.credits = append(sc.credits, pendingCredit{e: e, removed: int64(len(prunedIDs)), logCost: delta})
+	return sum
+}
+
+// newBaseMemo records the credit an identical hit earns on snap's dataset
+// generation: all of cs = CS(g), folded exactly as pendCredit would.
+func (q *IGQ) newBaseMemo(snap *snapshot, queryNodes int, cs []int32) *baseMemo {
+	return &baseMemo{dbGen: snap.dbGen, n: len(cs), logCost: q.logIsoCostSum(snap.db, queryNodes, cs)}
 }
 
 // commit applies one query's buffered writes. The §5.1 credits fold into
 // the per-entry atomic credit cells lock-free — a pure cache hit never
 // touches the metadata mutex at all, so the commit path scales with the
 // number of cores. Only admission (a structural write: window append,
-// possible flush) still takes q.mu.
+// possible flush) still takes q.mu; the admitted entry carries the base
+// memo of cs, the query's own CS(g), so that its first identical hit
+// already skips the filter.
 //
-// dbGen is the dataset generation the query ran against. If a dataset
-// mutation committed while the query was in flight, its answer references
-// the *old* generation's positions and must not be admitted — admitting it
-// would plant stale knowledge the mutation's cache patch never saw. The
-// credits still apply where their entries survive (metadata heuristics,
-// not answers); credits against superseded entry clones are simply lost.
-func (q *IGQ) commit(sc *queryScratch, dbGen int64, g *graph.Graph, qfp uint64, answer []int32, admit bool) {
+// snap is the snapshot the query ran against. If a dataset mutation
+// committed while the query was in flight, its answer references the *old*
+// generation's positions and must not be admitted — admitting it would
+// plant stale knowledge the mutation's cache patch never saw. The credits
+// still apply where their entries survive (metadata heuristics, not
+// answers); credits against superseded entry clones are simply lost.
+func (q *IGQ) commit(sc *queryScratch, snap *snapshot, g *graph.Graph, qfp uint64, answer, cs []int32, admit bool) {
 	for _, c := range sc.credits {
 		c.e.applyCredit(c.removed, c.logCost)
 	}
 	if !admit {
 		return
 	}
+	base := q.newBaseMemo(snap, g.NumVertices(), cs)
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.snap.Load().dbGen == dbGen {
-		q.admitLocked(g, qfp, answer)
+	if q.snap.Load().dbGen == snap.dbGen {
+		q.admitLocked(g, qfp, answer, base)
 	}
 }
 
@@ -612,18 +685,19 @@ func (q *IGQ) commit(sc *queryScratch, dbGen int64, g *graph.Graph, qfp uint64, 
 // duplicate is caught here, under the lock — best-effort while an async
 // shadow build is in flight, since its entries are in neither set yet, and
 // answer-correctness never depends on dedup). Caller holds q.mu.
-func (q *IGQ) admitLocked(g *graph.Graph, fp uint64, answer []int32) {
+func (q *IGQ) admitLocked(g *graph.Graph, fp uint64, answer []int32, base *baseMemo) {
 	for _, e := range q.window {
 		if e.fp == fp && iso.Isomorphic(e.g, g) {
 			return
 		}
 	}
-	for _, e := range q.snap.Load().entries {
-		if e.fp == fp && iso.Isomorphic(e.g, g) {
+	for _, e := range q.snap.Load().byFP[fp] {
+		if iso.Isomorphic(e.g, g) {
 			return
 		}
 	}
 	e := newEntry(q.nextID, g.Clone(), answer, q.seq.Load())
+	e.base.Store(base)
 	q.nextID++
 	q.window = append(q.window, e)
 	if len(q.window) >= q.opt.Window {
@@ -646,7 +720,7 @@ func (q *IGQ) flushLocked() {
 	}
 	q.flushes++
 	cur := q.snap.Load()
-	newEntries, newByID := q.planFlushLocked()
+	newEntries := q.planFlushLocked()
 	q.window = nil
 	if q.opt.AsyncMaintenance {
 		done := make(chan struct{})
@@ -672,8 +746,9 @@ func (q *IGQ) flushLocked() {
 				}
 			}()
 			isub, isuper := buildIndexes(q.dict, newEntries, q.opt)
+			shadow := newSnapshot(cur.db, cur.m, cur.dbGen, newEntries, isub, isuper)
 			q.mu.Lock()
-			q.snap.Store(&snapshot{db: cur.db, m: cur.m, dbGen: cur.dbGen, entries: newEntries, byID: newByID, isub: isub, isuper: isuper})
+			q.snap.Store(shadow)
 			if q.shadowDone == done {
 				q.shadowDone = nil
 			}
@@ -682,13 +757,13 @@ func (q *IGQ) flushLocked() {
 		return
 	}
 	isub, isuper := buildIndexes(q.dict, newEntries, q.opt)
-	q.snap.Store(&snapshot{db: cur.db, m: cur.m, dbGen: cur.dbGen, entries: newEntries, byID: newByID, isub: isub, isuper: isuper})
+	q.snap.Store(newSnapshot(cur.db, cur.m, cur.dbGen, newEntries, isub, isuper))
 }
 
 // planFlushLocked computes the post-flush entry set without touching the
-// currently served snapshot (fresh slice and map, shared entry pointers so
-// metadata credited during an async build carries over). Caller holds q.mu.
-func (q *IGQ) planFlushLocked() ([]*entry, map[int32]*entry) {
+// currently served snapshot (fresh slice, shared entry pointers so metadata
+// credited during an async build carries over). Caller holds q.mu.
+func (q *IGQ) planFlushLocked() []*entry {
 	active := q.snap.Load().entries
 	evict := map[int32]struct{}{}
 	if overflow := len(active) + len(q.window) - q.opt.CacheSize; overflow > 0 {
@@ -701,18 +776,12 @@ func (q *IGQ) planFlushLocked() ([]*entry, map[int32]*entry) {
 		}
 	}
 	newEntries := make([]*entry, 0, len(active)+len(q.window))
-	newByID := make(map[int32]*entry, len(active)+len(q.window))
 	for _, e := range active {
 		if _, gone := evict[e.id]; !gone {
 			newEntries = append(newEntries, e)
-			newByID[e.id] = e
 		}
 	}
-	for _, e := range q.window {
-		newEntries = append(newEntries, e)
-		newByID[e.id] = e
-	}
-	return newEntries, newByID
+	return append(newEntries, q.window...)
 }
 
 // waitShadowLocked blocks until any in-flight §5.2 background build has
@@ -799,23 +868,18 @@ func (q *IGQ) RebuildIndexes() {
 	defer q.mu.Unlock()
 	q.waitShadowLocked()
 	cur := q.snap.Load()
-	q.installEntries(cur.entries, cur.m, cur.db)
+	// A new generation: the replaced index may filter differently (a loaded
+	// snapshot brings its own feature length), so base memos taken over the
+	// old one must not be trusted.
+	q.installEntries(cur.entries, cur.m, cur.db, cur.dbGen+1)
 }
 
 // installEntries builds fresh cache-side indexes over entries and installs
-// them as the served snapshot over (m, db) — construction, Load and
-// rebuild time.
-func (q *IGQ) installEntries(entries []*entry, m index.Method, db []*graph.Graph) {
-	byID := make(map[int32]*entry, len(entries))
-	for _, e := range entries {
-		byID[e.id] = e
-	}
-	var gen int64
-	if cur := q.snap.Load(); cur != nil {
-		gen = cur.dbGen
-	}
+// them as the served snapshot over generation dbGen of (m, db) —
+// construction, Load and rebuild time.
+func (q *IGQ) installEntries(entries []*entry, m index.Method, db []*graph.Graph, dbGen int64) {
 	isub, isuper := buildIndexes(q.dict, entries, q.opt)
-	q.snap.Store(&snapshot{db: db, m: m, dbGen: gen, entries: entries, byID: byID, isub: isub, isuper: isuper})
+	q.snap.Store(newSnapshot(db, m, dbGen, entries, isub, isuper))
 }
 
 // buildIndexes constructs fresh Isub/Isuper over an entry set; one

@@ -119,13 +119,9 @@ func (q *IGQ) DatasetRemoved(ctx context.Context, m index.Method, db []*graph.Gr
 // graphs, their features and their slot ids are unchanged). Caller holds
 // q.mu.
 func (q *IGQ) installPatched(cur *snapshot, entries []*entry, m index.Method, db []*graph.Graph) {
-	byID := make(map[int32]*entry, len(entries))
-	for _, e := range entries {
-		byID[e.id] = e
-	}
 	// Bumping the generation makes commit drop admissions computed by
 	// queries still in flight against the previous generation — their
-	// answers reference superseded dataset positions.
-	q.snap.Store(&snapshot{db: db, m: m, dbGen: cur.dbGen + 1,
-		entries: entries, byID: byID, isub: cur.isub, isuper: cur.isuper})
+	// answers reference superseded dataset positions — and marks every base
+	// memo taken on it as stale.
+	q.snap.Store(newSnapshot(db, m, cur.dbGen+1, entries, cur.isub, cur.isuper))
 }

@@ -180,6 +180,6 @@ func Load(r io.Reader, m index.Method, db []*graph.Graph, opt Options) (*IGQ, er
 		}
 		entries = kept
 	}
-	q.installEntries(entries, m, db)
+	q.installEntries(entries, m, db, 0)
 	return q, nil
 }

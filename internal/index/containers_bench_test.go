@@ -2,7 +2,9 @@ package index
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/trie"
@@ -108,6 +110,65 @@ func BenchmarkFilterCountGEDensity(b *testing.B) {
 					benchSink = len(FilterCountGE(tr, qf, s))
 				}
 			})
+		}
+	}
+}
+
+// thresholdedDensityQuery is the density benchmark's dataset with counts
+// 1–4 scattered over the postings, queried at wanted counts 2 and 3 — the
+// normal case on molecule graphs, where most query features repeat.
+func thresholdedDensityQuery(p float64) (map[string][]trie.Posting, []string, []int32) {
+	const nFeats, nGraphs = 4, 1 << 14
+	ds := densityDataset(3, nFeats, nGraphs, p)
+	rng := rand.New(rand.NewSource(4))
+	keys := slices.Sorted(maps.Keys(ds))
+	counts := make([]int32, len(keys))
+	for i, k := range keys {
+		for j := range ds[k] {
+			ds[k][j].Count = int32(1 + rng.Intn(4))
+		}
+		counts[i] = int32(2 + i%2)
+	}
+	return ds, keys, counts
+}
+
+// BenchmarkFilterCountGEThresholded is BenchmarkFilterCountGEDensity with
+// every feature thresholded: the intersection runs over the unmaterialised
+// containers and the counts are checked on its survivors.
+func BenchmarkFilterCountGEThresholded(b *testing.B) {
+	for _, reg := range benchRegimes {
+		ds, keys, counts := thresholdedDensityQuery(reg.p)
+		for _, pol := range benchPolicies {
+			tr := buildCFTrie(pol.policy, 1, ds)
+			qf := idSetFor(tr, keys, counts)
+			b.Run(reg.name+"/"+pol.name, func(b *testing.B) {
+				s := GetCountFilterScratch()
+				defer PutCountFilterScratch(s)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchSink = len(FilterCountGE(tr, qf, s))
+				}
+			})
+		}
+	}
+}
+
+// TestFilterCountGEThresholdedAllocs: on a warm scratch a thresholded pass
+// allocates nothing, whatever the container kind.
+func TestFilterCountGEThresholdedAllocs(t *testing.T) {
+	for _, reg := range benchRegimes {
+		ds, keys, counts := thresholdedDensityQuery(reg.p)
+		for _, pol := range benchPolicies {
+			tr := buildCFTrie(pol.policy, 1, ds)
+			qf := idSetFor(tr, keys, counts)
+			s := GetCountFilterScratch()
+			if len(FilterCountGE(tr, qf, s)) == 0 && reg.p > 0.1 {
+				t.Errorf("%s/%s: premise: no graph passes the thresholds", reg.name, pol.name)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { benchSink = len(FilterCountGE(tr, qf, s)) }); allocs != 0 {
+				t.Errorf("%s/%s: %v allocs per thresholded pass, want 0", reg.name, pol.name, allocs)
+			}
+			PutCountFilterScratch(s)
 		}
 	}
 }

@@ -9,29 +9,25 @@ import (
 	"repro/internal/trie"
 )
 
-// cfView is one filtered feature list awaiting intersection: either the
-// feature's whole posting container (c — the zero-materialisation path
-// taken whenever the count threshold admits every posting) or an extent of
-// the scratch arena holding the count-filtered subset.
+// cfView is one query feature's posting list awaiting intersection. The
+// container is intersected as it stands; want is non-zero when the list's
+// occurrence counts still have to be checked on the survivors.
 type cfView struct {
-	c      trie.Container
-	lo, hi int32 // arena extent when c == nil
-	n      int   // cardinality
+	pl   trie.PostingList
+	want int32
 }
 
 // CountFilterScratch holds the reusable buffers of one count-filter pass:
 // the feature-enumeration scratch, the shard-grouped feature copy, the
-// filtered per-feature views (arena-backed where materialised), and the
-// intersection scratch.
+// per-feature views, and the intersection scratch.
 type CountFilterScratch struct {
 	Feat *features.Scratch
 
 	feats    []features.IDCount // query features regrouped by shard
 	shardOff []int32            // per-shard group boundaries (len K+1)
 	shardCur []int32            // scatter cursors during grouping
-	views    []cfView           // filtered per-feature views
-	groups   [][3]int           // per-shard group: [views start, views end, min view len]
-	arena    []int32            // count-filtered id lists
+	views    []cfView           // per-feature posting lists
+	groups   [][3]int           // per-shard group: [views start, views end, min list len]
 	vbuf     []View             // per-group operand assembly
 	vs       ViewScratch        // serial intersection scratch
 	cur      []int32            // running cross-shard partial result
@@ -63,21 +59,28 @@ const parallelGroupMin = 1 << 13
 // multiplicity.
 //
 // The pass follows the store's shard layout: query features are grouped by
-// postings shard and each shard's lists are filtered and intersected as one
-// group (all probes against one small per-shard map, so the map stays
-// cache-resident across the group). A feature whose threshold admits every
-// posting — the overwhelmingly common count-1 case — contributes its
-// container directly, with no materialisation: bitmap∧bitmap pairs inside a
-// group collapse to word-ANDs and sparse partials probe dense containers in
-// O(1) per element (IntersectViews). Shard groups are processed in
-// ascending order of their rarest filtered list, with the running
-// cross-shard partial threaded into each group's intersection — so the
-// globally rarest list still prunes all later work, exactly as the
-// unsharded rarest-first fold did. Every slice-vs-slice step picks merge vs
-// gallop from the trie's calibrated probe cost. Very large queries — every
-// group's rarest list at least parallelGroupMin — fan the per-group
-// intersections over bounded goroutines and fold the partials rarest-first.
-// The result may alias s and is only valid until the scratch is reused.
+// postings shard and each shard's lists are intersected as one group (all
+// probes against one small per-shard map, so the map stays cache-resident
+// across the group). Every feature contributes its posting container as it
+// stands, with no materialisation: bitmap∧bitmap pairs inside a group
+// collapse to word-ANDs and sparse partials probe dense containers in O(1)
+// per element (IntersectViews). Shard groups are processed in ascending
+// order of their rarest list, with the running cross-shard partial threaded
+// into each group's intersection — so the globally rarest list still prunes
+// all later work, exactly as the unsharded rarest-first fold did. Every
+// slice-vs-slice step picks merge vs gallop from the trie's calibrated
+// probe cost. Very large queries — every group's rarest list at least
+// parallelGroupMin — fan the per-group intersections over bounded
+// goroutines and fold the partials rarest-first.
+//
+// Count thresholds run after the intersection, on the survivors only: a
+// feature wanted at least twice whose list carries non-unit counts checks
+// them in one forward pass over the sorted survivors
+// (PostingList.RetainCountGE), so it costs O(survivors + container words)
+// instead of a walk over all of its postings. Two cases need no pass at
+// all: an empty list, and a threshold ≥ 2 against an all-count-1 list,
+// both of which empty the result outright. The result may alias s and is
+// only valid until the scratch is reused.
 //
 // Callers must handle the empty-feature case (len(qf.Counts) == 0 &&
 // qf.Unknown == 0) themselves: the matching universe (all dataset
@@ -94,9 +97,8 @@ func FilterCountGE(tr *trie.Trie, qf features.IDSet, s *CountFilterScratch) []in
 	}
 	feats, off := s.groupByShard(tr, qf.Counts)
 
-	// Phase 1: build each feature's filtered view, one shard's group at a
-	// time; only count-thresholded features touch the arena.
-	arena := s.arena[:0]
+	// Phase 1: fetch each feature's posting list, one shard's group at a
+	// time.
 	views := s.views[:0]
 	groups := s.groups[:0]
 	for sh := 0; sh < tr.ShardCount(); sh++ {
@@ -107,44 +109,22 @@ func FilterCountGE(tr *trie.Trie, qf features.IDSet, s *CountFilterScratch) []in
 		gStart := len(views)
 		minLen := int(^uint(0) >> 1)
 		for _, fc := range feats[lo:hi] {
-			pl := tr.GetByID(fc.ID)
-			if pl.Len() == 0 {
-				s.arena, s.views, s.groups = arena, views, groups
+			v := cfView{pl: tr.GetByID(fc.ID)}
+			if fc.Count >= 2 {
+				v.want = fc.Count
+			}
+			if v.pl.Len() == 0 || (v.want > 0 && v.pl.UniformCounts()) {
+				// No posting at all, or a threshold ≥ 2 against all-count-1
+				// postings: nothing passes.
+				s.views, s.groups = views, groups
 				return nil
 			}
-			var v cfView
-			switch {
-			case fc.Count <= 0 || (fc.Count == 1 && pl.UniformCounts()):
-				// Threshold admits every posting: the container itself is
-				// the filtered list.
-				v = cfView{c: pl.IDs(), n: pl.Len()}
-			case pl.UniformCounts():
-				// Threshold ≥ 2 against all-count-1 postings: nothing passes.
-				s.arena, s.views, s.groups = arena, views, groups
-				return nil
-			default:
-				start := len(arena)
-				want := fc.Count
-				pl.Range(func(i int, g int32) bool {
-					if pl.CountAt(i) >= want {
-						arena = append(arena, g)
-					}
-					return true
-				})
-				if len(arena) == start {
-					s.arena, s.views, s.groups = arena, views, groups
-					return nil
-				}
-				v = cfView{lo: int32(start), hi: int32(len(arena)), n: len(arena) - start}
-			}
-			if v.n < minLen {
-				minLen = v.n
-			}
+			minLen = min(minLen, v.pl.Len())
 			views = append(views, v)
 		}
 		groups = append(groups, [3]int{gStart, len(views), minLen})
 	}
-	s.arena, s.views = arena, views
+	s.views = views
 
 	// Phase 2: intersect shard by shard, rarest shard first, folding the
 	// running partial into each group so it caps the group's work.
@@ -152,7 +132,7 @@ func FilterCountGE(tr *trie.Trie, qf features.IDSet, s *CountFilterScratch) []in
 	s.groups = groups
 	probeCost := tr.GallopProbeCost()
 	if len(groups) >= 2 && groups[0][2] >= parallelGroupMin && runtime.GOMAXPROCS(0) > 1 {
-		return s.filterParallel(probeCost)
+		return s.thresholdSurvivors(s.filterParallel(probeCost))
 	}
 	var cur []int32
 	for gi, g := range groups {
@@ -171,19 +151,30 @@ func FilterCountGE(tr *trie.Trie, qf features.IDSet, s *CountFilterScratch) []in
 		s.cur = append(s.cur[:0], part...)
 		cur = s.cur
 	}
-	return cur
+	return s.thresholdSurvivors(cur)
 }
 
 // appendGroupViews assembles one shard group's intersection operands.
 func (s *CountFilterScratch) appendGroupViews(dst []View, g [3]int) []View {
 	for _, v := range s.views[g[0]:g[1]] {
-		if v.c != nil {
-			dst = append(dst, View{C: v.c})
-		} else {
-			dst = append(dst, View{IDs: s.arena[v.lo:v.hi]})
-		}
+		dst = append(dst, View{C: v.pl.IDs()})
 	}
 	return dst
+}
+
+// thresholdSurvivors applies the wanted counts to the intersection's
+// survivors, in place (cur is scratch-owned), one forward pass per
+// thresholded list.
+func (s *CountFilterScratch) thresholdSurvivors(cur []int32) []int32 {
+	for _, v := range s.views {
+		if v.want > 0 && len(cur) > 0 {
+			cur = v.pl.RetainCountGE(cur, v.want)
+		}
+	}
+	if len(cur) == 0 {
+		return nil
+	}
+	return cur
 }
 
 // filterParallel computes each shard group's intersection on its own

@@ -17,7 +17,10 @@ package trie
 // postings alone, independent of the order of inserts, the number of
 // build workers, or how many save→load→mutate cycles produced it.
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // PostingList is the container-backed replacement for []Posting. The zero
 // value is an empty list. It is a small value type: copy freely, but the
@@ -80,6 +83,81 @@ func (pl PostingList) Range(fn func(i int, g int32) bool) {
 	if pl.ids != nil {
 		pl.ids.Range(fn)
 	}
+}
+
+// RetainCountGE filters ids — ascending, duplicate-free — in place down to
+// the members of the list whose occurrence count is at least want, and
+// returns the shortened slice. It is one forward pass: the rank cursor
+// into the count array only advances (popcounts of the bitmap words
+// between consecutive ids, a gallop in an array, a walk over the runs), so
+// the cost is O(len(ids) + container words/runs) — never a from-zero Rank
+// per id, and never more than a full Range of the list.
+func (pl PostingList) RetainCountGE(ids []int32, want int32) []int32 {
+	out := ids[:0]
+	switch c := pl.ids.(type) {
+	case *ArrayContainer:
+		j := 0
+		for _, g := range ids {
+			if j = gallopTo(c.ids, j, g); j == len(c.ids) {
+				break
+			}
+			if c.ids[j] == g {
+				if pl.CountAt(j) >= want {
+					out = append(out, g)
+				}
+				j++
+			}
+		}
+	case *BitmapContainer:
+		wi, below := 0, 0 // below = members in words[:wi]
+		for _, g := range ids {
+			o := int(g) - int(c.base)
+			if o < 0 {
+				continue
+			}
+			if o>>6 >= len(c.words) {
+				break
+			}
+			for ; wi < o>>6; wi++ {
+				below += bits.OnesCount64(c.words[wi])
+			}
+			w, bit := c.words[wi], uint64(1)<<uint(o&63)
+			if w&bit != 0 && pl.CountAt(below+bits.OnesCount64(w&(bit-1))) >= want {
+				out = append(out, g)
+			}
+		}
+	case *RunContainer:
+		ri, below := 0, 0 // below = members in runs[:ri]
+		for _, g := range ids {
+			for ri < len(c.runs) && c.runs[ri].End < g {
+				below += int(c.runs[ri].End-c.runs[ri].Start) + 1
+				ri++
+			}
+			if ri == len(c.runs) {
+				break
+			}
+			if r := c.runs[ri]; r.Start <= g && pl.CountAt(below+int(g-r.Start)) >= want {
+				out = append(out, g)
+			}
+		}
+	}
+	return out
+}
+
+// gallopTo returns the first index i ≥ from with ids[i] ≥ g (len(ids) if
+// none): exponential probes from the cursor, then a binary search of the
+// bracket — O(log distance) per call, O(len(ids)) over a forward pass.
+func gallopTo(ids []int32, from int, g int32) int {
+	if from == len(ids) || ids[from] >= g {
+		return from
+	}
+	step, lo := 1, from // ids[lo] < g
+	for lo+step < len(ids) && ids[lo+step] < g {
+		lo += step
+		step *= 2
+	}
+	i, _ := slices.BinarySearch(ids[lo+1:min(lo+step, len(ids))], g)
+	return lo + 1 + i
 }
 
 // AppendIDs appends the graph IDs in ascending order.
