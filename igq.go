@@ -357,17 +357,16 @@ type EngineOptions struct {
 	Window    int
 	// DisableCache turns iGQ off entirely (plain filter-then-verify).
 	DisableCache bool
-	// Shards is the postings shard count of the sharded postings stores —
-	// the path methods' dataset tries and iGQ's cache-side Isub/Isuper
-	// (rounded up to a power of two, capped at 64; 0 picks one shard per
-	// CPU). Sharding never changes answers; it only sets how much build
-	// and probe parallelism the stores can exploit.
+	// Shards is the postings shard count of the path methods' dataset
+	// tries (rounded up to a power of two, capped at 64; 0 picks one shard
+	// per CPU). Sharding never changes answers; it only sets how much build
+	// and probe parallelism the stores can exploit. The query cache's own
+	// index is a flat array and has no shards.
 	Shards int
 	// BuildWorkers is the index-build parallelism: the path methods fan
-	// feature enumeration over this many goroutines and iGQ uses it for
-	// cache-side index rebuilds. 0 keeps each component's default (GGSX
-	// sequential, Grapes its Threads, cache rebuilds one per CPU). Any
-	// worker count builds a bit-identical index.
+	// feature enumeration over this many goroutines. 0 keeps each method's
+	// default (GGSX sequential, Grapes its Threads). Any worker count
+	// builds a bit-identical index.
 	BuildWorkers int
 	// WrapMethod, when non-nil, wraps the freshly built dataset index
 	// before the engine starts using it — an instrumentation seam
@@ -515,12 +514,10 @@ func (opt EngineOptions) coreOptions() core.Options {
 		mode = core.SupergraphQueries
 	}
 	return core.Options{
-		CacheSize:    opt.CacheSize,
-		Window:       opt.Window,
-		MaxPathLen:   opt.MaxPathLen,
-		Mode:         mode,
-		Shards:       opt.Shards,
-		BuildWorkers: opt.BuildWorkers,
+		CacheSize:  opt.CacheSize,
+		Window:     opt.Window,
+		MaxPathLen: opt.MaxPathLen,
+		Mode:       mode,
 	}
 }
 

@@ -26,27 +26,26 @@ import (
 // dictionary are harmless here: they can only make the query *larger*, and
 // Algorithm 2 only requires every *indexed* feature to appear in the query.
 //
-// iGQ uses a ContainmentIndex over cached query graphs as Isuper; package
-// index/contain wraps one over the dataset graphs to obtain a standalone
-// supergraph query processing method (the paper's §4.4 Msuper).
+// Package index/contain wraps a ContainmentIndex over the dataset graphs to
+// obtain a standalone supergraph query processing method (the paper's §4.4
+// Msuper); graph ids are then dataset positions, which is why every per-graph
+// table here is an array indexed by id. iGQ's own Isuper over the cached
+// query graphs is the same algorithm on a flat layout (cacheIndex).
 type ContainmentIndex struct {
 	maxPathLen int
 	tr         *trie.Trie
-	nf         map[int32]int // NF[gi]: distinct feature count per graph
+	nf         []int32 // NF[gi]: distinct feature count per graph id; -1 = not indexed
 
-	// pool of scratch state for the public standalone entry points; iGQ's
-	// hot path passes a per-query scratch from its own free list instead.
-	// A built index is immutable — dataset mutation goes through the
-	// copy-on-write NewMutation/ApplyMutation pair — so lookups are
-	// concurrency-safe.
+	// pool of scratch state for the entry points. A built index is
+	// immutable — dataset mutation goes through the copy-on-write
+	// NewMutation/ApplyMutation pair — so lookups are concurrency-safe.
 	pool sync.Pool
 }
 
 // ciScratch is the reusable state of one Algorithm 2 pass.
 type ciScratch struct {
 	feat    *features.Scratch
-	matched map[int32]int32
-	res     []int32
+	matched []int32 // per graph id: features that passed the occurrence test
 }
 
 // NewContainmentIndex returns an empty containment index with a private
@@ -60,26 +59,26 @@ func NewContainmentIndex(maxPathLen int) *ContainmentIndex {
 // features are interned through d (shared with other indexes over the same
 // feature family), with the default postings shard count.
 func NewContainmentIndexWithDict(maxPathLen int, d *features.Dict) *ContainmentIndex {
-	return NewContainmentIndexSharded(maxPathLen, d, 0)
-}
-
-// NewContainmentIndexSharded is NewContainmentIndexWithDict with an
-// explicit postings shard count (0 = trie.DefaultShards()).
-func NewContainmentIndexSharded(maxPathLen int, d *features.Dict, shards int) *ContainmentIndex {
 	if maxPathLen <= 0 {
 		maxPathLen = 4
 	}
-	return newContainmentIndex(maxPathLen, trie.NewSharded(d, shards), make(map[int32]int))
+	return newContainmentIndex(maxPathLen, trie.NewSharded(d, 0), nil)
 }
 
 // newContainmentIndex assembles an index around an existing trie and NF
 // table (the constructors and the copy-on-write mutation path share it).
-func newContainmentIndex(maxPathLen int, tr *trie.Trie, nf map[int32]int) *ContainmentIndex {
+func newContainmentIndex(maxPathLen int, tr *trie.Trie, nf []int32) *ContainmentIndex {
 	ci := &ContainmentIndex{maxPathLen: maxPathLen, tr: tr, nf: nf}
-	ci.pool.New = func() any {
-		return &ciScratch{feat: features.NewScratch(), matched: make(map[int32]int32)}
-	}
+	ci.pool.New = func() any { return &ciScratch{feat: features.NewScratch()} }
 	return ci
+}
+
+// setNF records id's distinct-feature count, growing the table to reach it.
+func (ci *ContainmentIndex) setNF(id int32, n int) {
+	for int(id) >= len(ci.nf) {
+		ci.nf = append(ci.nf, -1)
+	}
+	ci.nf[id] = int32(n)
 }
 
 // Add indexes graph g under identifier id (Algorithm 1's loop body).
@@ -93,18 +92,9 @@ func (ci *ContainmentIndex) Add(id int32, g *graph.Graph) {
 // AddFromIDCounts indexes a graph by its pre-enumerated, interned feature
 // occurrences, letting callers share one enumeration across several indexes.
 func (ci *ContainmentIndex) AddFromIDCounts(id int32, qf features.IDSet) {
-	ci.nf[id] = len(qf.Counts)
+	ci.setNF(id, len(qf.Counts))
 	for _, fc := range qf.Counts {
 		ci.tr.InsertID(fc.ID, trie.Posting{Graph: id, Count: fc.Count})
-	}
-}
-
-// AddFromFeatures indexes a graph by its string-keyed feature occurrence
-// counts (legacy entry point; the hot path is AddFromIDCounts).
-func (ci *ContainmentIndex) AddFromFeatures(id int32, counts map[string]int) {
-	ci.nf[id] = len(counts)
-	for f, o := range counts {
-		ci.tr.Insert(f, trie.Posting{Graph: id, Count: int32(o)})
 	}
 }
 
@@ -115,7 +105,15 @@ func (ci *ContainmentIndex) Dict() *features.Dict { return ci.tr.Dict() }
 func (ci *ContainmentIndex) MaxPathLen() int { return ci.maxPathLen }
 
 // Len returns the number of indexed graphs.
-func (ci *ContainmentIndex) Len() int { return len(ci.nf) }
+func (ci *ContainmentIndex) Len() int {
+	n := 0
+	for _, c := range ci.nf {
+		if c >= 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // CandidateSubgraphs implements Algorithm 2: the ids of indexed graphs that
 // may satisfy gi ⊆ g. The result is sorted ascending, freshly allocated,
@@ -126,11 +124,7 @@ func (ci *ContainmentIndex) CandidateSubgraphs(g *graph.Graph) []int32 {
 	// Lookup-only enumeration: unknown features cannot disqualify an
 	// indexed subgraph, they only enlarge the query.
 	qf := features.PathsID(g, features.PathOptions{MaxLen: ci.maxPathLen}, ci.tr.Dict(), s.feat, false)
-	cs := ci.candidatesFromIDs(qf, s)
-	if len(cs) == 0 {
-		return nil
-	}
-	return append([]int32(nil), cs...)
+	return ci.candidatesFromIDs(qf, s)
 }
 
 // CandidatesFromIDSet is Algorithm 2 given a query already enumerated
@@ -140,17 +134,19 @@ func (ci *ContainmentIndex) CandidateSubgraphs(g *graph.Graph) []int32 {
 func (ci *ContainmentIndex) CandidatesFromIDSet(qf features.IDSet) []int32 {
 	s := ci.pool.Get().(*ciScratch)
 	defer ci.pool.Put(s)
-	cs := ci.candidatesFromIDs(qf, s)
-	if len(cs) == 0 {
-		return nil
-	}
-	return append([]int32(nil), cs...)
+	return ci.candidatesFromIDs(qf, s)
 }
 
 // candidatesFromIDs is Algorithm 2 given pre-enumerated query occurrences
-// O[f, g]. The result aliases s and is valid until the scratch is reused.
+// O[f, g]: count per graph id, in an array, the features that pass the
+// occurrence test, then keep in id order the graphs whose count is their NF
+// — which a graph with no features, the empty graph that is a subgraph of
+// everything, meets with no posting at all.
 func (ci *ContainmentIndex) candidatesFromIDs(qf features.IDSet, s *ciScratch) []int32 {
-	matched := s.matched
+	if cap(s.matched) < len(ci.nf) {
+		s.matched = make([]int32, len(ci.nf))
+	}
+	matched := s.matched[:len(ci.nf)]
 	clear(matched)
 	for _, fc := range qf.Counts {
 		pl := ci.tr.GetByID(fc.ID)
@@ -170,26 +166,18 @@ func (ci *ContainmentIndex) candidatesFromIDs(qf features.IDSet, s *ciScratch) [
 			return true
 		})
 	}
-	cs := s.res[:0]
+	var cs []int32
 	for id, cnt := range matched {
-		if int(cnt) == ci.nf[id] {
-			cs = append(cs, id)
+		if cnt == ci.nf[id] {
+			cs = append(cs, int32(id))
 		}
 	}
-	// A graph with no features can only be the empty graph, which is a
-	// subgraph of everything; include any such indexed graphs.
-	for id, n := range ci.nf {
-		if n == 0 {
-			cs = append(cs, id)
-		}
-	}
-	s.res = sortIDs(cs)
-	return s.res
+	return cs
 }
 
 // SizeBytes approximates the index footprint (trie plus NF table).
 func (ci *ContainmentIndex) SizeBytes() int {
-	return ci.tr.SizeBytes() + 12*len(ci.nf)
+	return ci.tr.SizeBytes() + 4*len(ci.nf)
 }
 
 // LiveDictSizeBytes reports the feature dictionary's footprint counted at

@@ -10,31 +10,26 @@ package core
 // which is exactly the discipline index.Mutable methods and iGQ's cache
 // maintenance already follow.
 
-import (
-	"maps"
-
-	"repro/internal/trie"
-)
+import "repro/internal/trie"
 
 // NewMutation stages a copy-on-write mutation against the index's trie.
 // Stage appended graphs' features and swap-removal steps exactly as for
 // the subgraph tries, then ApplyMutation with the matching NF table.
 func (ci *ContainmentIndex) NewMutation() *trie.Mutation { return ci.tr.NewMutation() }
 
-// NFTable returns a private copy of the NF table with growth room for
-// extra more graphs — the starting point for a mutation's NF bookkeeping:
-// appended graphs add their distinct-feature counts, swap-removals re-home
-// the last position's count into the vacated slot.
-func (ci *ContainmentIndex) NFTable(extra int) map[int32]int {
-	nf := make(map[int32]int, len(ci.nf)+extra)
-	maps.Copy(nf, ci.nf)
-	return nf
+// NFTable returns a private copy of the NF table, indexed by graph id, with
+// growth room for extra more graphs — the starting point for a mutation's NF
+// bookkeeping: appended graphs append their distinct-feature counts,
+// swap-removals re-home the last position's count into the vacated slot and
+// drop the last.
+func (ci *ContainmentIndex) NFTable(extra int) []int32 {
+	return append(make([]int32, 0, len(ci.nf)+extra), ci.nf...)
 }
 
 // ApplyMutation builds the post-mutation index: mut.Apply()'s trie plus nf
 // as the new NF table. Unaffected shards, posting containers and byte-trie
 // subtrees are shared with the receiver, which remains valid and
 // immutable. Cost is O(staged features), independent of the dataset size.
-func (ci *ContainmentIndex) ApplyMutation(mut *trie.Mutation, nf map[int32]int) *ContainmentIndex {
+func (ci *ContainmentIndex) ApplyMutation(mut *trie.Mutation, nf []int32) *ContainmentIndex {
 	return newContainmentIndex(ci.maxPathLen, mut.Apply(), nf)
 }

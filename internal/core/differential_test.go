@@ -37,9 +37,9 @@ func (x *superRefMethod) Filter(q *graph.Graph) []int32 { return x.ci.CandidateS
 func (x *superRefMethod) Verify(q *graph.Graph, id int32) bool {
 	return iso.Subgraph(x.db[id], q)
 }
-func (x *superRefMethod) SizeBytes() int                 { return x.ci.SizeBytes() }
-func (x *superRefMethod) FeatureDict() *features.Dict    { return x.ci.Dict() }
-func (x *superRefMethod) FeatureMaxPathLen() int         { return x.ci.MaxPathLen() }
+func (x *superRefMethod) SizeBytes() int              { return x.ci.SizeBytes() }
+func (x *superRefMethod) FeatureDict() *features.Dict { return x.ci.Dict() }
+func (x *superRefMethod) FeatureMaxPathLen() int      { return x.ci.MaxPathLen() }
 func (x *superRefMethod) FilterByFeatureCounts(qf features.IDSet) []int32 {
 	return x.ci.CandidatesFromIDSet(qf)
 }
@@ -63,52 +63,53 @@ func refOutcome(q *IGQ, g *graph.Graph) (answer []int32, subHits, superHits, fin
 	qCounts := refFeatures(g, maxLen)
 	qfp := graph.Fingerprint(g)
 
-	entryFeats := make(map[int32]map[string]int, len(q.snap.Load().entries))
-	for _, e := range q.snap.Load().entries {
-		entryFeats[e.id] = refFeatures(e.g, maxLen)
+	// Entries are named by their position in the snapshot, in admission
+	// order, as the cache-side index names them.
+	entries := q.snap.Load().entries
+	entryFeats := make([]map[string]int, len(entries))
+	for pos, e := range entries {
+		entryFeats[pos] = refFeatures(e.g, maxLen)
 	}
 
 	// Candidate generation, seed-style: brute-force count comparisons.
 	var subCands, superCands []int32
 	if !q.opt.DisableSub {
-		for _, e := range q.snap.Load().entries {
+		for pos := range entries {
 			ok := true
 			for f, need := range qCounts {
-				if entryFeats[e.id][f] < need {
+				if entryFeats[pos][f] < need {
 					ok = false
 					break
 				}
 			}
 			if ok {
-				subCands = append(subCands, e.id)
+				subCands = append(subCands, int32(pos))
 			}
 		}
 	}
 	if !q.opt.DisableSuper {
-		for _, e := range q.snap.Load().entries {
+		for pos := range entries {
 			ok := true
-			for f, o := range entryFeats[e.id] {
+			for f, o := range entryFeats[pos] {
 				if qCounts[f] < o {
 					ok = false
 					break
 				}
 			}
 			if ok {
-				superCands = append(superCands, e.id)
+				superCands = append(superCands, int32(pos))
 			}
 		}
 	}
-	sortIDs(subCands)
-	sortIDs(superCands)
 
 	cs := normalizeIDs(q.m.Filter(g))
 
 	nv, ne := g.NumVertices(), g.NumEdges()
 	sameSize := func(e *entry) bool { return e.g.NumVertices() == nv && e.g.NumEdges() == ne }
 
-	for _, id := range index.UnionSorted(subCands, superCands) {
-		e := q.snap.Load().byID[id]
-		if sameSize(e) && e.fp == qfp && subgraphTest(g, e.g) {
+	for _, pos := range index.UnionSorted(subCands, superCands) {
+		e := entries[pos]
+		if sameSize(e) && e.fp == qfp && iso.Reference(g, e.g) {
 			if len(e.answer) > 0 {
 				answer = append([]int32(nil), e.answer...)
 			}
@@ -118,21 +119,21 @@ func refOutcome(q *IGQ, g *graph.Graph) (answer []int32, subHits, superHits, fin
 
 	subIsUnion := q.opt.Mode == SubgraphQueries
 	var subEntries, superEntries []*entry
-	for _, id := range subCands {
-		e := q.snap.Load().byID[id]
+	for _, pos := range subCands {
+		e := entries[pos]
 		if sameSize(e) || (subIsUnion && len(e.answer) == 0) {
 			continue
 		}
-		if subgraphTest(g, e.g) {
+		if iso.Reference(g, e.g) {
 			subEntries = append(subEntries, e)
 		}
 	}
-	for _, id := range superCands {
-		e := q.snap.Load().byID[id]
+	for _, pos := range superCands {
+		e := entries[pos]
 		if sameSize(e) || (!subIsUnion && len(e.answer) == 0) {
 			continue
 		}
-		if subgraphTest(e.g, g) {
+		if iso.Reference(e.g, g) {
 			superEntries = append(superEntries, e)
 		}
 	}

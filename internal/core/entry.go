@@ -5,11 +5,16 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"repro/internal/features"
 	"repro/internal/graph"
+	"repro/internal/iso"
 )
 
 // entry is one cached query graph with its answer set and the replacement-
-// policy metadata of the paper's §5.1.
+// policy metadata of the paper's §5.1, and the owner of everything derived
+// from the query graph: its compiled matching program and its interned
+// features are worked out once in the entry's lifetime, so that a flush
+// re-derives nothing about a graph the cache already holds.
 //
 // The metadata fields (hits, removed, logCost) are per-entry atomic credit
 // cells: queries fold their buffered §5.1 credits into them lock-free at
@@ -20,10 +25,18 @@ import (
 // torn read across *different* entries still yields a valid utility
 // ranking of some interleaving.
 type entry struct {
-	id     int32        // stable slot id used by the cache-side indexes
+	id     int32        // admission number: snapshot.entries is ascending in it
 	g      *graph.Graph // the query graph (Igraphs store)
 	answer []int32      // Answer(G): sorted dataset graph ids
 	fp     uint64       // structural fingerprint for fast identical checks
+	prog   *iso.Program // g compiled, for every cache-side test with g as the pattern
+
+	// feats is g's path features under the cache's dictionary — the admitting
+	// query's own enumeration when that was complete, otherwise nil until the
+	// entry's first flush enumerates it (buildCacheIndex). Never mutated once
+	// set; RebuildIndexes drops it when a dictionary reset voids the ids.
+	// Touched only under IGQ.mu or by the one flush building over the entry.
+	feats []features.IDCount
 
 	insertedAt int64         // query sequence number at insertion (defines M(g))
 	hits       atomic.Int64  // H(g): times found as sub/supergraph of a query
@@ -55,6 +68,7 @@ func newEntry(id int32, g *graph.Graph, answer []int32, seq int64) *entry {
 		g:          g,
 		answer:     append([]int32(nil), answer...),
 		fp:         graph.Fingerprint(g),
+		prog:       iso.Compile(g),
 		insertedAt: seq,
 	}
 	e.logCost.Store(math.Float64bits(math.Inf(-1)))
@@ -63,15 +77,18 @@ func newEntry(id int32, g *graph.Graph, answer []int32, seq int64) *entry {
 
 // withAnswer returns a copy of e carrying a different answer set — the
 // copy-on-write step of dataset-mutation patching. Metadata (hits,
-// removed, logCost) carries over by value; the graph and fingerprint are
-// shared (the cached query itself is untouched by dataset mutation). The
-// base memo does not carry over: it describes the previous generation.
+// removed, logCost) carries over by value; the graph, its fingerprint,
+// program and features are shared (the cached query itself is untouched by
+// dataset mutation). The base memo does not carry over: it describes the
+// previous generation.
 func (e *entry) withAnswer(answer []int32) *entry {
 	ne := &entry{
 		id:         e.id,
 		g:          e.g,
 		answer:     answer,
 		fp:         e.fp,
+		prog:       e.prog,
+		feats:      e.feats,
 		insertedAt: e.insertedAt,
 	}
 	ne.hits.Store(e.hits.Load())
@@ -80,10 +97,16 @@ func (e *entry) withAnswer(answer []int32) *entry {
 	return ne
 }
 
-// sizeBytes approximates the entry's footprint: graph, answer set, metadata
-// and, once taken, the base memo.
+// sameSize reports whether the cached graph has g's vertex and edge counts,
+// which turns containment either way into isomorphism.
+func (e *entry) sameSize(g *graph.Graph) bool {
+	return e.g.NumVertices() == g.NumVertices() && e.g.NumEdges() == g.NumEdges()
+}
+
+// sizeBytes approximates the entry's footprint: graph, program, features,
+// answer set, metadata and, once taken, the base memo. Caller holds IGQ.mu.
 func (e *entry) sizeBytes() int {
-	sz := e.g.SizeBytes() + 4*len(e.answer) + 64
+	sz := e.g.SizeBytes() + e.prog.SizeBytes() + 8*len(e.feats) + 4*len(e.answer) + 96
 	if e.base.Load() != nil {
 		sz += 24
 	}

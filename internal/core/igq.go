@@ -32,22 +32,25 @@
 //
 // Query, QueryCtx and QueryNoAdmit are safe for concurrent use from any
 // number of goroutines. The hot path is lookup-only: each call loads one
-// immutable cache snapshot (entries, Isub, Isuper) via an atomic pointer
-// and runs filtering, cache probes and verification against it without
-// locks. Per-query credit (§5.1 metadata) and window admission are
-// accumulated in a per-call buffer and applied to the shared metadata under
-// a short mutex at the end of the call; window flushes — which rebuild the
-// cache-side indexes and install a fresh snapshot with a pointer swap — are
+// immutable cache snapshot (entries and the index over their features that
+// serves as both Isub and Isuper) via an atomic pointer and runs filtering,
+// cache probes and verification against it without locks. Per-query credit
+// (§5.1 metadata) and window admission are accumulated in a per-call buffer
+// and applied to the shared metadata under a short mutex at the end of the
+// call; window flushes — which rebuild the
+// cache-side index and install a fresh snapshot with a pointer swap — are
 // the only full serialization points (and with AsyncMaintenance even the
 // rebuild happens off the caller's goroutine, exactly the paper's §5.2
-// shadow index). Any consistent snapshot yields correct answers (Theorems
-// 1 and 2), so readers never wait for writers. See README.md.
+// shadow index). A cached query owns what is derived from it — its features
+// and its compiled matching program, each worked out once — so a flush only
+// re-sorts postings it already has: its cost follows the window, not the
+// cache. Any consistent snapshot yields correct answers (Theorems 1 and 2),
+// so readers never wait for writers. See README.md.
 package core
 
 import (
 	"context"
 	"math"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -57,7 +60,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/index"
 	"repro/internal/iso"
-	"repro/internal/trie"
 )
 
 // Mode selects which query semantics the wrapped method M implements.
@@ -107,20 +109,17 @@ type Options struct {
 	Eviction EvictionPolicy
 	// AsyncMaintenance enables the paper's §5.2 shadow-index scheme
 	// verbatim: after a window flush the replacement decision is taken
-	// immediately, but the new Isub/Isuper are built in the background
+	// immediately, but the new cache-side index is built in the background
 	// while incoming queries keep being served by the previous index
 	// ("When the shadow indexing is over, Ishadow replaces I with a
 	// pointer swap"). Off by default so experiment counters stay
 	// deterministic; correctness holds either way, since any consistent
 	// cache snapshot yields correct answers.
 	AsyncMaintenance bool
-	// Shards is the postings shard count of the cache-side Isub/Isuper
-	// tries (rounded up to a power of two; 0 = trie.DefaultShards()).
+	// Shards has no effect: the cache-side index is one flat array, not a
+	// sharded trie. The field remains only because the benchmark harness sets
+	// it and goes with that harness's next revision (ROADMAP).
 	Shards int
-	// BuildWorkers is the parallelism of cache-side index (re)builds —
-	// window flushes and §5.2 shadow builds (0 = GOMAXPROCS). Any worker
-	// count yields the same indexes and the same answers.
-	BuildWorkers int
 	// PanicHandler, when set, is invoked with the recovered value and the
 	// goroutine stack if an asynchronous shadow-index build panics. The
 	// panic is contained: the previous snapshot keeps serving and the next
@@ -157,9 +156,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxPathLen <= 0 {
 		o.MaxPathLen = 4
 	}
-	if o.BuildWorkers <= 0 {
-		o.BuildWorkers = runtime.GOMAXPROCS(0)
-	}
 	return o
 }
 
@@ -192,9 +188,12 @@ type Outcome struct {
 }
 
 // snapshot is one immutable generation of the cache's read state: the
-// dataset and method generation being answered over, the committed
-// entries, the id lookup table, and the two cache-side indexes built over
-// exactly those entries. A snapshot is never mutated after it is
+// dataset and method generation being answered over, the committed entries
+// in ascending admission order, the fingerprint table, and the cache-side
+// index built over exactly those entries, which names them by their position
+// in the slice. Position order is therefore hit order, and hit order decides
+// which entry is credited with a candidate several could have pruned, so it
+// must not change. A snapshot is never mutated after it is
 // installed; flushes build a new one and swap the pointer (the paper's
 // "Ishadow replaces I with a pointer swap"), and dataset mutations
 // (DatasetAppended/DatasetRemoved) install a generation whose db, m and
@@ -208,18 +207,15 @@ type snapshot struct {
 	m       index.Method
 	dbGen   int64 // dataset generation: bumped by each mutation, kept by flushes
 	entries []*entry
-	byID    map[int32]*entry    // slot id → entry, for the Isub/Isuper candidates
 	byFP    map[uint64][]*entry // structural fingerprint → entries, for the identical probe
-	isub    *subIndex
-	isuper  *ContainmentIndex
+	index   *cacheIndex         // Isub and Isuper over entries, by position
 }
 
-// newSnapshot assembles a snapshot over entries, deriving both lookup tables.
-func newSnapshot(db []*graph.Graph, m index.Method, dbGen int64, entries []*entry, isub *subIndex, isuper *ContainmentIndex) *snapshot {
-	s := &snapshot{db: db, m: m, dbGen: dbGen, entries: entries, isub: isub, isuper: isuper,
-		byID: make(map[int32]*entry, len(entries)), byFP: make(map[uint64][]*entry, len(entries))}
+// newSnapshot assembles a snapshot over entries and the index built over them.
+func newSnapshot(db []*graph.Graph, m index.Method, dbGen int64, entries []*entry, ix *cacheIndex) *snapshot {
+	s := &snapshot{db: db, m: m, dbGen: dbGen, entries: entries, index: ix,
+		byFP: make(map[uint64][]*entry, len(entries))}
 	for _, e := range entries {
-		s.byID[e.id] = e
 		s.byFP[e.fp] = append(s.byFP[e.fp], e)
 	}
 	return s
@@ -251,7 +247,7 @@ type IGQ struct {
 	methodDict bool // dict is the method's: its filter understands our IDs
 
 	// scratches is a bounded free list of per-call buffers (feature
-	// enumeration, count-filter state, Algorithm 2 state, pending credits):
+	// enumeration, cache lookup state, pending credits):
 	// each in-flight query owns one exclusively, and at steady state the
 	// list holds one warm scratch per degree of actual concurrency. A plain
 	// free list rather than a sync.Pool because pools are emptied by the GC,
@@ -263,10 +259,12 @@ type IGQ struct {
 
 // queryScratch is the reusable per-call state of one Query.
 type queryScratch struct {
-	feat    *features.Scratch
-	sub     *index.CountFilterScratch
-	super   *ciScratch
-	credits []pendingCredit
+	feat                 *features.Scratch
+	ge, le               []int32     // cacheIndex.candidates: per-position counters
+	subCands, superCands []int32     // its results
+	subHits, superHits   []*entry    // cacheLookup's results
+	prog                 iso.Program // the query compiled, for the sub-side tests
+	credits              []pendingCredit
 }
 
 // pendingCredit is one entry's deferred §5.1 metadata update: computed
@@ -301,7 +299,7 @@ func New(m index.Method, db []*graph.Graph, opt Options) *IGQ {
 	} else {
 		q.dict = features.NewDict()
 	}
-	q.installEntries(nil, m, db, 0)
+	q.snap.Store(q.buildSnapshot(db, m, 0, nil))
 	return q
 }
 
@@ -321,20 +319,16 @@ func (q *IGQ) getScratch() *queryScratch {
 		return sc
 	}
 	q.scratchMu.Unlock()
-	return &queryScratch{
-		feat:  features.NewScratch(),
-		sub:   &index.CountFilterScratch{},
-		super: &ciScratch{feat: features.NewScratch(), matched: make(map[int32]int32)},
-	}
+	return &queryScratch{feat: features.NewScratch()}
 }
 
 // putScratch returns a scratch to the free list (dropped if full). The
-// credit buffer is cleared so an idle scratch does not pin cache entries
-// (and their cloned graphs and answer sets) past eviction.
+// credit and hit buffers are cleared so an idle scratch does not pin cache
+// entries (and their cloned graphs and answer sets) past eviction.
 func (q *IGQ) putScratch(sc *queryScratch) {
-	for i := range sc.credits {
-		sc.credits[i].e = nil
-	}
+	clear(sc.credits)
+	clear(sc.subHits)
+	clear(sc.superHits)
 	sc.credits = sc.credits[:0]
 	q.scratchMu.Lock()
 	if len(q.scratches) < scratchKeep {
@@ -374,36 +368,32 @@ func (q *IGQ) CacheSize() int { return q.opt.CacheSize }
 // WindowSize returns the configured batch window W.
 func (q *IGQ) WindowSize() int { return q.opt.Window }
 
-// SizeBytes reports the iGQ space overhead: both cache-side indexes, the
-// stored query graphs, their answer sets, metadata and base memos, and the
-// snapshot's fingerprint table (paper Fig 18). The feature dictionary is
-// counted only when iGQ owns a private one — when the wrapped method shares
-// its dictionary (index.DictProvider), the method's SizeBytes already
-// accounts for it.
+// SizeBytes reports the iGQ space overhead: the cache-side index, the stored
+// query graphs with their programs and features, their answer sets, metadata
+// and base memos, and the snapshot's fingerprint table (paper Fig 18). The
+// feature dictionary is counted only when iGQ owns a private one — when the
+// wrapped method shares its dictionary (index.DictProvider), the method's
+// SizeBytes already accounts for it.
 func (q *IGQ) SizeBytes() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	snap := q.snap.Load()
-	sz := snap.isub.SizeBytes() + snap.isuper.SizeBytes()
+	sz := snap.index.SizeBytes()
 	if !q.methodDict {
 		sz += q.dict.SizeBytes()
 	}
 	for _, e := range snap.entries {
 		sz += e.sizeBytes() + byFPEntryBytes
 	}
-	q.mu.Lock()
 	for _, e := range q.window {
 		sz += e.sizeBytes()
 	}
-	q.mu.Unlock()
 	return sz
 }
 
 // byFPEntryBytes approximates one entry's share of snapshot.byFP: the key,
 // a one-element bucket (slice header + pointer) and the map's bookkeeping.
 const byFPEntryBytes = 8 + 24 + 8 + 8
-
-// subgraphTest is the cache-side isomorphism test (small graphs, each pair
-// met once per lookup: the pattern is compiled per test, not kept).
-func subgraphTest(p, t *graph.Graph) bool { return iso.Subgraph(p, t) }
 
 // Query processes one query through the full iGQ pipeline of Fig 6 and
 // returns its outcome. The final answer is exactly what M alone would have
@@ -491,7 +481,7 @@ func (q *IGQ) run(ctx context.Context, g *graph.Graph, admit bool) (*Outcome, er
 			out.Short = EmptyAnswerHit
 			out.Answer = nil
 			q.pendCredit(sc, snap.db, e, g.NumVertices(), cs)
-			q.commit(sc, snap, g, qfp, nil, cs, admit)
+			q.commit(sc, snap, g, qf, nil, cs, admit)
 			return out, nil
 		}
 	}
@@ -533,20 +523,19 @@ func (q *IGQ) run(ctx context.Context, g *graph.Graph, admit bool) (*Outcome, er
 	}
 	out.Answer = answer
 
-	q.commit(sc, snap, g, qfp, answer, cs, admit)
+	q.commit(sc, snap, g, qf, answer, cs, admit)
 	return out, nil
 }
 
 // identical returns the committed entry isomorphic to g, if any (§4.3's
 // "easily recognized" case): entries sharing g's structural fingerprint and
 // its vertex and edge counts are tested, at one cache-side isomorphism test
-// each.
+// each (containment between graphs of one size is isomorphism).
 func (s *snapshot) identical(g *graph.Graph, qfp uint64, out *Outcome) *entry {
-	nv, ne := g.NumVertices(), g.NumEdges()
 	for _, e := range s.byFP[qfp] {
-		if e.g.NumVertices() == nv && e.g.NumEdges() == ne {
+		if e.sameSize(g) {
 			out.CacheIsoTests++
-			if subgraphTest(g, e.g) {
+			if e.prog.Match(g) {
 				return e
 			}
 		}
@@ -583,45 +572,45 @@ func (q *IGQ) baseCandidates(snap *snapshot, g *graph.Graph, sc *queryScratch, o
 }
 
 // cacheLookup finds and verifies the Isub and Isuper hits for a query g
-// that is not identical to any committed entry. Candidates of g's own size
-// are skipped untested: equal sizes + containment ⇒ isomorphism, which the
-// identical probe has already ruled out.
+// that is not identical to any committed entry, in ascending admission
+// order. Candidates of g's own size are skipped untested: equal sizes +
+// containment ⇒ isomorphism, which the identical probe has already ruled
+// out. Every test runs a compiled pattern: the entry's own program on the
+// super side, and on the sub side g, compiled into the scratch when the
+// first candidate gets that far. The results alias sc.
 func (q *IGQ) cacheLookup(snap *snapshot, g *graph.Graph, qf features.IDSet, sc *queryScratch, out *Outcome) (subHits, superHits []*entry) {
-	var subCands, superCands []int32
-	if !q.opt.DisableSub {
-		subCands = snap.isub.candidates(qf, sc.sub)
-	}
-	if !q.opt.DisableSuper {
-		superCands = snap.isuper.candidatesFromIDs(qf, sc.super)
-	}
-	nv, ne := g.NumVertices(), g.NumEdges()
-	sameSize := func(e *entry) bool {
-		return e.g.NumVertices() == nv && e.g.NumEdges() == ne
-	}
+	subCands, superCands := snap.index.candidates(qf, sc, !q.opt.DisableSub, !q.opt.DisableSuper)
 	// union-side entries with empty answers neither prune nor contribute
 	// answers, so their verification is skipped; intersect-side empties are
 	// maximally useful (the §4.3 empty-answer short-circuit) and are kept.
 	subIsUnion := q.opt.Mode == SubgraphQueries
-	for _, id := range subCands {
-		e := snap.byID[id]
-		if sameSize(e) || (subIsUnion && len(e.answer) == 0) {
+	subHits, superHits = sc.subHits[:0], sc.superHits[:0]
+	compiled := false
+	for _, pos := range subCands {
+		e := snap.entries[pos]
+		if e.sameSize(g) || (subIsUnion && len(e.answer) == 0) {
 			continue
 		}
+		if !compiled {
+			sc.prog.Recompile(g)
+			compiled = true
+		}
 		out.CacheIsoTests++
-		if subgraphTest(g, e.g) {
+		if sc.prog.Match(e.g) {
 			subHits = append(subHits, e)
 		}
 	}
-	for _, id := range superCands {
-		e := snap.byID[id]
-		if sameSize(e) || (!subIsUnion && len(e.answer) == 0) {
+	for _, pos := range superCands {
+		e := snap.entries[pos]
+		if e.sameSize(g) || (!subIsUnion && len(e.answer) == 0) {
 			continue
 		}
 		out.CacheIsoTests++
-		if subgraphTest(e.g, g) {
+		if e.prog.Match(g) {
 			superHits = append(superHits, e)
 		}
 	}
+	sc.subHits, sc.superHits = subHits, superHits
 	return subHits, superHits
 }
 
@@ -652,9 +641,13 @@ func (q *IGQ) newBaseMemo(snap *snapshot, queryNodes int, cs []int32) *baseMemo 
 // the per-entry atomic credit cells lock-free — a pure cache hit never
 // touches the metadata mutex at all, so the commit path scales with the
 // number of cores. Only admission (a structural write: window append,
-// possible flush) still takes q.mu; the admitted entry carries the base
-// memo of cs, the query's own CS(g), so that its first identical hit
-// already skips the filter.
+// possible flush) still takes q.mu. The entry is made before the lock is
+// taken, from what the query already worked out: the base memo of cs, its
+// own CS(g), so that its first identical hit already skips the filter, and
+// its enumeration qf as the entry's features — unless a feature was unknown
+// to the dictionary (always possible with a private one, which only flushes
+// grow), in which case qf is incomplete and the entry's first flush
+// enumerates it, interning.
 //
 // snap is the snapshot the query ran against. If a dataset mutation
 // committed while the query was in flight, its answer references the *old*
@@ -662,55 +655,60 @@ func (q *IGQ) newBaseMemo(snap *snapshot, queryNodes int, cs []int32) *baseMemo 
 // plant stale knowledge the mutation's cache patch never saw. The credits
 // still apply where their entries survive (metadata heuristics, not
 // answers); credits against superseded entry clones are simply lost.
-func (q *IGQ) commit(sc *queryScratch, snap *snapshot, g *graph.Graph, qfp uint64, answer, cs []int32, admit bool) {
+func (q *IGQ) commit(sc *queryScratch, snap *snapshot, g *graph.Graph, qf features.IDSet, answer, cs []int32, admit bool) {
 	for _, c := range sc.credits {
 		c.e.applyCredit(c.removed, c.logCost)
 	}
 	if !admit {
 		return
 	}
-	base := q.newBaseMemo(snap, g.NumVertices(), cs)
+	e := newEntry(0, g.Clone(), answer, 0)
+	e.base.Store(q.newBaseMemo(snap, g.NumVertices(), cs))
+	if qf.Unknown == 0 {
+		e.feats = append([]features.IDCount{}, qf.Counts...)
+	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.snap.Load().dbGen == snap.dbGen {
-		q.admitLocked(g, qfp, answer, base)
+		q.admitLocked(e)
 	}
 }
 
-// admitLocked stores the executed query and its answer in the batch window
-// (Itemp), flushing when W queries have accumulated. Exact duplicates of a
+// admitLocked stores an executed query's entry in the batch window (Itemp)
+// under the next admission number, flushing when W queries have
+// accumulated. Exact duplicates of a
 // window member or of a committed entry are skipped (an identical *cached*
 // query normally short-circuits before admission, but two concurrent first
 // sightings of the same query both miss the pre-admission snapshot; the
 // duplicate is caught here, under the lock — best-effort while an async
 // shadow build is in flight, since its entries are in neither set yet, and
 // answer-correctness never depends on dedup). Caller holds q.mu.
-func (q *IGQ) admitLocked(g *graph.Graph, fp uint64, answer []int32, base *baseMemo) {
+func (q *IGQ) admitLocked(ne *entry) {
 	for _, e := range q.window {
-		if e.fp == fp && iso.Isomorphic(e.g, g) {
+		if e.fp == ne.fp && e.sameSize(ne.g) && e.prog.Match(ne.g) {
 			return
 		}
 	}
-	for _, e := range q.snap.Load().byFP[fp] {
-		if iso.Isomorphic(e.g, g) {
+	for _, e := range q.snap.Load().byFP[ne.fp] {
+		if e.sameSize(ne.g) && e.prog.Match(ne.g) {
 			return
 		}
 	}
-	e := newEntry(q.nextID, g.Clone(), answer, q.seq.Load())
-	e.base.Store(base)
+	ne.id, ne.insertedAt = q.nextID, q.seq.Load()
 	q.nextID++
-	q.window = append(q.window, e)
+	q.window = append(q.window, ne)
 	if len(q.window) >= q.opt.Window {
 		q.flushLocked()
 	}
 }
 
 // flushLocked applies the replacement policy (§5.1) and rebuilds the
-// cache-side indexes (§5.2's shadow index), installing the result as a new
-// snapshot. Synchronous by default — the flush is the pipeline's one full
-// serialization point; with AsyncMaintenance the expensive index build runs
-// in the background and queries keep being served by the previous snapshot
-// until the builder swaps the pointer. Caller holds q.mu.
+// cache-side index (§5.2's shadow index) over the surviving and the new
+// entries' own features, installing the result as a new snapshot.
+// Synchronous by default — the flush is the pipeline's one full
+// serialization point; with AsyncMaintenance the index build runs in the
+// background and queries keep being served by the previous snapshot until
+// the builder swaps the pointer. Caller holds q.mu.
 func (q *IGQ) flushLocked() {
 	q.waitShadowLocked() // at most one shadow build in flight
 	if len(q.window) == 0 {
@@ -745,8 +743,7 @@ func (q *IGQ) flushLocked() {
 					}
 				}
 			}()
-			isub, isuper := buildIndexes(q.dict, newEntries, q.opt)
-			shadow := newSnapshot(cur.db, cur.m, cur.dbGen, newEntries, isub, isuper)
+			shadow := q.buildSnapshot(cur.db, cur.m, cur.dbGen, newEntries)
 			q.mu.Lock()
 			q.snap.Store(shadow)
 			if q.shadowDone == done {
@@ -756,8 +753,7 @@ func (q *IGQ) flushLocked() {
 		}()
 		return
 	}
-	isub, isuper := buildIndexes(q.dict, newEntries, q.opt)
-	q.snap.Store(newSnapshot(cur.db, cur.m, cur.dbGen, newEntries, isub, isuper))
+	q.snap.Store(q.buildSnapshot(cur.db, cur.m, cur.dbGen, newEntries))
 }
 
 // planFlushLocked computes the post-flush entry set without touching the
@@ -856,80 +852,36 @@ func (q *IGQ) victimOrder(entries []*entry) []*entry {
 	}
 }
 
-// RebuildIndexes rebuilds the cache-side Isub/Isuper over the current
-// committed entries and installs them as a fresh snapshot. Required after
-// the wrapped method's index is replaced via index.Persistable.LoadIndex:
-// loading resets the shared feature dictionary, so postings keyed by the
-// old FeatureIDs would probe garbage. Takes the metadata mutex (waiting out
-// any in-flight shadow build); concurrent queries finish on the snapshot
-// they started with, exactly as with a window flush.
+// RebuildIndexes re-derives the features of every cached query — committed
+// and pending — and installs a cache-side index rebuilt over them as a
+// fresh snapshot. Required after the wrapped method's index is replaced via
+// index.Persistable.LoadIndex: loading resets the shared feature
+// dictionary, which voids every FeatureID the entries own. Takes the
+// metadata mutex (waiting out any in-flight shadow build); concurrent
+// queries finish on the snapshot they started with, exactly as with a
+// window flush.
 func (q *IGQ) RebuildIndexes() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.waitShadowLocked()
 	cur := q.snap.Load()
+	for _, e := range cur.entries {
+		e.feats = nil
+	}
+	for _, e := range q.window {
+		e.feats = nil
+	}
 	// A new generation: the replaced index may filter differently (a loaded
 	// snapshot brings its own feature length), so base memos taken over the
-	// old one must not be trusted.
-	q.installEntries(cur.entries, cur.m, cur.db, cur.dbGen+1)
+	// old one must not be trusted — and a query in flight across the reset
+	// must not admit features enumerated under the old dictionary.
+	q.snap.Store(q.buildSnapshot(cur.db, cur.m, cur.dbGen+1, cur.entries))
 }
 
-// installEntries builds fresh cache-side indexes over entries and installs
-// them as the served snapshot over generation dbGen of (m, db) —
-// construction, Load and rebuild time.
-func (q *IGQ) installEntries(entries []*entry, m index.Method, db []*graph.Graph, dbGen int64) {
-	isub, isuper := buildIndexes(q.dict, entries, q.opt)
-	q.snap.Store(newSnapshot(db, m, dbGen, entries, isub, isuper))
-}
-
-// buildIndexes constructs fresh Isub/Isuper over an entry set; one
-// (interning) feature enumeration per cached graph feeds both indexes.
-// With opt.BuildWorkers > 1 the enumeration fans out: each worker claims
-// entries, interns their features and stages the postings into private
-// per-shard buffers of both sharded tries; the per-shard merges run after
-// the workers join, so the build touches no postings lock and produces the
-// same indexes at any worker count. Pure apart from dictionary growth —
-// the dictionary serialises interning against concurrent lookups, so this
-// can run as the §5.2 background shadow build while queries keep probing
-// the previous indexes.
-func buildIndexes(dict *features.Dict, entries []*entry, opt Options) (*subIndex, *ContainmentIndex) {
-	isub := newSubIndex(dict, opt.Shards)
-	ci := NewContainmentIndexSharded(opt.MaxPathLen, dict, opt.Shards)
-	popt := features.PathOptions{MaxLen: opt.MaxPathLen}
-	workers := min(opt.BuildWorkers, len(entries))
-	if workers <= 1 {
-		scratch := features.NewScratch()
-		for _, e := range entries {
-			qf := features.PathsID(e.g, popt, dict, scratch, true)
-			isub.add(e.id, qf)
-			ci.AddFromIDCounts(e.id, qf)
-		}
-		isub.finish()
-		return isub, ci
-	}
-	sb := isub.tr.NewBuilder(workers)
-	cb := ci.tr.NewBuilder(workers)
-	nfs := make([]int, len(entries)) // per-entry distinct-feature counts
-	trie.ParallelFor(len(entries), workers, func(w int, claim func() int) {
-		sw, cw := sb.Worker(w), cb.Worker(w)
-		scratch := features.NewScratch()
-		for i := claim(); i >= 0; i = claim() {
-			e := entries[i]
-			qf := features.PathsID(e.g, popt, dict, scratch, true)
-			nfs[i] = len(qf.Counts)
-			for _, fc := range qf.Counts {
-				p := trie.Posting{Graph: e.id, Count: fc.Count}
-				sw.InsertID(fc.ID, p)
-				cw.InsertID(fc.ID, p)
-			}
-		}
-	})
-	sb.Merge()
-	cb.Merge()
-	for i, e := range entries {
-		isub.ids = append(isub.ids, e.id)
-		ci.nf[e.id] = nfs[i]
-	}
-	isub.finish()
-	return isub, ci
+// buildSnapshot builds the cache-side index over entries — enumerating those
+// that do not own their features yet — and assembles the snapshot serving
+// them over generation dbGen of (m, db): the one path of construction,
+// flush, shadow build, Load and RebuildIndexes.
+func (q *IGQ) buildSnapshot(db []*graph.Graph, m index.Method, dbGen int64, entries []*entry) *snapshot {
+	return newSnapshot(db, m, dbGen, entries, buildCacheIndex(q.dict, entries, q.opt.MaxPathLen))
 }

@@ -7,8 +7,10 @@ package core
 // keep the cache exact under mutation, at O(delta) cost per entry:
 //
 //   - DatasetAppended extends each cached answer with the appended graphs
-//     that match the cached query — one small-graph isomorphism test per
-//     (entry, new graph), never a re-verification against the old dataset;
+//     that match the cached query — one isomorphism test per (entry, new
+//     graph) on a pattern compiled once (the entry's own program, or in
+//     supergraph mode the new graph's), never a re-verification against the
+//     old dataset;
 //   - DatasetRemoved rewrites each answer through the swap-removal
 //     position mapping (drop removed ids, renumber moved ones) — no
 //     isomorphism tests at all.
@@ -18,9 +20,9 @@ package core
 // keep reading the old generation's entries), patch the pending window in
 // place (window entries are only ever read under the mutex), and install
 // one new snapshot in which the dataset, the method generation and the
-// patched entries change together. The cache-side Isub/Isuper are *reused*:
-// they index the cached query graphs' features, which a dataset mutation
-// does not touch.
+// patched entries change together. The cache-side index is *reused*: it
+// indexes the cached query graphs' features by entry position, and a
+// dataset mutation touches neither.
 //
 // Entry metadata (hits, removed, logCost) carries over by value. A credit
 // computed by a query in flight against the pre-mutation generation may be
@@ -33,6 +35,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/index"
+	"repro/internal/iso"
 )
 
 // DatasetAppended installs the post-append generation (m, db): every
@@ -46,6 +49,13 @@ func (q *IGQ) DatasetAppended(ctx context.Context, m index.Method, db []*graph.G
 	q.waitShadowLocked()
 	cur := q.snap.Load()
 
+	// In supergraph mode the new graphs are the patterns, one program each.
+	var added []*iso.Program
+	if q.opt.Mode == SupergraphQueries {
+		for _, g := range db[oldLen:] {
+			added = append(added, iso.Compile(g))
+		}
+	}
 	matches := func(e *entry) ([]int32, error) {
 		var add []int32
 		for i := oldLen; i < len(db); i++ {
@@ -53,10 +63,10 @@ func (q *IGQ) DatasetAppended(ctx context.Context, m index.Method, db []*graph.G
 				return nil, err
 			}
 			var hit bool
-			if q.opt.Mode == SupergraphQueries {
-				hit = subgraphTest(db[i], e.g)
+			if added != nil {
+				hit = added[i-oldLen].Match(e.g)
 			} else {
-				hit = subgraphTest(e.g, db[i])
+				hit = e.prog.Match(db[i])
 			}
 			if hit {
 				add = append(add, int32(i))
@@ -115,13 +125,13 @@ func (q *IGQ) DatasetRemoved(ctx context.Context, m index.Method, db []*graph.Gr
 }
 
 // installPatched swaps in a snapshot holding the patched entries over the
-// new (m, db) generation, reusing the cache-side indexes (the cached query
-// graphs, their features and their slot ids are unchanged). Caller holds
+// new (m, db) generation, reusing the cache-side index (the cached query
+// graphs, their features and their positions are unchanged). Caller holds
 // q.mu.
 func (q *IGQ) installPatched(cur *snapshot, entries []*entry, m index.Method, db []*graph.Graph) {
 	// Bumping the generation makes commit drop admissions computed by
 	// queries still in flight against the previous generation — their
 	// answers reference superseded dataset positions — and marks every base
 	// memo taken on it as stale.
-	q.snap.Store(newSnapshot(db, m, cur.dbGen+1, entries, cur.isub, cur.isuper))
+	q.snap.Store(newSnapshot(db, m, cur.dbGen+1, entries, cur.index))
 }

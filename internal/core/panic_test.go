@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"testing"
 	"time"
 
 	"repro/internal/index/ggsx"
-	"repro/internal/trie"
 )
 
 // TestShadowBuildPanicContained pins the §5.2 async-build containment
@@ -16,11 +16,10 @@ import (
 // build must not kill the process, must clear the in-flight latch (so
 // later flushes don't block forever), must leave the committed snapshot
 // serving, and must surface through Options.PanicHandler. The poison is a
-// window entry with a nil query graph — a stand-in for a latent bug that
-// only detonates during the rebuild's feature enumeration. BuildWorkers is
-// forced to 2 so the detonation happens on a trie.ParallelFor worker
-// goroutine at any GOMAXPROCS: the panic has to be carried back to the
-// builder goroutine, whose recover is the only one there is.
+// window entry with a nil query graph and no features of its own — a
+// stand-in for a latent bug that only detonates when the build enumerates
+// the entry. The build runs on the builder goroutine alone, so the panic
+// arrives there directly, with the stack of the panic site.
 func TestShadowBuildPanicContained(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := buildDB(rng, 15)
@@ -29,13 +28,10 @@ func TestShadowBuildPanicContained(t *testing.T) {
 
 	panics := make(chan any, 1)
 	ig := New(m, db, Options{
-		CacheSize: 10, Window: 3, AsyncMaintenance: true, BuildWorkers: 2,
+		CacheSize: 10, Window: 3, AsyncMaintenance: true,
 		PanicHandler: func(r any, stack []byte) {
-			if len(stack) == 0 {
-				t.Error("PanicHandler got an empty stack")
-			}
-			if wp, ok := r.(*trie.WorkerPanic); !ok || !bytes.Contains(wp.Stack, []byte("features.PathsID")) {
-				t.Errorf("PanicHandler got %T, want *trie.WorkerPanic carrying the worker's stack", r)
+			if !bytes.Contains(stack, []byte("features.PathsID")) {
+				t.Errorf("PanicHandler's stack does not show the panic site:\n%s", stack)
 			}
 			panics <- r
 		},
@@ -96,16 +92,15 @@ func TestShadowBuildPanicContained(t *testing.T) {
 }
 
 // TestSyncFlushPanicContained is the same poison on the synchronous flush
-// path at build width 2: the panic must arrive on the flushing goroutine —
-// in production the query's, under Engine.Query's recover — as a
-// *trie.WorkerPanic, not kill the process from a worker goroutine; the
-// committed snapshot keeps serving and later flushes proceed.
+// path: the panic must arrive on the flushing goroutine — in production the
+// query's, under Engine.Query's recover; the committed snapshot keeps
+// serving and later flushes proceed.
 func TestSyncFlushPanicContained(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := buildDB(rng, 15)
 	m := ggsx.New(ggsx.DefaultOptions())
 	m.Build(db)
-	ig := New(m, db, Options{CacheSize: 10, Window: 3, BuildWorkers: 2})
+	ig := New(m, db, Options{CacheSize: 10, Window: 3})
 	qs := workload(rng, db, 6)
 	for _, q := range qs {
 		ig.Query(q.Clone())
@@ -114,20 +109,24 @@ func TestSyncFlushPanicContained(t *testing.T) {
 	before := ig.Query(probe.Clone()).Answer
 	flushesBefore := ig.Flushes()
 
+	var stack []byte
 	recovered := func() (r any) {
 		ig.mu.Lock()
 		defer ig.mu.Unlock()
-		defer func() { r = recover() }()
+		defer func() {
+			if r = recover(); r != nil {
+				stack = debug.Stack()
+			}
+		}()
 		ig.window = append(ig.window, &entry{id: 9999}, &entry{id: 9998})
 		ig.flushLocked()
 		return nil
 	}()
-	wp, ok := recovered.(*trie.WorkerPanic)
-	if !ok {
-		t.Fatalf("flushLocked recovered %T (%v), want *trie.WorkerPanic", recovered, recovered)
+	if recovered == nil {
+		t.Fatal("flushLocked over a poisoned entry did not panic on the flushing goroutine")
 	}
-	if !bytes.Contains(wp.Stack, []byte("features.PathsID")) {
-		t.Errorf("WorkerPanic stack does not show the panic site:\n%s", wp.Stack)
+	if !bytes.Contains(stack, []byte("features.PathsID")) {
+		t.Errorf("the recovered stack does not show the panic site:\n%s", stack)
 	}
 
 	if after := ig.Query(probe.Clone()).Answer; !reflect.DeepEqual(after, before) {

@@ -12,8 +12,9 @@ import (
 // Cache persistence: the knowledge iGQ accumulates (query graphs, answer
 // sets, replacement metadata) is expensive to re-earn, so a production
 // deployment wants it to survive restarts. Save/Load serialise the active
-// cache entries with encoding/gob; the cache-side indexes are rebuilt on
-// load (they are derived state, exactly like the paper's shadow rebuild).
+// cache entries with encoding/gob; their programs, features and the
+// cache-side index are derived state and are worked out again on load
+// (exactly like the paper's shadow rebuild).
 //
 // The dataset itself is NOT serialised: answers reference dataset positions,
 // so a snapshot is only valid for the same dataset (guarded by a checksum).
@@ -34,11 +35,9 @@ type wireSnapshot struct {
 	// they are process-local handles; all persisted state is keyed by
 	// canonical strings, never by raw IDs).
 	DictKeys []string
-	// Shards is the postings shard layout of the cache-side indexes
-	// (version ≥ 3), so a snapshot restored on another machine rebuilds
-	// the same store geometry instead of that machine's default. Zero in
-	// v1/v2 snapshots — Load falls back to the default shard count, which
-	// is harmless: sharding never affects observable state.
+	// Shards was the postings shard layout of the cache-side tries
+	// (version 3). The flat index that replaced them has none: written 0,
+	// ignored on load, kept so the wire struct is unchanged.
 	Shards int
 }
 
@@ -89,7 +88,6 @@ func (q *IGQ) Save(w io.Writer) error {
 		Seq:        q.seq.Load(),
 		NextID:     q.nextID,
 		Flushes:    q.flushes,
-		Shards:     cur.isub.tr.ShardCount(), // the layout actually in use
 	}
 	if !q.methodDict {
 		// Only a private dictionary is worth persisting: it round-trips to
@@ -130,13 +128,8 @@ func Load(r io.Reader, m index.Method, db []*graph.Graph, opt Options) (*IGQ, er
 	if snap.DBChecksum != dbChecksum(db) {
 		return nil, fmt.Errorf("core: snapshot belongs to a different dataset")
 	}
-	if opt.Shards == 0 && snap.Shards > 0 {
-		// Version ≥ 3 snapshots carry the shard layout; restore it unless
-		// the caller explicitly re-shards.
-		opt.Shards = snap.Shards
-	}
 	q := New(m, db, opt)
-	// Restore the feature dictionary before rebuilding the indexes: with a
+	// Restore the feature dictionary before rebuilding the index: with a
 	// fresh (unshared) dictionary, interning the saved keys in order
 	// reproduces the exact ID assignment of the saving process. Version-1
 	// snapshots carry no dictionary; the rebuild below re-derives it.
@@ -180,6 +173,6 @@ func Load(r io.Reader, m index.Method, db []*graph.Graph, opt Options) (*IGQ, er
 		}
 		entries = kept
 	}
-	q.installEntries(entries, m, db, 0)
+	q.snap.Store(q.buildSnapshot(db, m, 0, entries))
 	return q, nil
 }

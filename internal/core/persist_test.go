@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -205,5 +206,54 @@ func TestGraphCorruptionRejected(t *testing.T) {
 	}
 	if _, err := Load(&buf, m, db, Options{}); err == nil {
 		t.Error("out-of-range answer id accepted")
+	}
+}
+
+// TestLoadAcceptsV2Snapshot: version 2 snapshots (written before the Shards
+// field existed; it is ignored now) still load, with answers
+// intact.
+func TestLoadAcceptsV2Snapshot(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	db := buildDB(rng, 20)
+	m := ggsx.New(ggsx.DefaultOptions())
+	m.Build(db)
+	ig := New(m, db, Options{CacheSize: 15, Window: 3})
+	queries := workload(rng, db, 30)
+	for _, q := range queries {
+		ig.Query(q)
+	}
+	if ig.CacheLen() == 0 {
+		t.Fatal("nothing cached — test premise broken")
+	}
+
+	// Re-encode the current state as a version-2 snapshot: decode the v3
+	// wire form and strip the fields v2 lacked.
+	var buf bytes.Buffer
+	if err := ig.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap wireSnapshot
+	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.Version = 2
+	snap.Shards = 0
+	var v2 bytes.Buffer
+	if err := gob.NewEncoder(&v2).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+
+	restored, err := Load(&v2, m, db, Options{CacheSize: 15, Window: 3})
+	if err != nil {
+		t.Fatalf("v2 snapshot rejected: %v", err)
+	}
+	if restored.CacheLen() != ig.CacheLen() {
+		t.Fatalf("cache length %d != %d after v2 restore", restored.CacheLen(), ig.CacheLen())
+	}
+	for _, q := range queries[:5] {
+		a, b := ig.Query(q.Clone()), restored.Query(q.Clone())
+		if !reflect.DeepEqual(a.Answer, b.Answer) {
+			t.Fatal("v2-restored cache returns different answers")
+		}
 	}
 }

@@ -51,7 +51,7 @@ func (x *Index) AppendGraphs(gs []*graph.Graph) (index.Mutable, []*graph.Graph, 
 	for i, g := range gs {
 		feats := ggsx.GraphFeatures(features.Paths(g, popt))
 		mut.AppendGraph(start+int32(i), feats)
-		nf[start+int32(i)] = len(feats)
+		nf = append(nf, int32(len(feats)))
 	}
 	newDB := make([]*graph.Graph, 0, len(x.db)+len(gs))
 	newDB = append(newDB, x.db...)
@@ -77,11 +77,8 @@ func (x *Index) RemoveGraphs(positions []int) (index.Mutable, []*graph.Graph, []
 	for _, st := range steps {
 		// NF mirrors the swap: the vacated slot inherits the last
 		// position's count and the last slot disappears.
-		n := nf[st.SwappedFrom]
-		delete(nf, st.SwappedFrom)
-		if st.SwappedFrom != st.Removed {
-			nf[st.Removed] = n
-		}
+		nf[st.Removed] = nf[st.SwappedFrom]
+		nf = nf[:st.SwappedFrom]
 	}
 	nx := &Index{opt: x.opt, db: newDB, ci: x.ci.ApplyMutation(mut, nf)}
 	return nx, newDB, mapping, nil

@@ -175,7 +175,7 @@ func (x *Index) Prepare(q *graph.Graph) index.Verifier {
 // SizeBytes implements index.Method: the path trie plus the feature
 // dictionary it owns (the dictionary is real index footprint — Fig 18
 // under-reports without it; it is counted here, at its owner, not in
-// trie.SizeBytes, because cache-side tries share the same dictionary).
+// trie.SizeBytes, because the cache-side index shares the same dictionary).
 // Counted at the live vocabulary: features retired by removals are
 // bookkeeping residue, not index content, so an incrementally maintained
 // index accounts exactly like a fresh build over the surviving dataset.

@@ -51,6 +51,17 @@ func Compile(p *graph.Graph) *Program {
 	return pr
 }
 
+// Recompile makes pr the program of pattern p, reusing its storage: the
+// allocation-free Compile for a caller that owns one scratch Program and
+// matches one pattern after another. No test may be running pr.
+func (pr *Program) Recompile(p *graph.Graph) { pr.compile(p) }
+
+// SizeBytes approximates the program's footprint.
+func (pr *Program) SizeBytes() int {
+	return 4*(cap(pr.order)+cap(pr.parent)+cap(pr.plabel)+cap(pr.label)+cap(pr.degree)+cap(pr.need)+cap(pr.bstart)+cap(pr.rank)) +
+		8*(cap(pr.back)+cap(pr.labels)) + cap(pr.placed) + 11*24 + 8
+}
+
 // compile (re)fills pr for pattern p, reusing its slices.
 //
 // The order is RI's GreatestConstraintFirst reduced to what a pattern alone

@@ -165,8 +165,6 @@ func (o Options) superOptions() igq.EngineOptions {
 		CacheSize:    e.CacheSize,
 		Window:       e.Window,
 		DisableCache: e.DisableCache,
-		Shards:       e.Shards,
-		BuildWorkers: e.BuildWorkers,
 		Threads:      e.Threads,
 	}
 }
