@@ -878,8 +878,9 @@ func (e *Engine) LoadIndex(r io.Reader) (LoadReport, error) {
 
 // AddGraphs appends graphs to the engine's dataset, maintaining everything
 // the engine has earned in O(delta): the method index inserts only the new
-// graphs' features (copy-on-write, per postings shard — unaffected shards
-// are shared with the previous generation), and every cached query's
+// graphs' features (copy-on-write per 64-list page of the postings table —
+// untouched pages are shared with the previous generation; each touched
+// feature's list is copied once), and every cached query's
 // answer set is extended with the new graphs that match it, so the paper's
 // correctness theorems keep holding over the grown dataset. The new graphs
 // occupy dataset positions len(Dataset()).. in order.

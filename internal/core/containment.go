@@ -45,7 +45,9 @@ type ContainmentIndex struct {
 // ciScratch is the reusable state of one Algorithm 2 pass.
 type ciScratch struct {
 	feat    *features.Scratch
-	matched []int32 // per graph id: features that passed the occurrence test
+	elig    []int32            // graphs that pass the NF gate
+	lists   []trie.PostingList // the query's lists, aligned with its features
+	matched []int32            // per graph id: features that passed the occurrence test (walk)
 }
 
 // NewContainmentIndex returns an empty containment index with a private
@@ -138,38 +140,107 @@ func (ci *ContainmentIndex) CandidatesFromIDSet(qf features.IDSet) []int32 {
 }
 
 // candidatesFromIDs is Algorithm 2 given pre-enumerated query occurrences
-// O[f, g]: count per graph id, in an array, the features that pass the
-// occurrence test, then keep in id order the graphs whose count is their NF
-// — which a graph with no features, the empty graph that is a subgraph of
-// everything, meets with no posting at all.
+// O[f, g], behind an NF gate. A graph's matched count can reach NF[g] only
+// if NF[g] ≤ |qf| — each query feature adds at most one — so only the
+// eligible graphs with 0 ≤ NF[g] ≤ |qf| are counted; the empty graph (NF
+// 0), a subgraph of everything, is always among them. The eligible set and
+// the query's posting lists then fix the cheaper of two counting
+// strategies before any counting is done:
+//
+//   - probes (countByProbes), when |elig|·|qf| < Σ|postings|: each eligible
+//     graph looks itself up in the query's lists, stopping as soon as its
+//     count reaches NF or no longer can. Small queries — most supergraph
+//     queries against a dataset of larger graphs — leave few eligible
+//     graphs and pay per graph, not per posting;
+//   - the walk (countByWalk), otherwise: every posting of every query
+//     feature bumps its graph's counter, as in the paper. Dataset-sized
+//     queries, the paper's own supergraph setting, stay here.
+//
+// Both keep the eligible graphs whose count equals their NF, in id order,
+// so the candidate set does not depend on the choice.
 func (ci *ContainmentIndex) candidatesFromIDs(qf features.IDSet, s *ciScratch) []int32 {
+	elig, lists, postings := ci.gate(qf, s)
+	defer clear(lists) // the scratch must not pin an old generation's lists
+	if len(elig)*len(lists) < postings {
+		return ci.countByProbes(qf, lists, elig)
+	}
+	return ci.countByWalk(qf, lists, elig, s)
+}
+
+// gate returns the graphs with 0 ≤ NF[g] ≤ |qf| in id order, the query's
+// posting lists (aligned with qf.Counts) and their total length.
+func (ci *ContainmentIndex) gate(qf features.IDSet, s *ciScratch) (elig []int32, lists []trie.PostingList, postings int) {
+	n := int32(len(qf.Counts))
+	elig = s.elig[:0]
+	for g, nf := range ci.nf {
+		if nf >= 0 && nf <= n {
+			elig = append(elig, int32(g))
+		}
+	}
+	lists = s.lists[:0]
+	for _, fc := range qf.Counts {
+		pl := ci.tr.GetByID(fc.ID)
+		lists = append(lists, pl)
+		postings += pl.Len()
+	}
+	s.elig, s.lists = elig, lists
+	return elig, lists, postings
+}
+
+// countByProbes decides each eligible graph g by probing the query's lists
+// for it: a feature of g the query holds often enough counts, one it holds
+// too rarely rejects g outright, and g is rejected once the lists left
+// cannot lift its count to NF[g].
+func (ci *ContainmentIndex) countByProbes(qf features.IDSet, lists []trie.PostingList, elig []int32) []int32 {
+	var cs []int32
+	for _, g := range elig {
+		need, matched := ci.nf[g], int32(0)
+		for i := 0; matched < need && need-matched <= int32(len(lists)-i); i++ {
+			c := lists[i].CountOf(g)
+			if c > qf.Counts[i].Count {
+				break
+			}
+			if c > 0 {
+				matched++
+			}
+		}
+		if matched == need {
+			cs = append(cs, g)
+		}
+	}
+	return cs
+}
+
+// countByWalk counts per graph id, in an array, the features that pass the
+// occurrence test by walking every posting of the query's lists, then keeps
+// the eligible graphs whose count is their NF.
+func (ci *ContainmentIndex) countByWalk(qf features.IDSet, lists []trie.PostingList, elig []int32, s *ciScratch) []int32 {
 	if cap(s.matched) < len(ci.nf) {
 		s.matched = make([]int32, len(ci.nf))
 	}
 	matched := s.matched[:len(ci.nf)]
 	clear(matched)
-	for _, fc := range qf.Counts {
-		pl := ci.tr.GetByID(fc.ID)
-		if pl.UniformCounts() && fc.Count >= 1 {
-			// Every posting has count 1 ≤ fc.Count: no per-posting test.
+	for i, pl := range lists {
+		want := qf.Counts[i].Count
+		if pl.UniformCounts() && want >= 1 {
+			// Every posting has count 1 ≤ want: no per-posting test.
 			pl.Range(func(_ int, g int32) bool {
 				matched[g]++
 				return true
 			})
 			continue
 		}
-		want := fc.Count
-		pl.Range(func(i int, g int32) bool {
-			if pl.CountAt(i) <= want {
+		pl.Range(func(r int, g int32) bool {
+			if pl.CountAt(r) <= want {
 				matched[g]++
 			}
 			return true
 		})
 	}
 	var cs []int32
-	for id, cnt := range matched {
-		if cnt == ci.nf[id] {
-			cs = append(cs, int32(id))
+	for _, g := range elig {
+		if matched[g] == ci.nf[g] {
+			cs = append(cs, g)
 		}
 	}
 	return cs

@@ -1,8 +1,8 @@
 package core
 
-// Copy-on-write mutation of the containment index. The trie already knows
-// how to mutate in O(delta) (trie.Mutation: append postings, scrub a
-// removed graph's keys, re-home a swapped graph); the only containment-
+// Copy-on-write mutation of the containment index. The trie already
+// mutates copy-on-write, page by page (trie.Mutation: append postings,
+// scrub a removed graph's keys, re-home a swapped graph); the only containment-
 // specific state is the NF table, which the caller maintains alongside the
 // staged trie ops and hands to ApplyMutation. The receiver is never
 // touched — it keeps answering Algorithm 2 over the pre-mutation dataset
@@ -27,9 +27,10 @@ func (ci *ContainmentIndex) NFTable(extra int) []int32 {
 }
 
 // ApplyMutation builds the post-mutation index: mut.Apply()'s trie plus nf
-// as the new NF table. Unaffected shards, posting containers and byte-trie
-// subtrees are shared with the receiver, which remains valid and
-// immutable. Cost is O(staged features), independent of the dataset size.
+// as the new NF table. Untouched table pages and posting containers are
+// shared with the receiver, which remains valid and immutable. Cost is the
+// touched features' postings plus their pages, independent of the
+// vocabulary.
 func (ci *ContainmentIndex) ApplyMutation(mut *trie.Mutation, nf []int32) *ContainmentIndex {
 	return newContainmentIndex(ci.maxPathLen, mut.Apply(), nf)
 }

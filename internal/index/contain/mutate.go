@@ -8,8 +8,9 @@ package contain
 // maintains NF alongside: appended graphs record their distinct-feature
 // counts, and each swap-removal step moves the last position's count into
 // the vacated slot. This is what lets a serving deployment's supergraph
-// engine mutate in O(delta) instead of rebuilding its index over the whole
-// dataset after every mutation.
+// engine mutate without rebuilding its index over the whole dataset: the
+// trie copies only the pages holding touched features and those features'
+// posting lists, and NF costs one copy of an int32 per graph.
 //
 // Contain is deliberately *not* DeltaPersistable: its snapshot story is
 // the combined engine snapshot (cache + NF are engine state), so there is

@@ -7,9 +7,12 @@ package ggsx
 // Index generation sharing the dictionary, the delta log and all
 // unaffected trie state with the receiver — the receiver keeps answering
 // over the old dataset until the caller swaps generations, which is what
-// makes mutation safe alongside concurrent queries. The staged ops are
-// recorded into the shared DeltaLog so a later AppendDelta persists them
-// in O(delta). Grapes reuses these helpers with location recording on,
+// makes mutation safe alongside concurrent queries. The trie side copies
+// only the pages of its table that hold a touched feature (plus the page
+// directory of each touched shard) and copies each touched feature's
+// posting list once, so a batch costs O(touched features' postings), not
+// O(vocabulary). The staged ops are recorded into the shared DeltaLog so a
+// later AppendDelta persists them in O(delta). Grapes reuses these helpers with location recording on,
 // exactly as it reuses BuildPaths.
 
 import (

@@ -25,7 +25,7 @@ func randomGraph(rng *rand.Rand, n int, p float64, labels int) *graph.Graph {
 }
 
 func dumpTrie(tr *trie.Trie) string {
-	out := fmt.Sprintf("nodes=%d len=%d\n", tr.NodeCount(), tr.Len())
+	out := fmt.Sprintf("len=%d\n", tr.Len())
 	tr.Walk(func(k string, ps []trie.Posting) {
 		out += fmt.Sprintf("%q ->", k)
 		for _, p := range ps {
@@ -38,7 +38,7 @@ func dumpTrie(tr *trie.Trie) string {
 
 // TestParallelBuildDifferential pins the parallel build pipeline to the
 // sequential one: for any shard count and worker count the built trie is
-// bit-identical (keys, Walk order, postings, node count) and Filter returns
+// bit-identical (keys, Walk order, postings, key count) and Filter returns
 // identical candidates.
 func TestParallelBuildDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))

@@ -11,7 +11,7 @@ import (
 )
 
 func dumpTrie(tr *trie.Trie) string {
-	out := fmt.Sprintf("nodes=%d len=%d\n", tr.NodeCount(), tr.Len())
+	out := fmt.Sprintf("len=%d\n", tr.Len())
 	tr.Walk(func(k string, ps []trie.Posting) {
 		out += fmt.Sprintf("%q ->", k)
 		for _, p := range ps {

@@ -196,7 +196,7 @@ func (l *DeltaLog) NoteFullSave(n int64) {
 // compactionFraction of the base snapshot. The weight follows the
 // observed op mix of the journal lineage (persisted sections plus the
 // pending batch): an append replays as pure insertion, but a removal
-// scrubs postings, prunes byte-trie paths and re-homes the swapped
+// scrubs postings, retires drained features and re-homes the swapped
 // graph's features — several times the work per journal byte — so
 // removal-heavy journals hit the threshold earlier, bounding reload
 // latency where the fixed byte-ratio threshold would let replay cost

@@ -73,7 +73,7 @@ const (
 // immutable-from-outside, duplicate-free ascending set of int32 IDs. All
 // implementations are observationally identical — only probe cost, memory
 // and on-disk footprint differ. A Container is never empty (drained
-// features are deleted from the store outright).
+// features become the zero PostingList, which has no container).
 type Container interface {
 	// Kind identifies the physical encoding.
 	Kind() ContainerKind

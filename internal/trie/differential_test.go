@@ -95,11 +95,11 @@ func buildPolicy(policy ContainerPolicy, shards int, ds map[string][]Posting, se
 }
 
 // trieFingerprint captures everything observable about a trie's logical
-// content: walk order, postings, and the count/node stats.
+// content: walk order, postings, and the count stats.
 func trieFingerprint(tr *Trie) []string {
 	out := []string{
-		fmt.Sprintf("len=%d nodes=%d dead=%d maxlist=%d",
-			tr.Len(), tr.NodeCount(), tr.DeadLen(), tr.MaxPostingLen()),
+		fmt.Sprintf("len=%d dead=%d maxlist=%d",
+			tr.Len(), tr.DeadLen(), tr.MaxPostingLen()),
 	}
 	return append(out, dump(tr)...)
 }

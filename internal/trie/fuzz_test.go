@@ -358,7 +358,7 @@ func FuzzLazySegmentScan(f *testing.F) {
 			remap[i] = features.FeatureID(i)
 		}
 		want := make(map[features.FeatureID]PostingList)
-		_, wantErr := decodeSegment(body, want, remap, 1, 0, persistVersion, AdaptiveContainers)
+		wantErr := decodeSegment(body, remap, 1, 0, persistVersion, AdaptiveContainers, func(id features.FeatureID, pl PostingList) { want[id] = pl })
 
 		src := &boundedReader{Reader: bytes.NewReader(snap), t: t}
 		lz := openLazy(t, src, 1) // one byte: every probe evicts the last list

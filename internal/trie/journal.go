@@ -316,8 +316,6 @@ func (t *Trie) replayJournal(stamp JournalStamp, ops []mutOp) {
 	m := &Mutation{base: t, ops: ops}
 	nt := m.Apply()
 	t.shards = nt.shards
-	t.root = nt.root
-	t.nodes = nt.nodes
 	t.dead = nt.dead
 	st := stamp
 	t.stamp = &st

@@ -32,8 +32,8 @@ package trie
 // What is pinned, outside the budget: the dictionary; 8 bytes of slot per
 // dictionary entry from open; 4 bytes of offset per entry of every shard
 // whose directory is open; and the overlay patches of journaled shards.
-// What is paged, inside the budget: decoded posting lists, at the eager
-// store's 48 + SizeBytes() accounting.
+// What is paged, inside the budget: decoded posting lists, at 48 +
+// SizeBytes() each (the list record plus its containers).
 //
 // Error placement moves with the work: base damage that the streaming
 // loader reports at load time (a bad segment CRC, a corrupt posting list)
@@ -48,8 +48,8 @@ package trie
 // panic containment converts that into a query error.
 //
 // Mutation, persistence and whole-store accounting force-materialise
-// first (Materialize / ensureMaterialized): every segment is decoded whole,
-// the byte trie is rebuilt, and the trie becomes an ordinary eager trie —
+// first (Materialize / ensureMaterialized): every segment is decoded whole
+// into its shard's page table, and the trie becomes an ordinary eager trie —
 // a Materialize'd lazy load is observationally identical to ReadFrom,
 // including re-Save bytes.
 
@@ -101,7 +101,7 @@ type Residency struct {
 	Lazy           bool
 	TotalShards    int
 	ResidentShards int   // shards whose directory is open (all of them once Materialized)
-	ResidentBytes  int64 // decoded posting lists resident, 48 + SizeBytes() each (the whole store once Materialized)
+	ResidentBytes  int64 // decoded posting lists resident, 48 + SizeBytes() each (the eager SizeBytes once Materialized)
 	BudgetBytes    int64
 	Faults         int64 // posting-list decodes from segment bytes, re-decodes after eviction included
 	Evictions      int64 // posting lists evicted under the budget
@@ -140,7 +140,7 @@ type lazySeg struct {
 // data — eviction only unpublishes.
 type lazyList struct {
 	pl    PostingList
-	bytes int64       // 48 + pl.SizeBytes(): the eager store's per-feature accounting
+	bytes int64       // 48 + pl.SizeBytes(): the list record plus its containers
 	ref   atomic.Bool // CLOCK reference bit: set by probes, cleared by the hand
 }
 
@@ -424,12 +424,8 @@ func (t *Trie) OpenLazy(src RandomAccessFile, opt LazyOptions) (int64, *TailReco
 		}
 	}
 
-	// Placeholder shards (filled in by Materialize) and an empty byte trie
-	// (rebuilt by Materialize — Walk/NodeCount materialise first).
+	// Placeholder shards with empty tables, filled in by Materialize.
 	shards := make([]shard, k)
-	for i := range shards {
-		shards[i].posts = make(map[features.FeatureID]PostingList)
-	}
 	ls := &lazyState{
 		src:      src,
 		dict:     t.dict,
@@ -452,10 +448,7 @@ func (t *Trie) OpenLazy(src RandomAccessFile, opt LazyOptions) (int64, *TailReco
 		ls.shards[i].slots = make([]atomic.Pointer[lazyList], (ls.nIDs+k-1)/k)
 	}
 
-	t.shards = shards
-	t.mask = mask
-	t.root = node{}
-	t.nodes = 0
+	t.setLayout(shards)
 	t.dead = nil
 	t.recovered = rec
 	t.stamp = nil
@@ -499,7 +492,7 @@ func (ls *lazyState) fault(s, slot int, id features.FeatureID) (PostingList, err
 	ls.srcMu.RLock()
 	defer ls.srcMu.RUnlock()
 	if ls.materialized.Load() {
-		return ls.eager[s].posts[id], nil // a probe that outlived Materialize
+		return ls.eager[s].get(uint32(slot)), nil // a probe that outlived Materialize
 	}
 	d, err := ls.openDir(s, nil)
 	if err != nil {
@@ -668,16 +661,16 @@ func (ls *lazyState) openDir(s int, body []byte) (*shardDir, error) {
 }
 
 // replayOverlay replays one shard's pending journal ops, once, through the
-// live mutation path against a single-shard scratch trie (mask 0 routes
-// every projected feature to its slot 0) holding just the features the ops
-// touch — Apply edits nothing else — so the patched lists are bit-identical
-// to an eager load's journal replay. The touched set is read off the ops
-// themselves: append/re-home features were pre-interned by OpenLazy and
-// scrub keys were projected only when the dictionary knows them, so Lookup
-// resolves everything the replay could edit.
+// live mutation path against a single-shard scratch trie (mask 0 and shift
+// 0 put every projected feature at slot = its ID) holding just the features
+// the ops touch — Apply edits nothing else — so the patched lists are
+// bit-identical to an eager load's journal replay. The touched set is read
+// off the ops themselves: append/re-home features were pre-interned by
+// OpenLazy and scrub keys were projected only when the dictionary knows
+// them, so Lookup resolves everything the replay could edit.
 func (ls *lazyState) replayOverlay(ops []mutOp, body []byte, off []uint32) (patch map[features.FeatureID]PostingList, drained []features.FeatureID, err error) {
-	patch = make(map[features.FeatureID]PostingList)  // every touched feature
-	posts := make(map[features.FeatureID]PostingList) // those the segment holds
+	patch = make(map[features.FeatureID]PostingList) // every touched feature
+	tmp := &Trie{dict: ls.dict, shards: make([]shard, 1), policy: ls.policy}
 	note := func(key string) error {
 		id, ok := ls.dict.Lookup(key)
 		if _, seen := patch[id]; !ok || seen {
@@ -686,7 +679,7 @@ func (ls *lazyState) replayOverlay(ops []mutOp, body []byte, off []uint32) (patc
 		patch[id] = PostingList{}
 		slot := uint32(id) >> ls.shift
 		if lo, hi := off[slot], off[slot+1]; lo < hi {
-			if posts[id], err = ls.decodeEntry(body[lo:hi]); err != nil {
+			if *tmp.at(id), err = ls.decodeEntry(body[lo:hi]); err != nil {
 				return err
 			}
 		}
@@ -704,10 +697,9 @@ func (ls *lazyState) replayOverlay(ops []mutOp, body []byte, off []uint32) (patc
 			}
 		}
 	}
-	tmp := &Trie{dict: ls.dict, shards: []shard{{posts: posts}}, policy: ls.policy}
 	nt := (&Mutation{base: tmp, ops: ops}).Apply()
 	for id := range patch {
-		patch[id] = nt.shards[0].posts[id] // the zero list where the replay deleted it
+		patch[id] = nt.get(id) // the zero list where the replay deleted it
 	}
 	for id := range nt.dead {
 		drained = append(drained, id)
@@ -719,27 +711,27 @@ func (ls *lazyState) replayOverlay(ops []mutOp, body []byte, off []uint32) (patc
 // full exactly as the streaming loader would, with the overlay patch laid
 // over it. It opens the shard's directory on the way (sharing the one body
 // read), so a journaled shard's overlay is still replayed exactly once.
-func (ls *lazyState) decodeShard(s int) (map[features.FeatureID]PostingList, []features.FeatureID, error) {
+func (ls *lazyState) decodeShard(s int) (shard, []features.FeatureID, error) {
+	var sh shard
 	body, err := ls.readSegment(s)
 	if err != nil {
-		return nil, nil, err
+		return sh, nil, err
 	}
 	d, err := ls.openDir(s, body)
 	if err != nil {
-		return nil, nil, err
+		return sh, nil, err
 	}
-	posts := make(map[features.FeatureID]PostingList)
-	if _, err := decodeSegment(body, posts, ls.remap, ls.mask, uint32(s), ls.version, ls.policy); err != nil {
-		return nil, nil, fmt.Errorf("segment %d: %w", s, err)
+	if err := decodeSegment(body, ls.remap, ls.mask, uint32(s), ls.version, ls.policy, func(id features.FeatureID, pl PostingList) {
+		*sh.at(uint32(id) >> ls.shift) = pl
+	}); err != nil {
+		return sh, nil, fmt.Errorf("segment %d: %w", s, err)
 	}
 	for id, pl := range d.patch {
-		if pl.Len() > 0 {
-			posts[id] = pl
-		} else {
-			delete(posts, id)
+		if slot := uint32(id) >> ls.shift; pl.ids != nil || sh.get(slot).ids != nil {
+			*sh.at(slot) = pl // the zero list where the replay drained it
 		}
 	}
-	return posts, d.drained, nil
+	return sh, d.drained, nil
 }
 
 // FaultInShard opens shard s's directory (tests and warm-up): the segment
@@ -762,10 +754,10 @@ func (t *Trie) FaultInShard(s int) error {
 	return err
 }
 
-// Materialize decodes every segment whole, rebuilds the byte trie and
+// Materialize decodes every segment whole into the page tables and
 // converts the trie into an ordinary eager one — afterwards it is
 // observationally identical to a ReadFrom of the same snapshot (answers,
-// Walk order, NodeCount, SizeBytes, re-Save bytes) and src is no longer
+// Walk order, SizeBytes, re-Save bytes) and src is no longer
 // needed. Mutation and persistence call this implicitly. Concurrent
 // readers keep being served from the slots until the switch is published.
 // On error (a corrupt or unreadable segment) the trie stays lazy and
@@ -781,12 +773,12 @@ func (t *Trie) Materialize() error {
 		return nil // lost the race to a concurrent Materialize
 	}
 	k := len(ls.shards)
-	posts := make([]map[features.FeatureID]PostingList, k)
+	tables := make([]shard, k)
 	drained := make([][]features.FeatureID, k)
 	errs := make([]error, k)
 	ParallelFor(k, ls.workers, func(_ int, claim func() int) {
 		for s := claim(); s >= 0; s = claim() {
-			posts[s], drained[s], errs[s] = ls.decodeShard(s)
+			tables[s], drained[s], errs[s] = ls.decodeShard(s)
 		}
 	})
 	for s, err := range errs {
@@ -794,21 +786,13 @@ func (t *Trie) Materialize() error {
 			return fmt.Errorf("trie: materialize shard %d: %w", s, err)
 		}
 	}
-	// Install the decoded maps and rebuild the byte trie (a pure function
-	// of the key set; insertion order is irrelevant). Concurrent readers
-	// still route through the slots until the Store(nil) below publishes
-	// the eager trie — the atomic pointer is the release/acquire edge
-	// covering all these plain writes.
-	t.root = node{}
-	t.nodes = 0
+	// Install the decoded tables. Concurrent readers still route through
+	// the slots until the Store(nil) below publishes the eager trie — the
+	// atomic pointer is the release/acquire edge covering all these plain
+	// writes.
 	t.dead = nil
-	full := int64(48 * k) // shard headers, same accounting as SizeBytes
 	for s := 0; s < k; s++ {
-		t.shards[s].posts = posts[s]
-		for id, pl := range posts[s] {
-			t.insertPath(t.dict.Key(id), id)
-			full += 48 + int64(pl.SizeBytes())
-		}
+		t.shards[s] = tables[s]
 		for _, id := range drained[s] {
 			if t.dead == nil {
 				t.dead = make(map[features.FeatureID]struct{})
@@ -816,8 +800,9 @@ func (t *Trie) Materialize() error {
 			t.dead[id] = struct{}{}
 		}
 	}
+	full := int64(t.tableSizeBytes())
 	// Wait out the cold probes still reading src; later ones see the flag
-	// and answer from the maps just installed (ls.eager is t.shards).
+	// and answer from the tables just installed (ls.eager is t.shards).
 	ls.srcMu.Lock()
 	ls.materialized.Store(true)
 	ls.srcMu.Unlock()

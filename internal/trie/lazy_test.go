@@ -259,11 +259,10 @@ func TestOpenLazyDifferential(t *testing.T) {
 						if got.Residency().ResidentShards != shards {
 							t.Errorf("materialised residency %+v: want all %d shards resident", got.Residency(), shards)
 						}
-						if got.Len() != want.Len() || got.NodeCount() != want.NodeCount() ||
-							got.SizeBytes() != want.SizeBytes() || got.DeadLen() != want.DeadLen() {
-							t.Errorf("Len/NodeCount/SizeBytes/DeadLen = %d/%d/%d/%d, want %d/%d/%d/%d",
-								got.Len(), got.NodeCount(), got.SizeBytes(), got.DeadLen(),
-								want.Len(), want.NodeCount(), want.SizeBytes(), want.DeadLen())
+						if got.Len() != want.Len() || got.SizeBytes() != want.SizeBytes() || got.DeadLen() != want.DeadLen() {
+							t.Errorf("Len/SizeBytes/DeadLen = %d/%d/%d, want %d/%d/%d",
+								got.Len(), got.SizeBytes(), got.DeadLen(),
+								want.Len(), want.SizeBytes(), want.DeadLen())
 						}
 						if !reflect.DeepEqual(dump(got), dump(want)) {
 							t.Error("materialised trie contents differ from eager load")

@@ -6,19 +6,20 @@ package trie
 // dataset changes — appended graphs and swap-removals — against a base trie
 // and Apply produces a *new* Trie holding the post-mutation state:
 //
-//   - shards that received no staged postings share their postings map with
-//     the base (one pointer copy);
-//   - an affected shard's map is copied once (small value entries), and
-//     only the features actually touched are re-allocated: the first edit
-//     materialises a feature's container into a flat working slice, later
-//     edits mutate that slice in place, and Apply seals every surviving
-//     edited feature back into canonical container form — so a batch costs
-//     one materialise + one seal per touched feature, and container
-//     encodings are re-chosen exactly where a feature crossed a density
-//     threshold. Untouched features keep sharing the base's containers;
-//   - the byte trie is updated by path copying: inserting or pruning a key
-//     clones the O(len(key)) nodes along its path and shares every other
-//     subtree with the base.
+//   - the postings table is copied page by page: a shard whose lists are
+//     written gets a private copy of its page directory (8 B per 64 lists),
+//     and each page holding a written list is copied once (64 list headers,
+//     4.6 KB); every other page stays shared with the base, so a batch costs
+//     O(touched pages + directory pointers), not O(vocabulary);
+//   - only the features actually touched are re-allocated: the first edit
+//     copies a feature's list (container, counts, outer locations slice),
+//     and every edit then goes through the same in-place add/remove the
+//     build path uses, which keep the canonical form and re-choose the
+//     encoding exactly where a feature crosses a density threshold — so a
+//     batch costs one list copy per touched feature plus its edits.
+//     Untouched features keep sharing the base's containers;
+//   - the dead set is shared with the base until the batch drains or
+//     resurrects a feature, and copied then.
 //
 // The base trie is never written, so readers holding it are unaffected;
 // installing the new trie is the caller's snapshot swap (the engine's
@@ -27,9 +28,9 @@ package trie
 // journal through this same Apply path is what makes a journaled snapshot
 // land byte-identically on the live in-memory state.
 //
-// Feature identity across removals: postings of a drained feature (no
-// occurrences left after a removal) are deleted and its byte-trie path is
-// pruned, but its dictionary entry cannot be reclaimed — FeatureIDs are
+// Feature identity across removals: the table entry of a drained feature
+// (no occurrences left after a removal) becomes the zero list, but its
+// dictionary entry cannot be reclaimed — FeatureIDs are
 // dense process-local handles and other index generations may still hold
 // them. The trie instead tracks such features in a dead set: they are
 // excluded from size accounting (LiveDictSizeBytes) and from persisted
@@ -39,7 +40,7 @@ package trie
 
 import (
 	"maps"
-	"sort"
+	"slices"
 
 	"repro/internal/features"
 )
@@ -112,13 +113,13 @@ func (m *Mutation) RemoveGraph(removed, swappedFrom int32, scrubKeys []string, s
 func (m *Mutation) RecordTo(j *Journal) { j.ops = append(j.ops, m.ops...) }
 
 // Apply builds the post-mutation trie. The base is left untouched and keeps
-// answering over the pre-mutation dataset; unaffected shards, posting
-// slices and byte-trie subtrees are shared between the two. Cost is
-// O(staged features + one map copy per affected shard), independent of the
-// dataset size.
+// answering over the pre-mutation dataset; untouched pages, posting
+// containers and the dead set are shared between the two. Cost is one copy
+// of each touched feature's list, of each page holding one and of the page
+// directory of each shard holding one, independent of the vocabulary.
 func (m *Mutation) Apply() *Trie {
-	// A partially-resident base cannot be copy-on-written shard by shard
-	// (absent shards have nothing to share); a lazily-opened base faults
+	// A partially-resident base cannot be copy-on-written page by page
+	// (absent lists have nothing to share); a lazily-opened base faults
 	// everything in first. The produced trie is always eager.
 	m.base.ensureMaterialized()
 	a := newApplier(m.base)
@@ -132,72 +133,96 @@ func (m *Mutation) Apply() *Trie {
 // applier is the working state of one Apply: the trie under construction
 // plus ownership tracking for copy-on-write.
 type applier struct {
-	t     *Trie
-	owned []bool             // shards whose postings map is private to t
-	nodes map[*node]struct{} // byte-trie nodes owned (cloned or created) by this applier
+	t        *Trie
+	ownedDir []bool             // shards whose page directory is private to t
+	owned    map[*page]struct{} // pages private to t
+	ownDead  bool               // t.dead is private to t
 
-	// editing holds the flat working copies of features touched by this
-	// applier: the first edit materialises the base's container into a
-	// sorted []Posting once (with growth room), every later edit mutates
-	// that private slice in place, and seal() converts each survivor back
-	// to canonical container form — re-choosing the encoding for every
-	// feature that crossed a density threshold during the batch.
-	editing map[features.FeatureID][]Posting
+	// editing holds this applier's private copies of the lists it has
+	// touched; seal() installs the survivors.
+	editing map[features.FeatureID]*PostingList
 }
 
 func newApplier(base *Trie) *applier {
 	t := &Trie{
 		dict:      base.dict,
-		mask:      base.mask,
-		nodes:     base.nodes,
-		dead:      maps.Clone(base.dead),
-		shards:    append([]shard(nil), base.shards...),
+		dead:      base.dead,
 		policy:    base.policy,
 		probeCost: base.probeCost,
 	}
-	// The root is cloned up front so path copies below never write a node
-	// reachable from the base.
-	t.root = *cloneNode(&base.root)
+	t.setLayout(slices.Clone(base.shards))
 	return &applier{
-		t:       t,
-		owned:   make([]bool, len(t.shards)),
-		nodes:   map[*node]struct{}{},
-		editing: map[features.FeatureID][]Posting{},
+		t:        t,
+		ownedDir: make([]bool, len(t.shards)),
+		owned:    map[*page]struct{}{},
+		editing:  map[features.FeatureID]*PostingList{},
 	}
 }
 
-// seal converts every surviving edited feature back into canonical
-// container form and installs it in its (applier-owned) shard map.
+// seal installs every surviving edited list in its (applier-owned) page.
 func (a *applier) seal() {
-	for id, ps := range a.editing {
-		a.shardFor(id).posts[id] = sealPostings(a.t.policy, ps)
+	for id, pl := range a.editing {
+		*a.entry(id) = *pl
 	}
 	a.editing = nil
 }
 
-// cloneNode shallow-copies a byte-trie node with private label/children
-// slices (the grandchildren stay shared).
-func cloneNode(n *node) *node {
-	return &node{
-		labels:   append([]byte(nil), n.labels...),
-		children: append([]*node(nil), n.children...),
-		id:       n.id,
-		terminal: n.terminal,
+// edit returns this applier's private copy of id's list, copying the
+// base's on first touch.
+func (a *applier) edit(id features.FeatureID) *PostingList {
+	pl, ok := a.editing[id]
+	if !ok {
+		cp := a.t.get(id).clone()
+		pl = &cp
+		a.editing[id] = pl
+	}
+	return pl
+}
+
+// entry returns id's table entry in a page private to this applier: the
+// shard's directory is copied on its first write, and the page on its
+// first write (or allocated, where the base has none).
+func (a *applier) entry(id features.FeatureID) *PostingList {
+	s := uint32(id) & a.t.mask
+	sh := &a.t.shards[s]
+	if !a.ownedDir[s] {
+		sh.pages = slices.Clone(sh.pages)
+		a.ownedDir[s] = true
+	}
+	slot := uint32(id) >> a.t.shift
+	p := int(slot >> pageShift)
+	if p < len(sh.pages) && sh.pages[p] != nil {
+		if _, mine := a.owned[sh.pages[p]]; !mine {
+			cp := *sh.pages[p]
+			sh.pages[p] = &cp
+		}
+	}
+	pl := sh.at(slot) // allocates the page where there is none
+	a.owned[sh.pages[p]] = struct{}{}
+	return pl
+}
+
+// markDead and revive edit the dead set, copying the base's on first write.
+func (a *applier) markDead(id features.FeatureID) {
+	a.ownDeadSet()
+	a.t.dead[id] = struct{}{}
+}
+
+func (a *applier) revive(id features.FeatureID) {
+	if _, dead := a.t.dead[id]; dead {
+		a.ownDeadSet()
+		delete(a.t.dead, id)
 	}
 }
 
-// shardFor returns a privately owned postings map for the feature's shard,
-// copying the base's map on first touch.
-func (a *applier) shardFor(id features.FeatureID) *shard {
-	s := int(uint32(id) & a.t.mask)
-	if !a.owned[s] {
-		a.t.shards[s].posts = maps.Clone(a.t.shards[s].posts)
-		if a.t.shards[s].posts == nil {
-			a.t.shards[s].posts = make(map[features.FeatureID]PostingList)
+func (a *applier) ownDeadSet() {
+	if !a.ownDead {
+		a.t.dead = maps.Clone(a.t.dead)
+		if a.t.dead == nil {
+			a.t.dead = make(map[features.FeatureID]struct{})
 		}
-		a.owned[s] = true
+		a.ownDead = true
 	}
-	return &a.t.shards[s]
 }
 
 func (a *applier) apply(op mutOp) {
@@ -221,151 +246,31 @@ func (a *applier) apply(op mutOp) {
 	}
 }
 
-// insert adds one posting for key, interning it, re-creating the byte-trie
-// path when the feature is new to (or was drained from) this trie, and
-// resurrecting it from the dead set if needed.
+// insert adds one posting for key, interning it and resurrecting it from
+// the dead set when the feature is new to (or was drained from) this trie.
 func (a *applier) insert(key string, p Posting) {
 	id := a.t.dict.Intern(key)
-	sh := a.shardFor(id)
-	ps, editing := a.editing[id]
-	if !editing {
-		pl, seen := sh.posts[id]
-		if !seen {
-			a.insertPathCOW(key, id)
-			delete(a.t.dead, id)
-		}
-		ps = pl.appendPostings(make([]Posting, 0, pl.Len()+4))
+	pl := a.edit(id)
+	if pl.ids == nil {
+		a.revive(id)
 	}
-	i := sort.Search(len(ps), func(i int) bool { return ps[i].Graph >= p.Graph })
-	if i < len(ps) && ps[i].Graph == p.Graph {
-		ps[i].Count += p.Count
-		ps[i].Locs = unionSorted(ps[i].Locs, p.Locs) // replaces, never mutates
-	} else {
-		ps = append(ps, Posting{})
-		copy(ps[i+1:], ps[i:])
-		ps[i] = Posting{Graph: p.Graph, Count: p.Count, Locs: append([]int32(nil), p.Locs...)}
-	}
-	a.editing[id] = ps
+	pl.add(a.t.policy, p)
 }
 
 // removePosting drops the posting of graph g under key, if present. A
-// feature drained to zero postings is deleted, its byte-trie path pruned
-// and its ID retired to the dead set.
+// feature drained to zero postings gets the zero list and its ID is
+// retired to the dead set.
 func (a *applier) removePosting(key string, g int32) {
 	id, ok := a.t.dict.Lookup(key)
 	if !ok {
 		return
 	}
-	sh := a.shardFor(id)
-	ps, editing := a.editing[id]
-	if !editing {
-		pl, seen := sh.posts[id]
-		if !seen {
-			return
-		}
-		if _, member := pl.Rank(g); !member {
-			return // avoid materialising a feature this op does not touch
-		}
-		ps = pl.appendPostings(make([]Posting, 0, pl.Len()))
+	if _, editing := a.editing[id]; !editing && a.t.get(id).CountOf(g) == 0 {
+		return // avoid copying a list this op does not touch
 	}
-	i := sort.Search(len(ps), func(i int) bool { return ps[i].Graph >= g })
-	if i >= len(ps) || ps[i].Graph != g {
-		return
-	}
-	if len(ps) == 1 {
-		delete(sh.posts, id)
+	if _, drained := a.edit(id).remove(a.t.policy, g); drained {
+		*a.entry(id) = PostingList{}
 		delete(a.editing, id)
-		a.removePathCOW(key)
-		if a.t.dead == nil {
-			a.t.dead = make(map[features.FeatureID]struct{})
-		}
-		a.t.dead[id] = struct{}{}
-		return
-	}
-	ps = append(ps[:i], ps[i+1:]...)
-	a.editing[id] = ps
-}
-
-// child returns n's child for byte b and its index, or (nil, insertion
-// point) when absent.
-func childOf(n *node, b byte) (*node, int) {
-	i := sort.Search(len(n.labels), func(i int) bool { return n.labels[i] >= b })
-	if i < len(n.labels) && n.labels[i] == b {
-		return n.children[i], i
-	}
-	return nil, i
-}
-
-// ownedChild descends from n (which must be applier-owned) to its child for
-// byte b, cloning the child first unless this applier already owns it.
-func (a *applier) ownedChild(n *node, b byte) *node {
-	c, i := childOf(n, b)
-	if c == nil {
-		return nil
-	}
-	if _, ok := a.nodes[c]; !ok {
-		c = cloneNode(c)
-		a.nodes[c] = struct{}{}
-		n.children[i] = c
-	}
-	return c
-}
-
-// insertPathCOW records key in the byte trie by path copying: every node on
-// the path is applier-owned (cloned at most once per Apply); missing nodes
-// are created, counted into t.nodes.
-func (a *applier) insertPathCOW(key string, id features.FeatureID) {
-	n := &a.t.root
-	for i := 0; i < len(key); i++ {
-		b := key[i]
-		if c := a.ownedChild(n, b); c != nil {
-			n = c
-			continue
-		}
-		c := &node{}
-		a.nodes[c] = struct{}{}
-		_, at := childOf(n, b)
-		n.labels = append(n.labels, 0)
-		copy(n.labels[at+1:], n.labels[at:])
-		n.labels[at] = b
-		n.children = append(n.children, nil)
-		copy(n.children[at+1:], n.children[at:])
-		n.children[at] = c
-		a.t.nodes++
-		n = c
-	}
-	n.terminal = true
-	n.id = id
-}
-
-// removePathCOW unsets key's terminal and prunes any childless non-terminal
-// suffix of its path, again by path copying.
-func (a *applier) removePathCOW(key string) {
-	type step struct {
-		parent *node
-		b      byte
-	}
-	path := make([]step, 0, len(key))
-	n := &a.t.root
-	for i := 0; i < len(key); i++ {
-		b := key[i]
-		c := a.ownedChild(n, b)
-		if c == nil {
-			return // key was never in the byte trie
-		}
-		path = append(path, step{parent: n, b: b})
-		n = c
-	}
-	n.terminal = false
-	for i := len(path) - 1; i >= 0; i-- {
-		if len(n.children) > 0 || n.terminal {
-			break
-		}
-		p := path[i].parent
-		_, at := childOf(p, path[i].b)
-		p.labels = append(p.labels[:at], p.labels[at+1:]...)
-		p.children = append(p.children[:at], p.children[at+1:]...)
-		a.t.nodes--
-		n = p
+		a.markDead(id)
 	}
 }

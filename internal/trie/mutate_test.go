@@ -4,16 +4,18 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/features"
 )
 
-// dumpState renders the observable state of a trie: node count, key count and
+// dumpState renders the observable state of a trie: key count and
 // every (key, postings) pair in Walk order — the differential identity the
 // mutation and journal paths are pinned to.
 func dumpState(t *Trie) string {
-	out := fmt.Sprintf("nodes=%d len=%d\n", t.NodeCount(), t.Len())
+	out := fmt.Sprintf("len=%d\n", t.Len())
 	t.Walk(func(k string, ps []Posting) {
 		out += fmt.Sprintf("%q ->", k)
 		for _, p := range ps {
@@ -73,7 +75,7 @@ func sortIDsForTest(ids []int32) {
 
 // TestMutationDifferential drives random append/remove batches through the
 // COW mutation path and pins the result, at every step, to a from-scratch
-// build over the surviving table — including Walk order, NodeCount, Len,
+// build over the surviving table — including Walk order, Len,
 // SizeBytes, live dictionary accounting and the persisted byte stream.
 func TestMutationDifferential(t *testing.T) {
 	for _, shards := range []int{1, 4, 8} {
@@ -173,7 +175,7 @@ func keysOf(fs []GraphFeature) []string {
 
 // TestRemoveGraphPersistDifferential is the regression for the PR 1
 // RemoveGraph fix having no persist-path coverage: after in-place removals,
-// Walk, NodeCount, SizeBytes and the persisted byte stream must all agree
+// Walk, SizeBytes and the persisted byte stream must all agree
 // with a trie that never held the removed graph.
 func TestRemoveGraphPersistDifferential(t *testing.T) {
 	mk := func(withG1 bool) *Trie {
@@ -234,4 +236,223 @@ func TestRemoveGraphPersistDifferential(t *testing.T) {
 	if tr.DeadLen() != 1 { // "zz" stays dead
 		t.Errorf("DeadLen = %d after resurrection, want 1", tr.DeadLen())
 	}
+}
+
+// odeltaTrie is a 2-shard trie whose first 200 keys ("s000"…"s199", the
+// lowest IDs) each hold four graphs, plus filler vocabulary: one key per
+// filler feature on graph 100, and dead features drained from graph 101.
+func odeltaTrie(filler, dead int) *Trie {
+	tr := NewSharded(features.NewDict(), 2)
+	for k := 0; k < 200; k++ {
+		for g := 0; g < 4; g++ {
+			tr.Insert(fmt.Sprintf("s%03d", k), Posting{Graph: int32(g*25 + k%25), Count: 1})
+		}
+	}
+	for i := 0; i < filler; i++ {
+		tr.Insert(fmt.Sprintf("x%06d", i), Posting{Graph: 100, Count: 1})
+	}
+	for i := 0; i < dead; i++ {
+		tr.Insert(fmt.Sprintf("d%06d", i), Posting{Graph: 101, Count: 1})
+	}
+	tr.RemoveGraph(101)
+	return tr
+}
+
+// odeltaBatch appends four graphs holding 50 of the shared keys each.
+func odeltaBatch(tr *Trie) *Mutation {
+	m := tr.NewMutation()
+	for g := 0; g < 4; g++ {
+		var fs []GraphFeature
+		for k := g * 50; k < g*50+50; k++ {
+			fs = append(fs, GraphFeature{Key: fmt.Sprintf("s%03d", k), Count: 1})
+		}
+		m.AppendGraph(int32(200+g), fs)
+	}
+	return m
+}
+
+// applyBytes is the mean heap bytes one Apply of the batch allocates.
+func applyBytes(tr *Trie) uint64 {
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		odeltaBatch(tr).Apply()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestApplyAllocatesODelta pins the copy-on-write cost to the batch: one
+// 4-graph Apply allocates about the same on a trie with 8× the vocabulary,
+// and on one carrying 10 000 dead features, as on the small trie — no
+// per-shard postings copy and no dead-set copy scale with the store.
+func TestApplyAllocatesODelta(t *testing.T) {
+	small := applyBytes(odeltaTrie(500, 0))
+	for _, c := range []struct {
+		name string
+		tr   *Trie
+	}{
+		{"8x vocabulary", odeltaTrie(4000, 0)},
+		{"10k dead", odeltaTrie(500, 10000)},
+	} {
+		if got := applyBytes(c.tr); float64(got) > 1.5*float64(small) {
+			t.Errorf("%s: Apply allocates %d B, the small trie %d B (limit 1.5×)", c.name, got, small)
+		}
+	}
+}
+
+// TestApplyLeavesBaseIntact checks the copy-on-write contract page by page:
+// after Apply the base answers every probe and Walk exactly as before, the
+// pages holding no touched feature are the base's own, and every page
+// holding one is a private copy.
+func TestApplyLeavesBaseIntact(t *testing.T) {
+	base := odeltaTrie(1200, 300)
+	probes := make([][]Posting, base.Dict().Len())
+	for i := range probes {
+		probes[i] = base.GetByID(features.FeatureID(i)).Postings()
+	}
+	walk := dumpState(base)
+
+	m := odeltaBatch(base)
+	m.RemoveGraph(0, 0, []string{"s000", "s025", "s050"}, nil)
+	m.AppendGraph(300, []GraphFeature{{Key: "d000007", Count: 2}, {Key: "brand-new", Count: 1}})
+	next := m.Apply()
+
+	for i, want := range probes {
+		if got := base.GetByID(features.FeatureID(i)).Postings(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("base GetByID(%d) = %v after Apply, was %v", i, got, want)
+		}
+	}
+	if got := dumpState(base); got != walk {
+		t.Fatal("base Walk changed by Apply")
+	}
+	touched := map[features.FeatureID]bool{}
+	for _, op := range m.ops {
+		for _, f := range op.feats {
+			id, _ := base.Dict().Lookup(f.Key)
+			touched[id] = true
+		}
+		for _, k := range op.scrub {
+			id, _ := base.Dict().Lookup(k)
+			touched[id] = true
+		}
+	}
+	shared, copied := 0, 0
+	for s := range base.shards {
+		for p, pg := range base.shards[s].pages {
+			hit := false
+			for j := 0; j < pageLen; j++ {
+				hit = hit || touched[features.FeatureID(uint32(p<<pageShift|j)<<base.shift|uint32(s))]
+			}
+			switch same := next.shards[s].pages[p] == pg; {
+			case hit && same:
+				t.Errorf("shard %d page %d holds a touched feature but is shared with the base", s, p)
+			case !hit && !same:
+				t.Errorf("shard %d page %d holds no touched feature but was copied", s, p)
+			case same:
+				shared++
+			default:
+				copied++
+			}
+		}
+	}
+	if shared == 0 || copied == 0 {
+		t.Errorf("%d shared and %d copied pages: the batch should do both", shared, copied)
+	}
+}
+
+// FuzzMutationApply decodes a byte string into batches of appends and
+// swap-removals and applies each copy-on-write. After every batch the
+// result must equal a from-scratch build of the same dataset — Walk,
+// SizeBytes, live dictionary size and snapshot round trip — and the base
+// must be unchanged, which catches any write into a page it shares.
+//
+// Encoding: a byte ≥ 0xF0 closes the batch; otherwise b%3 == 0 removes the
+// position b/3 mod |dataset| and any other byte appends a graph whose
+// features are drawn from b and the byte after it.
+func FuzzMutationApply(f *testing.F) {
+	f.Add([]byte{1, 2, 4, 5, 0xF0, 3, 7, 0xF0, 0, 6, 8})
+	f.Add([]byte{0x11, 0x22, 0x33, 0x44, 0x55, 0xF1, 9, 12, 15, 0xF2, 0x13, 0x17})
+	f.Add([]byte{2, 2, 2, 2, 0xFF, 0, 0, 0, 0, 0xFF, 2, 0x80, 0x81})
+	f.Add([]byte{0x7e, 0x7d, 0x7c, 0x0b, 0xF3, 0x30, 0x2d, 0x2a, 0x27, 0xF4, 0x41})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			return
+		}
+		const shards = 4
+		table := map[int32][]GraphFeature{}
+		cur := NewSharded(features.NewDict(), shards)
+		next := int32(0)
+		for len(data) > 0 {
+			mut := cur.NewMutation()
+			for len(data) > 0 {
+				b := data[0]
+				data = data[1:]
+				if b >= 0xF0 {
+					break
+				}
+				if b%3 == 0 && next > 0 {
+					p, last := int32(b/3)%next, next-1
+					mut.RemoveGraph(p, last, keysOf(table[p]), table[last])
+					table[p] = table[last]
+					delete(table, last)
+					next--
+					continue
+				}
+				var b2 byte
+				if len(data) > 0 {
+					b2 = data[0]
+				}
+				fs := fuzzFeats(b, b2)
+				table[next] = fs
+				mut.AppendGraph(next, fs)
+				next++
+			}
+			prev, prevDump := cur, dumpState(cur)
+			cur = mut.Apply()
+			if dumpState(prev) != prevDump {
+				t.Fatal("Apply wrote into the base trie")
+			}
+			ref := buildRef(features.NewDict(), shards, table)
+			if got, want := dumpState(cur), dumpState(ref); got != want {
+				t.Fatalf("mutated trie diverges from a fresh build\ngot:\n%s\nwant:\n%s", got, want)
+			}
+			if cur.SizeBytes() != ref.SizeBytes() || cur.LiveDictSizeBytes() != ref.Dict().SizeBytes() {
+				t.Fatalf("SizeBytes/LiveDictSizeBytes %d/%d, fresh build %d/%d",
+					cur.SizeBytes(), cur.LiveDictSizeBytes(), ref.SizeBytes(), ref.Dict().SizeBytes())
+			}
+			var buf bytes.Buffer
+			if _, err := cur.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			back := NewSharded(features.NewDict(), shards)
+			if _, err := back.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			if dumpState(back) != dumpState(cur) {
+				t.Fatal("snapshot round trip diverges")
+			}
+		}
+	})
+}
+
+// fuzzFeats derives one graph's features from two bytes: up to four keys
+// out of 24, counts 1–3 and an occasional location list.
+func fuzzFeats(b, b2 byte) []GraphFeature {
+	var fs []GraphFeature
+	seen := map[string]bool{}
+	for i := 0; i < 1+int(b2%4); i++ {
+		k := fmt.Sprintf("f%02d", (int(b)*7+int(b2)*(i+1)+i*5)%24)
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		gf := GraphFeature{Key: k, Count: int32(1 + (int(b)+i)%3)}
+		if (int(b2)+i)%5 == 0 {
+			gf.Locs = []int32{int32(i), int32(i + 2)}
+		}
+		fs = append(fs, gf)
+	}
+	return fs
 }

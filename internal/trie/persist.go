@@ -133,8 +133,8 @@ package trie
 //     append new trailing sections behind a version bump, never
 //     reinterpret existing fields.
 //
-// The byte-level trie (Walk order, NodeCount) is not serialised: it is a
-// pure function of the key set and is rebuilt during load.
+// The in-memory page tables are not serialised: a load fills them in ID
+// order from the segments.
 //
 // # Durability & crash safety
 //
@@ -174,7 +174,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"slices"
 
 	"repro/internal/features"
 )
@@ -265,37 +264,22 @@ func (t *Trie) WriteTo(w io.Writer) (int64, error) {
 		}
 		return write(seg)
 	}
-	if remap == nil {
-		var feats []segFeature
-		for s := range t.shards {
-			sh := &t.shards[s]
-			feats = feats[:0]
-			for id, pl := range sh.posts {
-				feats = append(feats, segFeature{id: id, pl: pl})
-			}
-			sortSegFeatures(feats)
-			if err := writeSeg(feats); err != nil {
-				return n, err
-			}
+	// Each feature goes to the segment its *written* ID selects (segment =
+	// id mod shards — the invariant the parallel identity-remap decode
+	// relies on; compaction may move IDs across segments). The table is
+	// walked in ascending ID order and compaction preserves order, so every
+	// segment fills already sorted.
+	buckets := make([][]segFeature, len(t.shards))
+	t.each(func(id features.FeatureID, pl *PostingList) {
+		if remap != nil {
+			id = remap[id]
 		}
-	} else {
-		// Compaction moved the IDs, so features are redistributed into the
-		// segment their *written* ID selects (segment = id mod shards — the
-		// invariant the parallel identity-remap decode relies on).
-		buckets := make([][]segFeature, len(t.shards))
-		mask := t.mask
-		for s := range t.shards {
-			for id, pl := range t.shards[s].posts {
-				wid := remap[id]
-				b := uint32(wid) & mask
-				buckets[b] = append(buckets[b], segFeature{id: wid, pl: pl})
-			}
-		}
-		for _, feats := range buckets {
-			sortSegFeatures(feats)
-			if err := writeSeg(feats); err != nil {
-				return n, err
-			}
+		b := uint32(id) & t.mask
+		buckets[b] = append(buckets[b], segFeature{id: id, pl: *pl})
+	})
+	for _, feats := range buckets {
+		if err := writeSeg(feats); err != nil {
+			return n, err
 		}
 	}
 	if err := write([]byte{sectionEnd}); err != nil {
@@ -308,19 +292,6 @@ func (t *Trie) WriteTo(w io.Writer) (int64, error) {
 type segFeature struct {
 	id features.FeatureID
 	pl PostingList
-}
-
-func sortSegFeatures(feats []segFeature) {
-	slices.SortFunc(feats, func(a, b segFeature) int {
-		switch {
-		case a.id < b.id:
-			return -1
-		case a.id > b.id:
-			return 1
-		default:
-			return 0
-		}
-	})
 }
 
 // appendSegment encodes one segment's features (pre-sorted by written ID).
@@ -555,17 +526,14 @@ func (t *Trie) readFrom(cr *countingScanner, opt LoadOptions) (*TailRecovery, er
 	// correctness is identical either way. Version-1 snapshots may carry
 	// features with zero postings (drained by the old RemoveGraph); version
 	// ≥ 2 writers never emit them, so the decoder rejects them there.
-	shards := make([]shard, k)
-	for i := range shards {
-		shards[i].posts = make(map[features.FeatureID]PostingList)
-	}
-	mask := uint32(k - 1)
-	perSeg := make([][]features.FeatureID, k)
+	nt := &Trie{}
+	nt.setLayout(make([]shard, k))
+	put := func(id features.FeatureID, pl PostingList) { *nt.at(id) = pl }
 	if identity {
 		errs := make([]error, k) // one slot per segment: no cross-worker writes
 		ParallelFor(k, workers, func(_ int, claim func() int) {
 			for s := claim(); s >= 0; s = claim() {
-				perSeg[s], errs[s] = decodeSegment(segs[s], shards[s].posts, remap, mask, uint32(s), version, t.policy)
+				errs[s] = decodeSegment(segs[s], remap, nt.mask, uint32(s), version, t.policy, put)
 			}
 		})
 		for s, err := range errs {
@@ -574,35 +542,19 @@ func (t *Trie) readFrom(cr *countingScanner, opt LoadOptions) (*TailRecovery, er
 			}
 		}
 	} else {
-		staged := make(map[features.FeatureID]PostingList)
 		for s := 0; s < k; s++ {
-			ids, err := decodeSegment(segs[s], staged, remap, 0, 0, version, t.policy)
-			if err != nil {
+			if err := decodeSegment(segs[s], remap, 0, 0, version, t.policy, put); err != nil {
 				return nil, fmt.Errorf("segment %d: %w", s, err)
 			}
-			perSeg[s] = ids
-		}
-		for id, pl := range staged {
-			shards[uint32(id)&mask].posts[id] = pl
 		}
 	}
 
-	// Install, then rebuild the byte trie (pure function of the key set —
-	// single-writer, order-insensitive).
 	t.lazyLive.Store(nil)
 	t.lazyOrigin = nil
-	t.shards = shards
-	t.mask = mask
-	t.root = node{}
-	t.nodes = 0
+	t.setLayout(nt.shards)
 	t.dead = nil
 	t.stamp = nil
 	t.recovered = rec
-	for _, ids := range perSeg {
-		for _, id := range ids {
-			t.insertPath(t.dict.Key(id), id)
-		}
-	}
 	// Replay the journals in append order through the live mutation path
 	// (decode above already validated them; Apply itself cannot fail).
 	for _, j := range journals {
@@ -823,23 +775,19 @@ func walkSegment(d *segDecoder, remap []features.FeatureID, wantMask, wantShard 
 	return nil
 }
 
-// decodeSegment decodes one segment body into posts, remapping feature IDs
-// (see walkSegment for wantMask/wantShard). version selects the
-// posting-list wire form; decoded lists are promoted to the canonical
-// container kind under policy. Returns the decoded (remapped) feature IDs.
-func decodeSegment(body []byte, posts map[features.FeatureID]PostingList, remap []features.FeatureID, wantMask, wantShard uint32, version uint64, policy ContainerPolicy) ([]features.FeatureID, error) {
+// decodeSegment decodes one segment body, remapping feature IDs (see
+// walkSegment for wantMask/wantShard) and handing each list to put in
+// ascending ID order. version selects the posting-list wire form; decoded
+// lists are promoted to the canonical container kind under policy.
+func decodeSegment(body []byte, remap []features.FeatureID, wantMask, wantShard uint32, version uint64, policy ContainerPolicy, put func(features.FeatureID, PostingList)) error {
 	d := &segDecoder{b: body}
-	var ids []features.FeatureID
-	err := walkSegment(d, remap, wantMask, wantShard, func(id features.FeatureID, _ int) error {
+	return walkSegment(d, remap, wantMask, wantShard, func(id features.FeatureID, _ int) error {
 		pl, err := d.decodeList(version, policy)
-		if err != nil {
-			return err
+		if err == nil {
+			put(id, pl)
 		}
-		posts[id] = pl
-		ids = append(ids, id)
-		return nil
+		return err
 	})
-	return ids, err
 }
 
 // decodeList decodes one feature's posting list in the wire form version
@@ -1171,26 +1119,18 @@ func (d *segDecoder) byte() (byte, error) {
 func (d *segDecoder) remaining() int { return len(d.b) - d.off }
 
 // Reshard redistributes the postings into k shards (normalised to a power
-// of two in [1, 64]; ≤ 0 selects DefaultShards()). Contents, Walk order,
-// NodeCount and all answers are unchanged — only the layout moves; posting
-// slices are shared, not copied. Like the build path, Reshard is exclusive:
-// no concurrent readers.
+// of two in [1, 64]; ≤ 0 selects DefaultShards()). Contents, Walk order and
+// all answers are unchanged — only the layout moves; posting containers are
+// shared, not copied. Like the build path, Reshard is exclusive: no
+// concurrent readers.
 func (t *Trie) Reshard(k int) {
 	t.ensureMaterialized()
 	k = normalizeShards(k)
 	if k == len(t.shards) {
 		return
 	}
-	shards := make([]shard, k)
-	for i := range shards {
-		shards[i].posts = make(map[features.FeatureID]PostingList)
-	}
-	mask := uint32(k - 1)
-	for s := range t.shards {
-		for id, pl := range t.shards[s].posts {
-			shards[uint32(id)&mask].posts[id] = pl
-		}
-	}
-	t.shards = shards
-	t.mask = mask
+	nt := &Trie{}
+	nt.setLayout(make([]shard, k))
+	t.each(func(id features.FeatureID, pl *PostingList) { *nt.at(id) = *pl })
+	t.setLayout(nt.shards)
 }

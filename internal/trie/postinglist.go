@@ -78,6 +78,24 @@ func (pl PostingList) Rank(g int32) (int, bool) {
 	return pl.ids.Rank(g)
 }
 
+// CountOf returns graph g's occurrence count, 0 when g is not a member: a
+// membership probe, plus a rank only when the counts are not all 1.
+func (pl PostingList) CountOf(g int32) int32 {
+	switch {
+	case pl.ids == nil:
+		return 0
+	case pl.counts == nil:
+		if pl.ids.Contains(g) {
+			return 1
+		}
+		return 0
+	}
+	if r, ok := pl.ids.Rank(g); ok {
+		return pl.counts[r]
+	}
+	return 0
+}
+
 // Range visits the graph IDs in ascending order with their ranks.
 func (pl PostingList) Range(fn func(i int, g int32) bool) {
 	if pl.ids != nil {
@@ -187,7 +205,7 @@ func (pl PostingList) appendPostings(dst []Posting) []Posting {
 }
 
 // SizeBytes approximates the in-memory footprint of the list's backing
-// storage (the PostingList header itself is accounted by the map entry).
+// storage (the PostingList header itself is accounted by its table entry).
 func (pl PostingList) SizeBytes() int {
 	if pl.ids == nil {
 		return 0
@@ -242,6 +260,24 @@ func sealPostings(policy ContainerPolicy, ps []Posting) PostingList {
 			pl.locs[i] = p.Locs
 		}
 	}
+	return pl
+}
+
+// clone returns a copy that add and remove may edit without touching pl:
+// the container, the counts and the outer locations slice are private;
+// the location sets stay shared, since edits replace them, never write
+// into them.
+func (pl PostingList) clone() PostingList {
+	switch c := pl.ids.(type) {
+	case *ArrayContainer:
+		pl.ids = &ArrayContainer{ids: slices.Clone(c.ids)}
+	case *BitmapContainer:
+		pl.ids = &BitmapContainer{base: c.base, words: slices.Clone(c.words), card: c.card}
+	case *RunContainer:
+		pl.ids = &RunContainer{runs: slices.Clone(c.runs), card: c.card}
+	}
+	pl.counts = slices.Clone(pl.counts)
+	pl.locs = slices.Clone(pl.locs)
 	return pl
 }
 

@@ -11,9 +11,9 @@ import (
 )
 
 // dumpTrie renders a trie's full observable state: Walk order, postings
-// (including locations), node count and key count.
+// (including locations) and key count.
 func dumpTrie(t *Trie) string {
-	out := fmt.Sprintf("nodes=%d len=%d\n", t.NodeCount(), t.Len())
+	out := fmt.Sprintf("len=%d\n", t.Len())
 	t.Walk(func(k string, ps []Posting) {
 		out += fmt.Sprintf("%q ->", k)
 		for _, p := range ps {
@@ -76,7 +76,7 @@ func TestNormalizeShards(t *testing.T) {
 }
 
 // TestShardCountInvisible pins the tentpole invariant: the shard count never
-// changes anything observable — postings, Walk order, node count, Len.
+// changes anything observable — postings, Walk order, Len.
 func TestShardCountInvisible(t *testing.T) {
 	data := randomPostings(21, 30, 40)
 	ref := NewSharded(features.NewDict(), 1)
@@ -103,7 +103,7 @@ func TestShardCountInvisible(t *testing.T) {
 // parallel build path: for any shard count and worker count, staging the
 // same postings from concurrent goroutines and merging must reproduce the
 // sequential Insert build bit for bit (same postings, locations, Walk order
-// and node count).
+// and key count).
 func TestBuilderMatchesSequential(t *testing.T) {
 	data := randomPostings(7, 48, 60)
 	seq := NewSharded(features.NewDict(), 1)

@@ -1,31 +1,30 @@
 // Package trie implements the sharded, feature-keyed postings store shared
-// by the GraphGrepSX and Grapes dataset indexes and by iGQ's Isub/Isuper
-// query indexes (the paper's Algorithm 1 stores query features "in a trie").
+// by the GraphGrepSX and Grapes dataset indexes and by the containment index
+// of the supergraph method (the paper's Algorithm 1 stores features "in a
+// trie").
 //
 // Keys are canonical feature strings (package features), interned into dense
 // FeatureIDs by a features.Dict — shared across indexes or private to one
-// trie. The hot lookup path is ID-keyed and sharded: postings live in K
-// independent shards selected by FeatureID % K (K a power of two, so the
-// probe is a mask plus one small-map lookup), which keeps the per-shard maps
-// cache-resident for multi-feature filtering and — more importantly — lets
-// index builds run in parallel: Builder gives each build goroutine private
-// per-shard staging buffers and then merges every shard independently, so a
-// K-shard build uses up to K merge workers without a single lock or atomic
-// on the postings themselves. Grapes is explicitly a parallel indexing
-// method in its original paper, so the contention-free build path is
-// fidelity as much as speed. After a build the shards are immutable and the
-// read path (Get/GetByID/Walk) is lock-free by construction.
+// trie. The lookup path is ID-keyed and sharded: postings live in K
+// independent shards selected by FeatureID % K (K a power of two), and
+// within a shard in a dense table indexed by slot = FeatureID >> log2(K).
+// The table is split into fixed pages of 64 lists behind a per-shard page
+// directory, and the zero PostingList means absent, so a probe is a mask,
+// a shift and two indexed loads. Pages are the unit of copy-on-write: a
+// mutation copies a touched shard's directory and only the pages it writes
+// (mutate.go). Shards let index builds run in parallel: Builder gives each
+// build goroutine private per-shard staging buffers and then merges every
+// shard independently, so a K-shard build uses up to K merge workers
+// without a single lock or atomic on the postings themselves. Grapes is
+// explicitly a parallel indexing method in its original paper, so the
+// contention-free build path is fidelity as much as speed. After a build the
+// shards are immutable and the read path (Get/GetByID/Walk) is lock-free by
+// construction.
 //
 // Sharding is invisible to correctness: the shard holding a feature is a
 // pure function of its ID, so any shard count yields the same postings, the
-// same Walk order and the same filter results. The byte-level trie over the
-// canonical keys is kept for what genuinely needs strings: lexicographic
-// Walk, persistence, and the node-count / size accounting the paper reports
-// (Fig 18).
-//
-// Children are kept in sorted compact slices: feature alphabets are tiny
-// (digits, '.', ':' and a few letters), so binary search over a slice beats
-// per-node maps on both memory and cache behaviour.
+// same Walk order and the same filter results. Walk visits keys in
+// lexicographic order by sorting the live IDs' dictionary keys.
 //
 // Postings are stored in cardinality-adaptive containers (container.go):
 // each feature's graph-ID set is an array, bitmap or run-length container
@@ -45,12 +44,14 @@ package trie
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/features"
 )
@@ -62,32 +63,50 @@ type Posting struct {
 	Locs  []int32 // optional sorted vertex locations (Grapes); may be nil
 }
 
-type node struct {
-	labels   []byte
-	children []*node
-	id       features.FeatureID
-	terminal bool
-}
+// Page geometry of a shard's postings table: slot i lives at
+// pages[i>>pageShift][i&pageMask]. A page is 64 × 72 B = 4.6 KB.
+const (
+	pageShift = 6
+	pageLen   = 1 << pageShift
+	pageMask  = pageLen - 1
+)
 
-func (n *node) ensureChild(b byte) *node {
-	i := sort.Search(len(n.labels), func(i int) bool { return n.labels[i] >= b })
-	if i < len(n.labels) && n.labels[i] == b {
-		return n.children[i]
-	}
-	c := &node{}
-	n.labels = append(n.labels, 0)
-	copy(n.labels[i+1:], n.labels[i:])
-	n.labels[i] = b
-	n.children = append(n.children, nil)
-	copy(n.children[i+1:], n.children[i:])
-	n.children[i] = c
-	return c
-}
+// page is one fixed block of a shard's postings table.
+type page [pageLen]PostingList
+
+// entryBytes is one table entry: a PostingList header inside its page.
+const entryBytes = int(unsafe.Sizeof(PostingList{}))
 
 // shard is one independent slice of the postings space: every feature with
-// ID ≡ s (mod K) lives in shard s and nowhere else.
+// ID ≡ s (mod K) lives in shard s, at slot ID >> log2(K), and nowhere else.
+// pages is the page directory; a nil or short directory entry holds pageLen
+// absent lists. Pages may be shared between trie generations (mutate.go),
+// so only an exclusive owner writes through at.
 type shard struct {
-	posts map[features.FeatureID]PostingList
+	pages []*page
+}
+
+// get returns the list at slot (the zero list when absent).
+func (sh *shard) get(slot uint32) PostingList {
+	if p := int(slot >> pageShift); p < len(sh.pages) {
+		if pg := sh.pages[p]; pg != nil {
+			return pg[slot&pageMask]
+		}
+	}
+	return PostingList{}
+}
+
+// at returns the table entry for slot, growing the directory and
+// allocating the page as needed. The caller must own the page.
+func (sh *shard) at(slot uint32) *PostingList {
+	p := int(slot >> pageShift)
+	if p >= len(sh.pages) {
+		sh.pages = append(sh.pages, make([]*page, p+1-len(sh.pages))...)
+	}
+	if sh.pages[p] == nil {
+		sh.pages[p] = new(page)
+	}
+	return &sh.pages[p][slot&pageMask]
 }
 
 // Trie maps canonical feature keys to postings lists, with an ID-keyed,
@@ -96,8 +115,7 @@ type Trie struct {
 	dict   *features.Dict
 	shards []shard
 	mask   uint32 // len(shards)-1; shard counts are powers of two
-	root   node
-	nodes  int
+	shift  uint32 // log2(len(shards)): slot = id >> shift
 
 	// dead holds features whose postings this trie drained by removal.
 	// Their dictionary entries cannot be reclaimed (FeatureIDs are dense
@@ -105,7 +123,8 @@ type Trie struct {
 	// remembers them instead: dead features are excluded from size
 	// accounting (LiveDictSizeBytes) and from persisted snapshots, and are
 	// resurrected if a later insert re-introduces the key. Invariant: a
-	// dead feature has no postings in this trie.
+	// dead feature has no postings in this trie. A mutated trie shares its
+	// base's set until its first drain or resurrection.
 	dead map[features.FeatureID]struct{}
 
 	// stamp is the dataset fingerprint carried by the last delta journal
@@ -137,7 +156,7 @@ type Trie struct {
 	lazyOrigin *lazyState
 }
 
-// maxShards bounds the shard count: beyond this the per-shard maps are too
+// maxShards bounds the shard count: beyond this the per-shard tables are too
 // sparse to pay for themselves even on very wide machines.
 const maxShards = 64
 
@@ -176,12 +195,16 @@ func NewWithDict(d *features.Dict) *Trie { return NewSharded(d, 0) }
 // count yields identical observable behaviour; the count only decides how
 // much build and probe parallelism the store can exploit.
 func NewSharded(d *features.Dict, k int) *Trie {
-	k = normalizeShards(k)
-	t := &Trie{dict: d, shards: make([]shard, k), mask: uint32(k - 1)}
-	for i := range t.shards {
-		t.shards[i].posts = make(map[features.FeatureID]PostingList)
-	}
+	t := &Trie{dict: d}
+	t.setLayout(make([]shard, normalizeShards(k)))
 	return t
+}
+
+// setLayout installs shards (a power-of-two count) and derives mask/shift.
+func (t *Trie) setLayout(shards []shard) {
+	t.shards = shards
+	t.mask = uint32(len(shards) - 1)
+	t.shift = uint32(bits.TrailingZeros(uint(len(shards))))
 }
 
 // SetContainerPolicy selects how posting containers are encoded. Call
@@ -211,15 +234,42 @@ func (t *Trie) ShardCount() int { return len(t.shards) }
 // by shard.
 func (t *Trie) ShardOf(id features.FeatureID) int { return int(uint32(id) & t.mask) }
 
-func (t *Trie) shardFor(id features.FeatureID) *shard { return &t.shards[uint32(id)&t.mask] }
+// get returns id's list from the eager table (the zero list when absent).
+func (t *Trie) get(id features.FeatureID) PostingList {
+	return t.shards[uint32(id)&t.mask].get(uint32(id) >> t.shift)
+}
+
+// at returns id's table entry for writing; exclusive owners only.
+func (t *Trie) at(id features.FeatureID) *PostingList {
+	return t.shards[uint32(id)&t.mask].at(uint32(id) >> t.shift)
+}
+
+// each visits every live list of the eager table in ascending FeatureID
+// order: slot-major, then shard, since id = slot<<shift | shard. fn may edit
+// the list in place only when the caller owns every page.
+func (t *Trie) each(fn func(id features.FeatureID, pl *PostingList)) {
+	pages := 0
+	for s := range t.shards {
+		pages = max(pages, len(t.shards[s].pages))
+	}
+	for p := 0; p < pages; p++ {
+		for j := 0; j < pageLen; j++ {
+			for s := range t.shards {
+				dir := t.shards[s].pages
+				if p >= len(dir) || dir[p] == nil || dir[p][j].ids == nil {
+					continue
+				}
+				fn(features.FeatureID(uint32(p<<pageShift|j)<<t.shift|uint32(s)), &dir[p][j])
+			}
+		}
+	}
+}
 
 // Len returns the number of distinct keys stored.
 func (t *Trie) Len() int {
 	t.ensureMaterialized()
 	n := 0
-	for i := range t.shards {
-		n += len(t.shards[i].posts)
-	}
+	t.each(func(features.FeatureID, *PostingList) { n++ })
 	return n
 }
 
@@ -229,69 +279,29 @@ func (t *Trie) Len() int {
 func (t *Trie) MaxPostingLen() int {
 	t.ensureMaterialized()
 	longest := 0
-	for i := range t.shards {
-		for _, pl := range t.shards[i].posts {
-			if n := pl.Len(); n > longest {
-				longest = n
-			}
-		}
-	}
+	t.each(func(_ features.FeatureID, pl *PostingList) { longest = max(longest, pl.Len()) })
 	return longest
-}
-
-// NodeCount returns the number of internal trie nodes (excluding the root),
-// an index-size proxy.
-func (t *Trie) NodeCount() int {
-	t.ensureMaterialized()
-	return t.nodes
-}
-
-// insertPath records key in the byte trie with its interned ID.
-func (t *Trie) insertPath(key string, id features.FeatureID) {
-	n := &t.root
-	for i := 0; i < len(key); i++ {
-		before := len(n.labels)
-		c := n.ensureChild(key[i])
-		if len(n.labels) != before {
-			t.nodes++
-		}
-		n = c
-	}
-	n.terminal = true
-	n.id = id
 }
 
 // Insert adds (or merges) a posting for key, interning it into the
 // dictionary. Postings for a key are kept sorted by graph id; inserting the
 // same (key, graph) twice accumulates the count and unions locations.
-// Not safe for concurrent use — parallel builds go through Builder.
+// Not safe for concurrent use — parallel builds go through Builder — and
+// only for a trie that owns its pages (built or loaded, not Apply's result).
 func (t *Trie) Insert(key string, p Posting) {
 	t.ensureMaterialized()
-	id := t.dict.Intern(key)
-	sh := t.shardFor(id)
-	if _, seen := sh.posts[id]; !seen {
-		t.insertPath(key, id)
-		delete(t.dead, id)
-	}
-	t.addPosting(sh, id, p)
+	t.InsertID(t.dict.Intern(key), p)
 }
 
 // InsertID adds (or merges) a posting for an already-interned feature — the
 // hot sequential build path for callers enumerating features as IDs.
 func (t *Trie) InsertID(id features.FeatureID, p Posting) {
 	t.ensureMaterialized()
-	sh := t.shardFor(id)
-	if _, seen := sh.posts[id]; !seen {
-		t.insertPath(t.dict.Key(id), id)
-		delete(t.dead, id)
+	pl := t.at(id)
+	if pl.ids == nil {
+		delete(t.dead, id) // resurrect a previously drained feature
 	}
-	t.addPosting(sh, id, p)
-}
-
-func (t *Trie) addPosting(sh *shard, id features.FeatureID, p Posting) {
-	pl := sh.posts[id]
 	pl.add(t.policy, p)
-	sh.posts[id] = pl
 }
 
 // Get materialises the postings for key as a flat []Posting, or nil if the
@@ -306,8 +316,9 @@ func (t *Trie) Get(key string) []Posting {
 }
 
 // GetByID returns the postings for an interned feature (a zero PostingList
-// if this trie holds none). On an eager trie this is lock-free: one mask
-// plus one map probe against an immutable shard. On a lazily-opened trie
+// if this trie holds none). On an eager trie this is lock-free: a mask and a
+// shift select shard and slot, then two indexed loads (page directory,
+// page) read the immutable table. On a lazily-opened trie
 // (OpenLazy) the probe routes through the residency slots — one atomic load
 // for a resident list; otherwise the list is decoded from its byte span,
 // opening the shard's directory first if this is its first touch — and a
@@ -316,7 +327,7 @@ func (t *Trie) GetByID(id features.FeatureID) PostingList {
 	if ls := t.lazyLive.Load(); ls != nil {
 		return ls.get(id)
 	}
-	return t.shardFor(id).posts[id]
+	return t.get(id)
 }
 
 // Contains reports whether key currently has at least one posting. A key
@@ -333,111 +344,62 @@ func (t *Trie) Contains(key string) bool {
 // postings slice is materialised fresh per key.
 func (t *Trie) Walk(fn func(key string, postings []Posting)) {
 	t.ensureMaterialized()
-	var buf []byte
-	var rec func(n *node)
-	rec = func(n *node) {
-		if n.terminal {
-			fn(string(buf), t.GetByID(n.id).Postings())
-		}
-		for i, b := range n.labels {
-			buf = append(buf, b)
-			rec(n.children[i])
-			buf = buf[:len(buf)-1]
-		}
+	type entry struct {
+		key string
+		pl  PostingList
 	}
-	rec(&t.root)
+	var all []entry
+	t.each(func(id features.FeatureID, pl *PostingList) { all = append(all, entry{t.dict.Key(id), *pl}) })
+	slices.SortFunc(all, func(a, b entry) int { return strings.Compare(a.key, b.key) })
+	for _, e := range all {
+		fn(e.key, e.pl.Postings())
+	}
 }
 
 // RemoveGraph deletes every posting of the given graph id across all keys.
-// Features drained to zero postings are removed outright: their postings
-// map entry is deleted, their byte-trie path is pruned (so Walk, NodeCount,
-// SizeBytes and a persisted snapshot all agree with a trie never holding
-// the key) and their dictionary ID is retired to the dead set. Like the
-// build path, RemoveGraph is exclusive — no concurrent readers; concurrent
-// mutation goes through Mutation/Apply instead.
+// Features drained to zero postings are removed outright: their table entry
+// becomes the zero list (so Walk, SizeBytes and a persisted snapshot all
+// agree with a trie never holding the key) and their dictionary ID is
+// retired to the dead set. Like the build path, RemoveGraph is exclusive —
+// no concurrent readers, pages owned; concurrent mutation goes through
+// Mutation/Apply instead.
 func (t *Trie) RemoveGraph(id int32) {
 	t.ensureMaterialized()
-	for s := range t.shards {
-		posts := t.shards[s].posts
-		for fid, pl := range posts {
-			removed, drained := pl.remove(t.policy, id)
-			if !removed {
-				continue
+	t.each(func(fid features.FeatureID, pl *PostingList) {
+		if _, drained := pl.remove(t.policy, id); drained {
+			if t.dead == nil {
+				t.dead = make(map[features.FeatureID]struct{})
 			}
-			if drained {
-				delete(posts, fid)
-				t.removePath(t.dict.Key(fid))
-				if t.dead == nil {
-					t.dead = make(map[features.FeatureID]struct{})
-				}
-				t.dead[fid] = struct{}{}
-				continue
-			}
-			posts[fid] = pl
+			t.dead[fid] = struct{}{}
 		}
-	}
+	})
 }
 
-// removePath unsets key's terminal flag in the byte trie and prunes the
-// childless non-terminal tail of its path (the in-place sibling of the
-// applier's removePathCOW; exclusive access required).
-func (t *Trie) removePath(key string) {
-	type step struct {
-		parent *node
-		at     int
-	}
-	path := make([]step, 0, len(key))
-	n := &t.root
-	for i := 0; i < len(key); i++ {
-		c, at := childOf(n, key[i])
-		if c == nil {
-			return
-		}
-		path = append(path, step{parent: n, at: at})
-		n = c
-	}
-	n.terminal = false
-	for i := len(path) - 1; i >= 0; i-- {
-		if len(n.children) > 0 || n.terminal {
-			break
-		}
-		p := path[i].parent
-		at := path[i].at
-		p.labels = append(p.labels[:at], p.labels[at+1:]...)
-		p.children = append(p.children[:at], p.children[at+1:]...)
-		t.nodes--
-		n = p
-	}
-}
-
-// SizeBytes approximates the in-memory footprint of the trie (nodes, shard
-// tables, postings and location lists), used for the paper's Fig 18
-// accounting.
+// SizeBytes approximates the in-memory footprint of the trie (page tables,
+// postings and location lists), used for the paper's Fig 18 accounting.
 func (t *Trie) SizeBytes() int {
 	if t.lazyLive.Load() != nil {
 		// Lazily opened: report the resident posting lists instead of
 		// decoding everything — a monitoring scrape must never defeat
-		// laziness. The eager figure (which also counts the byte-trie nodes
-		// and shard headers below) applies once Materialize has run.
+		// laziness. The eager figure applies once Materialize has run.
 		return int(t.Residency().ResidentBytes)
 	}
-	sz := 0
-	var rec func(n *node)
-	rec = func(n *node) {
-		sz += 64 + len(n.labels) + 8*len(n.children)
-		for _, c := range n.children {
-			rec(c)
-		}
-	}
-	rec(&t.root)
-	sz += 48 * len(t.shards) // shard headers
-	for s := range t.shards {
-		for _, pl := range t.shards[s].posts {
-			sz += 48 // postings-map entry + PostingList header
-			sz += pl.SizeBytes()
-		}
-	}
-	return sz
+	return t.tableSizeBytes()
+}
+
+// tableSizeBytes is the eager footprint: the directory headers, plus every
+// live list's container bytes, its 72 B table entry and its share of page
+// directory pointers. The table is counted at full occupancy — slots left
+// by dead or foreign features of a shared dictionary are residue, like the
+// dead dictionary entries LiveDictSizeBytes excludes — so a mutated trie
+// reports exactly what a fresh build of the same content does.
+func (t *Trie) tableSizeBytes() int {
+	sz, live := 24*len(t.shards), 0
+	t.each(func(_ features.FeatureID, pl *PostingList) {
+		live++
+		sz += pl.SizeBytes()
+	})
+	return sz + live*entryBytes + 8*((live+pageMask)/pageLen)
 }
 
 // LiveDictSizeBytes reports the feature dictionary's footprint counted at
@@ -612,20 +574,17 @@ func (w *BuildWorker) InsertID(id features.FeatureID, p Posting) {
 func (b *Builder) Merge() {
 	t := b.t
 	k := len(t.shards)
-	newIDs := make([][]features.FeatureID, k)
+	revived := make([][]features.FeatureID, k)
 	ParallelFor(k, runtime.GOMAXPROCS(0), func(_ int, claim func() int) {
 		for s := claim(); s >= 0; s = claim() {
-			newIDs[s] = t.mergeShard(s, b.workers)
+			revived[s] = t.mergeShard(s, b.workers)
 		}
 	})
-	// Byte-trie paths for first-seen keys. The trie's structure (and hence
-	// Walk order and NodeCount) is a function of the key set alone, so the
-	// insertion order here does not matter; doing it after the parallel
-	// phase keeps the byte trie single-writer.
-	for _, ids := range newIDs {
+	// The dead set is shared by all shards, so resurrections are applied
+	// after the parallel phase.
+	for _, ids := range revived {
 		for _, id := range ids {
-			t.insertPath(t.dict.Key(id), id)
-			delete(t.dead, id) // resurrect a previously drained feature
+			delete(t.dead, id)
 		}
 	}
 	for _, w := range b.workers {
@@ -635,8 +594,8 @@ func (b *Builder) Merge() {
 	}
 }
 
-// mergeShard inserts every staged posting for shard s and returns the IDs
-// that were new to this trie (their byte-trie paths are still missing).
+// mergeShard inserts every staged posting for shard s, filling its table in
+// ID order, and returns the dead features it brought back.
 func (t *Trie) mergeShard(s int, workers []*BuildWorker) []features.FeatureID {
 	sh := &t.shards[s]
 	n := 0
@@ -665,7 +624,7 @@ func (t *Trie) mergeShard(s int, workers []*BuildWorker) []features.FeatureID {
 		}
 		return 0
 	})
-	var newIDs []features.FeatureID
+	var revived []features.FeatureID
 	for i := 0; i < len(all); {
 		j := i
 		id := all[i].id
@@ -683,15 +642,16 @@ func (t *Trie) mergeShard(s int, workers []*BuildWorker) []features.FeatureID {
 			}
 			run = append(run, Posting{Graph: sp.p.Graph, Count: sp.p.Count, Locs: append([]int32(nil), sp.p.Locs...)})
 		}
-		if old, seen := sh.posts[id]; seen {
-			sh.posts[id] = sealPostings(t.policy, mergePostingRuns(old.Postings(), run))
-		} else {
-			sh.posts[id] = sealPostings(t.policy, run)
-			newIDs = append(newIDs, id)
+		pl := sh.at(uint32(id) >> t.shift)
+		if pl.ids != nil {
+			run = mergePostingRuns(pl.Postings(), run)
+		} else if _, dead := t.dead[id]; dead {
+			revived = append(revived, id)
 		}
+		*pl = sealPostings(t.policy, run)
 		i = j
 	}
-	return newIDs
+	return revived
 }
 
 // mergePostingRuns merges two graph-sorted posting runs, combining postings

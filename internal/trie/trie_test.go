@@ -163,8 +163,8 @@ func TestInsertIDMatchesInsert(t *testing.T) {
 	if !reflect.DeepEqual(ws, wi) {
 		t.Errorf("walks differ:\n%v\n%v", ws, wi)
 	}
-	if byStr.NodeCount() != byID.NodeCount() {
-		t.Errorf("node counts differ: %d vs %d", byStr.NodeCount(), byID.NodeCount())
+	if byStr.Len() != byID.Len() {
+		t.Errorf("key counts differ: %d vs %d", byStr.Len(), byID.Len())
 	}
 }
 
@@ -219,8 +219,8 @@ func TestSizeBytesGrows(t *testing.T) {
 	if tr.SizeBytes() <= before {
 		t.Error("SizeBytes did not grow after inserts")
 	}
-	if tr.NodeCount() == 0 {
-		t.Error("NodeCount is zero after inserts")
+	if tr.Len() != 50 {
+		t.Errorf("Len = %d after 50 distinct inserts", tr.Len())
 	}
 }
 
