@@ -3,6 +3,7 @@ package igq
 import (
 	"bytes"
 	"context"
+	"os"
 
 	"reflect"
 	"testing"
@@ -130,6 +131,15 @@ func FuzzLoadEngine(f *testing.F) {
 	dflip := append([]byte(nil), dense.Bytes()...)
 	dflip[len(dflip)*2/3] ^= 0x04 // flip inside the segment area
 	f.Add(dflip)
+
+	// Seed: a Grapes index snapshot from the writer that stored per-posting
+	// vertex locations — located segments plus a journal whose ops carry
+	// them (see internal/index/grapes/located_test.go).
+	located, err := os.ReadFile("internal/index/grapes/testdata/located-v3.snap")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(located)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := fuzzDB()

@@ -247,9 +247,6 @@
 // igqserve -partitions N serves a group over the wire with per-partition
 // /metrics gauges. Rebalance resplits the live group to a new partition
 // count between queries.
-//
-// QuerySubgraph and QuerySupergraph are deprecated synonyms for Query; new
-// code should pass a context and use Query.
 package igq
 
 import (
@@ -311,8 +308,8 @@ func Isomorphic(a, b *Graph) bool { return iso.Isomorphic(a, b) }
 type MethodKind int
 
 const (
-	// Grapes: path index with location-restricted verification (paper's
-	// strongest baseline; the default).
+	// Grapes: the parallel path index (paper's strongest baseline; the
+	// default). It stores GGSX's postings and answers like GGSX.
 	Grapes MethodKind = iota
 	// GGSX: GraphGrepSX path-trie index.
 	GGSX
@@ -387,9 +384,8 @@ type Engine struct {
 	// answering over it, swapped together so every query sees a consistent
 	// pair. Dataset mutations install new generations; everything that
 	// reads the dataset or the method loads one view first.
-	view   atomic.Pointer[engineView]
-	superQ bool
-	opt    EngineOptions // resolved construction options (persistence reuse)
+	view atomic.Pointer[engineView]
+	opt  EngineOptions // resolved construction options (persistence reuse)
 
 	// mutMu serialises generation changes — AddGraphs, RemoveGraphs,
 	// LoadIndex and the persistence lineage calls — against each other.
@@ -548,7 +544,7 @@ func NewEngine(db []*Graph, opt EngineOptions) (*Engine, error) {
 		}
 		m = wrapped
 	}
-	e := &Engine{superQ: opt.Supergraph, opt: opt}
+	e := &Engine{opt: opt}
 	e.view.Store(&engineView{db: db, m: m})
 	if !opt.DisableCache {
 		e.ig.Store(core.New(m, db, e.coreOptions()))
@@ -722,30 +718,6 @@ func (e *Engine) Stats() EngineStats {
 		st.ShardEvictions = res.Evictions
 	}
 	return st
-}
-
-// QuerySubgraph returns the dataset graphs that contain q. It must only be
-// called on engines built with subgraph semantics (Supergraph == false).
-//
-// Deprecated: use Query, which also accepts a context. QuerySubgraph is
-// equivalent to Query(context.Background(), q) plus the direction check.
-func (e *Engine) QuerySubgraph(q *Graph) (Result, error) {
-	if e.superQ {
-		return Result{}, errors.New("igq: engine built for supergraph queries")
-	}
-	return e.Query(context.Background(), q)
-}
-
-// QuerySupergraph returns the dataset graphs contained in q. It must only
-// be called on engines built with Supergraph == true.
-//
-// Deprecated: use Query, which also accepts a context. QuerySupergraph is
-// equivalent to Query(context.Background(), q) plus the direction check.
-func (e *Engine) QuerySupergraph(q *Graph) (Result, error) {
-	if !e.superQ {
-		return Result{}, errors.New("igq: engine built for subgraph queries")
-	}
-	return e.Query(context.Background(), q)
 }
 
 // SaveCache serialises the engine's accumulated query cache (cached query
@@ -1146,7 +1118,7 @@ func LoadEngineReport(r io.Reader, db []*Graph, opt EngineOptions) (*Engine, Loa
 		// keep the cache-side enumeration consistent with it.
 		opt.MaxPathLen = cf.FeatureMaxPathLen()
 	}
-	e := &Engine{superQ: opt.Supergraph, opt: opt}
+	e := &Engine{opt: opt}
 	e.view.Store(&engineView{db: db, m: m})
 	if !opt.DisableCache {
 		if flags&engineFlagCache != 0 && rep.RecoveredTail == nil {

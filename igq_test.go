@@ -2,6 +2,7 @@ package igq
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -19,7 +20,8 @@ func TestEngineSubgraphLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ExtractQuery(db[0], 0, 4)
-	res, err := eng.QuerySubgraph(q)
+	ctx := context.Background()
+	res, err := eng.Query(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +38,9 @@ func TestEngineSubgraphLifecycle(t *testing.T) {
 	}
 	// a repeated query must hit the cache after the window flushes
 	for i := 0; i < 6; i++ {
-		eng.QuerySubgraph(ExtractQuery(db[1+i], 0, 8))
+		eng.Query(ctx, ExtractQuery(db[1+i], 0, 8))
 	}
-	res2, _ := eng.QuerySubgraph(q.Clone())
+	res2, _ := eng.Query(ctx, q.Clone())
 	if !res2.Stats.AnsweredByCache {
 		t.Error("repeat query not answered by cache")
 	}
@@ -62,7 +64,7 @@ func TestEngineMethodsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.QuerySubgraph(q)
+		res, err := eng.Query(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,8 +85,8 @@ func TestEngineDisableCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ExtractQuery(db[0], 0, 4)
-	a, _ := eng.QuerySubgraph(q)
-	b, _ := eng.QuerySubgraph(q.Clone())
+	a, _ := eng.Query(context.Background(), q)
+	b, _ := eng.Query(context.Background(), q.Clone())
 	if b.Stats.AnsweredByCache {
 		t.Error("cache disabled but hit recorded")
 	}
@@ -125,7 +127,7 @@ func TestEngineSupergraph(t *testing.T) {
 	for i := 0; i+1 < 6; i++ {
 		q.AddEdge(i, i+1)
 	}
-	res, err := eng.QuerySupergraph(q)
+	res, err := eng.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,18 +135,6 @@ func TestEngineSupergraph(t *testing.T) {
 		if !IsSubgraph(m, q) {
 			t.Errorf("match %d not contained in the query", m.ID)
 		}
-	}
-	// wrong-direction call errors
-	if _, err := eng.QuerySubgraph(q); err == nil {
-		t.Error("subgraph call on supergraph engine should error")
-	}
-}
-
-func TestEngineWrongDirectionErrors(t *testing.T) {
-	db := smallDB(t)
-	eng, _ := NewEngine(db, EngineOptions{Method: GGSX})
-	if _, err := eng.QuerySupergraph(db[0]); err == nil {
-		t.Error("supergraph call on subgraph engine should error")
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // methods rebuild the same dataset index; the table reports wall-clock and
 // speedup versus the sequential build, and checks that every width produces
 // a byte-for-byte identical index (the deterministic per-shard merge
-// guarantee — same SizeBytes is a strong proxy, since it folds node counts,
-// postings and location lists).
+// guarantee — same SizeBytes is a strong proxy, since it folds the page
+// table and every posting container).
 func init() {
 	register(Experiment{
 		ID:    "buildscale",

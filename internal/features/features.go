@@ -32,7 +32,6 @@
 package features
 
 import (
-	"slices"
 	"strconv"
 	"strings"
 
@@ -45,17 +44,14 @@ import (
 type Key = string
 
 // PathSet holds, for a single graph, every canonical path feature with its
-// occurrence count and (optionally) the set of vertices touched by any
-// occurrence — the "location information" Grapes stores.
+// occurrence count.
 type PathSet struct {
-	Counts    map[Key]int
-	Locations map[Key][]int32 // sorted vertex ids; nil when not recorded
+	Counts map[Key]int
 }
 
 // PathOptions configures path enumeration.
 type PathOptions struct {
-	MaxLen    int  // maximum number of edges per path (paper default: 4)
-	Locations bool // record per-feature vertex locations (Grapes)
+	MaxLen int // maximum number of edges per path (paper default: 4)
 }
 
 // pathKey builds the canonical key for a sequence of labels: the smaller of
@@ -162,22 +158,10 @@ func PathsRange(g *graph.Graph, opt PathOptions, lo, hi int) *PathSet {
 		hi = g.NumVertices()
 	}
 	ps := &PathSet{Counts: make(map[Key]int)}
-	if opt.Locations {
-		ps.Locations = make(map[Key][]int32)
-	}
-	n := g.NumVertices()
 	labeled := g.HasEdgeLabels()
-	inPath := make([]bool, n)
-	pathV := make([]int32, 0, opt.MaxLen+1)
+	inPath := make([]bool, g.NumVertices())
 	labels := make([]graph.Label, 0, opt.MaxLen+1)
 	elabs := make([]graph.Label, 0, opt.MaxLen)
-
-	var locAdd func(k Key)
-	if opt.Locations {
-		locAdd = func(k Key) {
-			ps.Locations[k] = append(ps.Locations[k], pathV...)
-		}
-	}
 
 	var dfs func(v int)
 	dfs = func(v int) {
@@ -188,9 +172,6 @@ func PathsRange(g *graph.Graph, opt PathOptions, lo, hi int) *PathSet {
 			k = pathKey(labels)
 		}
 		ps.Counts[k]++
-		if locAdd != nil {
-			locAdd(k)
-		}
 		if len(labels) == opt.MaxLen+1 {
 			return
 		}
@@ -199,7 +180,6 @@ func PathsRange(g *graph.Graph, opt PathOptions, lo, hi int) *PathSet {
 				continue
 			}
 			inPath[w] = true
-			pathV = append(pathV, w)
 			labels = append(labels, g.Label(int(w)))
 			if labeled {
 				elabs = append(elabs, g.EdgeLabel(v, int(w)))
@@ -209,51 +189,24 @@ func PathsRange(g *graph.Graph, opt PathOptions, lo, hi int) *PathSet {
 			if labeled {
 				elabs = elabs[:len(elabs)-1]
 			}
-			pathV = pathV[:len(pathV)-1]
 			inPath[w] = false
 		}
 	}
-	_ = n
 	for v := lo; v < hi; v++ {
 		inPath[v] = true
-		pathV = append(pathV[:0], int32(v))
 		labels = append(labels[:0], g.Label(v))
 		dfs(v)
 		inPath[v] = false
 	}
-	if opt.Locations {
-		for k, vs := range ps.Locations {
-			ps.Locations[k] = dedupSorted(vs)
-		}
-	}
 	return ps
 }
 
-// MergePathSets folds src into dst: counts add, locations union. dst must
-// have been produced with the same PathOptions as src.
+// MergePathSets folds src into dst: counts add. dst must have been produced
+// with the same PathOptions as src.
 func MergePathSets(dst, src *PathSet) {
 	for k, c := range src.Counts {
 		dst.Counts[k] += c
 	}
-	if dst.Locations != nil && src.Locations != nil {
-		for k, vs := range src.Locations {
-			dst.Locations[k] = dedupSorted(append(dst.Locations[k], vs...))
-		}
-	}
-}
-
-func dedupSorted(vs []int32) []int32 {
-	if len(vs) == 0 {
-		return vs
-	}
-	slices.Sort(vs)
-	out := vs[:1]
-	for _, v := range vs[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // SizeBytes approximates the in-memory footprint of the path set, for the
@@ -262,9 +215,6 @@ func (ps *PathSet) SizeBytes() int {
 	sz := 48
 	for k := range ps.Counts {
 		sz += len(k) + 16 + 8
-	}
-	for k, vs := range ps.Locations {
-		sz += len(k) + 24 + 4*len(vs)
 	}
 	return sz
 }

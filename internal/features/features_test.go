@@ -92,25 +92,6 @@ func TestPathsMaxLenRespected(t *testing.T) {
 	}
 }
 
-func TestPathsLocations(t *testing.T) {
-	g := pathGraph(1, 2, 1)
-	ps := Paths(g, PathOptions{MaxLen: 2, Locations: true})
-	locs := ps.Locations["p:1.2"]
-	// occurrences: 0-1 and 2-1 → vertices {0,1,2}
-	if len(locs) != 3 {
-		t.Fatalf("locations of p:1.2 = %v", locs)
-	}
-	for i, v := range []int32{0, 1, 2} {
-		if locs[i] != v {
-			t.Errorf("locs[%d] = %d, want %d", i, locs[i], v)
-		}
-	}
-	// single-vertex feature location
-	if got := ps.Locations["p:2"]; len(got) != 1 || got[0] != 1 {
-		t.Errorf("locations of p:2 = %v", got)
-	}
-}
-
 func TestPathCountsQueryVsDataset(t *testing.T) {
 	// The count-based filter relies on: if q ⊆ G then for every feature f,
 	// count_q(f) <= count_G(f). Validate on planted subgraphs.
@@ -334,7 +315,7 @@ func TestAcyclicGraphHasNoCycles(t *testing.T) {
 func TestPathSetSizeBytes(t *testing.T) {
 	g := pathGraph(1, 2, 3, 4)
 	small := Paths(g, PathOptions{MaxLen: 1})
-	big := Paths(g, PathOptions{MaxLen: 3, Locations: true})
+	big := Paths(g, PathOptions{MaxLen: 3})
 	if small.SizeBytes() <= 0 || big.SizeBytes() <= small.SizeBytes() {
 		t.Errorf("SizeBytes: small=%d big=%d", small.SizeBytes(), big.SizeBytes())
 	}

@@ -89,8 +89,7 @@ func (s *Scratch) buildKey(labels, elabs []graph.Label, labeled bool) []byte {
 // and unknown features are irrelevant to containment-style filters).
 //
 // The returned IDSet.Counts slice is owned by s and is valid only until the
-// next enumeration with the same scratch. opt.Locations is not supported
-// (the Grapes build path keeps the string-based Paths for that).
+// next enumeration with the same scratch.
 //
 // Interning runs lookup-only first and only retries under the write lock
 // when genuinely new keys appeared, so steady-state rebuilds (whose
@@ -106,9 +105,6 @@ func PathsID(g *graph.Graph, opt PathOptions, d *Dict, s *Scratch, intern bool) 
 }
 
 func pathsID(g *graph.Graph, opt PathOptions, d *Dict, s *Scratch, intern bool) IDSet {
-	if opt.Locations {
-		panic("features: PathsID does not support location recording")
-	}
 	if opt.MaxLen < 0 {
 		opt.MaxLen = 0
 	}

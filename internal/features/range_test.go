@@ -9,7 +9,7 @@ import (
 func TestPathsRangePartitionEqualsWhole(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	g := randomGraph(rng, 30, 0.15, 3)
-	opt := PathOptions{MaxLen: 3, Locations: true}
+	opt := PathOptions{MaxLen: 3}
 	whole := Paths(g, opt)
 
 	// any 3-way partition of the start-vertex range must merge to the whole
@@ -20,11 +20,6 @@ func TestPathsRangePartitionEqualsWhole(t *testing.T) {
 	}
 	if !reflect.DeepEqual(whole.Counts, merged.Counts) {
 		t.Fatal("partitioned counts differ from whole enumeration")
-	}
-	for k, locs := range whole.Locations {
-		if !reflect.DeepEqual(locs, merged.Locations[k]) {
-			t.Fatalf("locations differ for %q: %v vs %v", k, locs, merged.Locations[k])
-		}
 	}
 }
 
@@ -42,22 +37,10 @@ func TestPathsRangeClampsBounds(t *testing.T) {
 }
 
 func TestMergePathSetsAccumulates(t *testing.T) {
-	dst := &PathSet{Counts: map[string]int{"p:1": 2}, Locations: map[string][]int32{"p:1": {0, 2}}}
-	src := &PathSet{Counts: map[string]int{"p:1": 3, "p:2": 1}, Locations: map[string][]int32{"p:1": {1, 2}}}
+	dst := &PathSet{Counts: map[string]int{"p:1": 2}}
+	src := &PathSet{Counts: map[string]int{"p:1": 3, "p:2": 1}}
 	MergePathSets(dst, src)
 	if dst.Counts["p:1"] != 5 || dst.Counts["p:2"] != 1 {
 		t.Errorf("merged counts = %v", dst.Counts)
-	}
-	if !reflect.DeepEqual(dst.Locations["p:1"], []int32{0, 1, 2}) {
-		t.Errorf("merged locations = %v", dst.Locations["p:1"])
-	}
-}
-
-func TestMergePathSetsNilLocations(t *testing.T) {
-	dst := &PathSet{Counts: map[string]int{"a": 1}}
-	src := &PathSet{Counts: map[string]int{"a": 1}}
-	MergePathSets(dst, src) // must not panic with nil Locations
-	if dst.Counts["a"] != 2 {
-		t.Error("counts not merged")
 	}
 }

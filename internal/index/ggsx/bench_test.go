@@ -20,7 +20,7 @@ func BenchmarkMutationApply(b *testing.B) {
 	popt := features.PathOptions{MaxLen: x.opt.MaxPathLen}
 
 	add := x.tr.NewMutation()
-	StageAppend(add, int32(len(x.db)), db[len(db)-4:], popt)
+	stageAppend(add, int32(len(x.db)), db[len(db)-4:], popt)
 	_, steps, _, err := index.SwapRemove(x.db, []int{7, 1100, 2300, 3500})
 	if err != nil {
 		b.Fatal(err)

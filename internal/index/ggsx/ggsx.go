@@ -102,9 +102,8 @@ func (x *Index) Build(db []*graph.Graph) {
 // BuildPaths runs the shared parallel path-index build pipeline: workers
 // claim dataset graphs, enumerate their path features and stage the
 // postings; the per-shard merges run in parallel after the enumeration
-// joins. Shared with Grapes, whose build differs only in PathOptions
-// (location recording). workers ≤ 1 enumerates inline, avoiding staging
-// memory for the sequential case.
+// joins. Shared with Grapes, whose index is the same postings. workers ≤ 1
+// enumerates inline, avoiding staging memory for the sequential case.
 func BuildPaths(tr *trie.Trie, db []*graph.Graph, opt features.PathOptions, workers int) {
 	if workers > len(db) {
 		workers = len(db)
@@ -131,7 +130,7 @@ func BuildPaths(tr *trie.Trie, db []*graph.Graph, opt features.PathOptions, work
 // either Trie.Insert (sequential) or BuildWorker.Insert (staged).
 func insertPathSet(insert func(string, trie.Posting), graphID int32, ps *features.PathSet) {
 	for k, c := range ps.Counts {
-		insert(k, trie.Posting{Graph: graphID, Count: int32(c), Locs: ps.Locations[k]})
+		insert(k, trie.Posting{Graph: graphID, Count: int32(c)})
 	}
 }
 

@@ -12,8 +12,8 @@ package ggsx
 // directory of each touched shard) and copies each touched feature's
 // posting list once, so a batch costs O(touched features' postings), not
 // O(vocabulary). The staged ops are recorded into the shared DeltaLog so a
-// later AppendDelta persists them in O(delta). Grapes reuses these helpers with location recording on,
-// exactly as it reuses BuildPaths.
+// later AppendDelta persists them in O(delta). Grapes mutates through the
+// same AppendPaths/RemovePaths, exactly as it builds through BuildPaths.
 
 import (
 	"errors"
@@ -40,7 +40,7 @@ func (x *Index) AppendGraphs(gs []*graph.Graph) (index.Mutable, []*graph.Graph, 
 	if x.db == nil {
 		return nil, nil, errors.New("ggsx: AppendGraphs before Build")
 	}
-	newDB, tr, err := x.appendGraphs(gs, features.PathOptions{MaxLen: x.opt.MaxPathLen})
+	newDB, tr, err := AppendPaths(x.tr, x.log, x.db, gs, x.opt.MaxPathLen)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -55,7 +55,7 @@ func (x *Index) RemoveGraphs(positions []int) (index.Mutable, []*graph.Graph, []
 	if x.db == nil {
 		return nil, nil, nil, errors.New("ggsx: RemoveGraphs before Build")
 	}
-	newDB, tr, mapping, err := x.removeGraphs(positions, features.PathOptions{MaxLen: x.opt.MaxPathLen})
+	newDB, tr, mapping, err := RemovePaths(x.tr, x.log, x.db, positions, x.opt.MaxPathLen)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -63,41 +63,45 @@ func (x *Index) RemoveGraphs(positions []int) (index.Mutable, []*graph.Graph, []
 	return nx, newDB, mapping, nil
 }
 
-// appendGraphs stages and applies one append batch (shared with Grapes).
-func (x *Index) appendGraphs(gs []*graph.Graph, popt features.PathOptions) ([]*graph.Graph, *trie.Trie, error) {
+// AppendPaths stages one append batch of path features against tr, records
+// it into log and applies it: the write path GGSX and Grapes share, since
+// their indexes are the same postings. It returns append(db, gs...) and the
+// post-mutation trie; tr is left untouched.
+func AppendPaths(tr *trie.Trie, log *index.DeltaLog, db, gs []*graph.Graph, maxLen int) ([]*graph.Graph, *trie.Trie, error) {
 	if len(gs) == 0 {
-		return nil, nil, errors.New("ggsx: no graphs to append")
+		return nil, nil, errors.New("index: no graphs to append")
 	}
 	for _, g := range gs {
 		if g == nil {
-			return nil, nil, errors.New("ggsx: nil graph in append batch")
+			return nil, nil, errors.New("index: nil graph in append batch")
 		}
 	}
-	newDB := make([]*graph.Graph, 0, len(x.db)+len(gs))
-	newDB = append(newDB, x.db...)
+	newDB := make([]*graph.Graph, 0, len(db)+len(gs))
+	newDB = append(newDB, db...)
 	newDB = append(newDB, gs...)
-	mut := x.tr.NewMutation()
-	StageAppend(mut, int32(len(x.db)), gs, popt)
-	x.log.Record(mut)
+	mut := tr.NewMutation()
+	stageAppend(mut, int32(len(db)), gs, features.PathOptions{MaxLen: maxLen})
+	log.Record(mut)
 	return newDB, mut.Apply(), nil
 }
 
-// removeGraphs stages and applies one removal batch (shared with Grapes).
-func (x *Index) removeGraphs(positions []int, popt features.PathOptions) ([]*graph.Graph, *trie.Trie, []int32, error) {
-	newDB, steps, mapping, err := index.SwapRemove(x.db, positions)
+// RemovePaths is AppendPaths for one swap-removal batch (index.SwapRemove
+// semantics); it also returns the old→new position mapping.
+func RemovePaths(tr *trie.Trie, log *index.DeltaLog, db []*graph.Graph, positions []int, maxLen int) ([]*graph.Graph, *trie.Trie, []int32, error) {
+	newDB, steps, mapping, err := index.SwapRemove(db, positions)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	mut := x.tr.NewMutation()
-	StageRemovals(mut, steps, popt)
-	x.log.Record(mut)
+	mut := tr.NewMutation()
+	StageRemovals(mut, steps, features.PathOptions{MaxLen: maxLen})
+	log.Record(mut)
 	return newDB, mut.Apply(), mapping, nil
 }
 
-// StageAppend enumerates gs — the graphs appended at dataset positions
+// stageAppend enumerates gs — the graphs appended at dataset positions
 // startID, startID+1, ... — and stages their features into mut. Feature
 // records are key-sorted so staging is deterministic run to run.
-func StageAppend(mut *trie.Mutation, startID int32, gs []*graph.Graph, opt features.PathOptions) {
+func stageAppend(mut *trie.Mutation, startID int32, gs []*graph.Graph, opt features.PathOptions) {
 	for i, g := range gs {
 		mut.AppendGraph(startID+int32(i), GraphFeatures(features.Paths(g, opt)))
 	}
@@ -119,12 +123,12 @@ func StageRemovals(mut *trie.Mutation, steps []index.RemoveStep, opt features.Pa
 
 // GraphFeatures flattens a PathSet into key-sorted feature records, ready
 // for Mutation.AppendGraph/RemoveGraph staging. Exported alongside
-// StageAppend/StageRemovals: the contain method stages the same records
-// but interleaves its own NF bookkeeping per graph.
+// StageRemovals: the contain method stages the same records but
+// interleaves its own NF bookkeeping per graph.
 func GraphFeatures(ps *features.PathSet) []trie.GraphFeature {
 	out := make([]trie.GraphFeature, 0, len(ps.Counts))
 	for k, c := range ps.Counts {
-		out = append(out, trie.GraphFeature{Key: k, Count: int32(c), Locs: ps.Locations[k]})
+		out = append(out, trie.GraphFeature{Key: k, Count: int32(c)})
 	}
 	slices.SortFunc(out, func(a, b trie.GraphFeature) int {
 		switch {

@@ -29,7 +29,7 @@ func dumpTrie(tr *trie.Trie) string {
 	tr.Walk(func(k string, ps []trie.Posting) {
 		out += fmt.Sprintf("%q ->", k)
 		for _, p := range ps {
-			out += fmt.Sprintf(" {g=%d c=%d locs=%v}", p.Graph, p.Count, p.Locs)
+			out += fmt.Sprintf(" {g=%d c=%d}", p.Graph, p.Count)
 		}
 		out += "\n"
 	})

@@ -3,34 +3,30 @@
 // (Grapes(1) and Grapes(6) denote 1 and 6 build/query threads).
 //
 // Like GGSX, Grapes exhaustively enumerates labeled simple paths up to
-// MaxLen edges — but it additionally records *location information*: the
-// set of vertices touched by each feature's occurrences in each graph.
-// Index construction is parallel: each worker enumerates the paths starting
-// from its share of the vertices and the per-worker results are merged
-// (exactly the paper's description of per-thread tries merged into the
-// graph's path index).
+// MaxLen edges, and its index holds exactly GGSX's (graph, count)
+// postings. Index construction is parallel: each worker enumerates the
+// paths starting from its share of the vertices and the per-worker results
+// are merged (exactly the paper's description of per-thread tries merged
+// into the graph's path index).
 //
-// Verification does not use the location lists. Grapes' published strategy
-// restricts the test to the candidate's *located* vertices — the union,
-// over the query's features, of the vertices their occurrences touch —
-// induces that subgraph, splits it into connected components and matches
-// component by component. But a 0-edge path is a feature too
+// The published Grapes also stores *location information* — the vertices
+// each feature's occurrences touch in each graph — to restrict a test to
+// the candidate's located vertices, split into connected components. This
+// implementation stores none. A 0-edge path is a feature too
 // (features.Paths: "a 0-edge path is a single vertex"), so every vertex of
 // the candidate whose label occurs in the query is located by that label's
 // own feature, and every longer feature only re-locates a subset of those:
 // the located set is exactly {v ∈ g : label(v) ∈ labels(q)}. The matcher's
 // label check confines the search to those vertices anyway, and its
 // parent-directed candidate generation never leaves the component it
-// started in — so materialising the restriction per candidate (location
-// probes, union, induced subgraph, components, a second induced graph each)
-// bought nothing and was over 90 % of the cost of a test. Verify therefore
-// tests the dataset graph itself with the compiled matcher of package iso,
-// for connected and disconnected queries alike, and nothing on the query
-// path reads Posting.Locs; the lists remain part of the index's stored form.
+// started in — so the restriction bought nothing, while materialising it
+// per candidate was over 90 % of the cost of a test and the lists were
+// 60 % of the index's memory. Verify tests the dataset graph itself with
+// the compiled matcher of package iso, for connected and disconnected
+// queries alike. Snapshots from writers that stored the lists still load:
+// the trie reader validates them and discards them.
 //
-// Filtering runs on interned feature IDs (see package ggsx); the
-// string-based enumeration is only used at build time, where the location
-// records are produced.
+// Filtering runs on interned feature IDs (see package ggsx).
 package grapes
 
 import (
@@ -138,16 +134,11 @@ func (x *Index) Build(db []*graph.Graph) {
 	x.dict.Reset()
 	x.tr = trie.NewSharded(x.dict, x.opt.Shards)
 	x.log.NoteFullSave(0) // a rebuild invalidates any snapshot lineage
-	opt := features.PathOptions{MaxLen: x.opt.MaxPathLen, Locations: true}
+	opt := features.PathOptions{MaxLen: x.opt.MaxPathLen}
 	if x.opt.Threads > 1 && (x.opt.BuildWorkers <= 1 || len(db) < 2*x.opt.BuildWorkers) {
 		for i, g := range db {
-			ps := x.enumerate(g, opt)
-			for k, c := range ps.Counts {
-				x.tr.Insert(k, trie.Posting{
-					Graph: int32(i),
-					Count: int32(c),
-					Locs:  ps.Locations[k],
-				})
+			for k, c := range x.enumerate(g, opt).Counts {
+				x.tr.Insert(k, trie.Posting{Graph: int32(i), Count: int32(c)})
 			}
 		}
 		x.tr.SetGallopProbeCost(index.CalibrateGallopProbeCost(x.tr))
@@ -211,8 +202,8 @@ func (x *Index) Prepare(q *graph.Graph) index.Verifier {
 	return index.PrepareSubgraph(x.db, q)
 }
 
-// SizeBytes implements index.Method: the path trie (postings + location
-// lists) plus the feature dictionary the index owns, counted at the live
-// vocabulary (see ggsx.SizeBytes on why the dictionary is counted at its
-// owner and why retired features are excluded).
+// SizeBytes implements index.Method: the path trie plus the feature
+// dictionary the index owns, counted at the live vocabulary (see
+// ggsx.SizeBytes on why the dictionary is counted at its owner and why
+// retired features are excluded).
 func (x *Index) SizeBytes() int { return x.tr.SizeBytes() + x.tr.LiveDictSizeBytes() }

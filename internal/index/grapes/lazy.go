@@ -16,8 +16,8 @@ var (
 )
 
 // LoadIndexLazy implements index.LazyLoadable: like LoadIndex, but a
-// posting list (its location lists included) stays undecoded until a query
-// first probes it, under a resident-byte budget (0 = unbounded). src
+// posting list stays undecoded until a query first probes it, under a
+// resident-byte budget (0 = unbounded). src
 // must stay open and immutable until the index is materialised or
 // discarded; the snapshot's saved shard layout is adopted as-is (see
 // index.LazyLoadable).

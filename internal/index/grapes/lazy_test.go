@@ -8,9 +8,9 @@ import (
 	"repro/internal/index"
 )
 
-// TestLoadIndexLazyDifferential: the Grapes lazy path — location lists
-// included — answers identically to an eager load,
-// under eviction pressure, and materialises into the identical index.
+// TestLoadIndexLazyDifferential: the Grapes lazy path answers identically
+// to an eager load, under eviction pressure, and materialises into the
+// identical index.
 func TestLoadIndexLazyDifferential(t *testing.T) {
 	db := randomDB(40, 11)
 	qs := randomQueries(db, 20, 12)
@@ -25,7 +25,7 @@ func TestLoadIndexLazyDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	lazy := New(Options{MaxPathLen: 3, Threads: 2, BuildWorkers: 2})
-	if _, err := lazy.LoadIndexLazy(bytes.NewReader(buf.Bytes()), db, 8<<10); err != nil {
+	if _, err := lazy.LoadIndexLazy(bytes.NewReader(buf.Bytes()), db, 2<<10); err != nil {
 		t.Fatal(err)
 	}
 	if res := lazy.Residency(); !res.Lazy || res.ResidentShards != 0 {
@@ -44,7 +44,7 @@ func TestLoadIndexLazyDifferential(t *testing.T) {
 		}
 	}
 	if res := lazy.Residency(); res.Faults == 0 || res.Evictions == 0 {
-		t.Errorf("queries answered without posting decodes and evictions under an 8 KiB budget: %+v", res)
+		t.Errorf("queries answered without posting decodes and evictions under a 2 KiB budget: %+v", res)
 	}
 	if err := lazy.Materialize(); err != nil {
 		t.Fatal(err)

@@ -1,16 +1,14 @@
 package grapes
 
-// Incremental dataset maintenance: Grapes mutates through the shared path
-// staging of package ggsx (exactly as Build shares ggsx.BuildPaths), with
-// location recording on so re-homed and appended postings carry their
-// vertex sets like built ones. Mutation is copy-on-write: the receiver
-// keeps serving the old dataset untouched.
+// Incremental dataset maintenance: Grapes mutates through GGSX's write path
+// (ggsx.AppendPaths/RemovePaths, exactly as Build shares ggsx.BuildPaths),
+// since the two indexes hold the same postings. Mutation is copy-on-write:
+// the receiver keeps serving the old dataset untouched.
 
 import (
 	"errors"
 	"io"
 
-	"repro/internal/features"
 	"repro/internal/graph"
 	"repro/internal/index"
 	"repro/internal/index/ggsx"
@@ -25,11 +23,6 @@ var (
 // Dataset implements index.Mutable.
 func (x *Index) Dataset() []*graph.Graph { return x.db }
 
-// pathOptions is the Grapes feature enumeration: locations on.
-func (x *Index) pathOptions() features.PathOptions {
-	return features.PathOptions{MaxLen: x.opt.MaxPathLen, Locations: true}
-}
-
 // clone returns a new generation over (db, tr) sharing the dictionary and
 // delta log.
 func (x *Index) clone(db []*graph.Graph, tr *trie.Trie) *Index {
@@ -41,22 +34,11 @@ func (x *Index) AppendGraphs(gs []*graph.Graph) (index.Mutable, []*graph.Graph, 
 	if x.db == nil {
 		return nil, nil, errors.New("grapes: AppendGraphs before Build")
 	}
-	if len(gs) == 0 {
-		return nil, nil, errors.New("grapes: no graphs to append")
+	newDB, tr, err := ggsx.AppendPaths(x.tr, x.log, x.db, gs, x.opt.MaxPathLen)
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, g := range gs {
-		if g == nil {
-			return nil, nil, errors.New("grapes: nil graph in append batch")
-		}
-	}
-	newDB := make([]*graph.Graph, 0, len(x.db)+len(gs))
-	newDB = append(newDB, x.db...)
-	newDB = append(newDB, gs...)
-	mut := x.tr.NewMutation()
-	ggsx.StageAppend(mut, int32(len(x.db)), gs, x.pathOptions())
-	x.log.Record(mut)
-	nx := x.clone(newDB, mut.Apply())
-	return nx, newDB, nil
+	return x.clone(newDB, tr), newDB, nil
 }
 
 // RemoveGraphs implements index.Mutable (see ggsx.Index.RemoveGraphs).
@@ -64,15 +46,11 @@ func (x *Index) RemoveGraphs(positions []int) (index.Mutable, []*graph.Graph, []
 	if x.db == nil {
 		return nil, nil, nil, errors.New("grapes: RemoveGraphs before Build")
 	}
-	newDB, steps, mapping, err := index.SwapRemove(x.db, positions)
+	newDB, tr, mapping, err := ggsx.RemovePaths(x.tr, x.log, x.db, positions, x.opt.MaxPathLen)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	mut := x.tr.NewMutation()
-	ggsx.StageRemovals(mut, steps, x.pathOptions())
-	x.log.Record(mut)
-	nx := x.clone(newDB, mut.Apply())
-	return nx, newDB, mapping, nil
+	return x.clone(newDB, tr), newDB, mapping, nil
 }
 
 // AppendDelta implements index.DeltaPersistable via the shared

@@ -15,18 +15,16 @@ func dumpTrie(tr *trie.Trie) string {
 	tr.Walk(func(k string, ps []trie.Posting) {
 		out += fmt.Sprintf("%q ->", k)
 		for _, p := range ps {
-			out += fmt.Sprintf(" {g=%d c=%d locs=%v}", p.Graph, p.Count, p.Locs)
+			out += fmt.Sprintf(" {g=%d c=%d}", p.Graph, p.Count)
 		}
 		out += "\n"
 	})
 	return out
 }
 
-// TestParallelBuildDifferential pins the graph-level parallel build
-// (including location lists, which GGSX does not carry) to the sequential
-// one, across shard counts and worker counts, down to identical Verify
-// decisions — the location-restricted verification consumes the Locs lists
-// directly.
+// TestParallelBuildDifferential pins the graph-level parallel build to the
+// sequential one, across shard counts and worker counts, down to identical
+// Verify decisions.
 func TestParallelBuildDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	db := make([]*graph.Graph, 18)
@@ -48,7 +46,7 @@ func TestParallelBuildDifferential(t *testing.T) {
 		x := New(Options{MaxPathLen: 4, Threads: 1, Shards: tc.shards, BuildWorkers: tc.workers})
 		x.Build(db)
 		if got := dumpTrie(x.tr); got != wantTrie {
-			t.Errorf("shards=%d workers=%d: trie (with locations) diverges from sequential build", tc.shards, tc.workers)
+			t.Errorf("shards=%d workers=%d: trie diverges from sequential build", tc.shards, tc.workers)
 		}
 		for qi, q := range queries {
 			want, got := ref.Filter(q), x.Filter(q)

@@ -18,9 +18,9 @@ var _ index.Persistable = (*Index)(nil)
 const methodTag = "Grapes"
 
 // SaveIndex implements index.Persistable: an envelope header followed by
-// the path trie — including the per-posting location lists that make
-// Grapes' verification fast — in the segment format of internal/trie. A
-// full save resets the delta-log lineage (see ggsx.Index.SaveIndex).
+// the path trie in the segment format of internal/trie — the same bytes a
+// GGSX index over the same dataset writes after its own envelope. A full
+// save resets the delta-log lineage (see ggsx.Index.SaveIndex).
 func (x *Index) SaveIndex(w io.Writer) error {
 	n, err := x.writeIndex(w)
 	if err != nil {

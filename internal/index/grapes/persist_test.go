@@ -50,8 +50,8 @@ func randomQueries(db []*graph.Graph, n int, seed int64) []*graph.Graph {
 	return qs
 }
 
-// A loaded Grapes index — location lists included — answers byte-
-// identically to a freshly built one, across (shards, workers) combos.
+// A loaded Grapes index answers byte-identically to a freshly built one,
+// across (shards, workers) combos.
 func TestSaveLoadRoundTripIdentity(t *testing.T) {
 	db := randomDB(35, 21)
 	qs := randomQueries(db, 25, 22)
@@ -87,7 +87,6 @@ func TestSaveLoadRoundTripIdentity(t *testing.T) {
 					if !reflect.DeepEqual(built.Filter(q), loaded.Filter(q)) {
 						t.Fatalf("query %d: filters diverge", i)
 					}
-					// Verify exercises the persisted location lists.
 					if !reflect.DeepEqual(index.Answer(built, q), index.Answer(loaded, q)) {
 						t.Fatalf("query %d: answers diverge", i)
 					}
@@ -112,8 +111,8 @@ func TestLoadIndexRejectsWrongDataset(t *testing.T) {
 	}
 }
 
-// A GGSX snapshot must not load into a Grapes index (no location lists —
-// Verify would silently lose its restriction power).
+// A GGSX snapshot must not load into a Grapes index: the envelope's method
+// tag keeps the two apart, although their trie bytes are identical.
 func TestLoadIndexRejectsForeignSnapshot(t *testing.T) {
 	db := randomDB(10, 41)
 	x := New(Options{MaxPathLen: 3})

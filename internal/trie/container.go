@@ -82,8 +82,8 @@ type Container interface {
 	// Contains reports membership of g.
 	Contains(g int32) bool
 	// Rank returns the number of members smaller than g, and whether g is
-	// itself a member — the index into rank-aligned satellite arrays
-	// (counts, locations) when it is.
+	// itself a member — the index into the rank-aligned count array when
+	// it is.
 	Rank(g int32) (int, bool)
 	// Range visits the members in ascending order with their ranks,
 	// stopping early when fn returns false.

@@ -13,8 +13,8 @@ import (
 // diffDataset deterministically generates one graph-membership dataset
 // covering every container regime: per feature the generator picks tiny
 // (≤ smallSetMax members), sparse scatter (array), dense scatter (bitmap)
-// or clustered ranges (runs), with occasional non-unit counts and location
-// lists so the side slices are exercised alongside the id containers.
+// or clustered ranges (runs), with occasional non-unit counts so the count
+// array is exercised alongside the id containers.
 func diffDataset(seed int64, nFeats, nGraphs int) map[string][]Posting {
 	rng := rand.New(rand.NewSource(seed))
 	ds := make(map[string][]Posting, nFeats)
@@ -58,11 +58,6 @@ func diffDataset(seed int64, nFeats, nGraphs int) map[string][]Posting {
 			p := Posting{Graph: g, Count: 1}
 			if rng.Intn(5) == 0 {
 				p.Count = int32(2 + rng.Intn(4))
-			}
-			if rng.Intn(6) == 0 {
-				for v := int32(0); v < 12; v += int32(1 + rng.Intn(5)) {
-					p.Locs = append(p.Locs, v)
-				}
 			}
 			ps = append(ps, p)
 		}
@@ -148,11 +143,7 @@ func mutateBoth(a, b *Trie, seed int64, nGraphs int) (*Trie, *Trie) {
 	rng := rand.New(rand.NewSource(seed))
 	var appended []GraphFeature
 	for f := 0; f < 10; f++ {
-		gf := GraphFeature{Key: fmt.Sprintf("p:new.%d", rng.Intn(6)), Count: int32(1 + rng.Intn(3))}
-		if rng.Intn(3) == 0 {
-			gf.Locs = []int32{int32(rng.Intn(5)), int32(5 + rng.Intn(5))}
-		}
-		appended = append(appended, gf)
+		appended = append(appended, GraphFeature{Key: fmt.Sprintf("p:new.%d", rng.Intn(6)), Count: int32(1 + rng.Intn(3))})
 	}
 	// Scrub a graph that appears in many features: its feature keys are all
 	// keys whose posting list contains it.

@@ -5,19 +5,20 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
 	"testing"
 
 	"repro/internal/features"
 )
 
 // fuzzSeedTrie builds a small representative trie: multi-shard postings,
-// location lists, a removal (dead-key compaction on write) and a pending
-// byte-trie resurrection case.
+// a removal (dead-key compaction on write) and a pending resurrection
+// case.
 func fuzzSeedTrie() *Trie {
 	tr := NewSharded(features.NewDict(), 4)
-	tr.Insert("ab", Posting{Graph: 0, Count: 2, Locs: []int32{0, 3}})
+	tr.Insert("ab", Posting{Graph: 0, Count: 2})
 	tr.Insert("abc", Posting{Graph: 0, Count: 1})
-	tr.Insert("abd", Posting{Graph: 1, Count: 4, Locs: []int32{1}})
+	tr.Insert("abd", Posting{Graph: 1, Count: 4})
 	tr.Insert("b", Posting{Graph: 2, Count: 1})
 	tr.Insert("zz", Posting{Graph: 1, Count: 1})
 	tr.RemoveGraph(1) // drains "abd" and "zz": exercises dict compaction
@@ -26,7 +27,7 @@ func fuzzSeedTrie() *Trie {
 
 // fuzzDenseSeedTrie exercises every v3 container tag in one snapshot: a
 // contiguous block (runs), an even-id scatter (bitmap), a sparse array and
-// a dense feature with counts + locations riding along.
+// a dense feature with counts riding along.
 func fuzzDenseSeedTrie() *Trie {
 	tr := NewSharded(features.NewDict(), 2)
 	for g := int32(0); g < 300; g++ {
@@ -35,10 +36,10 @@ func fuzzDenseSeedTrie() *Trie {
 	for g := int32(0); g < 600; g += 2 {
 		tr.Insert("evens", Posting{Graph: g, Count: 1})
 	}
-	tr.Insert("sparse", Posting{Graph: 9, Count: 3, Locs: []int32{2, 5}})
+	tr.Insert("sparse", Posting{Graph: 9, Count: 3})
 	tr.Insert("sparse", Posting{Graph: 412, Count: 1})
 	for g := int32(100); g < 260; g++ {
-		tr.Insert("sides", Posting{Graph: g, Count: 1 + g%3, Locs: []int32{g % 7}})
+		tr.Insert("sides", Posting{Graph: g, Count: 1 + g%3})
 	}
 	return tr
 }
@@ -59,7 +60,7 @@ func FuzzTrieReadFrom(f *testing.F) {
 	f.Add(v2.Bytes())
 
 	// Seed: v3 snapshot carrying all three container tags (bitmap words,
-	// run intervals, arrays, counts and locations).
+	// run intervals, arrays and counts).
 	var dense bytes.Buffer
 	if _, err := fuzzDenseSeedTrie().WriteTo(&dense); err != nil {
 		f.Fatal(err)
@@ -86,10 +87,10 @@ func FuzzTrieReadFrom(f *testing.F) {
 	// kinds.
 	tr := fuzzSeedTrie()
 	mut := tr.NewMutation()
-	mut.AppendGraph(3, []GraphFeature{{Key: "abd", Count: 2, Locs: []int32{0, 2}}, {Key: "q", Count: 1}})
+	mut.AppendGraph(3, []GraphFeature{{Key: "abd", Count: 2}, {Key: "q", Count: 1}})
 	mut.RemoveGraph(0, 3,
 		[]string{"ab", "abc"},
-		[]GraphFeature{{Key: "abd", Count: 2, Locs: []int32{0, 2}}, {Key: "q", Count: 1}})
+		[]GraphFeature{{Key: "abd", Count: 2}, {Key: "q", Count: 1}})
 	var j1 Journal
 	mut.RecordTo(&j1)
 	f.Add(journaledSeed(f, &j1))
@@ -127,6 +128,18 @@ func FuzzTrieReadFrom(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(dense.Bytes()[:probe.lazyLive.Load().segs[1].off-2])
+
+	// Seeds: a snapshot of the writer that stored Grapes locations — located
+	// segments plus a journal whose ops carry locations — intact and with a
+	// bit flipped inside a located list.
+	located, err := os.ReadFile(locatedSnapshot)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(located)
+	lflip := append([]byte(nil), located...)
+	lflip[len(lflip)/3] ^= 0x02
+	f.Add(lflip)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := NewSharded(features.NewDict(), 0)
@@ -327,7 +340,11 @@ func FuzzLazySegmentScan(f *testing.F) {
 	if _, err := fuzzDenseSeedTrie().WriteTo(&dense); err != nil {
 		f.Fatal(err)
 	}
-	for _, snap := range [][]byte{seed.Bytes(), dense.Bytes(), encodeLegacySnapshot(2, 4, legacyDataset())} {
+	located, err := os.ReadFile(locatedSnapshot)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, snap := range [][]byte{seed.Bytes(), dense.Bytes(), encodeLegacySnapshot(2, 4, legacyDataset()), located} {
 		for _, body := range segmentBodies(f, snap) {
 			f.Add(body)
 			f.Add(body[:len(body)*2/3]) // truncated mid-list

@@ -101,7 +101,9 @@ func (t *Trie) JournalStamp() *JournalStamp { return t.stamp }
 //	          nswap  × { keyIdx, count, nlocs, nlocs × locΔ }
 //	}
 //
-// Locations are delta-encoded exactly like segment location lists.
+// nlocs is always written as 0. Older writers stored Grapes vertex
+// locations there, delta-encoded like segment location lists; the decoder
+// still validates them and then discards them.
 func (j *Journal) encodeBody(stamp JournalStamp) []byte {
 	keyIdx := make(map[string]uint64)
 	var keys []string
@@ -134,12 +136,7 @@ func (j *Journal) encodeBody(stamp JournalStamp) []byte {
 	appendFeat := func(f GraphFeature) {
 		buf = binary.AppendUvarint(buf, keyIdx[f.Key])
 		buf = binary.AppendUvarint(buf, uint64(f.Count))
-		buf = binary.AppendUvarint(buf, uint64(len(f.Locs)))
-		prev := int32(0)
-		for _, l := range f.Locs {
-			buf = binary.AppendUvarint(buf, uint64(l-prev))
-			prev = l
-		}
+		buf = binary.AppendUvarint(buf, 0) // nlocs
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(j.ops)))
 	for _, op := range j.ops {
@@ -214,24 +211,8 @@ func decodeJournalBody(body []byte) (JournalStamp, []mutOp, error) {
 			return f, fmt.Errorf("%w: journal feature count", ErrCorrupt)
 		}
 		f.Count = int32(count)
-		nLocs, err := d.uvarint()
-		if err != nil || nLocs > uint64(len(body)) {
-			return f, fmt.Errorf("%w: journal location count", ErrCorrupt)
-		}
-		var prev uint64
-		for l := uint64(0); l < nLocs; l++ {
-			delta, err := d.uvarint()
-			if err != nil {
-				return f, err
-			}
-			v := prev + delta
-			if l > 0 && delta == 0 || v > math.MaxInt32 {
-				return f, fmt.Errorf("%w: journal location", ErrCorrupt)
-			}
-			prev = v
-			f.Locs = append(f.Locs, int32(v))
-		}
-		return f, nil
+		_, err = d.skipLocs()
+		return f, err
 	}
 
 	nOps, err := d.uvarint()

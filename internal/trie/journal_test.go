@@ -126,7 +126,7 @@ func TestJournalReplayDifferential(t *testing.T) {
 func TestJournalCorruption(t *testing.T) {
 	tr := NewSharded(features.NewDict(), 2)
 	mut := tr.NewMutation()
-	mut.AppendGraph(0, []GraphFeature{{Key: "ab", Count: 1}, {Key: "cd", Count: 2, Locs: []int32{1, 4}}})
+	mut.AppendGraph(0, []GraphFeature{{Key: "ab", Count: 1}, {Key: "cd", Count: 2}})
 	tr = mut.Apply()
 
 	var base bytes.Buffer

@@ -40,10 +40,10 @@ func journalFor(t *testing.T, tr *Trie, nGraphs int32) *Journal {
 		t.Fatal("journalFor needs a trie with ≥ 4 keys")
 	}
 	newFeats := []GraphFeature{
-		{Key: keys[0], Count: 2, Locs: []int32{1, 5}},
+		{Key: keys[0], Count: 2},
 		{Key: "lazy:new.a", Count: 1},
 		{Key: keys[3], Count: 3},
-		{Key: "lazy:new.b", Count: 4, Locs: []int32{2}},
+		{Key: "lazy:new.b", Count: 4},
 	}
 	mut := tr.NewMutation()
 	mut.AppendGraph(nGraphs, newFeats)
@@ -130,7 +130,7 @@ func mustSave(t *testing.T, tr *Trie) []byte {
 // list) after any probe, and materialise + re-save is byte-identical.
 func TestOpenLazyBudgetSweep(t *testing.T) {
 	for _, journaled := range []bool{false, true} {
-		base := randomTrie(t, 8, 180, 50, true, 97)
+		base := randomTrie(t, 8, 180, 50, 97)
 		var j *Journal
 		if journaled {
 			j = journalFor(t, base, 50)
@@ -144,8 +144,12 @@ func TestOpenLazyBudgetSweep(t *testing.T) {
 		want.Dict().Intern(lateKey)
 		wantSave := mustSave(t, want)
 		full, largest := fullResidentBytes(want), largestList(want)
-		for bi, budget := range []int64{0, full * 9 / 10, full / 2, largest - 1, 1} {
-			t.Run(fmt.Sprintf("journaled=%v/budget=%d", journaled, budget), func(t *testing.T) {
+		for bi, b := range []struct {
+			name  string
+			bytes int64
+		}{{"0", 0}, {"90%", full * 9 / 10}, {"50%", full / 2}, {"largest-1", largest - 1}, {"1", 1}} {
+			budget := b.bytes
+			t.Run(fmt.Sprintf("journaled=%v/budget=%s", journaled, b.name), func(t *testing.T) {
 				got := openLazy(t, bytes.NewReader(data), budget)
 				late := got.Dict().Intern(lateKey)
 				rng := rand.New(rand.NewSource(int64(100*bi) + 7))
@@ -193,7 +197,7 @@ func TestOpenLazyDifferential(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					name := fmt.Sprintf("shards=%d/journaled=%v/budget=%d/workers=%d", shards, journaled, budget, workers)
 					t.Run(name, func(t *testing.T) {
-						base := randomTrie(t, shards, 150, 40, journaled, 7)
+						base := randomTrie(t, shards, 150, 40, 7)
 						var j *Journal
 						if journaled {
 							j = journalFor(t, base, 40)
@@ -291,7 +295,7 @@ func TestOpenLazyDifferential(t *testing.T) {
 // answers must stay correct, the counters must show it, and a list handed
 // to a reader must stay valid after the hand has evicted it.
 func TestOpenLazyEvictionRefault(t *testing.T) {
-	base := randomTrie(t, 8, 200, 60, true, 13)
+	base := randomTrie(t, 8, 200, 60, 13)
 	data := snapshotBytes(t, base, nil, JournalStamp{})
 	want, _, _ := eagerLoad(t, data)
 	budget := fullResidentBytes(want) / 4
@@ -358,7 +362,7 @@ func TestOpenLazyEvictionRefault(t *testing.T) {
 // the patch without a decode; and answers, drained bookkeeping and re-Save
 // bytes still match an eager load exactly.
 func TestOpenLazyOverlayReplayCache(t *testing.T) {
-	base := randomTrie(t, 4, 120, 40, true, 83)
+	base := randomTrie(t, 4, 120, 40, 83)
 	j := journalFor(t, base, 40)
 	data := snapshotBytes(t, base, j, JournalStamp{DBChecksum: 19, NumGraphs: 41})
 	want, _, _ := eagerLoad(t, data)
@@ -426,7 +430,7 @@ func TestOpenLazyOverlayReplayCache(t *testing.T) {
 // fault-in, concurrent eviction and a racing Materialize must all yield
 // eager-identical answers.
 func TestOpenLazyConcurrent(t *testing.T) {
-	base := randomTrie(t, 8, 150, 50, false, 23)
+	base := randomTrie(t, 8, 150, 50, 23)
 	data := snapshotBytes(t, base, nil, JournalStamp{})
 	want, _, _ := eagerLoad(t, data)
 	expect := make([][]Posting, want.Dict().Len())
@@ -479,7 +483,7 @@ func TestOpenLazyConcurrent(t *testing.T) {
 // referenced, stripped of its bit and evicted while others read it. No
 // Materialize — eviction runs to the end.
 func TestOpenLazyConcurrentEviction(t *testing.T) {
-	base := randomTrie(t, 4, 150, 50, true, 29)
+	base := randomTrie(t, 4, 150, 50, 29)
 	data := snapshotBytes(t, base, nil, JournalStamp{})
 	want, _, _ := eagerLoad(t, data)
 	var hot []features.FeatureID
@@ -546,7 +550,7 @@ func corruptShardBody(t *testing.T, data []byte, s int) []byte {
 // fault-in, poison no other shard, and fail Materialize — while the
 // healthy shards keep answering correctly before and after that failure.
 func TestOpenLazyCorruptSegmentIsolation(t *testing.T) {
-	base := randomTrie(t, 8, 150, 40, true, 31)
+	base := randomTrie(t, 8, 150, 40, 31)
 	data := snapshotBytes(t, base, nil, JournalStamp{})
 	want, _, _ := eagerLoad(t, data)
 	const badShard = 3
@@ -656,7 +660,7 @@ func probeFault(t *testing.T, tr *Trie, id features.FeatureID) (pl PostingList, 
 // cold and poisons nothing, so the same probe succeeds once the bytes (or
 // the device) are back.
 func TestOpenLazyEvictThenRefaultCRC(t *testing.T) {
-	base := randomTrie(t, 4, 120, 40, false, 41)
+	base := randomTrie(t, 4, 120, 40, 41)
 	src := &flakyReader{b: snapshotBytes(t, base, nil, JournalStamp{})}
 	want, _, _ := eagerLoad(t, src.b)
 	got := openLazy(t, src, 1) // one byte: every probe evicts the previous list
@@ -730,7 +734,7 @@ func TestOpenLazyEvictThenRefaultCRC(t *testing.T) {
 // report and byte count the streaming loader produces, and strict mode
 // rejects them identically.
 func TestOpenLazyTailRecovery(t *testing.T) {
-	base := randomTrie(t, 4, 80, 30, false, 53)
+	base := randomTrie(t, 4, 80, 30, 53)
 	j := journalFor(t, base, 30)
 	data := snapshotBytes(t, base, j, JournalStamp{DBChecksum: 5, NumGraphs: 31})
 	baseLen := len(snapshotBytes(t, base, nil, JournalStamp{}))
@@ -787,7 +791,7 @@ func TestOpenLazyFallbacks(t *testing.T) {
 		}
 	})
 	t.Run("non-identity remap", func(t *testing.T) {
-		base := randomTrie(t, 4, 60, 20, false, 61)
+		base := randomTrie(t, 4, 60, 20, 61)
 		data := snapshotBytes(t, base, nil, JournalStamp{})
 		want, _, _ := eagerLoad(t, data)
 		dict := features.NewDict()
@@ -809,7 +813,7 @@ func TestOpenLazyFallbacks(t *testing.T) {
 // opened trie must force it fully resident first, and the result must
 // equal the same mutation applied to an eager load.
 func TestOpenLazyMutationMaterializes(t *testing.T) {
-	base := randomTrie(t, 4, 80, 30, false, 71)
+	base := randomTrie(t, 4, 80, 30, 71)
 	data := snapshotBytes(t, base, nil, JournalStamp{})
 	want, _, _ := eagerLoad(t, data)
 	got := NewSharded(features.NewDict(), 0)
@@ -861,7 +865,7 @@ func (p *panickyReader) ReadAt(b []byte, off int64) (int, error) {
 // recover guards the caller contains it — and leave the trie lazy, intact
 // and materialisable once the poison is gone.
 func TestMaterializePanicContained(t *testing.T) {
-	base := randomTrie(t, 8, 120, 40, true, 59)
+	base := randomTrie(t, 8, 120, 40, 59)
 	data := snapshotBytes(t, base, nil, JournalStamp{})
 	want, _, _ := eagerLoad(t, data)
 	src := &panickyReader{Reader: bytes.NewReader(data)}

@@ -11,11 +11,18 @@ import (
 	"testing"
 )
 
+// legacyPosting is a posting as older writers stored it: with the Grapes
+// vertex locations that the reader now validates and discards.
+type legacyPosting struct {
+	Graph, Count int32
+	Locs         []int32
+}
+
 // encodeLegacySnapshot hand-writes a version-1 or version-2 snapshot (the
 // flat posting-run grammar) over ds — the current writer only emits v3, so
 // backward-compat coverage needs its own encoder. Keys are interned in
 // sorted order; shard = id mod shards.
-func encodeLegacySnapshot(version int, shards int, ds map[string][]Posting) []byte {
+func encodeLegacySnapshot(version int, shards int, ds map[string][]legacyPosting) []byte {
 	keys := make([]string, 0, len(ds))
 	for k := range ds {
 		keys = append(keys, k)
@@ -44,7 +51,7 @@ func encodeLegacySnapshot(version int, shards int, ds map[string][]Posting) []by
 		for _, id := range ids {
 			body = binary.AppendUvarint(body, uint64(id-prevID))
 			prevID = id
-			ps := append([]Posting(nil), ds[keys[id]]...)
+			ps := append([]legacyPosting(nil), ds[keys[id]]...)
 			sort.Slice(ps, func(i, j int) bool { return ps[i].Graph < ps[j].Graph })
 			body = binary.AppendUvarint(body, uint64(len(ps)))
 			prevG := int32(0)
@@ -73,18 +80,18 @@ func encodeLegacySnapshot(version int, shards int, ds map[string][]Posting) []by
 // legacyDataset mixes the container regimes so the promotion path has
 // something to promote: a contiguous block (runs territory), an even-id
 // scatter (bitmap territory) and a sparse handful (stays an array).
-func legacyDataset() map[string][]Posting {
-	ds := map[string][]Posting{}
-	var block, evens []Posting
+func legacyDataset() map[string][]legacyPosting {
+	ds := map[string][]legacyPosting{}
+	var block, evens []legacyPosting
 	for g := int32(0); g < 400; g++ {
-		block = append(block, Posting{Graph: g, Count: 1})
+		block = append(block, legacyPosting{Graph: g, Count: 1})
 	}
 	for g := int32(0); g < 1000; g += 2 {
-		evens = append(evens, Posting{Graph: g, Count: 1})
+		evens = append(evens, legacyPosting{Graph: g, Count: 1})
 	}
 	ds["dense.block"] = block
 	ds["dense.evens"] = evens
-	ds["sparse"] = []Posting{
+	ds["sparse"] = []legacyPosting{
 		{Graph: 3, Count: 2, Locs: []int32{1, 4}},
 		{Graph: 250, Count: 1},
 		{Graph: 251, Count: 1},
@@ -103,7 +110,7 @@ func TestLegacySnapshotsPromoteOnLoad(t *testing.T) {
 	fresh := New()
 	for k, ps := range ds {
 		for _, p := range ps {
-			fresh.Insert(k, p)
+			fresh.Insert(k, Posting{Graph: p.Graph, Count: p.Count})
 		}
 	}
 	for _, version := range []int{1, 2} {
@@ -207,6 +214,9 @@ func TestCorruptV3ContainersRejected(t *testing.T) {
 		"runs more than card":  cat([]byte{segTagRuns}, uv(1, 2, 0, 0, 0, 0)),
 		"counts all ones":      cat([]byte{segTagArray | segFlagCounts}, uv(2, 1, 1, 1, 1)),
 		"locs all empty":       cat([]byte{segTagArray | segFlagLocs}, uv(2, 1, 1, 0, 0)),
+		"locs duplicate":       cat([]byte{segTagArray | segFlagLocs}, uv(2, 1, 1, 2, 3, 0, 0)),
+		"locs truncated":       cat([]byte{segTagArray | segFlagLocs}, uv(2, 1, 1, 1)),
+		"locs overflow":        cat([]byte{segTagArray | segFlagLocs}, uv(1, 5, 1, 1<<31)),
 		"counts truncated":     cat([]byte{segTagArray | segFlagCounts}, uv(2, 1, 1, 2)),
 	}
 	for name, pl := range cases {

@@ -9,10 +9,10 @@ package trie
 //   - the postings table is copied page by page: a shard whose lists are
 //     written gets a private copy of its page directory (8 B per 64 lists),
 //     and each page holding a written list is copied once (64 list headers,
-//     4.6 KB); every other page stays shared with the base, so a batch costs
+//     3 KB); every other page stays shared with the base, so a batch costs
 //     O(touched pages + directory pointers), not O(vocabulary);
 //   - only the features actually touched are re-allocated: the first edit
-//     copies a feature's list (container, counts, outer locations slice),
+//     copies a feature's list (container and counts),
 //     and every edit then goes through the same in-place add/remove the
 //     build path uses, which keep the canonical form and re-choose the
 //     encoding exactly where a feature crosses a density threshold — so a
@@ -46,13 +46,12 @@ import (
 )
 
 // GraphFeature is one feature occurrence record of a single graph: the
-// canonical key, the occurrence count, and (Grapes) the sorted vertex
-// locations. Mutations and journals are keyed by canonical strings, not
-// FeatureIDs — IDs are process-local, strings are the stable identity.
+// canonical key and the occurrence count. Mutations and journals are keyed
+// by canonical strings, not FeatureIDs — IDs are process-local, strings are
+// the stable identity.
 type GraphFeature struct {
 	Key   string
 	Count int32
-	Locs  []int32
 }
 
 // op kinds of a staged mutation / journal entry.
@@ -229,7 +228,7 @@ func (a *applier) apply(op mutOp) {
 	switch op.kind {
 	case opAppend:
 		for _, f := range op.feats {
-			a.insert(f.Key, Posting{Graph: op.graph, Count: f.Count, Locs: f.Locs})
+			a.insert(f.Key, Posting{Graph: op.graph, Count: f.Count})
 		}
 	case opRemove:
 		for _, k := range op.scrub {
@@ -240,7 +239,7 @@ func (a *applier) apply(op mutOp) {
 				a.removePosting(f.Key, op.swapped)
 			}
 			for _, f := range op.feats {
-				a.insert(f.Key, Posting{Graph: op.graph, Count: f.Count, Locs: f.Locs})
+				a.insert(f.Key, Posting{Graph: op.graph, Count: f.Count})
 			}
 		}
 	}

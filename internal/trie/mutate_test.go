@@ -19,7 +19,7 @@ func dumpState(t *Trie) string {
 	t.Walk(func(k string, ps []Posting) {
 		out += fmt.Sprintf("%q ->", k)
 		for _, p := range ps {
-			out += fmt.Sprintf(" {g=%d c=%d locs=%v}", p.Graph, p.Count, p.Locs)
+			out += fmt.Sprintf(" {g=%d c=%d}", p.Graph, p.Count)
 		}
 		out += "\n"
 	})
@@ -37,13 +37,7 @@ func synthFeats(rng *rand.Rand, nKeys int) []GraphFeature {
 			continue
 		}
 		seen[k] = true
-		var locs []int32
-		for v := int32(0); v < 6; v++ {
-			if rng.Intn(3) == 0 {
-				locs = append(locs, v)
-			}
-		}
-		fs = append(fs, GraphFeature{Key: k, Count: int32(1 + rng.Intn(3)), Locs: locs})
+		fs = append(fs, GraphFeature{Key: k, Count: int32(1 + rng.Intn(3))})
 	}
 	return fs
 }
@@ -59,7 +53,7 @@ func buildRef(d *features.Dict, shards int, table map[int32][]GraphFeature) *Tri
 	sortIDsForTest(ids)
 	for _, id := range ids {
 		for _, f := range table[id] {
-			tr.Insert(f.Key, Posting{Graph: id, Count: f.Count, Locs: f.Locs})
+			tr.Insert(f.Key, Posting{Graph: id, Count: f.Count})
 		}
 	}
 	return tr
@@ -181,11 +175,11 @@ func TestRemoveGraphPersistDifferential(t *testing.T) {
 	mk := func(withG1 bool) *Trie {
 		tr := NewSharded(features.NewDict(), 4)
 		tr.Insert("ab", Posting{Graph: 0, Count: 1})
-		tr.Insert("abc", Posting{Graph: 0, Count: 2, Locs: []int32{1, 3}})
+		tr.Insert("abc", Posting{Graph: 0, Count: 2})
 		if withG1 {
 			tr.Insert("abd", Posting{Graph: 1, Count: 1}) // only graph 1: drains on removal
 			tr.Insert("ab", Posting{Graph: 1, Count: 3})
-			tr.Insert("zz", Posting{Graph: 1, Count: 1, Locs: []int32{0}})
+			tr.Insert("zz", Posting{Graph: 1, Count: 1})
 		}
 		tr.Insert("b", Posting{Graph: 2, Count: 1})
 		return tr
@@ -438,7 +432,7 @@ func FuzzMutationApply(f *testing.F) {
 }
 
 // fuzzFeats derives one graph's features from two bytes: up to four keys
-// out of 24, counts 1–3 and an occasional location list.
+// out of 24 and counts 1–3.
 func fuzzFeats(b, b2 byte) []GraphFeature {
 	var fs []GraphFeature
 	seen := map[string]bool{}
@@ -448,11 +442,7 @@ func fuzzFeats(b, b2 byte) []GraphFeature {
 			continue
 		}
 		seen[k] = true
-		gf := GraphFeature{Key: k, Count: int32(1 + (int(b)+i)%3)}
-		if (int(b2)+i)%5 == 0 {
-			gf.Locs = []int32{int32(i), int32(i + 2)}
-		}
-		fs = append(fs, gf)
+		fs = append(fs, GraphFeature{Key: k, Count: int32(1 + (int(b)+i)%3)})
 	}
 	return fs
 }

@@ -39,7 +39,8 @@ package trie
 //	posting list (version ≥ 3):
 //	  flags byte        — bits 0–1: container tag (0 array, 1 bitmap,
 //	                      2 runs; 3 reserved), bit 2: counts present,
-//	                      bit 3: locations present, bits 4–7 reserved (0)
+//	                      bit 3: locations present (never written; read,
+//	                      validated, discarded), bits 4–7 reserved (0)
 //	  card  uvarint     (cardinality, ≥ 1)
 //	  payload by tag:
 //	    array:  card × graphΔ uvarint    — strictly ascending graph ids
@@ -57,7 +58,7 @@ package trie
 //	  counts, iff flag bit 2:
 //	    card × count uvarint             — at least one ≠ 1 (an all-1 count
 //	                                       array is stored by omission)
-//	  locations, iff flag bit 3:
+//	  locations, iff flag bit 3 (older writers' Grapes vertex sets):
 //	    card × { nlocs uvarint, nlocs × locΔ uvarint }
 //	                                     — at least one entry non-empty
 //
@@ -67,7 +68,8 @@ package trie
 //	    graphΔ uvarint (delta to the previous posting's graph id)
 //	    count  uvarint
 //	    nlocs  uvarint
-//	    nlocs × locΔ uvarint   — sorted, deduplicated vertex ids
+//	    nlocs × locΔ uvarint   — sorted, deduplicated vertex ids; validated
+//	                             and discarded like flag bit 3 above
 //	  }
 //
 // Container canonicalisation: a well-formed writer always emits the
@@ -321,9 +323,6 @@ func appendPostingList(buf []byte, pl PostingList) []byte {
 	if pl.counts != nil {
 		flags |= segFlagCounts
 	}
-	if pl.locs != nil {
-		flags |= segFlagLocs
-	}
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(pl.ids.Len()))
 	switch c := pl.ids.(type) {
@@ -348,20 +347,8 @@ func appendPostingList(buf []byte, pl PostingList) []byte {
 			prevEnd = int64(run.End)
 		}
 	}
-	if pl.counts != nil {
-		for _, c := range pl.counts {
-			buf = binary.AppendUvarint(buf, uint64(c))
-		}
-	}
-	if pl.locs != nil {
-		for _, locs := range pl.locs {
-			buf = binary.AppendUvarint(buf, uint64(len(locs)))
-			prevL := int32(0)
-			for _, l := range locs {
-				buf = binary.AppendUvarint(buf, uint64(l-prevL))
-				prevL = l
-			}
-		}
+	for _, c := range pl.counts {
+		buf = binary.AppendUvarint(buf, uint64(c))
 	}
 	return buf
 }
@@ -836,12 +823,11 @@ func (d *segDecoder) decodeLegacyPostings(version uint64, policy ContainerPolicy
 		if g > math.MaxInt32 || count > math.MaxInt32 {
 			return zero, fmt.Errorf("%w: posting field overflow", ErrCorrupt)
 		}
-		locs, _, err := d.decodeLocs()
-		if err != nil {
+		if _, err := d.skipLocs(); err != nil {
 			return zero, err
 		}
 		if !d.skip {
-			ps = append(ps, Posting{Graph: int32(g), Count: int32(count), Locs: locs})
+			ps = append(ps, Posting{Graph: int32(g), Count: int32(count)})
 		}
 	}
 	return sealPostings(policy, ps), nil
@@ -1021,27 +1007,17 @@ func (d *segDecoder) decodePostingList(policy ContainerPolicy) (PostingList, err
 		if card > uint64(d.remaining()) {
 			return zero, fmt.Errorf("%w: locations length", ErrCorrupt)
 		}
-		var locs [][]int32
-		if !d.skip {
-			locs = make([][]int32, card)
-		}
 		any := false
 		for i := uint64(0); i < card; i++ {
-			ls, n, err := d.decodeLocs()
+			n, err := d.skipLocs()
 			if err != nil {
 				return zero, err
 			}
-			if n > 0 {
-				any = true
-			}
-			if locs != nil {
-				locs[i] = ls
-			}
+			any = any || n > 0
 		}
 		if !any {
 			return zero, fmt.Errorf("%w: denormalised locations (all empty)", ErrCorrupt)
 		}
-		pl.locs = locs
 	}
 	if d.skip {
 		return zero, nil
@@ -1055,36 +1031,31 @@ func (d *segDecoder) decodePostingList(policy ContainerPolicy) (PostingList, err
 	return pl, nil
 }
 
-// decodeLocs decodes one posting's delta-encoded sorted location list and
-// returns it with its length (in skip mode only the length).
-func (d *segDecoder) decodeLocs() ([]int32, uint64, error) {
+// skipLocs validates one posting's delta-encoded sorted vertex-location
+// list — a payload older Grapes writers stored in segments and journal ops,
+// and that nothing reads any more — and returns its length. The locations
+// themselves are discarded.
+func (d *segDecoder) skipLocs() (uint64, error) {
 	nLocs, err := d.uvarint()
 	if err != nil || nLocs > uint64(d.remaining()) {
-		return nil, 0, fmt.Errorf("%w: location count", ErrCorrupt)
-	}
-	var locs []int32
-	if nLocs > 0 && !d.skip {
-		locs = make([]int32, nLocs)
+		return 0, fmt.Errorf("%w: location count", ErrCorrupt)
 	}
 	var prevL uint64
 	for l := uint64(0); l < nLocs; l++ {
 		lDelta, err := d.uvarint()
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		v := prevL + lDelta
 		if l > 0 && lDelta == 0 {
-			return nil, 0, fmt.Errorf("%w: duplicate location", ErrCorrupt)
+			return 0, fmt.Errorf("%w: duplicate location", ErrCorrupt)
 		}
 		if v > math.MaxInt32 {
-			return nil, 0, fmt.Errorf("%w: location overflow", ErrCorrupt)
+			return 0, fmt.Errorf("%w: location overflow", ErrCorrupt)
 		}
 		prevL = v
-		if locs != nil {
-			locs[l] = int32(v)
-		}
 	}
-	return locs, nLocs, nil
+	return nLocs, nil
 }
 
 // segDecoder is a varint cursor over one in-memory segment body. With skip

@@ -11,8 +11,8 @@ import (
 )
 
 // randomTrie builds a trie with nKeys random features over nGraphs graphs,
-// optionally with location lists, deterministically from seed.
-func randomTrie(t *testing.T, shards, nKeys, nGraphs int, locs bool, seed int64) *Trie {
+// deterministically from seed.
+func randomTrie(t *testing.T, shards, nKeys, nGraphs int, seed int64) *Trie {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	tr := NewSharded(features.NewDict(), shards)
@@ -22,20 +22,14 @@ func randomTrie(t *testing.T, shards, nKeys, nGraphs int, locs bool, seed int64)
 			if rng.Intn(3) != 0 {
 				continue
 			}
-			p := Posting{Graph: int32(g), Count: int32(1 + rng.Intn(5))}
-			if locs {
-				for v := int32(0); v < 20; v += int32(1 + rng.Intn(6)) {
-					p.Locs = append(p.Locs, v)
-				}
-			}
-			tr.Insert(key, p)
+			tr.Insert(key, Posting{Graph: int32(g), Count: int32(1 + rng.Intn(5))})
 		}
 	}
 	return tr
 }
 
 // dump flattens a trie into a comparable structure: Walk order, keys,
-// postings (graphs, counts, locations).
+// postings (graphs, counts).
 func dump(tr *Trie) []string {
 	var out []string
 	tr.Walk(func(key string, posts []Posting) {
@@ -44,13 +38,16 @@ func dump(tr *Trie) []string {
 	return out
 }
 
+// TestTrieRoundTrip loads what WriteTo wrote and, with locs, the same trie
+// as writers that stored Grapes locations wrote it: both must load into the
+// saved trie, and a re-save must emit WriteTo's bytes.
 func TestTrieRoundTrip(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 16} {
 		for _, locs := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {
 				name := fmt.Sprintf("shards=%d/locs=%v/workers=%d", shards, locs, workers)
 				t.Run(name, func(t *testing.T) {
-					tr := randomTrie(t, shards, 200, 30, locs, 42)
+					tr := randomTrie(t, shards, 200, 30, 42)
 					var buf bytes.Buffer
 					n, err := tr.WriteTo(&buf)
 					if err != nil {
@@ -59,14 +56,27 @@ func TestTrieRoundTrip(t *testing.T) {
 					if n != int64(buf.Len()) {
 						t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 					}
+					data := buf.Bytes()
+					if locs {
+						data = encodeLocatedSnapshot(tr, func(_ string, g int32) []int32 {
+							return []int32{g % 7, g%7 + 3}[:1+g%2]
+						})
+					}
 
 					got := NewSharded(features.NewDict(), 1) // layout is overwritten by the snapshot
-					rn, err := got.ReadFromWorkers(bytes.NewReader(buf.Bytes()), workers)
+					rn, err := got.ReadFromWorkers(bytes.NewReader(data), workers)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if rn != n {
-						t.Errorf("ReadFrom consumed %d bytes, snapshot is %d", rn, n)
+					if rn != int64(len(data)) {
+						t.Errorf("ReadFrom consumed %d bytes, snapshot is %d", rn, len(data))
+					}
+					var resave bytes.Buffer
+					if _, err := got.WriteTo(&resave); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(resave.Bytes(), buf.Bytes()) {
+						t.Error("re-save differs from WriteTo's bytes")
 					}
 					if got.ShardCount() != tr.ShardCount() {
 						t.Errorf("loaded shard count %d, saved %d", got.ShardCount(), tr.ShardCount())
@@ -117,7 +127,7 @@ func TestTrieRoundTripEmpty(t *testing.T) {
 // Loading into a trie whose dictionary already holds other keys remaps the
 // postings to the freshly interned IDs; contents stay identical.
 func TestTrieRoundTripRemap(t *testing.T) {
-	tr := randomTrie(t, 4, 100, 20, true, 7)
+	tr := randomTrie(t, 4, 100, 20, 7)
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -145,7 +155,7 @@ func TestTrieRoundTripRemap(t *testing.T) {
 }
 
 func TestTrieReshard(t *testing.T) {
-	tr := randomTrie(t, 8, 150, 25, true, 11)
+	tr := randomTrie(t, 8, 150, 25, 11)
 	before := dump(tr)
 	size := tr.SizeBytes() - 24*tr.ShardCount() // directory headers scale with K
 	for _, k := range []int{1, 2, 16, 64} {
@@ -163,7 +173,7 @@ func TestTrieReshard(t *testing.T) {
 }
 
 func TestTrieReadFromRejectsCorruption(t *testing.T) {
-	tr := randomTrie(t, 2, 50, 10, false, 3)
+	tr := randomTrie(t, 2, 50, 10, 3)
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)

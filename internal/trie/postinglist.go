@@ -1,14 +1,13 @@
 package trie
 
 // PostingList is one feature's postings in container form: the graph-ID
-// set lives in a Container, and the two satellite payloads — occurrence
-// counts and Grapes vertex locations — live in rank-aligned arrays that
-// are elided entirely in the (overwhelmingly common) default case.
+// set lives in a Container, and the one satellite payload — occurrence
+// counts — lives in a rank-aligned array that is elided entirely in the
+// (overwhelmingly common) all-1 case.
 //
 // Canonical-form invariants, maintained by every edit path:
 //
 //   - counts == nil ⇔ every count is 1 (the default multiplicity);
-//   - locs   == nil ⇔ no member carries locations;
 //   - the container kind is kindFor(policy, set) — a pure function of the
 //     member set.
 //
@@ -28,9 +27,8 @@ import (
 // exclusive ownership (build paths) or copy-on-write (Mutation.Apply).
 type PostingList struct {
 	ids    Container
-	counts []int32   // rank-aligned occurrence counts; nil ⇒ all 1
-	locs   [][]int32 // rank-aligned location sets; nil ⇒ none
-	nruns  int32     // maximal consecutive runs in ids (maintained incrementally)
+	counts []int32 // rank-aligned occurrence counts; nil ⇒ all 1
+	nruns  int32   // maximal consecutive runs in ids (maintained incrementally)
 }
 
 // Len returns the number of postings.
@@ -50,24 +48,12 @@ func (pl PostingList) NumRuns() int { return int(pl.nruns) }
 // UniformCounts reports whether every posting has count 1, in O(1).
 func (pl PostingList) UniformCounts() bool { return pl.counts == nil }
 
-// HasLocs reports whether any posting carries vertex locations, in O(1).
-func (pl PostingList) HasLocs() bool { return pl.locs != nil }
-
 // CountAt returns the occurrence count of the posting at rank i.
 func (pl PostingList) CountAt(i int) int32 {
 	if pl.counts == nil {
 		return 1
 	}
 	return pl.counts[i]
-}
-
-// LocsAt returns the location set of the posting at rank i (shared; do
-// not modify).
-func (pl PostingList) LocsAt(i int) []int32 {
-	if pl.locs == nil {
-		return nil
-	}
-	return pl.locs[i]
 }
 
 // Rank returns the rank of graph g and whether it is present.
@@ -187,7 +173,7 @@ func (pl PostingList) AppendIDs(dst []int32) []int32 {
 }
 
 // Postings materialises the list as a fresh []Posting (the legacy flat
-// shape). Locs slices are shared with the list, not copied.
+// shape).
 func (pl PostingList) Postings() []Posting {
 	if pl.ids == nil {
 		return nil
@@ -198,7 +184,7 @@ func (pl PostingList) Postings() []Posting {
 // appendPostings appends the materialised postings to dst.
 func (pl PostingList) appendPostings(dst []Posting) []Posting {
 	pl.Range(func(i int, g int32) bool {
-		dst = append(dst, Posting{Graph: g, Count: pl.CountAt(i), Locs: pl.LocsAt(i)})
+		dst = append(dst, Posting{Graph: g, Count: pl.CountAt(i)})
 		return true
 	})
 	return dst
@@ -214,33 +200,24 @@ func (pl PostingList) SizeBytes() int {
 	if pl.counts != nil {
 		sz += 24 + 4*len(pl.counts)
 	}
-	if pl.locs != nil {
-		sz += 24
-		for _, ls := range pl.locs {
-			sz += 24 + 4*len(ls)
-		}
-	}
 	return sz
 }
 
 // sealPostings converts sorted, duplicate-free postings into canonical
-// container form under policy. The Graph IDs are copied; Locs slices are
-// shared. An empty input seals to the zero PostingList.
+// container form under policy. The Graph IDs are copied. An empty input
+// seals to the zero PostingList.
 func sealPostings(policy ContainerPolicy, ps []Posting) PostingList {
 	n := len(ps)
 	if n == 0 {
 		return PostingList{}
 	}
 	ids := make([]int32, n)
-	uniform, noLocs := true, true
+	uniform := true
 	nruns := 1
 	for i, p := range ps {
 		ids[i] = p.Graph
 		if p.Count != 1 {
 			uniform = false
-		}
-		if len(p.Locs) != 0 {
-			noLocs = false
 		}
 		if i > 0 && p.Graph != ps[i-1].Graph+1 {
 			nruns++
@@ -254,19 +231,11 @@ func sealPostings(policy ContainerPolicy, ps []Posting) PostingList {
 			pl.counts[i] = p.Count
 		}
 	}
-	if !noLocs {
-		pl.locs = make([][]int32, n)
-		for i, p := range ps {
-			pl.locs[i] = p.Locs
-		}
-	}
 	return pl
 }
 
 // clone returns a copy that add and remove may edit without touching pl:
-// the container, the counts and the outer locations slice are private;
-// the location sets stay shared, since edits replace them, never write
-// into them.
+// the container and the counts are private.
 func (pl PostingList) clone() PostingList {
 	switch c := pl.ids.(type) {
 	case *ArrayContainer:
@@ -277,7 +246,6 @@ func (pl PostingList) clone() PostingList {
 		pl.ids = &RunContainer{runs: slices.Clone(c.runs), card: c.card}
 	}
 	pl.counts = slices.Clone(pl.counts)
-	pl.locs = slices.Clone(pl.locs)
 	return pl
 }
 
@@ -292,28 +260,22 @@ func (pl *PostingList) reencode(policy ContainerPolicy) {
 }
 
 // add merges posting p into the list (same semantics as the legacy sorted
-// []Posting insert: counts of an existing graph accumulate, locations
-// union). Requires exclusive ownership of the list's backing storage.
+// []Posting insert: counts of an existing graph accumulate). Requires
+// exclusive ownership of the list's backing storage.
 func (pl *PostingList) add(policy ContainerPolicy, p Posting) {
 	if pl.ids == nil {
-		*pl = sealPostings(policy, []Posting{{Graph: p.Graph, Count: p.Count, Locs: append([]int32(nil), p.Locs...)}})
+		*pl = sealPostings(policy, []Posting{p})
 		return
 	}
 	r, ok := pl.ids.Rank(p.Graph)
 	if ok {
-		// Existing member: accumulate count, union locations.
+		// Existing member: accumulate count.
 		if pl.counts == nil {
 			pl.counts = ones(pl.ids.Len())
 		}
 		pl.counts[r] += p.Count
 		if pl.counts[r] == 1 {
 			pl.normalizeCounts()
-		}
-		if len(p.Locs) > 0 {
-			if pl.locs == nil {
-				pl.locs = make([][]int32, pl.ids.Len())
-			}
-			pl.locs[r] = unionSorted(pl.locs[r], p.Locs)
 		}
 		return
 	}
@@ -339,11 +301,6 @@ func (pl *PostingList) add(policy ContainerPolicy, p Posting) {
 		pl.counts = slices.Insert(pl.counts, r, p.Count)
 	} else if p.Count != 1 {
 		pl.counts = slices.Insert(ones(pl.ids.Len()-1), r, p.Count)
-	}
-	if pl.locs != nil {
-		pl.locs = slices.Insert(pl.locs, r, append([]int32(nil), p.Locs...))
-	} else if len(p.Locs) > 0 {
-		pl.locs = slices.Insert(make([][]int32, pl.ids.Len()-1), r, append([]int32(nil), p.Locs...))
 	}
 	pl.reencode(policy)
 }
@@ -385,13 +342,6 @@ func (pl *PostingList) remove(policy ContainerPolicy, g int32) (removed, drained
 			pl.normalizeCounts()
 		}
 	}
-	if pl.locs != nil {
-		hot := len(pl.locs[r]) != 0
-		pl.locs = slices.Delete(pl.locs, r, r+1)
-		if hot {
-			pl.normalizeLocs()
-		}
-	}
 	pl.reencode(policy)
 	return true, false
 }
@@ -405,17 +355,6 @@ func (pl *PostingList) normalizeCounts() {
 		}
 	}
 	pl.counts = nil
-}
-
-// normalizeLocs restores the locs-nil-iff-none canonical invariant after
-// an edit that may have dropped the last located posting.
-func (pl *PostingList) normalizeLocs() {
-	for _, ls := range pl.locs {
-		if len(ls) != 0 {
-			return
-		}
-	}
-	pl.locs = nil
 }
 
 // ones returns a fresh all-1 count slice.

@@ -3,7 +3,6 @@ package trie
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -11,13 +10,13 @@ import (
 )
 
 // dumpTrie renders a trie's full observable state: Walk order, postings
-// (including locations) and key count.
+// and key count.
 func dumpTrie(t *Trie) string {
 	out := fmt.Sprintf("len=%d\n", t.Len())
 	t.Walk(func(k string, ps []Posting) {
 		out += fmt.Sprintf("%q ->", k)
 		for _, p := range ps {
-			out += fmt.Sprintf(" {g=%d c=%d locs=%v}", p.Graph, p.Count, p.Locs)
+			out += fmt.Sprintf(" {g=%d c=%d}", p.Graph, p.Count)
 		}
 		out += "\n"
 	})
@@ -48,16 +47,10 @@ func randomPostings(seed int64, nGraphs, nKeys int) [][]struct {
 				continue
 			}
 			seen[k] = true
-			var locs []int32
-			for v := int32(0); v < 6; v++ {
-				if rng.Intn(2) == 0 {
-					locs = append(locs, v)
-				}
-			}
 			out[g] = append(out[g], struct {
 				key string
 				p   Posting
-			}{k, Posting{Graph: int32(g), Count: int32(1 + rng.Intn(4)), Locs: locs}})
+			}{k, Posting{Graph: int32(g), Count: int32(1 + rng.Intn(4))}})
 		}
 	}
 	return out
@@ -102,8 +95,8 @@ func TestShardCountInvisible(t *testing.T) {
 // TestBuilderMatchesSequential is the store-level differential test of the
 // parallel build path: for any shard count and worker count, staging the
 // same postings from concurrent goroutines and merging must reproduce the
-// sequential Insert build bit for bit (same postings, locations, Walk order
-// and key count).
+// sequential Insert build bit for bit (same postings, Walk order and key
+// count).
 func TestBuilderMatchesSequential(t *testing.T) {
 	data := randomPostings(7, 48, 60)
 	seq := NewSharded(features.NewDict(), 1)
@@ -189,20 +182,20 @@ func TestBuilderEightGoroutines(t *testing.T) {
 }
 
 // TestBuilderMergesDuplicates: staging the same (key, graph) twice — even
-// from different workers — accumulates counts and unions locations exactly
-// like sequential Insert.
+// from different workers — accumulates counts exactly like sequential
+// Insert.
 func TestBuilderMergesDuplicates(t *testing.T) {
 	tr := New()
 	b := tr.NewBuilder(2)
-	b.Worker(0).Insert("k", Posting{Graph: 7, Count: 1, Locs: []int32{1, 3}})
-	b.Worker(1).Insert("k", Posting{Graph: 7, Count: 2, Locs: []int32{2, 3}})
+	b.Worker(0).Insert("k", Posting{Graph: 7, Count: 1})
+	b.Worker(1).Insert("k", Posting{Graph: 7, Count: 2})
 	b.Worker(1).Insert("k", Posting{Graph: 5, Count: 1})
 	b.Merge()
 	ps := tr.Get("k")
 	if len(ps) != 2 || ps[0].Graph != 5 || ps[1].Graph != 7 {
 		t.Fatalf("postings = %+v", ps)
 	}
-	if ps[1].Count != 3 || !reflect.DeepEqual(ps[1].Locs, []int32{1, 2, 3}) {
+	if ps[1].Count != 3 {
 		t.Errorf("merged posting = %+v", ps[1])
 	}
 }

@@ -28,16 +28,14 @@
 //
 // Postings are stored in cardinality-adaptive containers (container.go):
 // each feature's graph-ID set is an array, bitmap or run-length container
-// chosen by byte cost, with occurrence counts and Grapes vertex locations
-// in rank-aligned satellite arrays elided in the default case
-// (postinglist.go). The choice is a pure function of the member set, so
+// chosen by byte cost, with occurrence counts in a rank-aligned satellite
+// array elided in the all-1 case (postinglist.go). The choice is a pure function of the member set, so
 // sequential builds, parallel merges, COW mutations and snapshot loads all
 // converge on identical representations.
 //
 // The store persists itself (WriteTo/ReadFrom): a versioned header carrying
 // the feature dictionary in ID order, then one independently-decodable,
-// CRC-guarded segment per shard with delta-encoded postings and location
-// lists. Segments decode in parallel on load and a loaded trie is
+// CRC-guarded segment per shard with delta-encoded postings. Segments decode in parallel on load and a loaded trie is
 // observationally identical to the one saved — see persist.go for the full
 // format specification and compatibility rules.
 package trie
@@ -58,13 +56,12 @@ import (
 
 // Posting records one graph's occurrences of a feature.
 type Posting struct {
-	Graph int32   // graph identifier (dataset position or cache slot)
-	Count int32   // number of occurrences of the feature in the graph
-	Locs  []int32 // optional sorted vertex locations (Grapes); may be nil
+	Graph int32 // graph identifier (dataset position or cache slot)
+	Count int32 // number of occurrences of the feature in the graph
 }
 
 // Page geometry of a shard's postings table: slot i lives at
-// pages[i>>pageShift][i&pageMask]. A page is 64 × 72 B = 4.6 KB.
+// pages[i>>pageShift][i&pageMask]. A page is 64 × 48 B = 3 KB.
 const (
 	pageShift = 6
 	pageLen   = 1 << pageShift
@@ -285,7 +282,7 @@ func (t *Trie) MaxPostingLen() int {
 
 // Insert adds (or merges) a posting for key, interning it into the
 // dictionary. Postings for a key are kept sorted by graph id; inserting the
-// same (key, graph) twice accumulates the count and unions locations.
+// same (key, graph) twice accumulates the count.
 // Not safe for concurrent use — parallel builds go through Builder — and
 // only for a trie that owns its pages (built or loaded, not Apply's result).
 func (t *Trie) Insert(key string, p Posting) {
@@ -375,8 +372,8 @@ func (t *Trie) RemoveGraph(id int32) {
 	})
 }
 
-// SizeBytes approximates the in-memory footprint of the trie (page tables,
-// postings and location lists), used for the paper's Fig 18 accounting.
+// SizeBytes approximates the in-memory footprint of the trie (page tables
+// and postings), used for the paper's Fig 18 accounting.
 func (t *Trie) SizeBytes() int {
 	if t.lazyLive.Load() != nil {
 		// Lazily opened: report the resident posting lists instead of
@@ -388,7 +385,7 @@ func (t *Trie) SizeBytes() int {
 }
 
 // tableSizeBytes is the eager footprint: the directory headers, plus every
-// live list's container bytes, its 72 B table entry and its share of page
+// live list's container bytes, its 48 B table entry and its share of page
 // directory pointers. The table is counted at full occupancy — slots left
 // by dead or foreign features of a shared dictionary are residue, like the
 // dead dictionary entries LiveDictSizeBytes excludes — so a mutated trie
@@ -568,7 +565,7 @@ func (w *BuildWorker) InsertID(id features.FeatureID, p Posting) {
 // fanned out over up to GOMAXPROCS goroutines, each inserting its shard's
 // postings in (FeatureID, graph) order so the result is independent of the
 // staging schedule. Duplicate (feature, graph) postings merge exactly as
-// sequential Insert would (counts accumulate, locations union). Merge must
+// sequential Insert would (counts accumulate). Merge must
 // be called once, after every staging goroutine has finished; afterwards the
 // Builder is drained and the trie is ready for lock-free reads.
 func (b *Builder) Merge() {
@@ -637,10 +634,9 @@ func (t *Trie) mergeShard(s int, workers []*BuildWorker) []features.FeatureID {
 		for _, sp := range all[i:j] {
 			if m := len(run); m > 0 && run[m-1].Graph == sp.p.Graph {
 				run[m-1].Count += sp.p.Count
-				run[m-1].Locs = unionSorted(run[m-1].Locs, sp.p.Locs)
 				continue
 			}
-			run = append(run, Posting{Graph: sp.p.Graph, Count: sp.p.Count, Locs: append([]int32(nil), sp.p.Locs...)})
+			run = append(run, sp.p)
 		}
 		pl := sh.at(uint32(id) >> t.shift)
 		if pl.ids != nil {
@@ -655,7 +651,7 @@ func (t *Trie) mergeShard(s int, workers []*BuildWorker) []features.FeatureID {
 }
 
 // mergePostingRuns merges two graph-sorted posting runs, combining postings
-// of the same graph (counts add, locations union).
+// of the same graph (counts add).
 func mergePostingRuns(a, b []Posting) []Posting {
 	out := make([]Posting, 0, len(a)+len(b))
 	i, j := 0, 0
@@ -668,39 +664,7 @@ func mergePostingRuns(a, b []Posting) []Posting {
 			out = append(out, b[j])
 			j++
 		default:
-			out = append(out, Posting{
-				Graph: a[i].Graph,
-				Count: a[i].Count + b[j].Count,
-				Locs:  unionSorted(a[i].Locs, b[j].Locs),
-			})
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-func unionSorted(a, b []int32) []int32 {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return append([]int32(nil), b...)
-	}
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
+			out = append(out, Posting{Graph: a[i].Graph, Count: a[i].Count + b[j].Count})
 			i++
 			j++
 		}

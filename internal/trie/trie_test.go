@@ -37,17 +37,14 @@ func TestInsertGet(t *testing.T) {
 
 func TestInsertMergesSameGraph(t *testing.T) {
 	tr := New()
-	tr.Insert("k", Posting{Graph: 7, Count: 1, Locs: []int32{1, 3}})
-	tr.Insert("k", Posting{Graph: 7, Count: 2, Locs: []int32{2, 3}})
+	tr.Insert("k", Posting{Graph: 7, Count: 1})
+	tr.Insert("k", Posting{Graph: 7, Count: 2})
 	ps := tr.Get("k")
 	if len(ps) != 1 {
 		t.Fatalf("expected merged posting, got %+v", ps)
 	}
 	if ps[0].Count != 3 {
 		t.Errorf("merged count = %d, want 3", ps[0].Count)
-	}
-	if !reflect.DeepEqual(ps[0].Locs, []int32{1, 2, 3}) {
-		t.Errorf("merged locs = %v", ps[0].Locs)
 	}
 }
 
@@ -214,35 +211,12 @@ func TestSizeBytesGrows(t *testing.T) {
 	tr := New()
 	before := tr.SizeBytes()
 	for i := 0; i < 50; i++ {
-		tr.Insert(fmt.Sprintf("key-%d", i), Posting{Graph: int32(i), Count: 1, Locs: []int32{1, 2, 3}})
+		tr.Insert(fmt.Sprintf("key-%d", i), Posting{Graph: int32(i), Count: 1})
 	}
 	if tr.SizeBytes() <= before {
 		t.Error("SizeBytes did not grow after inserts")
 	}
 	if tr.Len() != 50 {
 		t.Errorf("Len = %d after 50 distinct inserts", tr.Len())
-	}
-}
-
-func TestUnionSorted(t *testing.T) {
-	cases := []struct{ a, b, want []int32 }{
-		{nil, nil, nil},
-		{[]int32{1, 2}, nil, []int32{1, 2}},
-		{nil, []int32{3}, []int32{3}},
-		{[]int32{1, 3, 5}, []int32{2, 3, 6}, []int32{1, 2, 3, 5, 6}},
-		{[]int32{1}, []int32{1}, []int32{1}},
-	}
-	for i, c := range cases {
-		got := unionSorted(c.a, c.b)
-		if len(got) != len(c.want) {
-			t.Errorf("case %d: got %v want %v", i, got, c.want)
-			continue
-		}
-		for j := range got {
-			if got[j] != c.want[j] {
-				t.Errorf("case %d: got %v want %v", i, got, c.want)
-				break
-			}
-		}
 	}
 }

@@ -106,7 +106,7 @@ func loadEngineLazy(src trie.RandomAccessFile, db []*Graph, opt EngineOptions, b
 	if cf, ok := m.(index.CountFilterer); ok {
 		opt.MaxPathLen = cf.FeatureMaxPathLen() // the snapshot's feature length wins
 	}
-	e := &Engine{superQ: opt.Supergraph, opt: opt}
+	e := &Engine{opt: opt}
 	e.view.Store(&engineView{db: db, m: m})
 	if c, ok := src.(io.Closer); ok {
 		e.lazySrc = c

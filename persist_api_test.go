@@ -2,6 +2,7 @@ package igq
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 )
@@ -13,8 +14,9 @@ func TestEngineSaveLoadCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ExtractQuery(db[0], 0, 6)
-	first, _ := eng.QuerySubgraph(q)
-	eng.QuerySubgraph(ExtractQuery(db[1], 0, 4)) // flush (W=2)
+	ctx := context.Background()
+	first, _ := eng.Query(ctx, q)
+	eng.Query(ctx, ExtractQuery(db[1], 0, 4)) // flush (W=2)
 	if eng.CacheLen() == 0 {
 		t.Fatal("nothing cached")
 	}
@@ -32,7 +34,7 @@ func TestEngineSaveLoadCache(t *testing.T) {
 	if err := eng2.LoadCache(&buf); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng2.QuerySubgraph(q.Clone())
+	res, err := eng2.Query(ctx, q.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
