@@ -47,7 +47,7 @@ func main() {
 		threads = flag.Int("threads", 1, "Grapes build threads")
 		shards  = flag.Int("shards", 0, "postings shard count (0 = one per CPU)")
 		bwork   = flag.Int("buildworkers", 0, "index-build goroutines (0 = per-method default)")
-		super   = flag.Bool("super", false, "supergraph queries (uses the containment index)")
+		super   = flag.Bool("super", false, "supergraph queries (the containment filter over the path index)")
 		cache   = flag.Int("cache", 500, "iGQ cache size C")
 		window  = flag.Int("window", 100, "iGQ window size W")
 		noCache = flag.Bool("no-cache", false, "disable iGQ (plain filter-then-verify)")

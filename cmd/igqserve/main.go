@@ -42,10 +42,10 @@
 // resident_bytes the decoded lists, shard_faults posting-list decodes and
 // shard_evictions lists evicted.
 //
-// -super additionally hosts a supergraph-containment engine on the same
-// dataset, served under mode=super and maintained O(delta) after each
-// mutation (the Containment index mutates in place; a rebuild happens only
-// if the method cannot).
+// -super also serves supergraph queries (mode=super) from the same engine:
+// the paper's containment filter (Algorithm 2) reads the one path index,
+// and a second query cache serves that direction. Every mutation maintains
+// both in one O(delta) step. It needs a path index (grapes or ggsx).
 //
 // -partitions N shards the dataset across N in-process partitions routed
 // by a stable hash of each graph's ID: queries scatter-gather (answers
@@ -78,7 +78,7 @@ func main() {
 		dbPath    = flag.String("db", "", "dataset file (required)")
 		addr      = flag.String("addr", ":7468", "listen address")
 		method    = flag.String("method", "grapes", "method: grapes | ggsx | ctindex")
-		super     = flag.Bool("super", false, "also host a supergraph engine (mode=super)")
+		super     = flag.Bool("super", false, "also serve supergraph queries (mode=super) from the same index")
 		parts     = flag.Int("partitions", 1, "shard the dataset across N in-process partitions (scatter-gather serving)")
 		cache     = flag.Int("cache", 500, "iGQ cache size C")
 		window    = flag.Int("window", 100, "iGQ window size W")
@@ -109,6 +109,9 @@ func main() {
 		opt.Method = igq.CTIndex
 	default:
 		fatal("igqserve: unknown method %q", *method)
+	}
+	if *super && opt.Method == igq.CTIndex {
+		fatal("igqserve: -super needs a path index (-method grapes or ggsx)")
 	}
 
 	// Bind before any engine work: from here on a probe sees "warming"
@@ -177,7 +180,8 @@ func main() {
 			}
 		}
 	} else {
-		buildEngine(&cfg, db, opt, *snapshot, *lazy, *lazyBudg, *super, *cache, *window, *quietLoad)
+		cfg.Engine = buildEngine(db, opt, *snapshot, *lazy, *lazyBudg, *quietLoad)
+		cfg.Super = *super
 	}
 
 	s, err := server.New(cfg)
@@ -215,11 +219,10 @@ func main() {
 	}
 }
 
-// buildEngine fills cfg with a single-engine deployment: restored from the
-// snapshot when one exists (optionally lazily mapped), built otherwise,
-// plus the optional supergraph engine.
-func buildEngine(cfg *server.Config, db []*igq.Graph, opt igq.EngineOptions,
-	snapshot string, lazy bool, lazyBudg int64, super bool, cache, window int, quietLoad bool) {
+// buildEngine returns the engine of a single-engine deployment: restored
+// from the snapshot when one exists (optionally lazily mapped), built
+// otherwise.
+func buildEngine(db []*igq.Graph, opt igq.EngineOptions, snapshot string, lazy bool, lazyBudg int64, quietLoad bool) *igq.Engine {
 	t0 := time.Now()
 	var eng *igq.Engine
 	var err error
@@ -261,19 +264,7 @@ func buildEngine(cfg *server.Config, db []*igq.Graph, opt igq.EngineOptions,
 			log.Printf("indexed %d graphs with %s in %v", len(db), eng.MethodName(), time.Since(t0))
 		}
 	}
-	cfg.Engine = eng
-	if super {
-		superOpt := igq.EngineOptions{Supergraph: true, CacheSize: cache, Window: window}
-		t := time.Now()
-		cfg.Super, err = igq.NewEngine(db, superOpt)
-		if err != nil {
-			fatal("igqserve: building supergraph engine: %v", err)
-		}
-		cfg.SuperOptions = superOpt
-		if !quietLoad {
-			log.Printf("supergraph engine ready in %v", time.Since(t))
-		}
-	}
+	return eng
 }
 
 func fatal(format string, args ...any) {

@@ -355,7 +355,7 @@ func TestQueryPanicIsolation(t *testing.T) {
 	var hits, k atomic.Int64
 	pm := &poisonIndex{Index: v.m.(*ggsx.Index), victim: victim, hits: &hits, k: &k}
 	eng.view.Store(&engineView{db: v.db, m: pm})
-	eng.ig.Store(core.New(pm, v.db, eng.coreOptions()))
+	eng.modes[SubgraphQueries].ig.Store(core.New(pm, v.db, eng.coreOptions(SubgraphQueries)))
 
 	// Mid-loop first, on a cold cache where nothing prunes the candidates:
 	// the first test runs on the real matcher, the second panics — through

@@ -8,8 +8,11 @@
 // between new and cached queries to skip (or entirely avoid) subgraph
 // isomorphism tests. It wraps any filter-then-verify method; this module
 // ships three faithful reimplementations of the paper's baselines
-// (GraphGrepSX, Grapes, CT-Index) plus the paper's own trie-based
-// containment index for supergraph queries.
+// (GraphGrepSX, Grapes, CT-Index) plus the paper's own containment filter
+// for supergraph queries (Algorithms 1–2), which reads the same path index
+// GraphGrepSX and Grapes keep: an engine over a path index answers both
+// directions from that one index, with one query cache per direction
+// (EngineOptions.Supergraph picks the default, InMode the other).
 //
 // Quick start:
 //
@@ -232,8 +235,9 @@
 //
 // # Partitioned serving
 //
-// internal/partition shards one dataset across N in-process engine pairs
-// behind an Engine-shaped surface: each graph is routed to a partition by
+// internal/partition shards one dataset across N in-process engines (each
+// answering both query directions from its one index) behind an
+// Engine-shaped surface: each graph is routed to a partition by
 // a stable hash of its ID, queries scatter to every partition with bounded
 // fan-out and gather into one merged result, and mutations touch only the
 // owning partition. Because sub- and super-answers are plain sets of
@@ -313,11 +317,9 @@ const (
 	Grapes MethodKind = iota
 	// GGSX: GraphGrepSX path-trie index.
 	GGSX
-	// CTIndex: tree/cycle fingerprint index.
+	// CTIndex: tree/cycle fingerprint index. It answers subgraph queries
+	// only.
 	CTIndex
-	// Containment: the paper's trie containment index — required for
-	// supergraph query engines.
-	Containment
 )
 
 // String names the method as in the paper.
@@ -329,8 +331,6 @@ func (m MethodKind) String() string {
 		return "GGSX"
 	case CTIndex:
 		return "CT-Index"
-	case Containment:
-		return "Contain"
 	default:
 		return "unknown"
 	}
@@ -345,9 +345,12 @@ type EngineOptions struct {
 	// MaxPathLen is the path feature length for path-based indexes and the
 	// iGQ query indexes (default 4).
 	MaxPathLen int
-	// Supergraph switches the engine to supergraph query semantics
-	// ("which dataset graphs are contained in the query"); requires
-	// Method == Containment (set automatically when Method is zero).
+	// Supergraph makes supergraph semantics ("which dataset graphs are
+	// contained in the query") the engine's default: Query answers that way
+	// unless a call asks otherwise (InMode). Every engine over a path index
+	// (GGSX, Grapes) answers both directions from its one index, each with
+	// a query cache of its own; the supergraph read is the paper's
+	// containment method (Algorithms 1–2).
 	Supergraph bool
 	// CacheSize / Window are iGQ's C and W (defaults 500 / 100).
 	CacheSize int
@@ -373,7 +376,27 @@ type EngineOptions struct {
 	// capabilities it relies on (mutation, persistence) stay visible, and
 	// a return value that is not a method index fails NewEngine. Only
 	// NewEngine consults it; engines restored by LoadEngine are unwrapped.
+	// Subgraph queries go through the wrapper; supergraph queries read the
+	// index it wraps.
 	WrapMethod func(m any) any
+}
+
+// Mode is a query's direction.
+type Mode = core.Mode
+
+const (
+	// SubgraphQueries answers which dataset graphs contain the query.
+	SubgraphQueries = core.SubgraphQueries
+	// SupergraphQueries answers which dataset graphs the query contains.
+	SupergraphQueries = core.SupergraphQueries
+)
+
+// mode is the engine's default query direction.
+func (opt EngineOptions) mode() Mode {
+	if opt.Supergraph {
+		return SupergraphQueries
+	}
+	return SubgraphQueries
 }
 
 // Engine answers graph queries over a dataset, accelerated by iGQ. Safe
@@ -388,16 +411,27 @@ type Engine struct {
 	opt  EngineOptions // resolved construction options (persistence reuse)
 
 	// mutMu serialises generation changes — AddGraphs, RemoveGraphs,
-	// LoadIndex and the persistence lineage calls — against each other.
-	// Queries never take it.
+	// LoadIndex and the persistence lineage calls — against each other and
+	// against the creation of a direction's cache. Queries take it only to
+	// create the non-default direction's cache, on that direction's first
+	// query.
 	mutMu sync.Mutex
 
 	// lazySrc is the snapshot mapping backing a lazily loaded index (nil
 	// otherwise); guarded by mutMu, released by Close/MaterializeIndex.
 	lazySrc io.Closer
 
-	// ig is the cache generation currently serving queries; LoadCache swaps
-	// it atomically. A nil pointer means the cache is disabled.
+	// modes holds each query direction's cache and counters, indexed by
+	// Mode. Both directions read the one dataset index of the view.
+	modes [2]modeState
+}
+
+// modeState is one query direction of an engine.
+type modeState struct {
+	// ig is the cache generation currently serving the direction;
+	// LoadCache swaps the default direction's atomically. A nil pointer
+	// means the cache is disabled, the index cannot answer the direction,
+	// or the direction has not been queried yet (Engine.cache).
 	ig atomic.Pointer[core.IGQ]
 
 	// Engine-lifetime aggregate counters (Stats).
@@ -481,49 +515,32 @@ func newMethod(opt EngineOptions) (index.Method, error) {
 		}), nil
 	case CTIndex:
 		return ctindex.New(ctindex.DefaultOptions()), nil
-	case Containment:
-		return contain.New(contain.Options{MaxPathLen: opt.MaxPathLen}), nil
 	default:
 		return nil, fmt.Errorf("igq: unknown method %v", opt.Method)
 	}
 }
 
-// normalized fills option defaults and resolves the supergraph/method
-// coupling.
+// normalized fills option defaults.
 func (opt EngineOptions) normalized() EngineOptions {
 	if opt.MaxPathLen <= 0 {
 		opt.MaxPathLen = 4
 	}
-	if opt.Supergraph {
-		opt.Method = Containment
-	}
-	if opt.Method == Containment {
-		opt.Supergraph = true
-	}
 	return opt
 }
 
-// coreOptions maps engine options onto the iGQ core configuration.
-func (opt EngineOptions) coreOptions() core.Options {
-	mode := core.SubgraphQueries
-	if opt.Supergraph {
-		mode = core.SupergraphQueries
-	}
+// coreOptions maps the engine options onto the iGQ core configuration of
+// mode's cache, with the engine's panic containment wired in: a panicking
+// background shadow-index build is counted in that direction's Panics
+// instead of crashing the process.
+func (e *Engine) coreOptions(mode Mode) core.Options {
+	ms := &e.modes[mode]
 	return core.Options{
-		CacheSize:  opt.CacheSize,
-		Window:     opt.Window,
-		MaxPathLen: opt.MaxPathLen,
-		Mode:       mode,
+		CacheSize:    e.opt.CacheSize,
+		Window:       e.opt.Window,
+		MaxPathLen:   e.opt.MaxPathLen,
+		Mode:         mode,
+		PanicHandler: func(any, []byte) { ms.nPanics.Add(1) },
 	}
-}
-
-// coreOptions wires the engine's panic containment into the core
-// configuration: a panicking background shadow-index build is counted in
-// Stats().Panics instead of crashing the process.
-func (e *Engine) coreOptions() core.Options {
-	co := e.opt.coreOptions()
-	co.PanicHandler = func(any, []byte) { e.nPanics.Add(1) }
-	return co
 }
 
 // NewEngine indexes db and returns a ready engine.
@@ -537,33 +554,104 @@ func NewEngine(db []*Graph, opt EngineOptions) (*Engine, error) {
 		return nil, err
 	}
 	m.Build(db)
+	v := newView(db, m)
+	if v.method(opt.mode()) == nil {
+		return nil, noSupergraph(m)
+	}
 	if opt.WrapMethod != nil {
 		wrapped, ok := opt.WrapMethod(m).(index.Method)
 		if !ok {
 			return nil, errors.New("igq: WrapMethod returned a non-method value")
 		}
-		m = wrapped
+		v.m = wrapped
 	}
 	e := &Engine{opt: opt}
-	e.view.Store(&engineView{db: db, m: m})
-	if !opt.DisableCache {
-		e.ig.Store(core.New(m, db, e.coreOptions()))
-	}
+	e.view.Store(v)
+	e.cacheLocked(opt.mode()) // e is not shared yet
 	return e, nil
 }
 
-// engineView pairs one dataset generation with the method index built over
-// it. Immutable once stored.
+// cache returns the query cache serving mode, or nil when caching is
+// disabled or the index does not answer mode. The default direction's
+// cache exists from construction; the other direction's is made on its
+// first query, under mutMu so that no mutation in flight can miss
+// patching it. An engine that is only ever queried in one direction thus
+// keeps one cache.
+func (e *Engine) cache(mode Mode) *core.IGQ {
+	if ig := e.modes[mode].ig.Load(); ig != nil || e.opt.DisableCache || e.view.Load().method(mode) == nil {
+		return ig
+	}
+	e.mutMu.Lock()
+	defer e.mutMu.Unlock()
+	return e.cacheLocked(mode)
+}
+
+// cacheLocked is cache for a caller that holds mutMu (or owns an engine
+// not yet shared).
+func (e *Engine) cacheLocked(mode Mode) *core.IGQ {
+	ms := &e.modes[mode]
+	if ig := ms.ig.Load(); ig != nil || e.opt.DisableCache {
+		return ig
+	}
+	v := e.view.Load()
+	m := v.method(mode)
+	if m == nil {
+		return nil
+	}
+	ig := core.New(m, v.db, e.coreOptions(mode))
+	ms.ig.Store(ig)
+	return ig
+}
+
+// Answers reports whether the engine answers mode's queries. Every engine
+// answers subgraph queries; supergraph queries need a path index (GGSX or
+// Grapes), whose postings the containment method reads.
+func (e *Engine) Answers(mode Mode) bool { return e.view.Load().method(mode) != nil }
+
+// engineView pairs one dataset generation with the index built over it and
+// that index's supergraph read. Immutable once stored.
 type engineView struct {
-	db []*Graph
-	m  index.Method
+	db  []*Graph
+	m   index.Method // the dataset index; it answers subgraph queries
+	sup index.Method // its supergraph read, nil when m has none
+}
+
+// newView is the view of (db, m). A path index comes with its supergraph
+// read: the containment method over the same postings.
+func newView(db []*Graph, m index.Method) *engineView {
+	v := &engineView{db: db, m: m}
+	if x, ok := m.(*ggsx.Index); ok {
+		v.sup = contain.Over(x)
+	}
+	return v
+}
+
+// method returns the index answering mode's queries (nil if none does).
+func (v *engineView) method(mode Mode) index.Method {
+	if mode == SupergraphQueries {
+		return v.sup
+	}
+	return v.m
+}
+
+// noSupergraph is the error for a supergraph query to an index without a
+// supergraph read.
+func noSupergraph(m index.Method) error {
+	return fmt.Errorf("igq: method %s does not answer supergraph queries", m.Name())
 }
 
 // queryConfig is the resolved per-call option set.
 type queryConfig struct {
+	mode    Mode
 	noCache bool
 	noAdmit bool
 }
+
+// InMode answers the query in mode instead of the engine's default
+// direction (EngineOptions.Supergraph). Both directions read the engine's
+// one dataset index; each has its own query cache and statistics
+// (StatsOf).
+func InMode(mode Mode) QueryOption { return func(c *queryConfig) { c.mode = mode } }
 
 // QueryOption customises one Query call.
 type QueryOption func(*queryConfig)
@@ -606,9 +694,17 @@ func (p *PanicError) Error() string {
 // query path — a poisoned query graph, a buggy method — is contained to
 // this call and surfaced as a *PanicError instead of crashing the process.
 func (e *Engine) Query(ctx context.Context, q *Graph, opts ...QueryOption) (res Result, err error) {
+	cfg := queryConfig{mode: e.opt.mode()}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.mode != SubgraphQueries && cfg.mode != SupergraphQueries {
+		return Result{}, fmt.Errorf("igq: unknown query mode %d", cfg.mode)
+	}
+	ms := &e.modes[cfg.mode]
 	defer func() {
 		if r := recover(); r != nil {
-			e.nPanics.Add(1)
+			ms.nPanics.Add(1)
 			res = Result{}
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
@@ -616,13 +712,12 @@ func (e *Engine) Query(ctx context.Context, q *Graph, opts ...QueryOption) (res 
 	if q == nil {
 		return Result{}, errors.New("igq: nil query")
 	}
-	var cfg queryConfig
-	for _, o := range opts {
-		o(&cfg)
+	if cfg.noCache {
+		return e.queryPlain(ctx, q, cfg.mode)
 	}
-	ig := e.ig.Load()
-	if ig == nil || cfg.noCache {
-		return e.queryPlain(ctx, q)
+	ig := e.cache(cfg.mode)
+	if ig == nil {
+		return e.queryPlain(ctx, q, cfg.mode)
 	}
 	var o *core.Outcome
 	if cfg.noAdmit {
@@ -642,19 +737,23 @@ func (e *Engine) Query(ctx context.Context, q *Graph, opts ...QueryOption) (res 
 		SuperHits:       o.SuperHits,
 		AnsweredByCache: o.Short != core.NoShortCircuit,
 	}
-	e.recordStats(st)
-	return e.resultFor(o.Dataset, o.Answer, st), nil
+	ms.record(st)
+	return resultFor(o.Dataset, o.Answer, st), nil
 }
 
 // queryPlain is the cache-free filter-then-verify path, with the same
 // cooperative cancellation as the cached one.
-func (e *Engine) queryPlain(ctx context.Context, q *Graph) (Result, error) {
+func (e *Engine) queryPlain(ctx context.Context, q *Graph, mode Mode) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
 	v := e.view.Load() // one generation for the whole call
-	cands := v.m.Filter(q)
-	ids, err := index.VerifyCandidates(ctx, v.m, q, cands)
+	m := v.method(mode)
+	if m == nil {
+		return Result{}, noSupergraph(v.m)
+	}
+	cands := m.Filter(q)
+	ids, err := index.VerifyCandidates(ctx, m, q, cands)
 	if err != nil {
 		return Result{}, err
 	}
@@ -663,13 +762,13 @@ func (e *Engine) queryPlain(ctx context.Context, q *Graph) (Result, error) {
 		FinalCandidates: len(cands),
 		DatasetIsoTests: len(cands),
 	}
-	e.recordStats(st)
-	return e.resultFor(v.db, ids, st), nil
+	e.modes[mode].record(st)
+	return resultFor(v.db, ids, st), nil
 }
 
 // resultFor materialises the Result for a sorted answer id set against the
 // dataset generation the ids were computed over.
-func (e *Engine) resultFor(db []*Graph, ids []int32, st QueryStats) Result {
+func resultFor(db []*Graph, ids []int32, st QueryStats) Result {
 	res := Result{IDs: ids, Stats: st}
 	for _, id := range ids {
 		res.Matches = append(res.Matches, db[id])
@@ -677,33 +776,39 @@ func (e *Engine) resultFor(db []*Graph, ids []int32, st QueryStats) Result {
 	return res
 }
 
-// recordStats folds one query's counters into the engine aggregates.
-func (e *Engine) recordStats(st QueryStats) {
-	e.nQueries.Add(1)
+// record folds one query's counters into the direction's aggregates.
+func (ms *modeState) record(st QueryStats) {
+	ms.nQueries.Add(1)
 	if st.AnsweredByCache {
-		e.nCacheShort.Add(1)
+		ms.nCacheShort.Add(1)
 	}
-	e.nDatasetIso.Add(int64(st.DatasetIsoTests))
-	e.nCacheIso.Add(int64(st.CacheIsoTests))
-	e.nSubHits.Add(int64(st.SubHits))
-	e.nSuperHits.Add(int64(st.SuperHits))
+	ms.nDatasetIso.Add(int64(st.DatasetIsoTests))
+	ms.nCacheIso.Add(int64(st.CacheIsoTests))
+	ms.nSubHits.Add(int64(st.SubHits))
+	ms.nSuperHits.Add(int64(st.SuperHits))
 }
 
 // Stats returns an aggregate snapshot of the engine's activity since
-// construction. Counters are maintained atomically; sampling them is safe
-// and cheap while queries are in flight. The per-counter values are
-// mutually consistent to within the queries currently executing.
-func (e *Engine) Stats() EngineStats {
+// construction in its default direction (StatsOf reports either).
+// Counters are maintained atomically; sampling them is safe and cheap while
+// queries are in flight. The per-counter values are mutually consistent to
+// within the queries currently executing.
+func (e *Engine) Stats() EngineStats { return e.StatsOf(e.opt.mode()) }
+
+// StatsOf is Stats for the queries answered in mode. The residency fields
+// describe the one dataset index both directions read.
+func (e *Engine) StatsOf(mode Mode) EngineStats {
+	ms := &e.modes[mode]
 	st := EngineStats{
-		Queries:         e.nQueries.Load(),
-		AnsweredByCache: e.nCacheShort.Load(),
-		DatasetIsoTests: e.nDatasetIso.Load(),
-		CacheIsoTests:   e.nCacheIso.Load(),
-		SubHits:         e.nSubHits.Load(),
-		SuperHits:       e.nSuperHits.Load(),
-		Panics:          e.nPanics.Load(),
+		Queries:         ms.nQueries.Load(),
+		AnsweredByCache: ms.nCacheShort.Load(),
+		DatasetIsoTests: ms.nDatasetIso.Load(),
+		CacheIsoTests:   ms.nCacheIso.Load(),
+		SubHits:         ms.nSubHits.Load(),
+		SuperHits:       ms.nSuperHits.Load(),
+		Panics:          ms.nPanics.Load(),
 	}
-	if ig := e.ig.Load(); ig != nil {
+	if ig := ms.ig.Load(); ig != nil {
 		st.CachedQueries = ig.CacheLen()
 		st.WindowPending = ig.WindowLen()
 		st.Flushes = ig.Flushes()
@@ -720,13 +825,13 @@ func (e *Engine) Stats() EngineStats {
 	return st
 }
 
-// SaveCache serialises the engine's accumulated query cache (cached query
-// graphs, answers, replacement metadata) so a later process can resume with
-// warm knowledge. Returns an error if the cache is disabled. Safe to call
-// while queries are in flight: the snapshot is consistent, excluding
-// admissions that had not yet committed.
+// SaveCache serialises the engine's accumulated query cache of its default
+// direction (cached query graphs, answers, replacement metadata) so a later
+// process can resume with warm knowledge. Returns an error if the cache is
+// disabled. Safe to call while queries are in flight: the snapshot is
+// consistent, excluding admissions that had not yet committed.
 func (e *Engine) SaveCache(w io.Writer) error {
-	ig := e.ig.Load()
+	ig := e.modes[e.opt.mode()].ig.Load()
 	if ig == nil {
 		return errors.New("igq: cache disabled")
 	}
@@ -734,8 +839,10 @@ func (e *Engine) SaveCache(w io.Writer) error {
 }
 
 // LoadCache replaces the engine's cache with a snapshot previously written
-// by SaveCache. The snapshot must have been taken against the same dataset;
-// entries beyond the engine's cache size are dropped lowest-utility first.
+// by SaveCache. The snapshot must have been taken against the same dataset
+// by an engine with the same default direction (a cache of the other
+// direction is refused); entries beyond the engine's cache size are
+// dropped lowest-utility first.
 // The restored cache is installed atomically: concurrent queries finish on
 // the generation they started with and later queries use the new one.
 func (e *Engine) LoadCache(r io.Reader) error {
@@ -744,16 +851,17 @@ func (e *Engine) LoadCache(r io.Reader) error {
 	// new view while this cache is wired to the old (db, method) pair.
 	e.mutMu.Lock()
 	defer e.mutMu.Unlock()
-	cur := e.ig.Load()
-	if cur == nil {
+	mode := e.opt.mode()
+	ms := &e.modes[mode]
+	if ms.ig.Load() == nil {
 		return errors.New("igq: cache disabled")
 	}
 	v := e.view.Load()
-	ig, err := core.Load(r, v.m, v.db, e.coreOptions())
+	ig, err := core.Load(r, v.method(mode), v.db, e.coreOptions(mode))
 	if err != nil {
 		return err
 	}
-	e.ig.Store(ig)
+	ms.ig.Store(ig)
 	return nil
 }
 
@@ -840,10 +948,12 @@ func (e *Engine) LoadIndex(r io.Reader) (LoadReport, error) {
 	if err != nil {
 		return LoadReport{}, err
 	}
-	if ig := e.ig.Load(); ig != nil {
-		// The method's dictionary was reset by the load; cache postings
-		// keyed by the old FeatureIDs must be rebuilt.
-		ig.RebuildIndexes()
+	// The method's dictionary was reset by the load; cache postings keyed
+	// by the old FeatureIDs must be rebuilt, in both directions.
+	for mode := range e.modes {
+		if ig := e.modes[mode].ig.Load(); ig != nil {
+			ig.RebuildIndexes()
+		}
 	}
 	return LoadReport{RecoveredTail: tailRecoveryFrom(rep.RecoveredTail, 0)}, nil
 }
@@ -863,11 +973,12 @@ func (e *Engine) LoadIndex(r io.Reader) (LoadReport, error) {
 // other. ctx is observed before the mutation begins; once underway it
 // always completes (the work is O(new graphs), not O(dataset)).
 //
-// Only methods implementing incremental maintenance support this (GGSX,
-// Grapes and the supergraph Containment method do); otherwise an error
-// wrapping the method name is returned and the engine is unchanged. For
-// the path methods the pending delta can additionally be persisted in
-// O(delta) with AppendIndexDelta.
+// Only methods implementing incremental maintenance support this (the path
+// indexes of GGSX and Grapes do, and with them the supergraph read over
+// them, whose cache is patched in the same call); otherwise an error
+// wrapping the method name is returned and the engine is unchanged. The
+// pending delta can additionally be persisted in O(delta) with
+// AppendIndexDelta.
 func (e *Engine) AddGraphs(ctx context.Context, gs []*Graph) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -897,15 +1008,18 @@ func (e *Engine) AddGraphs(ctx context.Context, gs []*Graph) error {
 	if err != nil {
 		return fmt.Errorf("igq: appending graphs: %w", err)
 	}
-	if ig := e.ig.Load(); ig != nil {
-		// Background ctx: the cache patch must complete once the method
-		// generation exists, or the recorded delta journal would diverge
-		// from the served state.
-		if err := ig.DatasetAppended(context.Background(), newM, newDB, len(v.db)); err != nil {
-			return fmt.Errorf("igq: patching cache: %w", err)
+	nv := newView(newDB, newM)
+	for mode := range e.modes {
+		if ig := e.modes[mode].ig.Load(); ig != nil {
+			// Background ctx: the cache patch must complete once the method
+			// generation exists, or the recorded delta journal would diverge
+			// from the served state.
+			if err := ig.DatasetAppended(context.Background(), nv.method(Mode(mode)), newDB, len(v.db)); err != nil {
+				return fmt.Errorf("igq: patching cache: %w", err)
+			}
 		}
 	}
-	e.view.Store(&engineView{db: newDB, m: newM})
+	e.view.Store(nv)
 	return nil
 }
 
@@ -950,12 +1064,15 @@ func (e *Engine) RemoveGraphs(ctx context.Context, positions []int) error {
 	if err != nil {
 		return fmt.Errorf("igq: removing graphs: %w", err)
 	}
-	if ig := e.ig.Load(); ig != nil {
-		if err := ig.DatasetRemoved(context.Background(), newM, newDB, mapping); err != nil {
-			return fmt.Errorf("igq: patching cache: %w", err)
+	nv := newView(newDB, newM)
+	for mode := range e.modes {
+		if ig := e.modes[mode].ig.Load(); ig != nil {
+			if err := ig.DatasetRemoved(context.Background(), nv.method(Mode(mode)), newDB, mapping); err != nil {
+				return fmt.Errorf("igq: patching cache: %w", err)
+			}
 		}
 	}
-	e.view.Store(&engineView{db: newDB, m: newM})
+	e.view.Store(nv)
 	return nil
 }
 
@@ -1003,18 +1120,24 @@ func (e *Engine) MaintainIndexDelta(f io.ReadWriteSeeker) (bool, error) {
 
 // Engine snapshot envelope: magic, version, flags, then the index snapshot
 // (self-delimiting — every section reads exactly its own bytes) followed
-// (when flagged) by the cache snapshot.
+// (when flagged) by the cache snapshot. engineFlagSuperCache marks that
+// cache as the supergraph direction's; without it the cache is the
+// subgraph direction's (the only one snapshots carried before the flag).
 const (
 	engineMagic           = "IGQENG"
 	engineSnapshotVersion = 1
 	engineFlagCache       = 1 << 0
+	engineFlagSuperCache  = 1 << 1
 )
 
 // Save writes one combined snapshot of everything the engine has earned:
 // the dataset index (as SaveIndex) and, when the cache is enabled, the iGQ
-// query cache (as SaveCache). LoadEngine restores both in one call. Safe
-// while queries are in flight — the cache section is cut at a consistent
-// generation, exactly like SaveCache. Both sections stream to w section by
+// query cache of the default direction (as SaveCache), marked with its
+// direction; the other direction's cache restarts empty. LoadEngine
+// restores both in one call, the cache into the direction it was saved
+// from, whatever the loader's default. Safe while queries are in flight —
+// the cache section is cut at a consistent generation, exactly like
+// SaveCache. Both sections stream to w section by
 // section (the trie writer buffers one encoded segment at a time, never
 // the whole index).
 func (e *Engine) Save(w io.Writer) error {
@@ -1025,13 +1148,17 @@ func (e *Engine) Save(w io.Writer) error {
 	if !ok {
 		return fmt.Errorf("igq: method %s does not support index persistence", v.m.Name())
 	}
-	ig := e.ig.Load()
+	mode := e.opt.mode()
+	ig := e.modes[mode].ig.Load()
 	hdr := make([]byte, 0, 16)
 	hdr = append(hdr, engineMagic...)
 	hdr = binary.AppendUvarint(hdr, engineSnapshotVersion)
 	var flags uint64
 	if ig != nil {
 		flags |= engineFlagCache
+		if mode == SupergraphQueries {
+			flags |= engineFlagSuperCache
+		}
 	}
 	hdr = binary.AppendUvarint(hdr, flags)
 	if _, err := w.Write(hdr); err != nil {
@@ -1113,32 +1240,52 @@ func LoadEngineReport(r io.Reader, db []*Graph, opt EngineOptions) (*Engine, Loa
 		return nil, LoadReport{}, err
 	}
 	rep := LoadReport{RecoveredTail: tailRecoveryFrom(idxRep.RecoveredTail, headerBytes)}
+	// cr is positioned at the cache section.
+	e, err := restoredEngine(db, m, opt, flags, &rep, func() io.Reader { return cr })
+	if err != nil {
+		return nil, LoadReport{}, err
+	}
+	return e, rep, nil
+}
+
+// restoredEngine assembles the engine a snapshot load produced around its
+// loaded index m: the cache section, when the snapshot carries one (flags)
+// that no torn tail precedes, restored into the direction it was saved
+// from, and a fresh cache for the default direction if that is another.
+func restoredEngine(db []*Graph, m index.Method, opt EngineOptions, flags uint64, rep *LoadReport, cache func() io.Reader) (*Engine, error) {
 	if cf, ok := m.(index.CountFilterer); ok {
 		// The snapshot's feature length wins (the index was built with it);
 		// keep the cache-side enumeration consistent with it.
 		opt.MaxPathLen = cf.FeatureMaxPathLen()
 	}
+	v := newView(db, m)
+	if v.method(opt.mode()) == nil {
+		return nil, noSupergraph(m)
+	}
 	e := &Engine{opt: opt}
-	e.view.Store(&engineView{db: db, m: m})
-	if !opt.DisableCache {
-		if flags&engineFlagCache != 0 && rep.RecoveredTail == nil {
-			ig, err := core.Load(cr, m, db, e.coreOptions())
-			if err != nil {
-				return nil, LoadReport{}, fmt.Errorf("igq: restoring cache: %w", err)
-			}
-			e.ig.Store(ig)
+	e.view.Store(v)
+	if !opt.DisableCache && flags&engineFlagCache != 0 {
+		saved := SubgraphQueries
+		if flags&engineFlagSuperCache != 0 {
+			saved = SupergraphQueries
+		}
+		if rep.RecoveredTail != nil {
+			// Tail recovery consumed the rest of the stream: the cache
+			// section sits after the tear and cannot be trusted. Start with
+			// a fresh cache — cached knowledge is cheap to re-earn, the index
+			// is not.
+			rep.CacheDiscarded = true
 		} else {
-			// Either the snapshot carries no cache, or tail recovery
-			// consumed the rest of the stream (the cache section sits after
-			// the tear and cannot be trusted): start with a fresh cache —
-			// cached knowledge is cheap to re-earn, the index is not.
-			if flags&engineFlagCache != 0 && rep.RecoveredTail != nil {
-				rep.CacheDiscarded = true
+			// Every persistable index is a path index, so it has both reads.
+			ig, err := core.Load(cache(), v.method(saved), db, e.coreOptions(saved))
+			if err != nil {
+				return nil, fmt.Errorf("igq: restoring cache: %w", err)
 			}
-			e.ig.Store(core.New(m, db, e.coreOptions()))
+			e.modes[saved].ig.Store(ig)
 		}
 	}
-	return e, rep, nil
+	e.cacheLocked(opt.mode()) // e is not shared yet
+	return e, nil
 }
 
 // SaveEngineFile atomically writes a combined engine snapshot (Engine.Save)
@@ -1351,27 +1498,33 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, queries []*Graph, workers in
 	return out
 }
 
-// MethodName returns the wrapped method's display name.
-func (e *Engine) MethodName() string { return e.view.Load().m.Name() }
+// MethodName returns the display name of the method answering the engine's
+// default direction ("Contain", the containment read, for an engine with
+// Supergraph set).
+func (e *Engine) MethodName() string { return e.view.Load().method(e.opt.mode()).Name() }
 
 // Dataset returns the engine's current dataset generation. Callers must
 // treat the slice and the graphs as read-only; mutation goes through
 // AddGraphs/RemoveGraphs.
 func (e *Engine) Dataset() []*Graph { return e.view.Load().db }
 
-// CacheLen returns the number of cached queries (0 when disabled).
+// CacheLen returns the number of cached queries of the default direction
+// (0 when disabled).
 func (e *Engine) CacheLen() int {
-	if ig := e.ig.Load(); ig != nil {
+	if ig := e.modes[e.opt.mode()].ig.Load(); ig != nil {
 		return ig.CacheLen()
 	}
 	return 0
 }
 
-// IndexSizeBytes returns the dataset index footprint plus the iGQ overhead.
+// IndexSizeBytes returns the dataset index footprint plus the iGQ overhead
+// of both directions' caches.
 func (e *Engine) IndexSizeBytes() (method, cache int) {
 	method = e.view.Load().m.SizeBytes()
-	if ig := e.ig.Load(); ig != nil {
-		cache = ig.SizeBytes()
+	for mode := range e.modes {
+		if ig := e.modes[mode].ig.Load(); ig != nil {
+			cache += ig.SizeBytes()
+		}
 	}
 	return method, cache
 }

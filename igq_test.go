@@ -154,7 +154,7 @@ func TestEngineUnknownMethod(t *testing.T) {
 func TestMethodKindString(t *testing.T) {
 	names := map[MethodKind]string{
 		Grapes: "Grapes", GGSX: "GGSX", CTIndex: "CT-Index",
-		Containment: "Contain", MethodKind(42): "unknown",
+		MethodKind(42): "unknown",
 	}
 	for k, want := range names {
 		if k.String() != want {

@@ -8,41 +8,17 @@ import (
 	"repro/internal/features"
 	"repro/internal/graph"
 	"repro/internal/index"
+	"repro/internal/index/contain"
 	"repro/internal/index/ggsx"
 	"repro/internal/index/grapes"
 	"repro/internal/iso"
 	wl "repro/internal/workload"
 )
 
-// superRefMethod mirrors index/contain (which cannot be imported from an
-// in-package test): a supergraph method over ContainmentIndex, exposing the
-// shared-dictionary fast path.
-type superRefMethod struct {
-	db []*graph.Graph
-	ci *ContainmentIndex
-}
-
-func newSuperRefMethod() *superRefMethod {
-	return &superRefMethod{ci: NewContainmentIndex(4)}
-}
-
-func (x *superRefMethod) Name() string { return "ContainRef" }
-func (x *superRefMethod) Build(db []*graph.Graph) {
-	x.db = db
-	for i, g := range db {
-		x.ci.Add(int32(i), g)
-	}
-}
-func (x *superRefMethod) Filter(q *graph.Graph) []int32 { return x.ci.CandidateSubgraphs(q) }
-func (x *superRefMethod) Verify(q *graph.Graph, id int32) bool {
-	return iso.Subgraph(x.db[id], q)
-}
-func (x *superRefMethod) SizeBytes() int              { return x.ci.SizeBytes() }
-func (x *superRefMethod) FeatureDict() *features.Dict { return x.ci.Dict() }
-func (x *superRefMethod) FeatureMaxPathLen() int      { return x.ci.MaxPathLen() }
-func (x *superRefMethod) FilterByFeatureCounts(qf features.IDSet) []int32 {
-	return x.ci.CandidatesFromIDSet(qf)
-}
+// newSuperRefMethod is the supergraph method the core suites wrap: the
+// containment read over a path index of its own, with the shared-dictionary
+// fast path.
+func newSuperRefMethod() index.Method { return contain.New(contain.DefaultOptions()) }
 
 // The seed implementation computed candidates from string-keyed feature
 // maps. This file keeps that path alive as a reference oracle: before every

@@ -73,6 +73,14 @@ const (
 	SupergraphQueries
 )
 
+// String names the mode as the serving layer does: "sub" or "super".
+func (m Mode) String() string {
+	if m == SupergraphQueries {
+		return "super"
+	}
+	return "sub"
+}
+
 // ShortCircuit describes the §4.3 optimal cases.
 type ShortCircuit int
 

@@ -49,9 +49,10 @@ func (q *IGQ) DatasetAppended(ctx context.Context, m index.Method, db []*graph.G
 	q.waitShadowLocked()
 	cur := q.snap.Load()
 
-	// In supergraph mode the new graphs are the patterns, one program each.
+	// In supergraph mode the new graphs are the patterns, one program each —
+	// compiled only when there are cached queries to test them against.
 	var added []*iso.Program
-	if q.opt.Mode == SupergraphQueries {
+	if q.opt.Mode == SupergraphQueries && len(cur.entries)+len(q.window) > 0 {
 		for _, g := range db[oldLen:] {
 			added = append(added, iso.Compile(g))
 		}

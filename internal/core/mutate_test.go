@@ -16,8 +16,7 @@ import (
 // patch: in supergraph mode a cached entry's answer lists dataset graphs
 // *contained in* the cached query, so an append must test newGraph ⊆
 // cachedQuery — the inverse of subgraph mode. The wrapped method is
-// rebuilt by hand (contain.Index is not incrementally mutable; core's
-// patch is method-agnostic).
+// rebuilt by hand: core's patch is method-agnostic.
 func TestDatasetAppendedSupergraphMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	db := make([]*graph.Graph, 12)

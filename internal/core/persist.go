@@ -39,6 +39,11 @@ type wireSnapshot struct {
 	// (version 3). The flat index that replaced them has none: written 0,
 	// ignored on load, kept so the wire struct is unchanged.
 	Shards int
+	// Direction is the query direction of the cached answers, as Mode+1.
+	// Load refuses a snapshot of the other direction: its answer sets mean
+	// something else. 0 marks a snapshot written before the direction was
+	// recorded, which loads as it always did.
+	Direction int
 }
 
 // wireEntry serialises one cache entry.
@@ -88,6 +93,7 @@ func (q *IGQ) Save(w io.Writer) error {
 		Seq:        q.seq.Load(),
 		NextID:     q.nextID,
 		Flushes:    q.flushes,
+		Direction:  int(q.opt.Mode) + 1,
 	}
 	if !q.methodDict {
 		// Only a private dictionary is worth persisting: it round-trips to
@@ -127,6 +133,9 @@ func Load(r io.Reader, m index.Method, db []*graph.Graph, opt Options) (*IGQ, er
 	}
 	if snap.DBChecksum != dbChecksum(db) {
 		return nil, fmt.Errorf("core: snapshot belongs to a different dataset")
+	}
+	if snap.Direction != 0 && Mode(snap.Direction-1) != opt.Mode {
+		return nil, fmt.Errorf("core: snapshot caches %v answers, not %v", Mode(snap.Direction-1), opt.Mode)
 	}
 	q := New(m, db, opt)
 	// Restore the feature dictionary before rebuilding the index: with a

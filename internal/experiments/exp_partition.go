@@ -22,11 +22,10 @@ import (
 //     the global-ID set a single engine over the undivided dataset
 //     produces — for every N, both query modes, with and without the iGQ
 //     cache. Partitioning is a layout decision, never a semantics one.
-//   - O(delta) supergraph mutation: the Containment index mutates in
-//     place, so maintaining a supergraph engine across a mutation stream
-//     must beat the old rebuild-per-mutation path by ≥ 5× while landing
-//     on answer-identical state. This is the serving-path cost the
-//     mutable containment index exists to remove.
+//   - O(delta) supergraph mutation: the path index the containment
+//     method reads mutates in place, so maintaining a supergraph engine
+//     across a mutation stream must beat the old rebuild-per-mutation path
+//     by ≥ 5× while landing on answer-identical state.
 func init() {
 	register(Experiment{
 		ID:    "partition",
@@ -256,7 +255,7 @@ func runPartition(cfg Config, w io.Writer) error {
 	mt.AddRowf("incremental", incNs)
 	mt.AddRowf("rebuild-per-mutation", rebNs)
 	mt.AddRowf("speedup", fmt.Sprintf("%.1fx (gate ≥ %.1fx)", speedup, partMutSpeedupMin))
-	fmt.Fprintf(w, "\nSupergraph maintenance across mutations (mutable Containment vs rebuild):\n%s", mt)
+	fmt.Fprintf(w, "\nSupergraph maintenance across mutations (in-place vs rebuild):\n%s", mt)
 	fmt.Fprintf(w, "\nExpected shape: merged scatter-gather answers are byte-identical to the single\nengine at every partition count (identity), and in-place containment mutation\nkeeps per-mutation cost O(delta) while the rebuild leg pays O(dataset) — the\ngap widens with dataset size.\n")
 
 	if cfg.BenchJSONPath != "" {

@@ -54,11 +54,6 @@ func runServing(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	superOpt := igq.EngineOptions{Supergraph: true, CacheSize: 60, Window: 15}
-	superEng, err := igq.NewEngine(db, superOpt)
-	if err != nil {
-		return err
-	}
 
 	// Cache-free oracles; the served engines must agree with them on every
 	// request regardless of cache timing.
@@ -94,7 +89,7 @@ func runServing(cfg Config, w io.Writer) error {
 	snapPath := filepath.Join(snapDir, "engine.snap")
 
 	s, err := server.New(server.Config{
-		Engine: eng, Super: superEng, SuperOptions: superOpt,
+		Engine: eng, Super: true,
 		Workers: workers, SnapshotPath: snapPath,
 	})
 	if err != nil {

@@ -26,7 +26,7 @@ func BenchmarkMutationApply(b *testing.B) {
 		b.Fatal(err)
 	}
 	remove := x.tr.NewMutation()
-	StageRemovals(remove, steps, popt)
+	stageRemovals(remove, steps, popt)
 
 	for _, bc := range []struct {
 		name string

@@ -10,7 +10,7 @@ import (
 )
 
 // Differential test pinning the legacy string-keyed count filter
-// (FilterByCounts) against the ID-keyed hot path (FilterFresh) on
+// (FilterByCounts) against the ID-keyed hot path (filterFresh) on
 // randomized datasets: both must produce the same candidates for the same
 // query multiset, across shard layouts.
 func TestFilterByCountsMatchesFilterFresh(t *testing.T) {
@@ -31,7 +31,7 @@ func TestFilterByCountsMatchesFilterFresh(t *testing.T) {
 					// Hot path: interned IDSet through the pooled scratch.
 					s := index.GetCountFilterScratch()
 					qf := features.PathsID(q, features.PathOptions{MaxLen: maxLen}, x.dict, s.Feat, false)
-					fresh := FilterFresh(x.tr, qf, len(db), s)
+					fresh := x.filterFresh(qf, s)
 					index.PutCountFilterScratch(s)
 
 					if len(legacy) != len(fresh) {

@@ -1,7 +1,6 @@
 package ggsx
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -20,16 +19,17 @@ var (
 // bounds the decoded lists kept resident (0 = unbounded). src must stay
 // open and immutable until the index is materialised or discarded. The
 // explicit shard-count option is not applied — the lazy index adopts the
-// snapshot's saved layout (see index.LazyLoadable).
+// snapshot's saved layout (see index.LazyLoadable). A supergraph read needs
+// NF, which is counted from every posting, so it materialises the index.
 func (x *Index) LoadIndexLazy(src trie.RandomAccessFile, db []*graph.Graph, budget int64, opts ...index.LoadOption) (index.LoadReport, error) {
 	cfg := index.ResolveLoadOptions(opts)
 	cr := &index.CountingScanner{R: index.AsByteScanner(io.NewSectionReader(src, 0, src.Size()))}
 	env, err := index.ReadIndexEnvelope(cr)
 	if err != nil {
-		return index.LoadReport{Bytes: cr.N}, fmt.Errorf("ggsx: %w", err)
+		return index.LoadReport{Bytes: cr.N}, fmt.Errorf("%s: %w", x.kind(), err)
 	}
-	if err := index.ValidateEnvelopeMethod(env, methodTag); err != nil {
-		return index.LoadReport{Bytes: cr.N}, fmt.Errorf("ggsx: %w", err)
+	if err := index.ValidateEnvelopeMethod(env, x.kind()); err != nil {
+		return index.LoadReport{Bytes: cr.N}, fmt.Errorf("%s: %w", x.kind(), err)
 	}
 	envBytes := cr.N
 	// Same rollback discipline as LoadIndex: a failed open leaves the index
@@ -48,7 +48,7 @@ func (x *Index) LoadIndexLazy(src trie.RandomAccessFile, db []*graph.Graph, budg
 		trie.LazyOptions{Workers: x.opt.BuildWorkers, Strict: cfg.Strict, BudgetBytes: budget})
 	if err != nil {
 		rollback()
-		return index.LoadReport{Bytes: envBytes}, fmt.Errorf("ggsx: opening trie: %w", err)
+		return index.LoadReport{Bytes: envBytes}, fmt.Errorf("%s: opening trie: %w", x.kind(), err)
 	}
 	if rec != nil {
 		rec.CommittedBytes += envBytes // translate to src-absolute offsets
@@ -62,11 +62,12 @@ func (x *Index) LoadIndexLazy(src trie.RandomAccessFile, db []*graph.Graph, budg
 	}
 	if err := index.ValidateDataset(sum, ng, db); err != nil {
 		rollback()
-		return index.LoadReport{Bytes: envBytes + n}, fmt.Errorf("ggsx: %w", err)
+		return index.LoadReport{Bytes: envBytes + n}, fmt.Errorf("%s: %w", x.kind(), err)
 	}
 	x.opt.MaxPathLen = env.MaxPathLen
 	x.db = db
 	x.tr = tr
+	x.nf.Store(nil)
 	base := envBytes + n
 	if rec != nil {
 		base = rec.CommittedBytes
@@ -80,7 +81,7 @@ func (x *Index) LoadIndexLazy(src trie.RandomAccessFile, db []*graph.Graph, budg
 // was loaded eagerly or built fresh.
 func (x *Index) Materialize() error {
 	if x.tr == nil {
-		return errors.New("ggsx: Materialize before Build or LoadIndex")
+		return fmt.Errorf("%s: Materialize before Build or LoadIndex", x.kind())
 	}
 	return x.tr.Materialize()
 }

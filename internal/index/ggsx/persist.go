@@ -1,7 +1,6 @@
 package ggsx
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -12,10 +11,7 @@ import (
 
 var _ index.Persistable = (*Index)(nil)
 
-// methodTag identifies GGSX snapshots in the envelope header.
-const methodTag = "GGSX"
-
-// SaveIndex implements index.Persistable: an envelope header (method,
+// SaveIndex implements index.Persistable: an envelope header (method tag,
 // feature length, dataset checksum) followed by the path trie in the
 // segment format of internal/trie. The index must be built. A full save
 // resets the delta-log lineage: it captures every mutation applied so far,
@@ -33,20 +29,20 @@ func (x *Index) SaveIndex(w io.Writer) error {
 // (AppendDelta's compaction path calls it under the log's lock).
 func (x *Index) writeIndex(w io.Writer) (int64, error) {
 	if x.db == nil {
-		return 0, errors.New("ggsx: SaveIndex before Build")
+		return 0, fmt.Errorf("%s: SaveIndex before Build", x.kind())
 	}
 	cw := &index.CountingWriter{W: w}
 	err := index.WriteIndexEnvelope(cw, index.IndexEnvelope{
-		Method:     methodTag,
+		Method:     x.kind(),
 		MaxPathLen: x.opt.MaxPathLen,
 		DBChecksum: index.DBChecksum(x.db),
 		NumGraphs:  len(x.db),
 	})
 	if err != nil {
-		return cw.N, fmt.Errorf("ggsx: %w", err)
+		return cw.N, fmt.Errorf("%s: %w", x.kind(), err)
 	}
 	if _, err := x.tr.WriteTo(cw); err != nil {
-		return cw.N, fmt.Errorf("ggsx: writing trie: %w", err)
+		return cw.N, fmt.Errorf("%s: writing trie: %w", x.kind(), err)
 	}
 	return cw.N, nil
 }
@@ -73,10 +69,10 @@ func (x *Index) LoadIndex(r io.Reader, db []*graph.Graph, opts ...index.LoadOpti
 	cr := &index.CountingScanner{R: index.AsByteScanner(r)}
 	env, err := index.ReadIndexEnvelope(cr)
 	if err != nil {
-		return index.LoadReport{Bytes: cr.N}, fmt.Errorf("ggsx: %w", err)
+		return index.LoadReport{Bytes: cr.N}, fmt.Errorf("%s: %w", x.kind(), err)
 	}
-	if err := index.ValidateEnvelopeMethod(env, methodTag); err != nil {
-		return index.LoadReport{Bytes: cr.N}, fmt.Errorf("ggsx: %w", err)
+	if err := index.ValidateEnvelopeMethod(env, x.kind()); err != nil {
+		return index.LoadReport{Bytes: cr.N}, fmt.Errorf("%s: %w", x.kind(), err)
 	}
 	envBytes := cr.N
 	// The decode interns through the shared dictionary, so keep the current
@@ -95,7 +91,7 @@ func (x *Index) LoadIndex(r io.Reader, db []*graph.Graph, opts ...index.LoadOpti
 	n, rec, err := tr.ReadFromOptions(cr, trie.LoadOptions{Workers: x.opt.BuildWorkers, Strict: cfg.Strict})
 	if err != nil {
 		rollback()
-		return index.LoadReport{Bytes: cr.N}, fmt.Errorf("ggsx: reading trie: %w", err)
+		return index.LoadReport{Bytes: cr.N}, fmt.Errorf("%s: reading trie: %w", x.kind(), err)
 	}
 	if rec != nil {
 		// Translate trie-relative recovery offsets into reader-absolute
@@ -110,7 +106,7 @@ func (x *Index) LoadIndex(r io.Reader, db []*graph.Graph, opts ...index.LoadOpti
 	}
 	if err := index.ValidateDataset(sum, ng, db); err != nil {
 		rollback()
-		return index.LoadReport{Bytes: cr.N}, fmt.Errorf("ggsx: %w", err)
+		return index.LoadReport{Bytes: cr.N}, fmt.Errorf("%s: %w", x.kind(), err)
 	}
 	if x.opt.Shards > 0 {
 		// The snapshot restores its saved layout; an explicit option
@@ -120,6 +116,7 @@ func (x *Index) LoadIndex(r io.Reader, db []*graph.Graph, opts ...index.LoadOpti
 	x.opt.MaxPathLen = env.MaxPathLen // queries must enumerate at the indexed length
 	x.db = db
 	x.tr = tr
+	x.nf.Store(nil) // counted from the loaded postings when first read
 	// The loaded file is the new delta-log base — after a tail recovery,
 	// only up to the committed prefix (the torn bytes must be repaired
 	// away before the file accepts further appends).

@@ -108,14 +108,14 @@ func TestLocatedSnapshotLoads(t *testing.T) {
 		if err := x.Materialize(); err != nil {
 			t.Fatal(err)
 		}
-		if dumpTrie(x.tr) != dumpTrie(fresh.tr) {
+		if dumpTrie(x.Trie()) != dumpTrie(fresh.Trie()) {
 			t.Errorf("%s: Walk differs from a fresh Build", name)
 		}
 		if x.SizeBytes() != fresh.SizeBytes() {
 			t.Errorf("%s: SizeBytes %d, fresh Build %d", name, x.SizeBytes(), fresh.SizeBytes())
 		}
 		env, snap := save(t, x)
-		if !bytes.Equal(env, wantEnv) || !bytes.Equal(snap, renumbered(t, snap, fresh.tr)) {
+		if !bytes.Equal(env, wantEnv) || !bytes.Equal(snap, renumbered(t, snap, fresh.Trie())) {
 			t.Errorf("%s: re-save differs from a fresh Build's save", name)
 		}
 	}
@@ -154,10 +154,10 @@ func TestIndexIsGGSXIndex(t *testing.T) {
 		if _, err := ggTrie.ReadFrom(bytes.NewReader(ggSnap)); err != nil {
 			t.Fatal(err)
 		}
-		if dumpTrie(gr.tr) != dumpTrie(ggTrie) {
+		if dumpTrie(gr.Trie()) != dumpTrie(ggTrie) {
 			t.Errorf("threads=%d: Walk differs", opt.Threads)
 		}
-		if !bytes.Equal(grSnap, renumbered(t, grSnap, ggTrie)) || !bytes.Equal(ggSnap, renumbered(t, ggSnap, gr.tr)) {
+		if !bytes.Equal(grSnap, renumbered(t, grSnap, ggTrie)) || !bytes.Equal(ggSnap, renumbered(t, ggSnap, gr.Trie())) {
 			t.Errorf("threads=%d: trie bytes differ", opt.Threads)
 		}
 	}

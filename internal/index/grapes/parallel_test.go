@@ -38,14 +38,14 @@ func TestParallelBuildDifferential(t *testing.T) {
 
 	ref := New(Options{MaxPathLen: 4, Threads: 1, Shards: 1, BuildWorkers: 1})
 	ref.Build(db)
-	wantTrie := dumpTrie(ref.tr)
+	wantTrie := dumpTrie(ref.Trie())
 
 	for _, tc := range []struct{ shards, workers int }{
 		{1, 8}, {8, 1}, {8, 8}, {3, 5},
 	} {
 		x := New(Options{MaxPathLen: 4, Threads: 1, Shards: tc.shards, BuildWorkers: tc.workers})
 		x.Build(db)
-		if got := dumpTrie(x.tr); got != wantTrie {
+		if got := dumpTrie(x.Trie()); got != wantTrie {
 			t.Errorf("shards=%d workers=%d: trie diverges from sequential build", tc.shards, tc.workers)
 		}
 		for qi, q := range queries {
@@ -76,7 +76,7 @@ func TestLegacyThreadsPathMatchesWorkers(t *testing.T) {
 	legacy.Build(db)
 	fanout := New(Options{MaxPathLen: 4, Threads: 6, Shards: 4}) // BuildWorkers = Threads
 	fanout.Build(db)
-	if a, b := dumpTrie(legacy.tr), dumpTrie(fanout.tr); a != b {
+	if a, b := dumpTrie(legacy.Trie()), dumpTrie(fanout.Trie()); a != b {
 		t.Error("legacy per-vertex-range build diverges from graph-level fan-out")
 	}
 	// A dataset smaller than 2×BuildWorkers routes through the per-vertex
@@ -86,7 +86,7 @@ func TestLegacyThreadsPathMatchesWorkers(t *testing.T) {
 	auto.Build(small)
 	forced := New(Options{MaxPathLen: 4, Threads: 1, BuildWorkers: 6, Shards: 4})
 	forced.Build(small)
-	if a, b := dumpTrie(auto.tr), dumpTrie(forced.tr); a != b {
+	if a, b := dumpTrie(auto.Trie()), dumpTrie(forced.Trie()); a != b {
 		t.Error("small-dataset per-vertex build diverges from forced fan-out")
 	}
 }

@@ -78,8 +78,8 @@ func TestSaveLoadRoundTripIdentity(t *testing.T) {
 				}
 				// Shard headers scale with the layout; net of those, the
 				// footprint must round-trip exactly.
-				bs := built.SizeBytes() - 24*built.tr.ShardCount()
-				ls := loaded.SizeBytes() - 24*loaded.tr.ShardCount()
+				bs := built.SizeBytes() - 24*built.Trie().ShardCount()
+				ls := loaded.SizeBytes() - 24*loaded.Trie().ShardCount()
 				if bs != ls {
 					t.Errorf("SizeBytes (net of shard headers) %d != %d after load", ls, bs)
 				}

@@ -5,16 +5,14 @@ package partition
 // touches exactly the partitions owning the removed IDs — the rest of the
 // dataset is never locked, scanned or re-indexed. Within a partition the
 // engine's own copy-on-write mutation path applies (O(delta), concurrent
-// with that partition's queries); when the partition hosts a supergraph
-// engine it receives the identical mutation so both stay views of the same
-// partition dataset.
+// with that partition's queries), and maintains the partition's one index
+// and the caches of both query modes together.
 //
 // The whole batch is validated before any partition is touched (unknown or
 // duplicate IDs, a removal that would empty a partition), so a rejected
 // call leaves the group unchanged. ctx is observed before the mutation
 // begins; once underway every routed application completes (mirroring the
-// engine's own mutation contract) so partitions can never split between
-// sub and super state.
+// engine's own mutation contract).
 
 import (
 	"context"
@@ -56,7 +54,7 @@ func (g *Group) AddGraphs(ctx context.Context, gs []*igq.Graph) error {
 		for _, ng := range batch {
 			fresh[ng.ID] = struct{}{}
 		}
-		for _, old := range parts[p].sub.Dataset() {
+		for _, old := range parts[p].Dataset() {
 			if _, dup := fresh[old.ID]; dup {
 				return fmt.Errorf("partition: graph ID %d already present", old.ID)
 			}
@@ -68,13 +66,8 @@ func (g *Group) AddGraphs(ctx context.Context, gs []*igq.Graph) error {
 		}
 		// Background ctx: the first routed application commits the group
 		// mutation; the rest must follow (see package comment).
-		if err := parts[p].sub.AddGraphs(context.Background(), batch); err != nil {
+		if err := parts[p].AddGraphs(context.Background(), batch); err != nil {
 			return fmt.Errorf("partition %d: %w", p, err)
-		}
-		if parts[p].super != nil {
-			if err := parts[p].super.AddGraphs(context.Background(), batch); err != nil {
-				return fmt.Errorf("partition %d (super): %w", p, err)
-			}
 		}
 	}
 	return nil
@@ -104,7 +97,7 @@ func (g *Group) RemoveGraphs(ctx context.Context, ids []int) error {
 		seen[id] = struct{}{}
 		p := PartitionOf(id, n)
 		pos := -1
-		for i, old := range parts[p].sub.Dataset() {
+		for i, old := range parts[p].Dataset() {
 			if old.ID == id {
 				pos = i
 				break
@@ -116,7 +109,7 @@ func (g *Group) RemoveGraphs(ctx context.Context, ids []int) error {
 		byPart[p] = append(byPart[p], pos)
 	}
 	for p, positions := range byPart {
-		if len(positions) >= len(parts[p].sub.Dataset()) && len(positions) > 0 {
+		if len(positions) >= len(parts[p].Dataset()) && len(positions) > 0 {
 			return fmt.Errorf("partition: removal would empty partition %d — rebalance to fewer partitions first", p)
 		}
 	}
@@ -124,13 +117,8 @@ func (g *Group) RemoveGraphs(ctx context.Context, ids []int) error {
 		if len(positions) == 0 {
 			continue
 		}
-		if err := parts[p].sub.RemoveGraphs(context.Background(), positions); err != nil {
+		if err := parts[p].RemoveGraphs(context.Background(), positions); err != nil {
 			return fmt.Errorf("partition %d: %w", p, err)
-		}
-		if parts[p].super != nil {
-			if err := parts[p].super.RemoveGraphs(context.Background(), positions); err != nil {
-				return fmt.Errorf("partition %d (super): %w", p, err)
-			}
 		}
 	}
 	return nil

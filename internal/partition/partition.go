@@ -47,54 +47,28 @@ import (
 )
 
 // Mode selects the query direction a Group call serves.
-type Mode int
+type Mode = igq.Mode
 
 const (
 	// Sub answers subgraph queries: which dataset graphs contain q.
-	Sub Mode = iota
+	Sub = igq.SubgraphQueries
 	// Super answers supergraph queries: which dataset graphs are
 	// contained in q. Requires Options.Super.
-	Super
+	Super = igq.SupergraphQueries
 )
-
-func (m Mode) String() string {
-	if m == Super {
-		return "super"
-	}
-	return "sub"
-}
 
 // Options configures a Group.
 type Options struct {
 	// Partitions is the number of in-process partitions (default 1).
 	Partitions int
-	// Engine configures each partition's subgraph engine.
+	// Engine configures each partition's engine.
 	Engine igq.EngineOptions
-	// Super additionally hosts a supergraph (containment) engine per
-	// partition over the same partition dataset, served by Mode Super.
+	// Super serves Mode Super too: each partition engine answers
+	// supergraph queries from a second query cache over its one index.
 	Super bool
-	// SuperEngine overrides the supergraph engines' options (Supergraph is
-	// forced on). Nil derives them from Engine: same cache geometry, shard
-	// count and build parallelism.
-	SuperEngine *igq.EngineOptions
 	// Fanout bounds how many partitions one query probes concurrently
 	// (0 = all at once).
 	Fanout int
-}
-
-// part is one partition: a subgraph engine and, optionally, a supergraph
-// engine over the same partition dataset. Both see every mutation routed
-// to the partition, in the same order, so their datasets stay identical.
-type part struct {
-	sub   *igq.Engine
-	super *igq.Engine
-}
-
-func (p *part) engine(mode Mode) *igq.Engine {
-	if mode == Super {
-		return p.super
-	}
-	return p.sub
 }
 
 // Group serves one logical dataset split across N engine partitions.
@@ -105,7 +79,7 @@ func (p *part) engine(mode Mode) *igq.Engine {
 type Group struct {
 	opt   Options
 	mu    sync.Mutex // serialises mutations, persistence, Rebalance
-	parts atomic.Pointer[[]*part]
+	parts atomic.Pointer[[]*igq.Engine]
 }
 
 // PartitionOf is the routing function: the partition owning graph ID id
@@ -139,9 +113,21 @@ func New(db []*igq.Graph, opt Options) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkSuper(parts, opt); err != nil {
+		return nil, err
+	}
 	g := &Group{opt: opt}
 	g.parts.Store(&parts)
 	return g, nil
+}
+
+// checkSuper rejects Options.Super over partition engines that cannot
+// answer supergraph queries (every partition runs the same method).
+func checkSuper(parts []*igq.Engine, opt Options) error {
+	if opt.Super && !parts[0].Answers(Super) {
+		return fmt.Errorf("partition: Options.Super needs a path index; %v answers subgraph queries only", opt.Engine.Method)
+	}
+	return nil
 }
 
 func normalized(opt Options) Options {
@@ -149,24 +135,6 @@ func normalized(opt Options) Options {
 		opt.Partitions = 1
 	}
 	return opt
-}
-
-// superOptions resolves the supergraph engines' options.
-func (o Options) superOptions() igq.EngineOptions {
-	if o.SuperEngine != nil {
-		so := *o.SuperEngine
-		so.Supergraph = true
-		return so
-	}
-	e := o.Engine
-	return igq.EngineOptions{
-		Supergraph:   true,
-		MaxPathLen:   e.MaxPathLen,
-		CacheSize:    e.CacheSize,
-		Window:       e.Window,
-		DisableCache: e.DisableCache,
-		Threads:      e.Threads,
-	}
 }
 
 // checkIDs rejects datasets without unique graph IDs — identity routing
@@ -201,30 +169,21 @@ func route(db []*igq.Graph, n int) ([][]*igq.Graph, error) {
 	return split, nil
 }
 
-// buildParts builds every partition's engines, partitions in parallel.
-func buildParts(split [][]*igq.Graph, opt Options) ([]*part, error) {
-	parts := make([]*part, len(split))
+// buildParts builds every partition's engine, partitions in parallel.
+func buildParts(split [][]*igq.Graph, opt Options) ([]*igq.Engine, error) {
+	parts := make([]*igq.Engine, len(split))
 	errs := make([]error, len(split))
 	var wg sync.WaitGroup
 	for i, pdb := range split {
 		wg.Add(1)
 		go func(i int, pdb []*igq.Graph) {
 			defer wg.Done()
-			sub, err := igq.NewEngine(pdb, opt.Engine)
+			e, err := igq.NewEngine(pdb, opt.Engine)
 			if err != nil {
 				errs[i] = fmt.Errorf("partition %d: %w", i, err)
 				return
 			}
-			p := &part{sub: sub}
-			if opt.Super {
-				sup, err := igq.NewEngine(pdb, opt.superOptions())
-				if err != nil {
-					errs[i] = fmt.Errorf("partition %d (super): %w", i, err)
-					return
-				}
-				p.super = sup
-			}
-			parts[i] = p
+			parts[i] = e
 		}(i, pdb)
 	}
 	wg.Wait()
@@ -241,7 +200,7 @@ func (g *Group) Partitions() int { return len(*g.parts.Load()) }
 func (g *Group) NumGraphs() int {
 	n := 0
 	for _, p := range *g.parts.Load() {
-		n += len(p.sub.Dataset())
+		n += len(p.Dataset())
 	}
 	return n
 }
@@ -260,7 +219,7 @@ func (g *Group) Dataset() []*igq.Graph {
 	parts := *g.parts.Load()
 	var all []*igq.Graph
 	for _, p := range parts {
-		all = append(all, p.sub.Dataset()...)
+		all = append(all, p.Dataset()...)
 	}
 	return all
 }
@@ -285,8 +244,9 @@ func (g *Group) Query(ctx context.Context, q *igq.Graph, opts ...igq.QueryOption
 func (g *Group) QueryMode(ctx context.Context, mode Mode, q *igq.Graph, opts ...igq.QueryOption) (igq.Result, error) {
 	parts := *g.parts.Load()
 	if mode == Super && !g.opt.Super {
-		return igq.Result{}, errors.New("partition: no supergraph engines configured")
+		return igq.Result{}, errors.New("partition: supergraph queries are not served (Options.Super)")
 	}
+	opts = append(opts[:len(opts):len(opts)], igq.InMode(mode))
 	results := make([]igq.Result, len(parts))
 	errs := make([]error, len(parts))
 	fanout := g.opt.Fanout
@@ -302,7 +262,7 @@ func (g *Group) QueryMode(ctx context.Context, mode Mode, q *igq.Graph, opts ...
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			results[i], errs[i] = e.Query(ctx, q, opts...)
-		}(i, p.engine(mode))
+		}(i, p)
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {

@@ -303,6 +303,10 @@ func TestGroupRejections(t *testing.T) {
 		t.Fatal("New accepted a split with empty partitions")
 	}
 
+	if _, err := New(db, Options{Partitions: 2, Super: true, Engine: igq.EngineOptions{Method: igq.CTIndex}}); err == nil {
+		t.Fatal("New accepted Super over an index without a supergraph read")
+	}
+
 	g, err := New(db, Options{Partitions: 2, Engine: igq.EngineOptions{CacheSize: 8}})
 	if err != nil {
 		t.Fatal(err)

@@ -39,15 +39,16 @@ func HaveAllParts(base string, n int) bool {
 }
 
 // SaveAll atomically writes each partition's combined engine snapshot
-// (index + cache) to PartPath(base, i). Supergraph engines are not
-// persisted — like a single-engine deployment, they are rebuilt from the
-// restored dataset on load. Exclusive with mutations and Rebalance.
+// (index + the default direction's query cache) to PartPath(base, i). As in
+// a single-engine deployment, the other direction's cache is not persisted;
+// it restarts empty over the restored index. Exclusive with mutations and
+// Rebalance.
 func (g *Group) SaveAll(base string) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	parts := *g.parts.Load()
 	for i, p := range parts {
-		if err := igq.SaveEngineFile(PartPath(base, i), p.sub); err != nil {
+		if err := igq.SaveEngineFile(PartPath(base, i), p); err != nil {
 			return fmt.Errorf("partition %d: %w", i, err)
 		}
 	}
@@ -58,8 +59,8 @@ func (g *Group) SaveAll(base string) error {
 // rooted at base: db is split by the same stable routing New uses and each
 // partition is restored from its own file (journal tails replayed, torn
 // tails self-healed — the per-partition LoadReports are returned in
-// partition order). Supergraph engines, when opt.Super, are rebuilt from
-// the restored partition datasets.
+// partition order). With opt.Super the restored engines answer supergraph
+// queries from their restored indexes.
 func LoadGroup(base string, db []*igq.Graph, opt Options) (*Group, []igq.LoadReport, error) {
 	opt = normalized(opt)
 	if err := checkIDs(db); err != nil {
@@ -69,24 +70,18 @@ func LoadGroup(base string, db []*igq.Graph, opt Options) (*Group, []igq.LoadRep
 	if err != nil {
 		return nil, nil, err
 	}
-	parts := make([]*part, len(split))
+	parts := make([]*igq.Engine, len(split))
 	reports := make([]igq.LoadReport, len(split))
 	for i, pdb := range split {
-		sub, rep, err := igq.LoadEngineFile(PartPath(base, i), pdb, opt.Engine)
+		e, rep, err := igq.LoadEngineFile(PartPath(base, i), pdb, opt.Engine)
 		if err != nil {
 			return nil, nil, fmt.Errorf("partition %d: %w", i, err)
 		}
 		reports[i] = rep
-		parts[i] = &part{sub: sub}
+		parts[i] = e
 	}
-	if opt.Super {
-		superParts, err := buildParts(split, Options{Partitions: opt.Partitions, Engine: opt.superOptions()})
-		if err != nil {
-			return nil, nil, err
-		}
-		for i := range parts {
-			parts[i].super = superParts[i].sub
-		}
+	if err := checkSuper(parts, opt); err != nil {
+		return nil, nil, err
 	}
 	g := &Group{opt: opt}
 	g.parts.Store(&parts)
@@ -105,7 +100,7 @@ func (g *Group) AppendDeltas(base string) error {
 	var errs []error
 	for i, p := range parts {
 		err := withLineage(PartPath(base, i), func(f *persistio.PathFile) error {
-			return p.sub.AppendIndexDelta(f)
+			return p.AppendIndexDelta(f)
 		})
 		if err != nil {
 			errs = append(errs, fmt.Errorf("partition %d: %w", i, err))
@@ -125,7 +120,7 @@ func (g *Group) MaintainDeltas(base string) (bool, error) {
 	var errs []error
 	for i, p := range parts {
 		err := withLineage(PartPath(base, i), func(f *persistio.PathFile) error {
-			ch, err := p.sub.MaintainIndexDelta(f)
+			ch, err := p.MaintainIndexDelta(f)
 			changed = changed || ch
 			return err
 		})
@@ -167,7 +162,7 @@ func (g *Group) Rebalance(n int) error {
 	parts := *g.parts.Load()
 	var all []*igq.Graph
 	for _, p := range parts {
-		all = append(all, p.sub.Dataset()...)
+		all = append(all, p.Dataset()...)
 	}
 	split, err := route(all, n)
 	if err != nil {

@@ -11,15 +11,15 @@ type Stat struct {
 }
 
 // PartitionStats samples every partition: dataset size plus the engine
-// counters, in partition order. Lock-free (atomic engine reads), so a
-// stats scrape never blocks queries or mutations.
+// counters of each served mode, in partition order. Lock-free (atomic
+// engine reads), so a stats scrape never blocks queries or mutations.
 func (g *Group) PartitionStats() []Stat {
 	parts := *g.parts.Load()
 	out := make([]Stat, len(parts))
 	for i, p := range parts {
-		out[i] = Stat{Graphs: len(p.sub.Dataset()), Sub: p.sub.Stats()}
-		if p.super != nil {
-			st := p.super.Stats()
+		out[i] = Stat{Graphs: len(p.Dataset()), Sub: p.StatsOf(Sub)}
+		if g.opt.Super {
+			st := p.StatsOf(Super)
 			out[i].Super = &st
 		}
 	}
@@ -30,14 +30,14 @@ func (g *Group) PartitionStats() []Stat {
 // fields sum (queries, cache answers, iso tests, hits, panics, cache
 // population, residency); LazyLoaded and LazyBudgetBytes are clear —
 // partitions are built or restored eagerly. Reports false when the mode is
-// not hosted.
+// not served.
 func (g *Group) Stats(mode Mode) (igq.EngineStats, bool) {
 	if mode == Super && !g.opt.Super {
 		return igq.EngineStats{}, false
 	}
 	var agg igq.EngineStats
 	for _, p := range *g.parts.Load() {
-		st := p.engine(mode).Stats()
+		st := p.StatsOf(mode)
 		agg.Queries += st.Queries
 		agg.AnsweredByCache += st.AnsweredByCache
 		agg.DatasetIsoTests += st.DatasetIsoTests
@@ -55,11 +55,11 @@ func (g *Group) Stats(mode Mode) (igq.EngineStats, bool) {
 	return agg, true
 }
 
-// SizeBytes sums the partitions' subgraph index footprints: the dataset
-// indexes (method) and the iGQ caches, matching Engine.IndexSizeBytes.
+// SizeBytes sums the partitions' footprints: the dataset indexes (method)
+// and the iGQ caches of both modes, matching Engine.IndexSizeBytes.
 func (g *Group) SizeBytes() (method, cache int) {
 	for _, p := range *g.parts.Load() {
-		m, c := p.sub.IndexSizeBytes()
+		m, c := p.IndexSizeBytes()
 		method += m
 		cache += c
 	}

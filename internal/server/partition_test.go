@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	igq "repro"
-	"repro/internal/index"
 	"repro/internal/partition"
 )
 
@@ -33,23 +32,17 @@ func sortedMatchIDs(t *testing.T, oracle *igq.Engine, q *igq.Graph) []int32 {
 	return ids
 }
 
-// TestSuperMutationIncremental: with the (now index.Mutable) Containment
-// method, a mutation must update the supergraph engine in place — O(delta),
-// no rebuild — and keep its answers identical to a from-scratch engine.
+// TestSuperMutationIncremental: supergraph queries read the engine's one
+// index, so a mutation maintains them in the same O(delta) step as
+// subgraph queries — the supergraph cache keeps its (patched) entries and
+// the answers equal a from-scratch engine's.
 func TestSuperMutationIncremental(t *testing.T) {
 	db := testDB(t)
-	eng, err := igq.NewEngine(db, igq.EngineOptions{Method: igq.Grapes, CacheSize: 30, Window: 10})
+	eng, err := igq.NewEngine(db, igq.EngineOptions{Method: igq.Grapes, CacheSize: 30, Window: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	super, err := igq.NewEngine(db, igq.EngineOptions{Supergraph: true, CacheSize: 30, Window: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _, client := newTestServer(t, Config{
-		Engine: eng, Super: super,
-		SuperOptions: igq.EngineOptions{Supergraph: true},
-	})
+	_, _, client := newTestServer(t, Config{Engine: eng, Super: true})
 	ctx := context.Background()
 
 	// Warm the super cache so the mutation has cache state to maintain.
@@ -68,15 +61,12 @@ func TestSuperMutationIncremental(t *testing.T) {
 		t.Fatalf("RemoveGraphs: %v", err)
 	}
 
-	if s.super.Load() != super {
-		t.Fatal("incremental super mutation replaced the engine (rebuild path taken)")
-	}
 	st, err := client.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Server.SuperRebuilds != 0 {
-		t.Fatalf("SuperRebuilds = %d, want 0 (Containment is Mutable)", st.Server.SuperRebuilds)
+	if st.Super == nil || st.Super.CachedQueries == 0 {
+		t.Fatalf("supergraph cache lost across the mutations: %+v", st.Super)
 	}
 
 	oracle, err := igq.NewEngine(eng.Dataset(), igq.EngineOptions{Supergraph: true, DisableCache: true})
@@ -94,62 +84,6 @@ func TestSuperMutationIncremental(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.IDs, nonNil(want.IDs)) {
 			t.Fatalf("super query %d after incremental mutation: wire %v, oracle %v", i, got.IDs, want.IDs)
-		}
-	}
-}
-
-// opaqueMethod forwards only the core index.Method surface, hiding the
-// optional extensions — in particular index.Mutable.
-type opaqueMethod struct{ index.Method }
-
-// TestSuperMutationRebuildFallback: when the supergraph method is not
-// Mutable, a mutation must fall back to the O(dataset) rebuild, count it,
-// and keep serving correct answers.
-func TestSuperMutationRebuildFallback(t *testing.T) {
-	db := testDB(t)
-	hide := func(m any) any { return opaqueMethod{m.(index.Method)} }
-	eng, err := igq.NewEngine(db, igq.EngineOptions{Method: igq.Grapes, CacheSize: 30, Window: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	superOpt := igq.EngineOptions{Supergraph: true, WrapMethod: hide}
-	super, err := igq.NewEngine(db, superOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _, client := newTestServer(t, Config{Engine: eng, Super: super, SuperOptions: superOpt})
-	ctx := context.Background()
-
-	extra := igq.GenerateDataset(igq.AIDSSpec().Scaled(0.0005, 9))
-	if _, err := client.AddGraphs(ctx, extra); err != nil {
-		t.Fatalf("AddGraphs: %v", err)
-	}
-	if s.super.Load() == super {
-		t.Fatal("non-Mutable super method was not rebuilt")
-	}
-	st, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Server.SuperRebuilds < 1 {
-		t.Fatalf("SuperRebuilds = %d, want >= 1", st.Server.SuperRebuilds)
-	}
-
-	oracle, err := igq.NewEngine(eng.Dataset(), igq.EngineOptions{Supergraph: true, DisableCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range testQueries(eng.Dataset(), 8, 57) {
-		got, err := client.QueryGraph(ctx, q, ModeSuper)
-		if err != nil {
-			t.Fatalf("super query %d: %v", i, err)
-		}
-		want, err := oracle.Query(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.IDs, nonNil(want.IDs)) {
-			t.Fatalf("super query %d after rebuild: wire %v, oracle %v", i, got.IDs, want.IDs)
 		}
 	}
 }
@@ -327,7 +261,14 @@ func TestPartitionedServer(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted neither Engine nor Group")
 	}
-	if _, err := New(Config{Group: grp, Super: s.super.Load()}); err == nil && s.super.Load() != nil {
+	if _, err := New(Config{Group: grp, Super: true}); err == nil {
 		t.Fatal("New accepted Group+Super")
+	}
+	ct, err := igq.NewEngine(grp.Dataset(), igq.EngineOptions{Method: igq.CTIndex})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Engine: ct, Super: true}); err == nil {
+		t.Fatal("New accepted Super over an index without a supergraph read")
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	igq "repro"
-	"repro/internal/index"
 	"repro/internal/partition"
 	"repro/internal/persistio"
 )
@@ -23,26 +22,20 @@ import (
 // Config configures a Server. Exactly one of Engine and Group selects the
 // serving back-end: a single engine, or a partitioned scatter-gather group.
 type Config struct {
-	// Engine is the primary (subgraph-semantics) engine of a single-engine
-	// deployment. It is the engine mutations apply to and the one the
-	// shutdown snapshot covers.
+	// Engine is the engine of a single-engine deployment: the one queries
+	// read, mutations apply to and the shutdown snapshot covers.
 	Engine *igq.Engine
 	// Group serves a partitioned deployment instead of Engine: queries
 	// scatter-gather across partitions (answers carry global graph IDs,
 	// not positions), mutations route to the owning partition, and
 	// SnapshotPath/DeltaPath become per-partition lineage bases
-	// (base.p0, base.p1, ...). Super/SuperOptions are single-engine
-	// options — a Group hosts its own supergraph engines.
+	// (base.p0, base.p1, ...).
 	Group *partition.Group
-	// Super optionally serves supergraph queries (mode "super") over the
-	// same dataset. After a dataset mutation the server applies the same
-	// delta to it through the method's incremental (index.Mutable) path —
-	// O(delta), like the primary engine — and falls back to an O(dataset)
-	// rebuild from SuperOptions only when the method reports
-	// index.ErrNotMutable (counted by ServerStats.SuperRebuilds). The
-	// shutdown snapshot covers only Engine.
-	Super        *igq.Engine
-	SuperOptions igq.EngineOptions
+	// Super serves supergraph queries (mode "super") from Engine as well:
+	// its second query cache over the same dataset index, which every
+	// mutation maintains together with the first. A single-engine option;
+	// a Group serves them by its own partition.Options.Super.
+	Super bool
 
 	// Workers bounds how many queries execute concurrently across all
 	// requests and streams (0 → one per runtime.GOMAXPROCS(0)).
@@ -81,25 +74,23 @@ type Config struct {
 // acquire execution slots per query and let TCP flow control push back on
 // the sender instead.
 type Server struct {
-	cfg   Config
-	super atomic.Pointer[igq.Engine]
+	cfg Config
 
 	queue chan struct{} // admission slots: Workers+QueueDepth
 	run   chan struct{} // execution slots: Workers
 
 	mux     *http.ServeMux
 	hs      *http.Server
-	mutMu   sync.Mutex // serialises mutation endpoints + super rebuild
+	mutMu   sync.Mutex // serialises mutation endpoints and saves
 	stopped chan struct{}
 	bgOnce  sync.Once // StartBackground runs at most once
 
-	started       time.Time
-	served        atomic.Int64
-	rejected      atomic.Int64
-	errCount      atomic.Int64
-	maintPasses   atomic.Int64
-	saves         atomic.Int64
-	superRebuilds atomic.Int64 // O(dataset) fallback rebuilds of the super engine
+	started     time.Time
+	served      atomic.Int64
+	rejected    atomic.Int64
+	errCount    atomic.Int64
+	maintPasses atomic.Int64
+	saves       atomic.Int64
 }
 
 // New validates cfg and builds a ready-to-Serve server.
@@ -107,8 +98,11 @@ func New(cfg Config) (*Server, error) {
 	if (cfg.Engine == nil) == (cfg.Group == nil) {
 		return nil, errors.New("server: exactly one of Config.Engine and Config.Group is required")
 	}
-	if cfg.Group != nil && cfg.Super != nil {
-		return nil, errors.New("server: Config.Super is a single-engine option; a Group hosts its own supergraph engines")
+	if cfg.Group != nil && cfg.Super {
+		return nil, errors.New("server: Config.Super is a single-engine option; a Group serves supergraph queries by partition.Options.Super")
+	}
+	if cfg.Super && !cfg.Engine.Answers(igq.SupergraphQueries) {
+		return nil, fmt.Errorf("server: Config.Super needs a path index; %s answers subgraph queries only", cfg.Engine.MethodName())
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -126,9 +120,6 @@ func New(cfg Config) (*Server, error) {
 		mux:     http.NewServeMux(),
 		stopped: make(chan struct{}),
 		started: time.Now(),
-	}
-	if cfg.Super != nil {
-		s.super.Store(cfg.Super)
 	}
 	s.mux.HandleFunc("POST /query", s.handleQuery)
 	s.mux.HandleFunc("POST /query/stream", s.handleQueryStream)
@@ -250,52 +241,52 @@ func (s *Server) maintain() (bool, error) {
 	return changed, err
 }
 
-// queryTarget is the query surface a wire mode resolved to: one engine, or
-// one mode of a partition group. Handlers drive it without caring which.
+// queryTarget is the query surface a wire mode resolved to: one mode of the
+// engine or of the partition group. Handlers drive it without caring which.
 type queryTarget struct {
 	eng  *igq.Engine
 	grp  *partition.Group
-	mode partition.Mode
+	mode igq.Mode
 }
 
 func (t queryTarget) query(ctx context.Context, q *igq.Graph, opts ...igq.QueryOption) (igq.Result, error) {
 	if t.grp != nil {
 		return t.grp.QueryMode(ctx, t.mode, q, opts...)
 	}
-	return t.eng.Query(ctx, q, opts...)
+	return t.eng.Query(ctx, q, append(opts, igq.InMode(t.mode))...)
 }
 
 func (t queryTarget) stream(ctx context.Context, in <-chan *igq.Graph, workers int) <-chan igq.BatchResult {
 	if t.grp != nil {
 		return t.grp.QueryStream(ctx, t.mode, in, workers)
 	}
-	return t.eng.QueryStream(ctx, in, igq.StreamWorkers(workers))
+	return t.eng.QueryStream(ctx, in, igq.StreamWorkers(workers), igq.StreamQueryOptions(igq.InMode(t.mode)))
 }
 
-// targetFor routes a wire mode to the engine or partition-group mode
-// serving it. The super engine is loaded at call time — a concurrent
-// mutation may swap in a rebuilt one.
+// targetFor routes a wire mode to the engine or partition group, in that
+// query mode.
 func (s *Server) targetFor(mode string) (queryTarget, error) {
+	t := queryTarget{eng: s.cfg.Engine, grp: s.cfg.Group}
 	switch mode {
 	case "", ModeSub:
-		if s.cfg.Group != nil {
-			return queryTarget{grp: s.cfg.Group, mode: partition.Sub}, nil
-		}
-		return queryTarget{eng: s.cfg.Engine}, nil
+		t.mode = igq.SubgraphQueries
 	case ModeSuper:
-		if s.cfg.Group != nil {
-			if !s.cfg.Group.HostsSuper() {
-				return queryTarget{}, errors.New("no supergraph engine configured")
-			}
-			return queryTarget{grp: s.cfg.Group, mode: partition.Super}, nil
+		if !s.servesSuper() {
+			return queryTarget{}, errors.New("supergraph queries are not served (start with -super)")
 		}
-		if e := s.super.Load(); e != nil {
-			return queryTarget{eng: e}, nil
-		}
-		return queryTarget{}, errors.New("no supergraph engine configured")
+		t.mode = igq.SupergraphQueries
 	default:
 		return queryTarget{}, fmt.Errorf("unknown mode %q", mode)
 	}
+	return t, nil
+}
+
+// servesSuper reports whether mode "super" is served.
+func (s *Server) servesSuper() bool {
+	if s.cfg.Group != nil {
+		return s.cfg.Group.HostsSuper()
+	}
+	return s.cfg.Super
 }
 
 // requestCtx maps the wire deadline onto context cancellation.
@@ -529,7 +520,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		}
 		gs[i] = g
 	}
-	s.mutate(w, r, mutOp{add: gs})
+	s.mutate(w, func(m mutator) error { return m.AddGraphs(r.Context(), gs) })
 }
 
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
@@ -538,57 +529,30 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
 		return
 	}
-	s.mutate(w, r, mutOp{remove: req.Positions})
+	s.mutate(w, func(m mutator) error { return m.RemoveGraphs(r.Context(), req.Positions) })
 }
 
-// mutOp is one dataset mutation, structured (rather than a closure) so the
-// same delta can replay on the supergraph engine's incremental path.
-// Exactly one field is set. remove holds dataset positions in single-engine
-// mode and global graph IDs in partitioned mode.
-type mutOp struct {
-	add    []*igq.Graph
-	remove []int
+// mutator is what a mutation applies to: the engine, whose removals take
+// dataset positions, or the partition group, whose removals take global
+// graph IDs.
+type mutator interface {
+	AddGraphs(ctx context.Context, gs []*igq.Graph) error
+	RemoveGraphs(ctx context.Context, ids []int) error
 }
 
-// applyEngine replays the op on one engine. The primary and supergraph
-// engines hold the same dataset in the same order (both built from the same
-// slice, both receiving every op in mutation order), so positions mean the
-// same thing to both.
-func (op mutOp) applyEngine(ctx context.Context, e *igq.Engine) error {
-	if len(op.add) > 0 {
-		return e.AddGraphs(ctx, op.add)
-	}
-	return e.RemoveGraphs(ctx, op.remove)
-}
-
-// mutate applies one dataset mutation and the bookkeeping every mutation
-// owes: an O(delta) journal append to the lineage and the same delta on the
-// supergraph engine (incrementally when the method is index.Mutable,
-// rebuilding otherwise). Partitioned mutations route to the owning
-// partitions and journal each touched partition's lineage.
-func (s *Server) mutate(w http.ResponseWriter, r *http.Request, op mutOp) {
+// mutate applies one dataset mutation and the O(delta) journal append to
+// the lineage every mutation owes. The engine maintains its index and the
+// caches of both query modes in the one call; partitioned mutations route
+// to the owning partitions and journal each partition's lineage.
+func (s *Server) mutate(w http.ResponseWriter, apply func(mutator) error) {
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
+	var target mutator = s.cfg.Engine
+	size := func() int { return len(s.cfg.Engine.Dataset()) }
 	if g := s.cfg.Group; g != nil {
-		var err error
-		if len(op.add) > 0 {
-			err = g.AddGraphs(r.Context(), op.add)
-		} else {
-			err = g.RemoveGraphs(r.Context(), op.remove)
-		}
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if s.cfg.DeltaPath != "" {
-			if err := g.AppendDeltas(s.cfg.DeltaPath); err != nil {
-				s.cfg.Logf("journal append after mutation: %v", err)
-			}
-		}
-		writeJSON(w, http.StatusOK, MutateReply{DatasetSize: g.NumGraphs()})
-		return
+		target, size = g, g.NumGraphs
 	}
-	if err := op.applyEngine(r.Context(), s.cfg.Engine); err != nil {
+	if err := apply(target); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -599,45 +563,15 @@ func (s *Server) mutate(w http.ResponseWriter, r *http.Request, op mutOp) {
 			s.cfg.Logf("journal append after mutation: %v", err)
 		}
 	}
-	if sup := s.super.Load(); sup != nil {
-		if err := s.mutateSuper(sup, op); err != nil {
-			writeError(w, http.StatusInternalServerError, "updating supergraph engine: "+err.Error())
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, MutateReply{DatasetSize: len(s.cfg.Engine.Dataset())})
+	writeJSON(w, http.StatusOK, MutateReply{DatasetSize: size()})
 }
 
-// mutateSuper keeps the supergraph engine a view of the primary's dataset:
-// the delta replays through the method's incremental path (O(delta) — the
-// Containment method is index.Mutable), falling back to an O(dataset)
-// rebuild from SuperOptions when the method cannot mutate in place. The
-// primary engine already committed, so the replay runs under a background
-// context: the two engines must not split over a client disconnect.
-func (s *Server) mutateSuper(sup *igq.Engine, op mutOp) error {
-	err := op.applyEngine(context.Background(), sup)
-	if err == nil {
-		return nil
-	}
-	if !errors.Is(err, index.ErrNotMutable) {
-		// Unexpected — but the engines must reconverge, and a rebuild from
-		// the primary's dataset always does.
-		s.cfg.Logf("incremental supergraph mutation: %v; rebuilding", err)
-	}
-	db := s.cfg.Engine.Dataset()
-	opt := s.cfg.SuperOptions
-	opt.Supergraph = true
-	ne, nerr := igq.NewEngine(db, opt)
-	if nerr != nil {
-		return nerr
-	}
-	s.super.Store(ne)
-	s.superRebuilds.Add(1)
-	return nil
-}
-
-// appendDelta appends the pending mutation journal to the lineage file.
+// appendDelta appends the pending mutation journal to the lineage file (one
+// per partition when partitioned).
 func (s *Server) appendDelta() error {
+	if g := s.cfg.Group; g != nil {
+		return g.AppendDeltas(s.cfg.DeltaPath)
+	}
 	f, err := persistio.OpenFile(s.cfg.DeltaPath)
 	if err != nil {
 		return err
@@ -657,7 +591,6 @@ func (s *Server) serverStats() ServerStats {
 		QueueDepth:     s.cfg.QueueDepth,
 		Maintenance:    s.maintPasses.Load(),
 		SnapshotsSaved: s.saves.Load(),
-		SuperRebuilds:  s.superRebuilds.Load(),
 	}
 	if s.cfg.Group != nil {
 		ss.Partitions = s.cfg.Group.Partitions()
@@ -674,9 +607,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		reply.Partitions = g.PartitionStats()
 	} else {
-		reply.Sub = s.cfg.Engine.Stats()
-		if e := s.super.Load(); e != nil {
-			st := e.Stats()
+		reply.Sub = s.cfg.Engine.StatsOf(igq.SubgraphQueries)
+		if s.cfg.Super {
+			st := s.cfg.Engine.StatsOf(igq.SupergraphQueries)
 			reply.Super = &st
 		}
 	}
@@ -695,7 +628,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "igq_queries_in_flight %d\n", ss.InFlight)
 	fmt.Fprintf(w, "igq_maintenance_writes_total %d\n", ss.Maintenance)
 	fmt.Fprintf(w, "igq_snapshots_saved_total %d\n", ss.SnapshotsSaved)
-	fmt.Fprintf(w, "igq_super_rebuilds_total %d\n", ss.SuperRebuilds)
 	if g := s.cfg.Group; g != nil {
 		if st, ok := g.Stats(partition.Sub); ok {
 			emitEngineMetrics(w, "sub", st)
@@ -716,9 +648,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	emitEngineMetrics(w, "sub", s.cfg.Engine.Stats())
-	if e := s.super.Load(); e != nil {
-		emitEngineMetrics(w, "super", e.Stats())
+	emitEngineMetrics(w, "sub", s.cfg.Engine.StatsOf(igq.SubgraphQueries))
+	if s.cfg.Super {
+		emitEngineMetrics(w, "super", s.cfg.Engine.StatsOf(igq.SupergraphQueries))
 	}
 }
 

@@ -81,10 +81,6 @@ func TestQueryOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	super, err := igq.NewEngine(db, igq.EngineOptions{Supergraph: true, CacheSize: 30, Window: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Independent oracles so served queries do not warm the oracle cache.
 	subOracle, err := igq.NewEngine(db, igq.EngineOptions{Method: igq.Grapes, DisableCache: true})
 	if err != nil {
@@ -94,7 +90,7 @@ func TestQueryOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, client := newTestServer(t, Config{Engine: sub, Super: super})
+	_, _, client := newTestServer(t, Config{Engine: sub, Super: true})
 
 	ctx := context.Background()
 	for i, q := range testQueries(db, 25, 3) {
@@ -545,16 +541,12 @@ func TestGracefulShutdownDrainAndSnapshot(t *testing.T) {
 }
 
 // TestMutationsOverWireWithDeltaLineage: wire mutations must answer
-// correctly afterwards, keep the journal lineage loadable, rebuild the
-// supergraph engine, and the maintenance hook must be callable.
+// correctly afterwards in both modes, keep the journal lineage loadable,
+// and the maintenance hook must be callable.
 func TestMutationsOverWireWithDeltaLineage(t *testing.T) {
 	db := testDB(t)
 	opt := igq.EngineOptions{Method: igq.Grapes, CacheSize: 30, Window: 10}
 	eng, err := igq.NewEngine(db, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	super, err := igq.NewEngine(db, igq.EngineOptions{Supergraph: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,11 +558,7 @@ func TestMutationsOverWireWithDeltaLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _, client := newTestServer(t, Config{
-		Engine: eng, Super: super,
-		SuperOptions: igq.EngineOptions{Supergraph: true},
-		DeltaPath:    deltaPath,
-	})
+	s, _, client := newTestServer(t, Config{Engine: eng, Super: true, DeltaPath: deltaPath})
 
 	ctx := context.Background()
 	extra := igq.GenerateDataset(igq.AIDSSpec().Scaled(0.0005, 7))
@@ -609,7 +597,7 @@ func TestMutationsOverWireWithDeltaLineage(t *testing.T) {
 		if !reflect.DeepEqual(got.IDs, nonNil(want.IDs)) {
 			t.Fatalf("query %d after mutations: wire %v, direct %v", i, got.IDs, want.IDs)
 		}
-		// The rebuilt supergraph engine serves the new dataset too.
+		// The supergraph read of the same index serves the new dataset too.
 		if _, err := client.QueryGraph(ctx, q, ModeSuper); err != nil {
 			t.Fatalf("super query %d after mutations: %v", i, err)
 		}

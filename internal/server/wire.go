@@ -18,9 +18,9 @@ import (
 // Labels[i], and each edge is [u, v] or [u, v, edgeLabel]. Dataset graphs
 // additionally carry their position-independent ID when one is known.
 type WireGraph struct {
-	ID     int          `json:"id,omitempty"`
-	Labels []igq.Label  `json:"labels"`
-	Edges  [][3]int     `json:"edges,omitempty"`
+	ID     int         `json:"id,omitempty"`
+	Labels []igq.Label `json:"labels"`
+	Edges  [][3]int    `json:"edges,omitempty"`
 }
 
 // EncodeGraph converts a graph to its wire form.
@@ -65,7 +65,7 @@ const (
 type QueryRequest struct {
 	Graph WireGraph `json:"graph"`
 	// Mode selects the query direction; empty means "sub". "super"
-	// requires the server to host a supergraph engine.
+	// requires a server that serves supergraph queries (igqserve -super).
 	Mode string `json:"mode,omitempty"`
 	// TimeoutMillis caps this request's processing time (0 → the server's
 	// default); mapped onto context cancellation, so an expired query
@@ -111,15 +111,14 @@ type MutateReply struct {
 // ServerStats is the serving-layer half of GET /stats.
 type ServerStats struct {
 	UptimeSeconds  float64 `json:"uptime_seconds"`
-	Served         int64   `json:"served"`          // requests that reached an engine
-	Rejected       int64   `json:"rejected"`        // 429s from a full admission queue
-	Errors         int64   `json:"errors"`          // query executions that returned an error
-	InFlight       int     `json:"in_flight"`       // queries executing right now
-	Workers        int     `json:"workers"`         // execution slots
-	QueueDepth     int     `json:"queue_depth"`     // waiting slots beyond Workers
-	Maintenance    int64   `json:"maintenance"`     // journal maintenance passes that wrote the lineage file
-	SnapshotsSaved int64   `json:"snapshots_saved"` // explicit + shutdown snapshot saves
-	SuperRebuilds  int64   `json:"super_rebuilds"`  // O(dataset) supergraph rebuilds (incremental path unavailable)
+	Served         int64   `json:"served"`               // requests that reached an engine
+	Rejected       int64   `json:"rejected"`             // 429s from a full admission queue
+	Errors         int64   `json:"errors"`               // query executions that returned an error
+	InFlight       int     `json:"in_flight"`            // queries executing right now
+	Workers        int     `json:"workers"`              // execution slots
+	QueueDepth     int     `json:"queue_depth"`          // waiting slots beyond Workers
+	Maintenance    int64   `json:"maintenance"`          // journal maintenance passes that wrote the lineage file
+	SnapshotsSaved int64   `json:"snapshots_saved"`      // explicit + shutdown snapshot saves
 	Partitions     int     `json:"partitions,omitempty"` // partition count (0 = single-engine)
 }
 

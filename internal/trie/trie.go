@@ -280,6 +280,24 @@ func (t *Trie) MaxPostingLen() int {
 	return longest
 }
 
+// GraphFeatureCounts returns, for each graph id below n, the number of
+// features whose postings hold it — the graph's distinct-feature count, the
+// NF table a supergraph read needs. A lazily opened trie is materialised
+// first.
+func (t *Trie) GraphFeatureCounts(n int) []int32 {
+	t.ensureMaterialized()
+	nf := make([]int32, n)
+	t.each(func(_ features.FeatureID, pl *PostingList) {
+		pl.Range(func(_ int, g int32) bool {
+			if int(g) < n {
+				nf[g]++
+			}
+			return true
+		})
+	})
+	return nf
+}
+
 // Insert adds (or merges) a posting for key, interning it into the
 // dictionary. Postings for a key are kept sorted by graph id; inserting the
 // same (key, graph) twice accumulates the count.

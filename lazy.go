@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/persistio"
 	"repro/internal/trie"
@@ -103,31 +102,17 @@ func loadEngineLazy(src trie.RandomAccessFile, db []*Graph, opt EngineOptions, b
 		return nil, LoadReport{}, err
 	}
 	rep := LoadReport{RecoveredTail: tailRecoveryFrom(idxRep.RecoveredTail, headerBytes)}
-	if cf, ok := m.(index.CountFilterer); ok {
-		opt.MaxPathLen = cf.FeatureMaxPathLen() // the snapshot's feature length wins
+	e, err := restoredEngine(db, m, opt, flags, &rep, func() io.Reader {
+		// The index section reported its exact extent, so the cache
+		// section starts right after it.
+		cacheOff := headerBytes + idxRep.Bytes
+		return index.AsByteScanner(io.NewSectionReader(src, cacheOff, src.Size()-cacheOff))
+	})
+	if err != nil {
+		return nil, LoadReport{}, err
 	}
-	e := &Engine{opt: opt}
-	e.view.Store(&engineView{db: db, m: m})
 	if c, ok := src.(io.Closer); ok {
 		e.lazySrc = c
-	}
-	if !opt.DisableCache {
-		if flags&engineFlagCache != 0 && rep.RecoveredTail == nil {
-			// The index section reported its exact extent, so the cache
-			// section starts right after it.
-			cacheOff := headerBytes + idxRep.Bytes
-			ig, err := core.Load(index.AsByteScanner(io.NewSectionReader(src, cacheOff, src.Size()-cacheOff)),
-				m, db, e.coreOptions())
-			if err != nil {
-				return nil, LoadReport{}, fmt.Errorf("igq: restoring cache: %w", err)
-			}
-			e.ig.Store(ig)
-		} else {
-			if flags&engineFlagCache != 0 && rep.RecoveredTail != nil {
-				rep.CacheDiscarded = true // the section sits beyond the tear
-			}
-			e.ig.Store(core.New(m, db, e.coreOptions()))
-		}
 	}
 	return e, rep, nil
 }

@@ -7,12 +7,10 @@ import (
 	"testing"
 )
 
-// TestSupergraphEngineMutation pins the supergraph (Containment) engine's
-// O(delta) mutation path to a from-scratch supergraph engine on the final
-// dataset: the contain method is now index.Mutable, so AddGraphs and
-// RemoveGraphs must maintain Algorithm 1/2 state and the §5.1 supergraph
-// cache exactly as a rebuild would — this is what lets the serving layer
-// stop rebuilding its mode=super engine after every mutation.
+// TestSupergraphEngineMutation pins the supergraph engine's O(delta)
+// mutation path to a from-scratch supergraph engine on the final dataset:
+// AddGraphs and RemoveGraphs must maintain the path index, its NF table and
+// the §5.1 supergraph cache exactly as a rebuild would.
 func TestSupergraphEngineMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	base := GenerateDataset(AIDSSpec().Scaled(0.002, 1))
