@@ -27,8 +27,7 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "dataset/workload scale factor")
 		seed    = flag.Int64("seed", 42, "random seed (full determinism per seed)")
 		workers = flag.Int("workers", 0, "max goroutines for the concurrency experiments (0 = one per CPU)")
-		shards  = flag.Int("shards", 0, "postings shard count for sharded-store experiments (0 = one per CPU)")
-		bwork   = flag.Int("buildworkers", 0, "max index-build goroutines for the buildscale experiment (0 = one per CPU)")
+		bwork   = flag.Int("buildworkers", 0, "index-build goroutines for the coldstart, incremental and lazyload experiments (0 = each method's default)")
 		saveIdx = flag.String("save-index", "", "directory to keep the coldstart experiment's index snapshots in (default: temp, discarded)")
 		loadIdx = flag.String("load-index", "", "directory holding pre-built index snapshots for the coldstart experiment (written by an earlier -save-index run)")
 		density = flag.Float64("density", 0, "single membership density for the containers experiment (0 = sparse/moderate/dense grid with perf gates)")
@@ -51,7 +50,7 @@ func main() {
 
 	cfg := experiments.Config{
 		Scale: *scale, Seed: *seed, Verbose: *verbose,
-		Workers: *workers, Shards: *shards, BuildWorkers: *bwork,
+		Workers: *workers, BuildWorkers: *bwork,
 		SaveIndexPath: *saveIdx, LoadIndexPath: *loadIdx,
 		Density: *density, BenchJSONPath: *bjson,
 	}

@@ -45,7 +45,6 @@ func main() {
 		qPath   = flag.String("queries", "", "query file (required)")
 		method  = flag.String("method", "grapes", "method: grapes | ggsx | ctindex")
 		threads = flag.Int("threads", 1, "Grapes build threads")
-		shards  = flag.Int("shards", 0, "postings shard count (0 = one per CPU)")
 		bwork   = flag.Int("buildworkers", 0, "index-build goroutines (0 = per-method default)")
 		super   = flag.Bool("super", false, "supergraph queries (the containment filter over the path index)")
 		cache   = flag.Int("cache", 500, "iGQ cache size C")
@@ -77,7 +76,6 @@ func main() {
 		CacheSize:    *cache,
 		Window:       *window,
 		DisableCache: *noCache,
-		Shards:       *shards,
 		BuildWorkers: *bwork,
 	}
 	switch strings.ToLower(*method) {

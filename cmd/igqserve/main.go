@@ -36,11 +36,12 @@
 // what is paged: each is decoded when a query first probes it, and
 // -lazy-budget caps the decoded lists kept resident (lists no query has
 // probed lately are dropped first and re-decoded on demand). The feature
-// dictionary and a per-shard offset directory — built, with the segment's
-// one CRC check, on the shard's first probe — are pinned outside the
-// budget. In /stats and /metrics, resident_shards counts open directories,
-// resident_bytes the decoded lists, shard_faults posting-list decodes and
-// shard_evictions lists evicted.
+// dictionary and a per-segment offset directory — built, with the
+// segment's one CRC check, on the segment's first probe — are pinned
+// outside the budget. In /stats and /metrics the shard-named fields are
+// segment-granular: resident_shards counts open segment directories,
+// total_shards the snapshot's segments, resident_bytes the decoded lists,
+// shard_faults posting-list decodes and shard_evictions lists evicted.
 //
 // -super also serves supergraph queries (mode=super) from the same engine:
 // the paper's containment filter (Algorithm 2) reads the one path index,
@@ -85,7 +86,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "execution slots (0 = one per CPU)")
 		queue     = flag.Int("queue", 0, "admission slots beyond workers (0 = 4x workers)")
 		snapshot  = flag.String("snapshot", "", "engine snapshot path: restored at start if present, written on shutdown")
-		lazy      = flag.Bool("lazy", false, "map the snapshot lazily: serve once metadata is read, decode each posting list when a query first probes it (dictionary and per-shard offset directories stay pinned; a segment's CRC is checked once, on its shard's first probe)")
+		lazy      = flag.Bool("lazy", false, "map the snapshot lazily: serve once metadata is read, decode each posting list when a query first probes it (dictionary and per-segment offset directories stay pinned; a segment's CRC is checked once, on its first probe)")
 		lazyBudg  = flag.Int64("lazy-budget", 0, "budget in bytes on the decoded posting lists -lazy keeps resident, pinned parts excluded (0 = unbounded)")
 		delta     = flag.String("delta", "", "index delta-journal lineage file for mutation persistence")
 		maintain  = flag.Duration("maintain-every", 30*time.Second, "journal maintenance interval (needs -delta)")
@@ -243,7 +244,7 @@ func buildEngine(db []*igq.Graph, opt igq.EngineOptions, snapshot string, lazy b
 			}
 			if !quietLoad {
 				if st := eng.Stats(); st.LazyLoaded {
-					log.Printf("lazily mapped %s engine over %d graphs from %s in %v (%d shards on demand, budget %d bytes)",
+					log.Printf("lazily mapped %s engine over %d graphs from %s in %v (%d segments on demand, budget %d bytes)",
 						eng.MethodName(), len(db), snapshot, time.Since(t0), st.TotalShards, st.LazyBudgetBytes)
 				} else {
 					log.Printf("restored %s engine over %d graphs from %s in %v",

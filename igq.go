@@ -56,7 +56,7 @@
 // snapshots have different lifetimes and guards:
 //
 //   - The *index* snapshot (SaveIndex/LoadIndex, or the index half of
-//     Save/LoadEngine) captures the method's dataset index: per-shard trie
+//     Save/LoadEngine) captures the method's dataset index: the trie's
 //     segments plus the feature dictionary. It is invalidated only by a
 //     change to the dataset — any edit, addition, removal or reorder flips
 //     the embedded checksum and the load fails rather than answer with
@@ -169,18 +169,18 @@
 // index. LoadEngineFile(..., WithLazyLoad(budget)) changes the shape of
 // both: the snapshot file is mapped (mmap where the platform has it, pread
 // otherwise) and only the cheap metadata is decoded up front — header,
-// feature dictionary, the table of where each shard's segment lies, and a
+// feature dictionary, the table of where each segment lies, and a
 // full scan of any delta-journal tail (torn tails recover exactly as in an
 // eager load).
 //
-// What is paged is the posting list. The first query to probe a shard
-// reads that shard's segment once, verifies its CRC — then and only then —
+// What is paged is the posting list. The first query to probe a segment
+// reads that segment once, verifies its CRC — then and only then —
 // and scans it into an offset directory (12 bytes per dictionary entry,
 // slot and offset together); after that a probe decodes exactly the list
 // it asks for, from that list's byte span, and keeps it in a slot where
 // the next probe finds it with one atomic load. What is pinned, outside
 // the budget, is the dictionary, those directories, and the replayed
-// journal overlay of a shard that had one. budget bounds the decoded lists:
+// journal overlay of a segment that had one. budget bounds the decoded lists:
 // once over it, lists no query has probed since the evictor's last pass
 // are dropped and re-decoded when next probed, so a budget costs the cold
 // tail of the feature distribution, not every query, and the engine serves
@@ -192,12 +192,12 @@
 // behind the engine (Engine.Close releases it; MaterializeIndex decodes
 // everything first so serving can continue without the file), mutations
 // force full materialisation before applying, and corruption confined to
-// one shard surfaces on that shard's first probe — as a contained
-// *PanicError carrying trie.ErrCorrupt on the queries routed to it —
-// instead of failing the load, leaving every other shard serving; a read
-// error on a later posting decode is contained the same way and retried on
-// the next probe. Engine.Stats and Engine.Residency expose the moving
-// parts: ResidentShards counts shards whose directory is open,
+// one snapshot segment surfaces on that segment's first probe — as a
+// contained *PanicError carrying trie.ErrCorrupt on the queries routed to
+// it — instead of failing the load, leaving every other segment serving; a
+// read error on a later posting decode is contained the same way and
+// retried on the next probe. Engine.Stats and Engine.Residency expose the
+// moving parts: ResidentShards counts segments whose directory is open,
 // ResidentBytes the decoded lists, ShardFaults posting-list decodes
 // (re-decodes included) and ShardEvictions lists evicted. The "lazyload"
 // experiment gates the time-to-first-query win, the budget ceiling and the
@@ -357,11 +357,12 @@ type EngineOptions struct {
 	Window    int
 	// DisableCache turns iGQ off entirely (plain filter-then-verify).
 	DisableCache bool
-	// Shards is the postings shard count of the path methods' dataset
-	// tries (rounded up to a power of two, capped at 64; 0 picks one shard
-	// per CPU). Sharding never changes answers; it only sets how much build
-	// and probe parallelism the stores can exploit. The query cache's own
-	// index is a flat array and has no shards.
+	// Shards is the segment count of the path methods' saved index
+	// snapshots (rounded up to a power of two, capped at 64): eager loads
+	// decode the segments in parallel and lazy loads open them one at a
+	// time. 0 keeps the count of the snapshot the engine was loaded from,
+	// else picks one per CPU. It never changes the index in memory or any
+	// answer.
 	Shards int
 	// BuildWorkers is the index-build parallelism: the path methods fan
 	// feature enumeration over this many goroutines. 0 keeps each method's
@@ -486,10 +487,11 @@ type EngineStats struct {
 	// Residency of a lazily loaded dataset index (see WithLazyLoad); all
 	// zero for eagerly loaded or freshly built engines.
 	// The unit of residency is the posting list; the shard-named counters
-	// keep their names (and /stats keys, and metric names).
+	// keep their names (and /stats keys, and metric names) and count the
+	// snapshot's segments.
 	LazyLoaded      bool  // serving from a lazy snapshot, not yet materialised
-	TotalShards     int   // posting shards in the dataset index
-	ResidentShards  int   // shards whose offset directory is open (pinned once open)
+	TotalShards     int   // segments in the dataset index snapshot
+	ResidentShards  int   // segments whose offset directory is open (pinned once open)
 	ResidentBytes   int64 // decoded posting lists currently resident
 	LazyBudgetBytes int64 // configured budget on ResidentBytes (0 = unbounded)
 	ShardFaults     int64 // posting-list decodes since load (re-decodes after eviction included)
@@ -1175,7 +1177,7 @@ func (e *Engine) Save(w io.Writer) error {
 
 // LoadEngine constructs an engine over db from a combined snapshot written
 // by Engine.Save, without enumerating the dataset: the index is decoded
-// from its per-shard segments (across opt.BuildWorkers goroutines) and the
+// from its segments (across opt.BuildWorkers goroutines) and the
 // cache — if the snapshot carries one and opt does not disable it — is
 // restored on top. The snapshot must match db (checksum-guarded) and
 // opt.Method must match the saved index's method. The loaded engine

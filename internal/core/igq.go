@@ -124,9 +124,9 @@ type Options struct {
 	// deterministic; correctness holds either way, since any consistent
 	// cache snapshot yields correct answers.
 	AsyncMaintenance bool
-	// Shards has no effect: the cache-side index is one flat array, not a
-	// sharded trie. The field remains only because the benchmark harness sets
-	// it and goes with that harness's next revision (ROADMAP).
+	// Shards has no effect: the cache-side index is one flat array with no
+	// snapshot segments. The field remains only because the benchmark
+	// harness sets it and goes with that harness's next revision (ROADMAP).
 	Shards int
 	// PanicHandler, when set, is invoked with the recovered value and the
 	// goroutine stack if an asynchronous shadow-index build panics. The

@@ -63,10 +63,10 @@ func runColdstart(cfg Config, w io.Writer) error {
 	}
 	methods := []method{
 		{"GGSX", func() index.Persistable {
-			return ggsx.New(ggsx.Options{MaxPathLen: 4, Shards: cfg.Shards, BuildWorkers: cfg.BuildWorkers})
+			return ggsx.New(ggsx.Options{MaxPathLen: 4, BuildWorkers: cfg.BuildWorkers})
 		}},
 		{"Grapes", func() index.Persistable {
-			return grapes.New(grapes.Options{MaxPathLen: 4, Shards: cfg.Shards, BuildWorkers: cfg.BuildWorkers})
+			return grapes.New(grapes.Options{MaxPathLen: 4, BuildWorkers: cfg.BuildWorkers})
 		}},
 	}
 
@@ -137,8 +137,8 @@ func runColdstart(cfg Config, w io.Writer) error {
 		}
 	}
 
-	fmt.Fprintf(w, "Cold start over %s ×2 (%d graphs, %d differential queries), shards=%d, buildworkers=%d:\n%s",
-		spec.Name, len(db), len(qs), cfg.Shards, cfg.BuildWorkers, tb)
+	fmt.Fprintf(w, "Cold start over %s ×2 (%d graphs, %d differential queries), buildworkers=%d:\n%s",
+		spec.Name, len(db), len(qs), cfg.BuildWorkers, tb)
 	fmt.Fprintf(w, "\nExpected shape: loading the segment snapshot beats the full path re-enumeration\n(speedup > 1), growing with dataset scale; the identity column must read 'identical' —\nthe restored index is required to answer byte-identically to the rebuilt one.\n")
 	return nil
 }

@@ -94,8 +94,8 @@ func runContainers(cfg Config, w io.Writer) error {
 	var gateErr error
 	for _, reg := range regimes {
 		// One membership table per regime, inserted identically under both
-		// policies; a single shard keeps every feature in one group so the
-		// measurement isolates the container intersection itself.
+		// policies, so the measurement isolates the container
+		// intersection itself.
 		rng := rand.New(rand.NewSource(cfg.Seed*100 + int64(reg.p*1000)))
 		members := make([][]int32, nFeats)
 		for f := range members {
@@ -106,7 +106,7 @@ func runContainers(cfg Config, w io.Writer) error {
 			}
 		}
 		build := func(policy trie.ContainerPolicy) *trie.Trie {
-			tr := trie.NewSharded(features.NewDict(), 1)
+			tr := trie.New()
 			tr.SetContainerPolicy(policy)
 			for f, ids := range members {
 				key := fmt.Sprintf("c:%d", f)
@@ -190,7 +190,7 @@ func runContainers(cfg Config, w io.Writer) error {
 		rep.Gates.Pass = false
 	}
 
-	fmt.Fprintf(w, "Adaptive containers vs flat arrays over %d graphs × %d features (1 shard, interleaved medians):\n%s",
+	fmt.Fprintf(w, "Adaptive containers vs flat arrays over %d graphs × %d features (interleaved medians):\n%s",
 		nGraphs, nFeats, tb)
 	if gated {
 		fmt.Fprintf(w, "\nGates (dense regime): snapshot shrink ≥ %.1fx, intersection speedup ≥ %.1fx.\n",

@@ -71,10 +71,10 @@ func runIncremental(cfg Config, w io.Writer) error {
 	}
 	methods := []method{
 		{"GGSX", func() index.Persistable {
-			return ggsx.New(ggsx.Options{MaxPathLen: 4, Shards: cfg.Shards, BuildWorkers: cfg.BuildWorkers})
+			return ggsx.New(ggsx.Options{MaxPathLen: 4, BuildWorkers: cfg.BuildWorkers})
 		}},
 		{"Grapes", func() index.Persistable {
-			return grapes.New(grapes.Options{MaxPathLen: 4, Shards: cfg.Shards, BuildWorkers: cfg.BuildWorkers})
+			return grapes.New(grapes.Options{MaxPathLen: 4, BuildWorkers: cfg.BuildWorkers})
 		}},
 	}
 
@@ -187,8 +187,8 @@ func runIncremental(cfg Config, w io.Writer) error {
 		}
 	}
 
-	fmt.Fprintf(w, "Incremental append of %d graphs onto %s ×2 (%d base graphs, %d differential queries), shards=%d, buildworkers=%d:\n%s",
-		len(extra), spec.Name, len(base), len(qs), cfg.Shards, cfg.BuildWorkers, tb)
+	fmt.Fprintf(w, "Incremental append of %d graphs onto %s ×2 (%d base graphs, %d differential queries), buildworkers=%d:\n%s",
+		len(extra), spec.Name, len(base), len(qs), cfg.BuildWorkers, tb)
 	fmt.Fprintf(w, "\nExpected shape: the incremental pipeline (AppendGraphs + AppendDelta journal) beats the\nstatic one (full rebuild + full SaveIndex) by ≥ %.0f× — this run errors below that, and on any\ndivergence between the mutated index, the journaled snapshot and a from-scratch rebuild.\n", minIncrementalSpeedup)
 	return nil
 }

@@ -24,7 +24,7 @@ import (
 // step — not decoding the snapshot at all until a query asks for it. Three
 // claims are gated:
 //
-//   - Time-to-first-query: mapping the file, scanning the shards the first
+//   - Time-to-first-query: mapping the file, scanning the segments the first
 //     query touches and decoding only the posting lists it probes must
 //     answer in ≤ half the eager restore's load-everything-then-answer
 //     time (and the margin grows with index size, since the eager leg is
@@ -88,12 +88,9 @@ func runLazyload(cfg Config, w io.Writer) error {
 		Sizes:      []int{4, 8},
 		Seed:       cfg.Seed * 91,
 	})
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = 16
-	}
+	const segments = 16
 	fresh := func() *ggsx.Index {
-		return ggsx.New(ggsx.Options{MaxPathLen: 4, Shards: shards, BuildWorkers: cfg.BuildWorkers})
+		return ggsx.New(ggsx.Options{MaxPathLen: 4, Shards: segments, BuildWorkers: cfg.BuildWorkers})
 	}
 
 	built := fresh()
@@ -246,7 +243,7 @@ func runLazyload(cfg Config, w io.Writer) error {
 	medFull, medBudget := fullNs[trials/2], budgetNs[trials/2]
 
 	rep := lazyloadReport{
-		Seed: cfg.Seed, Scale: cfg.Scale, NumGraphs: len(db), Shards: shards,
+		Seed: cfg.Seed, Scale: cfg.Scale, NumGraphs: len(db), Shards: segments,
 		SnapshotBytes: fi.Size(), IndexBytes: indexBytes,
 		TTFQEagerNs: medEager, TTFQLazyNs: medLazy, TTFQRatio: medLazy / medEager,
 		BudgetBytes: budget, ResidentBytes: res.ResidentBytes,
@@ -280,7 +277,7 @@ func runLazyload(cfg Config, w io.Writer) error {
 	}
 
 	tb := stats.NewTable("leg", "value")
-	tb.AddRowf("snapshot", fmt.Sprintf("%d B (%d graphs, %d shards)", fi.Size(), len(db), shards))
+	tb.AddRowf("snapshot", fmt.Sprintf("%d B (%d graphs, %d segments)", fi.Size(), len(db), segments))
 	tb.AddRowf("TTFQ eager", time.Duration(medEager))
 	tb.AddRowf("TTFQ lazy", time.Duration(medLazy))
 	tb.AddRowf("TTFQ ratio", fmt.Sprintf("%.3fx (gate ≤ %.2fx)", rep.TTFQRatio, lazyTTFQRatioMax))
@@ -293,7 +290,7 @@ func runLazyload(cfg Config, w io.Writer) error {
 	tb.AddRowf("replay half budget", time.Duration(medBudget))
 	tb.AddRowf("replay ratio", fmt.Sprintf("%.3fx (gate ≤ %.1fx)", rep.ReplayRatio, lazyReplayRatioMax))
 	fmt.Fprintf(w, "Lazy loading vs eager restore (GGSX, interleaved medians of %d):\n%s", trials, tb)
-	fmt.Fprintf(w, "\nExpected shape: the lazy leg answers its first query after reading only the header,\ndictionary and segment table, scanning the touched shards and decoding the probed\nlists, so TTFQ drops well below the eager restore and the gap widens with index size;\nunder a half budget the Zipf stream keeps the hot head's lists resident, re-decodes\nthe cold tail's, never diverges, and pays well under 2x for it.\n")
+	fmt.Fprintf(w, "\nExpected shape: the lazy leg answers its first query after reading only the header,\ndictionary and segment table, scanning the touched segments and decoding the probed\nlists, so TTFQ drops well below the eager restore and the gap widens with index size;\nunder a half budget the Zipf stream keeps the hot head's lists resident, re-decodes\nthe cold tail's, never diverges, and pays well under 2x for it.\n")
 
 	if cfg.BenchJSONPath != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")

@@ -31,11 +31,8 @@ type Config struct {
 	// Workers caps the goroutine count of the concurrency experiments
 	// (0 = one per runtime.GOMAXPROCS(0)).
 	Workers int
-	// Shards sets the postings shard count for the sharded-store
-	// experiments (0 = trie.DefaultShards()).
-	Shards int
-	// BuildWorkers caps the index-build goroutine count of the buildscale
-	// experiment (0 = one per runtime.GOMAXPROCS(0)).
+	// BuildWorkers is the index-build goroutine count of the coldstart,
+	// incremental and lazyload experiments (0 = each method's default).
 	BuildWorkers int
 	// SaveIndexPath, when set, makes the coldstart experiment keep its
 	// index snapshots at this path prefix instead of a temp directory.

@@ -56,26 +56,6 @@ func TestSmokeContainers(t *testing.T) {
 	// exercises the ≥2× shrink / ≥3× speedup gates at the scaled-down size.
 	runSmoke(t, "containers", "dense", "sparse", "shrink", "speedup")
 }
-func TestSmokeBuildscale(t *testing.T) {
-	// runSmoke's substring asserts would be vacuous here: the experiment's
-	// footer always contains "identical". Assert the divergence marker is
-	// absent instead.
-	e, ok := ByID("buildscale")
-	if !ok {
-		t.Fatal("buildscale not registered")
-	}
-	var buf bytes.Buffer
-	if err := e.Run(smokeCfg(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "workers") {
-		t.Fatalf("missing table header:\n%s", out)
-	}
-	if strings.Contains(out, "DIVERGED") {
-		t.Fatalf("parallel build diverged from sequential:\n%s", out)
-	}
-}
 
 func TestSmokeHeavyExperiments(t *testing.T) {
 	if testing.Short() {

@@ -64,7 +64,7 @@ func BenchmarkIntersectViewsDensity(b *testing.B) {
 	for _, reg := range benchRegimes {
 		ds := densityDataset(1, nFeats, nGraphs, reg.p)
 		for _, pol := range benchPolicies {
-			tr := buildCFTrie(pol.policy, 1, ds)
+			tr := buildCFTrie(pol.policy, ds)
 			views := make([]View, 0, nFeats)
 			for k := range ds {
 				id, ok := tr.Dict().Lookup(k)
@@ -74,8 +74,7 @@ func BenchmarkIntersectViewsDensity(b *testing.B) {
 				views = append(views, View{C: tr.GetByID(id).IDs()})
 			}
 			b.Run(reg.name+"/"+pol.name, func(b *testing.B) {
-				s := GetViewScratch()
-				defer PutViewScratch(s)
+				s := new(ViewScratch)
 				vbuf := make([]View, len(views))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -88,7 +87,7 @@ func BenchmarkIntersectViewsDensity(b *testing.B) {
 }
 
 // BenchmarkFilterCountGEDensity measures the full count-filter pass —
-// shard grouping, view assembly, intersection — per density and policy.
+// view assembly, intersection, thresholds — per density and policy.
 func BenchmarkFilterCountGEDensity(b *testing.B) {
 	const nFeats, nGraphs = 4, 1 << 14
 	for _, reg := range benchRegimes {
@@ -100,7 +99,7 @@ func BenchmarkFilterCountGEDensity(b *testing.B) {
 			counts = append(counts, 1)
 		}
 		for _, pol := range benchPolicies {
-			tr := buildCFTrie(pol.policy, 1, ds)
+			tr := buildCFTrie(pol.policy, ds)
 			qf := idSetFor(tr, keys, counts)
 			b.Run(reg.name+"/"+pol.name, func(b *testing.B) {
 				s := GetCountFilterScratch()
@@ -139,7 +138,7 @@ func BenchmarkFilterCountGEThresholded(b *testing.B) {
 	for _, reg := range benchRegimes {
 		ds, keys, counts := thresholdedDensityQuery(reg.p)
 		for _, pol := range benchPolicies {
-			tr := buildCFTrie(pol.policy, 1, ds)
+			tr := buildCFTrie(pol.policy, ds)
 			qf := idSetFor(tr, keys, counts)
 			b.Run(reg.name+"/"+pol.name, func(b *testing.B) {
 				s := GetCountFilterScratch()
@@ -159,7 +158,7 @@ func TestFilterCountGEThresholdedAllocs(t *testing.T) {
 	for _, reg := range benchRegimes {
 		ds, keys, counts := thresholdedDensityQuery(reg.p)
 		for _, pol := range benchPolicies {
-			tr := buildCFTrie(pol.policy, 1, ds)
+			tr := buildCFTrie(pol.policy, ds)
 			qf := idSetFor(tr, keys, counts)
 			s := GetCountFilterScratch()
 			if len(FilterCountGE(tr, qf, s)) == 0 && reg.p > 0.1 {

@@ -60,8 +60,8 @@ func cfDataset(seed int64, nFeats, nGraphs int) map[string][]trie.Posting {
 	return ds
 }
 
-func buildCFTrie(policy trie.ContainerPolicy, shards int, ds map[string][]trie.Posting) *trie.Trie {
-	tr := trie.NewSharded(features.NewDict(), shards)
+func buildCFTrie(policy trie.ContainerPolicy, ds map[string][]trie.Posting) *trie.Trie {
+	tr := trie.New()
 	tr.SetContainerPolicy(policy)
 	for k, ps := range ds {
 		for _, p := range ps {
@@ -129,7 +129,7 @@ func checkCountGE(t *testing.T, name string, tr *trie.Trie, ds map[string][]trie
 // TestFilterCountGEAdaptiveMatchesArray is the read-path differential:
 // FilterCountGE over adaptive containers must return the identical
 // candidate list as over the forced-array reference — and both the list a
-// per-graph count check yields — across shard layouts, probe costs, feature
+// per-graph count check yields — across probe costs, feature
 // mixes and wanted counts 0–4: the bitmap word-AND chain, container probes
 // and the threshold pass over array, bitmap and run containers.
 func TestFilterCountGEAdaptiveMatchesArray(t *testing.T) {
@@ -138,62 +138,61 @@ func TestFilterCountGEAdaptiveMatchesArray(t *testing.T) {
 	for k := range ds {
 		allKeys = append(allKeys, k)
 	}
-	for _, shards := range []int{1, 4} {
-		adaptive := buildCFTrie(trie.AdaptiveContainers, shards, ds)
-		reference := buildCFTrie(trie.ArrayOnlyContainers, shards, ds)
-		for _, probeCost := range []int{0, 1, 4} {
-			adaptive.SetGallopProbeCost(probeCost)
-			reference.SetGallopProbeCost(probeCost)
-			rng := rand.New(rand.NewSource(int64(shards*10 + probeCost)))
-			for q := 0; q < 200; q++ {
-				nk := 1 + rng.Intn(5)
-				keys := make([]string, nk)
-				counts := make([]int32, nk)
-				for i := range keys {
-					keys[i] = allKeys[rng.Intn(len(allKeys))]
-					counts[i] = int32(rng.Intn(5))
-				}
-				sa := GetCountFilterScratch()
-				ga := FilterCountGE(adaptive, idSetFor(adaptive, keys, counts), sa)
-				ga = append([]int32(nil), ga...)
-				PutCountFilterScratch(sa)
-				sr := GetCountFilterScratch()
-				gr := FilterCountGE(reference, idSetFor(reference, keys, counts), sr)
-				gr = append([]int32(nil), gr...)
-				PutCountFilterScratch(sr)
-				if !reflect.DeepEqual(ga, gr) {
-					t.Fatalf("shards=%d probeCost=%d query %v/%v: adaptive %v != reference %v",
-						shards, probeCost, keys, counts, ga, gr)
-				}
-				if want := naiveCountGE(ds, keys, counts); !slices.Equal(ga, want) {
-					t.Fatalf("shards=%d probeCost=%d query %v/%v: got %v, per-graph check %v",
-						shards, probeCost, keys, counts, ga, want)
-				}
+	adaptive := buildCFTrie(trie.AdaptiveContainers, ds)
+	reference := buildCFTrie(trie.ArrayOnlyContainers, ds)
+	for _, probeCost := range []int{0, 1, 4} {
+		adaptive.SetGallopProbeCost(probeCost)
+		reference.SetGallopProbeCost(probeCost)
+		rng := rand.New(rand.NewSource(int64(10 + probeCost)))
+		for q := 0; q < 200; q++ {
+			nk := 1 + rng.Intn(5)
+			keys := make([]string, nk)
+			counts := make([]int32, nk)
+			for i := range keys {
+				keys[i] = allKeys[rng.Intn(len(allKeys))]
+				counts[i] = int32(rng.Intn(5))
+			}
+			sa := GetCountFilterScratch()
+			ga := FilterCountGE(adaptive, idSetFor(adaptive, keys, counts), sa)
+			ga = append([]int32(nil), ga...)
+			PutCountFilterScratch(sa)
+			sr := GetCountFilterScratch()
+			gr := FilterCountGE(reference, idSetFor(reference, keys, counts), sr)
+			gr = append([]int32(nil), gr...)
+			PutCountFilterScratch(sr)
+			if !reflect.DeepEqual(ga, gr) {
+				t.Fatalf("probeCost=%d query %v/%v: adaptive %v != reference %v",
+					probeCost, keys, counts, ga, gr)
+			}
+			if want := naiveCountGE(ds, keys, counts); !slices.Equal(ga, want) {
+				t.Fatalf("probeCost=%d query %v/%v: got %v, per-graph check %v",
+					probeCost, keys, counts, ga, want)
 			}
 		}
 	}
 }
 
-// TestFilterCountGEParallelPath drives a query large enough to clear the
-// parallel fan-out gate (every shard group's rarest list ≥ parallelGroupMin)
-// and pins it against the serial array reference, with counts 1–4 on the
-// postings and thresholds 1–3 in the query so the fan-out's survivors go
-// through the threshold pass too.
-func TestFilterCountGEParallelPath(t *testing.T) {
-	const nGraphs = 3 * parallelGroupMin
+// TestFilterCountGEDenseFold drives one fold over six dense lists of 3×8 192
+// graphs — bitmap territory, every list and the survivors far larger than
+// any list on the benchmark workloads — and pins it against the array
+// reference and the per-graph check, with counts 1–4 on the postings and
+// thresholds 1–3 in the query so the survivors go through the threshold
+// pass too.
+func TestFilterCountGEDenseFold(t *testing.T) {
+	const nGraphs = 3 * 8192
 	rng := rand.New(rand.NewSource(17))
 	ds := make(map[string][]trie.Posting)
 	for f := 0; f < 6; f++ {
 		var ps []trie.Posting
 		for g := 0; g < nGraphs; g++ {
-			if rng.Intn(8) != 0 { // dense: bitmap territory, > parallelGroupMin survivors
+			if rng.Intn(8) != 0 { // dense: bitmap territory
 				ps = append(ps, trie.Posting{Graph: int32(g), Count: int32(1 + rng.Intn(4))})
 			}
 		}
 		ds[fmt.Sprintf("big:%d", f)] = ps
 	}
-	adaptive := buildCFTrie(trie.AdaptiveContainers, 4, ds)
-	reference := buildCFTrie(trie.ArrayOnlyContainers, 4, ds)
+	adaptive := buildCFTrie(trie.AdaptiveContainers, ds)
+	reference := buildCFTrie(trie.ArrayOnlyContainers, ds)
 	keys := make([]string, 0, len(ds))
 	counts := make([]int32, 0, len(ds))
 	for k := range ds {
@@ -210,10 +209,10 @@ func TestFilterCountGEParallelPath(t *testing.T) {
 		t.Fatal("premise: dense intersection came back empty")
 	}
 	if !reflect.DeepEqual(ga, gr) {
-		t.Fatalf("parallel adaptive result diverges: %d vs %d candidates", len(ga), len(gr))
+		t.Fatalf("adaptive result diverges: %d vs %d candidates", len(ga), len(gr))
 	}
 	if want := naiveCountGE(ds, keys, counts); !slices.Equal(ga, want) {
-		t.Fatalf("parallel result diverges from the per-graph check: %d vs %d candidates", len(ga), len(want))
+		t.Fatalf("result diverges from the per-graph check: %d vs %d candidates", len(ga), len(want))
 	}
 }
 
@@ -266,7 +265,7 @@ func boundaryQueries(fn func(keys []string, counts []int32)) {
 }
 
 // TestFilterCountGEThresholdBoundaries runs every boundary query against
-// the per-graph check: on built tries of both policies and shard layouts,
+// the per-graph check: on built tries of both policies,
 // on a lazily opened trie whose 1-byte budget evicts every list as soon as
 // the next one is decoded, and across a copy-on-write mutation probed
 // between two probes of its base — all on one scratch.
@@ -275,29 +274,28 @@ func TestFilterCountGEThresholdBoundaries(t *testing.T) {
 	s := GetCountFilterScratch()
 	defer PutCountFilterScratch(s)
 
-	for _, shards := range []int{1, 4} {
-		for _, pol := range benchPolicies {
-			tr := buildCFTrie(pol.policy, shards, ds)
-			if pol.policy == trie.AdaptiveContainers {
-				for key, want := range map[string]trie.ContainerKind{"b:bitmap": trie.KindBitmap, "b:array": trie.KindArray, "b:runs": trie.KindRuns} {
-					id, _ := tr.Dict().Lookup(key)
-					if got := tr.GetByID(id).IDs().Kind(); got != want {
-						t.Fatalf("premise: %s is stored as %v, want %v", key, got, want)
-					}
+	for _, pol := range benchPolicies {
+		tr := buildCFTrie(pol.policy, ds)
+		if pol.policy == trie.AdaptiveContainers {
+			for key, want := range map[string]trie.ContainerKind{"b:bitmap": trie.KindBitmap, "b:array": trie.KindArray, "b:runs": trie.KindRuns} {
+				id, _ := tr.Dict().Lookup(key)
+				if got := tr.GetByID(id).IDs().Kind(); got != want {
+					t.Fatalf("premise: %s is stored as %v, want %v", key, got, want)
 				}
 			}
-			boundaryQueries(func(keys []string, counts []int32) {
-				checkCountGE(t, fmt.Sprintf("shards=%d %s", shards, pol.name), tr, ds, keys, counts, s)
-			})
 		}
+		boundaryQueries(func(keys []string, counts []int32) {
+			checkCountGE(t, pol.name, tr, ds, keys, counts, s)
+		})
 	}
 
-	built := buildCFTrie(trie.AdaptiveContainers, 4, ds)
+	built := buildCFTrie(trie.AdaptiveContainers, ds)
+	built.SetSegments(4)
 	var snap bytes.Buffer
 	if _, err := built.WriteTo(&snap); err != nil {
 		t.Fatal(err)
 	}
-	lazy := trie.NewSharded(features.NewDict(), 0)
+	lazy := trie.New()
 	if _, _, err := lazy.OpenLazy(bytes.NewReader(snap.Bytes()), trie.LazyOptions{BudgetBytes: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,11 @@ type Options struct {
 	// keep its workers busy splits each graph's start vertices over Threads
 	// goroutines instead. The postings are GGSX's either way. 0 is GGSX.
 	Threads int
-	// Shards is the postings shard count of the path trie (rounded up to a
-	// power of two; 0 = trie.DefaultShards()).
+	// Shards is the segment count of a saved snapshot (rounded up to a
+	// power of two, capped at 64): eager loads decode the segments in
+	// parallel and lazy loads open them one at a time. 0 keeps the count of
+	// the snapshot the index was loaded from, else one per CPU. It never
+	// changes the index in memory or its answers.
 	Shards int
 	// BuildWorkers is the number of goroutines Build fans graph feature
 	// enumeration out over (0 = Threads, or 1 — sequential, the original
@@ -92,8 +95,25 @@ func New(opt Options) *Index {
 	if opt.BuildWorkers <= 0 {
 		opt.BuildWorkers = max(opt.Threads, 1)
 	}
-	d := features.NewDict()
-	return &Index{opt: opt, dict: d, tr: trie.NewSharded(d, opt.Shards), log: index.NewDeltaLog()}
+	x := &Index{opt: opt, dict: features.NewDict(), log: index.NewDeltaLog()}
+	x.tr = x.newTrie()
+	return x
+}
+
+// newTrie returns an empty trie over the index's dictionary that saves
+// Options.Shards segments.
+func (x *Index) newTrie() *trie.Trie {
+	tr := trie.NewWithDict(x.dict)
+	tr.SetSegments(x.opt.Shards)
+	return tr
+}
+
+// adoptSegments applies the segment rule to a freshly loaded trie: an
+// explicit Options.Shards overrides the count the snapshot carried.
+func (x *Index) adoptSegments(tr *trie.Trie) {
+	if x.opt.Shards > 0 {
+		tr.SetSegments(x.opt.Shards)
+	}
 }
 
 // Name implements index.Method: GGSX, or Grapes with its thread count as in
@@ -147,7 +167,7 @@ func (x *Index) NF() []int32 {
 // Build implements index.Method: enumerate the paths of every dataset graph
 // into the trie (interning every feature into the dictionary), recording
 // each graph's NF on the way. With BuildWorkers > 1 the enumeration fans out
-// over graphs, each worker staging into private per-shard buffers that merge
+// over graphs, each worker staging into private buffers that merge
 // deterministically (trie.Builder). A Grapes index with too few graphs for
 // its workers — a handful of huge graphs, or an explicit single build worker
 // — splits each graph's start vertices over Threads goroutines instead, the
@@ -160,7 +180,7 @@ func (x *Index) NF() []int32 {
 func (x *Index) Build(db []*graph.Graph) {
 	x.db = db
 	x.dict.Reset()
-	x.tr = trie.NewSharded(x.dict, x.opt.Shards)
+	x.tr = x.newTrie()
 	x.log.NoteFullSave(0) // a rebuild invalidates any snapshot lineage
 	opt := features.PathOptions{MaxLen: x.opt.MaxPathLen}
 	nf := make([]int32, len(db))
@@ -177,8 +197,8 @@ func (x *Index) Build(db []*graph.Graph) {
 
 // buildPaths runs the parallel build pipeline: workers claim dataset graphs,
 // enumerate their path features, stage the postings and record each graph's
-// NF in nf; the per-shard merges run in parallel after the enumeration
-// joins. workers ≤ 1 enumerates inline, avoiding staging memory for the
+// NF in nf; the merges run in parallel after the enumeration joins.
+// workers ≤ 1 enumerates inline, avoiding staging memory for the
 // sequential case.
 func buildPaths(tr *trie.Trie, db []*graph.Graph, opt features.PathOptions, workers int, nf []int32) {
 	if workers > len(db) {

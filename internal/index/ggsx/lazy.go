@@ -18,9 +18,9 @@ var (
 // posting list stays undecoded until a query first probes it, and budget
 // bounds the decoded lists kept resident (0 = unbounded). src must stay
 // open and immutable until the index is materialised or discarded. The
-// explicit shard-count option is not applied — the lazy index adopts the
-// snapshot's saved layout (see index.LazyLoadable). A supergraph read needs
-// NF, which is counted from every posting, so it materialises the index.
+// next save's segment count follows the same rule as LoadIndex. A
+// supergraph read needs NF, which is counted from every posting, so it
+// materialises the index.
 func (x *Index) LoadIndexLazy(src trie.RandomAccessFile, db []*graph.Graph, budget int64, opts ...index.LoadOption) (index.LoadReport, error) {
 	cfg := index.ResolveLoadOptions(opts)
 	cr := &index.CountingScanner{R: index.AsByteScanner(io.NewSectionReader(src, 0, src.Size()))}
@@ -42,7 +42,7 @@ func (x *Index) LoadIndexLazy(src trie.RandomAccessFile, db []*graph.Graph, budg
 		}
 	}
 	x.dict.Reset()
-	tr := trie.NewSharded(x.dict, 0)
+	tr := trie.NewWithDict(x.dict)
 	n, rec, err := tr.OpenLazy(
 		io.NewSectionReader(src, envBytes, src.Size()-envBytes),
 		trie.LazyOptions{Workers: x.opt.BuildWorkers, Strict: cfg.Strict, BudgetBytes: budget})
@@ -64,6 +64,7 @@ func (x *Index) LoadIndexLazy(src trie.RandomAccessFile, db []*graph.Graph, budg
 		rollback()
 		return index.LoadReport{Bytes: envBytes + n}, fmt.Errorf("%s: %w", x.kind(), err)
 	}
+	x.adoptSegments(tr)
 	x.opt.MaxPathLen = env.MaxPathLen
 	x.db = db
 	x.tr = tr

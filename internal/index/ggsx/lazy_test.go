@@ -108,3 +108,57 @@ func TestLoadIndexLazyFailureLeavesIndexIntact(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadersShareTheSegmentRule: an explicit Shards option sets the next
+// save's segment count whether the snapshot was opened eagerly or lazily,
+// so the same options re-save the same file either way; without the option
+// both keep the snapshot's count and re-save it unchanged.
+func TestLoadersShareTheSegmentRule(t *testing.T) {
+	db := randomDB(40, 1)
+	save := func(x *Index) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := x.SaveIndex(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// segments reads the count from the trie header: magic, version, K.
+	segments := func(snap []byte) int {
+		at := bytes.Index(snap, []byte("IGQTRIE"))
+		return int(snap[at+len("IGQTRIE")+1])
+	}
+	built := New(Options{MaxPathLen: 3, Shards: 16})
+	built.Build(db)
+	snap := save(built)
+	if segments(snap) != 16 {
+		t.Fatalf("premise: the build saved %d segments", segments(snap))
+	}
+	for _, tc := range []struct{ shards, want int }{{0, 16}, {4, 4}} {
+		var resaved [][]byte
+		for _, lazyOpen := range []bool{false, true} {
+			x := New(Options{MaxPathLen: 3, Shards: tc.shards})
+			var err error
+			if lazyOpen {
+				_, err = x.LoadIndexLazy(bytes.NewReader(snap), db, 0)
+			} else {
+				_, err = x.LoadIndex(bytes.NewReader(snap), db)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			resaved = append(resaved, save(x))
+		}
+		for i, got := range resaved {
+			if k := segments(got); k != tc.want {
+				t.Errorf("Shards %d, lazy=%v: re-saved %d segments, want %d", tc.shards, i == 1, k, tc.want)
+			}
+		}
+		if !bytes.Equal(resaved[0], resaved[1]) {
+			t.Errorf("Shards %d: the eager and lazy loads re-save different bytes", tc.shards)
+		}
+		if tc.shards == 0 && !bytes.Equal(resaved[0], snap) {
+			t.Error("a load without Shards re-saves different bytes")
+		}
+	}
+}

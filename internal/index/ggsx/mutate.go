@@ -10,8 +10,8 @@ package ggsx
 // the receiver — the receiver keeps answering over the old dataset until the
 // caller swaps generations, which is what makes mutation safe alongside
 // concurrent queries in either direction. The trie side copies only the
-// pages of its table that hold a touched feature (plus the page directory of
-// each touched shard) and copies each touched feature's posting list once,
+// pages of its table that hold a touched feature (plus the page directory)
+// and copies each touched feature's posting list once,
 // so a batch costs O(touched features' postings), not O(vocabulary). The
 // staged ops are recorded into the shared DeltaLog so a later AppendDelta
 // persists them in O(delta).

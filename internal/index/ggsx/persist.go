@@ -87,7 +87,7 @@ func (x *Index) LoadIndex(r io.Reader, db []*graph.Graph, opts ...index.LoadOpti
 		}
 	}
 	x.dict.Reset()
-	tr := trie.NewSharded(x.dict, x.opt.Shards)
+	tr := trie.NewWithDict(x.dict)
 	n, rec, err := tr.ReadFromOptions(cr, trie.LoadOptions{Workers: x.opt.BuildWorkers, Strict: cfg.Strict})
 	if err != nil {
 		rollback()
@@ -108,11 +108,7 @@ func (x *Index) LoadIndex(r io.Reader, db []*graph.Graph, opts ...index.LoadOpti
 		rollback()
 		return index.LoadReport{Bytes: cr.N}, fmt.Errorf("%s: %w", x.kind(), err)
 	}
-	if x.opt.Shards > 0 {
-		// The snapshot restores its saved layout; an explicit option
-		// overrides it (layout never affects answers).
-		tr.Reshard(x.opt.Shards)
-	}
+	x.adoptSegments(tr)
 	x.opt.MaxPathLen = env.MaxPathLen // queries must enumerate at the indexed length
 	x.db = db
 	x.tr = tr

@@ -69,8 +69,8 @@ func TestSaveLoadRoundTripIdentity(t *testing.T) {
 		{MaxPathLen: 3, Shards: 16, BuildWorkers: 2},
 	} {
 		for _, loadCfg := range []Options{
-			{MaxPathLen: 3}, // adopt saved layout
-			{MaxPathLen: 3, Shards: 2, BuildWorkers: 4}, // explicit re-shard
+			{MaxPathLen: 3}, // adopt the saved segment count
+			{MaxPathLen: 3, Shards: 2, BuildWorkers: 4}, // explicit segment count
 		} {
 			name := fmt.Sprintf("save[s=%d,w=%d]/load[s=%d,w=%d]",
 				saveCfg.Shards, saveCfg.BuildWorkers, loadCfg.Shards, loadCfg.BuildWorkers)
@@ -85,12 +85,8 @@ func TestSaveLoadRoundTripIdentity(t *testing.T) {
 				if _, err := loaded.LoadIndex(bytes.NewReader(buf.Bytes()), db); err != nil {
 					t.Fatal(err)
 				}
-				// Shard headers scale with the layout; net of those, the
-				// footprint must round-trip exactly.
-				bs := built.SizeBytes() - 24*built.tr.ShardCount()
-				ls := loaded.SizeBytes() - 24*loaded.tr.ShardCount()
-				if bs != ls {
-					t.Errorf("SizeBytes (net of shard headers) %d != %d after load", ls, bs)
+				if bs, ls := built.SizeBytes(), loaded.SizeBytes(); bs != ls {
+					t.Errorf("SizeBytes %d != %d after load", ls, bs)
 				}
 				for i, q := range qs {
 					bf, lf := built.Filter(q), loaded.Filter(q)

@@ -39,8 +39,8 @@ type Options struct {
 	MaxPathLen int
 	// Threads is the build parallelism (paper: 1 and 6); ≤ 0 means 1.
 	Threads int
-	// Shards is the postings shard count of the path trie (rounded up to a
-	// power of two; 0 = trie.DefaultShards()).
+	// Shards is the segment count of a saved snapshot; see
+	// ggsx.Options.Shards.
 	Shards int
 	// BuildWorkers overrides the number of goroutines Build fans graph
 	// enumeration out over (0 = Threads, matching the paper's Grapes(T)

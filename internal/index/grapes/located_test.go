@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/features"
 	"repro/internal/index"
 	"repro/internal/index/ggsx"
 	"repro/internal/trie"
@@ -50,7 +49,7 @@ func save(t *testing.T, x index.Persistable) (env, snap []byte) {
 	return buf.Bytes()[:cr.N], buf.Bytes()[cr.N:]
 }
 
-// renumbered writes src's postings under the feature IDs and shard count of
+// renumbered writes src's postings under the feature IDs and segment count of
 // the trie section snap. Equal postings make equal bytes only under equal
 // IDs, and a build numbers features in map iteration order; a writer that
 // emitted anything besides the postings would not match its renumbering.
@@ -60,7 +59,8 @@ func renumbered(t *testing.T, snap []byte, src *trie.Trie) []byte {
 	if _, err := ids.ReadFrom(bytes.NewReader(snap)); err != nil {
 		t.Fatal(err)
 	}
-	tr := trie.NewSharded(features.NewDict(), ids.ShardCount())
+	tr := trie.New()
+	tr.SetSegments(ids.Segments())
 	for _, k := range ids.Dict().Keys() {
 		tr.Dict().Intern(k)
 	}

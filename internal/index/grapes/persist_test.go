@@ -76,12 +76,8 @@ func TestSaveLoadRoundTripIdentity(t *testing.T) {
 				if _, err := loaded.LoadIndex(bytes.NewReader(buf.Bytes()), db); err != nil {
 					t.Fatal(err)
 				}
-				// Shard headers scale with the layout; net of those, the
-				// footprint must round-trip exactly.
-				bs := built.SizeBytes() - 24*built.Trie().ShardCount()
-				ls := loaded.SizeBytes() - 24*loaded.Trie().ShardCount()
-				if bs != ls {
-					t.Errorf("SizeBytes (net of shard headers) %d != %d after load", ls, bs)
+				if bs, ls := built.SizeBytes(), loaded.SizeBytes(); bs != ls {
+					t.Errorf("SizeBytes %d != %d after load", ls, bs)
 				}
 				for i, q := range qs {
 					if !reflect.DeepEqual(built.Filter(q), loaded.Filter(q)) {

@@ -40,8 +40,8 @@ import (
 // hold no per-query state in the index itself.
 //
 // Build itself may parallelise *internally* — the path methods fan feature
-// enumeration out over build workers and merge into a sharded postings
-// store (package trie) — but externally it remains strictly exclusive: it
+// enumeration out over build workers and merge into the postings store
+// (package trie) — but externally it remains strictly exclusive: it
 // must be called exactly once, by one goroutine, and no other method of the
 // index may run until it returns. Implementations that build in parallel
 // must join every build goroutine before returning, so that Build's return

@@ -20,7 +20,6 @@ package index
 import (
 	"math/bits"
 	"slices"
-	"sync"
 
 	"repro/internal/trie"
 )
@@ -60,16 +59,6 @@ type ViewScratch struct {
 	out   []int32
 	buf   [2][]int32
 }
-
-var viewScratchPool = sync.Pool{New: func() any { return new(ViewScratch) }}
-
-// GetViewScratch borrows a scratch from the shared pool (used by the
-// count filter's parallel shard-group fan-out).
-func GetViewScratch() *ViewScratch { return viewScratchPool.Get().(*ViewScratch) }
-
-// PutViewScratch returns a scratch to the pool; any result aliasing it
-// must have been copied out first.
-func PutViewScratch(s *ViewScratch) { viewScratchPool.Put(s) }
 
 // IntersectViews intersects the operands and returns the ascending result
 // ids. probeCost is the calibrated galloping probe cost (≤ 0 selects the

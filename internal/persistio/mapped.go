@@ -2,7 +2,7 @@ package persistio
 
 // Read-only random access. Snapshot loads historically streamed the whole
 // file through an io.Reader; the lazy loader instead needs to jump
-// straight to a shard's segment body, or to one posting list's byte span
+// straight to a segment body, or to one posting list's byte span
 // inside it, without touching the bytes in between. RandomAccess is that
 // shape — io.ReaderAt plus a length — and OpenMapped is the file-backed
 // constructor: the file is memory-mapped where the platform supports it
@@ -133,7 +133,7 @@ func (p *preadFile) Close() error {
 // MemMapped is an in-memory RandomAccess over a byte slice — the unit-test
 // and fuzz-target stand-in for a mapped file. The slice is shared, not
 // copied: tests corrupt bytes in place to model on-disk rot between a
-// shard's eviction and its re-fault.
+// posting list's eviction and its re-fault.
 type MemMapped struct {
 	b      []byte
 	closed atomic.Bool
@@ -168,8 +168,8 @@ func (m *MemMapped) Close() error {
 
 // FaultMapped wraps a RandomAccess with injectable read failures, the
 // random-access sibling of FaultFile: the crash/corruption suites use it
-// to prove that an I/O error surfacing when the lazy loader opens a shard
-// or decodes a posting list fails only that probe, not the rest of the
+// to prove that an I/O error surfacing when the lazy loader opens a
+// segment or decodes a posting list fails only that probe, not the rest of the
 // resident index.
 type FaultMapped struct {
 	inner RandomAccess

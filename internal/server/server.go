@@ -666,10 +666,11 @@ func emitEngineMetrics(w io.Writer, mode string, st igq.EngineStats) {
 	fmt.Fprintf(w, "igq_engine_window_pending{mode=%q} %d\n", mode, st.WindowPending)
 	fmt.Fprintf(w, "igq_engine_flushes_total{mode=%q} %d\n", mode, st.Flushes)
 	// Residency gauges of a lazily loaded index (all zero when eager); a
-	// scrape never decodes anything. The unit is the posting list, under
-	// the names the shard-granular loader gave them: resident_shards is
-	// shards with an open offset directory, resident_bytes the decoded
-	// lists, shard_faults list decodes, shard_evictions lists evicted.
+	// scrape never decodes anything. The shard-named gauges keep their
+	// names and are segment-granular: total_shards is the snapshot's
+	// segments, resident_shards the segments with an open offset
+	// directory; resident_bytes is the decoded lists, shard_faults list
+	// decodes, shard_evictions lists evicted.
 	lazy := 0
 	if st.LazyLoaded {
 		lazy = 1

@@ -21,7 +21,7 @@ import (
 // Ready installs the real handler atomically; in-flight warming responses
 // finish as 503s, every request accepted afterwards is served normally.
 // With lazy snapshot loading (igq.WithLazyLoad) the warming window is just
-// the metadata read, so readiness arrives in O(touched shards) — this
+// the metadata read, so readiness arrives in O(touched segments) — this
 // handler is what makes that time observable from outside.
 type Warming struct {
 	h atomic.Pointer[http.Handler]

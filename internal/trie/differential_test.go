@@ -69,7 +69,7 @@ func diffDataset(seed int64, nFeats, nGraphs int) map[string][]Posting {
 // buildPolicy inserts ds into a fresh trie under the given policy, in an
 // order shuffled by seed (container choice must not depend on it).
 func buildPolicy(policy ContainerPolicy, shards int, ds map[string][]Posting, seed int64) *Trie {
-	tr := NewSharded(features.NewDict(), shards)
+	tr := newSegmented(features.NewDict(), shards)
 	tr.SetContainerPolicy(policy)
 	type ins struct {
 		key string
@@ -182,7 +182,7 @@ func TestAdaptiveSaveLoadMutateCycle(t *testing.T) {
 		if _, err := src.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		got := NewSharded(features.NewDict(), 1)
+		got := newSegmented(features.NewDict(), 1)
 		got.SetContainerPolicy(policy)
 		if _, err := got.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatal(err)

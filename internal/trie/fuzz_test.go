@@ -15,7 +15,7 @@ import (
 // a removal (dead-key compaction on write) and a pending resurrection
 // case.
 func fuzzSeedTrie() *Trie {
-	tr := NewSharded(features.NewDict(), 4)
+	tr := newSegmented(features.NewDict(), 4)
 	tr.Insert("ab", Posting{Graph: 0, Count: 2})
 	tr.Insert("abc", Posting{Graph: 0, Count: 1})
 	tr.Insert("abd", Posting{Graph: 1, Count: 4})
@@ -29,7 +29,7 @@ func fuzzSeedTrie() *Trie {
 // contiguous block (runs), an even-id scatter (bitmap), a sparse array and
 // a dense feature with counts riding along.
 func fuzzDenseSeedTrie() *Trie {
-	tr := NewSharded(features.NewDict(), 2)
+	tr := newSegmented(features.NewDict(), 2)
 	for g := int32(0); g < 300; g++ {
 		tr.Insert("block", Posting{Graph: g, Count: 1})
 	}
@@ -123,7 +123,7 @@ func FuzzTrieReadFrom(f *testing.F) {
 	// Seed: snapshot truncated inside the segment directory (mid-header of a
 	// later shard), so the lazy open's eager phase hits EOF while walking
 	// per-shard headers rather than inside a body.
-	probe := NewSharded(features.NewDict(), 0)
+	probe := newSegmented(features.NewDict(), 0)
 	if _, _, err := probe.OpenLazy(bytes.NewReader(dense.Bytes()), LazyOptions{}); err != nil {
 		f.Fatal(err)
 	}
@@ -141,8 +141,14 @@ func FuzzTrieReadFrom(f *testing.F) {
 	lflip[len(lflip)/3] ^= 0x02
 	f.Add(lflip)
 
+	// Seeds: both segment-count extremes — one segment holding every
+	// feature, and 64 segments, most of them empty.
+	for _, k := range []int{1, 64} {
+		f.Add(segmentedSeed(f, k))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr := NewSharded(features.NewDict(), 0)
+		tr := newSegmented(features.NewDict(), 0)
 		// Error, success, or tail recovery — never a panic, never
 		// unbounded allocation, never a half-applied delta.
 		n, rec, err := tr.ReadFromOptions(bytes.NewReader(data), LoadOptions{})
@@ -151,7 +157,7 @@ func FuzzTrieReadFrom(f *testing.F) {
 		// loader on accept/reject — corruption it defers to fault-in has to
 		// surface by Materialize, and it must never reject bytes the eager
 		// loader accepts.
-		lz := NewSharded(features.NewDict(), 0)
+		lz := newSegmented(features.NewDict(), 0)
 		ln, lrec, lerr := lz.OpenLazy(bytes.NewReader(data), LazyOptions{})
 		if lerr == nil {
 			lerr = lz.Materialize()
@@ -180,7 +186,7 @@ func FuzzTrieReadFrom(f *testing.F) {
 		}
 		if rec == nil {
 			// A clean load must agree with strict mode.
-			str := NewSharded(features.NewDict(), 0)
+			str := newSegmented(features.NewDict(), 0)
 			if _, rec2, err2 := str.ReadFromOptions(bytes.NewReader(data), LoadOptions{Strict: true}); err2 != nil || rec2 != nil {
 				t.Fatalf("clean load disagrees with strict mode: err=%v rec=%+v", err2, rec2)
 			}
@@ -190,14 +196,14 @@ func FuzzTrieReadFrom(f *testing.F) {
 		// committed prefix plus a terminator must be a well-formed snapshot
 		// decoding to the identical trie (the committed-prefix oracle — the
 		// recovered state contains exactly the fully-committed sections).
-		if _, _, err := NewSharded(features.NewDict(), 0).ReadFromOptions(bytes.NewReader(data), LoadOptions{Strict: true}); err == nil {
+		if _, _, err := newSegmented(features.NewDict(), 0).ReadFromOptions(bytes.NewReader(data), LoadOptions{Strict: true}); err == nil {
 			t.Fatal("strict mode accepted a snapshot the default mode had to recover")
 		}
 		if rec.CommittedBytes < 0 || rec.CommittedBytes > int64(len(data)) || n < rec.CommittedBytes {
 			t.Fatalf("recovery offsets out of range: %+v (n=%d len=%d)", rec, n, len(data))
 		}
 		prefix := append(append([]byte(nil), data[:rec.CommittedBytes]...), sectionEnd)
-		oracle := NewSharded(features.NewDict(), 0)
+		oracle := newSegmented(features.NewDict(), 0)
 		if _, rec2, err := oracle.ReadFromOptions(bytes.NewReader(prefix), LoadOptions{Strict: true}); err != nil || rec2 != nil {
 			t.Fatalf("committed prefix fails strict load: err=%v rec=%+v", err, rec2)
 		}
@@ -276,15 +282,28 @@ func (m *memFile) Seek(offset int64, whence int) (int64, error) {
 // segmentBodies returns the segment bodies of a well-formed snapshot.
 func segmentBodies(f *testing.F, snap []byte) [][]byte {
 	f.Helper()
-	tr := NewSharded(features.NewDict(), 0)
+	tr := newSegmented(features.NewDict(), 0)
 	if _, _, err := tr.OpenLazy(bytes.NewReader(snap), LazyOptions{}); err != nil {
 		f.Fatal(err)
 	}
 	var out [][]byte
-	for _, seg := range tr.lazyLive.Load().segs {
-		out = append(out, snap[seg.off:seg.off+int64(seg.len)])
+	segs := tr.lazyLive.Load().segs
+	for s := range segs {
+		out = append(out, snap[segs[s].off:segs[s].off+int64(segs[s].len)])
 	}
 	return out
+}
+
+// segmentedSeed is the dense seed trie's snapshot written at k segments.
+func segmentedSeed(f *testing.F, k int) []byte {
+	f.Helper()
+	tr := fuzzDenseSeedTrie()
+	tr.SetSegments(k)
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // scanFuzzKeys is the dictionary size of FuzzLazySegmentScan's wrapper.
@@ -367,6 +386,14 @@ func FuzzLazySegmentScan(f *testing.F) {
 	f.Add(append(uv(1, 1), append([]byte{segTagArray}, uv(1, 5)...)...))            // odd ID in the even segment
 	f.Add(append(uv(1, scanFuzzKeys), append([]byte{segTagArray}, uv(1, 5)...)...)) // ID outside the dictionary
 	f.Add(append(append(uv(1, 0), append([]byte{segTagArray}, uv(1, 5)...)...), 0)) // trailing byte
+	// The non-empty segment bodies of both segment-count extremes.
+	for _, k := range []int{1, 64} {
+		for _, body := range segmentBodies(f, segmentedSeed(f, k)) {
+			if len(body) > 1 {
+				f.Add(body)
+			}
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		snap, lo, hi := scanFuzzSnapshot(body)

@@ -296,7 +296,7 @@ func decodeJournalBody(body []byte) (JournalStamp, []mutOp, error) {
 func (t *Trie) replayJournal(stamp JournalStamp, ops []mutOp) {
 	m := &Mutation{base: t, ops: ops}
 	nt := m.Apply()
-	t.shards = nt.shards
+	t.pages = nt.pages
 	t.dead = nt.dead
 	st := stamp
 	t.stamp = &st

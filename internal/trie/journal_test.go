@@ -19,7 +19,7 @@ func TestJournalReplayDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(7 + shards)))
 			table := map[int32][]GraphFeature{}
-			cur := NewSharded(features.NewDict(), shards)
+			cur := newSegmented(features.NewDict(), shards)
 			next := int32(0)
 
 			mut := cur.NewMutation()
@@ -83,7 +83,7 @@ func TestJournalReplayDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				back := NewSharded(features.NewDict(), shards)
+				back := newSegmented(features.NewDict(), shards)
 				if _, err := back.ReadFrom(bytes.NewReader(data)); err != nil {
 					t.Fatalf("step %d: reloading journaled snapshot: %v", step, err)
 				}
@@ -105,7 +105,7 @@ func TestJournalReplayDifferential(t *testing.T) {
 			if _, err := cur.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-			flat := NewSharded(features.NewDict(), shards)
+			flat := newSegmented(features.NewDict(), shards)
 			if _, err := flat.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestJournalReplayDifferential(t *testing.T) {
 // the committed prefix with a TailRecovery report, never a panic and
 // never a half-applied delta.
 func TestJournalCorruption(t *testing.T) {
-	tr := NewSharded(features.NewDict(), 2)
+	tr := newSegmented(features.NewDict(), 2)
 	mut := tr.NewMutation()
 	mut.AppendGraph(0, []GraphFeature{{Key: "ab", Count: 1}, {Key: "cd", Count: 2}})
 	tr = mut.Apply()
@@ -162,11 +162,11 @@ func TestJournalCorruption(t *testing.T) {
 	// survived) and report the torn tail.
 	check := func(name string, data []byte, wantState string, wantDropped int) {
 		t.Run(name, func(t *testing.T) {
-			strict := NewSharded(features.NewDict(), 2)
+			strict := newSegmented(features.NewDict(), 2)
 			if _, rec, err := strict.ReadFromOptions(bytes.NewReader(data), LoadOptions{Strict: true}); err == nil || rec != nil {
 				t.Errorf("strict load of corrupt snapshot: err=%v rec=%+v", err, rec)
 			}
-			back := NewSharded(features.NewDict(), 2)
+			back := newSegmented(features.NewDict(), 2)
 			n, rec, err := back.ReadFromOptions(bytes.NewReader(data), LoadOptions{})
 			if err != nil {
 				t.Fatalf("tail recovery failed: %v", err)
@@ -191,7 +191,7 @@ func TestJournalCorruption(t *testing.T) {
 			// Committed-prefix oracle: the prefix plus a terminator is a
 			// well-formed snapshot holding exactly the recovered state.
 			prefix := append(append([]byte(nil), data[:rec.CommittedBytes]...), sectionEnd)
-			clean := NewSharded(features.NewDict(), 2)
+			clean := newSegmented(features.NewDict(), 2)
 			if _, rec2, err := clean.ReadFromOptions(bytes.NewReader(prefix), LoadOptions{Strict: true}); err != nil || rec2 != nil {
 				t.Fatalf("committed prefix does not load strictly: err=%v rec=%+v", err, rec2)
 			}
@@ -204,7 +204,7 @@ func TestJournalCorruption(t *testing.T) {
 			if err := RepairSnapshotTail(mf, rec); err != nil {
 				t.Fatal(err)
 			}
-			repaired := NewSharded(features.NewDict(), 2)
+			repaired := newSegmented(features.NewDict(), 2)
 			if _, rec3, err := repaired.ReadFromOptions(bytes.NewReader(mf.b), LoadOptions{Strict: true}); err != nil || rec3 != nil {
 				t.Fatalf("repaired snapshot does not load strictly: err=%v rec=%+v", err, rec3)
 			}
@@ -224,7 +224,7 @@ func TestJournalCorruption(t *testing.T) {
 	// recovery mode: only the journal tail is salvageable.
 	seg := append([]byte(nil), good...)
 	seg[len(base.Bytes())/2] ^= 0x10
-	broken := NewSharded(features.NewDict(), 2)
+	broken := newSegmented(features.NewDict(), 2)
 	if _, rec, err := broken.ReadFromOptions(bytes.NewReader(seg), LoadOptions{}); err == nil {
 		t.Errorf("base corruption recovered (rec=%+v); want hard failure", rec)
 	}

@@ -11,35 +11,35 @@ package trie
 //     section stream, with the same torn-tail recovery contract as the
 //     streaming loader. Journal ops are decoded and validated in full,
 //     their new feature keys interned in the exact order a live replay
-//     would intern them, and the ops are projected into per-shard pending
-//     overlays.
+//     would intern them, and the ops are projected into per-segment
+//     pending overlays.
 //   - The *lazy phase* is demand paging at posting-list granularity. The
-//     first probe into a shard opens its *directory*: one positioned read
-//     of the segment body, the CRC check, and an allocation-free framing
-//     scan (the ordinary decoders in skip mode, so it accepts and rejects
-//     exactly what a full decode would) that records where each feature's
-//     entry starts. A journaled shard also replays its pending overlay
-//     then, once, over just the features the overlay touches, through the
-//     same Mutation.Apply path live mutation uses; the outcome is kept as
-//     a compact patch that every later probe consults before the segment
-//     bytes. After that a probe decodes only the posting list it asks for,
-//     from that list's byte span, and publishes it in a per-shard slot
-//     array indexed by id >> log2(shards); a hit is one mask, one atomic
-//     pointer load and a reference-bit store. A CLOCK hand over the slots
-//     evicts decoded lists — never directories — once the resident bytes
-//     exceed the budget.
+//     first probe into a segment (the features with ID mod K = s) opens
+//     its *directory*: one positioned read of the segment body, the CRC
+//     check, and an allocation-free framing scan (the ordinary decoders in
+//     skip mode, so it accepts and rejects exactly what a full decode
+//     would) that records where each feature's entry starts. A journaled
+//     segment also replays its pending overlay then, once, over just the
+//     features the overlay touches, through the same Mutation.Apply path
+//     live mutation uses; the outcome is kept as a compact patch that
+//     every later probe consults before the segment bytes. After that a
+//     probe decodes only the posting list it asks for, from that list's
+//     byte span, and publishes it in a slot array indexed by FeatureID; a
+//     hit is one atomic pointer load and a reference-bit store. A CLOCK
+//     hand over the slots evicts decoded lists — never directories — once
+//     the resident bytes exceed the budget.
 //
 // What is pinned, outside the budget: the dictionary; 8 bytes of slot per
-// dictionary entry from open; 4 bytes of offset per entry of every shard
-// whose directory is open; and the overlay patches of journaled shards.
+// dictionary entry from open; 4 bytes of offset per entry of every segment
+// whose directory is open; and the overlay patches of journaled segments.
 // What is paged, inside the budget: decoded posting lists, at 48 +
 // SizeBytes() each (the list record plus its containers).
 //
 // Error placement moves with the work: base damage that the streaming
 // loader reports at load time (a bad segment CRC, a corrupt posting list)
 // surfaces from OpenLazy only when it is structural to the segment table
-// (truncated bodies, bad lengths) and otherwise when the shard's directory
-// is opened, wrapped in ErrCorrupt, poisoning only that shard — the
+// (truncated bodies, bad lengths) and otherwise when the segment's
+// directory is opened, wrapped in ErrCorrupt, poisoning only that segment — the
 // directory stays closed and a later probe retries. The CRC is checked
 // there (and again when Materialize decodes a whole segment), not on each
 // posting decode: a later decode re-reads only its span, validates it
@@ -49,7 +49,7 @@ package trie
 //
 // Mutation, persistence and whole-store accounting force-materialise
 // first (Materialize / ensureMaterialized): every segment is decoded whole
-// into its shard's page table, and the trie becomes an ordinary eager trie —
+// into the page table, and the trie becomes an ordinary eager trie —
 // a Materialize'd lazy load is observationally identical to ReadFrom,
 // including re-Save bytes.
 
@@ -58,7 +58,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -96,23 +95,23 @@ type LazyOptions struct {
 // Residency reports a trie's lazy-loading state. The zero value (Lazy
 // false) means the trie was not lazily opened. The unit of residency is
 // the posting list; the shard-named fields keep their names for the
-// serving layer's gauges.
+// serving layer's gauges and count snapshot segments.
 type Residency struct {
 	Lazy           bool
-	TotalShards    int
-	ResidentShards int   // shards whose directory is open (all of them once Materialized)
+	TotalShards    int   // segments in the snapshot
+	ResidentShards int   // segments whose directory is open (all of them once Materialized)
 	ResidentBytes  int64 // decoded posting lists resident, 48 + SizeBytes() each (the eager SizeBytes once Materialized)
 	BudgetBytes    int64
 	Faults         int64 // posting-list decodes from segment bytes, re-decodes after eviction included
 	Evictions      int64 // posting lists evicted under the budget
-	OverlayReplays int64 // journal-overlay replays (once per journaled shard, when its directory opens)
+	OverlayReplays int64 // journal-overlay replays (once per journaled segment, when its directory opens)
 	Materialized   bool
 }
 
 // ShardFaultError is the panic payload of a lazy read path that cannot
-// return an error (GetByID, Walk postings): opening the shard's directory
-// or decoding the probed list failed. Shard is -1 when the failure was a
-// whole-trie materialise.
+// return an error (GetByID, Walk postings): opening the segment's
+// directory or decoding the probed list failed. Shard is the segment, or -1
+// when the failure was a whole-trie materialise.
 type ShardFaultError struct {
 	Shard int
 	Err   error
@@ -122,16 +121,20 @@ func (e *ShardFaultError) Error() string {
 	if e.Shard < 0 {
 		return fmt.Sprintf("trie: lazy materialize: %v", e.Err)
 	}
-	return fmt.Sprintf("trie: shard %d fault-in: %v", e.Shard, e.Err)
+	return fmt.Sprintf("trie: segment %d fault-in: %v", e.Shard, e.Err)
 }
 
 func (e *ShardFaultError) Unwrap() error { return e.Err }
 
-// lazySeg is one segment-table entry: where a shard's body lives.
+// lazySeg is one segment: where its body lives, and its directory once
+// the first probe has opened it.
 type lazySeg struct {
 	off int64 // absolute body offset within src
 	len int   // body length
 	crc uint32
+
+	dir atomic.Pointer[segDir] // nil until the first probe opens it
+	mu  sync.Mutex             // serialises opening the directory
 }
 
 // lazyList is one decoded posting list in its residency slot. Immutable
@@ -144,12 +147,12 @@ type lazyList struct {
 	ref   atomic.Bool // CLOCK reference bit: set by probes, cleared by the hand
 }
 
-// shardDir is one shard's open directory, pinned once published. off holds
-// CSR offsets over the slot array: slot i's entry (its idΔ varint and
-// posting list) is body[off[i]:off[i+1]], empty when the segment holds no
-// such feature.
+// segDir is one segment's open directory, pinned once published. off holds
+// CSR offsets over the segment's residue class: the entry (idΔ varint and
+// posting list) of the feature with ID i·K + s is body[off[i]:off[i+1]],
+// empty when the segment holds no such feature.
 //
-// patch and drained are the cached outcome of a journaled shard's one-time
+// patch and drained are the cached outcome of a journaled segment's one-time
 // overlay replay (both nil otherwise): the post-replay list of every
 // feature the overlay ops touch — the zero list where the replay deleted
 // it, or it never existed — and the dead-set contribution. Probes consult
@@ -158,38 +161,30 @@ type lazyList struct {
 // OpenLazy (mutation goes through Materialize first) and lists are
 // immutable once built. If overlays ever become mutable on a live lazy
 // trie, the patch must be dropped wherever they change.
-type shardDir struct {
+type segDir struct {
 	off     []uint32
 	patch   map[features.FeatureID]PostingList
 	drained []features.FeatureID
 }
 
-// lazyShard is one shard's residency state.
-type lazyShard struct {
-	slots []atomic.Pointer[lazyList] // by id >> log2(shards); nil = cold
-	dir   atomic.Pointer[shardDir]   // nil until the first probe opens it
-	mu    sync.Mutex                 // serialises opening the directory
-}
-
 // lazyState is everything OpenLazy defers: the mapped source, the segment
-// table, the per-shard journal overlays, and the residency slots.
+// table, the per-segment journal overlays, and the residency slots.
 type lazyState struct {
 	src      RandomAccessFile
 	dict     *features.Dict
 	segs     []lazySeg
-	overlays [][]mutOp // per-shard projected journal ops, replay order
+	overlays [][]mutOp // per-segment projected journal ops, replay order
 	remap    []features.FeatureID
 	version  uint64
 	policy   ContainerPolicy
 	budget   int64
 	workers  int
-	mask     uint32
-	shift    uint32 // log2(shards)
+	mask     uint32 // K-1: a feature's segment is id & mask
 	nIDs     int    // dictionary length at open: the cycle of the CLOCK hand
 
-	shards []lazyShard
-	eager  []shard    // the owning trie's shards, filled in by Materialize
-	matMu  sync.Mutex // serialises Materialize
+	slots []atomic.Pointer[lazyList] // by FeatureID; nil = cold
+	eager table                      // the decoded table, set by Materialize
+	matMu sync.Mutex                 // serialises Materialize
 
 	// srcMu orders cold probes against Materialize: a probe holds it shared
 	// while it reads src and publishes; Materialize takes it exclusively to
@@ -299,19 +294,16 @@ func (r *raScanner) Skip(n int64) {
 // OpenLazy replaces the trie's contents with a snapshot opened for lazy
 // loading: the eager phase above runs now, posting lists decode on first
 // touch. Contract mirrors ReadFromOptions — same dictionary interning,
-// same saved-layout adoption, same torn-tail recovery and byte count (the
+// same segment-count adoption, same torn-tail recovery and byte count (the
 // count covers the whole consumed prefix, including a discarded tail) —
 // except that base damage *inside* a segment body (CRC, posting structure)
-// surfaces when that shard's directory is opened rather than here.
+// surfaces when that segment's directory is opened rather than here.
 //
 // Two snapshot shapes cannot load lazily and transparently fall back to a
 // full eager decode over src: version-1 files (no section stream) and
-// loads into a non-empty dictionary (the ID remap breaks the segment ↔
-// shard correspondence the directories rely on). Either way the returned
-// values are exactly what ReadFromOptions would report.
-//
-// The trie adopts the *saved* shard layout; Reshard (which would
-// materialise anyway) is the override point. src must remain readable
+// loads into a non-empty dictionary (the ID remap breaks the residue
+// classes the directories rely on). Either way the returned values are
+// exactly what ReadFromOptions would report. src must remain readable
 // until Materialize returns nil.
 func (t *Trie) OpenLazy(src RandomAccessFile, opt LazyOptions) (int64, *TailRecovery, error) {
 	if opt.Workers <= 0 {
@@ -370,7 +362,7 @@ func (t *Trie) OpenLazy(src RandomAccessFile, opt LazyOptions) (int64, *TailReco
 	// replay's Mutation.Apply would intern them (append inserts, then the
 	// re-homed inserts of a swap-removal), so journal-new features get the
 	// same FeatureIDs the eager loader assigns — which is also what routes
-	// them to the right overlay shard.
+	// them to the right overlay segment.
 	for _, j := range journals {
 		for _, op := range j.ops {
 			if op.kind == opAppend || (op.kind == opRemove && op.swapped != op.graph) {
@@ -398,9 +390,9 @@ func (t *Trie) OpenLazy(src RandomAccessFile, opt LazyOptions) (int64, *TailReco
 					overlays[s] = append(overlays[s], mutOp{kind: opAppend, graph: op.graph, swapped: op.graph, feats: fs})
 				}
 			case opRemove:
-				// Per-feature effects are local to the feature's shard, so
+				// Per-feature effects are local to the feature's segment, so
 				// the op projects exactly: scrub keys and swapped-graph
-				// re-homes are filtered by shard, order preserved. Scrub
+				// re-homes are filtered by segment, order preserved. Scrub
 				// keys absent from the dictionary are no-ops either way.
 				var featsBy map[int][]GraphFeature
 				if op.swapped != op.graph {
@@ -424,8 +416,6 @@ func (t *Trie) OpenLazy(src RandomAccessFile, opt LazyOptions) (int64, *TailReco
 		}
 	}
 
-	// Placeholder shards with empty tables, filled in by Materialize.
-	shards := make([]shard, k)
 	ls := &lazyState{
 		src:      src,
 		dict:     t.dict,
@@ -437,18 +427,14 @@ func (t *Trie) OpenLazy(src RandomAccessFile, opt LazyOptions) (int64, *TailReco
 		budget:   opt.BudgetBytes,
 		workers:  opt.Workers,
 		mask:     mask,
-		shift:    uint32(bits.TrailingZeros(uint(k))),
 		nIDs:     t.dict.Len(),
-		shards:   make([]lazyShard, k),
-		eager:    shards,
 	}
 	// One slot per dictionary entry, journal-new features included: IDs
 	// interned after this point hold no postings here and fall off the end.
-	for i := range ls.shards {
-		ls.shards[i].slots = make([]atomic.Pointer[lazyList], (ls.nIDs+k-1)/k)
-	}
+	ls.slots = make([]atomic.Pointer[lazyList], ls.nIDs)
 
-	t.setLayout(shards)
+	t.pages = nil // filled in by Materialize
+	t.segments = k
 	t.dead = nil
 	t.recovered = rec
 	t.stamp = nil
@@ -465,48 +451,47 @@ func (t *Trie) OpenLazy(src RandomAccessFile, opt LazyOptions) (int64, *TailReco
 // else through fault. Failure panics with *ShardFaultError (GetByID cannot
 // return an error); the engine's query panic containment converts it.
 func (ls *lazyState) get(id features.FeatureID) PostingList {
-	s := int(uint32(id) & ls.mask)
-	slots := ls.shards[s].slots
-	slot := int(uint32(id) >> ls.shift)
-	if slot >= len(slots) {
+	if int(id) >= len(ls.slots) {
 		return PostingList{} // interned after the snapshot was opened
 	}
-	if l := slots[slot].Load(); l != nil {
+	if l := ls.slots[id].Load(); l != nil {
 		if !l.ref.Load() { // test first: hot lists stay in shared cache lines
 			l.ref.Store(true)
 		}
 		return l.pl
 	}
-	pl, err := ls.fault(s, slot, id)
+	pl, err := ls.fault(id)
 	if err != nil {
-		panic(&ShardFaultError{Shard: s, Err: err})
+		panic(&ShardFaultError{Shard: int(uint32(id) & ls.mask), Err: err})
 	}
 	return pl
 }
 
-// fault is the cold path of a probe: open the shard's directory if this is
-// its first touch, then take the list from the overlay patch or decode it
-// from its byte span, and publish it. Failure leaves the slot cold and
+// fault is the cold path of a probe: open the segment's directory if this
+// is its first touch, then take the list from the overlay patch or decode
+// it from its byte span, and publish it. Failure leaves the slot cold and
 // poisons nothing else; a later probe retries from scratch.
-func (ls *lazyState) fault(s, slot int, id features.FeatureID) (PostingList, error) {
+func (ls *lazyState) fault(id features.FeatureID) (PostingList, error) {
 	ls.srcMu.RLock()
 	defer ls.srcMu.RUnlock()
 	if ls.materialized.Load() {
-		return ls.eager[s].get(uint32(slot)), nil // a probe that outlived Materialize
+		return ls.eager.get(id), nil // a probe that outlived Materialize
 	}
+	s := int(uint32(id) & ls.mask)
 	d, err := ls.openDir(s, nil)
 	if err != nil {
 		return PostingList{}, err
 	}
 	pl, patched := d.patch[id]
 	if !patched {
-		lo, hi := d.off[slot], d.off[slot+1]
+		i := ls.segIndex(id)
+		lo, hi := d.off[i], d.off[i+1]
 		if lo == hi {
 			return PostingList{}, nil // no such feature in this snapshot
 		}
 		buf := make([]byte, hi-lo)
 		if err := ls.readAt(buf, ls.segs[s].off+int64(lo)); err != nil {
-			return PostingList{}, fmt.Errorf("trie: shard %d posting read: %w", s, err)
+			return PostingList{}, fmt.Errorf("trie: segment %d posting read: %w", s, err)
 		}
 		if pl, err = ls.decodeEntry(buf); err != nil {
 			return PostingList{}, fmt.Errorf("segment %d: %w", s, err)
@@ -515,7 +500,13 @@ func (ls *lazyState) fault(s, slot int, id features.FeatureID) (PostingList, err
 	if pl.Len() == 0 {
 		return pl, nil
 	}
-	return ls.publish(&ls.shards[s].slots[slot], pl, !patched), nil
+	return ls.publish(&ls.slots[id], pl, !patched), nil
+}
+
+// segIndex is id's position within its segment's residue class: the
+// directory index of its entry.
+func (ls *lazyState) segIndex(id features.FeatureID) int {
+	return int(uint32(id) / (ls.mask + 1))
 }
 
 // decodeEntry decodes one directory entry — the idΔ varint the open-time
@@ -562,11 +553,10 @@ func (ls *lazyState) publish(slot *atomic.Pointer[lazyList], pl PostingList, dec
 // guaranteed and a list larger than the budget stays resident alone.
 func (ls *lazyState) evictLocked(keep *lazyList) {
 	for ls.resBytes > ls.budget && ls.resLists > 1 {
-		id := uint32(ls.hand)
+		slot := &ls.slots[ls.hand]
 		if ls.hand++; ls.hand == ls.nIDs {
 			ls.hand = 0
 		}
-		slot := &ls.shards[id&ls.mask].slots[id>>ls.shift]
 		switch l := slot.Load(); {
 		case l == nil || l == keep:
 		case l.ref.Load():
@@ -590,12 +580,12 @@ func (ls *lazyState) readAt(p []byte, off int64) error {
 	return nil
 }
 
-// readSegment reads shard s's whole segment body and verifies its CRC.
+// readSegment reads segment s's whole body and verifies its CRC.
 func (ls *lazyState) readSegment(s int) ([]byte, error) {
-	seg := ls.segs[s]
+	seg := &ls.segs[s]
 	body := make([]byte, seg.len)
 	if err := ls.readAt(body, seg.off); err != nil {
-		return nil, fmt.Errorf("trie: shard %d segment read: %w", s, err)
+		return nil, fmt.Errorf("trie: segment %d read: %w", s, err)
 	}
 	if crc32.ChecksumIEEE(body) != seg.crc {
 		return nil, fmt.Errorf("%w: segment %d CRC mismatch", ErrCorrupt, s)
@@ -603,18 +593,18 @@ func (ls *lazyState) readSegment(s int) ([]byte, error) {
 	return body, nil
 }
 
-// openDir returns shard s's directory, building it on first touch from
+// openDir returns segment s's directory, building it on first touch from
 // body (read and CRC-checked here when the caller has not already): the
-// framing scan, plus the overlay replay for a journaled shard. Failure
+// framing scan, plus the overlay replay for a journaled segment. Failure
 // leaves the directory closed; the next touch retries.
-func (ls *lazyState) openDir(s int, body []byte) (*shardDir, error) {
-	sh := &ls.shards[s]
-	if d := sh.dir.Load(); d != nil {
+func (ls *lazyState) openDir(s int, body []byte) (*segDir, error) {
+	seg := &ls.segs[s]
+	if d := seg.dir.Load(); d != nil {
 		return d, nil
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if d := sh.dir.Load(); d != nil {
+	seg.mu.Lock()
+	defer seg.mu.Unlock()
+	if d := seg.dir.Load(); d != nil {
 		return d, nil
 	}
 	if body == nil {
@@ -624,14 +614,15 @@ func (ls *lazyState) openDir(s int, body []byte) (*shardDir, error) {
 		}
 	}
 	// The scan: every entry's framing and posting list is validated by the
-	// ordinary decoders in skip mode, and off[slot] is set to the start of
-	// the first entry at or after slot — features arrive in ascending ID
-	// order, hence ascending slot order.
-	off := make([]uint32, len(sh.slots)+1)
+	// ordinary decoders in skip mode, and off[i] is set to the start of
+	// the first entry at or after index i — features arrive in ascending
+	// ID order, hence ascending index order.
+	k := int(ls.mask) + 1
+	off := make([]uint32, (ls.nIDs+k-1)/k+1) // one more than the indices below nIDs
 	next := 0
 	sd := &segDecoder{b: body, skip: true}
 	err := walkSegment(sd, ls.remap, ls.mask, uint32(s), func(id features.FeatureID, entry int) error {
-		for slot := int(uint32(id) >> ls.shift); next <= slot; next++ {
+		for i := ls.segIndex(id); next <= i; next++ {
 			off[next] = uint32(entry)
 		}
 		_, err := sd.decodeList(ls.version, ls.policy)
@@ -643,7 +634,7 @@ func (ls *lazyState) openDir(s int, body []byte) (*shardDir, error) {
 	for ; next < len(off); next++ {
 		off[next] = uint32(len(body))
 	}
-	d := &shardDir{off: off}
+	d := &segDir{off: off}
 	ops := ls.overlays[s]
 	if len(ops) > 0 {
 		if d.patch, d.drained, err = ls.replayOverlay(ops, body, off); err != nil {
@@ -651,7 +642,7 @@ func (ls *lazyState) openDir(s int, body []byte) (*shardDir, error) {
 		}
 	}
 	ls.mu.Lock()
-	sh.dir.Store(d)
+	seg.dir.Store(d)
 	ls.openDirs++
 	if len(ops) > 0 {
 		ls.replays++
@@ -660,9 +651,8 @@ func (ls *lazyState) openDir(s int, body []byte) (*shardDir, error) {
 	return d, nil
 }
 
-// replayOverlay replays one shard's pending journal ops, once, through the
-// live mutation path against a single-shard scratch trie (mask 0 and shift
-// 0 put every projected feature at slot = its ID) holding just the features
+// replayOverlay replays one segment's pending journal ops, once, through
+// the live mutation path against a scratch trie holding just the features
 // the ops touch — Apply edits nothing else — so the patched lists are
 // bit-identical to an eager load's journal replay. The touched set is read
 // off the ops themselves: append/re-home features were pre-interned by
@@ -670,16 +660,16 @@ func (ls *lazyState) openDir(s int, body []byte) (*shardDir, error) {
 // them, so Lookup resolves everything the replay could edit.
 func (ls *lazyState) replayOverlay(ops []mutOp, body []byte, off []uint32) (patch map[features.FeatureID]PostingList, drained []features.FeatureID, err error) {
 	patch = make(map[features.FeatureID]PostingList) // every touched feature
-	tmp := &Trie{dict: ls.dict, shards: make([]shard, 1), policy: ls.policy}
+	tmp := &Trie{dict: ls.dict, policy: ls.policy}
 	note := func(key string) error {
 		id, ok := ls.dict.Lookup(key)
 		if _, seen := patch[id]; !ok || seen {
 			return nil
 		}
 		patch[id] = PostingList{}
-		slot := uint32(id) >> ls.shift
-		if lo, hi := off[slot], off[slot+1]; lo < hi {
-			if *tmp.at(id), err = ls.decodeEntry(body[lo:hi]); err != nil {
+		i := ls.segIndex(id)
+		if lo, hi := off[i], off[i+1]; lo < hi {
+			if *tmp.pages.at(id), err = ls.decodeEntry(body[lo:hi]); err != nil {
 				return err
 			}
 		}
@@ -699,7 +689,7 @@ func (ls *lazyState) replayOverlay(ops []mutOp, body []byte, off []uint32) (patc
 	}
 	nt := (&Mutation{base: tmp, ops: ops}).Apply()
 	for id := range patch {
-		patch[id] = nt.get(id) // the zero list where the replay deleted it
+		patch[id] = nt.pages.get(id) // the zero list where the replay deleted it
 	}
 	for id := range nt.dead {
 		drained = append(drained, id)
@@ -707,43 +697,44 @@ func (ls *lazyState) replayOverlay(ops []mutOp, body []byte, off []uint32) (patc
 	return patch, drained, nil
 }
 
-// decodeShard is Materialize's whole-shard path: the segment decoded in
+// decodeInto is Materialize's whole-segment path: segment s decoded in
 // full exactly as the streaming loader would, with the overlay patch laid
-// over it. It opens the shard's directory on the way (sharing the one body
-// read), so a journaled shard's overlay is still replayed exactly once.
-func (ls *lazyState) decodeShard(s int) (shard, []features.FeatureID, error) {
-	var sh shard
+// over it, into its residue class of tb (pre-sized, so concurrent segments
+// write disjoint entries). It opens the segment's directory on the way
+// (sharing the one body read), so a journaled segment's overlay is still
+// replayed exactly once.
+func (ls *lazyState) decodeInto(tb table, s int) ([]features.FeatureID, error) {
 	body, err := ls.readSegment(s)
 	if err != nil {
-		return sh, nil, err
+		return nil, err
 	}
 	d, err := ls.openDir(s, body)
 	if err != nil {
-		return sh, nil, err
+		return nil, err
 	}
 	if err := decodeSegment(body, ls.remap, ls.mask, uint32(s), ls.version, ls.policy, func(id features.FeatureID, pl PostingList) {
-		*sh.at(uint32(id) >> ls.shift) = pl
+		*tb.at(id) = pl
 	}); err != nil {
-		return sh, nil, fmt.Errorf("segment %d: %w", s, err)
+		return nil, fmt.Errorf("segment %d: %w", s, err)
 	}
 	for id, pl := range d.patch {
-		if slot := uint32(id) >> ls.shift; pl.ids != nil || sh.get(slot).ids != nil {
-			*sh.at(slot) = pl // the zero list where the replay drained it
+		if pl.ids != nil || tb.get(id).ids != nil {
+			*tb.at(id) = pl // the zero list where the replay drained it
 		}
 	}
-	return sh, d.drained, nil
+	return d.drained, nil
 }
 
-// FaultInShard opens shard s's directory (tests and warm-up): the segment
-// is read, CRC-checked and scanned, no posting list is decoded. No-op with
-// a nil error on an eager or already-materialised trie.
+// FaultInShard opens segment s's directory (tests and warm-up): the
+// segment is read, CRC-checked and scanned, no posting list is decoded.
+// No-op with a nil error on an eager or already-materialised trie.
 func (t *Trie) FaultInShard(s int) error {
 	ls := t.lazyLive.Load()
 	if ls == nil {
 		return nil
 	}
-	if s < 0 || s >= len(ls.shards) {
-		return fmt.Errorf("trie: shard %d out of range [0, %d)", s, len(ls.shards))
+	if s < 0 || s >= len(ls.segs) {
+		return fmt.Errorf("trie: segment %d out of range [0, %d)", s, len(ls.segs))
 	}
 	ls.srcMu.RLock()
 	defer ls.srcMu.RUnlock()
@@ -761,7 +752,7 @@ func (t *Trie) FaultInShard(s int) error {
 // needed. Mutation and persistence call this implicitly. Concurrent
 // readers keep being served from the slots until the switch is published.
 // On error (a corrupt or unreadable segment) the trie stays lazy and
-// serviceable for every healthy shard. No-op on an eager trie.
+// serviceable for every healthy segment. No-op on an eager trie.
 func (t *Trie) Materialize() error {
 	ls := t.lazyLive.Load()
 	if ls == nil {
@@ -772,27 +763,28 @@ func (t *Trie) Materialize() error {
 	if t.lazyLive.Load() == nil {
 		return nil // lost the race to a concurrent Materialize
 	}
-	k := len(ls.shards)
-	tables := make([]shard, k)
+	k := len(ls.segs)
+	var tb table
+	tb.grow(ls.nIDs)
 	drained := make([][]features.FeatureID, k)
 	errs := make([]error, k)
 	ParallelFor(k, ls.workers, func(_ int, claim func() int) {
 		for s := claim(); s >= 0; s = claim() {
-			tables[s], drained[s], errs[s] = ls.decodeShard(s)
+			drained[s], errs[s] = ls.decodeInto(tb, s)
 		}
 	})
 	for s, err := range errs {
 		if err != nil {
-			return fmt.Errorf("trie: materialize shard %d: %w", s, err)
+			return fmt.Errorf("trie: materialize segment %d: %w", s, err)
 		}
 	}
-	// Install the decoded tables. Concurrent readers still route through
+	// Install the decoded table. Concurrent readers still route through
 	// the slots until the Store(nil) below publishes the eager trie — the
 	// atomic pointer is the release/acquire edge covering all these plain
 	// writes.
+	t.pages = tb
 	t.dead = nil
 	for s := 0; s < k; s++ {
-		t.shards[s] = tables[s]
 		for _, id := range drained[s] {
 			if t.dead == nil {
 				t.dead = make(map[features.FeatureID]struct{})
@@ -802,19 +794,20 @@ func (t *Trie) Materialize() error {
 	}
 	full := int64(t.tableSizeBytes())
 	// Wait out the cold probes still reading src; later ones see the flag
-	// and answer from the tables just installed (ls.eager is t.shards).
+	// and answer from the table just installed.
 	ls.srcMu.Lock()
+	ls.eager = tb
 	ls.materialized.Store(true)
 	ls.srcMu.Unlock()
 	t.lazyLive.Store(nil)
 	// Nothing publishes any more: drop the paged lists and the directories
 	// (Residency keeps ls reachable) and report the whole store resident.
 	ls.mu.Lock()
-	for s := range ls.shards {
-		for i := range ls.shards[s].slots {
-			ls.shards[s].slots[i].Store(nil)
-		}
-		ls.shards[s].dir.Store(nil)
+	for i := range ls.slots {
+		ls.slots[i].Store(nil)
+	}
+	for s := range ls.segs {
+		ls.segs[s].dir.Store(nil)
 	}
 	ls.resBytes, ls.resLists, ls.openDirs = full, 0, k
 	ls.mu.Unlock()
@@ -845,7 +838,7 @@ func (t *Trie) Residency() Residency {
 	defer ls.mu.Unlock()
 	return Residency{
 		Lazy:           true,
-		TotalShards:    len(ls.shards),
+		TotalShards:    len(ls.segs),
 		ResidentShards: ls.openDirs,
 		ResidentBytes:  ls.resBytes,
 		BudgetBytes:    ls.budget,

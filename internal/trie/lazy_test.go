@@ -63,7 +63,7 @@ func plEqual(a, b PostingList) bool {
 // eagerLoad is the oracle: a streaming load of the same bytes.
 func eagerLoad(t *testing.T, data []byte) (*Trie, int64, *TailRecovery) {
 	t.Helper()
-	tr := NewSharded(features.NewDict(), 0)
+	tr := newSegmented(features.NewDict(), 0)
 	n, rec, err := tr.ReadFromOptions(bytes.NewReader(data), LoadOptions{})
 	if err != nil {
 		t.Fatalf("eager oracle load: %v", err)
@@ -98,7 +98,7 @@ func fullResidentBytes(tr *Trie) int64 {
 // openLazy opens data lazily under budget, failing the test on error.
 func openLazy(t *testing.T, src RandomAccessFile, budget int64) *Trie {
 	t.Helper()
-	tr := NewSharded(features.NewDict(), 0)
+	tr := newSegmented(features.NewDict(), 0)
 	if _, _, err := tr.OpenLazy(src, LazyOptions{BudgetBytes: budget}); err != nil {
 		t.Fatalf("OpenLazy: %v", err)
 	}
@@ -108,9 +108,11 @@ func openLazy(t *testing.T, src RandomAccessFile, budget int64) *Trie {
 // slotOf returns the residency slot of id (nil-safe for tests only on IDs
 // inside the dictionary the snapshot was opened with).
 func slotOf(tr *Trie, id features.FeatureID) *atomic.Pointer[lazyList] {
-	ls := tr.lazyLive.Load()
-	return &ls.shards[uint32(id)&ls.mask].slots[uint32(id)>>ls.shift]
+	return &tr.lazyLive.Load().slots[id]
 }
+
+// segOf returns the segment of tr's snapshot holding id.
+func segOf(tr *Trie, id features.FeatureID) int { return int(uint32(id) & uint32(tr.Segments()-1)) }
 
 // mustSave serialises tr.
 func mustSave(t *testing.T, tr *Trie) []byte {
@@ -205,7 +207,7 @@ func TestOpenLazyDifferential(t *testing.T) {
 						data := snapshotBytes(t, base, j, JournalStamp{DBChecksum: 11, NumGraphs: 41})
 						want, wantN, _ := eagerLoad(t, data)
 
-						got := NewSharded(features.NewDict(), 0)
+						got := newSegmented(features.NewDict(), 0)
 						n, rec, err := got.OpenLazy(bytes.NewReader(data), LazyOptions{Workers: workers, BudgetBytes: budget})
 						if err != nil {
 							t.Fatalf("OpenLazy: %v", err)
@@ -216,8 +218,8 @@ func TestOpenLazyDifferential(t *testing.T) {
 						if n != wantN {
 							t.Errorf("OpenLazy consumed %d bytes, eager consumed %d", n, wantN)
 						}
-						if got.ShardCount() != want.ShardCount() {
-							t.Fatalf("shard count %d, want %d", got.ShardCount(), want.ShardCount())
+						if got.Segments() != want.Segments() {
+							t.Fatalf("segment count %d, want %d", got.Segments(), want.Segments())
 						}
 						if got.Dict().Len() != want.Dict().Len() {
 							t.Fatalf("dict len %d, want %d (journal pre-intern diverged)", got.Dict().Len(), want.Dict().Len())
@@ -438,7 +440,7 @@ func TestOpenLazyConcurrent(t *testing.T) {
 		expect[i] = want.GetByID(features.FeatureID(i)).Postings()
 	}
 
-	got := NewSharded(features.NewDict(), 0)
+	got := newSegmented(features.NewDict(), 0)
 	if _, _, err := got.OpenLazy(bytes.NewReader(data), LazyOptions{BudgetBytes: 8 << 10}); err != nil {
 		t.Fatal(err)
 	}
@@ -532,11 +534,11 @@ func TestOpenLazyConcurrentEviction(t *testing.T) {
 // open and returns a copy of data with one body byte flipped.
 func corruptShardBody(t *testing.T, data []byte, s int) []byte {
 	t.Helper()
-	probe := NewSharded(features.NewDict(), 0)
+	probe := newSegmented(features.NewDict(), 0)
 	if _, _, err := probe.OpenLazy(bytes.NewReader(data), LazyOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	seg := probe.lazyLive.Load().segs[s]
+	seg := &probe.lazyLive.Load().segs[s]
 	if seg.len == 0 {
 		t.Fatalf("shard %d has an empty segment body", s)
 	}
@@ -556,14 +558,14 @@ func TestOpenLazyCorruptSegmentIsolation(t *testing.T) {
 	const badShard = 3
 	bad := corruptShardBody(t, data, badShard)
 
-	got := NewSharded(features.NewDict(), 0)
+	got := newSegmented(features.NewDict(), 0)
 	if _, _, err := got.OpenLazy(bytes.NewReader(bad), LazyOptions{}); err != nil {
 		t.Fatalf("OpenLazy rejected a corrupt body it should defer: %v", err)
 	}
 	if err := got.FaultInShard(badShard); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("FaultInShard(%d) = %v, want ErrCorrupt", badShard, err)
 	}
-	for s := 0; s < got.ShardCount(); s++ {
+	for s := 0; s < got.Segments(); s++ {
 		if s == badShard {
 			continue
 		}
@@ -573,7 +575,7 @@ func TestOpenLazyCorruptSegmentIsolation(t *testing.T) {
 	}
 	for i := 0; i < want.Dict().Len(); i++ {
 		id := features.FeatureID(i)
-		if got.ShardOf(id) == badShard {
+		if segOf(got, id) == badShard {
 			continue
 		}
 		if !plEqual(got.GetByID(id), want.GetByID(id)) {
@@ -585,7 +587,7 @@ func TestOpenLazyCorruptSegmentIsolation(t *testing.T) {
 	// boundary), never crash with something opaque.
 	var badID features.FeatureID = 0
 	for i := 0; i < want.Dict().Len(); i++ {
-		if got.ShardOf(features.FeatureID(i)) == badShard {
+		if segOf(got, features.FeatureID(i)) == badShard {
 			badID = features.FeatureID(i)
 			break
 		}
@@ -609,7 +611,7 @@ func TestOpenLazyCorruptSegmentIsolation(t *testing.T) {
 	}
 	for i := 0; i < want.Dict().Len(); i++ {
 		id := features.FeatureID(i)
-		if got.ShardOf(id) == badShard {
+		if segOf(got, id) == badShard {
 			continue
 		}
 		if !plEqual(got.GetByID(id), want.GetByID(id)) {
@@ -668,7 +670,7 @@ func TestOpenLazyEvictThenRefaultCRC(t *testing.T) {
 	// Two features of shard 0, a and b, both present.
 	var ids []features.FeatureID
 	for i := 0; i < want.Dict().Len() && len(ids) < 2; i++ {
-		if id := features.FeatureID(i); got.ShardOf(id) == 0 && want.GetByID(id).Len() > 0 {
+		if id := features.FeatureID(i); segOf(got, id) == 0 && want.GetByID(id).Len() > 0 {
 			ids = append(ids, id)
 		}
 	}
@@ -680,10 +682,11 @@ func TestOpenLazyEvictThenRefaultCRC(t *testing.T) {
 		t.Fatal("a one-byte budget kept two lists resident")
 	}
 	ls := got.lazyLive.Load()
-	seg, off := ls.segs[0], ls.shards[0].dir.Load().off
+	seg := &ls.segs[0]
+	off := seg.dir.Load().off
 	spanOf := func(id features.FeatureID) (lo, hi int64) {
-		slot := uint32(id) >> ls.shift
-		return seg.off + int64(off[slot]), seg.off + int64(off[slot+1])
+		i := ls.segIndex(id)
+		return seg.off + int64(off[i]), seg.off + int64(off[i+1])
 	}
 
 	// Re-decoding a reads a's span and nothing else.
@@ -743,12 +746,12 @@ func TestOpenLazyTailRecovery(t *testing.T) {
 		if cut == 1 {
 			torn = data[:baseLen+1] // tag byte only
 		}
-		eager := NewSharded(features.NewDict(), 0)
+		eager := newSegmented(features.NewDict(), 0)
 		en, erec, err := eager.ReadFromOptions(bytes.NewReader(torn), LoadOptions{})
 		if err != nil || erec == nil {
 			t.Fatalf("cut %d: eager load err=%v rec=%+v", cut, err, erec)
 		}
-		lazy := NewSharded(features.NewDict(), 0)
+		lazy := newSegmented(features.NewDict(), 0)
 		ln, lrec, err := lazy.OpenLazy(bytes.NewReader(torn), LazyOptions{})
 		if err != nil || lrec == nil {
 			t.Fatalf("cut %d: OpenLazy err=%v rec=%+v", cut, err, lrec)
@@ -756,7 +759,7 @@ func TestOpenLazyTailRecovery(t *testing.T) {
 		if *lrec != *erec || ln != en {
 			t.Fatalf("cut %d: recovery diverges: lazy (n=%d, %+v) vs eager (n=%d, %+v)", cut, ln, *lrec, en, *erec)
 		}
-		if _, _, err := NewSharded(features.NewDict(), 0).OpenLazy(bytes.NewReader(torn), LazyOptions{Strict: true}); err == nil {
+		if _, _, err := newSegmented(features.NewDict(), 0).OpenLazy(bytes.NewReader(torn), LazyOptions{Strict: true}); err == nil {
 			t.Fatalf("cut %d: strict OpenLazy accepted a torn tail", cut)
 		}
 		if err := lazy.Materialize(); err != nil {
@@ -775,7 +778,7 @@ func TestOpenLazyFallbacks(t *testing.T) {
 	t.Run("v1 snapshot", func(t *testing.T) {
 		data := encodeLegacySnapshot(1, 2, legacyDataset())
 		want, _, _ := eagerLoad(t, data)
-		got := NewSharded(features.NewDict(), 0)
+		got := newSegmented(features.NewDict(), 0)
 		n, _, err := got.OpenLazy(bytes.NewReader(data), LazyOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -796,7 +799,7 @@ func TestOpenLazyFallbacks(t *testing.T) {
 		want, _, _ := eagerLoad(t, data)
 		dict := features.NewDict()
 		dict.Intern("pre-existing-key") // forces a non-identity remap
-		got := NewSharded(dict, 0)
+		got := newSegmented(dict, 0)
 		if _, _, err := got.OpenLazy(bytes.NewReader(data), LazyOptions{}); err != nil {
 			t.Fatal(err)
 		}
@@ -816,7 +819,7 @@ func TestOpenLazyMutationMaterializes(t *testing.T) {
 	base := randomTrie(t, 4, 80, 30, 71)
 	data := snapshotBytes(t, base, nil, JournalStamp{})
 	want, _, _ := eagerLoad(t, data)
-	got := NewSharded(features.NewDict(), 0)
+	got := newSegmented(features.NewDict(), 0)
 	if _, _, err := got.OpenLazy(bytes.NewReader(data), LazyOptions{BudgetBytes: 4 << 10}); err != nil {
 		t.Fatal(err)
 	}
@@ -869,7 +872,7 @@ func TestMaterializePanicContained(t *testing.T) {
 	data := snapshotBytes(t, base, nil, JournalStamp{})
 	want, _, _ := eagerLoad(t, data)
 	src := &panickyReader{Reader: bytes.NewReader(data)}
-	got := NewSharded(features.NewDict(), 0)
+	got := newSegmented(features.NewDict(), 0)
 	if _, _, err := got.OpenLazy(src, LazyOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}

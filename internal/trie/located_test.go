@@ -26,7 +26,7 @@ const locatedSnapshot = "testdata/located-v3.trie"
 // locatedBase builds the golden snapshot's base postings, interned in the
 // order the generator inserted them (block, evens, sparse, solo, gone).
 func locatedBase() *Trie {
-	tr := NewSharded(features.NewDict(), 4)
+	tr := newSegmented(features.NewDict(), 4)
 	for g := int32(0); g < 300; g++ {
 		tr.Insert("block", Posting{Graph: g, Count: 1})
 	}
@@ -76,16 +76,16 @@ func locatedMutation(base *Trie) *Trie {
 // flag bit 3 and appends card × {nlocs, nlocs × locΔ} after its counts.
 // tr must hold no dead features.
 func encodeLocatedSnapshot(tr *Trie, locsOf func(key string, g int32) []int32) []byte {
-	keys := tr.dict.Keys()
-	buf := append([]byte(persistMagic), uv(persistVersion, uint64(len(tr.shards)), uint64(len(keys)))...)
+	keys, k := tr.dict.Keys(), tr.Segments()
+	buf := append([]byte(persistMagic), uv(persistVersion, uint64(k), uint64(len(keys)))...)
 	for _, k := range keys {
 		buf = append(append(buf, uv(uint64(len(k)))...), k...)
 	}
-	bodies := make([][]byte, len(tr.shards))
-	nfeat := make([]uint64, len(tr.shards))
-	prev := make([]features.FeatureID, len(tr.shards))
+	bodies := make([][]byte, k)
+	nfeat := make([]uint64, k)
+	prev := make([]features.FeatureID, k)
 	tr.each(func(id features.FeatureID, pl *PostingList) {
-		s := uint32(id) & tr.mask
+		s := uint32(id) & uint32(k-1)
 		list := appendPostingList(nil, *pl)
 		var locs []byte
 		located := false
@@ -162,11 +162,11 @@ func TestLocatedSnapshotLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eager := NewSharded(features.NewDict(), 0)
+	eager := newSegmented(features.NewDict(), 0)
 	if _, _, err := eager.ReadFromOptions(bytes.NewReader(golden), LoadOptions{Strict: true}); err != nil {
 		t.Fatal(err)
 	}
-	lazy := NewSharded(features.NewDict(), 0)
+	lazy := newSegmented(features.NewDict(), 0)
 	if _, _, err := lazy.OpenLazy(bytes.NewReader(golden), LazyOptions{Strict: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestLocatedSnapshotLoads(t *testing.T) {
 // covers v3 segments).
 func TestCorruptLocationsRejected(t *testing.T) {
 	var empty bytes.Buffer
-	if _, err := NewSharded(features.NewDict(), 1).WriteTo(&empty); err != nil {
+	if _, err := newSegmented(features.NewDict(), 1).WriteTo(&empty); err != nil {
 		t.Fatal(err)
 	}
 	cases := map[string][]byte{

@@ -6,8 +6,8 @@ package trie
 // dataset changes — appended graphs and swap-removals — against a base trie
 // and Apply produces a *new* Trie holding the post-mutation state:
 //
-//   - the postings table is copied page by page: a shard whose lists are
-//     written gets a private copy of its page directory (8 B per 64 lists),
+//   - the postings table is copied page by page: a batch that writes any
+//     list gets a private copy of the page directory (8 B per 64 lists),
 //     and each page holding a written list is copied once (64 list headers,
 //     3 KB); every other page stays shared with the base, so a batch costs
 //     O(touched pages + directory pointers), not O(vocabulary);
@@ -115,7 +115,7 @@ func (m *Mutation) RecordTo(j *Journal) { j.ops = append(j.ops, m.ops...) }
 // answering over the pre-mutation dataset; untouched pages, posting
 // containers and the dead set are shared between the two. Cost is one copy
 // of each touched feature's list, of each page holding one and of the page
-// directory of each shard holding one, independent of the vocabulary.
+// directory, independent of the vocabulary.
 func (m *Mutation) Apply() *Trie {
 	// A partially-resident base cannot be copy-on-written page by page
 	// (absent lists have nothing to share); a lazily-opened base faults
@@ -132,10 +132,10 @@ func (m *Mutation) Apply() *Trie {
 // applier is the working state of one Apply: the trie under construction
 // plus ownership tracking for copy-on-write.
 type applier struct {
-	t        *Trie
-	ownedDir []bool             // shards whose page directory is private to t
-	owned    map[*page]struct{} // pages private to t
-	ownDead  bool               // t.dead is private to t
+	t       *Trie
+	ownDir  bool               // t.pages is private to t
+	owned   map[*page]struct{} // pages private to t
+	ownDead bool               // t.dead is private to t
 
 	// editing holds this applier's private copies of the lists it has
 	// touched; seal() installs the survivors.
@@ -145,16 +145,16 @@ type applier struct {
 func newApplier(base *Trie) *applier {
 	t := &Trie{
 		dict:      base.dict,
+		pages:     base.pages,
+		segments:  base.segments,
 		dead:      base.dead,
 		policy:    base.policy,
 		probeCost: base.probeCost,
 	}
-	t.setLayout(slices.Clone(base.shards))
 	return &applier{
-		t:        t,
-		ownedDir: make([]bool, len(t.shards)),
-		owned:    map[*page]struct{}{},
-		editing:  map[features.FeatureID]*PostingList{},
+		t:       t,
+		owned:   map[*page]struct{}{},
+		editing: map[features.FeatureID]*PostingList{},
 	}
 }
 
@@ -171,7 +171,7 @@ func (a *applier) seal() {
 func (a *applier) edit(id features.FeatureID) *PostingList {
 	pl, ok := a.editing[id]
 	if !ok {
-		cp := a.t.get(id).clone()
+		cp := a.t.pages.get(id).clone()
 		pl = &cp
 		a.editing[id] = pl
 	}
@@ -179,25 +179,23 @@ func (a *applier) edit(id features.FeatureID) *PostingList {
 }
 
 // entry returns id's table entry in a page private to this applier: the
-// shard's directory is copied on its first write, and the page on its
-// first write (or allocated, where the base has none).
+// directory is copied on the first write, and the page on its first write
+// (or allocated, where the base has none).
 func (a *applier) entry(id features.FeatureID) *PostingList {
-	s := uint32(id) & a.t.mask
-	sh := &a.t.shards[s]
-	if !a.ownedDir[s] {
-		sh.pages = slices.Clone(sh.pages)
-		a.ownedDir[s] = true
+	tb := &a.t.pages
+	if !a.ownDir {
+		*tb = slices.Clone(*tb)
+		a.ownDir = true
 	}
-	slot := uint32(id) >> a.t.shift
-	p := int(slot >> pageShift)
-	if p < len(sh.pages) && sh.pages[p] != nil {
-		if _, mine := a.owned[sh.pages[p]]; !mine {
-			cp := *sh.pages[p]
-			sh.pages[p] = &cp
+	p := int(id >> pageShift)
+	if p < len(*tb) && (*tb)[p] != nil {
+		if _, mine := a.owned[(*tb)[p]]; !mine {
+			cp := *(*tb)[p]
+			(*tb)[p] = &cp
 		}
 	}
-	pl := sh.at(slot) // allocates the page where there is none
-	a.owned[sh.pages[p]] = struct{}{}
+	pl := tb.at(id) // allocates the page where there is none
+	a.owned[(*tb)[p]] = struct{}{}
 	return pl
 }
 
@@ -264,7 +262,7 @@ func (a *applier) removePosting(key string, g int32) {
 	if !ok {
 		return
 	}
-	if _, editing := a.editing[id]; !editing && a.t.get(id).CountOf(g) == 0 {
+	if _, editing := a.editing[id]; !editing && a.t.pages.get(id).CountOf(g) == 0 {
 		return // avoid copying a list this op does not touch
 	}
 	if _, drained := a.edit(id).remove(a.t.policy, g); drained {

@@ -45,7 +45,7 @@ func synthFeats(rng *rand.Rand, nKeys int) []GraphFeature {
 // applyRef mirrors a graph->features table into a fresh sequentially built
 // trie — the from-scratch reference the mutated trie must match.
 func buildRef(d *features.Dict, shards int, table map[int32][]GraphFeature) *Trie {
-	tr := NewSharded(d, shards)
+	tr := newSegmented(d, shards)
 	ids := make([]int32, 0, len(table))
 	for id := range table {
 		ids = append(ids, id)
@@ -76,7 +76,7 @@ func TestMutationDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + shards)))
 			table := map[int32][]GraphFeature{}
-			cur := NewSharded(features.NewDict(), shards)
+			cur := newSegmented(features.NewDict(), shards)
 			next := int32(0)
 
 			// Seed with an initial batch.
@@ -144,7 +144,7 @@ func TestMutationDifferential(t *testing.T) {
 				if _, err := cur.WriteTo(&buf); err != nil {
 					t.Fatalf("step %d: WriteTo: %v", step, err)
 				}
-				back := NewSharded(features.NewDict(), shards)
+				back := newSegmented(features.NewDict(), shards)
 				if _, err := back.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
 					t.Fatalf("step %d: ReadFrom: %v", step, err)
 				}
@@ -173,7 +173,7 @@ func keysOf(fs []GraphFeature) []string {
 // with a trie that never held the removed graph.
 func TestRemoveGraphPersistDifferential(t *testing.T) {
 	mk := func(withG1 bool) *Trie {
-		tr := NewSharded(features.NewDict(), 4)
+		tr := newSegmented(features.NewDict(), 4)
 		tr.Insert("ab", Posting{Graph: 0, Count: 1})
 		tr.Insert("abc", Posting{Graph: 0, Count: 2})
 		if withG1 {
@@ -210,7 +210,7 @@ func TestRemoveGraphPersistDifferential(t *testing.T) {
 	if _, err := ref.WriteTo(&refBuf); err != nil {
 		t.Fatal(err)
 	}
-	back := NewSharded(features.NewDict(), 4)
+	back := newSegmented(features.NewDict(), 4)
 	if _, err := back.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestRemoveGraphPersistDifferential(t *testing.T) {
 // lowest IDs) each hold four graphs, plus filler vocabulary: one key per
 // filler feature on graph 100, and dead features drained from graph 101.
 func odeltaTrie(filler, dead int) *Trie {
-	tr := NewSharded(features.NewDict(), 2)
+	tr := newSegmented(features.NewDict(), 2)
 	for k := 0; k < 200; k++ {
 		for g := 0; g < 4; g++ {
 			tr.Insert(fmt.Sprintf("s%03d", k), Posting{Graph: int32(g*25 + k%25), Count: 1})
@@ -333,22 +333,20 @@ func TestApplyLeavesBaseIntact(t *testing.T) {
 		}
 	}
 	shared, copied := 0, 0
-	for s := range base.shards {
-		for p, pg := range base.shards[s].pages {
-			hit := false
-			for j := 0; j < pageLen; j++ {
-				hit = hit || touched[features.FeatureID(uint32(p<<pageShift|j)<<base.shift|uint32(s))]
-			}
-			switch same := next.shards[s].pages[p] == pg; {
-			case hit && same:
-				t.Errorf("shard %d page %d holds a touched feature but is shared with the base", s, p)
-			case !hit && !same:
-				t.Errorf("shard %d page %d holds no touched feature but was copied", s, p)
-			case same:
-				shared++
-			default:
-				copied++
-			}
+	for p, pg := range base.pages {
+		hit := false
+		for j := 0; j < pageLen; j++ {
+			hit = hit || touched[features.FeatureID(p<<pageShift|j)]
+		}
+		switch same := next.pages[p] == pg; {
+		case hit && same:
+			t.Errorf("page %d holds a touched feature but is shared with the base", p)
+		case !hit && !same:
+			t.Errorf("page %d holds no touched feature but was copied", p)
+		case same:
+			shared++
+		default:
+			copied++
 		}
 	}
 	if shared == 0 || copied == 0 {
@@ -376,7 +374,7 @@ func FuzzMutationApply(f *testing.F) {
 		}
 		const shards = 4
 		table := map[int32][]GraphFeature{}
-		cur := NewSharded(features.NewDict(), shards)
+		cur := newSegmented(features.NewDict(), shards)
 		next := int32(0)
 		for len(data) > 0 {
 			mut := cur.NewMutation()
@@ -420,7 +418,7 @@ func FuzzMutationApply(f *testing.F) {
 			if _, err := cur.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-			back := NewSharded(features.NewDict(), shards)
+			back := newSegmented(features.NewDict(), shards)
 			if _, err := back.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
 				t.Fatal(err)
 			}

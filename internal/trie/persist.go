@@ -2,7 +2,7 @@ package trie
 
 // On-disk segment format (version 3)
 //
-// A persisted trie is one header, one segment per postings shard, and —
+// A persisted trie is one header, K postings segments, and —
 // since version 2 — a trailing *section stream* that carries O(delta)
 // journal appends. Everything scalar is an unsigned varint
 // (encoding/binary) unless noted; everything ordered is delta-encoded
@@ -18,10 +18,11 @@ package trie
 //	header:
 //	  magic   "IGQTRIE" (7 bytes)
 //	  version uvarint   (currently 3)
-//	  shards  uvarint   (power of two in [1, 64] — the saved layout)
+//	  K       uvarint   (segment count, a power of two in [1, 64])
 //	  nkeys   uvarint   (dictionary size; live vocabulary only — see below)
 //	  nkeys × { klen uvarint, key bytes }   — keys in FeatureID order
-//	segment, one per shard s in [0, shards):
+//	segment, one per residue class s in [0, K) — the features with
+//	ID mod K = s:
 //	  seglen  uvarint   (byte length of the segment body)
 //	  crc     uint32 LE (IEEE CRC-32 of the segment body)
 //	  body:
@@ -106,19 +107,19 @@ package trie
 //     stream. The lazy contract per segment: the table is valid only if
 //     every body lies inside the file (bounds are verified at open, so
 //     base truncation still fails the open, exactly like ReadFrom). The
-//     first probe of a shard reads its body once, verifies the CRC and
+//     first probe of a segment reads its body once, verifies the CRC and
 //     scans the framing with the decoders below in skip mode — the same
 //     checks, nothing allocated — recording where each feature's entry
 //     starts; silent on-disk rot present then surfaces as ErrCorrupt on
-//     that shard and poisons no other. From there on the unit of decoding
+//     that segment and poisons no other. From there on the unit of decoding
 //     is the posting list: a probe re-reads just its entry's byte span and
 //     decodes it with decodePostingList, with no second CRC — damage
 //     arriving after the scan is caught only where it breaks that list's
 //     structure. Entries are self-delimiting and carry no cross-entry
 //     state beyond the idΔ the scan already resolved, which is what makes
 //     a single list decodable from its span on this unchanged format; and
-//     journal ops project per shard (a feature's ops route by its ID), so
-//     replaying a shard's overlay when its directory opens yields lists
+//     journal ops project per segment (a feature's ops route by its ID), so
+//     replaying a segment's overlay when its directory opens yields lists
 //     bit-identical to the streaming loader's whole-file replay.
 //   - The section stream is what makes an on-disk snapshot *appendable*:
 //     AppendJournalSection (journal.go) replaces the trailing terminator
@@ -130,13 +131,15 @@ package trie
 //     back into base segments is exactly a WriteTo of the loaded state,
 //     which is how the method-level compaction threshold is implemented.
 //   - Forward compatibility: readers reject versions newer than their own
-//     and shard counts outside [1, 64]; version-1 snapshots (no section
+//     and segment counts outside [1, 64]; version-1 snapshots (no section
 //     stream, possibly empty postings lists) still load. Writers must only
 //     append new trailing sections behind a version bump, never
 //     reinterpret existing fields.
 //
-// The in-memory page tables are not serialised: a load fills them in ID
-// order from the segments.
+// K is a property of the file, not of the loaded trie: the in-memory page
+// table is not serialised, a load fills it in ID order from the segments,
+// and any K yields the same trie. The writer takes K from SetSegments, else
+// from the snapshot the trie was loaded from, else one segment per CPU.
 //
 // # Durability & crash safety
 //
@@ -246,7 +249,8 @@ func (t *Trie) WriteTo(w io.Writer) (int64, error) {
 	hdr := make([]byte, 0, 16+len(live)*8)
 	hdr = append(hdr, persistMagic...)
 	hdr = binary.AppendUvarint(hdr, persistVersion)
-	hdr = binary.AppendUvarint(hdr, uint64(len(t.shards)))
+	k := t.Segments()
+	hdr = binary.AppendUvarint(hdr, uint64(k))
 	hdr = binary.AppendUvarint(hdr, uint64(len(live)))
 	for _, k := range live {
 		hdr = binary.AppendUvarint(hdr, uint64(len(k)))
@@ -267,16 +271,16 @@ func (t *Trie) WriteTo(w io.Writer) (int64, error) {
 		return write(seg)
 	}
 	// Each feature goes to the segment its *written* ID selects (segment =
-	// id mod shards — the invariant the parallel identity-remap decode
-	// relies on; compaction may move IDs across segments). The table is
-	// walked in ascending ID order and compaction preserves order, so every
-	// segment fills already sorted.
-	buckets := make([][]segFeature, len(t.shards))
+	// id mod K — the invariant the parallel identity-remap decode and the
+	// lazy loader rely on; compaction may move IDs across segments). The
+	// table is walked in ascending ID order and compaction preserves order,
+	// so every segment fills already sorted.
+	buckets := make([][]segFeature, k)
 	t.each(func(id features.FeatureID, pl *PostingList) {
 		if remap != nil {
 			id = remap[id]
 		}
-		b := uint32(id) & t.mask
+		b := uint32(id) & uint32(k-1)
 		buckets[b] = append(buckets[b], segFeature{id: id, pl: *pl})
 	})
 	for _, feats := range buckets {
@@ -438,12 +442,12 @@ func (t *Trie) ReadFromWorkers(r io.Reader, workers int) (int64, error) {
 
 // ReadFromOptions is the full-contract snapshot load.
 //
-// The trie adopts the *saved* shard layout — use Reshard afterwards to
-// override it; sharding never changes observable behaviour. The snapshot's
-// dictionary keys are interned through the trie's dictionary in ID order:
-// into an empty dictionary this reproduces the saved IDs exactly, and into
-// a non-empty one the postings are remapped to the freshly assigned IDs.
-// Any previous postings of t are discarded.
+// The trie adopts the snapshot's segment count for its next WriteTo
+// (SetSegments afterwards overrides it). The snapshot's dictionary keys are
+// interned through the trie's dictionary in ID order: into an empty
+// dictionary this reproduces the saved IDs exactly, and into a non-empty
+// one the postings are remapped to the freshly assigned IDs. Any previous
+// postings of t are discarded.
 //
 // Corruption in the base (header, dictionary, segments) fails the load
 // with ErrCorrupt. A torn *trailing* journal section — the signature of a
@@ -506,21 +510,22 @@ func (t *Trie) readFrom(cr *countingScanner, opt LoadOptions) (*TailRecovery, er
 		}
 	}
 
-	// Adopt the saved layout and decode. With the identity remap every
-	// saved segment maps 1:1 onto one destination shard, so the segment
-	// decodes are disjoint and run in parallel; with a remap (pre-populated
-	// dictionary) IDs may cross shards, so the decode runs sequentially —
-	// correctness is identical either way. Version-1 snapshots may carry
-	// features with zero postings (drained by the old RemoveGraph); version
-	// ≥ 2 writers never emit them, so the decoder rejects them there.
-	nt := &Trie{}
-	nt.setLayout(make([]shard, k))
-	put := func(id features.FeatureID, pl PostingList) { *nt.at(id) = pl }
+	// Decode into one table. With the identity remap segment s holds
+	// exactly the IDs ≡ s (mod k) — walkSegment checks it — so, with the
+	// table pre-sized to the dictionary, the segment decodes fill disjoint
+	// entries and run in parallel; with a remap (pre-populated dictionary)
+	// the decode runs sequentially — correctness is identical either way.
+	// Version-1 snapshots may carry features with zero postings (drained by
+	// the old RemoveGraph); version ≥ 2 writers never emit them, so the
+	// decoder rejects them there.
+	var tb table
+	put := func(id features.FeatureID, pl PostingList) { *tb.at(id) = pl }
 	if identity {
+		tb.grow(len(remap))
 		errs := make([]error, k) // one slot per segment: no cross-worker writes
 		ParallelFor(k, workers, func(_ int, claim func() int) {
 			for s := claim(); s >= 0; s = claim() {
-				errs[s] = decodeSegment(segs[s], remap, nt.mask, uint32(s), version, t.policy, put)
+				errs[s] = decodeSegment(segs[s], remap, uint32(k-1), uint32(s), version, t.policy, put)
 			}
 		})
 		for s, err := range errs {
@@ -538,7 +543,8 @@ func (t *Trie) readFrom(cr *countingScanner, opt LoadOptions) (*TailRecovery, er
 
 	t.lazyLive.Store(nil)
 	t.lazyOrigin = nil
-	t.setLayout(nt.shards)
+	t.pages = tb
+	t.segments = k
 	t.dead = nil
 	t.stamp = nil
 	t.recovered = rec
@@ -553,11 +559,11 @@ func (t *Trie) readFrom(cr *countingScanner, opt LoadOptions) (*TailRecovery, er
 // readPreamble reads a snapshot's header and dictionary — the part both
 // loaders decode eagerly — interning the saved keys through dict in ID
 // order and building the old→new ID remap. identity reports that every key
-// landed on its saved ID (a fresh dictionary), which keeps the segment →
-// shard correspondence of the saved layout: the streaming loader's parallel
-// decode and the whole of the lazy loader depend on it. remap grows as keys
+// landed on its saved ID (a fresh dictionary), which keeps each segment's
+// residue class intact: the streaming loader's parallel decode and the
+// whole of the lazy loader depend on it. remap grows as keys
 // actually arrive, so a lying count cannot force a large allocation.
-func readPreamble(r byteScanner, dict *features.Dict) (version uint64, shards int, remap []features.FeatureID, identity bool, err error) {
+func readPreamble(r byteScanner, dict *features.Dict) (version uint64, segments int, remap []features.FeatureID, identity bool, err error) {
 	fail := func(format string, args ...any) (uint64, int, []features.FeatureID, bool, error) {
 		return 0, 0, nil, false, fmt.Errorf(format, args...)
 	}
@@ -574,13 +580,13 @@ func readPreamble(r byteScanner, dict *features.Dict) (version uint64, shards in
 	if version < 1 || version > persistVersion {
 		return fail("trie: snapshot version %d unsupported (this build reads ≤ %d)", version, persistVersion)
 	}
-	savedShards, err := binary.ReadUvarint(r)
+	saved, err := binary.ReadUvarint(r)
 	if err != nil {
-		return fail("%w: reading shard count: %v", ErrCorrupt, err)
+		return fail("%w: reading segment count: %v", ErrCorrupt, err)
 	}
-	k := int(savedShards)
-	if k < 1 || k > maxShards || k&(k-1) != 0 {
-		return fail("%w: shard count %d not a power of two in [1, %d]", ErrCorrupt, k, maxShards)
+	k := int(saved)
+	if k < 1 || k > maxSegments || k&(k-1) != 0 {
+		return fail("%w: segment count %d not a power of two in [1, %d]", ErrCorrupt, k, maxSegments)
 	}
 	nKeys, err := binary.ReadUvarint(r)
 	if err != nil || nKeys > maxDictLen {
@@ -724,11 +730,12 @@ func readFullCapped(r io.Reader, n uint64) ([]byte, error) {
 // no-trailing-bytes rule — and calls each with d positioned at the feature's
 // posting list, which each must consume through d (decodeList). entry is the
 // body offset of the feature's idΔ varint, so consecutive entries tile the
-// body. With wantMask != 0 callers assert every (remapped) ID belongs to
-// shard wantShard — the identity-remap layout, where a segment is exactly
-// one shard. Shared by the whole-segment decode below and the lazy
-// loader's open-time scan (lazy.go), so the two accept and reject alike.
-func walkSegment(d *segDecoder, remap []features.FeatureID, wantMask, wantShard uint32, each func(id features.FeatureID, entry int) error) error {
+// body. With wantMask != 0 callers assert every (remapped) ID lies in the
+// segment's residue class (ID & wantMask == wantSeg) — the identity-remap
+// layout, where parallel decodes and lazy directories rely on it. Shared by
+// the whole-segment decode below and the lazy loader's open-time scan
+// (lazy.go), so the two accept and reject alike.
+func walkSegment(d *segDecoder, remap []features.FeatureID, wantMask, wantSeg uint32, each func(id features.FeatureID, entry int) error) error {
 	nFeat, err := d.uvarint()
 	if err != nil || nFeat > uint64(len(d.b)) {
 		return fmt.Errorf("%w: feature count", ErrCorrupt)
@@ -749,7 +756,7 @@ func walkSegment(d *segDecoder, remap []features.FeatureID, wantMask, wantShard 
 			return fmt.Errorf("%w: feature ID %d outside dictionary", ErrCorrupt, oldID)
 		}
 		id := remap[oldID]
-		if wantMask != 0 && uint32(id)&wantMask != wantShard {
+		if wantMask != 0 && uint32(id)&wantMask != wantSeg {
 			return fmt.Errorf("%w: feature ID %d in wrong segment", ErrCorrupt, oldID)
 		}
 		if err := each(id, entry); err != nil {
@@ -763,12 +770,12 @@ func walkSegment(d *segDecoder, remap []features.FeatureID, wantMask, wantShard 
 }
 
 // decodeSegment decodes one segment body, remapping feature IDs (see
-// walkSegment for wantMask/wantShard) and handing each list to put in
+// walkSegment for wantMask/wantSeg) and handing each list to put in
 // ascending ID order. version selects the posting-list wire form; decoded
 // lists are promoted to the canonical container kind under policy.
-func decodeSegment(body []byte, remap []features.FeatureID, wantMask, wantShard uint32, version uint64, policy ContainerPolicy, put func(features.FeatureID, PostingList)) error {
+func decodeSegment(body []byte, remap []features.FeatureID, wantMask, wantSeg uint32, version uint64, policy ContainerPolicy, put func(features.FeatureID, PostingList)) error {
 	d := &segDecoder{b: body}
-	return walkSegment(d, remap, wantMask, wantShard, func(id features.FeatureID, _ int) error {
+	return walkSegment(d, remap, wantMask, wantSeg, func(id features.FeatureID, _ int) error {
 		pl, err := d.decodeList(version, policy)
 		if err == nil {
 			put(id, pl)
@@ -1088,20 +1095,3 @@ func (d *segDecoder) byte() (byte, error) {
 // remaining returns the undecoded byte count — the sanity bound for
 // length fields (every encoded element costs at least one byte).
 func (d *segDecoder) remaining() int { return len(d.b) - d.off }
-
-// Reshard redistributes the postings into k shards (normalised to a power
-// of two in [1, 64]; ≤ 0 selects DefaultShards()). Contents, Walk order and
-// all answers are unchanged — only the layout moves; posting containers are
-// shared, not copied. Like the build path, Reshard is exclusive: no
-// concurrent readers.
-func (t *Trie) Reshard(k int) {
-	t.ensureMaterialized()
-	k = normalizeShards(k)
-	if k == len(t.shards) {
-		return
-	}
-	nt := &Trie{}
-	nt.setLayout(make([]shard, k))
-	t.each(func(id features.FeatureID, pl *PostingList) { *nt.at(id) = *pl })
-	t.setLayout(nt.shards)
-}

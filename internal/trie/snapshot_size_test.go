@@ -21,7 +21,7 @@ import (
 func TestDenseSnapshotShrinksTwofold(t *testing.T) {
 	const nFeats, nGraphs = 24, 4096
 	build := func(policy ContainerPolicy) *Trie {
-		tr := NewSharded(features.NewDict(), 4)
+		tr := newSegmented(features.NewDict(), 4)
 		tr.SetContainerPolicy(policy)
 		r := rand.New(rand.NewSource(9))
 		for f := 0; f < nFeats; f++ {
@@ -66,7 +66,7 @@ func TestDenseSnapshotShrinksTwofold(t *testing.T) {
 
 	// The flat snapshot must load back into the adaptive-default reader with
 	// identical content — the shrink is pure encoding, not data loss.
-	got := NewSharded(features.NewDict(), 4)
+	got := newSegmented(features.NewDict(), 4)
 	if _, err := got.ReadFrom(bytes.NewReader(flat.Bytes())); err != nil {
 		t.Fatal(err)
 	}

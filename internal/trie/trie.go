@@ -1,29 +1,22 @@
-// Package trie implements the sharded, feature-keyed postings store shared
-// by the GraphGrepSX and Grapes dataset indexes and by the containment index
-// of the supergraph method (the paper's Algorithm 1 stores features "in a
-// trie").
+// Package trie implements the feature-keyed postings store shared by the
+// GraphGrepSX and Grapes dataset indexes and by the containment index of the
+// supergraph method (the paper's Algorithm 1 stores features "in a trie").
 //
 // Keys are canonical feature strings (package features), interned into dense
 // FeatureIDs by a features.Dict — shared across indexes or private to one
-// trie. The lookup path is ID-keyed and sharded: postings live in K
-// independent shards selected by FeatureID % K (K a power of two), and
-// within a shard in a dense table indexed by slot = FeatureID >> log2(K).
-// The table is split into fixed pages of 64 lists behind a per-shard page
-// directory, and the zero PostingList means absent, so a probe is a mask,
-// a shift and two indexed loads. Pages are the unit of copy-on-write: a
-// mutation copies a touched shard's directory and only the pages it writes
-// (mutate.go). Shards let index builds run in parallel: Builder gives each
-// build goroutine private per-shard staging buffers and then merges every
-// shard independently, so a K-shard build uses up to K merge workers
-// without a single lock or atomic on the postings themselves. Grapes is
-// explicitly a parallel indexing method in its original paper, so the
-// contention-free build path is fidelity as much as speed. After a build the
-// shards are immutable and the read path (Get/GetByID/Walk) is lock-free by
-// construction.
-//
-// Sharding is invisible to correctness: the shard holding a feature is a
-// pure function of its ID, so any shard count yields the same postings, the
-// same Walk order and the same filter results. Walk visits keys in
+// trie. The lookup path is ID-keyed: postings live in one dense table
+// indexed directly by FeatureID, split into fixed pages of 64 lists behind
+// a page directory, and the zero PostingList means absent, so a probe is a
+// shift, a mask and two indexed loads. Pages are the unit of copy-on-write:
+// a mutation copies the directory and only the pages it writes (mutate.go).
+// Index builds run in parallel through Builder: each build goroutine stages
+// its postings privately, bucketed by page stripe, and the stripes then
+// merge independently — they own disjoint pages — so a build uses one merge
+// worker per CPU without a single lock or atomic on the postings
+// themselves. Grapes is explicitly a parallel indexing method in its
+// original paper, so the contention-free build path is fidelity as much as
+// speed. After a build the table is immutable and the read path
+// (Get/GetByID/Walk) is lock-free by construction. Walk visits keys in
 // lexicographic order by sorting the live IDs' dictionary keys.
 //
 // Postings are stored in cardinality-adaptive containers (container.go):
@@ -34,15 +27,16 @@
 // converge on identical representations.
 //
 // The store persists itself (WriteTo/ReadFrom): a versioned header carrying
-// the feature dictionary in ID order, then one independently-decodable,
-// CRC-guarded segment per shard with delta-encoded postings. Segments decode in parallel on load and a loaded trie is
-// observationally identical to the one saved — see persist.go for the full
+// the feature dictionary in ID order, then K independently-decodable,
+// CRC-guarded segments with delta-encoded postings, segment s holding the
+// features with ID ≡ s (mod K). K is a property of the file only: segments
+// decode in parallel on an eager load and open one at a time on a lazy one,
+// and any K yields the same loaded trie — see persist.go for the full
 // format specification and compatibility rules.
 package trie
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -60,59 +54,73 @@ type Posting struct {
 	Count int32 // number of occurrences of the feature in the graph
 }
 
-// Page geometry of a shard's postings table: slot i lives at
-// pages[i>>pageShift][i&pageMask]. A page is 64 × 48 B = 3 KB.
+// Page geometry of the postings table: FeatureID id lives at
+// pages[id>>pageShift][id&pageMask]. A page is 64 × 48 B = 3 KB.
 const (
 	pageShift = 6
 	pageLen   = 1 << pageShift
 	pageMask  = pageLen - 1
 )
 
-// page is one fixed block of a shard's postings table.
+// page is one fixed block of the postings table.
 type page [pageLen]PostingList
 
 // entryBytes is one table entry: a PostingList header inside its page.
 const entryBytes = int(unsafe.Sizeof(PostingList{}))
 
-// shard is one independent slice of the postings space: every feature with
-// ID ≡ s (mod K) lives in shard s, at slot ID >> log2(K), and nowhere else.
-// pages is the page directory; a nil or short directory entry holds pageLen
-// absent lists. Pages may be shared between trie generations (mutate.go),
-// so only an exclusive owner writes through at.
-type shard struct {
-	pages []*page
-}
+// table is the postings table's page directory; a nil or short directory
+// entry holds pageLen absent lists. Pages may be shared between trie
+// generations (mutate.go), so only an exclusive owner writes through at.
+type table []*page
 
-// get returns the list at slot (the zero list when absent).
-func (sh *shard) get(slot uint32) PostingList {
-	if p := int(slot >> pageShift); p < len(sh.pages) {
-		if pg := sh.pages[p]; pg != nil {
-			return pg[slot&pageMask]
+// get returns id's list (the zero list when absent).
+func (tb table) get(id features.FeatureID) PostingList {
+	if p := int(id >> pageShift); p < len(tb) {
+		if pg := tb[p]; pg != nil {
+			return pg[id&pageMask]
 		}
 	}
 	return PostingList{}
 }
 
-// at returns the table entry for slot, growing the directory and
-// allocating the page as needed. The caller must own the page.
-func (sh *shard) at(slot uint32) *PostingList {
-	p := int(slot >> pageShift)
-	if p >= len(sh.pages) {
-		sh.pages = append(sh.pages, make([]*page, p+1-len(sh.pages))...)
+// at returns id's table entry, growing the directory and allocating the
+// page as needed. The caller must own the page.
+func (tb *table) at(id features.FeatureID) *PostingList {
+	p := int(id >> pageShift)
+	if p >= len(*tb) {
+		*tb = append(*tb, make([]*page, p+1-len(*tb))...)
 	}
-	if sh.pages[p] == nil {
-		sh.pages[p] = new(page)
+	if (*tb)[p] == nil {
+		(*tb)[p] = new(page)
 	}
-	return &sh.pages[p][slot&pageMask]
+	return &(*tb)[p][id&pageMask]
 }
 
-// Trie maps canonical feature keys to postings lists, with an ID-keyed,
-// sharded fast path for callers that have already interned their features.
+// grow extends the directory over every ID below n and allocates each of
+// its pages, so goroutines then filling disjoint entries through at never
+// write the directory itself.
+func (tb *table) grow(n int) {
+	need := (n + pageMask) >> pageShift
+	if need > len(*tb) {
+		*tb = append(*tb, make([]*page, need-len(*tb))...)
+	}
+	for p, pg := range (*tb)[:need] {
+		if pg == nil {
+			(*tb)[p] = new(page)
+		}
+	}
+}
+
+// Trie maps canonical feature keys to postings lists, with an ID-keyed fast
+// path for callers that have already interned their features.
 type Trie struct {
-	dict   *features.Dict
-	shards []shard
-	mask   uint32 // len(shards)-1; shard counts are powers of two
-	shift  uint32 // log2(len(shards)): slot = id >> shift
+	dict  *features.Dict
+	pages table
+
+	// segments is the segment count the next WriteTo writes, as set by
+	// SetSegments or adopted from the last loaded snapshot; 0 leaves the
+	// choice to save time (see Segments). It never affects the table.
+	segments int
 
 	// dead holds features whose postings this trie drained by removal.
 	// Their dictionary entries cannot be reclaimed (FeatureIDs are dense
@@ -135,7 +143,7 @@ type Trie struct {
 
 	// policy selects posting container encodings (AdaptiveContainers by
 	// default; ArrayOnlyContainers forces the flat reference encoding).
-	// Set before building; inherited by COW mutation and Reshard.
+	// Set before building; inherited by COW mutation.
 	policy ContainerPolicy
 
 	// probeCost is the calibrated galloping probe cost used by the count
@@ -153,60 +161,43 @@ type Trie struct {
 	lazyOrigin *lazyState
 }
 
-// maxShards bounds the shard count: beyond this the per-shard tables are too
-// sparse to pay for themselves even on very wide machines.
-const maxShards = 64
+// maxSegments bounds a snapshot's segment count: beyond this the segments
+// are too small to pay for their frames even on very wide machines.
+const maxSegments = 64
 
-// DefaultShards is the shard count used when callers do not pick one: the
-// smallest power of two covering GOMAXPROCS, clamped to [1, 64], so a
-// default build can use one merge worker per shard on the machine at hand.
-func DefaultShards() int { return normalizeShards(runtime.GOMAXPROCS(0)) }
-
-// normalizeShards rounds k up to a power of two in [1, maxShards];
-// non-positive k selects DefaultShards.
-func normalizeShards(k int) int {
+// normalizeSegments rounds k up to a power of two in [1, maxSegments];
+// non-positive k selects one segment per CPU.
+func normalizeSegments(k int) int {
 	if k <= 0 {
 		k = runtime.GOMAXPROCS(0)
 	}
-	if k > maxShards {
-		k = maxShards
-	}
 	p := 1
-	for p < k {
+	for p < min(k, maxSegments) {
 		p <<= 1
 	}
 	return p
 }
 
-// New returns an empty trie with a private feature dictionary and the
-// default shard count.
+// New returns an empty trie with a private feature dictionary.
 func New() *Trie { return NewWithDict(features.NewDict()) }
 
 // NewWithDict returns an empty trie whose keys are interned through d —
 // shared with other tries so that all of them are probed by the same IDs.
-// The shard count defaults to DefaultShards().
-func NewWithDict(d *features.Dict) *Trie { return NewSharded(d, 0) }
+func NewWithDict(d *features.Dict) *Trie { return &Trie{dict: d} }
 
-// NewSharded returns an empty trie with an explicit shard count (rounded up
-// to a power of two, clamped to 64; ≤ 0 selects DefaultShards()). Any shard
-// count yields identical observable behaviour; the count only decides how
-// much build and probe parallelism the store can exploit.
-func NewSharded(d *features.Dict, k int) *Trie {
-	t := &Trie{dict: d}
-	t.setLayout(make([]shard, normalizeShards(k)))
-	return t
-}
+// SetSegments sets the segment count the next WriteTo writes (rounded up
+// to a power of two, capped at 64, at save time); k ≤ 0 picks one segment
+// per CPU. Loads adopt the snapshot's count, so call it after loading to
+// override that. The count shapes only the file: eager loads decode its
+// segments in parallel and lazy loads open them one at a time.
+func (t *Trie) SetSegments(k int) { t.segments = k }
 
-// setLayout installs shards (a power-of-two count) and derives mask/shift.
-func (t *Trie) setLayout(shards []shard) {
-	t.shards = shards
-	t.mask = uint32(len(shards) - 1)
-	t.shift = uint32(bits.TrailingZeros(uint(len(shards))))
-}
+// Segments returns the segment count the next WriteTo writes.
+func (t *Trie) Segments() int { return normalizeSegments(t.segments) }
 
 // SetContainerPolicy selects how posting containers are encoded. Call
 // before inserting; an existing store is not re-encoded. The policy is
-// inherited by COW mutations (Mutation.Apply) and Reshard.
+// inherited by COW mutations (Mutation.Apply).
 func (t *Trie) SetContainerPolicy(p ContainerPolicy) { t.policy = p }
 
 // Policy returns the trie's container policy.
@@ -223,40 +214,16 @@ func (t *Trie) GallopProbeCost() int { return t.probeCost }
 // Dict returns the trie's feature dictionary.
 func (t *Trie) Dict() *features.Dict { return t.dict }
 
-// ShardCount returns the number of postings shards (a power of two).
-func (t *Trie) ShardCount() int { return len(t.shards) }
-
-// ShardOf returns the shard index holding an interned feature's postings —
-// a pure function of the ID, so callers (the count filter) can group probes
-// by shard.
-func (t *Trie) ShardOf(id features.FeatureID) int { return int(uint32(id) & t.mask) }
-
-// get returns id's list from the eager table (the zero list when absent).
-func (t *Trie) get(id features.FeatureID) PostingList {
-	return t.shards[uint32(id)&t.mask].get(uint32(id) >> t.shift)
-}
-
-// at returns id's table entry for writing; exclusive owners only.
-func (t *Trie) at(id features.FeatureID) *PostingList {
-	return t.shards[uint32(id)&t.mask].at(uint32(id) >> t.shift)
-}
-
-// each visits every live list of the eager table in ascending FeatureID
-// order: slot-major, then shard, since id = slot<<shift | shard. fn may edit
-// the list in place only when the caller owns every page.
+// each visits every live list of the table in ascending FeatureID order.
+// fn may edit the list in place only when the caller owns every page.
 func (t *Trie) each(fn func(id features.FeatureID, pl *PostingList)) {
-	pages := 0
-	for s := range t.shards {
-		pages = max(pages, len(t.shards[s].pages))
-	}
-	for p := 0; p < pages; p++ {
-		for j := 0; j < pageLen; j++ {
-			for s := range t.shards {
-				dir := t.shards[s].pages
-				if p >= len(dir) || dir[p] == nil || dir[p][j].ids == nil {
-					continue
-				}
-				fn(features.FeatureID(uint32(p<<pageShift|j)<<t.shift|uint32(s)), &dir[p][j])
+	for p, pg := range t.pages {
+		if pg == nil {
+			continue
+		}
+		for j := range pg {
+			if pg[j].ids != nil {
+				fn(features.FeatureID(p<<pageShift|j), &pg[j])
 			}
 		}
 	}
@@ -312,7 +279,7 @@ func (t *Trie) Insert(key string, p Posting) {
 // hot sequential build path for callers enumerating features as IDs.
 func (t *Trie) InsertID(id features.FeatureID, p Posting) {
 	t.ensureMaterialized()
-	pl := t.at(id)
+	pl := t.pages.at(id)
 	if pl.ids == nil {
 		delete(t.dead, id) // resurrect a previously drained feature
 	}
@@ -331,18 +298,18 @@ func (t *Trie) Get(key string) []Posting {
 }
 
 // GetByID returns the postings for an interned feature (a zero PostingList
-// if this trie holds none). On an eager trie this is lock-free: a mask and a
-// shift select shard and slot, then two indexed loads (page directory,
-// page) read the immutable table. On a lazily-opened trie
-// (OpenLazy) the probe routes through the residency slots — one atomic load
-// for a resident list; otherwise the list is decoded from its byte span,
-// opening the shard's directory first if this is its first touch — and a
-// failure there panics with *ShardFaultError (see lazy.go).
+// if this trie holds none). On an eager trie this is lock-free: two indexed
+// loads (page directory, page) read the immutable table. On a lazily-opened
+// trie (OpenLazy) the probe routes through the residency slots — one atomic
+// load for a resident list; otherwise the list is decoded from its byte
+// span, opening its segment's directory first if this is that segment's
+// first touch — and a failure there panics with *ShardFaultError (see
+// lazy.go).
 func (t *Trie) GetByID(id features.FeatureID) PostingList {
 	if ls := t.lazyLive.Load(); ls != nil {
 		return ls.get(id)
 	}
-	return t.get(id)
+	return t.pages.get(id)
 }
 
 // Contains reports whether key currently has at least one posting. A key
@@ -402,14 +369,14 @@ func (t *Trie) SizeBytes() int {
 	return t.tableSizeBytes()
 }
 
-// tableSizeBytes is the eager footprint: the directory headers, plus every
+// tableSizeBytes is the eager footprint: the directory header, plus every
 // live list's container bytes, its 48 B table entry and its share of page
 // directory pointers. The table is counted at full occupancy — slots left
 // by dead or foreign features of a shared dictionary are residue, like the
 // dead dictionary entries LiveDictSizeBytes excludes — so a mutated trie
 // reports exactly what a fresh build of the same content does.
 func (t *Trie) tableSizeBytes() int {
-	sz, live := 24*len(t.shards), 0
+	sz, live := 24, 0
 	t.each(func(_ features.FeatureID, pl *PostingList) {
 		live++
 		sz += pl.SizeBytes()
@@ -426,7 +393,7 @@ func (t *Trie) tableSizeBytes() int {
 func (t *Trie) LiveDictSizeBytes() int {
 	if t.lazyLive.Load() != nil {
 		// Retired-feature accounting needs the drain sets, which live in
-		// shards not yet resident; while lazy, report the full dictionary
+		// segments not yet opened; while lazy, report the full dictionary
 		// footprint (an upper bound) rather than faulting everything in.
 		return t.dict.SizeBytes()
 	}
@@ -455,7 +422,7 @@ func (t *Trie) DeadLen() int {
 //	})
 //
 // ParallelFor returns after every worker has finished, so it establishes
-// the happens-before edge parallel builds rely on. Shared by the shard
+// the happens-before edge parallel builds rely on. Shared by the stripe
 // merge below, the path-method builds and core's cache-side index builds.
 //
 // A panic in a worker body does not kill the process: the first one is
@@ -518,18 +485,23 @@ func (p *WorkerPanic) Unwrap() error {
 	return err
 }
 
-// stagedPosting is one posting awaiting its shard merge.
+// stagedPosting is one posting awaiting its stripe merge.
 type stagedPosting struct {
 	id features.FeatureID
 	p  Posting
 }
 
+// mergeStripes is the number of independent merge tasks a Builder splits
+// the table into: page p belongs to stripe p % mergeStripes, so stripes own
+// disjoint pages and merge without synchronisation.
+const mergeStripes = 64
+
 // Builder assembles a trie from concurrent producers without contention on
 // the postings store. Each build goroutine claims one BuildWorker and stages
-// its postings into private per-shard buffers; Merge then folds every
-// shard's staged postings in — shards in parallel (they are disjoint by
-// construction), each shard deterministically: staged postings are ordered
-// by (FeatureID, graph id) before insertion, so the resulting store is
+// its postings into private per-stripe buffers; Merge then folds every
+// stripe's staged postings in — stripes in parallel (they own disjoint
+// pages), each stripe deterministically: staged postings are ordered by
+// (FeatureID, graph id) before insertion, so the resulting store is
 // identical to a sequential build of the same postings regardless of how
 // graphs were distributed over workers or interleaved in time.
 //
@@ -546,7 +518,7 @@ type Builder struct {
 // Builder are safe to use concurrently.
 type BuildWorker struct {
 	t      *Trie
-	staged [][]stagedPosting // one buffer per shard
+	staged [mergeStripes][]stagedPosting
 }
 
 // NewBuilder returns a Builder with the given number of staging workers
@@ -554,12 +526,9 @@ type BuildWorker struct {
 // completion of Merge.
 func (t *Trie) NewBuilder(workers int) *Builder {
 	t.ensureMaterialized()
-	if workers < 1 {
-		workers = 1
-	}
-	b := &Builder{t: t, workers: make([]*BuildWorker, workers)}
+	b := &Builder{t: t, workers: make([]*BuildWorker, max(workers, 1))}
 	for i := range b.workers {
-		b.workers[i] = &BuildWorker{t: t, staged: make([][]stagedPosting, len(t.shards))}
+		b.workers[i] = &BuildWorker{t: t}
 	}
 	return b
 }
@@ -575,12 +544,12 @@ func (w *BuildWorker) Insert(key string, p Posting) {
 
 // InsertID stages a posting for an already-interned feature.
 func (w *BuildWorker) InsertID(id features.FeatureID, p Posting) {
-	s := int(uint32(id) & w.t.mask)
+	s := (id >> pageShift) % mergeStripes
 	w.staged[s] = append(w.staged[s], stagedPosting{id: id, p: p})
 }
 
-// Merge folds all staged postings into the trie: one merge task per shard,
-// fanned out over up to GOMAXPROCS goroutines, each inserting its shard's
+// Merge folds all staged postings into the trie: one merge task per stripe,
+// fanned out over up to GOMAXPROCS goroutines, each inserting its stripe's
 // postings in (FeatureID, graph) order so the result is independent of the
 // staging schedule. Duplicate (feature, graph) postings merge exactly as
 // sequential Insert would (counts accumulate). Merge must
@@ -588,14 +557,16 @@ func (w *BuildWorker) InsertID(id features.FeatureID, p Posting) {
 // Builder is drained and the trie is ready for lock-free reads.
 func (b *Builder) Merge() {
 	t := b.t
-	k := len(t.shards)
-	revived := make([][]features.FeatureID, k)
-	ParallelFor(k, runtime.GOMAXPROCS(0), func(_ int, claim func() int) {
+	// Every staged ID is interned by now, so the directory can be sized
+	// once and the stripes only ever fill their own pages.
+	t.pages.grow(t.dict.Len())
+	var revived [mergeStripes][]features.FeatureID
+	ParallelFor(mergeStripes, runtime.GOMAXPROCS(0), func(_ int, claim func() int) {
 		for s := claim(); s >= 0; s = claim() {
-			revived[s] = t.mergeShard(s, b.workers)
+			revived[s] = t.mergeStripe(s, b.workers)
 		}
 	})
-	// The dead set is shared by all shards, so resurrections are applied
+	// The dead set is shared by all stripes, so resurrections are applied
 	// after the parallel phase.
 	for _, ids := range revived {
 		for _, id := range ids {
@@ -603,16 +574,13 @@ func (b *Builder) Merge() {
 		}
 	}
 	for _, w := range b.workers {
-		for s := range w.staged {
-			w.staged[s] = nil
-		}
+		w.staged = [mergeStripes][]stagedPosting{}
 	}
 }
 
-// mergeShard inserts every staged posting for shard s, filling its table in
-// ID order, and returns the dead features it brought back.
-func (t *Trie) mergeShard(s int, workers []*BuildWorker) []features.FeatureID {
-	sh := &t.shards[s]
+// mergeStripe inserts every staged posting for stripe s, filling its pages
+// in ID order, and returns the dead features it brought back.
+func (t *Trie) mergeStripe(s int, workers []*BuildWorker) []features.FeatureID {
 	n := 0
 	for _, w := range workers {
 		n += len(w.staged[s])
@@ -656,7 +624,7 @@ func (t *Trie) mergeShard(s int, workers []*BuildWorker) []features.FeatureID {
 			}
 			run = append(run, sp.p)
 		}
-		pl := sh.at(uint32(id) >> t.shift)
+		pl := t.pages.at(id)
 		if pl.ids != nil {
 			run = mergePostingRuns(pl.Postings(), run)
 		} else if _, dead := t.dead[id]; dead {

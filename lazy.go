@@ -13,7 +13,7 @@ import (
 
 // Lazy engine loading: LoadEngineFile(..., WithLazyLoad(budget)) maps the
 // snapshot instead of decoding it, so the engine binds its first query
-// after reading only the shards — and decoding only the posting lists — it
+// after reading only the segments — and decoding only the posting lists — it
 // touches, and can serve an index bigger than RAM under a resident-byte
 // budget. See the package comment ("Serving indexes bigger than RAM") for
 // the model and its trade-offs.
@@ -32,8 +32,8 @@ type engineLoadConfig struct {
 // tail recovered exactly as in an eager load), and nothing else until a
 // query asks. What is paged is the posting list: a probe decodes just the
 // list it needs from that list's byte span in the mapping. What is pinned
-// is the dictionary and, per shard, an offset directory built on the
-// shard's first probe by one read of its segment — which is also the one
+// is the dictionary and, per segment, an offset directory built on the
+// segment's first probe by one read of it — which is also the one
 // moment the segment's checksum is verified. budgetBytes bounds the decoded
 // lists kept resident (lists not probed since the evictor's last pass go
 // first and are transparently re-decoded on the next probe); 0 means
@@ -41,10 +41,10 @@ type engineLoadConfig struct {
 //
 // The snapshot file backs the engine for as long as it serves lazily: it
 // must not be modified, and Engine.Close releases it. Corruption confined
-// to one shard's segment surfaces on that shard's first probe, and a
+// to one segment surfaces on that segment's first probe, and a
 // failing read on any later posting decode, as a contained *PanicError
 // (carrying trie.ErrCorrupt or the I/O error) on the queries that needed
-// those bytes; other shards keep answering and the failed probe is retried
+// those bytes; other segments keep answering and the failed probe is retried
 // from scratch next time. Methods without lazy support (anything but GGSX
 // and Grapes) fall back to a plain eager load.
 func WithLazyLoad(budgetBytes int64) EngineLoadOption {
@@ -197,7 +197,7 @@ func (e *Engine) materializeIndexLocked() error {
 }
 
 // Residency reports how much of the dataset index is decoded in memory.
-// For lazily loaded engines the counters move as queries open shard
+// For lazily loaded engines the counters move as queries open segment
 // directories and decode posting lists and the budget evicts lists; eager
 // engines report Lazy == false. Cheap to sample at any time (one short
 // lock the query hot path never takes).
