@@ -483,6 +483,7 @@ type EngineStats struct {
 	CachedQueries   int   // current committed cache population
 	WindowPending   int   // admissions awaiting the next flush
 	Flushes         int   // window flushes (cache-index rebuilds) so far
+	MemoRenewals    int64 // dataset filters run by identical hits to renew their base memo, by the current cache
 
 	// Residency of a lazily loaded dataset index (see WithLazyLoad); all
 	// zero for eagerly loaded or freshly built engines.
@@ -814,6 +815,7 @@ func (e *Engine) StatsOf(mode Mode) EngineStats {
 		st.CachedQueries = ig.CacheLen()
 		st.WindowPending = ig.WindowLen()
 		st.Flushes = ig.Flushes()
+		st.MemoRenewals = ig.MemoRenewals()
 	}
 	if res := e.Residency(); res.Lazy {
 		st.LazyLoaded = !res.Materialized
@@ -966,8 +968,13 @@ func (e *Engine) LoadIndex(r io.Reader) (LoadReport, error) {
 // untouched pages are shared with the previous generation; each touched
 // feature's list is copied once), and every cached query's
 // answer set is extended with the new graphs that match it, so the paper's
-// correctness theorems keep holding over the grown dataset. The new graphs
-// occupy dataset positions len(Dataset()).. in order.
+// correctness theorems keep holding over the grown dataset. Each new graph
+// is enumerated once per query direction and probes that direction's cache
+// index, so only the cached queries it may match are tested; and each
+// cached query's memoised candidate-set credit (what an identical hit is
+// credited with) is extended in the same pass, so no identical hit has to
+// run the dataset filter again. The new graphs occupy dataset positions
+// len(Dataset()).. in order.
 //
 // Safe while queries are in flight: in-flight queries finish on the
 // generation they started with, later queries see the new one; no query
@@ -1032,7 +1039,10 @@ func (e *Engine) AddGraphs(ctx context.Context, gs []*Graph) error {
 // graph, so surviving graphs keep their identity but may change position —
 // Dataset() reflects the result deterministically. The method index scrubs
 // only the removed and moved graphs' postings, and cached answers are
-// rewritten through the position mapping (no isomorphism tests).
+// rewritten through the position mapping (no isomorphism tests). A cached
+// query keeps its memoised candidate-set credit unless a removed or moved
+// graph was among its candidates; the removed and moved graphs probe each
+// direction's cache index once to find those.
 //
 // Concurrency, serialisation, ctx and method-support semantics match
 // AddGraphs.

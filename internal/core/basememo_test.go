@@ -13,11 +13,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/features"
 	"repro/internal/graph"
 	"repro/internal/index"
 	"repro/internal/index/contain"
 	"repro/internal/index/ggsx"
+	wl "repro/internal/workload"
 )
 
 // filterCounter wraps one method generation and counts the dataset filters
@@ -51,8 +53,18 @@ type memoFixture struct {
 	m      index.Mutable
 	db     []*graph.Graph
 	q      *graph.Graph
-	extra  []*graph.Graph // graphs to append: one related to q, one not
-	remove []int          // positions to remove afterwards
+	extra  []*graph.Graph // graphs to append: one related to q, then one in no CS(q)
+	remove []int          // positions to remove after the second extra graph
+}
+
+// alienGraph is an edge over a label no fixture graph uses, so it is in no
+// candidate set of a fixture query in either mode.
+func alienGraph() *graph.Graph {
+	g := graph.New(2)
+	g.AddVertex(9)
+	g.AddVertex(9)
+	g.AddEdge(0, 1)
+	return g
 }
 
 func newMemoFixture(mode core.Mode, seed int64) memoFixture {
@@ -66,7 +78,7 @@ func newMemoFixture(mode core.Mode, seed int64) memoFixture {
 		}
 		f.q = randomGraph(rng, 7, 0.5, 2)
 		piece, _ := f.q.InducedSubgraph(f.q.BFSOrder(0)[:3])
-		f.extra = []*graph.Graph{piece, randomGraph(rng, 3, 0.6, 2)}
+		f.extra = []*graph.Graph{piece, alienGraph()}
 		m := contain.New(contain.DefaultOptions())
 		m.Build(f.db)
 		f.m = m
@@ -77,7 +89,7 @@ func newMemoFixture(mode core.Mode, seed int64) memoFixture {
 		f.db[i] = randomGraph(rng, 6+rng.Intn(8), 0.3, memoLabels)
 	}
 	f.q, _ = f.db[2].InducedSubgraph(f.db[2].BFSOrder(0)[:3])
-	f.extra = []*graph.Graph{f.db[2].Clone(), randomGraph(rng, 8, 0.3, memoLabels)}
+	f.extra = []*graph.Graph{f.db[2].Clone(), alienGraph()}
 	m := ggsx.New(ggsx.DefaultOptions())
 	m.Build(f.db)
 	f.m = m
@@ -85,11 +97,14 @@ func newMemoFixture(mode core.Mode, seed int64) memoFixture {
 }
 
 // TestBaseMemoLifeCycle follows one cached query through admission, dataset
-// append, dataset removal, a Save/Load round trip and an index rebuild, then
-// through a mutation that finds it still in the window. An identical hit must
-// run the dataset filter only when the entry holds no memo for the current
-// dataset generation — once after each of those events, never otherwise —
-// and must report and credit exactly what filtering would have.
+// append, two dataset removals, a Save/Load round trip and an index rebuild,
+// then through a mutation that finds it still in the window. An identical
+// hit must run the dataset filter only when the entry holds no memo for the
+// current dataset generation, and must report and credit exactly what
+// filtering would have. The mutations carry the memo: an append always, a
+// removal unless CS(q) held a removed or moved graph (the fixture removes
+// once each way). A Load and a rebuild drop it, so the first hit after each
+// of them filters once.
 func TestBaseMemoLifeCycle(t *testing.T) {
 	for _, mode := range []core.Mode{core.SubgraphQueries, core.SupergraphQueries} {
 		for _, async := range []bool{false, true} {
@@ -151,19 +166,40 @@ func TestBaseMemoLifeCycle(t *testing.T) {
 					t.Fatal(err)
 				}
 				f.m, f.db = m2, db2
-				hit("first hit after append", 1)
+				hit("first hit after append", 0)
 				hit("second hit after append", 0)
 
-				m3, db3, mapping, err := f.m.RemoveGraphs(f.remove)
-				if err != nil {
-					t.Fatal(err)
+				// remove removes positions and reports whether CS(q) held a
+				// graph the removal took out or moved.
+				remove := func(positions []int) (held bool) {
+					t.Helper()
+					cs := f.m.Filter(f.q)
+					m3, db3, mapping, err := f.m.RemoveGraphs(positions)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, id := range cs {
+						held = held || mapping[id] != id
+					}
+					if err := ig.DatasetRemoved(context.Background(), countFilters(m3, &calls), db3, mapping); err != nil {
+						t.Fatal(err)
+					}
+					f.m, f.db = m3, db3
+					want := int64(0)
+					if held {
+						want = 1
+					}
+					hit(fmt.Sprintf("first hit after removing %v (CS(q) held one: %v)", positions, held), want)
+					hit("second hit after removal", 0)
+					return held
 				}
-				if err := ig.DatasetRemoved(context.Background(), countFilters(m3, &calls), db3, mapping); err != nil {
-					t.Fatal(err)
+				// The alien graph is last: removing it moves nothing.
+				if remove([]int{len(f.db) - 1}) {
+					t.Fatal("CS(q) holds the alien graph")
 				}
-				f.m, f.db = m3, db3
-				hit("first hit after removal", 1)
-				hit("second hit after removal", 0)
+				if !remove(f.remove) {
+					t.Fatalf("CS(q) holds none of the graphs removing %v takes out or moves", f.remove)
+				}
 
 				var buf bytes.Buffer
 				if err := ig.Save(&buf); err != nil {
@@ -181,8 +217,8 @@ func TestBaseMemoLifeCycle(t *testing.T) {
 				hit("first hit after rebuild", 1)
 				hit("second hit after rebuild", 0)
 
-				// A window entry is patched in place and keeps its memo object:
-				// only the generation stamp tells that it is stale.
+				// A window entry is patched in place, its memo carried as a
+				// committed entry's is.
 				opt.Window = 3
 				ig = core.New(countFilters(f.m, &calls), f.db, opt)
 				ig.Query(f.q)
@@ -197,7 +233,7 @@ func TestBaseMemoLifeCycle(t *testing.T) {
 				if err := ig.Save(io.Discard); err != nil { // flushes the partial window
 					t.Fatal(err)
 				}
-				hit("first hit on an entry mutated in the window", 1)
+				hit("first hit on an entry mutated in the window", 0)
 				hit("second hit on that entry", 0)
 			})
 		}
@@ -206,22 +242,16 @@ func TestBaseMemoLifeCycle(t *testing.T) {
 
 // TestBaseMemoConcurrentRefresh lets two goroutines meet the same stale
 // memo at once (run under -race): both may filter, both must report the
-// current generation's base set, and the memo they leave must be good.
+// current generation's base set, and the memo they leave must be good. An
+// index rebuild is what leaves every memo stale.
 func TestBaseMemoConcurrentRefresh(t *testing.T) {
 	f := newMemoFixture(core.SubgraphQueries, 43)
 	var calls atomic.Int64
 	ig := core.New(countFilters(f.m, &calls), f.db, core.Options{CacheSize: 8, Window: 1, Labels: memoLabels})
 	ig.Query(f.q)
+	want := len(f.m.Filter(f.q))
 	for round := 0; round < 20; round++ {
-		m2, db2, err := f.m.AppendGraphs([]*graph.Graph{f.extra[0].Clone()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ig.DatasetAppended(context.Background(), countFilters(m2, &calls), db2, len(f.db)); err != nil {
-			t.Fatal(err)
-		}
-		f.m, f.db = m2, db2
-		want := len(f.m.Filter(f.q))
+		ig.RebuildIndexes()
 		calls.Store(0)
 		start := make(chan struct{})
 		var wg sync.WaitGroup
@@ -287,4 +317,61 @@ func BenchmarkIdenticalHit(b *testing.B) {
 	if n := calls.Load(); n != 0 {
 		b.Fatalf("%d dataset filters ran during %d identical hits", n, b.N)
 	}
+}
+
+// BenchmarkHitsAfterMutation is the mutation-then-hits cycle of a serving
+// cache at the paper's defaults: 500 cached queries over 2 000 AIDS-like
+// graphs; each iteration appends 4 graphs, removes them again and replays
+// 100 cached queries as identical hits. filters/op counts the dataset
+// filters those hits run to renew a base memo — only entries whose
+// candidate set held one of the removed graphs need one.
+func BenchmarkHitsAfterMutation(b *testing.B) {
+	db := dataset.Generate(dataset.AIDS().Scaled(2000.0/40000, 1))
+	extra := dataset.Generate(dataset.AIDS().Scaled(40.0/40000, 1))
+	var m index.Mutable = ggsx.New(ggsx.DefaultOptions())
+	m.Build(db)
+	var calls atomic.Int64
+	ig := core.New(countFilters(m, &calls), db, core.Options{CacheSize: 500, Window: 100})
+	var hot []*graph.Graph
+	for _, wq := range wl.Generate(db, wl.Spec{NumQueries: 3000, GraphDist: wl.Uniform, NodeDist: wl.Uniform, Seed: 1}) {
+		if ig.CacheLen() == 500 && ig.WindowLen() == 0 {
+			break
+		}
+		ig.Query(wq.G)
+	}
+	for _, wq := range wl.Generate(db, wl.Spec{NumQueries: 3000, GraphDist: wl.Uniform, NodeDist: wl.Uniform, Seed: 1}) {
+		if _, _, _, ok := ig.CreditsOf(wq.G); ok && len(hot) < 100 {
+			hot = append(hot, wq.G)
+		}
+	}
+	if ig.CacheLen() != 500 || len(hot) != 100 {
+		b.Fatalf("%d cached queries, %d of them hot; want 500 and 100", ig.CacheLen(), len(hot))
+	}
+	ctx := context.Background()
+	calls.Store(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := len(db)
+		grown, grownDB, err := m.AppendGraphs(extra[4*i%(len(extra)-3):][:4])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ig.DatasetAppended(ctx, countFilters(grown, &calls), grownDB, n); err != nil {
+			b.Fatal(err)
+		}
+		var mapping []int32
+		if m, db, mapping, err = grown.RemoveGraphs([]int{n, n + 1, n + 2, n + 3}); err != nil {
+			b.Fatal(err)
+		}
+		if err := ig.DatasetRemoved(ctx, countFilters(m, &calls), db, mapping); err != nil {
+			b.Fatal(err)
+		}
+		for _, g := range hot {
+			if out, err := ig.QueryNoAdmit(ctx, g); err != nil || out.Short != core.IdenticalHit {
+				b.Fatalf("hot query: err %v, short %v, want an identical hit", err, out.Short)
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(calls.Load())/float64(b.N), "filters/op")
 }

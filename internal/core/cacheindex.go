@@ -35,13 +35,7 @@ func buildCacheIndex(dict *features.Dict, entries []*entry, maxPathLen int) *cac
 	var scratch *features.Scratch
 	nRows, nPosts := 0, 0
 	for pos, e := range entries {
-		if e.feats == nil {
-			if scratch == nil {
-				scratch = features.NewScratch()
-			}
-			qf := features.PathsID(e.g, features.PathOptions{MaxLen: maxPathLen}, dict, scratch, true)
-			e.feats = append([]features.IDCount{}, qf.Counts...)
-		}
+		scratch = e.ownFeatures(dict, maxPathLen, scratch)
 		ix.nf[pos] = int32(len(e.feats))
 		nPosts += len(e.feats)
 		for _, fc := range e.feats {

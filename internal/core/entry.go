@@ -50,9 +50,13 @@ type entry struct {
 
 // baseMemo is what M.Filter contributes to an identical hit on this entry,
 // on one dataset generation: the size of CS(g) and the log-sum-exp of the
-// test costs over it — the hit prunes all of CS(g). It is exact, not a
-// bound: CS(g) is a function of g's isomorphism-invariant features, so an
-// identical query on the same generation filters to the same set. A memo
+// test costs over it, folded in candidate order — the hit prunes all of
+// CS(g). It is exact, not a bound: CS(g) is a function of g's
+// isomorphism-invariant features, so an identical query on the same
+// generation filters to the same set. Dataset mutations carry it to the
+// next generation when they can tell exactly how CS(g) changed (see
+// mutate.go): an append continues the fold over the appended members, a
+// removal keeps it when no removed or moved graph was a member. A memo
 // whose dbGen is not the querying snapshot's is stale and is recomputed by
 // the hit that finds it.
 type baseMemo struct {
@@ -75,13 +79,12 @@ func newEntry(id int32, g *graph.Graph, answer []int32, seq int64) *entry {
 	return e
 }
 
-// withAnswer returns a copy of e carrying a different answer set — the
-// copy-on-write step of dataset-mutation patching. Metadata (hits,
-// removed, logCost) carries over by value; the graph, its fingerprint,
-// program and features are shared (the cached query itself is untouched by
-// dataset mutation). The base memo does not carry over: it describes the
-// previous generation.
-func (e *entry) withAnswer(answer []int32) *entry {
+// withAnswer returns a copy of e carrying a different answer set and base
+// memo (nil for none) — the copy-on-write step of dataset-mutation
+// patching. Metadata (hits, removed, logCost) carries over by value; the
+// graph, its fingerprint, program and features are shared (the cached query
+// itself is untouched by dataset mutation).
+func (e *entry) withAnswer(answer []int32, base *baseMemo) *entry {
 	ne := &entry{
 		id:         e.id,
 		g:          e.g,
@@ -94,7 +97,22 @@ func (e *entry) withAnswer(answer []int32) *entry {
 	ne.hits.Store(e.hits.Load())
 	ne.removed.Store(e.removed.Load())
 	ne.logCost.Store(e.logCost.Load())
+	ne.base.Store(base)
 	return ne
+}
+
+// ownFeatures enumerates g's features under dict, interning, unless e owns
+// them already — once in the entry's lifetime. sc is the enumeration
+// scratch, made on first use and returned for the next call.
+func (e *entry) ownFeatures(dict *features.Dict, maxPathLen int, sc *features.Scratch) *features.Scratch {
+	if e.feats == nil {
+		if sc == nil {
+			sc = features.NewScratch()
+		}
+		qf := features.PathsID(e.g, features.PathOptions{MaxLen: maxPathLen}, dict, sc, true)
+		e.feats = append([]features.IDCount{}, qf.Counts...)
+	}
+	return sc
 }
 
 // sameSize reports whether the cached graph has g's vertex and edge counts,

@@ -65,7 +65,7 @@ func TestFlushEnumeratesNothingItKnows(t *testing.T) {
 			e.g = nil
 			want[e.id] = len(e.feats)
 		}
-		q.window = append(q.window, q.window[0].withAnswer(nil)) // fill the window
+		q.window = append(q.window, q.window[0].withAnswer(nil, nil)) // fill the window
 		q.window[len(q.window)-1].id = q.nextID
 		flushes := q.flushes
 		q.flushLocked()

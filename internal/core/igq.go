@@ -24,9 +24,10 @@
 // then — the stages after it exist to prune and verify a candidate set the
 // hit does not need. What the hit still owes the replacement policy, the
 // §5.1 credit over all of CS(g), comes from a per-entry memo of CS(g)'s
-// size and cost taken when the entry was admitted (entry.base); the filter
-// runs for a hit only to make that memo anew, once after a dataset mutation
-// or a Load.
+// size and cost taken when the entry was admitted (entry.base) and carried
+// through dataset mutations by their cache patch; the filter runs for a hit
+// only to make that memo anew — after a Load, an index rebuild, or a
+// removal that took a graph out of CS(g).
 //
 // # Concurrency model
 //
@@ -263,6 +264,9 @@ type IGQ struct {
 	// queries before reaching steady state again.
 	scratchMu sync.Mutex
 	scratches []*queryScratch
+
+	memoRenewals atomic.Int64 // filters run by identical hits to renew their base memo
+	patchTests   int64        // compiled tests run by dataset-mutation patches; guarded by mu
 }
 
 // queryScratch is the reusable per-call state of one Query.
@@ -273,6 +277,30 @@ type queryScratch struct {
 	subHits, superHits   []*entry    // cacheLookup's results
 	prog                 iso.Program // the query compiled, for the sub-side tests
 	credits              []pendingCredit
+	isoCosts             []isoCost // logIsoCost's memo, by target vertex count
+}
+
+// isoCost is one memoised LogIsoCost value: the cost of a test of a
+// queryNodes-vertex query against a target of the slot's vertex count.
+// queryNodes is stored plus one, so that the zero slot is empty.
+type isoCost struct {
+	queryNodes int
+	cost       float64
+}
+
+// logIsoCost is LogIsoCost(queryNodes, targetNodes, labels) with the value
+// memoised in sc by target size — a query prices many candidates of few
+// distinct sizes, and each slot stays valid until a query of another size
+// claims it.
+func (sc *queryScratch) logIsoCost(queryNodes, targetNodes, labels int) float64 {
+	if targetNodes >= len(sc.isoCosts) {
+		sc.isoCosts = append(sc.isoCosts, make([]isoCost, targetNodes+1-len(sc.isoCosts))...)
+	}
+	slot := &sc.isoCosts[targetNodes]
+	if slot.queryNodes != queryNodes+1 {
+		*slot = isoCost{queryNodes: queryNodes + 1, cost: LogIsoCost(queryNodes, targetNodes, labels)}
+	}
+	return slot.cost
 }
 
 // pendingCredit is one entry's deferred §5.1 metadata update: computed
@@ -367,6 +395,10 @@ func (q *IGQ) Flushes() int {
 	return q.flushes
 }
 
+// MemoRenewals returns how many identical hits ran the dataset filter to
+// renew their entry's base memo.
+func (q *IGQ) MemoRenewals() int64 { return q.memoRenewals.Load() }
+
 // Queries returns the number of queries processed.
 func (q *IGQ) Queries() int64 { return q.seq.Load() }
 
@@ -448,9 +480,10 @@ func (q *IGQ) run(ctx context.Context, g *graph.Graph, admit bool) (*Outcome, er
 	if identical != nil {
 		base := identical.base.Load()
 		if base == nil || base.dbGen != snap.dbGen {
+			q.memoRenewals.Add(1)
 			sc := q.getScratch()
 			_, cs := q.baseCandidates(snap, g, sc, out)
-			base = q.newBaseMemo(snap, g.NumVertices(), cs)
+			base = q.newBaseMemo(snap, sc, g.NumVertices(), cs)
 			q.putScratch(sc)
 			identical.base.Store(base)
 		}
@@ -560,16 +593,9 @@ func (s *snapshot) identical(g *graph.Graph, qfp uint64, out *Outcome) *entry {
 func (q *IGQ) baseCandidates(snap *snapshot, g *graph.Graph, sc *queryScratch, out *Outcome) (features.IDSet, []int32) {
 	qf := features.PathsID(g, features.PathOptions{MaxLen: q.opt.MaxPathLen}, q.dict, sc.feat, false)
 
-	// The count-based fast path is only sound when the method's index was
-	// built over the same dictionary at the same feature length.
-	countFilter, _ := snap.m.(index.CountFilterer)
-	if countFilter != nil && (!q.methodDict || countFilter.FeatureMaxPathLen() != q.opt.MaxPathLen) {
-		countFilter = nil
-	}
-
 	var cs []int32
 	t0 := time.Now()
-	if countFilter != nil {
+	if countFilter := q.countFilter(snap.m); countFilter != nil {
 		cs = normalizeIDs(countFilter.FilterByFeatureCounts(qf))
 	} else {
 		cs = normalizeIDs(snap.m.Filter(g))
@@ -577,6 +603,21 @@ func (q *IGQ) baseCandidates(snap *snapshot, g *graph.Graph, sc *queryScratch, o
 	out.FilterDur = time.Since(t0)
 	out.BaseCandidates = len(cs)
 	return qf, cs
+}
+
+// countFilter returns m's count filter when it is sound to feed it the
+// cache's enumeration: m's index was built over the cache's own dictionary
+// at the cache's feature length. Then CS(g) is decided graph by graph by
+// the per-feature count comparison the cache index applies too (FilterCountGE
+// in subgraph mode, Algorithm 2 in supergraph mode), which the mutation
+// patches rely on. nil otherwise.
+func (q *IGQ) countFilter(m index.Method) index.CountFilterer {
+	cf, counts := m.(index.CountFilterer)
+	dp, shares := m.(index.DictProvider)
+	if !counts || !shares || dp.FeatureDict() != q.dict || cf.FeatureMaxPathLen() != q.opt.MaxPathLen {
+		return nil
+	}
+	return cf
 }
 
 // cacheLookup finds and verifies the Isub and Isuper hits for a query g
@@ -626,23 +667,24 @@ func (q *IGQ) cacheLookup(snap *snapshot, g *graph.Graph, qf features.IDSet, sc 
 // contribution is folded into a single log-sum-exp delta here, lock-free,
 // so the later application under IGQ.mu is O(1) per credited entry.
 func (q *IGQ) pendCredit(sc *queryScratch, db []*graph.Graph, e *entry, queryNodes int, prunedIDs []int32) {
-	sc.credits = append(sc.credits, pendingCredit{e: e, removed: int64(len(prunedIDs)), logCost: q.logIsoCostSum(db, queryNodes, prunedIDs)})
+	sc.credits = append(sc.credits, pendingCredit{e: e, removed: int64(len(prunedIDs)), logCost: q.foldIsoCosts(math.Inf(-1), sc, db, queryNodes, prunedIDs)})
 }
 
-// logIsoCostSum is the log-sum-exp of the §5.1 test costs a queryNodes-vertex
-// query would pay against the dataset graphs ids (-Inf if none).
-func (q *IGQ) logIsoCostSum(db []*graph.Graph, queryNodes int, ids []int32) float64 {
-	sum := math.Inf(-1)
+// foldIsoCosts folds the §5.1 test costs a queryNodes-vertex query would pay
+// against the dataset graphs ids, in order, into the log-sum-exp sum (-Inf
+// for none): every credit and base memo is one such fold, so a memo grown by
+// a further fold over higher ids equals one folded over all of them.
+func (q *IGQ) foldIsoCosts(sum float64, sc *queryScratch, db []*graph.Graph, queryNodes int, ids []int32) float64 {
 	for _, id := range ids {
-		sum = LogSumExp(sum, LogIsoCost(queryNodes, db[id].NumVertices(), q.opt.Labels))
+		sum = LogSumExp(sum, sc.logIsoCost(queryNodes, db[id].NumVertices(), q.opt.Labels))
 	}
 	return sum
 }
 
 // newBaseMemo records the credit an identical hit earns on snap's dataset
 // generation: all of cs = CS(g), folded exactly as pendCredit would.
-func (q *IGQ) newBaseMemo(snap *snapshot, queryNodes int, cs []int32) *baseMemo {
-	return &baseMemo{dbGen: snap.dbGen, n: len(cs), logCost: q.logIsoCostSum(snap.db, queryNodes, cs)}
+func (q *IGQ) newBaseMemo(snap *snapshot, sc *queryScratch, queryNodes int, cs []int32) *baseMemo {
+	return &baseMemo{dbGen: snap.dbGen, n: len(cs), logCost: q.foldIsoCosts(math.Inf(-1), sc, snap.db, queryNodes, cs)}
 }
 
 // commit applies one query's buffered writes. The §5.1 credits fold into
@@ -671,7 +713,7 @@ func (q *IGQ) commit(sc *queryScratch, snap *snapshot, g *graph.Graph, qf featur
 		return
 	}
 	e := newEntry(0, g.Clone(), answer, 0)
-	e.base.Store(q.newBaseMemo(snap, g.NumVertices(), cs))
+	e.base.Store(q.newBaseMemo(snap, sc, g.NumVertices(), cs))
 	if qf.Unknown == 0 {
 		e.feats = append([]features.IDCount{}, qf.Counts...)
 	}

@@ -28,7 +28,7 @@ func (g *Group) PartitionStats() []Stat {
 
 // Stats aggregates the mode's engine counters across partitions: counter
 // fields sum (queries, cache answers, iso tests, hits, panics, cache
-// population, residency); LazyLoaded and LazyBudgetBytes are clear —
+// population, flushes, memo renewals, residency); LazyLoaded and LazyBudgetBytes are clear —
 // partitions are built or restored eagerly. Reports false when the mode is
 // not served.
 func (g *Group) Stats(mode Mode) (igq.EngineStats, bool) {
@@ -48,6 +48,7 @@ func (g *Group) Stats(mode Mode) (igq.EngineStats, bool) {
 		agg.CachedQueries += st.CachedQueries
 		agg.WindowPending += st.WindowPending
 		agg.Flushes += st.Flushes
+		agg.MemoRenewals += st.MemoRenewals
 		agg.TotalShards += st.TotalShards
 		agg.ResidentShards += st.ResidentShards
 		agg.ResidentBytes += st.ResidentBytes

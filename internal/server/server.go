@@ -665,6 +665,7 @@ func emitEngineMetrics(w io.Writer, mode string, st igq.EngineStats) {
 	fmt.Fprintf(w, "igq_engine_cached_queries{mode=%q} %d\n", mode, st.CachedQueries)
 	fmt.Fprintf(w, "igq_engine_window_pending{mode=%q} %d\n", mode, st.WindowPending)
 	fmt.Fprintf(w, "igq_engine_flushes_total{mode=%q} %d\n", mode, st.Flushes)
+	fmt.Fprintf(w, "igq_engine_base_memo_renewals_total{mode=%q} %d\n", mode, st.MemoRenewals)
 	// Residency gauges of a lazily loaded index (all zero when eager); a
 	// scrape never decodes anything. The shard-named gauges keep their
 	// names and are segment-granular: total_shards is the snapshot's

@@ -638,7 +638,8 @@ func TestMutationsOverWireWithDeltaLineage(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if !strings.Contains(string(body), "igq_requests_served_total") ||
-		!strings.Contains(string(body), fmt.Sprintf("igq_engine_queries_total{mode=%q}", "sub")) {
+		!strings.Contains(string(body), fmt.Sprintf("igq_engine_queries_total{mode=%q}", "sub")) ||
+		!strings.Contains(string(body), fmt.Sprintf("igq_engine_base_memo_renewals_total{mode=%q}", "super")) {
 		t.Fatalf("metrics output incomplete:\n%s", body)
 	}
 }
