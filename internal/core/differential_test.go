@@ -27,9 +27,16 @@ func newSuperRefMethod() index.Method { return contain.New(contain.DefaultOption
 // and the method's legacy Filter, and the outcome of the interned-ID
 // pipeline must match it exactly.
 
-// refFeatures enumerates string-keyed path features (the seed representation).
+// refFeatures enumerates string-keyed path features (the seed
+// representation): PathsID over a private dictionary, which knows every
+// key, rendered back with Dict.Key.
 func refFeatures(g *graph.Graph, maxLen int) map[string]int {
-	return features.Paths(g, features.PathOptions{MaxLen: maxLen}).Counts
+	d := features.NewDict()
+	out := make(map[string]int)
+	for _, f := range features.PathsID(g, features.PathOptions{MaxLen: maxLen}, d, features.NewScratch(), true).Counts {
+		out[d.Key(f.ID)] = int(f.Count)
+	}
+	return out
 }
 
 // refOutcome replays the Fig 6 pipeline over q's indexed entries with

@@ -23,18 +23,6 @@ func benchGraph(n int, p float64, labels int, seed int64) *graph.Graph {
 	return g
 }
 
-// BenchmarkPathsString is the seed enumeration path: canonical strings into
-// a fresh map per call.
-func BenchmarkPathsString(b *testing.B) {
-	g := benchGraph(24, 0.25, 4, 7)
-	opt := PathOptions{MaxLen: 4}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Paths(g, opt)
-	}
-}
-
 // BenchmarkPathsID is the interned enumeration with a warm dictionary and
 // reused scratch — the steady-state per-query cost.
 func BenchmarkPathsID(b *testing.B) {

@@ -118,11 +118,14 @@ func minRotation(labels []graph.Label) string {
 	n := len(labels)
 	best := ""
 	for s := 0; s < n; s++ {
-		rot := make([]graph.Label, n)
+		var b strings.Builder
 		for i := 0; i < n; i++ {
-			rot[i] = labels[(s+i)%n]
+			if i > 0 {
+				b.WriteByte('.')
+			}
+			b.WriteString(strconv.Itoa(int(labels[(s+i)%n])))
 		}
-		enc := joinLabels(rot)
+		enc := b.String()
 		if best == "" || enc < best {
 			best = enc
 		}
@@ -176,4 +179,13 @@ func minRotationInterleaved(vs, es []graph.Label) string {
 		}
 	}
 	return best
+}
+
+func allZero(ls []graph.Label) bool {
+	for _, l := range ls {
+		if l != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,10 @@
 package features
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/graph"
+)
 
 // FeatureID is a dense interned identifier for a canonical feature key.
 // IDs are assigned sequentially from 0 by a Dict, so they can index flat
@@ -31,18 +35,56 @@ type IDSet struct {
 // and interned exactly once per query and every index probes it by integer
 // ID.
 //
-// Interning (Intern, and ID-mode enumeration with intern=true) takes a write
-// lock; lookups take a read lock, so concurrent read-only filtering is safe
-// even while a background shadow rebuild interns new keys.
+// Interning (Intern, and the install step of an interning PathsID) takes a
+// write lock; lookups and walks take a read lock, so concurrent read-only
+// filtering is safe even while a background shadow rebuild interns new
+// keys.
+//
+// Beside the keys, a Dict holds the path table PathsID walks (see the
+// package comment). The table is derived from the keys and is neither
+// persisted nor counted in SizeBytes.
 type Dict struct {
 	mu   sync.RWMutex
 	ids  map[string]FeatureID
 	keys []string
+
+	// nodes and next are the path table. nodes[0] and nodes[1] are the
+	// roots of walks over graphs without and with edge labels; every other
+	// node is reached by exactly one transition. next maps
+	// (node<<32 | uint32(label)) to the child node in its low 32 bits and
+	// the child's FeatureID in its high 32 bits. Walks over edge-labeled
+	// graphs step an edge label and then a vertex label, so every second
+	// node of theirs is an edge-label node, whose ID is noFeature.
+	nodes []pathNode
+	next  map[uint64]uint64
+	gen   uint64 // bumped by Reset; a walk installs only into its own generation
 }
+
+// pathNode is one node of the path table: its parent and the label of the
+// transition that reaches it, which is all a walk needs to render the
+// node's key. Its FeatureID lives in that transition's value.
+type pathNode struct {
+	parent uint32
+	label  graph.Label
+}
+
+// The roots of the path table.
+const (
+	rootPlain   = 0 // walks over graphs whose edges carry no labels
+	rootLabeled = 1 // walks over graphs with edge labels
+)
 
 // NewDict returns an empty dictionary.
 func NewDict() *Dict {
-	return &Dict{ids: make(map[string]FeatureID)}
+	return &Dict{ids: make(map[string]FeatureID), nodes: make([]pathNode, 2), next: make(map[uint64]uint64)}
+}
+
+// TableLen returns the number of transitions in the path table (one per
+// node besides the roots).
+func (d *Dict) TableLen() int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return len(d.next)
 }
 
 // Len returns the number of interned keys.
@@ -69,21 +111,7 @@ func (d *Dict) internLocked(key string) FeatureID {
 	return id
 }
 
-// internBytesLocked is the hot-path interning step: the map probe converts
-// the byte buffer without allocating; only a genuinely new key materialises
-// a string. Caller holds the write lock.
-func (d *Dict) internBytesLocked(key []byte) FeatureID {
-	if id, ok := d.ids[string(key)]; ok {
-		return id
-	}
-	k := string(key)
-	id := FeatureID(len(d.keys))
-	d.ids[k] = id
-	d.keys = append(d.keys, k)
-	return id
-}
-
-// Reset drops every interned key, keeping the Dict object itself valid so
+// Reset drops every interned key and the path table, keeping the Dict object itself valid so
 // that indexes sharing it (via index.DictProvider) stay wired to the same
 // interner. IDs restart densely from 0 as keys are re-interned, so any
 // structure keyed by the old IDs must be rebuilt afterwards — Reset is the
@@ -96,6 +124,9 @@ func (d *Dict) Reset() {
 	defer d.mu.Unlock()
 	clear(d.ids)
 	d.keys = d.keys[:0]
+	clear(d.next)
+	d.nodes = d.nodes[:2]
+	d.gen++
 }
 
 // DictEntrySizeBytes is the accounted footprint of one interned key: the
@@ -124,12 +155,6 @@ func (d *Dict) Lookup(key string) (FeatureID, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	id, ok := d.ids[key]
-	return id, ok
-}
-
-// lookupBytesLocked probes without allocating. Caller holds a read lock.
-func (d *Dict) lookupBytesLocked(key []byte) (FeatureID, bool) {
-	id, ok := d.ids[string(key)]
 	return id, ok
 }
 

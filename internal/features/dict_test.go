@@ -9,9 +9,13 @@ func TestDictReset(t *testing.T) {
 	if a != 0 || b != 1 {
 		t.Fatalf("dense IDs expected, got %d, %d", a, b)
 	}
+	PathsID(pathGraph(1, 2), PathOptions{MaxLen: 1}, d, NewScratch(), true)
 	d.Reset()
 	if d.Len() != 0 {
 		t.Fatalf("Len after Reset = %d, want 0", d.Len())
+	}
+	if n := d.TableLen(); n != 0 {
+		t.Fatalf("TableLen after Reset = %d, want 0", n)
 	}
 	if _, ok := d.Lookup("p:1"); ok {
 		t.Error("key survived Reset")

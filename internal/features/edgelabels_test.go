@@ -2,6 +2,7 @@ package features
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,20 +25,22 @@ func labeledPath(vls []graph.Label, els []graph.Label) *graph.Graph {
 }
 
 func TestPathKeyLabeledReversalInvariant(t *testing.T) {
-	a := pathKeyLabeled([]graph.Label{1, 2, 3}, []graph.Label{7, 8})
-	b := pathKeyLabeled([]graph.Label{3, 2, 1}, []graph.Label{8, 7})
-	if a != b {
-		t.Errorf("labeled path key not reversal-invariant: %q vs %q", a, b)
+	a := pathCounts(labeledPath([]graph.Label{1, 2, 3}, []graph.Label{7, 8}), 2)
+	b := pathCounts(labeledPath([]graph.Label{3, 2, 1}, []graph.Label{8, 7}), 2)
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("labeled path keys not reversal-invariant: %v vs %v", a, b)
 	}
-	if !strings.HasPrefix(a, "p:!") {
-		t.Errorf("labeled key missing marker: %q", a)
+	if a["p:!1.7.2.8.3"] != 2 {
+		t.Errorf("labeled key missing or without marker: %v", a)
 	}
 }
 
 func TestPathKeyLabeledZeroFallsBack(t *testing.T) {
-	a := pathKeyLabeled([]graph.Label{1, 2}, []graph.Label{0})
-	if a != pathKey([]graph.Label{1, 2}) {
-		t.Errorf("zero-labeled path should use unlabeled key, got %q", a)
+	// 1 -0- 2 -5- 3: the path over the zero-labeled edge alone takes the
+	// unlabeled form; the path over both edges does not
+	ps := pathCounts(labeledPath([]graph.Label{1, 2, 3}, []graph.Label{0, 5}), 2)
+	if ps["p:1.2"] != 2 || ps["p:!2.5.3"] != 2 || ps["p:!1.0.2.5.3"] != 2 {
+		t.Errorf("zero-labeled path should use unlabeled key, got %v", ps)
 	}
 }
 
@@ -45,24 +48,26 @@ func TestLabeledKeysDisjointFromUnlabeled(t *testing.T) {
 	// labeled 2-vertex path with edge label 5 vs unlabeled 3-vertex path
 	// with middle vertex 5 — the interleavings coincide numerically, the
 	// marker must keep them apart
-	labeled := pathKeyLabeled([]graph.Label{1, 2}, []graph.Label{5})
-	unlabeled := pathKey([]graph.Label{1, 5, 2})
-	if labeled == unlabeled {
-		t.Errorf("labeled and unlabeled keys collide: %q", labeled)
+	labeled := pathCounts(labeledPath([]graph.Label{1, 2}, []graph.Label{5}), 1)
+	unlabeled := pathCounts(pathGraph(1, 5, 2), 2)
+	for k := range labeled {
+		if strings.Count(k, ".") > 0 && unlabeled[k] > 0 {
+			t.Errorf("labeled and unlabeled keys collide: %q", k)
+		}
 	}
 }
 
 func TestPathsEnumerationWithEdgeLabels(t *testing.T) {
 	g := labeledPath([]graph.Label{1, 2, 3}, []graph.Label{4, 5})
-	ps := Paths(g, PathOptions{MaxLen: 2})
+	ps := pathCounts(g, 2)
 	// the full path: 1 -4- 2 -5- 3, two directions, one canonical key
-	want := pathKeyLabeled([]graph.Label{1, 2, 3}, []graph.Label{4, 5})
-	if ps.Counts[want] != 2 {
-		t.Errorf("count(%q) = %d, want 2\nall: %v", want, ps.Counts[want], ps.Counts)
+	want := refKey([]graph.Label{1, 2, 3}, []graph.Label{4, 5})
+	if ps[want] != 2 {
+		t.Errorf("count(%q) = %d, want 2\nall: %v", want, ps[want], ps)
 	}
 	// single vertices keep unlabeled keys
-	if ps.Counts["p:1"] != 1 {
-		t.Errorf("single-vertex key wrong: %v", ps.Counts)
+	if ps["p:1"] != 1 {
+		t.Errorf("single-vertex key wrong: %v", ps)
 	}
 }
 
@@ -85,12 +90,12 @@ func TestLabeledPathContainmentProperty(t *testing.T) {
 			order = order[:5]
 		}
 		sub, _ := tgt.InducedSubgraph(order)
-		fq := Paths(sub, PathOptions{MaxLen: 4})
-		ft := Paths(tgt, PathOptions{MaxLen: 4})
-		for k, c := range fq.Counts {
-			if ft.Counts[k] < c {
+		fq := pathCounts(sub, 4)
+		ft := pathCounts(tgt, 4)
+		for k, c := range fq {
+			if ft[k] < c {
 				t.Fatalf("trial %d: labeled feature %q count %d > host %d",
-					trial, k, c, ft.Counts[k])
+					trial, k, c, ft[k])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package features
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -41,19 +42,21 @@ func randomGraph(rng *rand.Rand, n int, p float64, labels int) *graph.Graph {
 }
 
 func TestPathKeyCanonical(t *testing.T) {
-	a := pathKey([]graph.Label{1, 2, 3})
-	b := pathKey([]graph.Label{3, 2, 1})
-	if a != b {
-		t.Errorf("path key not reversal-invariant: %q vs %q", a, b)
+	a := pathCounts(pathGraph(1, 2, 3), 2)
+	b := pathCounts(pathGraph(3, 2, 1), 2)
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("path keys not reversal-invariant: %v vs %v", a, b)
 	}
-	if !strings.HasPrefix(a, "p:") {
-		t.Errorf("path key missing namespace: %q", a)
+	for k := range a {
+		if !strings.HasPrefix(k, "p:") {
+			t.Errorf("path key missing namespace: %q", k)
+		}
 	}
 	// multi-digit labels must not be confusable: 1.23 vs 12.3
-	x := pathKey([]graph.Label{1, 23})
-	y := pathKey([]graph.Label{12, 3})
-	if x == y {
-		t.Error("separator fails to distinguish multi-digit labels")
+	x := pathCounts(pathGraph(1, 23), 1)
+	y := pathCounts(pathGraph(12, 3), 1)
+	if x["p:1.23"] != 2 || y["p:12.3"] != 2 || x["p:12.3"] != 0 {
+		t.Errorf("separator fails to distinguish multi-digit labels: %v vs %v", x, y)
 	}
 }
 
@@ -61,33 +64,33 @@ func TestPathsOnPathGraph(t *testing.T) {
 	// path 1-2-3: directed simple paths: 3 of len0, 4 of len1 (2 each dir),
 	// 2 of len2.
 	g := pathGraph(1, 2, 3)
-	ps := Paths(g, PathOptions{MaxLen: 4})
-	if got := ps.Counts["p:1"]; got != 1 {
+	ps := pathCounts(g, 4)
+	if got := ps["p:1"]; got != 1 {
 		t.Errorf("count(p:1) = %d, want 1", got)
 	}
-	if got := ps.Counts["p:2"]; got != 1 {
+	if got := ps["p:2"]; got != 1 {
 		t.Errorf("count(p:2) = %d, want 1", got)
 	}
-	if got := ps.Counts["p:1.2"]; got != 2 { // both directions collapse
+	if got := ps["p:1.2"]; got != 2 { // both directions collapse
 		t.Errorf("count(p:1.2) = %d, want 2", got)
 	}
-	if got := ps.Counts["p:1.2.3"]; got != 2 {
+	if got := ps["p:1.2.3"]; got != 2 {
 		t.Errorf("count(p:1.2.3) = %d, want 2", got)
 	}
-	if _, ok := ps.Counts["p:1.3"]; ok {
+	if _, ok := ps["p:1.3"]; ok {
 		t.Error("phantom path 1.3")
 	}
 }
 
 func TestPathsMaxLenRespected(t *testing.T) {
 	g := pathGraph(1, 1, 1, 1, 1, 1) // 5 edges
-	ps := Paths(g, PathOptions{MaxLen: 2})
-	for k := range ps.Counts {
+	ps := pathCounts(g, 2)
+	for k := range ps {
 		if strings.Count(k, ".") > 2 {
 			t.Errorf("path longer than MaxLen: %q", k)
 		}
 	}
-	if _, ok := ps.Counts["p:1.1.1"]; !ok {
+	if _, ok := ps["p:1.1.1"]; !ok {
 		t.Error("missing length-2 path")
 	}
 }
@@ -103,12 +106,12 @@ func TestPathCountsQueryVsDataset(t *testing.T) {
 			order = order[:5]
 		}
 		sub, _ := tgt.InducedSubgraph(order)
-		pq := Paths(sub, PathOptions{MaxLen: 4})
-		pt := Paths(tgt, PathOptions{MaxLen: 4})
-		for k, c := range pq.Counts {
-			if pt.Counts[k] < c {
+		pq := pathCounts(sub, 4)
+		pt := pathCounts(tgt, 4)
+		for k, c := range pq {
+			if pt[k] < c {
 				t.Fatalf("trial %d: feature %q query count %d > dataset %d",
-					trial, k, c, pt.Counts[k])
+					trial, k, c, pt[k])
 			}
 		}
 	}
@@ -312,21 +315,13 @@ func TestAcyclicGraphHasNoCycles(t *testing.T) {
 	}
 }
 
-func TestPathSetSizeBytes(t *testing.T) {
-	g := pathGraph(1, 2, 3, 4)
-	small := Paths(g, PathOptions{MaxLen: 1})
-	big := Paths(g, PathOptions{MaxLen: 3})
-	if small.SizeBytes() <= 0 || big.SizeBytes() <= small.SizeBytes() {
-		t.Errorf("SizeBytes: small=%d big=%d", small.SizeBytes(), big.SizeBytes())
-	}
-}
-
 func BenchmarkPathsSparse(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomGraph(rng, 50, 0.05, 6)
+	d, s := NewDict(), NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Paths(g, PathOptions{MaxLen: 4})
+		PathsID(g, PathOptions{MaxLen: 4}, d, s, true)
 	}
 }
 

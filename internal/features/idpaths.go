@@ -7,190 +7,370 @@ import (
 	"repro/internal/graph"
 )
 
-// Scratch holds the reusable state of an ID-based path enumeration: the
-// canonical-key byte buffers, the DFS stacks, and the per-feature count
-// table indexed by FeatureID. One Scratch serves one enumeration at a time;
-// reusing it across calls makes the whole hot path allocation-free once the
-// buffers have warmed up.
+// Sentinel IDs of path-table nodes that carry no feature.
+const (
+	noFeature      = ^FeatureID(0) // roots and edge-label nodes
+	unknownFeature = noFeature - 1 // a lookup-only walk's node whose key the Dict lacks
+)
+
+// ownNode is a node a walk made because the table lacked its transition.
+type ownNode struct {
+	pathNode
+	id FeatureID
+}
+
+// Scratch holds the reusable state of an ID-based path enumeration: the DFS
+// marks, the per-feature count table indexed by FeatureID, the nodes the
+// walk found missing from the path table, and the buffers a key is
+// rendered into. One Scratch serves one enumeration at a time; reusing it
+// across calls makes a walk over a warm table allocation-free.
 type Scratch struct {
-	counts  []int32     // occurrence count per FeatureID, reset after each run
-	touched []FeatureID // IDs with non-zero count, in first-visit order
-	out     []IDCount   // result buffer returned via IDSet.Counts
-	fwd     []byte      // forward canonical rendering
-	rev     []byte      // reverse canonical rendering
-	inPath  []bool      // DFS visited marks
-	labels  []graph.Label
-	elabs   []graph.Label
+	counts  []int32       // occurrence count per FeatureID, reset after each run
+	touched []FeatureID   // IDs with non-zero count, in first-visit order
+	out     []IDCount     // result buffer returned via IDSet.Counts
+	fwd     []byte        // forward canonical rendering
+	rev     []byte        // reverse canonical rendering
+	seq     []graph.Label // the labels of the path being rendered
+	inPath  []bool        // DFS visited marks
+
+	// The walk in progress.
+	d       *Dict
+	g       *graph.Graph
+	maxLen  int
+	labeled bool
+	intern  bool
+	unknown int
+	// base is len(d.nodes) when the walk began: node base+i is own[i].
+	base uint32
+	own  []ownNode
+	// pend holds the walk's transitions that the table lacks, packed as in
+	// Dict.next.
+	pend map[uint64]uint64
+	// idBase is len(d.keys) when the walk began. An interning walk numbers
+	// the keys it finds new idBase, idBase+1, … (newKeys order) until it
+	// installs them.
+	idBase  FeatureID
+	newIDs  map[string]FeatureID
+	newKeys []string
+	remap   []FeatureID // install: provisional ID - idBase → interned ID
+	real    []uint32    // install: own node → table node
 }
 
 // NewScratch returns an empty scratch; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// buildKey renders the canonical key of the current path into one of the
-// scratch buffers and returns it (valid until the next buildKey call). The
-// bytes are identical to pathKey/pathKeyLabeled's output: the smaller of the
-// forward and reverse decimal renderings, "p:"- or "p:!"-prefixed. The
-// comparison is over the rendered bytes, matching the string comparison of
-// the legacy path (lexicographic over decimals, not numeric).
-func (s *Scratch) buildKey(labels, elabs []graph.Label, labeled bool) []byte {
-	if labeled && allZero(elabs) {
-		labeled = false
+// PathsID enumerates every simple path of 0..MaxLen edges in g (a 0-edge
+// path is a single vertex) as interned (FeatureID, count) pairs. Each
+// *directed* traversal is found once; because a path and its reverse share
+// a canonical key, undirected occurrences are counted twice except single
+// vertices — consistently for dataset and query graphs, so count-based
+// filter comparisons remain valid.
+//
+// With intern=true every feature is added to d (index construction); with
+// intern=false the dictionary is read-only and IDSet.Unknown is positive
+// exactly when some path of g has a key absent from d (query-side
+// filtering: one unknown feature already proves an empty candidate set for
+// subgraph-style filters, and unknown features are irrelevant to
+// containment-style filters). A lookup-only walk does not extend an
+// unknown path: d's path keys come from whole enumerations, so every path
+// through an unknown one is unknown too, and the known counts are complete.
+//
+// The walk runs under d's read lock. Transitions missing from the path
+// table are resolved against the keys and installed after the walk: an
+// interning walk takes the write lock for that (and interns its new keys
+// in first-visit order, so a sequential build numbers features
+// deterministically), a lookup-only walk installs only if the write lock is
+// free at once.
+//
+// The returned IDSet.Counts slice is owned by s and is valid only until the
+// next enumeration with the same scratch.
+func PathsID(g *graph.Graph, opt PathOptions, d *Dict, s *Scratch, intern bool) IDSet {
+	return PathsIDRange(g, opt, d, s, intern, 0, g.NumVertices())
+}
+
+// PathsIDRange is PathsID over the paths whose *start vertex* lies in
+// [lo, hi) (clamped to g's vertices). Every directed path is found exactly
+// once from its start vertex, so summing the counts of a partition of the
+// vertex range reproduces PathsID — the Grapes parallel construction, where
+// each thread enumerates a portion of the graph.
+func PathsIDRange(g *graph.Graph, opt PathOptions, d *Dict, s *Scratch, intern bool, lo, hi int) IDSet {
+	lo, hi = max(lo, 0), min(hi, g.NumVertices())
+	for {
+		gen := s.walk(d, g, opt, intern, lo, hi)
+		if len(s.own) == 0 || s.install(gen) {
+			return s.finish()
+		}
+		s.discard() // a Reset raced the walk: enumerate afresh
 	}
-	if !labeled {
-		s.fwd = append(s.fwd[:0], 'p', ':')
-		s.rev = append(s.rev[:0], 'p', ':')
-		for i, l := range labels {
-			if i > 0 {
-				s.fwd = append(s.fwd, '.')
-			}
-			s.fwd = strconv.AppendInt(s.fwd, int64(l), 10)
+}
+
+// walk runs the DFS under d's read lock and returns d's generation.
+func (s *Scratch) walk(d *Dict, g *graph.Graph, opt PathOptions, intern bool, lo, hi int) uint64 {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	s.d, s.g, s.intern = d, g, intern
+	s.maxLen = max(opt.MaxLen, 0)
+	s.labeled = g.HasEdgeLabels()
+	s.unknown = 0
+	s.base, s.idBase = uint32(len(d.nodes)), FeatureID(len(d.keys))
+	if len(s.counts) < len(d.keys) {
+		s.counts = append(s.counts, make([]int32, len(d.keys)-len(s.counts))...)
+	}
+	if s.pend == nil {
+		s.pend = make(map[uint64]uint64)
+		s.newIDs = make(map[string]FeatureID)
+	}
+	n := g.NumVertices()
+	if cap(s.inPath) < n {
+		s.inPath = make([]bool, n)
+	}
+	s.inPath = s.inPath[:n]
+	clear(s.inPath)
+	root := uint32(rootPlain)
+	if s.labeled {
+		root = rootLabeled
+	}
+	for v := lo; v < hi; v++ {
+		node, id := s.step(root, g.Label(v), false)
+		if id == unknownFeature {
+			s.unknown++
+			continue
 		}
-		for i := len(labels) - 1; i >= 0; i-- {
-			if i < len(labels)-1 {
-				s.rev = append(s.rev, '.')
-			}
-			s.rev = strconv.AppendInt(s.rev, int64(labels[i]), 10)
-		}
-	} else {
-		n := len(labels)
-		s.fwd = append(s.fwd[:0], 'p', ':', '!')
-		for i, v := range labels {
-			if i > 0 {
-				s.fwd = append(s.fwd, '.')
-				s.fwd = strconv.AppendInt(s.fwd, int64(elabs[i-1]), 10)
-				s.fwd = append(s.fwd, '.')
-			}
-			s.fwd = strconv.AppendInt(s.fwd, int64(v), 10)
-		}
-		s.rev = append(s.rev[:0], 'p', ':', '!')
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				s.rev = append(s.rev, '.')
-				s.rev = strconv.AppendInt(s.rev, int64(elabs[n-1-i]), 10)
-				s.rev = append(s.rev, '.')
-			}
-			s.rev = strconv.AppendInt(s.rev, int64(labels[n-1-i]), 10)
+		s.count(id)
+		if s.maxLen > 0 {
+			s.inPath[v] = true
+			s.extend(v, node, 1)
+			s.inPath[v] = false
 		}
 	}
+	return d.gen
+}
+
+// extend counts the one-edge extensions of the path that ends at v and
+// reaches node; depth is their edge count.
+func (s *Scratch) extend(v int, node uint32, depth int) {
+	var els []graph.Label
+	if s.labeled {
+		els = s.g.NeighborLabels(v)
+	}
+	for i, w := range s.g.Neighbors(v) {
+		if s.inPath[w] {
+			continue
+		}
+		at := node
+		if s.labeled {
+			at, _ = s.step(node, els[i], true)
+		}
+		child, id := s.step(at, s.g.Label(int(w)), false)
+		if id == unknownFeature {
+			s.unknown++
+			continue
+		}
+		s.count(id)
+		if depth < s.maxLen {
+			s.inPath[w] = true
+			s.extend(int(w), child, depth+1)
+			s.inPath[w] = false
+		}
+	}
+}
+
+// step follows the transition (node, l): one table probe when the table
+// has it. edge marks an edge-label step of a labeled walk.
+func (s *Scratch) step(node uint32, l graph.Label, edge bool) (uint32, FeatureID) {
+	k := uint64(node)<<32 | uint64(uint32(l))
+	if node < s.base {
+		if t, ok := s.d.next[k]; ok {
+			return uint32(t), FeatureID(t >> 32)
+		}
+	}
+	if t, ok := s.pend[k]; ok {
+		return uint32(t), FeatureID(t >> 32)
+	}
+	return s.miss(node, l, k, edge)
+}
+
+// miss makes the walk's own node for a transition the table lacks,
+// resolving its feature by rendering its key.
+func (s *Scratch) miss(node uint32, l graph.Label, k uint64, edge bool) (uint32, FeatureID) {
+	id := noFeature
+	if !edge {
+		key := s.render(node, l)
+		if known, ok := s.d.ids[string(key)]; ok {
+			id = known
+		} else if !s.intern {
+			id = unknownFeature
+		} else if seen, ok := s.newIDs[string(key)]; ok {
+			id = seen
+		} else {
+			id = s.idBase + FeatureID(len(s.newKeys))
+			str := string(key)
+			s.newKeys = append(s.newKeys, str)
+			s.newIDs[str] = id
+			for int(id) >= len(s.counts) {
+				s.counts = append(s.counts, 0)
+			}
+		}
+	}
+	c := s.base + uint32(len(s.own))
+	s.own = append(s.own, ownNode{pathNode{node, l}, id})
+	s.pend[k] = uint64(id)<<32 | uint64(c)
+	return c, id
+}
+
+// render returns the canonical key of the path that steps l from node:
+// the smaller of the forward and reverse decimal renderings of its labels,
+// "p:"-prefixed, or "p:!" with edge labels interleaved (v0.e0.v1…) when an
+// edge label on the path is non-zero. The "!" keeps labeled keys disjoint
+// from unlabeled ones (an interleaved sequence could otherwise collide with
+// a longer unlabeled path's key); a path whose edge labels are all zero
+// takes the unlabeled form, so graphs mixing labeled and unlabeled edges
+// filter correctly against each other. The comparison is over the rendered
+// bytes (lexicographic over decimals, not numeric), so the orientation the
+// climb to the root yields the path in does not matter. The key is valid
+// until the next render.
+func (s *Scratch) render(node uint32, l graph.Label) []byte {
+	seq := append(s.seq[:0], l)
+	for node > rootLabeled {
+		var n pathNode
+		if node < s.base {
+			n = s.d.nodes[node]
+		} else {
+			n = s.own[node-s.base].pathNode
+		}
+		seq = append(seq, n.label)
+		node = n.parent
+	}
+	s.seq = seq
+	stride, prefix := 1, "p:"
+	if s.labeled { // seq alternates vertex and edge labels
+		stride = 2
+		for i := 1; i < len(seq); i += 2 {
+			if seq[i] != 0 {
+				stride, prefix = 1, "p:!"
+				break
+			}
+		}
+	}
+	s.fwd = appendLabels(append(s.fwd[:0], prefix...), seq, stride, false)
+	s.rev = appendLabels(append(s.rev[:0], prefix...), seq, stride, true)
 	if bytes.Compare(s.rev, s.fwd) < 0 {
 		return s.rev
 	}
 	return s.fwd
 }
 
-// PathsID enumerates the same simple-path features as Paths but yields
-// interned (FeatureID, count) pairs instead of a string-keyed map, touching
-// the allocator only when dictionary entries or scratch buffers must grow.
-//
-// With intern=true every feature is added to d (index construction); with
-// intern=false the dictionary is read-only and occurrences of keys absent
-// from d are tallied in IDSet.Unknown (query-side filtering: one unknown
-// feature already proves an empty candidate set for subgraph-style filters,
-// and unknown features are irrelevant to containment-style filters).
-//
-// The returned IDSet.Counts slice is owned by s and is valid only until the
-// next enumeration with the same scratch.
-//
-// Interning runs lookup-only first and only retries under the write lock
-// when genuinely new keys appeared, so steady-state rebuilds (whose
-// features are all interned already) never block concurrent readers.
-func PathsID(g *graph.Graph, opt PathOptions, d *Dict, s *Scratch, intern bool) IDSet {
-	if intern {
-		if out := pathsID(g, opt, d, s, false); out.Unknown == 0 {
-			return out
+// appendLabels renders every stride-th label of seq, '.'-separated, from
+// the front or from the back.
+func appendLabels(b []byte, seq []graph.Label, stride int, rev bool) []byte {
+	for i := 0; i < len(seq); i += stride {
+		if i > 0 {
+			b = append(b, '.')
 		}
-		return pathsID(g, opt, d, s, true)
+		l := seq[i]
+		if rev {
+			l = seq[len(seq)-1-i]
+		}
+		b = strconv.AppendInt(b, int64(l), 10)
 	}
-	return pathsID(g, opt, d, s, false)
+	return b
 }
 
-func pathsID(g *graph.Graph, opt PathOptions, d *Dict, s *Scratch, intern bool) IDSet {
-	if opt.MaxLen < 0 {
-		opt.MaxLen = 0
+func (s *Scratch) count(id FeatureID) {
+	if s.counts[id] == 0 {
+		s.touched = append(s.touched, id)
 	}
-	n := g.NumVertices()
+	s.counts[id]++
+}
 
-	if intern {
+// provisional reports whether id is one an interning walk gave a new key.
+func (s *Scratch) provisional(id FeatureID) bool { return id >= s.idBase && id < unknownFeature }
+
+// install adds the walk's own nodes to the table (interning their new
+// keys), unless the walk is lookup-only and the write lock is taken. It
+// reports false only when an interning walk must run again because a Reset
+// came between walk and install.
+func (s *Scratch) install(gen uint64) bool {
+	d := s.d
+	if s.intern {
 		d.mu.Lock()
-		defer d.mu.Unlock()
-	} else {
-		d.mu.RLock()
-		defer d.mu.RUnlock()
+	} else if !d.mu.TryLock() {
+		return true
 	}
-	if len(s.counts) < len(d.keys) {
-		s.counts = append(s.counts, make([]int32, len(d.keys)-len(s.counts))...)
+	defer d.mu.Unlock()
+	if d.gen != gen {
+		return !s.intern
 	}
-	if cap(s.inPath) < n {
-		s.inPath = make([]bool, n)
+	s.remap = s.remap[:0]
+	for range s.newKeys {
+		s.remap = append(s.remap, noFeature)
 	}
-	inPath := s.inPath[:n]
-	for i := range inPath {
-		inPath[i] = false
-	}
-	labels := s.labels[:0]
-	elabs := s.elabs[:0]
-	labeled := g.HasEdgeLabels()
-
-	unknown := 0
-	emit := func() {
-		key := s.buildKey(labels, elabs, labeled)
-		var id FeatureID
-		var ok bool
-		if intern {
-			id, ok = d.internBytesLocked(key), true
-		} else {
-			id, ok = d.lookupBytesLocked(key)
+	s.real = s.real[:0]
+	for _, n := range s.own {
+		if n.id == unknownFeature {
+			s.real = append(s.real, 0) // never a parent: unknown paths are not extended
+			continue
 		}
-		if !ok {
-			unknown++
-			return
+		if n.parent >= s.base {
+			n.parent = s.real[n.parent-s.base]
 		}
-		for int(id) >= len(s.counts) {
-			s.counts = append(s.counts, 0)
-		}
-		if s.counts[id] == 0 {
-			s.touched = append(s.touched, id)
-		}
-		s.counts[id]++
-	}
-
-	var dfs func(v int)
-	dfs = func(v int) {
-		emit()
-		if len(labels) == opt.MaxLen+1 {
-			return
-		}
-		for _, w := range g.Neighbors(v) {
-			if inPath[w] {
-				continue
+		k := uint64(n.parent)<<32 | uint64(uint32(n.label))
+		t, ok := d.next[k]
+		if !ok { // else another walk installed it since
+			id := n.id
+			if s.provisional(id) {
+				if id = s.remap[id-s.idBase]; id == noFeature {
+					id = d.internLocked(s.newKeys[n.id-s.idBase])
+				}
 			}
-			inPath[w] = true
-			labels = append(labels, g.Label(int(w)))
-			if labeled {
-				elabs = append(elabs, g.EdgeLabel(v, int(w)))
-			}
-			dfs(int(w))
-			labels = labels[:len(labels)-1]
-			if labeled {
-				elabs = elabs[:len(elabs)-1]
-			}
-			inPath[w] = false
+			t = uint64(id)<<32 | uint64(len(d.nodes))
+			d.nodes = append(d.nodes, n.pathNode)
+			d.next[k] = t
 		}
+		if s.provisional(n.id) {
+			s.remap[n.id-s.idBase] = FeatureID(t >> 32)
+		}
+		s.real = append(s.real, uint32(t))
 	}
-	for v := 0; v < n; v++ {
-		inPath[v] = true
-		labels = append(labels[:0], g.Label(v))
-		elabs = elabs[:0]
-		dfs(v)
-		inPath[v] = false
-	}
-	s.labels, s.elabs = labels[:0], elabs[:0]
+	return true
+}
 
+// finish returns the walk's counts, with provisional IDs replaced by the
+// interned ones, and clears the walk.
+func (s *Scratch) finish() IDSet {
 	s.out = s.out[:0]
 	for _, id := range s.touched {
-		s.out = append(s.out, IDCount{ID: id, Count: s.counts[id]})
+		c := s.counts[id]
+		s.counts[id] = 0
+		if s.provisional(id) {
+			id = s.remap[id-s.idBase]
+		}
+		s.out = append(s.out, IDCount{ID: id, Count: c})
+	}
+	out := IDSet{Counts: s.out, Unknown: s.unknown}
+	s.touched = s.touched[:0]
+	s.clearWalk()
+	return out
+}
+
+// discard drops the walk's counts and state.
+func (s *Scratch) discard() {
+	for _, id := range s.touched {
 		s.counts[id] = 0
 	}
 	s.touched = s.touched[:0]
-	return IDSet{Counts: s.out, Unknown: unknown}
+	s.clearWalk()
+}
+
+func (s *Scratch) clearWalk() {
+	s.d, s.g = nil, nil
+	s.own = s.own[:0]
+	if len(s.pend) > 0 {
+		clear(s.pend)
+	}
+	if len(s.newKeys) > 0 {
+		clear(s.newIDs)
+		clear(s.newKeys)
+		s.newKeys = s.newKeys[:0]
+	}
 }

@@ -10,37 +10,33 @@ func TestPathsRangePartitionEqualsWhole(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	g := randomGraph(rng, 30, 0.15, 3)
 	opt := PathOptions{MaxLen: 3}
-	whole := Paths(g, opt)
+	d := NewDict()
+	whole := keyCounts(d, PathsID(g, opt, d, NewScratch(), true))
 
-	// any 3-way partition of the start-vertex range must merge to the whole
-	cuts := [][2]int{{0, 7}, {7, 19}, {19, 30}}
-	merged := PathsRange(g, opt, cuts[0][0], cuts[0][1])
-	for _, c := range cuts[1:] {
-		MergePathSets(merged, PathsRange(g, opt, c[0], c[1]))
-	}
-	if !reflect.DeepEqual(whole.Counts, merged.Counts) {
-		t.Fatal("partitioned counts differ from whole enumeration")
+	// any 3-way partition of the start-vertex range must sum to the whole,
+	// on the warm table and on a fresh one
+	for _, d := range []*Dict{d, NewDict()} {
+		merged := make(map[string]int)
+		for _, c := range [][2]int{{0, 7}, {7, 19}, {19, 30}} {
+			for k, n := range keyCounts(d, PathsIDRange(g, opt, d, NewScratch(), true, c[0], c[1])) {
+				merged[k] += n
+			}
+		}
+		if !reflect.DeepEqual(whole, merged) {
+			t.Fatal("partitioned counts differ from whole enumeration")
+		}
 	}
 }
 
 func TestPathsRangeClampsBounds(t *testing.T) {
 	g := pathGraph(1, 2, 3)
-	a := PathsRange(g, PathOptions{MaxLen: 2}, -5, 99)
-	b := Paths(g, PathOptions{MaxLen: 2})
-	if !reflect.DeepEqual(a.Counts, b.Counts) {
+	d, s := NewDict(), NewScratch()
+	a := keyCounts(d, PathsIDRange(g, PathOptions{MaxLen: 2}, d, s, true, -5, 99))
+	if !reflect.DeepEqual(a, pathCounts(g, 2)) {
 		t.Error("out-of-range bounds not clamped")
 	}
-	empty := PathsRange(g, PathOptions{MaxLen: 2}, 2, 2)
-	if len(empty.Counts) != 0 {
-		t.Errorf("empty range produced features: %v", empty.Counts)
-	}
-}
-
-func TestMergePathSetsAccumulates(t *testing.T) {
-	dst := &PathSet{Counts: map[string]int{"p:1": 2}}
-	src := &PathSet{Counts: map[string]int{"p:1": 3, "p:2": 1}}
-	MergePathSets(dst, src)
-	if dst.Counts["p:1"] != 5 || dst.Counts["p:2"] != 1 {
-		t.Errorf("merged counts = %v", dst.Counts)
+	empty := PathsIDRange(g, PathOptions{MaxLen: 2}, d, s, true, 2, 2)
+	if len(empty.Counts) != 0 || empty.Unknown != 0 {
+		t.Errorf("empty range produced features: %v", empty)
 	}
 }

@@ -16,11 +16,11 @@ import (
 // the positions of db whose every feature occurs in q at least as often,
 // {g : ∀f ∈ g, cnt_g(f) ≤ cnt_q(f)}, over canonical keys.
 func containsByDefinition(db []*graph.Graph, q *graph.Graph, popt features.PathOptions) []int32 {
-	qc := features.Paths(q, popt).Counts
+	qc := pathKeyCounts(q, popt)
 	var want []int32
 	for i, g := range db {
 		fits := true
-		for k, c := range features.Paths(g, popt).Counts {
+		for k, c := range pathKeyCounts(g, popt) {
 			fits = fits && c <= qc[k]
 		}
 		if fits {
@@ -28,6 +28,17 @@ func containsByDefinition(db []*graph.Graph, q *graph.Graph, popt features.PathO
 		}
 	}
 	return want
+}
+
+// pathKeyCounts is g's path-feature multiset by canonical key: PathsID over
+// a private dictionary, which knows every key, rendered back with Dict.Key.
+func pathKeyCounts(g *graph.Graph, popt features.PathOptions) map[string]int {
+	d := features.NewDict()
+	out := make(map[string]int)
+	for _, f := range features.PathsID(g, popt, d, features.NewScratch(), true).Counts {
+		out[d.Key(f.ID)] = int(f.Count)
+	}
+	return out
 }
 
 // TestContainmentCountingStrategiesMatchDefinition runs both counting

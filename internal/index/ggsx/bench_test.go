@@ -20,13 +20,13 @@ func BenchmarkMutationApply(b *testing.B) {
 	popt := features.PathOptions{MaxLen: x.opt.MaxPathLen}
 
 	add := x.tr.NewMutation()
-	stageAppend(add, int32(len(x.db)), db[len(db)-4:], popt)
+	stageAppend(add, x.dict, int32(len(x.db)), db[len(db)-4:], popt)
 	_, steps, _, err := index.SwapRemove(x.db, []int{7, 1100, 2300, 3500})
 	if err != nil {
 		b.Fatal(err)
 	}
 	remove := x.tr.NewMutation()
-	stageRemovals(remove, steps, popt)
+	stageRemovals(remove, x.dict, steps, popt)
 
 	for _, bc := range []struct {
 		name string
@@ -38,5 +38,16 @@ func BenchmarkMutationApply(b *testing.B) {
 				bc.mut.Apply()
 			}
 		})
+	}
+}
+
+// BenchmarkBuildAIDS times a fresh sequential Build over 4 000
+// molecule-like graphs, the dataset of the serving benchmark.
+func BenchmarkBuildAIDS(b *testing.B) {
+	db := dataset.Generate(dataset.AIDS().Scaled(0.1, 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(DefaultOptions()).Build(db)
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/features"
+	"repro/internal/graph"
 	"repro/internal/index"
+	"repro/internal/trie"
 )
 
 // Differential test pinning the legacy string-keyed count filter
@@ -25,8 +27,8 @@ func TestFilterByCountsMatchesFilterFresh(t *testing.T) {
 
 				for qi, q := range randomQueries(db, 20, seed+200) {
 					// Legacy path: string-keyed occurrence map.
-					want := features.Paths(q, features.PathOptions{MaxLen: maxLen})
-					legacy := FilterByCounts(x.tr, want.Counts, len(db))
+					want := pathKeyCounts(q, features.PathOptions{MaxLen: maxLen})
+					legacy := FilterByCounts(x.tr, want, len(db))
 
 					// Hot path: interned IDSet through the pooled scratch.
 					s := index.GetCountFilterScratch()
@@ -46,4 +48,50 @@ func TestFilterByCountsMatchesFilterFresh(t *testing.T) {
 			})
 		}
 	}
+}
+
+// pathKeyCounts is g's path-feature multiset by canonical key: PathsID over
+// a private dictionary, which knows every key, rendered back with Dict.Key.
+func pathKeyCounts(g *graph.Graph, popt features.PathOptions) map[string]int {
+	d := features.NewDict()
+	out := make(map[string]int)
+	for _, f := range features.PathsID(g, popt, d, features.NewScratch(), true).Counts {
+		out[d.Key(f.ID)] = int(f.Count)
+	}
+	return out
+}
+
+// FilterByCounts is the legacy string-keyed count filter, the oracle of the
+// ID-keyed hot path (index.FilterCountGE).
+func FilterByCounts(tr *trie.Trie, want map[string]int, nGraphs int) []int32 {
+	if len(want) == 0 {
+		out := make([]int32, nGraphs)
+		for i := range out {
+			out[i] = int32(i)
+		}
+		return out
+	}
+	var cand []int32
+	first := true
+	for k, c := range want {
+		var ids []int32
+		if id, ok := tr.Dict().Lookup(k); ok {
+			for _, p := range tr.GetByID(id).Postings() {
+				if int(p.Count) >= c {
+					ids = append(ids, p.Graph)
+				}
+			}
+		}
+		// postings (and hence ids) are sorted by construction
+		if first {
+			cand = ids
+			first = false
+		} else {
+			cand = index.IntersectSorted(cand, ids)
+		}
+		if len(cand) == 0 {
+			return nil
+		}
+	}
+	return cand
 }

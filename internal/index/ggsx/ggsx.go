@@ -165,13 +165,17 @@ func (x *Index) NF() []int32 {
 }
 
 // Build implements index.Method: enumerate the paths of every dataset graph
-// into the trie (interning every feature into the dictionary), recording
-// each graph's NF on the way. With BuildWorkers > 1 the enumeration fans out
-// over graphs, each worker staging into private buffers that merge
-// deterministically (trie.Builder). A Grapes index with too few graphs for
+// through the dictionary's path table (features.PathsID, interning every
+// feature) into the trie, recording each graph's NF on the way. With
+// BuildWorkers > 1 the enumeration fans out over graphs, each worker
+// staging into private buffers that merge deterministically
+// (trie.Builder). A Grapes index with too few graphs for
 // its workers — a handful of huge graphs, or an explicit single build worker
 // — splits each graph's start vertices over Threads goroutines instead, the
-// original Grapes description. Every strategy builds the identical index.
+// original Grapes description. Every strategy builds the same postings; a
+// sequential build also numbers the features the same way every time (in
+// DFS first-visit order), so two sequential builds of one dataset save
+// identical snapshots.
 // The trie and the dictionary contents are reset on entry — the *Dict object
 // handed out by FeatureDict stays valid (holders remain wired to this
 // index), but a re-Build does not retain the previous dataset's dead
@@ -185,8 +189,9 @@ func (x *Index) Build(db []*graph.Graph) {
 	opt := features.PathOptions{MaxLen: x.opt.MaxPathLen}
 	nf := make([]int32, len(db))
 	if x.opt.Threads > 1 && (x.opt.BuildWorkers <= 1 || len(db) < 2*x.opt.BuildWorkers) {
+		s := features.NewScratch()
 		for i, g := range db {
-			nf[i] = insertPathSet(x.tr.Insert, int32(i), x.enumerate(g, opt))
+			nf[i] = insertFeatures(x.tr.InsertID, int32(i), x.enumerate(g, opt, s))
 		}
 	} else {
 		buildPaths(x.tr, db, opt, x.opt.BuildWorkers, nf)
@@ -196,60 +201,69 @@ func (x *Index) Build(db []*graph.Graph) {
 }
 
 // buildPaths runs the parallel build pipeline: workers claim dataset graphs,
-// enumerate their path features, stage the postings and record each graph's
-// NF in nf; the merges run in parallel after the enumeration joins.
-// workers ≤ 1 enumerates inline, avoiding staging memory for the
-// sequential case.
+// enumerate their path features through the trie's dictionary, stage the
+// postings and record each graph's NF in nf; the merges run in parallel
+// after the enumeration joins. workers ≤ 1 enumerates inline, avoiding
+// staging memory for the sequential case.
 func buildPaths(tr *trie.Trie, db []*graph.Graph, opt features.PathOptions, workers int, nf []int32) {
-	if workers > len(db) {
-		workers = len(db)
-	}
+	workers = min(workers, len(db))
+	d := tr.Dict()
 	if workers <= 1 {
+		s := features.NewScratch()
 		for i, g := range db {
-			nf[i] = insertPathSet(tr.Insert, int32(i), features.Paths(g, opt))
+			nf[i] = insertFeatures(tr.InsertID, int32(i), features.PathsID(g, opt, d, s, true).Counts)
 		}
 		return
 	}
 	b := tr.NewBuilder(workers)
 	trie.ParallelFor(len(db), workers, func(w int, claim func() int) {
-		bw := b.Worker(w)
+		bw, s := b.Worker(w), features.NewScratch()
 		for i := claim(); i >= 0; i = claim() {
-			nf[i] = insertPathSet(bw.Insert, int32(i), features.Paths(db[i], opt))
+			nf[i] = insertFeatures(bw.InsertID, int32(i), features.PathsID(db[i], opt, d, s, true).Counts)
 		}
 	})
 	b.Merge()
 }
 
-// insertPathSet emits one graph's enumerated features through insert —
-// either Trie.Insert (sequential) or BuildWorker.Insert (staged) — and
+// insertFeatures emits one graph's enumerated features through insert —
+// either Trie.InsertID (sequential) or BuildWorker.InsertID (staged) — and
 // returns how many distinct features the graph has.
-func insertPathSet(insert func(string, trie.Posting), graphID int32, ps *features.PathSet) int32 {
-	for k, c := range ps.Counts {
-		insert(k, trie.Posting{Graph: graphID, Count: int32(c)})
+func insertFeatures(insert func(features.FeatureID, trie.Posting), graphID int32, feats []features.IDCount) int32 {
+	for _, f := range feats {
+		insert(f.ID, trie.Posting{Graph: graphID, Count: f.Count})
 	}
-	return int32(len(ps.Counts))
+	return int32(len(feats))
 }
 
 // enumerate is Grapes' per-graph parallelism: it splits g's start vertices
-// across Threads workers and merges the per-worker path sets.
-func (x *Index) enumerate(g *graph.Graph, opt features.PathOptions) *features.PathSet {
+// across Threads workers and sums the per-worker counts. The result is
+// owned by s, or fresh.
+func (x *Index) enumerate(g *graph.Graph, opt features.PathOptions, s *features.Scratch) []features.IDCount {
 	n, w := g.NumVertices(), x.opt.Threads
 	if w <= 1 || n < 2*w {
-		return features.Paths(g, opt)
+		return features.PathsID(g, opt, x.dict, s, true).Counts
 	}
-	parts := make([]*features.PathSet, w)
+	parts := make([][]features.IDCount, w)
 	var wg sync.WaitGroup
 	for t := 0; t < w; t++ {
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			parts[t] = features.PathsRange(g, opt, t*n/w, (t+1)*n/w)
+			parts[t] = features.PathsIDRange(g, opt, x.dict, features.NewScratch(), true, t*n/w, (t+1)*n/w).Counts
 		}(t)
 	}
 	wg.Wait()
-	out := parts[0]
-	for _, p := range parts[1:] {
-		features.MergePathSets(out, p)
+	var out []features.IDCount
+	at := make(map[features.FeatureID]int)
+	for _, p := range parts {
+		for _, f := range p {
+			if i, ok := at[f.ID]; ok {
+				out[i].Count += f.Count
+			} else {
+				at[f.ID] = len(out)
+				out = append(out, f)
+			}
+		}
 	}
 	return out
 }
@@ -306,39 +320,4 @@ func copyIDs(ids []int32) []int32 {
 		return nil
 	}
 	return append([]int32(nil), ids...)
-}
-
-// FilterByCounts is the legacy string-keyed count filter, kept for callers
-// holding a map of canonical keys (tests, tooling). The hot path is
-// index.FilterCountGE.
-func FilterByCounts(tr *trie.Trie, want map[string]int, nGraphs int) []int32 {
-	if len(want) == 0 {
-		out := make([]int32, nGraphs)
-		for i := range out {
-			out[i] = int32(i)
-		}
-		return out
-	}
-	var cand []int32
-	first := true
-	for k, c := range want {
-		posts := tr.Get(k)
-		var ids []int32
-		for _, p := range posts {
-			if int(p.Count) >= c {
-				ids = append(ids, p.Graph)
-			}
-		}
-		// posts (and hence ids) are sorted by construction
-		if first {
-			cand = ids
-			first = false
-		} else {
-			cand = index.IntersectSorted(cand, ids)
-		}
-		if len(cand) == 0 {
-			return nil
-		}
-	}
-	return cand
 }

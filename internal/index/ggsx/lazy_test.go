@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strconv"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/index"
 )
 
@@ -161,4 +163,80 @@ func TestLoadersShareTheSegmentRule(t *testing.T) {
 			t.Error("a load without Shards re-saves different bytes")
 		}
 	}
+}
+
+// TestLazyIndexTableEmptyBeforeFirstQuery: loaders intern the snapshot's
+// keys only, so a lazily opened (or eagerly loaded) index has no path-table
+// transitions until a query walks it.
+func TestLazyIndexTableEmptyBeforeFirstQuery(t *testing.T) {
+	db := randomDB(40, 1)
+	buf := savedIndex(t, db)
+	lazy := New(Options{MaxPathLen: 3})
+	if _, err := lazy.LoadIndexLazy(bytes.NewReader(buf), db, 0); err != nil {
+		t.Fatal(err)
+	}
+	eager := New(Options{MaxPathLen: 3})
+	if _, err := eager.LoadIndex(bytes.NewReader(buf), db); err != nil {
+		t.Fatal(err)
+	}
+	for name, x := range map[string]*Index{"lazy": lazy, "eager": eager} {
+		if n := x.FeatureDict().TableLen(); n != 0 {
+			t.Errorf("%s load: %d table transitions before the first query, want 0", name, n)
+		}
+	}
+}
+
+// TestLazyIndexTableHoldsWhatOneQueryWalked: after one query over a lazily
+// opened index, the path table holds exactly the transitions that query
+// walked: one per distinct directed label sequence of its known paths (the
+// query's out-of-vocabulary vertex ends every path through it).
+func TestLazyIndexTableHoldsWhatOneQueryWalked(t *testing.T) {
+	db := randomDB(40, 1)
+	lazy := New(Options{MaxPathLen: 3})
+	if _, err := lazy.LoadIndexLazy(bytes.NewReader(savedIndex(t, db)), db, 0); err != nil {
+		t.Fatal(err)
+	}
+	q := db[7].Clone()
+	q.AddVertex(95)
+	q.AddEdge(0, q.NumVertices()-1)
+	if got := lazy.Filter(q); len(got) != 0 {
+		t.Fatalf("a query with an unknown label matched %v", got)
+	}
+	seqs := make(map[string]bool)
+	var walk func(v int, prefix string, depth int, inPath []bool)
+	walk = func(v int, prefix string, depth int, inPath []bool) {
+		if q.Label(v) == 95 {
+			return
+		}
+		seq := prefix + "." + strconv.Itoa(int(q.Label(v)))
+		seqs[seq] = true
+		if depth == 3 {
+			return
+		}
+		inPath[v] = true
+		for _, w := range q.Neighbors(v) {
+			if !inPath[w] {
+				walk(int(w), seq, depth+1, inPath)
+			}
+		}
+		inPath[v] = false
+	}
+	for v := 0; v < q.NumVertices(); v++ {
+		walk(v, "", 0, make([]bool, q.NumVertices()))
+	}
+	if n := lazy.FeatureDict().TableLen(); n != len(seqs) {
+		t.Errorf("table holds %d transitions after one query, want the %d it walked", n, len(seqs))
+	}
+}
+
+// savedIndex builds db into a 16-segment snapshot.
+func savedIndex(t *testing.T, db []*graph.Graph) []byte {
+	t.Helper()
+	x := New(Options{MaxPathLen: 3, Shards: 16})
+	x.Build(db)
+	var buf bytes.Buffer
+	if err := x.SaveIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 
 	"repro/internal/features"
 	"repro/internal/graph"
@@ -54,7 +55,7 @@ func (x *Index) AppendGraphs(gs []*graph.Graph) (index.Mutable, []*graph.Graph, 
 	newDB := make([]*graph.Graph, 0, len(x.db)+len(gs))
 	newDB = append(append(newDB, x.db...), gs...)
 	mut := x.tr.NewMutation()
-	added := stageAppend(mut, int32(len(x.db)), gs, features.PathOptions{MaxLen: x.opt.MaxPathLen})
+	added := stageAppend(mut, x.dict, int32(len(x.db)), gs, features.PathOptions{MaxLen: x.opt.MaxPathLen})
 	x.log.Record(mut)
 	var nf []int32
 	if p := x.nf.Load(); p != nil {
@@ -75,7 +76,7 @@ func (x *Index) RemoveGraphs(positions []int) (index.Mutable, []*graph.Graph, []
 		return nil, nil, nil, err
 	}
 	mut := x.tr.NewMutation()
-	stageRemovals(mut, steps, features.PathOptions{MaxLen: x.opt.MaxPathLen})
+	stageRemovals(mut, x.dict, steps, features.PathOptions{MaxLen: x.opt.MaxPathLen})
 	x.log.Record(mut)
 	var nf []int32
 	if p := x.nf.Load(); p != nil {
@@ -101,12 +102,12 @@ func (x *Index) next(db []*graph.Graph, tr *trie.Trie, nf []int32) *Index {
 
 // stageAppend enumerates gs — the graphs appended at dataset positions
 // startID, startID+1, ... — stages their features into mut and returns
-// their NF. Feature records are key-sorted so staging is deterministic run
-// to run.
-func stageAppend(mut *trie.Mutation, startID int32, gs []*graph.Graph, opt features.PathOptions) []int32 {
+// their NF.
+func stageAppend(mut *trie.Mutation, d *features.Dict, startID int32, gs []*graph.Graph, opt features.PathOptions) []int32 {
+	s := features.NewScratch()
 	nf := make([]int32, len(gs))
 	for i, g := range gs {
-		feats := graphFeatures(features.Paths(g, opt))
+		feats := stagedFeatures(d, s, g, opt)
 		mut.AppendGraph(startID+int32(i), feats)
 		nf[i] = int32(len(feats))
 	}
@@ -116,44 +117,31 @@ func stageAppend(mut *trie.Mutation, startID int32, gs []*graph.Graph, opt featu
 // stageRemovals stages the swap-removal steps of index.SwapRemove: each
 // step scrubs the removed graph's feature keys and re-homes the swapped
 // graph's postings.
-func stageRemovals(mut *trie.Mutation, steps []index.RemoveStep, opt features.PathOptions) {
+func stageRemovals(mut *trie.Mutation, d *features.Dict, steps []index.RemoveStep, opt features.PathOptions) {
+	s := features.NewScratch()
 	for _, st := range steps {
-		scrub := featureKeys(features.Paths(st.RemovedGraph, opt))
+		removed := stagedFeatures(d, s, st.RemovedGraph, opt)
+		scrub := make([]string, len(removed))
+		for i, f := range removed {
+			scrub[i] = f.Key
+		}
 		var swapped []trie.GraphFeature
 		if st.SwappedGraph != nil {
-			swapped = graphFeatures(features.Paths(st.SwappedGraph, opt))
+			swapped = stagedFeatures(d, s, st.SwappedGraph, opt)
 		}
 		mut.RemoveGraph(st.Removed, st.SwappedFrom, scrub, swapped)
 	}
 }
 
-// graphFeatures flattens a PathSet into key-sorted feature records, ready
-// for Mutation.AppendGraph/RemoveGraph staging.
-func graphFeatures(ps *features.PathSet) []trie.GraphFeature {
-	out := make([]trie.GraphFeature, 0, len(ps.Counts))
-	for k, c := range ps.Counts {
-		out = append(out, trie.GraphFeature{Key: k, Count: int32(c)})
+// stagedFeatures enumerates g through d and returns its features as
+// key-sorted records, so staging is deterministic run to run.
+func stagedFeatures(d *features.Dict, s *features.Scratch, g *graph.Graph, opt features.PathOptions) []trie.GraphFeature {
+	qf := features.PathsID(g, opt, d, s, true)
+	out := make([]trie.GraphFeature, len(qf.Counts))
+	for i, f := range qf.Counts {
+		out[i] = trie.GraphFeature{Key: d.Key(f.ID), Count: f.Count}
 	}
-	slices.SortFunc(out, func(a, b trie.GraphFeature) int {
-		switch {
-		case a.Key < b.Key:
-			return -1
-		case a.Key > b.Key:
-			return 1
-		default:
-			return 0
-		}
-	})
-	return out
-}
-
-// featureKeys lists a PathSet's canonical keys, sorted.
-func featureKeys(ps *features.PathSet) []string {
-	out := make([]string, 0, len(ps.Counts))
-	for k := range ps.Counts {
-		out = append(out, k)
-	}
-	slices.Sort(out)
+	slices.SortFunc(out, func(a, b trie.GraphFeature) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 

@@ -176,3 +176,25 @@ func TestSaveIndexBeforeBuild(t *testing.T) {
 		t.Error("SaveIndex before Build did not error")
 	}
 }
+
+// TestBuildSnapshotDeterministic: a sequential build numbers features in
+// DFS first-visit order, so two BuildWorkers: 1 builds of one dataset save
+// byte-identical snapshots.
+func TestBuildSnapshotDeterministic(t *testing.T) {
+	db := randomDB(80, 9)
+	for _, threads := range []int{0, 1} {
+		var snaps [2][]byte
+		for i := range snaps {
+			x := New(Options{MaxPathLen: 4, Threads: threads, Shards: 4, BuildWorkers: 1})
+			x.Build(db)
+			var buf bytes.Buffer
+			if err := x.SaveIndex(&buf); err != nil {
+				t.Fatal(err)
+			}
+			snaps[i] = buf.Bytes()
+		}
+		if !bytes.Equal(snaps[0], snaps[1]) {
+			t.Errorf("threads %d: two sequential builds saved different snapshots (%d vs %d bytes)", threads, len(snaps[0]), len(snaps[1]))
+		}
+	}
+}

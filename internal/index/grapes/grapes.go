@@ -17,7 +17,7 @@
 // each feature's occurrences touch in each graph — to restrict a test to
 // the candidate's located vertices, split into connected components. This
 // implementation stores none. A 0-edge path is a feature too
-// (features.Paths: "a 0-edge path is a single vertex"), so every vertex of
+// (features.PathsID: "a 0-edge path is a single vertex"), so every vertex of
 // the candidate whose label occurs in the query is located by that label's
 // own feature, and every longer feature only re-locates a subset of those:
 // the located set is exactly {v ∈ g : label(v) ∈ labels(q)}. The matcher's

@@ -1,7 +1,7 @@
 package trie
 
 // Incremental maintenance. A built Trie is immutable on its read path
-// (lock-free Get/GetByID/Walk), so dataset mutation cannot touch it in
+// (lock-free GetByID/Walk), so dataset mutation cannot touch it in
 // place while queries are in flight. Instead a Mutation stages a batch of
 // dataset changes — appended graphs and swap-removals — against a base trie
 // and Apply produces a *new* Trie holding the post-mutation state:

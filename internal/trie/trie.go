@@ -16,7 +16,7 @@
 // themselves. Grapes is explicitly a parallel indexing method in its
 // original paper, so the contention-free build path is fidelity as much as
 // speed. After a build the table is immutable and the read path
-// (Get/GetByID/Walk) is lock-free by construction. Walk visits keys in
+// (GetByID/Walk) is lock-free by construction. Walk visits keys in
 // lexicographic order by sorting the live IDs' dictionary keys.
 //
 // Postings are stored in cardinality-adaptive containers (container.go):
@@ -286,17 +286,6 @@ func (t *Trie) InsertID(id features.FeatureID, p Posting) {
 	pl.add(t.policy, p)
 }
 
-// Get materialises the postings for key as a flat []Posting, or nil if the
-// key was never inserted into this trie. The slice is freshly allocated;
-// hot paths use GetByID and read the container form directly.
-func (t *Trie) Get(key string) []Posting {
-	id, ok := t.dict.Lookup(key)
-	if !ok {
-		return nil
-	}
-	return t.GetByID(id).Postings()
-}
-
 // GetByID returns the postings for an interned feature (a zero PostingList
 // if this trie holds none). On an eager trie this is lock-free: two indexed
 // loads (page directory, page) read the immutable table. On a lazily-opened
@@ -310,16 +299,6 @@ func (t *Trie) GetByID(id features.FeatureID) PostingList {
 		return ls.get(id)
 	}
 	return t.pages.get(id)
-}
-
-// Contains reports whether key currently has at least one posting. A key
-// whose postings were all drained by RemoveGraph is no longer contained.
-func (t *Trie) Contains(key string) bool {
-	id, ok := t.dict.Lookup(key)
-	if !ok {
-		return false
-	}
-	return t.GetByID(id).Len() > 0
 }
 
 // Walk visits every (key, postings) pair in lexicographic key order. The
@@ -505,9 +484,9 @@ const mergeStripes = 64
 // identical to a sequential build of the same postings regardless of how
 // graphs were distributed over workers or interleaved in time.
 //
-// The one shared structure workers touch is the feature dictionary
-// (BuildWorker.Insert interns through it, internally synchronised); callers
-// that pre-intern and stage by ID avoid even that.
+// Workers stage by FeatureID: the dictionary the IDs come from is the
+// producers' business (features.PathsID interns through it, internally
+// synchronised), so staging touches nothing shared.
 type Builder struct {
 	t       *Trie
 	workers []*BuildWorker
@@ -535,12 +514,6 @@ func (t *Trie) NewBuilder(workers int) *Builder {
 
 // Worker returns staging worker i (0 ≤ i < the count passed to NewBuilder).
 func (b *Builder) Worker(i int) *BuildWorker { return b.workers[i] }
-
-// Insert interns key and stages a posting for it. Safe to call from the
-// worker's own goroutine while other workers stage concurrently.
-func (w *BuildWorker) Insert(key string, p Posting) {
-	w.InsertID(w.t.dict.Intern(key), p)
-}
 
 // InsertID stages a posting for an already-interned feature.
 func (w *BuildWorker) InsertID(id features.FeatureID, p Posting) {
