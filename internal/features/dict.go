@@ -1,10 +1,6 @@
 package features
 
-import (
-	"sync"
-
-	"repro/internal/graph"
-)
+import "sync"
 
 // FeatureID is a dense interned identifier for a canonical feature key.
 // IDs are assigned sequentially from 0 by a Dict, so they can index flat
@@ -48,35 +44,28 @@ type Dict struct {
 	ids  map[string]FeatureID
 	keys []string
 
-	// nodes and next are the path table. nodes[0] and nodes[1] are the
-	// roots of walks over graphs without and with edge labels; every other
-	// node is reached by exactly one transition. next maps
-	// (node<<32 | uint32(label)) to the child node in its low 32 bits and
-	// the child's FeatureID in its high 32 bits. Walks over edge-labeled
-	// graphs step an edge label and then a vertex label, so every second
-	// node of theirs is an edge-label node, whose ID is noFeature.
-	nodes []pathNode
-	next  map[uint64]uint64
-	gen   uint64 // bumped by Reset; a walk installs only into its own generation
-}
-
-// pathNode is one node of the path table: its parent and the label of the
-// transition that reaches it, which is all a walk needs to render the
-// node's key. Its FeatureID lives in that transition's value.
-type pathNode struct {
-	parent uint32
-	label  graph.Label
+	// next is the path table: it maps (node<<32 | uint32(label)) to the
+	// child node in its low 32 bits and the child's FeatureID in its high
+	// 32 bits. Nodes 0 and 1 are the roots of walks over graphs without and
+	// with edge labels; every other node is reached by exactly one
+	// transition and numbered in the order transitions are added, so the
+	// table has len(next)+2 nodes. Walks over edge-labeled graphs step an
+	// edge label and then a vertex label, so every second node of theirs is
+	// an edge-label node, whose ID is noFeature.
+	next map[uint64]uint64
+	gen  uint64 // bumped by Reset; a walk installs only into its own generation
 }
 
 // The roots of the path table.
 const (
 	rootPlain   = 0 // walks over graphs whose edges carry no labels
 	rootLabeled = 1 // walks over graphs with edge labels
+	roots       = 2
 )
 
 // NewDict returns an empty dictionary.
 func NewDict() *Dict {
-	return &Dict{ids: make(map[string]FeatureID), nodes: make([]pathNode, 2), next: make(map[uint64]uint64)}
+	return &Dict{ids: make(map[string]FeatureID), next: make(map[uint64]uint64)}
 }
 
 // TableLen returns the number of transitions in the path table (one per
@@ -125,7 +114,6 @@ func (d *Dict) Reset() {
 	clear(d.ids)
 	d.keys = d.keys[:0]
 	clear(d.next)
-	d.nodes = d.nodes[:2]
 	d.gen++
 }
 

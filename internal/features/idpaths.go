@@ -13,10 +13,12 @@ const (
 	unknownFeature = noFeature - 1 // a lookup-only walk's node whose key the Dict lacks
 )
 
-// ownNode is a node a walk made because the table lacked its transition.
+// ownNode is a node a walk made because the table lacked the transition
+// (parent, label) that reaches it.
 type ownNode struct {
-	pathNode
-	id FeatureID
+	parent uint32
+	label  graph.Label
+	id     FeatureID
 }
 
 // Scratch holds the reusable state of an ID-based path enumeration: the DFS
@@ -30,7 +32,7 @@ type Scratch struct {
 	out     []IDCount     // result buffer returned via IDSet.Counts
 	fwd     []byte        // forward canonical rendering
 	rev     []byte        // reverse canonical rendering
-	seq     []graph.Label // the labels of the path being rendered
+	seq     []graph.Label // labels of the path being walked (edge labels interleaved)
 	inPath  []bool        // DFS visited marks
 
 	// The walk in progress.
@@ -40,7 +42,8 @@ type Scratch struct {
 	labeled bool
 	intern  bool
 	unknown int
-	// base is len(d.nodes) when the walk began: node base+i is own[i].
+	// base is the table's node count when the walk began: node base+i is
+	// own[i].
 	base uint32
 	own  []ownNode
 	// pend holds the walk's transitions that the table lacks, packed as in
@@ -112,7 +115,7 @@ func (s *Scratch) walk(d *Dict, g *graph.Graph, opt PathOptions, intern bool, lo
 	s.maxLen = max(opt.MaxLen, 0)
 	s.labeled = g.HasEdgeLabels()
 	s.unknown = 0
-	s.base, s.idBase = uint32(len(d.nodes)), FeatureID(len(d.keys))
+	s.base, s.idBase = uint32(len(d.next)+roots), FeatureID(len(d.keys))
 	if len(s.counts) < len(d.keys) {
 		s.counts = append(s.counts, make([]int32, len(d.keys)-len(s.counts))...)
 	}
@@ -131,7 +134,8 @@ func (s *Scratch) walk(d *Dict, g *graph.Graph, opt PathOptions, intern bool, lo
 		root = rootLabeled
 	}
 	for v := lo; v < hi; v++ {
-		node, id := s.step(root, g.Label(v), false)
+		s.seq = append(s.seq[:0], g.Label(v))
+		node, id := s.step(root, false)
 		if id == unknownFeature {
 			s.unknown++
 			continue
@@ -157,27 +161,32 @@ func (s *Scratch) extend(v int, node uint32, depth int) {
 		if s.inPath[w] {
 			continue
 		}
-		at := node
+		n, at := len(s.seq), node
 		if s.labeled {
-			at, _ = s.step(node, els[i], true)
+			s.seq = append(s.seq, els[i])
+			at, _ = s.step(node, true)
 		}
-		child, id := s.step(at, s.g.Label(int(w)), false)
+		s.seq = append(s.seq, s.g.Label(int(w)))
+		child, id := s.step(at, false)
 		if id == unknownFeature {
 			s.unknown++
-			continue
+		} else {
+			s.count(id)
+			if depth < s.maxLen {
+				s.inPath[w] = true
+				s.extend(int(w), child, depth+1)
+				s.inPath[w] = false
+			}
 		}
-		s.count(id)
-		if depth < s.maxLen {
-			s.inPath[w] = true
-			s.extend(int(w), child, depth+1)
-			s.inPath[w] = false
-		}
+		s.seq = s.seq[:n]
 	}
 }
 
-// step follows the transition (node, l): one table probe when the table
-// has it. edge marks an edge-label step of a labeled walk.
-func (s *Scratch) step(node uint32, l graph.Label, edge bool) (uint32, FeatureID) {
+// step follows the transition from node by the last label of s.seq: one
+// table probe when the table has it. edge marks an edge-label step of a
+// labeled walk.
+func (s *Scratch) step(node uint32, edge bool) (uint32, FeatureID) {
+	l := s.seq[len(s.seq)-1]
 	k := uint64(node)<<32 | uint64(uint32(l))
 	if node < s.base {
 		if t, ok := s.d.next[k]; ok {
@@ -195,7 +204,7 @@ func (s *Scratch) step(node uint32, l graph.Label, edge bool) (uint32, FeatureID
 func (s *Scratch) miss(node uint32, l graph.Label, k uint64, edge bool) (uint32, FeatureID) {
 	id := noFeature
 	if !edge {
-		key := s.render(node, l)
+		key := s.render()
 		if known, ok := s.d.ids[string(key)]; ok {
 			id = known
 		} else if !s.intern {
@@ -213,35 +222,23 @@ func (s *Scratch) miss(node uint32, l graph.Label, k uint64, edge bool) (uint32,
 		}
 	}
 	c := s.base + uint32(len(s.own))
-	s.own = append(s.own, ownNode{pathNode{node, l}, id})
+	s.own = append(s.own, ownNode{node, l, id})
 	s.pend[k] = uint64(id)<<32 | uint64(c)
 	return c, id
 }
 
-// render returns the canonical key of the path that steps l from node:
-// the smaller of the forward and reverse decimal renderings of its labels,
-// "p:"-prefixed, or "p:!" with edge labels interleaved (v0.e0.v1…) when an
-// edge label on the path is non-zero. The "!" keeps labeled keys disjoint
-// from unlabeled ones (an interleaved sequence could otherwise collide with
-// a longer unlabeled path's key); a path whose edge labels are all zero
-// takes the unlabeled form, so graphs mixing labeled and unlabeled edges
-// filter correctly against each other. The comparison is over the rendered
-// bytes (lexicographic over decimals, not numeric), so the orientation the
-// climb to the root yields the path in does not matter. The key is valid
-// until the next render.
-func (s *Scratch) render(node uint32, l graph.Label) []byte {
-	seq := append(s.seq[:0], l)
-	for node > rootLabeled {
-		var n pathNode
-		if node < s.base {
-			n = s.d.nodes[node]
-		} else {
-			n = s.own[node-s.base].pathNode
-		}
-		seq = append(seq, n.label)
-		node = n.parent
-	}
-	s.seq = seq
+// render returns the canonical key of the path in s.seq: the smaller of
+// the forward and reverse decimal renderings of its labels, "p:"-prefixed,
+// or "p:!" with edge labels interleaved (v0.e0.v1…) when an edge label on
+// the path is non-zero. The "!" keeps labeled keys disjoint from unlabeled
+// ones (an interleaved sequence could otherwise collide with a longer
+// unlabeled path's key); a path whose edge labels are all zero takes the
+// unlabeled form, so graphs mixing labeled and unlabeled edges filter
+// correctly against each other. The comparison is over the rendered bytes
+// (lexicographic over decimals, not numeric). The key is valid until the
+// next render.
+func (s *Scratch) render() []byte {
+	seq := s.seq
 	stride, prefix := 1, "p:"
 	if s.labeled { // seq alternates vertex and edge labels
 		stride = 2
@@ -301,10 +298,6 @@ func (s *Scratch) install(gen uint64) bool {
 	if d.gen != gen {
 		return !s.intern
 	}
-	s.remap = s.remap[:0]
-	for range s.newKeys {
-		s.remap = append(s.remap, noFeature)
-	}
 	s.real = s.real[:0]
 	for _, n := range s.own {
 		if n.id == unknownFeature {
@@ -316,21 +309,19 @@ func (s *Scratch) install(gen uint64) bool {
 		}
 		k := uint64(n.parent)<<32 | uint64(uint32(n.label))
 		t, ok := d.next[k]
-		if !ok { // else another walk installed it since
+		if !ok { // else another walk installed it since, interning its key
 			id := n.id
 			if s.provisional(id) {
-				if id = s.remap[id-s.idBase]; id == noFeature {
-					id = d.internLocked(s.newKeys[n.id-s.idBase])
-				}
+				id = d.internLocked(s.newKeys[id-s.idBase])
 			}
-			t = uint64(id)<<32 | uint64(len(d.nodes))
-			d.nodes = append(d.nodes, n.pathNode)
+			t = uint64(id)<<32 | uint64(len(d.next)+roots)
 			d.next[k] = t
 		}
-		if s.provisional(n.id) {
-			s.remap[n.id-s.idBase] = FeatureID(t >> 32)
-		}
 		s.real = append(s.real, uint32(t))
+	}
+	s.remap = s.remap[:0]
+	for _, key := range s.newKeys {
+		s.remap = append(s.remap, d.ids[key])
 	}
 	return true
 }

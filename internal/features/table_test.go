@@ -260,6 +260,56 @@ func TestPathsTableNumbersInFirstVisitOrder(t *testing.T) {
 	}
 }
 
+// TestPathsTableInstallAfterAnotherWalk runs the window between a walk and
+// its install deterministically: a second walk over the same graph
+// installs (and interns) first, so the first walk's install finds every
+// transition present and must take the IDs that walk interned.
+func TestPathsTableInstallAfterAnotherWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	opt := PathOptions{MaxLen: 4}
+	for trial := 0; trial < 20; trial++ {
+		g := tableGraph(rng, 4+rng.Intn(8), 0.35, 3, trial%3)
+		want := refPaths(g, opt.MaxLen, 0, g.NumVertices())
+		for _, intern := range []bool{true, false} {
+			d := NewDict()
+			if !intern {
+				d = internKeys(want)
+			}
+			s := NewScratch()
+			gen := s.walk(d, g, opt, intern, 0, g.NumVertices())
+			PathsID(g, opt, d, NewScratch(), intern)
+			n := d.TableLen()
+			if !s.install(gen) {
+				t.Fatalf("trial %d: install refused without a Reset", trial)
+			}
+			if got := keyCounts(d, s.finish()); !reflect.DeepEqual(got, want) || d.TableLen() != n {
+				t.Fatalf("trial %d intern %v: table %d -> %d transitions\n got %v\nwant %v", trial, intern, n, d.TableLen(), got, want)
+			}
+		}
+	}
+}
+
+// TestPathsTableResetBetweenWalkAndInstall: a Reset between a walk and its
+// install leaves the table alone; an interning walk is then run again, a
+// lookup-only one keeps its counts.
+func TestPathsTableResetBetweenWalkAndInstall(t *testing.T) {
+	g := pathGraph(1, 2, 3)
+	opt := PathOptions{MaxLen: 2}
+	for _, intern := range []bool{true, false} {
+		d := internKeys(refPaths(g, 2, 0, 3))
+		s := NewScratch()
+		gen := s.walk(d, g, opt, intern, 0, 3)
+		d.Reset()
+		if ok := s.install(gen); ok == intern || d.TableLen() != 0 {
+			t.Fatalf("intern %v: install after Reset reported %v, table has %d transitions", intern, ok, d.TableLen())
+		}
+		s.discard()
+		if got := pathCounts(g, 2); !reflect.DeepEqual(keyCounts(d, PathsID(g, opt, d, s, true)), got) {
+			t.Fatalf("intern %v: the scratch does not enumerate afresh after a discarded walk", intern)
+		}
+	}
+}
+
 // TestDictSharedByConcurrentWalks runs, on one shared dictionary loaded
 // without a table, lookup-only query walks (each installing what it found
 // if the write lock is free) at the same time as interning walks of new
