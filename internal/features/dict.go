@@ -100,11 +100,12 @@ func (d *Dict) internLocked(key string) FeatureID {
 	return id
 }
 
-// Reset drops every interned key and the path table, keeping the Dict object itself valid so
-// that indexes sharing it (via index.DictProvider) stay wired to the same
-// interner. IDs restart densely from 0 as keys are re-interned, so any
-// structure keyed by the old IDs must be rebuilt afterwards — Reset is the
-// rebuild-time companion of Build/LoadIndex, never a query-time operation.
+// Reset drops every interned key and the path table, keeping the Dict
+// object itself valid so that indexes sharing it (via index.DictProvider)
+// stay wired to the same interner. IDs restart densely from 0 as keys are
+// re-interned, so any structure keyed by the old IDs must be rebuilt
+// afterwards — Reset is the rebuild-time companion of Build/LoadIndex,
+// never a query-time operation.
 // Without it a dictionary shared across successive Builds accumulates the
 // dead vocabulary of every dataset it ever saw (unbounded growth, and bloat
 // in persisted snapshot headers, which serialise the dictionary in full).
