@@ -189,9 +189,12 @@ func (x *Index) Build(db []*graph.Graph) {
 	opt := features.PathOptions{MaxLen: x.opt.MaxPathLen}
 	nf := make([]int32, len(db))
 	if x.opt.Threads > 1 && (x.opt.BuildWorkers <= 1 || len(db) < 2*x.opt.BuildWorkers) {
-		s := features.NewScratch()
+		ss := make([]*features.Scratch, x.opt.Threads)
+		for t := range ss {
+			ss[t] = features.NewScratch()
+		}
 		for i, g := range db {
-			nf[i] = insertFeatures(x.tr.InsertID, int32(i), x.enumerate(g, opt, s))
+			nf[i] = insertFeatures(x.tr.InsertID, int32(i), x.enumerate(g, opt, ss))
 		}
 	} else {
 		buildPaths(x.tr, db, opt, x.opt.BuildWorkers, nf)
@@ -236,12 +239,12 @@ func insertFeatures(insert func(features.FeatureID, trie.Posting), graphID int32
 }
 
 // enumerate is Grapes' per-graph parallelism: it splits g's start vertices
-// across Threads workers and sums the per-worker counts. The result is
-// owned by s, or fresh.
-func (x *Index) enumerate(g *graph.Graph, opt features.PathOptions, s *features.Scratch) []features.IDCount {
-	n, w := g.NumVertices(), x.opt.Threads
+// across one worker per scratch in ss and sums the per-worker counts. The
+// result is owned by ss[0], or fresh.
+func (x *Index) enumerate(g *graph.Graph, opt features.PathOptions, ss []*features.Scratch) []features.IDCount {
+	n, w := g.NumVertices(), len(ss)
 	if w <= 1 || n < 2*w {
-		return features.PathsID(g, opt, x.dict, s, true).Counts
+		return features.PathsID(g, opt, x.dict, ss[0], true).Counts
 	}
 	parts := make([][]features.IDCount, w)
 	var wg sync.WaitGroup
@@ -249,7 +252,7 @@ func (x *Index) enumerate(g *graph.Graph, opt features.PathOptions, s *features.
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			parts[t] = features.PathsIDRange(g, opt, x.dict, features.NewScratch(), true, t*n/w, (t+1)*n/w).Counts
+			parts[t] = features.PathsIDRange(g, opt, x.dict, ss[t], true, t*n/w, (t+1)*n/w).Counts
 		}(t)
 	}
 	wg.Wait()

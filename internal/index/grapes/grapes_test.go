@@ -26,9 +26,10 @@ func randomGraph(rng *rand.Rand, n int, p float64, labels int) *graph.Graph {
 
 func TestEnumerateParallelEqualsSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	db := []*graph.Graph{randomGraph(rng, 40, 0.15, 4)}
-	// One graph is too few for six build workers, so Grapes(6) splits the
-	// graph's start vertices over six goroutines instead.
+	db := []*graph.Graph{randomGraph(rng, 40, 0.15, 4), randomGraph(rng, 30, 0.2, 4), randomGraph(rng, 25, 0.2, 3)}
+	// Three graphs are too few for six build workers, so Grapes(6) splits
+	// each graph's start vertices over six goroutines instead (reusing
+	// their scratches from graph to graph).
 	seq := New(Options{MaxPathLen: 4, Threads: 1})
 	par := New(Options{MaxPathLen: 4, Threads: 6})
 	seq.Build(db)
