@@ -27,7 +27,7 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "dataset/workload scale factor")
 		seed    = flag.Int64("seed", 42, "random seed (full determinism per seed)")
 		workers = flag.Int("workers", 0, "max goroutines for the concurrency experiments (0 = one per CPU)")
-		bwork   = flag.Int("buildworkers", 0, "index-build goroutines for the coldstart, incremental and lazyload experiments (0 = each method's default)")
+		bwork   = flag.Int("buildworkers", 0, "index-build goroutines for the coldstart, incremental and lazyload experiments (0 = one per CPU)")
 		saveIdx = flag.String("save-index", "", "directory to keep the coldstart experiment's index snapshots in (default: temp, discarded)")
 		loadIdx = flag.String("load-index", "", "directory holding pre-built index snapshots for the coldstart experiment (written by an earlier -save-index run)")
 		density = flag.Float64("density", 0, "single membership density for the containers experiment (0 = sparse/moderate/dense grid with perf gates)")

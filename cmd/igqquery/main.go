@@ -45,7 +45,7 @@ func main() {
 		qPath   = flag.String("queries", "", "query file (required)")
 		method  = flag.String("method", "grapes", "method: grapes | ggsx | ctindex")
 		threads = flag.Int("threads", 1, "Grapes build threads")
-		bwork   = flag.Int("buildworkers", 0, "index-build goroutines (0 = per-method default)")
+		bwork   = flag.Int("buildworkers", 0, "index-build goroutines (0 = one per CPU)")
 		super   = flag.Bool("super", false, "supergraph queries (the containment filter over the path index)")
 		cache   = flag.Int("cache", 500, "iGQ cache size C")
 		window  = flag.Int("window", 100, "iGQ window size W")

@@ -24,7 +24,10 @@
 //
 // If -snapshot names an existing file the engine is restored from it
 // (index and query cache, no rebuild); otherwise the index is built and
-// the path is used for the shutdown snapshot. SIGINT/SIGTERM trigger a
+// the path is used for the shutdown snapshot. Start-up uses every core
+// (GOMAXPROCS): the path index builds on one worker per CPU, and an eager
+// restore decodes the snapshot's segments in parallel; the index and its
+// snapshot bytes are the same at any width. SIGINT/SIGTERM trigger a
 // graceful shutdown: in-flight queries drain, then the snapshot is
 // written atomically.
 //

@@ -340,7 +340,10 @@ func (m MethodKind) String() string {
 type EngineOptions struct {
 	// Method picks the dataset index (default Grapes).
 	Method MethodKind
-	// Threads applies to Grapes index construction (paper: 1 or 6).
+	// Threads is Grapes' thread count (paper: 1 or 6): it names the method
+	// ("Grapes(6)"), and a dataset with too few graphs for the build
+	// workers has each graph's start vertices split over Threads
+	// goroutines. It never changes the index.
 	Threads int
 	// MaxPathLen is the path feature length for path-based indexes and the
 	// iGQ query indexes (default 4).
@@ -364,10 +367,11 @@ type EngineOptions struct {
 	// else picks one per CPU. It never changes the index in memory or any
 	// answer.
 	Shards int
-	// BuildWorkers is the index-build parallelism: the path methods fan
-	// feature enumeration over this many goroutines. 0 keeps each method's
-	// default (GGSX sequential, Grapes its Threads). Any worker count
-	// builds a bit-identical index.
+	// BuildWorkers is the path methods' build and eager-restore
+	// parallelism: feature enumeration and snapshot decoding run on this
+	// many goroutines; 0 means one per CPU (runtime.GOMAXPROCS). The index
+	// is byte-identical at any width: its snapshot bytes equal a one-worker
+	// build's.
 	BuildWorkers int
 	// WrapMethod, when non-nil, wraps the freshly built dataset index
 	// before the engine starts using it — an instrumentation seam

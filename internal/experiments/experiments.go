@@ -32,7 +32,7 @@ type Config struct {
 	// (0 = one per runtime.GOMAXPROCS(0)).
 	Workers int
 	// BuildWorkers is the index-build goroutine count of the coldstart,
-	// incremental and lazyload experiments (0 = each method's default).
+	// incremental and lazyload experiments (0 = one per CPU).
 	BuildWorkers int
 	// SaveIndexPath, when set, makes the coldstart experiment keep its
 	// index snapshots at this path prefix instead of a temp directory.

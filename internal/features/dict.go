@@ -31,10 +31,11 @@ type IDSet struct {
 // and interned exactly once per query and every index probes it by integer
 // ID.
 //
-// Interning (Intern, and the install step of an interning PathsID) takes a
-// write lock; lookups and walks take a read lock, so concurrent read-only
-// filtering is safe even while a background shadow rebuild interns new
-// keys.
+// Interning (Intern, the install step of an interning PathsID, a Round's
+// Commit) takes a write lock; lookups and walks take a read lock, so
+// concurrent read-only filtering is safe even while a background shadow
+// rebuild interns new keys. A Round holds the read lock from Freeze to
+// Commit, so its workers read the table without locking.
 //
 // Beside the keys, a Dict holds the path table PathsID walks (see the
 // package comment). The table is derived from the keys and is neither

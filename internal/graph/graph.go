@@ -9,6 +9,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -56,6 +57,87 @@ func New(n int) *Graph {
 		labels: make([]Label, 0, n),
 		adj:    make([][]int32, 0, n),
 	}
+}
+
+// Edge is one undirected edge for FromEdges: its endpoints and its label
+// (0 = unlabeled).
+type Edge struct {
+	U, V int
+	L    Label
+}
+
+// FromEdges returns the graph with vertex labels labels and the given
+// edges, sizing each adjacency list once — the bulk form of AddVertex and
+// AddEdgeLabeled for decoders. It builds the graph those calls would, edge
+// labels materialised only if some label is non-zero, or, when they would
+// reject an edge (a self-loop, an endpoint out of range, a duplicate),
+// returns nil and the index of the first edge they reject; bad is -1
+// otherwise. labels is copied.
+func FromEdges(labels []Label, edges []Edge) (g *Graph, bad int) {
+	n := len(labels)
+	deg := make([]int32, n+1)
+	bad = -1
+	labeled := false
+	for i, e := range edges {
+		if e.U == e.V || e.U < 0 || e.V < 0 || e.U >= n || e.V >= n {
+			bad, edges = i, edges[:i] // only an earlier duplicate can come first
+			break
+		}
+		deg[e.U+1]++
+		deg[e.V+1]++
+		labeled = labeled || e.L != 0
+	}
+	for v := 1; v <= n; v++ {
+		deg[v] += deg[v-1] // deg[v] is now where v's entries start
+	}
+	// Each vertex's entries are (neighbour, edge index) keys; sorted, they
+	// give the adjacency list, and equal neighbours expose duplicates.
+	keys := make([]uint64, 2*len(edges))
+	at := append([]int32(nil), deg[:n]...)
+	for i, e := range edges {
+		keys[at[e.U]] = uint64(e.V)<<32 | uint64(i)
+		at[e.U]++
+		keys[at[e.V]] = uint64(e.U)<<32 | uint64(i)
+		at[e.V]++
+	}
+	for v := 0; v < n; v++ {
+		ks := keys[deg[v]:deg[v+1]]
+		slices.Sort(ks)
+		for j := 1; j < len(ks); j++ {
+			if ks[j]>>32 == ks[j-1]>>32 {
+				if dup := int(uint32(ks[j])); bad < 0 || dup < bad {
+					bad = dup
+				}
+			}
+		}
+	}
+	if bad >= 0 {
+		return nil, bad
+	}
+	g = &Graph{labels: append([]Label(nil), labels...), adj: make([][]int32, n), edges: len(edges)}
+	nbrs := make([]int32, len(keys))
+	var els []Label
+	if labeled {
+		els = make([]Label, len(keys))
+		g.elabels = make([][]Label, n)
+	}
+	for v := 0; v < n; v++ {
+		lo, hi := deg[v], deg[v+1]
+		if lo == hi {
+			continue
+		}
+		for j := lo; j < hi; j++ {
+			nbrs[j] = int32(keys[j] >> 32)
+			if labeled {
+				els[j] = edges[uint32(keys[j])].L
+			}
+		}
+		g.adj[v] = nbrs[lo:hi:hi] // capped: a later insert reallocates
+		if labeled {
+			g.elabels[v] = els[lo:hi:hi]
+		}
+	}
+	return g, -1
 }
 
 // NumVertices returns |V(G)|.

@@ -177,24 +177,41 @@ func TestSaveIndexBeforeBuild(t *testing.T) {
 	}
 }
 
-// TestBuildSnapshotDeterministic: a sequential build numbers features in
-// DFS first-visit order, so two BuildWorkers: 1 builds of one dataset save
-// byte-identical snapshots.
+// TestBuildSnapshotDeterministic: a build numbers features in DFS
+// first-visit order over the dataset whatever its width, chunking or
+// Threads split, so every BuildWorkers × Threads combination saves the
+// bytes of the BuildWorkers: 1 build and leaves the same path table (Threads
+// 1 and 4 both make Grapes, so they save the same bytes too). The second
+// dataset has too few graphs for the workers, so Threads 4 splits every
+// graph's start vertices.
 func TestBuildSnapshotDeterministic(t *testing.T) {
-	db := randomDB(80, 9)
-	for _, threads := range []int{0, 1} {
-		var snaps [2][]byte
-		for i := range snaps {
-			x := New(Options{MaxPathLen: 4, Threads: threads, Shards: 4, BuildWorkers: 1})
-			x.Build(db)
-			var buf bytes.Buffer
-			if err := x.SaveIndex(&buf); err != nil {
-				t.Fatal(err)
-			}
-			snaps[i] = buf.Bytes()
+	rng := rand.New(rand.NewSource(12))
+	few := []*graph.Graph{randomGraph(rng, 30, 0.15, 3), randomGraph(rng, 24, 0.2, 4), randomGraph(rng, 9, 0.3, 3)}
+	for di, db := range [][]*graph.Graph{randomDB(80, 9), few} {
+		type built struct {
+			snap  []byte
+			table int
 		}
-		if !bytes.Equal(snaps[0], snaps[1]) {
-			t.Errorf("threads %d: two sequential builds saved different snapshots (%d vs %d bytes)", threads, len(snaps[0]), len(snaps[1]))
+		want := map[string]built{}
+		for _, threads := range []int{0, 1, 4} {
+			for _, workers := range []int{1, 2, 3, 8} {
+				x := New(Options{MaxPathLen: 4, Threads: threads, Shards: 4, BuildWorkers: workers})
+				x.Build(db)
+				var buf bytes.Buffer
+				if err := x.SaveIndex(&buf); err != nil {
+					t.Fatal(err)
+				}
+				got := built{buf.Bytes(), x.FeatureDict().TableLen()}
+				w, ok := want[x.kind()]
+				if !ok {
+					want[x.kind()] = got
+					continue
+				}
+				if !bytes.Equal(got.snap, w.snap) || got.table != w.table {
+					t.Errorf("dataset %d threads %d workers %d: snapshot %d bytes, table %d; width 1 saved %d bytes, table %d",
+						di, threads, workers, len(got.snap), got.table, len(w.snap), w.table)
+				}
+			}
 		}
 	}
 }

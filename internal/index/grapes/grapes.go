@@ -7,11 +7,12 @@
 // so it is GGSX's index type with a thread count (ggsx.Options.Threads): one
 // implementation of build, filtering, verification, persistence, lazy
 // loading and mutation, named Grapes and tagged "Grapes" in its snapshots.
-// Index construction is parallel: each worker enumerates whole graphs — or,
-// when there are too few graphs for the workers, the paths starting from
-// its share of one graph's vertices — and the per-worker results are merged
-// (exactly the paper's description of per-thread tries merged into the
-// graph's path index).
+// Index construction is parallel: workers enumerate contiguous chunks of
+// the dataset — or, when there are too few graphs for the workers, the
+// paths starting from their share of one graph's vertices — and the chunks'
+// results are concatenated in dataset order (the paper's per-thread tries
+// merged into the graph's path index, here without a sort, so that every
+// thread count builds the same bytes).
 //
 // The published Grapes also stores *location information* — the vertices
 // each feature's occurrences touch in each graph — to restrict a test to
@@ -37,14 +38,16 @@ import "repro/internal/index/ggsx"
 type Options struct {
 	// MaxPathLen is the maximum path length in edges (paper default 4).
 	MaxPathLen int
-	// Threads is the build parallelism (paper: 1 and 6); ≤ 0 means 1.
+	// Threads is the paper's thread count (1 and 6); ≤ 0 means 1. It names
+	// the method, and splits each graph's start vertices over Threads
+	// goroutines when the dataset has too few graphs for the build
+	// workers; see ggsx.Options.Threads.
 	Threads int
 	// Shards is the segment count of a saved snapshot; see
 	// ggsx.Options.Shards.
 	Shards int
-	// BuildWorkers overrides the number of goroutines Build fans graph
-	// enumeration out over (0 = Threads, matching the paper's Grapes(T)
-	// parallel construction). Any worker count produces an identical index.
+	// BuildWorkers is the build's goroutine count (0 = one per CPU); see
+	// ggsx.Options.BuildWorkers. The snapshot bytes do not depend on it.
 	BuildWorkers int
 }
 

@@ -2,14 +2,17 @@ package partition
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	igq "repro"
+	"repro/internal/trie"
 )
 
 // testDB generates a small dataset and re-IDs the graphs onto a sparse,
@@ -497,4 +500,37 @@ func TestGroupConcurrentQueryMutate(t *testing.T) {
 	if st, ok := g.Stats(Sub); !ok || st.Panics != 0 {
 		t.Fatalf("final stats: hosted=%v panics=%d", ok, st.Panics)
 	}
+}
+
+// TestBuildPanicReachesCaller poisons the partition builds of New and
+// Rebalance: a panic in one partition's build must reach the caller as a
+// *trie.WorkerPanic instead of killing the process.
+func TestBuildPanicReachesCaller(t *testing.T) {
+	db := testDB(t, 5)
+	var poisoned atomic.Bool
+	opt := Options{Partitions: 2, Engine: igq.EngineOptions{WrapMethod: func(m any) any {
+		if poisoned.Load() {
+			panic("poisoned build")
+		}
+		return m
+	}}}
+	wantWorkerPanic := func(name string, build func()) {
+		t.Helper()
+		defer func() {
+			var wp *trie.WorkerPanic
+			if p, _ := recover().(error); !errors.As(p, &wp) || wp.Value != "poisoned build" {
+				t.Errorf("%s: recovered %v, want a *trie.WorkerPanic", name, p)
+			}
+		}()
+		build()
+	}
+	poisoned.Store(true)
+	wantWorkerPanic("New", func() { New(db, opt) })
+	poisoned.Store(false)
+	g, err := New(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned.Store(true)
+	wantWorkerPanic("Rebalance", func() { g.Rebalance(3) })
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	igq "repro"
+	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
@@ -32,25 +33,22 @@ func EncodeGraph(g *igq.Graph) WireGraph {
 	return w
 }
 
-// DecodeGraph converts a wire graph back to a validated *igq.Graph.
+// DecodeGraph converts a wire graph back to a *igq.Graph, built in one
+// pass (graph.FromEdges), so it is valid by construction.
 func DecodeGraph(w WireGraph) (*igq.Graph, error) {
-	g := igq.NewGraph(len(w.Labels))
-	for _, l := range w.Labels {
-		g.AddVertex(l)
+	edges := make([]graph.Edge, len(w.Edges))
+	for i, e := range w.Edges {
+		edges[i] = graph.Edge{U: e[0], V: e[1], L: igq.Label(e[2])}
 	}
-	for _, e := range w.Edges {
-		u, v := e[0], e[1]
-		if u < 0 || u >= len(w.Labels) || v < 0 || v >= len(w.Labels) {
-			return nil, fmt.Errorf("edge (%d,%d) outside %d vertices", u, v, len(w.Labels))
+	g, bad := graph.FromEdges(w.Labels, edges)
+	if bad >= 0 {
+		u, v, n := w.Edges[bad][0], w.Edges[bad][1], len(w.Labels)
+		if u < 0 || u >= n || v < 0 || v >= n {
+			return nil, fmt.Errorf("edge (%d,%d) outside %d vertices", u, v, n)
 		}
-		if !g.AddEdgeLabeled(u, v, igq.Label(e[2])) {
-			return nil, fmt.Errorf("invalid or duplicate edge (%d,%d)", u, v)
-		}
+		return nil, fmt.Errorf("invalid or duplicate edge (%d,%d)", u, v)
 	}
 	g.ID = w.ID
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
 	return g, nil
 }
 

@@ -23,9 +23,3 @@ func (t *Trie) Contains(key string) bool {
 	}
 	return t.GetByID(id).Len() > 0
 }
-
-// Insert interns key and stages a posting for it. Safe to call from the
-// worker's own goroutine while other workers stage concurrently.
-func (w *BuildWorker) Insert(key string, p Posting) {
-	w.InsertID(w.t.dict.Intern(key), p)
-}

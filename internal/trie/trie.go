@@ -9,10 +9,11 @@
 // a page directory, and the zero PostingList means absent, so a probe is a
 // shift, a mask and two indexed loads. Pages are the unit of copy-on-write:
 // a mutation copies the directory and only the pages it writes (mutate.go).
-// Index builds run in parallel through Builder: each build goroutine stages
-// its postings privately, bucketed by page stripe, and the stripes then
-// merge independently — they own disjoint pages — so a build uses one merge
-// worker per CPU without a single lock or atomic on the postings
+// Index builds run in parallel through Builder: a build cuts its input into
+// contiguous chunks of graphs, each chunk's postings are staged privately,
+// bucketed by page stripe, and the stripes then fill independently — they
+// own disjoint pages — appending each feature's chunk runs in chunk order,
+// so a fill needs neither a sort nor a lock or atomic on the postings
 // themselves. Grapes is explicitly a parallel indexing method in its
 // original paper, so the contention-free build path is fidelity as much as
 // speed. After a build the table is immutable and the read path
@@ -392,17 +393,18 @@ func (t *Trie) DeadLen() int {
 
 // ParallelFor fans n items out over up to workers goroutines (capped at n;
 // ≤ 1 runs inline). Each goroutine receives its worker index — for
-// per-worker state like a BuildWorker or an enumeration scratch — and a
-// claim function yielding successive item indices until it returns -1:
+// per-worker state like an enumeration scratch — and a claim function
+// yielding successive item indices until it returns -1:
 //
-//	trie.ParallelFor(len(db), workers, func(w int, claim func() int) {
-//		bw := b.Worker(w)
+//	trie.ParallelFor(len(chunks), workers, func(w int, claim func() int) {
+//		s := scratches[w]
 //		for i := claim(); i >= 0; i = claim() { ... }
 //	})
 //
 // ParallelFor returns after every worker has finished, so it establishes
 // the happens-before edge parallel builds rely on. Shared by the stripe
-// merge below, the path-method builds and core's cache-side index builds.
+// fill below, the path-method builds, segment decoding and the partition
+// builds.
 //
 // A panic in a worker body does not kill the process: the first one is
 // captured with its goroutine's stack and, once every worker has joined,
@@ -464,81 +466,122 @@ func (p *WorkerPanic) Unwrap() error {
 	return err
 }
 
-// stagedPosting is one posting awaiting its stripe merge.
+// stagedPosting is one posting awaiting Fill.
 type stagedPosting struct {
 	id features.FeatureID
 	p  Posting
 }
 
-// mergeStripes is the number of independent merge tasks a Builder splits
-// the table into: page p belongs to stripe p % mergeStripes, so stripes own
-// disjoint pages and merge without synchronisation.
-const mergeStripes = 64
+// fillStripes is the number of independent fill tasks a Builder splits the
+// table into: page p belongs to stripe p % fillStripes, so stripes own
+// disjoint pages and fill without synchronisation.
+const fillStripes = 64
 
-// Builder assembles a trie from concurrent producers without contention on
-// the postings store. Each build goroutine claims one BuildWorker and stages
-// its postings into private per-stripe buffers; Merge then folds every
-// stripe's staged postings in — stripes in parallel (they own disjoint
-// pages), each stripe deterministically: staged postings are ordered by
-// (FeatureID, graph id) before insertion, so the resulting store is
-// identical to a sequential build of the same postings regardless of how
-// graphs were distributed over workers or interleaved in time.
-//
-// Workers stage by FeatureID: the dictionary the IDs come from is the
-// producers' business (features.PathsID interns through it, internally
-// synchronised), so staging touches nothing shared.
+// Builder fills a trie from postings staged chunk by chunk: a build splits
+// its input into contiguous chunks of graphs, stages each chunk's postings
+// (in parallel, one goroutine per chunk at a time), and Fill appends them
+// chunk after chunk. So when each chunk stages its graphs in ascending
+// order, every feature's postings arrive in graph order — its chunk runs
+// concatenated — and Fill appends without sorting or merging. Stripes of
+// the table fill in parallel, each filling its own pages. Postings that
+// arrive out of graph order are inserted as Trie.InsertID would, and a
+// posting for a feature's last graph adds to its count, so the result
+// always equals inserting the staged postings sequentially in chunk order.
 type Builder struct {
-	t       *Trie
-	workers []*BuildWorker
-}
-
-// BuildWorker is one goroutine's private staging area. Each BuildWorker may
-// be used by only one goroutine at a time; distinct BuildWorkers of the same
-// Builder are safe to use concurrently.
-type BuildWorker struct {
 	t      *Trie
-	staged [mergeStripes][]stagedPosting
+	chunks []*Chunk
+	n      int // chunks staged since the last Fill
 }
 
-// NewBuilder returns a Builder with the given number of staging workers
-// (min 1). The trie must not be read or written between NewBuilder and the
-// completion of Merge.
-func (t *Trie) NewBuilder(workers int) *Builder {
+// Chunk is the staging area of one chunk. It is used by one goroutine at a
+// time; distinct chunks of a Builder stage concurrently.
+type Chunk struct {
+	staged   [fillStripes][]stagedPosting
+	min, max int32              // graph span of the staged postings
+	top      features.FeatureID // largest staged ID + 1
+}
+
+// NewBuilder returns a Builder over t. The trie must not be read or written
+// between NewBuilder and the last Fill.
+func (t *Trie) NewBuilder() *Builder {
 	t.ensureMaterialized()
-	b := &Builder{t: t, workers: make([]*BuildWorker, max(workers, 1))}
-	for i := range b.workers {
-		b.workers[i] = &BuildWorker{t: t}
-	}
-	return b
+	return &Builder{t: t}
 }
 
-// Worker returns staging worker i (0 ≤ i < the count passed to NewBuilder).
-func (b *Builder) Worker(i int) *BuildWorker { return b.workers[i] }
+// Chunks makes chunks 0..n-1 the staging areas of the next Fill and
+// returns them, empty.
+func (b *Builder) Chunks(n int) []*Chunk {
+	for len(b.chunks) < n {
+		b.chunks = append(b.chunks, &Chunk{})
+	}
+	b.n = n
+	for _, c := range b.chunks[:n] {
+		c.min, c.max, c.top = 1<<31-1, -1, 0
+	}
+	return b.chunks[:n]
+}
 
 // InsertID stages a posting for an already-interned feature.
-func (w *BuildWorker) InsertID(id features.FeatureID, p Posting) {
-	s := (id >> pageShift) % mergeStripes
-	w.staged[s] = append(w.staged[s], stagedPosting{id: id, p: p})
+func (c *Chunk) InsertID(id features.FeatureID, p Posting) {
+	s := (id >> pageShift) % fillStripes
+	c.staged[s] = append(c.staged[s], stagedPosting{id: id, p: p})
+	c.min, c.max, c.top = min(c.min, p.Graph), max(c.max, p.Graph), max(c.top, id+1)
 }
 
-// Merge folds all staged postings into the trie: one merge task per stripe,
-// fanned out over up to GOMAXPROCS goroutines, each inserting its stripe's
-// postings in (FeatureID, graph) order so the result is independent of the
-// staging schedule. Duplicate (feature, graph) postings merge exactly as
-// sequential Insert would (counts accumulate). Merge must
-// be called once, after every staging goroutine has finished; afterwards the
-// Builder is drained and the trie is ready for lock-free reads.
-func (b *Builder) Merge() {
-	t := b.t
-	// Every staged ID is interned by now, so the directory can be sized
-	// once and the stripes only ever fill their own pages.
-	t.pages.grow(t.dict.Len())
-	var revived [mergeStripes][]features.FeatureID
-	ParallelFor(mergeStripes, runtime.GOMAXPROCS(0), func(_ int, claim func() int) {
-		for s := claim(); s >= 0; s = claim() {
-			revived[s] = t.mergeStripe(s, b.workers)
+// Fill appends the postings staged in the chunks of the last Chunks call,
+// in chunk order, over up to workers goroutines, and empties the chunks for
+// reuse. When nf is non-nil, it adds to nf[g] the number of features that
+// gained a posting for graph g (graphs must lie below len(nf)). alongside,
+// when non-nil, runs on one of the fill's goroutines, concurrently with the
+// fill: a build commits its next round's keys there, work that touches
+// neither the trie nor the chunks.
+func (b *Builder) Fill(workers int, nf []int32, alongside func()) {
+	t, chunks := b.t, b.chunks[:b.n]
+	lo, hi, top := int32(1<<31-1), int32(-1), features.FeatureID(0)
+	for _, c := range chunks {
+		lo, hi, top = min(lo, c.min), max(hi, c.max), max(top, c.top)
+	}
+	// The directory is sized once, so the stripes only ever fill their own
+	// pages.
+	t.pages.grow(int(top))
+	var revived [fillStripes][]features.FeatureID
+	var gained [fillStripes][]int32
+	ParallelFor(fillStripes+1, max(workers, 1), func(_ int, claim func() int) {
+		for i := claim(); i >= 0; i = claim() {
+			if i == 0 {
+				if alongside != nil {
+					alongside()
+				}
+				continue
+			}
+			s := i - 1
+			var got []int32
+			if nf != nil && hi >= lo {
+				got = make([]int32, hi-lo+1)
+				gained[s] = got
+			}
+			for _, c := range chunks {
+				for _, sp := range c.staged[s] {
+					pl := t.pages.at(sp.id)
+					if pl.ids == nil {
+						if _, dead := t.dead[sp.id]; dead {
+							revived[s] = append(revived[s], sp.id)
+						}
+					}
+					if pl.push(t.policy, sp.p) && got != nil {
+						got[sp.p.Graph-lo]++
+					}
+				}
+				c.staged[s] = c.staged[s][:0]
+			}
 		}
 	})
+	b.n = 0
+	for _, got := range gained {
+		for i, n := range got {
+			nf[lo+int32(i)] += n
+		}
+	}
 	// The dead set is shared by all stripes, so resurrections are applied
 	// after the parallel phase.
 	for _, ids := range revived {
@@ -546,89 +589,4 @@ func (b *Builder) Merge() {
 			delete(t.dead, id)
 		}
 	}
-	for _, w := range b.workers {
-		w.staged = [mergeStripes][]stagedPosting{}
-	}
-}
-
-// mergeStripe inserts every staged posting for stripe s, filling its pages
-// in ID order, and returns the dead features it brought back.
-func (t *Trie) mergeStripe(s int, workers []*BuildWorker) []features.FeatureID {
-	n := 0
-	for _, w := range workers {
-		n += len(w.staged[s])
-	}
-	if n == 0 {
-		return nil
-	}
-	all := make([]stagedPosting, 0, n)
-	for _, w := range workers {
-		all = append(all, w.staged[s]...)
-	}
-	slices.SortFunc(all, func(a, b stagedPosting) int {
-		if a.id != b.id {
-			if a.id < b.id {
-				return -1
-			}
-			return 1
-		}
-		if a.p.Graph != b.p.Graph {
-			if a.p.Graph < b.p.Graph {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-	var revived []features.FeatureID
-	for i := 0; i < len(all); {
-		j := i
-		id := all[i].id
-		for j < len(all) && all[j].id == id {
-			j++
-		}
-		// Fold the group into one sorted run; duplicate (feature, graph)
-		// pairs merge commutatively, so the fold is order-insensitive.
-		run := make([]Posting, 0, j-i)
-		for _, sp := range all[i:j] {
-			if m := len(run); m > 0 && run[m-1].Graph == sp.p.Graph {
-				run[m-1].Count += sp.p.Count
-				continue
-			}
-			run = append(run, sp.p)
-		}
-		pl := t.pages.at(id)
-		if pl.ids != nil {
-			run = mergePostingRuns(pl.Postings(), run)
-		} else if _, dead := t.dead[id]; dead {
-			revived = append(revived, id)
-		}
-		*pl = sealPostings(t.policy, run)
-		i = j
-	}
-	return revived
-}
-
-// mergePostingRuns merges two graph-sorted posting runs, combining postings
-// of the same graph (counts add).
-func mergePostingRuns(a, b []Posting) []Posting {
-	out := make([]Posting, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Graph < b[j].Graph:
-			out = append(out, a[i])
-			i++
-		case a[i].Graph > b[j].Graph:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, Posting{Graph: a[i].Graph, Count: a[i].Count + b[j].Count})
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }
