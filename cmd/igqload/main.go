@@ -6,7 +6,7 @@
 //
 //	igqload -addr http://127.0.0.1:7468 -queries queries.db
 //	        [-n 10000] [-c 16] [-mode mixed] [-stream]
-//	        [-mutations 0 -mutate-every 50ms [-partitioned]]
+//	        [-mutations 0 -mutate-every 50ms]
 //	        [-timeout 30s] [-max-429-retries 100]
 //
 // -n requests are drawn round-robin from the query file and issued by -c
@@ -22,9 +22,7 @@
 // -mutations N interleaves N dataset mutations with the query load from a
 // dedicated goroutine, alternating adds (small batches cloned from the
 // query file under fresh IDs) with removals, paced by -mutate-every.
-// Against a server started with -partitions, pass -partitioned: removals
-// then address the mutator's own added graphs by their global IDs (the
-// partitioned wire contract) instead of by dataset tail position.
+// Removals address the graphs this run added, by graph ID.
 //
 // -stream sends the workload through POST /query/stream on one NDJSON
 // connection per worker instead of unary requests (per-line latency is
@@ -60,7 +58,6 @@ func main() {
 		retries = flag.Int("max-429-retries", 100, "backoff retries per request on a full admission queue")
 		muts    = flag.Int("mutations", 0, "dataset mutations to interleave with the query load")
 		mutGap  = flag.Duration("mutate-every", 50*time.Millisecond, "pacing between mutations (needs -mutations)")
-		parted  = flag.Bool("partitioned", false, "server is partitioned: removals address added graphs by global ID")
 	)
 	flag.Parse()
 	if *qPath == "" {
@@ -108,7 +105,7 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mutator(client, queries, *muts, *mutGap, *parted, *timeout, &mutOK, &mutFailed)
+			mutator(client, queries, *muts, *mutGap, *timeout, &mutOK, &mutFailed)
 		}()
 	}
 	for w := 0; w < *c; w++ {
@@ -162,8 +159,7 @@ func main() {
 			completed, *mode, elapsed.Round(time.Millisecond), qps, p50, p99, rejected.Load(), errCount)
 	}
 	if *muts > 0 {
-		fmt.Printf("igqload: mutations=%d ok=%d failed=%d partitioned=%v\n",
-			*muts, mutOK.Load(), mutFailed.Load(), *parted)
+		fmt.Printf("igqload: mutations=%d ok=%d failed=%d\n", *muts, mutOK.Load(), mutFailed.Load())
 	}
 	if errCount > 0 {
 		os.Exit(1)
@@ -212,34 +208,30 @@ func oneQuery(client *server.Client, q *igq.Graph, mode string, timeout time.Dur
 
 // mutator interleaves dataset mutations with the query load: adds (small
 // batches cloned from the query file under fresh IDs) alternate with
-// removals. Partitioned servers address removals by the added graphs'
-// global IDs; single-engine servers remove the current dataset tail
-// position. Warming 503s back off like queries do; real failures count
-// toward the exit status.
-func mutator(client *server.Client, queries []*igq.Graph, n int, gap time.Duration, partitioned bool, timeout time.Duration, ok, failed *atomic.Int64) {
+// removals of the graphs this run added, by graph ID. Warming 503s back off
+// like queries do; real failures count toward the exit status.
+func mutator(client *server.Client, queries []*igq.Graph, n int, gap, timeout time.Duration, ok, failed *atomic.Int64) {
 	const idBase = 10_000_000 // far above any generated dataset ID
 	nextID := idBase
-	var addedIDs []int // IDs this run added (partitioned removal targets)
-	lastSize := 0
-	call := func(fn func(ctx context.Context) (server.MutateReply, error)) (server.MutateReply, error) {
+	var addedIDs []int // IDs this run added: the removal targets
+	call := func(fn func(ctx context.Context) (server.MutateReply, error)) error {
 		for attempt := 0; ; attempt++ {
 			ctx, cancel := context.WithTimeout(context.Background(), timeout)
-			reply, err := fn(ctx)
+			_, err := fn(ctx)
 			cancel()
 			var unavail *server.UnavailableError
 			if errors.As(err, &unavail) && attempt < 50 {
 				time.Sleep(unavail.RetryAfter)
 				continue
 			}
-			return reply, err
+			return err
 		}
 	}
 	for k := 0; k < n; k++ {
 		if k > 0 {
 			time.Sleep(gap)
 		}
-		remove := k%2 == 1 && (len(addedIDs) > 0 || (!partitioned && lastSize > 1))
-		if !remove {
+		if k%2 == 0 || len(addedIDs) == 0 {
 			batch := make([]*igq.Graph, 2)
 			for i := range batch {
 				g := queries[(k+i)%len(queries)].Clone()
@@ -247,7 +239,7 @@ func mutator(client *server.Client, queries []*igq.Graph, n int, gap time.Durati
 				nextID++
 				batch[i] = g
 			}
-			reply, err := call(func(ctx context.Context) (server.MutateReply, error) {
+			err := call(func(ctx context.Context) (server.MutateReply, error) {
 				return client.AddGraphs(ctx, batch)
 			})
 			if err != nil {
@@ -255,23 +247,15 @@ func mutator(client *server.Client, queries []*igq.Graph, n int, gap time.Durati
 				fmt.Fprintf(os.Stderr, "igqload: mutation %d (add): %v\n", k, err)
 				continue
 			}
-			lastSize = reply.DatasetSize
-			if partitioned {
-				for _, g := range batch {
-					addedIDs = append(addedIDs, g.ID)
-				}
+			for _, g := range batch {
+				addedIDs = append(addedIDs, g.ID)
 			}
 			ok.Add(1)
 			continue
 		}
-		var target int
-		if partitioned {
-			target = addedIDs[0]
-			addedIDs = addedIDs[1:]
-		} else {
-			target = lastSize - 1
-		}
-		reply, err := call(func(ctx context.Context) (server.MutateReply, error) {
+		target := addedIDs[0]
+		addedIDs = addedIDs[1:]
+		err := call(func(ctx context.Context) (server.MutateReply, error) {
 			return client.RemoveGraphs(ctx, []int{target})
 		})
 		if err != nil {
@@ -279,7 +263,6 @@ func mutator(client *server.Client, queries []*igq.Graph, n int, gap time.Durati
 			fmt.Fprintf(os.Stderr, "igqload: mutation %d (remove %d): %v\n", k, target, err)
 			continue
 		}
-		lastSize = reply.DatasetSize
 		ok.Add(1)
 	}
 }

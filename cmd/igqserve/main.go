@@ -16,11 +16,15 @@
 //	POST /query         one query; 429 when the admission queue is full
 //	POST /query/stream  NDJSON in, NDJSON out, bounded by execution slots
 //	POST /graphs/add    append graphs (JSON), O(delta) index maintenance
-//	POST /graphs/remove remove graphs by dataset position
+//	POST /graphs/remove remove graphs by graph ID
 //	GET  /stats         serving + engine counters (JSON)
 //	GET  /metrics       the same counters, Prometheus text format
 //	POST /save          write the engine snapshot now
 //	GET  /healthz       liveness
+//
+// Answers are global graph IDs, sorted ascending; for a dataset igqgen
+// wrote they equal dataset positions until the first mutation. Added graphs
+// must carry IDs unique in the dataset.
 //
 // If -snapshot names an existing file the engine is restored from it
 // (index and query cache, no rebuild); otherwise the index is built and
@@ -52,11 +56,11 @@
 // both in one O(delta) step. It needs a path index (grapes or ggsx).
 //
 // -partitions N shards the dataset across N in-process partitions routed
-// by a stable hash of each graph's ID: queries scatter-gather (answers
-// carry global graph IDs instead of positions), mutations touch only the
-// owning partition, and -snapshot/-delta become per-partition lineage
-// bases (snap.p0, snap.p1, ...). If every partition file exists the group
-// is restored from them; -lazy applies only to single-engine snapshots.
+// by a stable hash of each graph's ID: queries scatter-gather, mutations
+// touch only the owning partition, and for N > 1 -snapshot/-delta become
+// per-partition lineage bases (snap.p0, snap.p1, ...). If every partition
+// file exists the group is restored from them, lazily with -lazy; each
+// partition then gets an equal share of -lazy-budget.
 package main
 
 import (
@@ -101,6 +105,9 @@ func main() {
 	flag.Parse()
 	if *dbPath == "" {
 		fatal("igqserve: -db is required")
+	}
+	if *parts < 1 {
+		fatal("igqserve: -partitions must be at least 1")
 	}
 
 	opt := igq.EngineOptions{CacheSize: *cache, Window: *window}
@@ -150,42 +157,45 @@ func main() {
 		Logf:           log.Printf,
 	}
 
-	if *parts > 1 {
-		if *lazy && !*quietLoad {
-			log.Printf("-lazy has no effect with -partitions: partition snapshots restore eagerly")
+	popt := partition.Options{Partitions: *parts, Engine: opt, Super: *super}
+	t0 := time.Now()
+	if partition.HaveAllParts(*snapshot, *parts) {
+		var lopts []igq.EngineLoadOption
+		if *lazy {
+			budget := *lazyBudg / int64(*parts) // -lazy-budget bounds the whole process
+			if *lazyBudg > 0 {
+				budget = max(budget, 1)
+			}
+			lopts = append(lopts, igq.WithLazyLoad(budget))
 		}
-		popt := partition.Options{Partitions: *parts, Engine: opt, Super: *super}
-		t0 := time.Now()
-		if *snapshot != "" && partition.HaveAllParts(*snapshot, *parts) {
-			grp, reps, err := partition.LoadGroup(*snapshot, db, popt)
-			if err != nil {
-				fatal("igqserve: restoring partition snapshots: %v", err)
+		grp, reps, err := partition.LoadGroup(*snapshot, db, popt, lopts...)
+		if err != nil {
+			fatal("igqserve: restoring snapshot: %v", err)
+		}
+		for i, rep := range reps {
+			if rec := rep.RecoveredTail; rec != nil {
+				log.Printf("partition %d snapshot had a torn journal tail: dropped %d bytes / %d ops; repaired=%v",
+					i, rec.DiscardedBytes, rec.DroppedOps, rep.Repaired)
 			}
-			for i, rep := range reps {
-				if rec := rep.RecoveredTail; rec != nil {
-					log.Printf("partition %d snapshot had a torn journal tail: dropped %d bytes / %d ops; repaired=%v",
-						i, rec.DiscardedBytes, rec.DroppedOps, rep.Repaired)
-				}
-			}
-			cfg.Group = grp
-			if !*quietLoad {
-				log.Printf("restored %d graphs across %d partitions from %s.p* in %v (super=%v)",
-					grp.NumGraphs(), *parts, *snapshot, time.Since(t0), *super)
-			}
-		} else {
-			grp, err := partition.New(db, popt)
-			if err != nil {
-				fatal("igqserve: %v", err)
-			}
-			cfg.Group = grp
-			if !*quietLoad {
-				log.Printf("indexed %d graphs across %d partitions in %v (super=%v)",
-					len(db), *parts, time.Since(t0), *super)
-			}
+		}
+		cfg.Group = grp
+		if !*quietLoad {
+			st, _ := grp.Stats(partition.Sub)
+			log.Printf("restored %d graphs across %d partition(s) from %s in %v (super=%v lazy=%v: %d segments on demand, budget %d bytes)",
+				grp.NumGraphs(), *parts, *snapshot, time.Since(t0), *super, st.LazyLoaded, st.TotalShards, st.LazyBudgetBytes)
 		}
 	} else {
-		cfg.Engine = buildEngine(db, opt, *snapshot, *lazy, *lazyBudg, *quietLoad)
-		cfg.Super = *super
+		if *lazy && !*quietLoad {
+			log.Printf("-lazy has no effect: no snapshot to map (building the index)")
+		}
+		grp, err := partition.New(db, popt)
+		if err != nil {
+			fatal("igqserve: %v", err)
+		}
+		cfg.Group = grp
+		if !*quietLoad {
+			log.Printf("indexed %d graphs across %d partition(s) in %v (super=%v)", len(db), *parts, time.Since(t0), *super)
+		}
 	}
 
 	s, err := server.New(cfg)
@@ -221,54 +231,6 @@ func main() {
 	case err := <-serveErr:
 		fatal("igqserve: %v", err)
 	}
-}
-
-// buildEngine returns the engine of a single-engine deployment: restored
-// from the snapshot when one exists (optionally lazily mapped), built
-// otherwise.
-func buildEngine(db []*igq.Graph, opt igq.EngineOptions, snapshot string, lazy bool, lazyBudg int64, quietLoad bool) *igq.Engine {
-	t0 := time.Now()
-	var eng *igq.Engine
-	var err error
-	if snapshot != "" {
-		if _, statErr := os.Stat(snapshot); statErr == nil {
-			var lopts []igq.EngineLoadOption
-			if lazy {
-				lopts = append(lopts, igq.WithLazyLoad(lazyBudg))
-			}
-			var rep igq.LoadReport
-			eng, rep, err = igq.LoadEngineFile(snapshot, db, opt, lopts...)
-			if err != nil {
-				fatal("igqserve: restoring snapshot: %v", err)
-			}
-			if rec := rep.RecoveredTail; rec != nil {
-				log.Printf("snapshot had a torn journal tail: dropped %d bytes / %d ops; repaired=%v",
-					rec.DiscardedBytes, rec.DroppedOps, rep.Repaired)
-			}
-			if !quietLoad {
-				if st := eng.Stats(); st.LazyLoaded {
-					log.Printf("lazily mapped %s engine over %d graphs from %s in %v (%d segments on demand, budget %d bytes)",
-						eng.MethodName(), len(db), snapshot, time.Since(t0), st.TotalShards, st.LazyBudgetBytes)
-				} else {
-					log.Printf("restored %s engine over %d graphs from %s in %v",
-						eng.MethodName(), len(db), snapshot, time.Since(t0))
-				}
-			}
-		}
-	}
-	if eng == nil && lazy && !quietLoad {
-		log.Printf("-lazy has no effect: no snapshot to map (building the index)")
-	}
-	if eng == nil {
-		eng, err = igq.NewEngine(db, opt)
-		if err != nil {
-			fatal("igqserve: %v", err)
-		}
-		if !quietLoad {
-			log.Printf("indexed %d graphs with %s in %v", len(db), eng.MethodName(), time.Since(t0))
-		}
-	}
-	return eng
 }
 
 func fatal(format string, args ...any) {

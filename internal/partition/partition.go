@@ -1,12 +1,14 @@
 // Package partition scales the engine horizontally inside one process:
 // a Group wraps N igq.Engine partitions behind the familiar Engine-shaped
 // surface. The dataset is split by a stable hash of each graph's
-// position-independent ID, queries scatter to every partition with bounded
-// parallelism and gather a mode-correct union (both subgraph and
-// supergraph answers union across partitions; per-partition caches and
-// §5.1 credits stay partition-local), and mutations route to the single
-// owning partition — so an add or remove touches one partition's index
-// instead of serialising the whole dataset behind one mutation lock.
+// position-independent ID, queries scatter to every partition and gather a
+// mode-correct union (both subgraph and supergraph answers union across
+// partitions; per-partition caches and §5.1 credits stay partition-local),
+// and mutations route to the single owning partition — so an add or remove
+// touches one partition's index instead of serialising the whole dataset
+// behind one mutation lock. A single engine is a group of one (New with one
+// partition, or Of around an engine built elsewhere): the serving layer has
+// no other back-end.
 //
 // This is the single-process analogue of the scatter-gather architecture
 // of "Efficient Subgraph Matching on Billion Node Graphs": push the
@@ -21,15 +23,19 @@
 // Query results carry global graph IDs (sorted ascending), RemoveGraphs
 // takes IDs, and routing is PartitionOf(id, n). Every dataset graph must
 // carry a unique ID (dataset.Generate and the wire codec both preserve
-// them); New rejects datasets that do not.
+// them); New rejects datasets that do not. For a generated dataset IDs
+// equal positions until the first mutation.
 //
 // Persistence reuses the engine machinery per partition: SaveAll writes
-// one engine snapshot per partition (base.p0, base.p1, ...), LoadGroup
-// restores each partition from its own lineage, and AppendDeltas /
-// MaintainDeltas keep one O(delta) journal lineage per partition.
-// Rebalance(n) resplits in process by rebuilding partition engines from
-// the redistributed graphs; cross-process rebalance (shipping a
-// partition's snapshot + journal tail) is the recorded follow-up.
+// one engine snapshot per partition, LoadGroup restores each partition
+// from its own lineage (eagerly, or lazily mapped with igq.WithLazyLoad),
+// and AppendDeltas / MaintainDeltas keep one O(delta) journal lineage per
+// partition. The files are named by PartPath: a one-partition group uses
+// the base path itself, byte-identical to igq.SaveEngineFile of its
+// engine, and N > 1 partitions use base.p0, base.p1, ... Rebalance(n)
+// resplits in process by rebuilding partition engines from the
+// redistributed graphs; cross-process rebalance (shipping a partition's
+// snapshot + journal tail) is the recorded follow-up.
 package partition
 
 import (
@@ -39,6 +45,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -67,10 +74,11 @@ type Options struct {
 	// Super serves Mode Super too: each partition engine answers
 	// supergraph queries from a second query cache over its one index.
 	Super bool
-	// Fanout bounds how many partitions one query probes concurrently
-	// (0 = all at once).
-	Fanout int
 }
+
+// ErrModeNotServed is QueryMode's error for Mode Super on a group built
+// without Options.Super.
+var ErrModeNotServed = errors.New("partition: supergraph queries are not served (Options.Super)")
 
 // Group serves one logical dataset split across N engine partitions.
 // Queries are lock-free scatter-gather over an atomic partition-set
@@ -81,6 +89,9 @@ type Group struct {
 	opt   Options
 	mu    sync.Mutex // serialises mutations, persistence, Rebalance
 	parts atomic.Pointer[[]*igq.Engine]
+	// wrapped marks a group made by Of: opt holds no engine options to
+	// rebuild partitions from, so Rebalance refuses.
+	wrapped bool
 }
 
 // PartitionOf is the routing function: the partition owning graph ID id
@@ -114,21 +125,35 @@ func New(db []*igq.Graph, opt Options) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkSuper(parts, opt); err != nil {
+	return newGroup(parts, opt)
+}
+
+// Of serves an engine built elsewhere as a group of one partition,
+// answering Mode Super too when super is set. The engine's dataset must
+// carry unique graph IDs. Such a group refuses Rebalance: it has no
+// engine options to build new partitions with.
+func Of(e *igq.Engine, super bool) (*Group, error) {
+	if err := checkIDs(e.Dataset()); err != nil {
 		return nil, err
+	}
+	g, err := newGroup([]*igq.Engine{e}, Options{Partitions: 1, Super: super})
+	if err != nil {
+		return nil, err
+	}
+	g.wrapped = true
+	return g, nil
+}
+
+// newGroup installs parts, rejecting Options.Super over partition engines
+// that cannot answer supergraph queries (every partition runs the same
+// method).
+func newGroup(parts []*igq.Engine, opt Options) (*Group, error) {
+	if opt.Super && !parts[0].Answers(Super) {
+		return nil, fmt.Errorf("partition: Options.Super needs a path index; %s answers subgraph queries only", parts[0].MethodName())
 	}
 	g := &Group{opt: opt}
 	g.parts.Store(&parts)
 	return g, nil
-}
-
-// checkSuper rejects Options.Super over partition engines that cannot
-// answer supergraph queries (every partition runs the same method).
-func checkSuper(parts []*igq.Engine, opt Options) error {
-	if opt.Super && !parts[0].Answers(Super) {
-		return fmt.Errorf("partition: Options.Super needs a path index; %v answers subgraph queries only", opt.Engine.Method)
-	}
-	return nil
 }
 
 func normalized(opt Options) Options {
@@ -209,9 +234,6 @@ func (g *Group) NumGraphs() int {
 	return n
 }
 
-// HostsSuper reports whether Mode Super is served.
-func (g *Group) HostsSuper() bool { return g.opt.Super }
-
 // Dataset returns the whole dataset in canonical restore order: partition
 // 0's graphs in their local order, then partition 1's, and so on. Routing
 // this exact slice at the same partition count reproduces every
@@ -234,41 +256,42 @@ func (g *Group) Query(ctx context.Context, q *igq.Graph, opts ...igq.QueryOption
 	return g.QueryMode(ctx, Sub, q, opts...)
 }
 
-// QueryMode scatters q to every partition (at most Options.Fanout
-// concurrently) and gathers the union of answers. Result.Matches are the
-// matched dataset graphs and Result.IDs their *global graph IDs*, sorted
-// ascending — not positions; a partitioned dataset has no global position
-// space. Result.Stats sums the per-partition counters; AnsweredByCache is
-// true only when every partition short-circuited through its own cache
-// (caches and credits are partition-local by design).
+// QueryMode scatters q to every partition at once and gathers the union of
+// answers. Result.Matches are the matched dataset graphs and Result.IDs
+// their *global graph IDs*, sorted ascending — not positions; a partitioned
+// dataset has no global position space. Result.Stats sums the
+// per-partition counters; AnsweredByCache is true only when every
+// partition short-circuited through its own cache (caches and credits are
+// partition-local by design). Mode Super on a group without Options.Super
+// returns ErrModeNotServed.
 //
 // Each partition query runs through that engine's ordinary snapshot-
 // isolated Query path, so a scatter-gather runs concurrently with other
-// queries, streams and routed mutations.
-func (g *Group) QueryMode(ctx context.Context, mode Mode, q *igq.Graph, opts ...igq.QueryOption) (igq.Result, error) {
-	parts := *g.parts.Load()
+// queries, streams and routed mutations. A one-partition group queries on
+// the caller's goroutine. A panic anywhere in the scatter is contained to
+// this call and returned as a *igq.PanicError.
+func (g *Group) QueryMode(ctx context.Context, mode Mode, q *igq.Graph, opts ...igq.QueryOption) (res igq.Result, err error) {
 	if mode == Super && !g.opt.Super {
-		return igq.Result{}, errors.New("partition: supergraph queries are not served (Options.Super)")
+		return igq.Result{}, ErrModeNotServed
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			pe := &igq.PanicError{Value: r, Stack: debug.Stack()}
+			if wp, ok := r.(*trie.WorkerPanic); ok {
+				pe.Value, pe.Stack = wp.Value, wp.Stack
+			}
+			res, err = igq.Result{}, pe
+		}
+	}()
+	parts := *g.parts.Load()
 	opts = append(opts[:len(opts):len(opts)], igq.InMode(mode))
 	results := make([]igq.Result, len(parts))
 	errs := make([]error, len(parts))
-	fanout := g.opt.Fanout
-	if fanout <= 0 || fanout > len(parts) {
-		fanout = len(parts)
-	}
-	sem := make(chan struct{}, fanout)
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, e *igq.Engine) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = e.Query(ctx, q, opts...)
-		}(i, p)
-	}
-	wg.Wait()
+	trie.ParallelFor(len(parts), len(parts), func(_ int, claim func() int) {
+		for i := claim(); i >= 0; i = claim() {
+			results[i], errs[i] = parts[i].Query(ctx, q, opts...)
+		}
+	})
 	if err := errors.Join(errs...); err != nil {
 		return igq.Result{}, err
 	}

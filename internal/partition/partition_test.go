@@ -1,10 +1,12 @@
 package partition
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -370,6 +372,29 @@ func TestGroupRejections(t *testing.T) {
 	if err := sg.RemoveGraphs(ctx, []int{loneID}); err == nil {
 		t.Fatal("RemoveGraphs emptied a partition")
 	}
+
+	// A group wrapped around an engine has no options to rebuild with.
+	eng, err := igq.NewEngine(db, igq.EngineOptions{CacheSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg, err := Of(eng, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wg.Rebalance(2) == nil || wg.Partitions() != 1 {
+		t.Fatal("Rebalance resplit a group wrapped around an engine")
+	}
+	if _, err := Of(eng, true); err != nil {
+		t.Fatalf("Of(super) over a path index: %v", err)
+	}
+	dupEng, err := igq.NewEngine(dup, igq.EngineOptions{CacheSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Of(dupEng, false); err == nil {
+		t.Fatal("Of accepted an engine over duplicate graph IDs")
+	}
 }
 
 // TestGroupConcurrentQueryMutate runs 8 query goroutines (both modes,
@@ -533,4 +558,116 @@ func TestBuildPanicReachesCaller(t *testing.T) {
 	}
 	poisoned.Store(true)
 	wantWorkerPanic("Rebalance", func() { g.Rebalance(3) })
+}
+
+// TestScatterPanicReachesCaller poisons the scatter body itself — a nil
+// partition engine, which panics before Engine.Query's own containment —
+// at one partition (the caller's goroutine) and at two (worker
+// goroutines): QueryMode must return a *igq.PanicError, not crash.
+func TestScatterPanicReachesCaller(t *testing.T) {
+	db := testDB(t, 9)
+	for _, n := range []int{1, 2} {
+		g, err := New(db, Options{Partitions: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		poisoned := append([]*igq.Engine(nil), *g.parts.Load()...)
+		poisoned[n-1] = nil
+		g.parts.Store(&poisoned)
+		_, err = g.QueryMode(context.Background(), Sub, db[0])
+		var pe *igq.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%d partitions: poisoned scatter returned %v, want a *igq.PanicError", n, err)
+		}
+	}
+}
+
+// TestOnePartitionFilesAreEngineFiles: a one-partition group names its
+// files by the base path itself, and SaveAll writes the same bytes as
+// igq.SaveEngineFile of the same engine, so single-engine snapshots and
+// group snapshots are one format.
+func TestOnePartitionFilesAreEngineFiles(t *testing.T) {
+	db := testDB(t, 13)
+	g, err := New(db, Options{Engine: igq.EngineOptions{CacheSize: 8, Window: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range db[:6] {
+		if _, err := g.Query(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	base, single := filepath.Join(dir, "group.snap"), filepath.Join(dir, "engine.snap")
+	if err := g.SaveAll(base); err != nil {
+		t.Fatal(err)
+	}
+	if err := igq.SaveEngineFile(single, (*g.parts.Load())[0]); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(base)
+	if err != nil {
+		t.Fatalf("SaveAll did not write the base path: %v", err)
+	}
+	want, err := os.ReadFile(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("one-partition SaveAll wrote %d bytes, SaveEngineFile %d, and they differ", len(got), len(want))
+	}
+	if !HaveAllParts(base, 1) || HaveAllParts(base, 2) {
+		t.Fatal("HaveAllParts does not name the base path for one partition only")
+	}
+	if _, _, err := LoadGroup(single, db, Options{}); err != nil {
+		t.Fatalf("LoadGroup of an engine snapshot: %v", err)
+	}
+}
+
+// TestLazyGroupStatsSumPartitions: a lazily restored group of two reports
+// the sum of its partitions' StatsOf, residency, budgets, faults and
+// evictions included.
+func TestLazyGroupStatsSumPartitions(t *testing.T) {
+	db := testDB(t, 17)
+	opt := Options{Partitions: 2, Engine: igq.EngineOptions{CacheSize: 8, Window: 2, Shards: 4}}
+	g, err := New(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(t.TempDir(), "group.snap")
+	if err := g.SaveAll(base); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 2048
+	lg, _, err := LoadGroup(base, db, opt, igq.WithLazyLoad(budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range db {
+		if _, err := lg.Query(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sum igq.EngineStats
+	for _, p := range *lg.parts.Load() {
+		st := p.StatsOf(Sub)
+		sum.Queries += st.Queries
+		sum.DatasetIsoTests += st.DatasetIsoTests
+		sum.TotalShards += st.TotalShards
+		sum.ResidentBytes += st.ResidentBytes
+		sum.LazyBudgetBytes += st.LazyBudgetBytes
+		sum.ShardFaults += st.ShardFaults
+		sum.ShardEvictions += st.ShardEvictions
+		sum.LazyLoaded = sum.LazyLoaded || st.LazyLoaded
+	}
+	agg, _ := lg.Stats(Sub)
+	if agg.Queries != sum.Queries || agg.DatasetIsoTests != sum.DatasetIsoTests ||
+		agg.TotalShards != sum.TotalShards || agg.ResidentBytes != sum.ResidentBytes ||
+		agg.LazyBudgetBytes != sum.LazyBudgetBytes || agg.ShardFaults != sum.ShardFaults ||
+		agg.ShardEvictions != sum.ShardEvictions || agg.LazyLoaded != sum.LazyLoaded {
+		t.Fatalf("Stats(Sub) = %+v, partition sum %+v", agg, sum)
+	}
+	if !agg.LazyLoaded || agg.LazyBudgetBytes != 2*budget || agg.ShardFaults == 0 || agg.ShardEvictions == 0 {
+		t.Fatalf("lazy group stats do not show its laziness: %+v", agg)
+	}
 }

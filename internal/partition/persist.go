@@ -6,10 +6,11 @@ package partition
 // LoadGroup restores every partition from its own file against the
 // hash-routed split of the dataset, and AppendDeltas/MaintainDeltas give
 // each partition's index lineage the same O(delta) journal appends and
-// workload-adaptive compaction a single-engine deployment gets. The
-// lineage layout is flat and predictable — PartPath(base, i) = base.pI —
-// so a partition's state is exactly two files it could ship to another
-// process (the recorded cross-process rebalance follow-up).
+// workload-adaptive compaction an engine gets. The lineage layout is flat
+// and predictable — PartPath: base itself for one partition, base.pI for
+// partition i of more — so a partition's state is exactly two files it
+// could ship to another process (the recorded cross-process rebalance
+// follow-up).
 
 import (
 	"errors"
@@ -20,9 +21,16 @@ import (
 	"repro/internal/persistio"
 )
 
-// PartPath names partition i's file in a per-partition lineage rooted at
-// base: base.p0, base.p1, ...
-func PartPath(base string, i int) string { return fmt.Sprintf("%s.p%d", base, i) }
+// PartPath names partition i's file in an n-way lineage rooted at base:
+// base itself when n is 1, so a one-partition group reads and writes the
+// files of an engine (igq.SaveEngineFile, igq.SaveIndexFile); base.p0,
+// base.p1, ... otherwise.
+func PartPath(base string, i, n int) string {
+	if n == 1 {
+		return base
+	}
+	return fmt.Sprintf("%s.p%d", base, i)
+}
 
 // HaveAllParts reports whether every partition file of an n-way lineage
 // rooted at base exists — the "restore instead of build" probe.
@@ -31,7 +39,7 @@ func HaveAllParts(base string, n int) bool {
 		return false
 	}
 	for i := 0; i < n; i++ {
-		if _, err := os.Stat(PartPath(base, i)); err != nil {
+		if _, err := os.Stat(PartPath(base, i, n)); err != nil {
 			return false
 		}
 	}
@@ -39,16 +47,16 @@ func HaveAllParts(base string, n int) bool {
 }
 
 // SaveAll atomically writes each partition's combined engine snapshot
-// (index + the default direction's query cache) to PartPath(base, i). As in
-// a single-engine deployment, the other direction's cache is not persisted;
-// it restarts empty over the restored index. Exclusive with mutations and
+// (index + the default direction's query cache) to PartPath(base, i, n),
+// with igq.SaveEngineFile. The other direction's cache is not persisted; it
+// restarts empty over the restored index. Exclusive with mutations and
 // Rebalance.
 func (g *Group) SaveAll(base string) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	parts := *g.parts.Load()
 	for i, p := range parts {
-		if err := igq.SaveEngineFile(PartPath(base, i), p); err != nil {
+		if err := igq.SaveEngineFile(PartPath(base, i, len(parts)), p); err != nil {
 			return fmt.Errorf("partition %d: %w", i, err)
 		}
 	}
@@ -59,9 +67,11 @@ func (g *Group) SaveAll(base string) error {
 // rooted at base: db is split by the same stable routing New uses and each
 // partition is restored from its own file (journal tails replayed, torn
 // tails self-healed — the per-partition LoadReports are returned in
-// partition order). With opt.Super the restored engines answer supergraph
-// queries from their restored indexes.
-func LoadGroup(base string, db []*igq.Graph, opt Options) (*Group, []igq.LoadReport, error) {
+// partition order). lopts pass to every partition's igq.LoadEngineFile:
+// with igq.WithLazyLoad each partition maps its file under its own budget.
+// With opt.Super the restored engines answer supergraph queries from their
+// restored indexes.
+func LoadGroup(base string, db []*igq.Graph, opt Options, lopts ...igq.EngineLoadOption) (*Group, []igq.LoadReport, error) {
 	opt = normalized(opt)
 	if err := checkIDs(db); err != nil {
 		return nil, nil, err
@@ -73,33 +83,31 @@ func LoadGroup(base string, db []*igq.Graph, opt Options) (*Group, []igq.LoadRep
 	parts := make([]*igq.Engine, len(split))
 	reports := make([]igq.LoadReport, len(split))
 	for i, pdb := range split {
-		e, rep, err := igq.LoadEngineFile(PartPath(base, i), pdb, opt.Engine)
+		e, rep, err := igq.LoadEngineFile(PartPath(base, i, len(split)), pdb, opt.Engine, lopts...)
 		if err != nil {
 			return nil, nil, fmt.Errorf("partition %d: %w", i, err)
 		}
 		reports[i] = rep
 		parts[i] = e
 	}
-	if err := checkSuper(parts, opt); err != nil {
+	g, err := newGroup(parts, opt)
+	if err != nil {
 		return nil, nil, err
 	}
-	g := &Group{opt: opt}
-	g.parts.Store(&parts)
 	return g, reports, nil
 }
 
 // AppendDeltas appends each partition's pending mutation journal to its
-// index lineage file PartPath(base, i) — an O(delta-per-partition) write.
-// Partitions whose lineage file does not exist yet are skipped, mirroring
-// the single-engine serving behaviour (the lineage is seeded by
-// SaveIndexFile out of band).
+// index lineage file PartPath(base, i, n) — an O(delta-per-partition)
+// write. Partitions whose lineage file does not exist yet are skipped (the
+// lineage is seeded by igq.SaveIndexFile out of band).
 func (g *Group) AppendDeltas(base string) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	parts := *g.parts.Load()
 	var errs []error
 	for i, p := range parts {
-		err := withLineage(PartPath(base, i), func(f *persistio.PathFile) error {
+		err := withLineage(PartPath(base, i, len(parts)), func(f *persistio.PathFile) error {
 			return p.AppendIndexDelta(f)
 		})
 		if err != nil {
@@ -119,7 +127,7 @@ func (g *Group) MaintainDeltas(base string) (bool, error) {
 	changed := false
 	var errs []error
 	for i, p := range parts {
-		err := withLineage(PartPath(base, i), func(f *persistio.PathFile) error {
+		err := withLineage(PartPath(base, i, len(parts)), func(f *persistio.PathFile) error {
 			ch, err := p.MaintainIndexDelta(f)
 			changed = changed || ch
 			return err
@@ -153,9 +161,13 @@ func withLineage(path string, fn func(*persistio.PathFile) error) error {
 // cold (cached answers are partition-local and the partition contents
 // changed). Exclusive with mutations and persistence; rebalance under
 // live mutation load without the build pause is the recorded follow-up.
+// A group made by Of refuses.
 func (g *Group) Rebalance(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("partition: cannot rebalance to %d partitions", n)
+	}
+	if g.wrapped {
+		return errors.New("partition: a group wrapped around an existing engine has no engine options to rebalance with")
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -168,7 +180,7 @@ func (g *Group) Rebalance(n int) error {
 	if err != nil {
 		return err
 	}
-	// g.opt stays as New left it (queries read Super/Fanout from it without
+	// g.opt stays as New left it (queries read Super from it without
 	// the mutex); the live partition count is len(*g.parts.Load()).
 	opt := g.opt
 	opt.Partitions = n

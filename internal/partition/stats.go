@@ -28,9 +28,10 @@ func (g *Group) PartitionStats() []Stat {
 
 // Stats aggregates the mode's engine counters across partitions: counter
 // fields sum (queries, cache answers, iso tests, hits, panics, cache
-// population, flushes, memo renewals, residency); LazyLoaded and LazyBudgetBytes are clear —
-// partitions are built or restored eagerly. Reports false when the mode is
-// not served.
+// population, flushes, memo renewals, residency, budgets, faults,
+// evictions), and LazyLoaded is set when any partition serves lazily. A
+// one-partition group reports its engine's StatsOf exactly. Reports false
+// when the mode is not served.
 func (g *Group) Stats(mode Mode) (igq.EngineStats, bool) {
 	if mode == Super && !g.opt.Super {
 		return igq.EngineStats{}, false
@@ -52,6 +53,10 @@ func (g *Group) Stats(mode Mode) (igq.EngineStats, bool) {
 		agg.TotalShards += st.TotalShards
 		agg.ResidentShards += st.ResidentShards
 		agg.ResidentBytes += st.ResidentBytes
+		agg.LazyLoaded = agg.LazyLoaded || st.LazyLoaded
+		agg.LazyBudgetBytes += st.LazyBudgetBytes
+		agg.ShardFaults += st.ShardFaults
+		agg.ShardEvictions += st.ShardEvictions
 	}
 	return agg, true
 }

@@ -180,11 +180,11 @@ func (c *Client) AddGraphs(ctx context.Context, gs []*igq.Graph) (MutateReply, e
 	return reply, err
 }
 
-// RemoveGraphs removes the graphs at the given dataset positions
-// (swap-removal semantics; see igq.Engine.RemoveGraphs).
-func (c *Client) RemoveGraphs(ctx context.Context, positions []int) (MutateReply, error) {
+// RemoveGraphs removes the graphs with the given global graph IDs (see
+// partition.Group.RemoveGraphs).
+func (c *Client) RemoveGraphs(ctx context.Context, ids []int) (MutateReply, error) {
 	var reply MutateReply
-	err := c.post(ctx, "/graphs/remove", MutateRequest{Positions: positions}, &reply)
+	err := c.post(ctx, "/graphs/remove", MutateRequest{Positions: ids}, &reply)
 	return reply, err
 }
 

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,26 +15,24 @@ import (
 
 	igq "repro"
 	"repro/internal/partition"
-	"repro/internal/persistio"
 )
 
-// Config configures a Server. Exactly one of Engine and Group selects the
-// serving back-end: a single engine, or a partitioned scatter-gather group.
+// Config configures a Server. Its serving back-end is one partition group;
+// a single-engine deployment sets Engine (and Super) instead of Group.
 type Config struct {
-	// Engine is the engine of a single-engine deployment: the one queries
-	// read, mutations apply to and the shutdown snapshot covers.
-	Engine *igq.Engine
-	// Group serves a partitioned deployment instead of Engine: queries
-	// scatter-gather across partitions (answers carry global graph IDs,
-	// not positions), mutations route to the owning partition, and
-	// SnapshotPath/DeltaPath become per-partition lineage bases
-	// (base.p0, base.p1, ...).
+	// Group is what every request reads and writes: queries scatter-gather
+	// across its partitions and answer with global graph IDs sorted
+	// ascending, mutations route to the owning partition by graph ID, and
+	// SnapshotPath/DeltaPath name its lineage (partition.PartPath: the paths
+	// themselves for one partition, base.p0, base.p1, ... for more).
 	Group *partition.Group
-	// Super serves supergraph queries (mode "super") from Engine as well:
-	// its second query cache over the same dataset index, which every
-	// mutation maintains together with the first. A single-engine option;
-	// a Group serves them by its own partition.Options.Super.
-	Super bool
+	// Engine stands in for Group: New serves it as a group of one
+	// (partition.Of), answering supergraph queries (mode "super") too when
+	// Super is set. Exactly one of Group and Engine is set, and Super goes
+	// with Engine only — a Group serves mode "super" by its own
+	// partition.Options.Super.
+	Engine *igq.Engine
+	Super  bool
 
 	// Workers bounds how many queries execute concurrently across all
 	// requests and streams (0 → one per runtime.GOMAXPROCS(0)).
@@ -52,11 +49,13 @@ type Config struct {
 	MaxTimeout     time.Duration
 
 	// SnapshotPath, when set, is where POST /save and graceful shutdown
-	// write the combined engine snapshot (atomically, via SaveEngineFile).
+	// write the combined engine snapshot of every partition (atomically,
+	// via Group.SaveAll).
 	SnapshotPath string
-	// DeltaPath, when set, is the index-snapshot lineage file (written by
-	// SaveIndexFile) that receives O(delta) journal appends after every
-	// mutation and periodic maintenance compaction.
+	// DeltaPath, when set, is the index-snapshot lineage (seeded by
+	// igq.SaveIndexFile) that receives O(delta) journal appends after every
+	// mutation and periodic maintenance compaction. A partition whose file
+	// does not exist is skipped.
 	DeltaPath string
 	// MaintainEvery is the journal-maintenance timer period (0 disables
 	// the timer; maintenance still runs once during Shutdown).
@@ -66,8 +65,8 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Server serves an engine over HTTP. The admission model is two nested
-// semaphores: an admission queue of Workers+QueueDepth slots taken
+// Server serves a partition group over HTTP. The admission model is two
+// nested semaphores: an admission queue of Workers+QueueDepth slots taken
 // non-blockingly (a full queue answers 429 immediately — the server never
 // buffers unboundedly) and Workers execution slots taken blockingly under
 // the request context. Streaming requests bypass the 429 path: they
@@ -95,14 +94,15 @@ type Server struct {
 
 // New validates cfg and builds a ready-to-Serve server.
 func New(cfg Config) (*Server, error) {
-	if (cfg.Engine == nil) == (cfg.Group == nil) {
-		return nil, errors.New("server: exactly one of Config.Engine and Config.Group is required")
+	if (cfg.Engine == nil) == (cfg.Group == nil) || (cfg.Group != nil && cfg.Super) {
+		return nil, errors.New("server: set exactly one of Config.Group and Config.Engine (Config.Super goes with Engine)")
 	}
-	if cfg.Group != nil && cfg.Super {
-		return nil, errors.New("server: Config.Super is a single-engine option; a Group serves supergraph queries by partition.Options.Super")
-	}
-	if cfg.Super && !cfg.Engine.Answers(igq.SupergraphQueries) {
-		return nil, fmt.Errorf("server: Config.Super needs a path index; %s answers subgraph queries only", cfg.Engine.MethodName())
+	if cfg.Engine != nil {
+		g, err := partition.Of(cfg.Engine, cfg.Super)
+		if err != nil {
+			return nil, fmt.Errorf("server: %w", err)
+		}
+		cfg.Group = g
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -181,15 +181,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// save writes the configured snapshot: one combined engine snapshot, or —
-// partitioned — one snapshot per partition under the SnapshotPath base.
+// save writes one combined engine snapshot per partition under the
+// SnapshotPath base.
 func (s *Server) save() error {
-	var err error
-	if s.cfg.Group != nil {
-		err = s.cfg.Group.SaveAll(s.cfg.SnapshotPath)
-	} else {
-		err = igq.SaveEngineFile(s.cfg.SnapshotPath, s.cfg.Engine)
-	}
+	err := s.cfg.Group.SaveAll(s.cfg.SnapshotPath)
 	if err == nil {
 		s.saves.Add(1)
 	}
@@ -215,78 +210,27 @@ func (s *Server) maintenanceLoop() {
 }
 
 // maintain runs one journal maintenance pass over the delta lineage (one
-// file, or one per partition): pending mutations are appended, and
-// over-threshold journal debt is compacted even when nothing is pending
-// (the idle-compaction hook).
+// file per partition): pending mutations are appended, and over-threshold
+// journal debt is compacted even when nothing is pending (the
+// idle-compaction hook).
 func (s *Server) maintain() (bool, error) {
-	if s.cfg.Group != nil {
-		changed, err := s.cfg.Group.MaintainDeltas(s.cfg.DeltaPath)
-		if err == nil && changed {
-			s.maintPasses.Add(1)
-		}
-		return changed, err
-	}
-	f, err := persistio.OpenFile(s.cfg.DeltaPath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil // no lineage yet; nothing to maintain
-		}
-		return false, err
-	}
-	defer f.Close()
-	changed, err := s.cfg.Engine.MaintainIndexDelta(f)
+	changed, err := s.cfg.Group.MaintainDeltas(s.cfg.DeltaPath)
 	if err == nil && changed {
 		s.maintPasses.Add(1)
 	}
 	return changed, err
 }
 
-// queryTarget is the query surface a wire mode resolved to: one mode of the
-// engine or of the partition group. Handlers drive it without caring which.
-type queryTarget struct {
-	eng  *igq.Engine
-	grp  *partition.Group
-	mode igq.Mode
-}
-
-func (t queryTarget) query(ctx context.Context, q *igq.Graph, opts ...igq.QueryOption) (igq.Result, error) {
-	if t.grp != nil {
-		return t.grp.QueryMode(ctx, t.mode, q, opts...)
-	}
-	return t.eng.Query(ctx, q, append(opts, igq.InMode(t.mode))...)
-}
-
-func (t queryTarget) stream(ctx context.Context, in <-chan *igq.Graph, workers int) <-chan igq.BatchResult {
-	if t.grp != nil {
-		return t.grp.QueryStream(ctx, t.mode, in, workers)
-	}
-	return t.eng.QueryStream(ctx, in, igq.StreamWorkers(workers), igq.StreamQueryOptions(igq.InMode(t.mode)))
-}
-
-// targetFor routes a wire mode to the engine or partition group, in that
-// query mode.
-func (s *Server) targetFor(mode string) (queryTarget, error) {
-	t := queryTarget{eng: s.cfg.Engine, grp: s.cfg.Group}
+// modeOf parses a wire mode. Whether the group serves it is QueryMode's
+// call (partition.ErrModeNotServed).
+func modeOf(mode string) (igq.Mode, error) {
 	switch mode {
 	case "", ModeSub:
-		t.mode = igq.SubgraphQueries
+		return igq.SubgraphQueries, nil
 	case ModeSuper:
-		if !s.servesSuper() {
-			return queryTarget{}, errors.New("supergraph queries are not served (start with -super)")
-		}
-		t.mode = igq.SupergraphQueries
-	default:
-		return queryTarget{}, fmt.Errorf("unknown mode %q", mode)
+		return igq.SupergraphQueries, nil
 	}
-	return t, nil
-}
-
-// servesSuper reports whether mode "super" is served.
-func (s *Server) servesSuper() bool {
-	if s.cfg.Group != nil {
-		return s.cfg.Group.HostsSuper()
-	}
-	return s.cfg.Super
+	return 0, fmt.Errorf("unknown mode %q", mode)
 }
 
 // requestCtx maps the wire deadline onto context cancellation.
@@ -337,7 +281,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
 		return
 	}
-	tgt, err := s.targetFor(req.Mode)
+	mode, err := modeOf(req.Mode)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -353,7 +297,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, err)
 		return
 	}
-	res, err := tgt.query(ctx, g, queryOptions(req)...)
+	res, err := s.cfg.Group.QueryMode(ctx, mode, g, queryOptions(req)...)
 	<-s.run
 	s.served.Add(1)
 	if err != nil {
@@ -388,8 +332,8 @@ func queryOptions(req QueryRequest) []igq.QueryOption {
 // line terminates the stream after an error line, since line framing
 // itself is no longer trustworthy.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	mode := r.URL.Query().Get("mode")
-	tgt, err := s.targetFor(mode)
+	wireMode := r.URL.Query().Get("mode")
+	mode, err := modeOf(wireMode)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -432,8 +376,8 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 				}
 				return
 			}
-			if req.Mode != "" && req.Mode != mode && !(req.Mode == ModeSub && mode == "") {
-				feedProblem <- QueryReply{Index: line, Error: fmt.Sprintf("stream is mode %q, line asks %q", orSub(mode), req.Mode)}
+			if req.Mode != "" && req.Mode != wireMode && !(req.Mode == ModeSub && wireMode == "") {
+				feedProblem <- QueryReply{Index: line, Error: fmt.Sprintf("stream is mode %q, line asks %q", orSub(wireMode), req.Mode)}
 				return
 			}
 			g, err := DecodeGraph(req.Graph)
@@ -459,7 +403,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	// QueryStream's contract: the output must be drained until it closes.
 	// A client write failure therefore cancels the stream and keeps
 	// consuming (discarding) results instead of abandoning the channel.
-	for br := range tgt.stream(ctx, in, s.cfg.Workers) {
+	for br := range s.cfg.Group.QueryStream(ctx, mode, in, s.cfg.Workers) {
 		<-s.run // this query's slot, held since acceptance
 		emitted++
 		s.served.Add(1)
@@ -520,7 +464,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		}
 		gs[i] = g
 	}
-	s.mutate(w, func(m mutator) error { return m.AddGraphs(r.Context(), gs) })
+	s.mutate(w, func() error { return s.cfg.Group.AddGraphs(r.Context(), gs) })
 }
 
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
@@ -529,59 +473,32 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
 		return
 	}
-	s.mutate(w, func(m mutator) error { return m.RemoveGraphs(r.Context(), req.Positions) })
-}
-
-// mutator is what a mutation applies to: the engine, whose removals take
-// dataset positions, or the partition group, whose removals take global
-// graph IDs.
-type mutator interface {
-	AddGraphs(ctx context.Context, gs []*igq.Graph) error
-	RemoveGraphs(ctx context.Context, ids []int) error
+	s.mutate(w, func() error { return s.cfg.Group.RemoveGraphs(r.Context(), req.Positions) })
 }
 
 // mutate applies one dataset mutation and the O(delta) journal append to
-// the lineage every mutation owes. The engine maintains its index and the
-// caches of both query modes in the one call; partitioned mutations route
-// to the owning partitions and journal each partition's lineage.
-func (s *Server) mutate(w http.ResponseWriter, apply func(mutator) error) {
+// the lineage every mutation owes. The group routes the mutation to the
+// owning partitions, whose engines maintain their index and the caches of
+// both query modes in one call, and journals each partition's lineage.
+func (s *Server) mutate(w http.ResponseWriter, apply func() error) {
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
-	var target mutator = s.cfg.Engine
-	size := func() int { return len(s.cfg.Engine.Dataset()) }
-	if g := s.cfg.Group; g != nil {
-		target, size = g, g.NumGraphs
-	}
-	if err := apply(target); err != nil {
+	if err := apply(); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if s.cfg.DeltaPath != "" {
-		if err := s.appendDelta(); err != nil {
+		if err := s.cfg.Group.AppendDeltas(s.cfg.DeltaPath); err != nil {
 			// The mutation is live; only its persistence lagged. Surface
 			// loudly but keep serving — the maintenance timer retries.
 			s.cfg.Logf("journal append after mutation: %v", err)
 		}
 	}
-	writeJSON(w, http.StatusOK, MutateReply{DatasetSize: size()})
-}
-
-// appendDelta appends the pending mutation journal to the lineage file (one
-// per partition when partitioned).
-func (s *Server) appendDelta() error {
-	if g := s.cfg.Group; g != nil {
-		return g.AppendDeltas(s.cfg.DeltaPath)
-	}
-	f, err := persistio.OpenFile(s.cfg.DeltaPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return s.cfg.Engine.AppendIndexDelta(f)
+	writeJSON(w, http.StatusOK, MutateReply{DatasetSize: s.cfg.Group.NumGraphs()})
 }
 
 func (s *Server) serverStats() ServerStats {
-	ss := ServerStats{
+	return ServerStats{
 		UptimeSeconds:  time.Since(s.started).Seconds(),
 		Served:         s.served.Load(),
 		Rejected:       s.rejected.Load(),
@@ -591,27 +508,16 @@ func (s *Server) serverStats() ServerStats {
 		QueueDepth:     s.cfg.QueueDepth,
 		Maintenance:    s.maintPasses.Load(),
 		SnapshotsSaved: s.saves.Load(),
+		Partitions:     s.cfg.Group.Partitions(),
 	}
-	if s.cfg.Group != nil {
-		ss.Partitions = s.cfg.Group.Partitions()
-	}
-	return ss
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	reply := StatsReply{Server: s.serverStats()}
-	if g := s.cfg.Group; g != nil {
-		reply.Sub, _ = g.Stats(partition.Sub)
-		if sup, ok := g.Stats(partition.Super); ok {
-			reply.Super = &sup
-		}
-		reply.Partitions = g.PartitionStats()
-	} else {
-		reply.Sub = s.cfg.Engine.StatsOf(igq.SubgraphQueries)
-		if s.cfg.Super {
-			st := s.cfg.Engine.StatsOf(igq.SupergraphQueries)
-			reply.Super = &st
-		}
+	g := s.cfg.Group
+	reply := StatsReply{Server: s.serverStats(), Partitions: g.PartitionStats()}
+	reply.Sub, _ = g.Stats(partition.Sub)
+	if sup, ok := g.Stats(partition.Super); ok {
+		reply.Super = &sup
 	}
 	writeJSON(w, http.StatusOK, reply)
 }
@@ -628,29 +534,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "igq_queries_in_flight %d\n", ss.InFlight)
 	fmt.Fprintf(w, "igq_maintenance_writes_total %d\n", ss.Maintenance)
 	fmt.Fprintf(w, "igq_snapshots_saved_total %d\n", ss.SnapshotsSaved)
-	if g := s.cfg.Group; g != nil {
-		if st, ok := g.Stats(partition.Sub); ok {
-			emitEngineMetrics(w, "sub", st)
-		}
-		if st, ok := g.Stats(partition.Super); ok {
-			emitEngineMetrics(w, "super", st)
-		}
-		fmt.Fprintf(w, "igq_partitions %d\n", g.Partitions())
-		for i, ps := range g.PartitionStats() {
-			fmt.Fprintf(w, "igq_partition_graphs{part=\"%d\"} %d\n", i, ps.Graphs)
-			fmt.Fprintf(w, "igq_partition_queries_total{part=\"%d\",mode=\"sub\"} %d\n", i, ps.Sub.Queries)
-			fmt.Fprintf(w, "igq_partition_cache_answers_total{part=\"%d\",mode=\"sub\"} %d\n", i, ps.Sub.AnsweredByCache)
-			fmt.Fprintf(w, "igq_partition_resident_bytes{part=\"%d\",mode=\"sub\"} %d\n", i, ps.Sub.ResidentBytes)
-			if ps.Super != nil {
-				fmt.Fprintf(w, "igq_partition_queries_total{part=\"%d\",mode=\"super\"} %d\n", i, ps.Super.Queries)
-				fmt.Fprintf(w, "igq_partition_cache_answers_total{part=\"%d\",mode=\"super\"} %d\n", i, ps.Super.AnsweredByCache)
-			}
-		}
-		return
+	g := s.cfg.Group
+	if st, ok := g.Stats(partition.Sub); ok {
+		emitEngineMetrics(w, "sub", st)
 	}
-	emitEngineMetrics(w, "sub", s.cfg.Engine.StatsOf(igq.SubgraphQueries))
-	if s.cfg.Super {
-		emitEngineMetrics(w, "super", s.cfg.Engine.StatsOf(igq.SupergraphQueries))
+	if st, ok := g.Stats(partition.Super); ok {
+		emitEngineMetrics(w, "super", st)
+	}
+	fmt.Fprintf(w, "igq_partitions %d\n", g.Partitions())
+	for i, ps := range g.PartitionStats() {
+		fmt.Fprintf(w, "igq_partition_graphs{part=\"%d\"} %d\n", i, ps.Graphs)
+		fmt.Fprintf(w, "igq_partition_queries_total{part=\"%d\",mode=\"sub\"} %d\n", i, ps.Sub.Queries)
+		fmt.Fprintf(w, "igq_partition_cache_answers_total{part=\"%d\",mode=\"sub\"} %d\n", i, ps.Sub.AnsweredByCache)
+		fmt.Fprintf(w, "igq_partition_resident_bytes{part=\"%d\",mode=\"sub\"} %d\n", i, ps.Sub.ResidentBytes)
+		if ps.Super != nil {
+			fmt.Fprintf(w, "igq_partition_queries_total{part=\"%d\",mode=\"super\"} %d\n", i, ps.Super.Queries)
+			fmt.Fprintf(w, "igq_partition_cache_answers_total{part=\"%d\",mode=\"super\"} %d\n", i, ps.Super.AnsweredByCache)
+		}
 	}
 }
 
@@ -708,12 +608,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeQueryError maps a query-path failure to its HTTP status: an expired
-// deadline is 504 (the server is healthy; the query ran out of time), a
-// contained panic is 500 (the query was poisoned; the server kept
-// serving), anything else 500.
+// deadline is 504 (the server is healthy; the query ran out of time), a mode
+// the group does not serve is 400, a contained panic is 500 (the query was
+// poisoned; the server kept serving), anything else 500.
 func writeQueryError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
-	if errors.Is(err, context.DeadlineExceeded) {
+	if errors.Is(err, partition.ErrModeNotServed) {
+		status = http.StatusBadRequest
+	} else if errors.Is(err, context.DeadlineExceeded) {
 		status = http.StatusGatewayTimeout
 	} else if errors.Is(err, context.Canceled) {
 		status = 499 // client closed request (nginx convention)

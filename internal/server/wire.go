@@ -81,9 +81,9 @@ type QueryReply struct {
 	// Index is the arrival index of the query within a stream (0 for
 	// single queries); stream replies are emitted in completion order.
 	Index int `json:"index"`
-	// IDs are the dataset positions answering the query — or, on a
-	// partitioned server, the answering graphs' global IDs sorted
-	// ascending (a partitioned dataset has no global position space).
+	// IDs are the global graph IDs answering the query, sorted ascending.
+	// For a dataset igqgen or dataset.Generate wrote, IDs equal positions
+	// until the first mutation.
 	IDs []int32 `json:"ids"`
 	// Stats are the per-query iGQ counters.
 	Stats igq.QueryStats `json:"stats"`
@@ -93,9 +93,10 @@ type QueryReply struct {
 }
 
 // MutateRequest is the body of POST /graphs/add (Graphs) and POST
-// /graphs/remove (Positions). On a partitioned server Positions carry
-// global graph IDs instead of dataset positions, and added graphs must
-// carry unique IDs (removal routes by ID to the owning partition).
+// /graphs/remove (Positions). Positions carries global graph IDs, not
+// dataset positions (the field keeps its name for existing clients):
+// removal routes by ID to the owning partition. Added graphs must carry IDs
+// unique in the dataset.
 type MutateRequest struct {
 	Graphs    []WireGraph `json:"graphs,omitempty"`
 	Positions []int       `json:"positions,omitempty"`
@@ -117,11 +118,11 @@ type ServerStats struct {
 	QueueDepth     int     `json:"queue_depth"`          // waiting slots beyond Workers
 	Maintenance    int64   `json:"maintenance"`          // journal maintenance passes that wrote the lineage file
 	SnapshotsSaved int64   `json:"snapshots_saved"`      // explicit + shutdown snapshot saves
-	Partitions     int     `json:"partitions,omitempty"` // partition count (0 = single-engine)
+	Partitions     int     `json:"partitions,omitempty"` // partition count (1 = a single engine)
 }
 
-// StatsReply is the body of GET /stats. On a partitioned server Sub and
-// Super aggregate across partitions and Partitions breaks them down.
+// StatsReply is the body of GET /stats. Sub and Super aggregate across
+// partitions and Partitions breaks them down.
 type StatsReply struct {
 	Server     ServerStats      `json:"server"`
 	Sub        igq.EngineStats  `json:"sub"`
