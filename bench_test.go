@@ -88,10 +88,7 @@ func BenchmarkFig17SyntheticGroupsTime(b *testing.B) { runExperiment(b, "fig17")
 // Fig 18: absolute index sizes, AIDS.
 func BenchmarkFig18IndexSizes(b *testing.B) { runExperiment(b, "fig18") }
 
-// Ablations and extensions (DESIGN.md additions beyond the paper's figures).
-func BenchmarkAblationPaths(b *testing.B)     { runExperiment(b, "ablation-paths") }
-func BenchmarkAblationEviction(b *testing.B)  { runExperiment(b, "ablation-eviction") }
-func BenchmarkAblationPartition(b *testing.B) { runExperiment(b, "ablation-partition") }
+// Extensions beyond the paper's figures.
 func BenchmarkSupergraphSpeedup(b *testing.B) { runExperiment(b, "supergraph-speedup") }
 func BenchmarkServing(b *testing.B)           { runExperiment(b, "serving") }
 

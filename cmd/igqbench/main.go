@@ -23,14 +23,12 @@ import (
 
 func main() {
 	var (
-		expID   = flag.String("experiment", "", "experiment id (table1, fig1..fig18, ablation-*, concurrency) or 'all'")
+		expID   = flag.String("experiment", "", "experiment id (table1, fig1..fig18, or an extension such as containers; see -list) or 'all'")
 		scale   = flag.Float64("scale", 1.0, "dataset/workload scale factor")
 		seed    = flag.Int64("seed", 42, "random seed (full determinism per seed)")
-		workers = flag.Int("workers", 0, "max goroutines for the concurrency experiments (0 = one per CPU)")
 		bwork   = flag.Int("buildworkers", 0, "index-build goroutines for the coldstart, incremental and lazyload experiments (0 = one per CPU)")
 		saveIdx = flag.String("save-index", "", "directory to keep the coldstart experiment's index snapshots in (default: temp, discarded)")
 		loadIdx = flag.String("load-index", "", "directory holding pre-built index snapshots for the coldstart experiment (written by an earlier -save-index run)")
-		density = flag.Float64("density", 0, "single membership density for the containers experiment (0 = sparse/moderate/dense grid with perf gates)")
 		bjson   = flag.String("bench-json", "", "file to write the containers experiment's measurements to as JSON")
 		list    = flag.Bool("list", false, "list available experiments and exit")
 		verbose = flag.Bool("v", false, "verbose progress output")
@@ -50,9 +48,9 @@ func main() {
 
 	cfg := experiments.Config{
 		Scale: *scale, Seed: *seed, Verbose: *verbose,
-		Workers: *workers, BuildWorkers: *bwork,
+		BuildWorkers:  *bwork,
 		SaveIndexPath: *saveIdx, LoadIndexPath: *loadIdx,
-		Density: *density, BenchJSONPath: *bjson,
+		BenchJSONPath: *bjson,
 	}
 
 	if *expID == "all" {

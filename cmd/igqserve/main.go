@@ -205,7 +205,8 @@ func main() {
 	warm.Ready(s.Handler())
 	s.StartBackground()
 	if !*quietLoad {
-		log.Printf("ready on %s (workers=%d)", l.Addr(), cfg.Workers)
+		workers, queue := s.Slots()
+		log.Printf("ready on %s (workers=%d queue=%d)", l.Addr(), workers, queue)
 	}
 
 	sig := make(chan os.Signal, 1)

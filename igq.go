@@ -36,9 +36,11 @@
 //     internal/index.Method). Readers never block readers.
 //   - Per-query cache bookkeeping (hit credit, window admission) is
 //     buffered during the query and applied under a short mutex at the end
-//     of the call. The only full serialization point is a window flush —
-//     once every EngineOptions.Window admissions — which rebuilds the
-//     cache-side indexes and installs them with a pointer swap.
+//     of the call. The only full serialization point for writers is a
+//     window flush — once every EngineOptions.Window admissions — which is
+//     the paper's §5.2 shadow index: the query that fills the window builds
+//     the next cache-side index beside the served one and installs it with
+//     a pointer swap, while every other query keeps reading the old one.
 //   - SaveCache takes that same mutex for the duration of the encode, so a
 //     snapshot taken mid-stream is consistent: it excludes in-flight
 //     admissions and reflects the latest completed flush. LoadCache
@@ -206,11 +208,13 @@
 // # Serving
 //
 // The streaming primitive is Engine.QueryStream: feed query graphs on a
-// channel, receive BatchResults on another, with a bounded worker pool and
-// bounded buffering in between — close the input and drain the output, and
-// backpressure propagates to the producer through the channel. QueryBatch
-// and QueryBatchCtx are thin wrappers that feed a slice through the same
-// pipeline, so batch and stream answers are identical by construction.
+// channel, receive BatchResults on another, with a bounded worker pool in
+// between — close the input and drain the output, and backpressure
+// propagates to the producer through the channel. QueryBatch and
+// QueryBatchCtx are thin wrappers that feed a slice through the same
+// pipeline, so batch and stream answers are identical by construction;
+// StreamQueries is that pool for any query function, and a partition
+// group streams through it.
 //
 // internal/server (binaries cmd/igqserve and cmd/igqload) puts that
 // pipeline on the network as an HTTP/JSON API: unary queries with bounded
@@ -483,7 +487,7 @@ type EngineStats struct {
 	CacheIsoTests   int64 // isomorphism tests against cached query graphs
 	SubHits         int64 // cached supergraph-of-query hits across all queries
 	SuperHits       int64 // cached subgraph-of-query hits across all queries
-	Panics          int64 // panics contained by the serving isolation (see PanicError)
+	Panics          int64 // query panics contained by Query and returned as a PanicError
 	CachedQueries   int   // current committed cache population
 	WindowPending   int   // admissions awaiting the next flush
 	Flushes         int   // window flushes (cache-index rebuilds) so far
@@ -536,17 +540,13 @@ func (opt EngineOptions) normalized() EngineOptions {
 }
 
 // coreOptions maps the engine options onto the iGQ core configuration of
-// mode's cache, with the engine's panic containment wired in: a panicking
-// background shadow-index build is counted in that direction's Panics
-// instead of crashing the process.
+// mode's cache.
 func (e *Engine) coreOptions(mode Mode) core.Options {
-	ms := &e.modes[mode]
 	return core.Options{
-		CacheSize:    e.opt.CacheSize,
-		Window:       e.opt.Window,
-		MaxPathLen:   e.opt.MaxPathLen,
-		Mode:         mode,
-		PanicHandler: func(any, []byte) { ms.nPanics.Add(1) },
+		CacheSize:  e.opt.CacheSize,
+		Window:     e.opt.Window,
+		MaxPathLen: e.opt.MaxPathLen,
+		Mode:       mode,
 	}
 }
 
@@ -1368,31 +1368,6 @@ type BatchResult struct {
 	Err    error
 }
 
-// streamConfig is the resolved option set of one QueryStream call.
-type streamConfig struct {
-	workers  int
-	buffer   int
-	queryOpt []QueryOption
-}
-
-// StreamOption customises one QueryStream call.
-type StreamOption func(*streamConfig)
-
-// StreamWorkers bounds the number of queries QueryStream processes
-// concurrently (0 → one per runtime.GOMAXPROCS(0)).
-func StreamWorkers(n int) StreamOption { return func(c *streamConfig) { c.workers = n } }
-
-// StreamBuffer sets the capacity of the returned result channel (default
-// unbuffered). A buffer lets fast queries complete without waiting for a
-// slow consumer.
-func StreamBuffer(n int) StreamOption { return func(c *streamConfig) { c.buffer = n } }
-
-// StreamQueryOptions applies per-call Query options (WithoutCache,
-// WithoutAdmission) to every query of the stream.
-func StreamQueryOptions(opts ...QueryOption) StreamOption {
-	return func(c *streamConfig) { c.queryOpt = opts }
-}
-
 // QueryStream answers a continuous stream of queries: queries are accepted
 // from in as they arrive and outcomes are emitted on the returned channel
 // as they finish — the channel-fed core of the serving front-end, and the
@@ -1400,38 +1375,45 @@ func StreamQueryOptions(opts ...QueryOption) StreamOption {
 // the arrival order (0 for the first query received); results are emitted
 // in completion order, which under concurrency is not arrival order.
 //
-// Up to StreamWorkers queries are in flight at once, each through the same
-// snapshot-isolated Query path any other caller uses — a stream runs
-// concurrently with other streams, single queries and dataset mutations.
-// The stream ends when in is closed and every accepted query has been
-// emitted, or when ctx is cancelled: in-flight queries then return ctx's
-// error promptly (the per-query cancellation path), queries not yet read
-// from in are never accepted, and the result channel always closes.
+// Up to workers queries (0 → one per runtime.GOMAXPROCS(0)) are in flight
+// at once, each through the same snapshot-isolated Query path any other
+// caller uses, with opts applied to every one — a stream runs concurrently
+// with other streams, single queries and dataset mutations. The stream ends
+// when in is closed and every accepted query has been emitted, or when ctx
+// is cancelled: in-flight queries then return ctx's error promptly (the
+// per-query cancellation path), queries not yet read from in are never
+// accepted, and the result channel always closes.
 //
 // The caller must drain the returned channel until it closes; results are
 // never dropped, so an abandoned receiver would block the workers (close
 // in and drain to release them).
-func (e *Engine) QueryStream(ctx context.Context, in <-chan *Graph, opts ...StreamOption) <-chan BatchResult {
-	var cfg streamConfig
-	for _, o := range opts {
-		o(&cfg)
+func (e *Engine) QueryStream(ctx context.Context, in <-chan *Graph, workers int, opts ...QueryOption) <-chan BatchResult {
+	return StreamQueries(ctx, in, workers, func(ctx context.Context, q *Graph) (Result, error) {
+		return e.Query(ctx, q, opts...)
+	})
+}
+
+// StreamQueries is the worker pool behind Engine.QueryStream, for any
+// query function (a partition group passes its scatter-gather): it answers
+// each graph read from in with query on one of workers goroutines (0 → one
+// per runtime.GOMAXPROCS(0)), under QueryStream's contract.
+func StreamQueries(ctx context.Context, in <-chan *Graph, workers int, query func(context.Context, *Graph) (Result, error)) <-chan BatchResult {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
-	out := make(chan BatchResult, cfg.buffer)
+	out := make(chan BatchResult)
 	type job struct {
 		i int
 		g *Graph
 	}
 	jobs := make(chan job)
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				r, err := e.Query(ctx, j.g, cfg.queryOpt...)
+				r, err := query(ctx, j.g)
 				out <- BatchResult{Index: j.i, Result: r, Err: err}
 			}
 		}()
@@ -1439,9 +1421,10 @@ func (e *Engine) QueryStream(ctx context.Context, in <-chan *Graph, opts ...Stre
 	go func() {
 		defer close(out)
 		// The feeder assigns arrival indexes and stops at cancellation —
-		// queries still unread from in are simply never accepted. Workers
-		// then drain their remaining jobs (each a prompt ctx-error return)
-		// and the output closes deterministically.
+		// queries still unread from in are never accepted, and one read
+		// after the cancellation is dropped. Workers then drain their
+		// remaining jobs (each a prompt ctx-error return) and the output
+		// closes deterministically.
 		i := 0
 	feed:
 		for {
@@ -1449,7 +1432,7 @@ func (e *Engine) QueryStream(ctx context.Context, in <-chan *Graph, opts ...Stre
 			case <-ctx.Done():
 				break feed
 			case g, ok := <-in:
-				if !ok {
+				if !ok || ctx.Err() != nil {
 					break feed
 				}
 				select {
@@ -1501,7 +1484,7 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, queries []*Graph, workers in
 		}
 	}()
 	seen := make([]bool, len(queries))
-	for br := range e.QueryStream(ctx, in, StreamWorkers(workers)) {
+	for br := range e.QueryStream(ctx, in, workers) {
 		out[br.Index] = br
 		seen[br.Index] = true
 	}

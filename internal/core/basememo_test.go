@@ -107,136 +107,131 @@ func newMemoFixture(mode core.Mode, seed int64) memoFixture {
 // of them filters once.
 func TestBaseMemoLifeCycle(t *testing.T) {
 	for _, mode := range []core.Mode{core.SubgraphQueries, core.SupergraphQueries} {
-		for _, async := range []bool{false, true} {
-			t.Run(fmt.Sprintf("mode=%d/async=%v", mode, async), func(t *testing.T) {
-				f := newMemoFixture(mode, 41)
-				var calls atomic.Int64
-				opt := core.Options{CacheSize: 8, Window: 1, Mode: mode, AsyncMaintenance: async, Labels: memoLabels}
-				ig := core.New(countFilters(f.m, &calls), f.db, opt)
+		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
+			f := newMemoFixture(mode, 41)
+			var calls atomic.Int64
+			opt := core.Options{CacheSize: 8, Window: 1, Mode: mode, Labels: memoLabels}
+			ig := core.New(countFilters(f.m, &calls), f.db, opt)
 
-				// hit re-issues q and checks the identical hit against a
-				// filter run on the current generation, outside the counter.
-				hit := func(when string, wantFilters int64) {
-					t.Helper()
-					cs := f.m.Filter(f.q)
-					_, removed0, cost0, ok := ig.CreditsOf(f.q)
-					if !ok {
-						t.Fatalf("%s: q is not cached", when)
-					}
-					calls.Store(0)
-					out := ig.Query(f.q.Clone())
-					if out.Short != core.IdenticalHit {
-						t.Fatalf("%s: Short = %v, want identical hit", when, out.Short)
-					}
-					if got := calls.Load(); got != wantFilters {
-						t.Errorf("%s: %d filter calls, want %d", when, got, wantFilters)
-					}
-					if wantFilters == 0 && out.FilterDur != 0 {
-						t.Errorf("%s: FilterDur = %v on a memoised hit", when, out.FilterDur)
-					}
-					if out.BaseCandidates != len(cs) {
-						t.Errorf("%s: BaseCandidates = %d, filter yields %d", when, out.BaseCandidates, len(cs))
-					}
-					if want := index.Answer(f.m, f.q); !reflect.DeepEqual(out.Answer, want) {
-						t.Errorf("%s: answer %v, method alone %v", when, out.Answer, want)
-					}
-					wantCost := math.Inf(-1)
-					for _, id := range cs {
-						wantCost = core.LogSumExp(wantCost, core.LogIsoCost(f.q.NumVertices(), f.db[id].NumVertices(), memoLabels))
-					}
-					_, removed1, cost1, _ := ig.CreditsOf(f.q)
-					if removed1-removed0 != int64(len(cs)) || cost1 != core.LogSumExp(cost0, wantCost) {
-						t.Errorf("%s: credited removed %d logCost %v, want %d and %v",
-							when, removed1-removed0, cost1, len(cs), core.LogSumExp(cost0, wantCost))
-					}
+			// hit re-issues q and checks the identical hit against a
+			// filter run on the current generation, outside the counter.
+			hit := func(when string, wantFilters int64) {
+				t.Helper()
+				cs := f.m.Filter(f.q)
+				_, removed0, cost0, ok := ig.CreditsOf(f.q)
+				if !ok {
+					t.Fatalf("%s: q is not cached", when)
 				}
-
-				ig.Query(f.q)
-				if err := ig.Save(io.Discard); err != nil { // waits out an async shadow build
-					t.Fatal(err)
+				calls.Store(0)
+				out := ig.Query(f.q.Clone())
+				if out.Short != core.IdenticalHit {
+					t.Fatalf("%s: Short = %v, want identical hit", when, out.Short)
 				}
-				hit("first hit, memo from admission", 0)
-				hit("second hit", 0)
+				if got := calls.Load(); got != wantFilters {
+					t.Errorf("%s: %d filter calls, want %d", when, got, wantFilters)
+				}
+				if wantFilters == 0 && out.FilterDur != 0 {
+					t.Errorf("%s: FilterDur = %v on a memoised hit", when, out.FilterDur)
+				}
+				if out.BaseCandidates != len(cs) {
+					t.Errorf("%s: BaseCandidates = %d, filter yields %d", when, out.BaseCandidates, len(cs))
+				}
+				if want := index.Answer(f.m, f.q); !reflect.DeepEqual(out.Answer, want) {
+					t.Errorf("%s: answer %v, method alone %v", when, out.Answer, want)
+				}
+				wantCost := math.Inf(-1)
+				for _, id := range cs {
+					wantCost = core.LogSumExp(wantCost, core.LogIsoCost(f.q.NumVertices(), f.db[id].NumVertices(), memoLabels))
+				}
+				_, removed1, cost1, _ := ig.CreditsOf(f.q)
+				if removed1-removed0 != int64(len(cs)) || cost1 != core.LogSumExp(cost0, wantCost) {
+					t.Errorf("%s: credited removed %d logCost %v, want %d and %v",
+						when, removed1-removed0, cost1, len(cs), core.LogSumExp(cost0, wantCost))
+				}
+			}
 
-				m2, db2, err := f.m.AppendGraphs(f.extra)
+			ig.Query(f.q)
+			hit("first hit, memo from admission", 0)
+			hit("second hit", 0)
+
+			m2, db2, err := f.m.AppendGraphs(f.extra)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ig.DatasetAppended(context.Background(), countFilters(m2, &calls), db2, len(f.db)); err != nil {
+				t.Fatal(err)
+			}
+			f.m, f.db = m2, db2
+			hit("first hit after append", 0)
+			hit("second hit after append", 0)
+
+			// remove removes positions and reports whether CS(q) held a
+			// graph the removal took out or moved.
+			remove := func(positions []int) (held bool) {
+				t.Helper()
+				cs := f.m.Filter(f.q)
+				m3, db3, mapping, err := f.m.RemoveGraphs(positions)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := ig.DatasetAppended(context.Background(), countFilters(m2, &calls), db2, len(f.db)); err != nil {
+				for _, id := range cs {
+					held = held || mapping[id] != id
+				}
+				if err := ig.DatasetRemoved(context.Background(), countFilters(m3, &calls), db3, mapping); err != nil {
 					t.Fatal(err)
 				}
-				f.m, f.db = m2, db2
-				hit("first hit after append", 0)
-				hit("second hit after append", 0)
+				f.m, f.db = m3, db3
+				want := int64(0)
+				if held {
+					want = 1
+				}
+				hit(fmt.Sprintf("first hit after removing %v (CS(q) held one: %v)", positions, held), want)
+				hit("second hit after removal", 0)
+				return held
+			}
+			// The alien graph is last: removing it moves nothing.
+			if remove([]int{len(f.db) - 1}) {
+				t.Fatal("CS(q) holds the alien graph")
+			}
+			if !remove(f.remove) {
+				t.Fatalf("CS(q) holds none of the graphs removing %v takes out or moves", f.remove)
+			}
 
-				// remove removes positions and reports whether CS(q) held a
-				// graph the removal took out or moved.
-				remove := func(positions []int) (held bool) {
-					t.Helper()
-					cs := f.m.Filter(f.q)
-					m3, db3, mapping, err := f.m.RemoveGraphs(positions)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, id := range cs {
-						held = held || mapping[id] != id
-					}
-					if err := ig.DatasetRemoved(context.Background(), countFilters(m3, &calls), db3, mapping); err != nil {
-						t.Fatal(err)
-					}
-					f.m, f.db = m3, db3
-					want := int64(0)
-					if held {
-						want = 1
-					}
-					hit(fmt.Sprintf("first hit after removing %v (CS(q) held one: %v)", positions, held), want)
-					hit("second hit after removal", 0)
-					return held
-				}
-				// The alien graph is last: removing it moves nothing.
-				if remove([]int{len(f.db) - 1}) {
-					t.Fatal("CS(q) holds the alien graph")
-				}
-				if !remove(f.remove) {
-					t.Fatalf("CS(q) holds none of the graphs removing %v takes out or moves", f.remove)
-				}
+			var buf bytes.Buffer
+			if err := ig.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			ig, err = core.Load(&buf, countFilters(f.m, &calls), f.db, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hit("first hit after load", 1)
+			hit("second hit after load", 0)
 
-				var buf bytes.Buffer
-				if err := ig.Save(&buf); err != nil {
-					t.Fatal(err)
-				}
-				ig, err = core.Load(&buf, countFilters(f.m, &calls), f.db, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				hit("first hit after load", 1)
-				hit("second hit after load", 0)
+			// The method index may have been replaced under the entries.
+			ig.RebuildIndexes()
+			hit("first hit after rebuild", 1)
+			hit("second hit after rebuild", 0)
 
-				// The method index may have been replaced under the entries.
-				ig.RebuildIndexes()
-				hit("first hit after rebuild", 1)
-				hit("second hit after rebuild", 0)
-
-				// A window entry is patched in place, its memo carried as a
-				// committed entry's is.
-				opt.Window = 3
-				ig = core.New(countFilters(f.m, &calls), f.db, opt)
-				ig.Query(f.q)
-				m4, db4, err := f.m.AppendGraphs([]*graph.Graph{f.extra[0].Clone()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := ig.DatasetAppended(context.Background(), countFilters(m4, &calls), db4, len(f.db)); err != nil {
-					t.Fatal(err)
-				}
-				f.m, f.db = m4, db4
-				if err := ig.Save(io.Discard); err != nil { // flushes the partial window
-					t.Fatal(err)
-				}
-				hit("first hit on an entry mutated in the window", 0)
-				hit("second hit on that entry", 0)
-			})
-		}
+			// A window entry is patched in place, its memo carried as a
+			// committed entry's is.
+			opt.Window = 3
+			ig = core.New(countFilters(f.m, &calls), f.db, opt)
+			ig.Query(f.q)
+			m4, db4, err := f.m.AppendGraphs([]*graph.Graph{f.extra[0].Clone()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ig.DatasetAppended(context.Background(), countFilters(m4, &calls), db4, len(f.db)); err != nil {
+				t.Fatal(err)
+			}
+			f.m, f.db = m4, db4
+			if err := ig.Save(io.Discard); err != nil { // flushes the partial window
+				t.Fatal(err)
+			}
+			hit("first hit on an entry mutated in the window", 0)
+			hit("second hit on that entry", 0)
+		})
 	}
 }
 

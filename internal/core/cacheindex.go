@@ -29,7 +29,7 @@ type cachePosting struct{ pos, count int32 }
 // owns none yet — its query met a feature the dictionary did not know, or
 // the dictionary was reset since — is enumerated here, interning, once for
 // its lifetime; everything else is array work. Interning aside the build is
-// pure, so it can run as the §5.2 shadow build beside live queries.
+// pure, so it runs as the §5.2 shadow build beside live queries.
 func buildCacheIndex(dict *features.Dict, entries []*entry, maxPathLen int) *cacheIndex {
 	ix := &cacheIndex{nf: make([]int32, len(entries))}
 	var scratch *features.Scratch
@@ -68,16 +68,16 @@ func buildCacheIndex(dict *features.Dict, entries []*entry, maxPathLen int) *cac
 
 // candidates returns the positions of the cached graphs that may contain a
 // query with features qf (sub) and of those that may be contained in it
-// (super), both ascending; a side not wanted stays empty. For each cached
-// graph the pass counts the query's features it has at least as often as
-// the query, and those it has at most as often. A graph may contain the
-// query when the first count reaches the query's number of distinct
-// features — never, if the query has a feature the dictionary does not know,
-// and always for the empty query. It may be contained in the query when the
-// second count reaches its own NF (Algorithm 2): features the query lacks
-// are never counted, unknown ones only make the query larger, and a
-// featureless cached graph qualifies for every query. The results alias sc.
-func (ix *cacheIndex) candidates(qf features.IDSet, sc *queryScratch, wantSub, wantSuper bool) (sub, super []int32) {
+// (super), both ascending. For each cached graph the pass counts the
+// query's features it has at least as often as the query, and those it has
+// at most as often. A graph may contain the query when the first count
+// reaches the query's number of distinct features — never, if the query has
+// a feature the dictionary does not know, and always for the empty query.
+// It may be contained in the query when the second count reaches its own NF
+// (Algorithm 2): features the query lacks are never counted, unknown ones
+// only make the query larger, and a featureless cached graph qualifies for
+// every query. The results alias sc.
+func (ix *cacheIndex) candidates(qf features.IDSet, sc *queryScratch) (sub, super []int32) {
 	n := len(ix.nf)
 	if cap(sc.ge) < n {
 		sc.ge, sc.le = make([]int32, n), make([]int32, n)
@@ -99,18 +99,16 @@ func (ix *cacheIndex) candidates(qf features.IDSet, sc *queryScratch, wantSub, w
 		}
 	}
 	sub, super = sc.subCands[:0], sc.superCands[:0]
-	if wantSub && qf.Unknown == 0 {
+	if qf.Unknown == 0 {
 		for pos, c := range ge {
 			if int(c) == len(qf.Counts) {
 				sub = append(sub, int32(pos))
 			}
 		}
 	}
-	if wantSuper {
-		for pos, c := range le {
-			if c == ix.nf[pos] {
-				super = append(super, int32(pos))
-			}
+	for pos, c := range le {
+		if c == ix.nf[pos] {
+			super = append(super, int32(pos))
 		}
 	}
 	sc.subCands, sc.superCands = sub, super

@@ -45,7 +45,7 @@ func checkCacheIndex(t *testing.T, q *IGQ, probes []*graph.Graph, when string) (
 		qc := refFeatures(g, maxLen)
 		var wantSub, wantSuper []int32
 		for pos := range snap.entries {
-			sub, super := !q.opt.DisableSub, !q.opt.DisableSuper
+			sub, super := true, true
 			for f, n := range qc {
 				if ef[pos][f] < n {
 					sub = false
@@ -64,7 +64,7 @@ func checkCacheIndex(t *testing.T, q *IGQ, probes []*graph.Graph, when string) (
 			}
 		}
 		qf := features.PathsID(g, features.PathOptions{MaxLen: maxLen}, q.dict, sc.feat, false)
-		gotSub, gotSuper := snap.index.candidates(qf, sc, !q.opt.DisableSub, !q.opt.DisableSuper)
+		gotSub, gotSuper := snap.index.candidates(qf, sc)
 		if !slices.Equal(gotSub, wantSub) {
 			t.Fatalf("%s: probe %d (unknown=%d): sub candidates %v, definition %v", when, pi, qf.Unknown, gotSub, wantSub)
 		}
@@ -132,8 +132,8 @@ func hasCommitted(q *IGQ, g *graph.Graph) bool {
 }
 
 // TestCacheIndexMatchesDefinition drives caches over a shared and a private
-// dictionary, with and without each knowledge path, through admission,
-// eviction and re-admission, checking every snapshot's index.
+// dictionary, in both query modes, through admission, eviction and
+// re-admission, checking every snapshot's index.
 func TestCacheIndexMatchesDefinition(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -144,8 +144,6 @@ func TestCacheIndexMatchesDefinition(t *testing.T) {
 		{"shared-dict", func() index.Method { return ggsx.New(ggsx.DefaultOptions()) }, Options{}, false},
 		{"private-dict", func() index.Method { return index.NewBruteForce() }, Options{}, true},
 		{"supergraph-mode", func() index.Method { return newSuperRefMethod() }, Options{Mode: SupergraphQueries}, false},
-		{"no-sub", func() index.Method { return ggsx.New(ggsx.DefaultOptions()) }, Options{DisableSub: true}, false},
-		{"no-super", func() index.Method { return index.NewBruteForce() }, Options{DisableSuper: true}, true},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -184,7 +182,7 @@ func TestCacheIndexMatchesDefinition(t *testing.T) {
 				}
 				featureless = featureless || slices.Contains(q.snap.Load().index.nf, 0)
 			}
-			if !tc.opt.DisableSub && cov.sub == 0 || !tc.opt.DisableSuper && cov.super == 0 || cov.unknown == 0 {
+			if cov.sub == 0 || cov.super == 0 || cov.unknown == 0 {
 				t.Fatalf("vacuous run: %+v", cov)
 			}
 			if !multi {

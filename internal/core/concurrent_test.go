@@ -91,37 +91,6 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 	}
 }
 
-func TestConcurrentAsyncMaintenance(t *testing.T) {
-	rng := rand.New(rand.NewSource(172))
-	db := buildDB(rng, 20)
-	m := ggsx.New(ggsx.DefaultOptions())
-	m.Build(db)
-	queries := concurrentWorkload(rng, db, 80)
-	ig := New(m, db, Options{CacheSize: 10, Window: 3, AsyncMaintenance: true})
-
-	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(queries); i += 6 {
-				o, err := ig.QueryCtx(context.Background(), queries[i])
-				if err != nil {
-					t.Errorf("query %d: %v", i, err)
-					return
-				}
-				if !reflect.DeepEqual(o.Answer, index.Answer(m, queries[i])) {
-					t.Errorf("query %d: async-concurrent answer diverges from method", i)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if ig.Flushes() == 0 {
-		t.Error("no flushes — async path untested")
-	}
-}
-
 func TestConcurrentNoAdmitNeverFlushes(t *testing.T) {
 	rng := rand.New(rand.NewSource(173))
 	db := buildDB(rng, 15)

@@ -56,32 +56,28 @@ func refOutcome(q *IGQ, g *graph.Graph) (answer []int32, subHits, superHits, fin
 
 	// Candidate generation, seed-style: brute-force count comparisons.
 	var subCands, superCands []int32
-	if !q.opt.DisableSub {
-		for pos := range entries {
-			ok := true
-			for f, need := range qCounts {
-				if entryFeats[pos][f] < need {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				subCands = append(subCands, int32(pos))
+	for pos := range entries {
+		ok := true
+		for f, need := range qCounts {
+			if entryFeats[pos][f] < need {
+				ok = false
+				break
 			}
 		}
+		if ok {
+			subCands = append(subCands, int32(pos))
+		}
 	}
-	if !q.opt.DisableSuper {
-		for pos := range entries {
-			ok := true
-			for f, o := range entryFeats[pos] {
-				if qCounts[f] < o {
-					ok = false
-					break
-				}
+	for pos := range entries {
+		ok := true
+		for f, o := range entryFeats[pos] {
+			if qCounts[f] < o {
+				ok = false
+				break
 			}
-			if ok {
-				superCands = append(superCands, int32(pos))
-			}
+		}
+		if ok {
+			superCands = append(superCands, int32(pos))
 		}
 	}
 

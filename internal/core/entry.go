@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -192,29 +193,14 @@ func sortIDs(ids []int32) []int32 {
 // determinism.
 func evictionOrder(entries []*entry, seq int64) []*entry {
 	out := append([]*entry(nil), entries...)
-	sortEntriesBy(out, func(a, b *entry) bool {
-		ua, ub := a.logUtility(seq), b.logUtility(seq)
-		if ua != ub {
-			return ua < ub
+	slices.SortFunc(out, func(a, b *entry) int {
+		if ua, ub := a.logUtility(seq), b.logUtility(seq); ua != ub {
+			return cmp.Compare(ua, ub)
 		}
-		if a.insertedAt != b.insertedAt {
-			return a.insertedAt < b.insertedAt
+		if c := cmp.Compare(a.insertedAt, b.insertedAt); c != 0 {
+			return c
 		}
-		return a.id < b.id
+		return cmp.Compare(a.id, b.id)
 	})
 	return out
-}
-
-// sortEntriesBy sorts entries in place with the given less function.
-func sortEntriesBy(es []*entry, less func(a, b *entry) bool) {
-	slices.SortFunc(es, func(a, b *entry) int {
-		switch {
-		case less(a, b):
-			return -1
-		case less(b, a):
-			return 1
-		default:
-			return 0
-		}
-	})
 }

@@ -51,34 +51,29 @@ func newFlushFixture(tb testing.TB, graphs, cache, window int) flushFixture {
 // programs are flushed with their graphs taken away. A flush that looked at
 // a graph again — to enumerate or to compile — would dereference nil.
 func TestFlushEnumeratesNothingItKnows(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		f := newFlushFixture(t, 120, 40, 10)
-		q := f.q
-		q.opt.AsyncMaintenance = async
-		q.opt.PanicHandler = func(r any, stack []byte) { t.Errorf("shadow build panicked: %v\n%s", r, stack) }
-		q.mu.Lock()
-		want := map[int32]int{}
-		for _, e := range slices.Concat(q.snap.Load().entries, q.window) {
-			if e.feats == nil || e.prog == nil {
-				t.Fatalf("entry %d reached the flush without its features or program (shared dictionary: every query feature is known)", e.id)
-			}
-			e.g = nil
-			want[e.id] = len(e.feats)
+	f := newFlushFixture(t, 120, 40, 10)
+	q := f.q
+	q.mu.Lock()
+	want := map[int32]int{}
+	for _, e := range slices.Concat(q.snap.Load().entries, q.window) {
+		if e.feats == nil || e.prog == nil {
+			t.Fatalf("entry %d reached the flush without its features or program (shared dictionary: every query feature is known)", e.id)
 		}
-		q.window = append(q.window, q.window[0].withAnswer(nil, nil)) // fill the window
-		q.window[len(q.window)-1].id = q.nextID
-		flushes := q.flushes
-		q.flushLocked()
-		q.waitShadowLocked()
-		snap := q.snap.Load()
-		q.mu.Unlock()
-		if q.Flushes() != flushes+1 || len(snap.entries) != 40 {
-			t.Fatalf("async=%v: %d flushes, %d entries after the flush, want %d and 40", async, q.Flushes(), len(snap.entries), flushes+1)
-		}
-		for pos, e := range snap.entries {
-			if nf, known := want[e.id]; known && int(snap.index.nf[pos]) != nf {
-				t.Fatalf("async=%v: position %d indexed with NF %d, the entry owns %d features", async, pos, snap.index.nf[pos], nf)
-			}
+		e.g = nil
+		want[e.id] = len(e.feats)
+	}
+	q.window = append(q.window, q.window[0].withAnswer(nil, nil)) // fill the window
+	q.window[len(q.window)-1].id = q.nextID
+	flushes := q.flushes
+	q.flushLocked()
+	snap := q.snap.Load()
+	q.mu.Unlock()
+	if q.Flushes() != flushes+1 || len(snap.entries) != 40 {
+		t.Fatalf("%d flushes, %d entries after the flush, want %d and 40", q.Flushes(), len(snap.entries), flushes+1)
+	}
+	for pos, e := range snap.entries {
+		if nf, known := want[e.id]; known && int(snap.index.nf[pos]) != nf {
+			t.Fatalf("position %d indexed with NF %d, the entry owns %d features", pos, snap.index.nf[pos], nf)
 		}
 	}
 }
@@ -196,78 +191,73 @@ func BenchmarkCacheLookup(b *testing.B) {
 // and one that sizes the cache. Every answer must be right for the dataset
 // generation it was computed on.
 func TestQueriesRaceRebuildAndAppend(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(431))
-		db := buildDB(rng, 20)
-		m := ggsx.New(ggsx.DefaultOptions())
-		m.Build(db)
-		q := New(m, db, Options{CacheSize: 12, Window: 3, AsyncMaintenance: async})
-		streams := [][]*graph.Graph{oracleStream(rng, db, 80), oracleStream(rng, db, 80), oracleStream(rng, db, 80)}
-		extra := buildDB(rng, 12)
+	rng := rand.New(rand.NewSource(431))
+	db := buildDB(rng, 20)
+	m := ggsx.New(ggsx.DefaultOptions())
+	m.Build(db)
+	q := New(m, db, Options{CacheSize: 12, Window: 3})
+	streams := [][]*graph.Graph{oracleStream(rng, db, 80), oracleStream(rng, db, 80), oracleStream(rng, db, 80)}
+	extra := buildDB(rng, 12)
 
-		stop := make(chan struct{})
-		var writers, readers sync.WaitGroup
-		writers.Add(2)
-		go func() {
-			defer writers.Done()
-			var cur index.Mutable = m
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				q.RebuildIndexes()
-				if i < len(extra) {
-					next, newDB, err := cur.AppendGraphs(extra[i : i+1])
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if err := q.DatasetAppended(context.Background(), next, newDB, len(newDB)-1); err != nil {
-						t.Error(err)
-						return
-					}
-					cur = next
-				}
+	stop := make(chan struct{})
+	var writers, readers sync.WaitGroup
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		var cur index.Mutable = m
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-		}()
-		go func() {
-			defer writers.Done()
-			for {
-				select {
-				case <-stop:
+			q.RebuildIndexes()
+			if i < len(extra) {
+				next, newDB, err := cur.AppendGraphs(extra[i : i+1])
+				if err != nil {
+					t.Error(err)
 					return
-				default:
-					q.SizeBytes()
 				}
+				if err := q.DatasetAppended(context.Background(), next, newDB, len(newDB)-1); err != nil {
+					t.Error(err)
+					return
+				}
+				cur = next
 			}
-		}()
-		for _, qs := range streams {
-			readers.Add(1)
-			go func() {
-				defer readers.Done()
-				for i, g := range qs {
-					out := q.Query(g)
-					var want []int32
-					for id, d := range out.Dataset {
-						if iso.Subgraph(g, d) {
-							want = append(want, int32(id))
-						}
-					}
-					if !slices.Equal(out.Answer, want) {
-						t.Errorf("async=%v query %d: answer %v, brute force over its generation %v", async, i, out.Answer, want)
-						return
-					}
-				}
-			}()
 		}
-		readers.Wait()
-		close(stop)
-		writers.Wait()
-		q.mu.Lock()
-		q.waitShadowLocked()
-		q.mu.Unlock()
-		checkCacheIndex(t, q, oracleProbes(rng, q, q.snap.Load().db), "after the race")
+	}()
+	go func() {
+		defer writers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				q.SizeBytes()
+			}
+		}
+	}()
+	for _, qs := range streams {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i, g := range qs {
+				out := q.Query(g)
+				var want []int32
+				for id, d := range out.Dataset {
+					if iso.Subgraph(g, d) {
+						want = append(want, int32(id))
+					}
+				}
+				if !slices.Equal(out.Answer, want) {
+					t.Errorf("query %d: answer %v, brute force over its generation %v", i, out.Answer, want)
+					return
+				}
+			}
+		}()
 	}
+	readers.Wait()
+	close(stop)
+	writers.Wait()
+	checkCacheIndex(t, q, oracleProbes(rng, q, q.snap.Load().db), "after the race")
 }

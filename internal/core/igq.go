@@ -38,21 +38,20 @@
 // cache probes and verification against it without locks. Per-query credit
 // (§5.1 metadata) and window admission are accumulated in a per-call buffer
 // and applied to the shared metadata under a short mutex at the end of the
-// call; window flushes — which rebuild the
-// cache-side index and install a fresh snapshot with a pointer swap — are
-// the only full serialization points (and with AsyncMaintenance even the
-// rebuild happens off the caller's goroutine, exactly the paper's §5.2
-// shadow index). A cached query owns what is derived from it — its features
-// and its compiled matching program, each worked out once — so a flush only
-// re-sorts postings it already has: its cost follows the window, not the
-// cache. Any consistent snapshot yields correct answers (Theorems 1 and 2),
-// so readers never wait for writers. See README.md.
+// call. A window flush is the paper's §5.2 shadow index: it builds the new
+// cache-side index beside the served one and installs it with a pointer
+// swap. Queries keep reading the old snapshot meanwhile; only writers
+// (admissions, dataset mutations, Save) wait for it on that mutex. A cached
+// query owns what is derived from it — its features and its compiled
+// matching program, each worked out once — so a flush only re-sorts
+// postings it already has: its cost follows the window, not the cache. Any
+// consistent snapshot yields correct answers (Theorems 1 and 2), so readers
+// never wait for writers. See README.md.
 package core
 
 import (
 	"context"
 	"math"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,47 +109,11 @@ type Options struct {
 	Labels int
 	// Mode selects subgraph (default) or supergraph query processing.
 	Mode Mode
-	// DisableSub / DisableSuper switch off one knowledge path (ablation).
-	// The §4.3 identical probe belongs to neither and stays on.
-	DisableSub   bool
-	DisableSuper bool
-	// Eviction selects the replacement policy (ablation of §5.1).
-	Eviction EvictionPolicy
-	// AsyncMaintenance enables the paper's §5.2 shadow-index scheme
-	// verbatim: after a window flush the replacement decision is taken
-	// immediately, but the new cache-side index is built in the background
-	// while incoming queries keep being served by the previous index
-	// ("When the shadow indexing is over, Ishadow replaces I with a
-	// pointer swap"). Off by default so experiment counters stay
-	// deterministic; correctness holds either way, since any consistent
-	// cache snapshot yields correct answers.
-	AsyncMaintenance bool
 	// Shards has no effect: the cache-side index is one flat array with no
 	// snapshot segments. The field remains only because the benchmark
 	// harness sets it and goes with that harness's next revision (ROADMAP).
 	Shards int
-	// PanicHandler, when set, is invoked with the recovered value and the
-	// goroutine stack if an asynchronous shadow-index build panics. The
-	// panic is contained: the previous snapshot keeps serving and the next
-	// flush proceeds normally (the flushed window's entries are lost, not
-	// corrupted — a cache is knowledge, not truth). A nil handler lets the
-	// panic drop the shadow build silently with the same containment.
-	PanicHandler func(recovered any, stack []byte)
 }
-
-// EvictionPolicy selects how flush picks victims.
-type EvictionPolicy int
-
-const (
-	// UtilityEviction is the paper's policy: evict minimum U(g) = C(g)/M(g).
-	UtilityEviction EvictionPolicy = iota
-	// FIFOEviction evicts the oldest entries — the "traditional cache"
-	// strawman the paper's §5.1 argues against; kept for ablation benches.
-	FIFOEviction
-	// PopularityEviction evicts the lowest hit-rate H(g)/M(g) entries —
-	// popularity without the cost terms, isolating their contribution.
-	PopularityEviction
-)
 
 func (o Options) withDefaults() Options {
 	if o.CacheSize <= 0 {
@@ -242,12 +205,11 @@ type IGQ struct {
 	snap atomic.Pointer[snapshot] // lock-free read state
 
 	// mu guards the write side: entry metadata, the admission window,
-	// flush planning, shadow bookkeeping and the id allocator.
-	mu         sync.Mutex
-	nextID     int32
-	window     []*entry
-	flushes    int
-	shadowDone chan struct{} // non-nil while a §5.2 background build is in flight
+	// flushes and the id allocator.
+	mu      sync.Mutex
+	nextID  int32
+	window  []*entry
+	flushes int
 
 	// Interned-feature machinery: the dictionary is shared with the wrapped
 	// method when it exposes one (index.DictProvider), so a query graph is
@@ -628,7 +590,7 @@ func (q *IGQ) countFilter(m index.Method) index.CountFilterer {
 // super side, and on the sub side g, compiled into the scratch when the
 // first candidate gets that far. The results alias sc.
 func (q *IGQ) cacheLookup(snap *snapshot, g *graph.Graph, qf features.IDSet, sc *queryScratch, out *Outcome) (subHits, superHits []*entry) {
-	subCands, superCands := snap.index.candidates(qf, sc, !q.opt.DisableSub, !q.opt.DisableSuper)
+	subCands, superCands := snap.index.candidates(qf, sc)
 	// union-side entries with empty answers neither prune nor contribute
 	// answers, so their verification is skipped; intersect-side empties are
 	// maximally useful (the §4.3 empty-answer short-circuit) and are kept.
@@ -730,9 +692,8 @@ func (q *IGQ) commit(sc *queryScratch, snap *snapshot, g *graph.Graph, qf featur
 // window member or of a committed entry are skipped (an identical *cached*
 // query normally short-circuits before admission, but two concurrent first
 // sightings of the same query both miss the pre-admission snapshot; the
-// duplicate is caught here, under the lock — best-effort while an async
-// shadow build is in flight, since its entries are in neither set yet, and
-// answer-correctness never depends on dedup). Caller holds q.mu.
+// duplicate is caught here, under the lock; answer-correctness never
+// depends on dedup). Caller holds q.mu.
 func (q *IGQ) admitLocked(ne *entry) {
 	for _, e := range q.window {
 		if e.fp == ne.fp && e.sameSize(ne.g) && e.prog.Match(ne.g) {
@@ -752,68 +713,28 @@ func (q *IGQ) admitLocked(ne *entry) {
 	}
 }
 
-// flushLocked applies the replacement policy (§5.1) and rebuilds the
-// cache-side index (§5.2's shadow index) over the surviving and the new
-// entries' own features, installing the result as a new snapshot.
-// Synchronous by default — the flush is the pipeline's one full
-// serialization point; with AsyncMaintenance the index build runs in the
-// background and queries keep being served by the previous snapshot until
-// the builder swaps the pointer. Caller holds q.mu.
+// flushLocked applies the replacement policy (§5.1) and builds the
+// cache-side index over the surviving and the new entries' own features
+// (§5.2's shadow index), installing the result as a new snapshot with a
+// pointer swap. Queries keep reading the previous snapshot while it is
+// built; the flush is the pipeline's one full serialization point for
+// writers. Caller holds q.mu.
 func (q *IGQ) flushLocked() {
-	q.waitShadowLocked() // at most one shadow build in flight
-	if len(q.window) == 0 {
-		// Another goroutine flushed while waitShadowLocked had the lock
-		// released; nothing left to do.
-		return
-	}
 	q.flushes++
 	cur := q.snap.Load()
 	newEntries := q.planFlushLocked()
 	q.window = nil
-	if q.opt.AsyncMaintenance {
-		done := make(chan struct{})
-		q.shadowDone = done
-		go func() {
-			defer close(done)
-			// A panicking build must not take the process down — the engine
-			// keeps serving on the previous snapshot. The deferred recover
-			// also unparks waitShadowLocked waiters (done still closes) and
-			// clears the in-flight marker so later flushes are not blocked
-			// forever on a build that will never finish.
-			defer func() {
-				if r := recover(); r != nil {
-					stack := debug.Stack()
-					q.mu.Lock()
-					if q.shadowDone == done {
-						q.shadowDone = nil
-					}
-					q.mu.Unlock()
-					if h := q.opt.PanicHandler; h != nil {
-						h(r, stack)
-					}
-				}
-			}()
-			shadow := q.buildSnapshot(cur.db, cur.m, cur.dbGen, newEntries)
-			q.mu.Lock()
-			q.snap.Store(shadow)
-			if q.shadowDone == done {
-				q.shadowDone = nil
-			}
-			q.mu.Unlock()
-		}()
-		return
-	}
 	q.snap.Store(q.buildSnapshot(cur.db, cur.m, cur.dbGen, newEntries))
 }
 
 // planFlushLocked computes the post-flush entry set without touching the
 // currently served snapshot (fresh slice, shared entry pointers so metadata
-// credited during an async build carries over). Caller holds q.mu.
+// credited during the build carries over). Caller holds q.mu.
 func (q *IGQ) planFlushLocked() []*entry {
 	active := q.snap.Load().entries
 	evict := map[int32]struct{}{}
 	if overflow := len(active) + len(q.window) - q.opt.CacheSize; overflow > 0 {
-		order := q.victimOrder(active)
+		order := evictionOrder(active, q.seq.Load())
 		if overflow > len(order) {
 			overflow = len(order)
 		}
@@ -828,18 +749,6 @@ func (q *IGQ) planFlushLocked() []*entry {
 		}
 	}
 	return append(newEntries, q.window...)
-}
-
-// waitShadowLocked blocks until any in-flight §5.2 background build has
-// installed its snapshot (used before a second flush or a Save). Caller
-// holds q.mu; the lock is released while waiting so the builder can finish.
-func (q *IGQ) waitShadowLocked() {
-	for q.shadowDone != nil {
-		done := q.shadowDone
-		q.mu.Unlock()
-		<-done
-		q.mu.Lock()
-	}
 }
 
 // normalizeIDs enforces the sorted-unique candidate invariant the pruning
@@ -866,54 +775,16 @@ func normalizeIDs(ids []int32) []int32 {
 	return out
 }
 
-// victimOrder ranks entries for eviction (worst first) under the configured
-// policy. Caller holds q.mu (it reads entry metadata).
-func (q *IGQ) victimOrder(entries []*entry) []*entry {
-	switch q.opt.Eviction {
-	case FIFOEviction:
-		out := append([]*entry(nil), entries...)
-		sortEntriesBy(out, func(a, b *entry) bool {
-			if a.insertedAt != b.insertedAt {
-				return a.insertedAt < b.insertedAt
-			}
-			return a.id < b.id
-		})
-		return out
-	case PopularityEviction:
-		seq := q.seq.Load()
-		rate := func(e *entry) float64 {
-			m := seq - e.insertedAt
-			if m < 1 {
-				m = 1
-			}
-			return float64(e.hits.Load()) / float64(m)
-		}
-		out := append([]*entry(nil), entries...)
-		sortEntriesBy(out, func(a, b *entry) bool {
-			ra, rb := rate(a), rate(b)
-			if ra != rb {
-				return ra < rb
-			}
-			return a.id < b.id
-		})
-		return out
-	default:
-		return evictionOrder(entries, q.seq.Load())
-	}
-}
-
 // RebuildIndexes re-derives the features of every cached query — committed
 // and pending — and installs a cache-side index rebuilt over them as a
 // fresh snapshot. Required after the wrapped method's index is replaced via
 // index.Persistable.LoadIndex: loading resets the shared feature
 // dictionary, which voids every FeatureID the entries own. Takes the
-// metadata mutex (waiting out any in-flight shadow build); concurrent
-// queries finish on the snapshot they started with, exactly as with a
-// window flush.
+// metadata mutex; concurrent queries finish on the snapshot they started
+// with, exactly as with a window flush.
 func (q *IGQ) RebuildIndexes() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.waitShadowLocked()
 	cur := q.snap.Load()
 	for _, e := range cur.entries {
 		e.feats = nil
@@ -931,7 +802,7 @@ func (q *IGQ) RebuildIndexes() {
 // buildSnapshot builds the cache-side index over entries — enumerating those
 // that do not own their features yet — and assembles the snapshot serving
 // them over generation dbGen of (m, db): the one path of construction,
-// flush, shadow build, Load and RebuildIndexes.
+// flush, Load and RebuildIndexes.
 func (q *IGQ) buildSnapshot(db []*graph.Graph, m index.Method, dbGen int64, entries []*entry) *snapshot {
 	return newSnapshot(db, m, dbGen, entries, buildCacheIndex(q.dict, entries, q.opt.MaxPathLen))
 }

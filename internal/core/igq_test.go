@@ -289,37 +289,6 @@ func TestUtilityKeepsUsefulEntries(t *testing.T) {
 	}
 }
 
-func TestAblationFlagsDisablePaths(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	db := buildDB(rng, 15)
-	m := ggsx.New(ggsx.DefaultOptions())
-	m.Build(db)
-
-	noSub := New(m, db, Options{CacheSize: 10, Window: 1, DisableSub: true})
-	noSuper := New(m, db, Options{CacheSize: 10, Window: 1, DisableSuper: true})
-
-	big := connectedQuery(rng, db[2], 5)
-	sub, _ := big.InducedSubgraph(big.BFSOrder(0)[:3])
-
-	noSub.Query(big)
-	o := noSub.Query(sub)
-	if o.SubHits != 0 {
-		t.Error("DisableSub still produced sub hits")
-	}
-	if !reflect.DeepEqual(o.Answer, index.Answer(m, sub)) {
-		t.Error("DisableSub broke correctness")
-	}
-
-	noSuper.Query(sub)
-	o2 := noSuper.Query(big)
-	if o2.SuperHits != 0 {
-		t.Error("DisableSuper still produced super hits")
-	}
-	if !reflect.DeepEqual(o2.Answer, index.Answer(m, big)) {
-		t.Error("DisableSuper broke correctness")
-	}
-}
-
 func TestWindowDedup(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	db := buildDB(rng, 10)

@@ -33,13 +33,12 @@ package core
 //   - With any other method the answers are patched the same way and the
 //     memos are dropped; each entry's next identical hit renews its own.
 //
-// Both install under the metadata mutex with any in-flight §5.2 shadow
-// build drained, re-probing if a flush changed the snapshot meanwhile. They
-// patch the committed entries copy-on-write (in-flight queries keep reading
-// the old generation's entries), patch the pending window in place (window
-// entries are only ever read under the mutex), and install one new snapshot
-// in which the dataset, the method generation and the patched entries
-// change together. The cache-side index is *reused*: it indexes the cached
+// Both install under the metadata mutex, re-probing if a flush changed the
+// snapshot meanwhile. They patch the committed entries copy-on-write
+// (in-flight queries keep reading the old generation's entries), patch the
+// pending window in place (window entries are only ever read under the
+// mutex), and install one new snapshot in which the dataset, the method
+// generation and the patched entries change together. The cache-side index is *reused*: it indexes the cached
 // query graphs' features by entry position, and a dataset mutation touches
 // neither. Callers serialise mutations against each other.
 //
@@ -204,11 +203,11 @@ func (q *IGQ) DatasetRemoved(ctx context.Context, m index.Method, db []*graph.Gr
 
 // probeLocked enumerates the mutated graphs — mutatedIn(s) — and probes
 // the cache index once per graph, both before the metadata mutex is taken.
-// It then takes q.mu, drains any shadow build, has every window entry own
-// its features (enumerating, interning, those that do not yet, as their
-// flush would) and returns the snapshot to patch. What the first pass could
-// not see is made up under the lock: a generation change (an index rebuild
-// may renumber the dictionary) or a feature the dictionary learnt since (a
+// It then takes q.mu, has every window entry own its features
+// (enumerating, interning, those that do not yet, as their flush would) and
+// returns the snapshot to patch. What the first pass could not see is made
+// up under the lock: a generation change (an index rebuild may renumber the
+// dictionary) or a feature the dictionary learnt since (a
 // flush or the window may have interned one the graphs hold, which the
 // lookup-only pass missed) enumerates everything again; a graph only the
 // window's queries are large or small enough to hold is enumerated now; and
@@ -222,7 +221,6 @@ func (q *IGQ) probeLocked(sc *queryScratch, mutatedIn func(*snapshot) []mutated)
 	q.enumerate(hs, sc, probed.entries)
 	held = q.holders(probed.index, hs, sc)
 	q.mu.Lock()
-	q.waitShadowLocked()
 	cur = q.snap.Load()
 	var fsc *features.Scratch
 	for _, e := range q.window {
@@ -291,7 +289,7 @@ func (q *IGQ) holders(ix *cacheIndex, hs []mutated, sc *queryScratch) [][]int32 
 		if !h.enumerated {
 			continue
 		}
-		containing, contained := ix.candidates(h.feats, sc, super, !super)
+		containing, contained := ix.candidates(h.feats, sc)
 		if !super {
 			containing = contained
 		}

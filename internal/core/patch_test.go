@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -72,19 +71,17 @@ func freshMemo(q *IGQ, s *snapshot, g *graph.Graph) (cs []int32, logCost float64
 	return cs, logCost
 }
 
-// cachedEntries returns the committed entries and the window, waiting out
-// any shadow build first.
+// cachedEntries returns the committed entries and the window.
 func cachedEntries(q *IGQ) (*snapshot, []*entry) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.waitShadowLocked()
 	s := q.snap.Load()
 	return s, slices.Concat(s.entries, q.window)
 }
 
 // TestMutationPatchDifferential runs seeded append and remove batches —
 // non-tail removals among them, which move graphs — against caches with
-// window entries pending, in both modes, sync and async. After every step
+// window entries pending, in both modes. After every step
 // each cached answer must equal the method's answer on the new generation;
 // each memo current on it must equal a fresh renewal's under ==, n and
 // logCost alike; memos must survive every append and every removal that
@@ -98,15 +95,13 @@ func TestMutationPatchDifferential(t *testing.T) {
 		{"bruteforce", SubgraphQueries, func() index.Method { return index.NewBruteForce() }, false},
 	}
 	for li, leg := range legs {
-		for _, async := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/async=%v", leg.name, async), func(t *testing.T) {
-				runPatchDifferential(t, leg, async, int64(100+li))
-			})
-		}
+		t.Run(leg.name, func(t *testing.T) {
+			runPatchDifferential(t, leg, int64(100+li))
+		})
 	}
 }
 
-func runPatchDifferential(t *testing.T, leg patchLeg, async bool, seed int64) {
+func runPatchDifferential(t *testing.T, leg patchLeg, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	super := leg.mode == SupergraphQueries
 	// Supergraph mode: small dataset graphs, larger queries holding some of
@@ -143,7 +138,7 @@ func runPatchDifferential(t *testing.T, leg patchLeg, async bool, seed int64) {
 
 	m := leg.newMethod()
 	m.Build(db)
-	q := New(m, db, Options{CacheSize: 10, Window: 4, Mode: leg.mode, AsyncMaintenance: async, Labels: 4})
+	q := New(m, db, Options{CacheSize: 10, Window: 4, Mode: leg.mode, Labels: 4})
 	checked := map[string]int{}
 	for step := 0; step < 24; step++ {
 		for i := 0; i < 3+rng.Intn(4); i++ {
@@ -156,8 +151,7 @@ func runPatchDifferential(t *testing.T, leg patchLeg, async bool, seed int64) {
 				memoBefore[e.id] = e.g
 			}
 		}
-		// One more query, which may start a flush — with AsyncMaintenance
-		// a shadow build then runs into the mutation.
+		// One more query, which may flush before the mutation.
 		q.Query(queries[rng.Intn(len(queries))])
 		cur := before.m
 		var wantTests int64

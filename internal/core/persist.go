@@ -72,19 +72,15 @@ func dbChecksum(db []*graph.Graph) uint64 { return index.DBChecksum(db) }
 // restart, not evaporate because fewer than Window queries arrived since
 // the last flush. Safe to call while queries are in flight: the metadata
 // mutex is held for the whole encode, so the snapshot is consistent — it
-// excludes any admission or credit that had not yet committed, waits for
-// an in-flight §5.2 shadow build so it reflects the latest flush, and
-// blocks further flushes until done.
+// excludes any admission or credit that had not yet committed, reflects
+// the latest flush, and blocks further flushes until done.
 func (q *IGQ) Save(w io.Writer) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.waitShadowLocked()
 	if len(q.window) > 0 {
 		// Flush the partial window so pending entries are committed into
-		// the snapshot, then wait out the (possibly async) index build so
-		// snap.Load() observes the result.
+		// the snapshot.
 		q.flushLocked()
-		q.waitShadowLocked()
 	}
 	cur := q.snap.Load()
 	snap := wireSnapshot{

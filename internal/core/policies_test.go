@@ -9,80 +9,22 @@ import (
 	"repro/internal/index/ggsx"
 )
 
-// Direct unit tests for the eviction-policy variants (§5.1 ablation knobs).
-
-func entryWith(id int32, insertedAt, hits int64, credited bool) *entry {
-	e := newEntry(id, tinyGraph(), nil, insertedAt)
-	e.hits.Store(hits)
-	if credited {
-		e.creditHit(3, []int{50}, 5)
-		e.hits.Store(hits) // creditHit bumped it; restore the intended count
-	}
-	return e
-}
-
-func TestVictimOrderFIFO(t *testing.T) {
-	q := &IGQ{opt: Options{Eviction: FIFOEviction}}
-	entries := []*entry{
-		entryWith(3, 30, 9, true),
-		entryWith(1, 10, 0, false),
-		entryWith(2, 20, 5, true),
-	}
-	order := q.victimOrder(entries)
-	got := []int32{order[0].id, order[1].id, order[2].id}
-	// FIFO ignores utility entirely: oldest insertion first
-	if !reflect.DeepEqual(got, []int32{1, 2, 3}) {
-		t.Errorf("FIFO order = %v, want [1 2 3]", got)
-	}
-}
-
-func TestVictimOrderPopularity(t *testing.T) {
-	q := &IGQ{opt: Options{Eviction: PopularityEviction}}
-	q.seq.Store(100)
-	// same age, different hit counts: lowest hit rate evicted first
-	entries := []*entry{
-		entryWith(1, 0, 50, true),
-		entryWith(2, 0, 1, true),
-		entryWith(3, 0, 10, true),
-	}
-	order := q.victimOrder(entries)
-	got := []int32{order[0].id, order[1].id, order[2].id}
-	if !reflect.DeepEqual(got, []int32{2, 3, 1}) {
-		t.Errorf("popularity order = %v, want [2 3 1]", got)
-	}
-}
-
-func TestVictimOrderPopularityTieBreak(t *testing.T) {
-	q := &IGQ{opt: Options{Eviction: PopularityEviction}}
-	q.seq.Store(10)
-	entries := []*entry{
-		entryWith(5, 0, 0, false),
-		entryWith(2, 0, 0, false),
-	}
-	order := q.victimOrder(entries)
-	if order[0].id != 2 || order[1].id != 5 {
-		t.Errorf("tie-break order = [%d %d], want [2 5]", order[0].id, order[1].id)
-	}
-}
-
-func TestAllPoliciesPreserveCorrectness(t *testing.T) {
-	// whatever the policy keeps or evicts, answers must equal the method's
+func TestUtilityEvictionPreservesCorrectness(t *testing.T) {
+	// whatever the §5.1 policy keeps or evicts, answers must equal the method's
 	rng := rand.New(rand.NewSource(151))
 	db := buildDB(rng, 18)
 	m := ggsx.New(ggsx.DefaultOptions())
 	m.Build(db)
-	for _, pol := range []EvictionPolicy{UtilityEviction, FIFOEviction, PopularityEviction} {
-		ig := New(m, db, Options{CacheSize: 6, Window: 2, Eviction: pol})
-		for i, q := range workload(rng, db, 50) {
-			want := index.Answer(m, q)
-			got := ig.Query(q)
-			if !reflect.DeepEqual(got.Answer, want) {
-				t.Fatalf("policy %d query %d: %v want %v", pol, i, got.Answer, want)
-			}
+	ig := New(m, db, Options{CacheSize: 6, Window: 2})
+	for i, q := range workload(rng, db, 50) {
+		want := index.Answer(m, q)
+		got := ig.Query(q)
+		if !reflect.DeepEqual(got.Answer, want) {
+			t.Fatalf("query %d: %v want %v", i, got.Answer, want)
 		}
-		if ig.CacheLen() > 6 {
-			t.Fatalf("policy %d: cache overflow (%d)", pol, ig.CacheLen())
-		}
+	}
+	if ig.CacheLen() > 6 {
+		t.Fatalf("cache overflow (%d)", ig.CacheLen())
 	}
 }
 

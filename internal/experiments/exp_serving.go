@@ -35,6 +35,10 @@ func init() {
 	})
 }
 
+// servingWorkers is both the server's execution-slot count and the number
+// of concurrent clients of the unary phase.
+const servingWorkers = 8
+
 func runServing(cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
 	db := igq.GenerateDataset(igq.AIDSSpec().Scaled(0.002*cfg.Scale, 1))
@@ -44,10 +48,6 @@ func runServing(cfg Config, w io.Writer) error {
 		Alpha: 1.4, Seed: cfg.Seed + 11000,
 	})
 	requests := cfg.scaled(2000, 400)
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 8
-	}
 
 	opt := igq.EngineOptions{Method: igq.Grapes, CacheSize: 60, Window: 15}
 	eng, err := igq.NewEngine(db, opt)
@@ -90,7 +90,7 @@ func runServing(cfg Config, w io.Writer) error {
 
 	s, err := server.New(server.Config{
 		Engine: eng, Super: true,
-		Workers: workers, SnapshotPath: snapPath,
+		Workers: servingWorkers, SnapshotPath: snapPath,
 	})
 	if err != nil {
 		return err
@@ -105,13 +105,13 @@ func runServing(cfg Config, w io.Writer) error {
 
 	tb := stats.NewTable("phase", "requests", "errors", "queries/s", "p50", "p99")
 
-	// Phase 1: unary mixed sub/super, `workers` concurrent clients.
+	// Phase 1: unary mixed sub/super, servingWorkers concurrent clients.
 	var failures atomic.Int64
 	latencies := make([]time.Duration, requests)
 	var next atomic.Int64
 	t0 := time.Now()
 	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
+	for wk := 0; wk < servingWorkers; wk++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

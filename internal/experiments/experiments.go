@@ -28,9 +28,6 @@ type Config struct {
 	Seed int64
 	// Verbose adds per-run progress lines to the output.
 	Verbose bool
-	// Workers caps the goroutine count of the concurrency experiments
-	// (0 = one per runtime.GOMAXPROCS(0)).
-	Workers int
 	// BuildWorkers is the index-build goroutine count of the coldstart,
 	// incremental and lazyload experiments (0 = one per CPU).
 	BuildWorkers int
@@ -41,10 +38,6 @@ type Config struct {
 	// pre-built snapshots from this path prefix (written by an earlier run
 	// with SaveIndexPath) instead of building first.
 	LoadIndexPath string
-	// Density, when > 0, makes the containers experiment measure a single
-	// membership density instead of its sparse/moderate/dense grid (the
-	// exploratory -density knob; the perf gates only apply to the grid).
-	Density float64
 	// BenchJSONPath, when set, makes the containers experiment write its
 	// measured rows and gate verdicts to this file as JSON (the CI
 	// BENCH_containers.json artifact).
@@ -76,7 +69,7 @@ func (c Config) scaled(n int, floor int) int {
 // Experiment is one regenerable table or figure.
 type Experiment struct {
 	// ID is the paper reference: "table1", "fig1", ..., "fig18", or an
-	// extension id like "ablation".
+	// extension id like "containers".
 	ID string
 	// Title is the paper's caption (abridged).
 	Title string

@@ -20,8 +20,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig1", "fig2", "fig3",
 		"fig7", "fig8", "fig9", "fig10", "fig11",
 		"fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-		"ablation-paths", "ablation-eviction",
-		"ablation-partition", "supergraph-speedup",
+		"supergraph-speedup",
 	}
 	for _, id := range wantIDs {
 		if _, ok := ByID(id); !ok {
@@ -46,7 +45,7 @@ func TestAllOrdering(t *testing.T) {
 	if idx["fig2"] > idx["fig10"] {
 		t.Error("fig2 should sort before fig10 (numeric, not lexicographic)")
 	}
-	if idx["ablation-paths"] < idx["fig18"] {
+	if idx["supergraph-speedup"] < idx["fig18"] {
 		t.Error("extensions should sort after figures")
 	}
 }
@@ -129,20 +128,6 @@ func TestFig18Output(t *testing.T) {
 	for _, want := range []string{"GGSX", "Grapes", "CT-Index", "iGQ", "overhead"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fig18 output missing %q", want)
-		}
-	}
-}
-
-func TestAblationPathsOutput(t *testing.T) {
-	e, _ := ByID("ablation-paths")
-	var buf bytes.Buffer
-	if err := e.Run(testCfg(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"both paths", "Isub only", "Isuper only"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("ablation output missing %q", want)
 		}
 	}
 }

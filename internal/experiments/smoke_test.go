@@ -39,12 +39,6 @@ func TestSmokeFig12(t *testing.T) { runSmoke(t, "fig12", "zipf-zipf", "Grapes(6)
 func TestSmokeFig14(t *testing.T) { runSmoke(t, "fig14", "cache.C", "time.speedup") }
 func TestSmokeFig15(t *testing.T) { runSmoke(t, "fig15", "zipf.alpha", "speedup") }
 func TestSmokeFig16(t *testing.T) { runSmoke(t, "fig16", "Q4", "whole") }
-func TestSmokeAblationEviction(t *testing.T) {
-	runSmoke(t, "ablation-eviction", "utility", "FIFO", "popularity")
-}
-func TestSmokeAblationPartition(t *testing.T) {
-	runSmoke(t, "ablation-partition", "unified", "partition")
-}
 func TestSmokeSupergraphSpeedup(t *testing.T) {
 	runSmoke(t, "supergraph-speedup", "uni-uni", "isotest.speedup")
 }

@@ -33,9 +33,9 @@ type IDSet struct {
 //
 // Interning (Intern, the install step of an interning PathsID, a Round's
 // Commit) takes a write lock; lookups and walks take a read lock, so
-// concurrent read-only filtering is safe even while a background shadow
-// rebuild interns new keys. A Round holds the read lock from Freeze to
-// Commit, so its workers read the table without locking.
+// concurrent read-only filtering is safe even while a cache flush interns
+// new keys. A Round holds the read lock from Freeze to Commit, so its
+// workers read the table without locking.
 //
 // Beside the keys, a Dict holds the path table PathsID walks (see the
 // package comment). The table is derived from the keys and is neither

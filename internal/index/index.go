@@ -145,8 +145,7 @@ func Answer(m Method, q *graph.Graph) []int32 {
 
 // BruteForce is the index-free reference method: every graph is a candidate
 // and verification is a plain subgraph test. It is the ground-truth oracle for
-// the correctness properties of the real methods, and doubles as the
-// "no filtering" baseline in ablation benchmarks.
+// the correctness properties of the real methods.
 type BruteForce struct {
 	db []*graph.Graph
 }

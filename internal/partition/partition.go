@@ -330,54 +330,14 @@ func mergeResults(results []igq.Result) igq.Result {
 	return merged
 }
 
-// QueryStream answers a continuous stream of queries in mode, mirroring
-// Engine.QueryStream's contract: BatchResult.Index is arrival order,
-// results are emitted in completion order, up to workers scatter-gathers
-// run at once (0 = one per GOMAXPROCS), the stream ends when in closes or
-// ctx cancels, and the caller must drain the returned channel.
+// QueryStream answers a continuous stream of queries in mode through
+// igq.StreamQueries, under Engine.QueryStream's contract: BatchResult.Index
+// is arrival order, results are emitted in completion order, up to workers
+// scatter-gathers run at once (0 = one per GOMAXPROCS), the stream ends
+// when in closes or ctx cancels, and the caller must drain the returned
+// channel.
 func (g *Group) QueryStream(ctx context.Context, mode Mode, in <-chan *igq.Graph, workers int, opts ...igq.QueryOption) <-chan igq.BatchResult {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make(chan igq.BatchResult)
-	type job struct {
-		i int
-		g *igq.Graph
-	}
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				r, err := g.QueryMode(ctx, mode, j.g, opts...)
-				out <- igq.BatchResult{Index: j.i, Result: r, Err: err}
-			}
-		}()
-	}
-	go func() {
-		defer close(out)
-		i := 0
-	feed:
-		for {
-			select {
-			case <-ctx.Done():
-				break feed
-			case q, ok := <-in:
-				if !ok {
-					break feed
-				}
-				select {
-				case jobs <- job{i, q}:
-					i++
-				case <-ctx.Done():
-					break feed
-				}
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	}()
-	return out
+	return igq.StreamQueries(ctx, in, workers, func(ctx context.Context, q *igq.Graph) (igq.Result, error) {
+		return g.QueryMode(ctx, mode, q, opts...)
+	})
 }

@@ -9,9 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	igq "repro"
 	"repro/internal/trie"
@@ -524,6 +526,65 @@ func TestGroupConcurrentQueryMutate(t *testing.T) {
 	}
 	if st, ok := g.Stats(Sub); !ok || st.Panics != 0 {
 		t.Fatalf("final stats: hosted=%v panics=%d", ok, st.Panics)
+	}
+}
+
+// TestGroupQueryStreamCancellation cancels a group stream mid-flight: the
+// result channel must close, no query offered after the cancellation may
+// be answered, and every worker and the feeder must exit.
+func TestGroupQueryStreamCancellation(t *testing.T) {
+	db := testDB(t, 37)
+	g, err := New(db, Options{Partitions: 2, Engine: igq.EngineOptions{CacheSize: 16, Window: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := make([]*igq.Graph, 8)
+	for i := range probes {
+		probes[i] = igq.ExtractQuery(db[i], 0, 4)
+	}
+	baseline := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	in := make(chan *igq.Graph)
+	out := g.QueryStream(ctx, Sub, in, 3)
+	// Three queries, each answered before the next is offered, so that
+	// nothing is in flight when the stream is cancelled.
+	for i := 0; i < 3; i++ {
+		in <- probes[i]
+		if br := <-out; br.Err != nil || br.Index != i {
+			t.Fatalf("result %d: index %d, err %v", i, br.Index, br.Err)
+		}
+	}
+	cancel()
+	deadline := time.After(10 * time.Second)
+	offered := 3
+	for open := true; open; {
+		select {
+		case in <- probes[offered%len(probes)]:
+			offered++ // the feeder may read one query after the cancellation; it must drop it
+		case br, ok := <-out:
+			if ok {
+				t.Fatalf("result emitted after the cancellation: index %d, err %v", br.Index, br.Err)
+			}
+			open = false
+		case <-deadline:
+			t.Fatal("stream did not close after the cancellation")
+		}
+	}
+	if offered > 4 {
+		t.Errorf("the stream read %d queries after the cancellation, want at most 1", offered-3)
+	}
+	select {
+	case in <- probes[0]:
+		t.Error("a closed stream still reads its input")
+	default:
+	}
+	for runtime.NumGoroutine() > baseline {
+		select {
+		case <-deadline:
+			t.Fatalf("%d goroutines left after the stream closed, %d before it started", runtime.NumGoroutine(), baseline)
+		case <-time.After(time.Millisecond):
+		}
 	}
 }
 

@@ -133,6 +133,10 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// Slots returns the execution-slot count and the admission queue depth
+// the server runs with, defaults resolved.
+func (s *Server) Slots() (workers, queueDepth int) { return s.cfg.Workers, s.cfg.QueueDepth }
+
 // Handler exposes the route table (tests drive it through httptest).
 func (s *Server) Handler() http.Handler { return s.mux }
 

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -180,6 +181,28 @@ func TestQueryStreamOverWire(t *testing.T) {
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
 		t.Fatalf("unserved supergraph query returned %v, want 400", err)
+	}
+}
+
+// TestDefaultSlots: a Config that leaves Workers and QueueDepth at 0 runs
+// one execution slot per GOMAXPROCS and four waiting slots per execution
+// slot, and says so in /stats and through Slots.
+func TestDefaultSlots(t *testing.T) {
+	eng, err := igq.NewEngine(testDB(t), igq.EngineOptions{Method: igq.GGSX})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, client := newTestServer(t, Config{Engine: eng})
+	st, err := client.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runtime.GOMAXPROCS(0)
+	if st.Server.Workers != want || st.Server.QueueDepth != 4*want {
+		t.Fatalf("/stats: workers %d, queue_depth %d; want %d and %d", st.Server.Workers, st.Server.QueueDepth, want, 4*want)
+	}
+	if w, q := s.Slots(); w != want || q != 4*want {
+		t.Fatalf("Slots() = %d, %d; want %d and %d", w, q, want, 4*want)
 	}
 }
 

@@ -409,8 +409,8 @@ func (t *Trie) DeadLen() int {
 // A panic in a worker body does not kill the process: the first one is
 // captured with its goroutine's stack and, once every worker has joined,
 // re-raised on the caller as a *WorkerPanic — so whatever recover guards
-// the caller (Engine.Query, the shadow builder) contains it exactly as it
-// would at width 1.
+// the caller (Engine.Query's, for one) contains it exactly as it would at
+// width 1.
 func ParallelFor(n, workers int, body func(worker int, claim func() int)) {
 	if workers > n {
 		workers = n

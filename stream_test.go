@@ -37,7 +37,7 @@ func TestQueryStreamCompletesAll(t *testing.T) {
 	}()
 	got := make([]*BatchResult, len(queries))
 	n := 0
-	for br := range eng.QueryStream(context.Background(), in, StreamWorkers(4)) {
+	for br := range eng.QueryStream(context.Background(), in, 4) {
 		if br.Index < 0 || br.Index >= len(queries) {
 			t.Fatalf("result index %d out of range", br.Index)
 		}
@@ -95,7 +95,7 @@ func TestBatchAndStreamAnswersIdentical(t *testing.T) {
 				}
 			}()
 			stream := make([]BatchResult, len(queries))
-			for br := range engStream.QueryStream(context.Background(), in, StreamWorkers(4)) {
+			for br := range engStream.QueryStream(context.Background(), in, 4) {
 				stream[br.Index] = br
 			}
 
@@ -133,7 +133,7 @@ func TestQueryStreamCancellationClosesPromptly(t *testing.T) {
 			}
 		}
 	}()
-	out := eng.QueryStream(ctx, in, StreamWorkers(2))
+	out := eng.QueryStream(ctx, in, 2)
 	// Take a few results, then cancel mid-stream.
 	for i := 0; i < 3; i++ {
 		if _, ok := <-out; !ok {
@@ -190,7 +190,7 @@ func TestQueryStreamNilQuery(t *testing.T) {
 	in <- ExtractQuery(db[0], 0, 4)
 	close(in)
 	var nilErr, okCount int
-	for br := range eng.QueryStream(context.Background(), in) {
+	for br := range eng.QueryStream(context.Background(), in, 0) {
 		if br.Index == 0 {
 			if br.Err == nil {
 				t.Error("nil query did not error")
