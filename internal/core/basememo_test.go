@@ -118,7 +118,7 @@ func TestBaseMemoLifeCycle(t *testing.T) {
 			hit := func(when string, wantFilters int64) {
 				t.Helper()
 				cs := f.m.Filter(f.q)
-				_, removed0, cost0, ok := ig.CreditsOf(f.q)
+				cost0, ok := ig.LogCostOf(f.q)
 				if !ok {
 					t.Fatalf("%s: q is not cached", when)
 				}
@@ -143,10 +143,8 @@ func TestBaseMemoLifeCycle(t *testing.T) {
 				for _, id := range cs {
 					wantCost = core.LogSumExp(wantCost, core.LogIsoCost(f.q.NumVertices(), f.db[id].NumVertices(), memoLabels))
 				}
-				_, removed1, cost1, _ := ig.CreditsOf(f.q)
-				if removed1-removed0 != int64(len(cs)) || cost1 != core.LogSumExp(cost0, wantCost) {
-					t.Errorf("%s: credited removed %d logCost %v, want %d and %v",
-						when, removed1-removed0, cost1, len(cs), core.LogSumExp(cost0, wantCost))
+				if cost1, _ := ig.LogCostOf(f.q); cost1 != core.LogSumExp(cost0, wantCost) {
+					t.Errorf("%s: credited logCost %v, want %v", when, cost1, core.LogSumExp(cost0, wantCost))
 				}
 			}
 
@@ -335,7 +333,7 @@ func BenchmarkHitsAfterMutation(b *testing.B) {
 		ig.Query(wq.G)
 	}
 	for _, wq := range wl.Generate(db, wl.Spec{NumQueries: 3000, GraphDist: wl.Uniform, NodeDist: wl.Uniform, Seed: 1}) {
-		if _, _, _, ok := ig.CreditsOf(wq.G); ok && len(hot) < 100 {
+		if _, ok := ig.LogCostOf(wq.G); ok && len(hot) < 100 {
 			hot = append(hot, wq.G)
 		}
 	}

@@ -259,7 +259,9 @@ func TestQueryCtxCancellation(t *testing.T) {
 
 	// Mid-verification: the second isomorphism test cancels the context.
 	order := db[0].BFSOrder(0)
-	small, _ := db[0].InducedSubgraph(order[:2]) // cached first; an Isuper hit of q
+	// big is cached first: an Isub hit of q, whose answer — db[0] at least —
+	// it credits as pruned.
+	big, _ := db[0].InducedSubgraph(order[:4])
 	q, _ = db[0].InducedSubgraph(order[:3])
 
 	for name, prepared := range map[string]bool{"verify": false, "prepare": true} {
@@ -269,12 +271,12 @@ func TestQueryCtxCancellation(t *testing.T) {
 			wrapped = cancelOnPreparedTest{c}
 		}
 		ig := New(wrapped, db, Options{CacheSize: 10, Window: 1})
-		ig.Query(small)
+		ig.Query(big)
 		if ig.CacheLen() != 1 {
 			t.Fatalf("%s: setup query not cached", name)
 		}
 		e := ig.snap.Load().entries[0]
-		hits := e.hits.Load()
+		cost := e.loadLogCost()
 
 		ctx, cancel := context.WithCancel(context.Background())
 		c.cancel, c.k, c.n = cancel, 2, 0
@@ -288,8 +290,8 @@ func TestQueryCtxCancellation(t *testing.T) {
 		if ig.WindowLen() != 0 || ig.CacheLen() != 1 {
 			t.Errorf("%s: cancelled query admitted: window=%d cache=%d", name, ig.WindowLen(), ig.CacheLen())
 		}
-		if got := e.hits.Load(); got != hits {
-			t.Errorf("%s: cancelled query credited its hit: H=%d, was %d", name, got, hits)
+		if got := e.loadLogCost(); got != cost {
+			t.Errorf("%s: cancelled query credited its hit: ln C=%v, was %v", name, got, cost)
 		}
 
 		c.k, c.n = 0, 0
@@ -303,7 +305,7 @@ func TestQueryCtxCancellation(t *testing.T) {
 		if o.DatasetIsoTests != c.n || o.DatasetIsoTests != o.FinalCandidates {
 			t.Errorf("%s: %d tests counted, %d run, %d candidates", name, o.DatasetIsoTests, c.n, o.FinalCandidates)
 		}
-		if e.hits.Load() != hits+1 {
+		if e.loadLogCost() == cost {
 			t.Errorf("%s: the completed query did not credit the entry the cancelled one skipped", name)
 		}
 	}

@@ -17,14 +17,15 @@ import (
 // features are worked out once in the entry's lifetime, so that a flush
 // re-derives nothing about a graph the cache already holds.
 //
-// The metadata fields (hits, removed, logCost) are per-entry atomic credit
-// cells: queries fold their buffered §5.1 credits into them lock-free at
-// commit time, so the commit section scales with the number of cores
-// instead of serialising every query on one metadata mutex. Readers
-// (eviction planning, Save) sample the cells atomically; they need no lock
-// because the §5.1 counters are a replacement heuristic, not answers — any
-// torn read across *different* entries still yields a valid utility
-// ranking of some interleaving.
+// The metadata field logCost is a per-entry atomic credit cell: queries
+// fold their buffered §5.1 credits into it lock-free at commit time, so the
+// commit section scales with the number of cores instead of serialising
+// every query on one metadata mutex. Readers (eviction planning, Save)
+// sample the cells atomically; they need no lock because the §5.1 credit is
+// a replacement heuristic, not answers — any torn read across *different*
+// entries still yields a valid utility ranking of some interleaving. The
+// paper's other two counters, H(g) and R(g), are not kept: the utility
+// U(g) = C(g)/M(g) reads neither.
 type entry struct {
 	id     int32        // admission number: snapshot.entries is ascending in it
 	g      *graph.Graph // the query graph (Igraphs store)
@@ -40,8 +41,6 @@ type entry struct {
 	feats []features.IDCount
 
 	insertedAt int64         // query sequence number at insertion (defines M(g))
-	hits       atomic.Int64  // H(g): times found as sub/supergraph of a query
-	removed    atomic.Int64  // R(g): candidates pruned because of this entry
 	logCost    atomic.Uint64 // ln C(g) as float64 bits: log-sum-exp of alleviated test costs
 
 	// base memoises the credit of an identical hit (nil until known). Any
@@ -82,7 +81,7 @@ func newEntry(id int32, g *graph.Graph, answer []int32, seq int64) *entry {
 
 // withAnswer returns a copy of e carrying a different answer set and base
 // memo (nil for none) — the copy-on-write step of dataset-mutation
-// patching. Metadata (hits, removed, logCost) carries over by value; the
+// patching. Metadata (logCost) carries over by value; the
 // graph, its fingerprint, program and features are shared (the cached query
 // itself is untouched by dataset mutation).
 func (e *entry) withAnswer(answer []int32, base *baseMemo) *entry {
@@ -95,8 +94,6 @@ func (e *entry) withAnswer(answer []int32, base *baseMemo) *entry {
 		feats:      e.feats,
 		insertedAt: e.insertedAt,
 	}
-	ne.hits.Store(e.hits.Load())
-	ne.removed.Store(e.removed.Load())
 	ne.logCost.Store(e.logCost.Load())
 	ne.base.Store(base)
 	return ne
@@ -135,13 +132,9 @@ func (e *entry) sizeBytes() int {
 // loadLogCost returns ln C(g).
 func (e *entry) loadLogCost() float64 { return math.Float64frombits(e.logCost.Load()) }
 
-// setMetadata overwrites the credit cells — restore (Load) and test setup;
+// setLogCost overwrites the credit cell — restore (Load) and test setup;
 // the caller must own the entry exclusively.
-func (e *entry) setMetadata(hits, removed int64, logCost float64) {
-	e.hits.Store(hits)
-	e.removed.Store(removed)
-	e.logCost.Store(math.Float64bits(logCost))
-}
+func (e *entry) setLogCost(logCost float64) { e.logCost.Store(math.Float64bits(logCost)) }
 
 // logUtility returns ln U(g) = ln C(g) − ln M(g) at sequence number seq.
 // Entries that never alleviated a test have utility -Inf and are evicted
@@ -162,17 +155,14 @@ func (e *entry) creditHit(queryNodes int, targetSizes []int, labels int) {
 	for _, ni := range targetSizes {
 		delta = LogSumExp(delta, LogIsoCost(queryNodes, ni, labels))
 	}
-	e.applyCredit(int64(len(targetSizes)), delta)
+	e.applyCredit(delta)
 }
 
-// applyCredit folds one buffered hit into the entry's §5.1 credit cells:
-// removed candidates and the pre-combined log-sum-exp cost delta. Lock-free
-// and safe from any number of goroutines — the integer counters are atomic
-// adds and the cost cell a CAS fold (LogSumExp is commutative, so any
+// applyCredit folds one buffered hit into the entry's §5.1 credit cell: the
+// pre-combined log-sum-exp cost delta. Lock-free and safe from any number
+// of goroutines — a CAS fold (LogSumExp is commutative, so any
 // interleaving accumulates the same credit up to float rounding).
-func (e *entry) applyCredit(removed int64, logCostDelta float64) {
-	e.hits.Add(1)
-	e.removed.Add(removed)
+func (e *entry) applyCredit(logCostDelta float64) {
 	for {
 		old := e.logCost.Load()
 		merged := math.Float64bits(LogSumExp(math.Float64frombits(old), logCostDelta))

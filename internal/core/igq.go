@@ -171,7 +171,7 @@ type Outcome struct {
 // (DatasetAppended/DatasetRemoved) install a generation whose db, m and
 // patched entries change *together* — a query loads one snapshot and sees
 // a fully consistent (dataset, index, cache) triple. Entry *metadata*
-// (hits, logCost) is the one mutable element reachable from a snapshot; it
+// (logCost) is the one mutable element reachable from a snapshot; it
 // is written only under IGQ.mu and read only under IGQ.mu (eviction,
 // Save), never on the lock-free answer path.
 type snapshot struct {
@@ -269,7 +269,6 @@ func (sc *queryScratch) logIsoCost(queryNodes, targetNodes, labels int) float64 
 // lock-free during the query, applied under IGQ.mu at commit.
 type pendingCredit struct {
 	e       *entry
-	removed int64   // candidates this hit pruned
 	logCost float64 // log-sum-exp of the alleviated test costs (-Inf if none)
 }
 
@@ -455,7 +454,7 @@ func (q *IGQ) run(ctx context.Context, g *graph.Graph, admit bool) (*Outcome, er
 		if len(identical.answer) > 0 {
 			out.Answer = append([]int32(nil), identical.answer...)
 		}
-		identical.applyCredit(int64(base.n), base.logCost)
+		identical.applyCredit(base.logCost)
 		return out, nil
 	}
 
@@ -570,9 +569,10 @@ func (q *IGQ) baseCandidates(snap *snapshot, g *graph.Graph, sc *queryScratch, o
 // countFilter returns m's count filter when it is sound to feed it the
 // cache's enumeration: m's index was built over the cache's own dictionary
 // at the cache's feature length. Then CS(g) is decided graph by graph by
-// the per-feature count comparison the cache index applies too (FilterCountGE
-// in subgraph mode, Algorithm 2 in supergraph mode), which the mutation
-// patches rely on. nil otherwise.
+// per-feature count comparisons over the cache's feature IDs — the dataset
+// side's FilterCountGE in subgraph mode, Algorithm 2 in supergraph mode,
+// the same comparisons cacheIndex.candidates applies to the cached graphs —
+// which the mutation patches rely on. nil otherwise.
 func (q *IGQ) countFilter(m index.Method) index.CountFilterer {
 	cf, counts := m.(index.CountFilterer)
 	dp, shares := m.(index.DictProvider)
@@ -629,7 +629,7 @@ func (q *IGQ) cacheLookup(snap *snapshot, g *graph.Graph, qf features.IDSet, sc 
 // contribution is folded into a single log-sum-exp delta here, lock-free,
 // so the later application under IGQ.mu is O(1) per credited entry.
 func (q *IGQ) pendCredit(sc *queryScratch, db []*graph.Graph, e *entry, queryNodes int, prunedIDs []int32) {
-	sc.credits = append(sc.credits, pendingCredit{e: e, removed: int64(len(prunedIDs)), logCost: q.foldIsoCosts(math.Inf(-1), sc, db, queryNodes, prunedIDs)})
+	sc.credits = append(sc.credits, pendingCredit{e: e, logCost: q.foldIsoCosts(math.Inf(-1), sc, db, queryNodes, prunedIDs)})
 }
 
 // foldIsoCosts folds the §5.1 test costs a queryNodes-vertex query would pay
@@ -669,7 +669,7 @@ func (q *IGQ) newBaseMemo(snap *snapshot, sc *queryScratch, queryNodes int, cs [
 // answers); credits against superseded entry clones are simply lost.
 func (q *IGQ) commit(sc *queryScratch, snap *snapshot, g *graph.Graph, qf features.IDSet, answer, cs []int32, admit bool) {
 	for _, c := range sc.credits {
-		c.e.applyCredit(c.removed, c.logCost)
+		c.e.applyCredit(c.logCost)
 	}
 	if !admit {
 		return

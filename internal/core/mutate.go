@@ -42,7 +42,7 @@ package core
 // query graphs' features by entry position, and a dataset mutation touches
 // neither. Callers serialise mutations against each other.
 //
-// Entry metadata (hits, removed, logCost) carries over by value. A credit
+// Entry metadata (logCost) carries over by value. A credit
 // computed by a query in flight against the pre-mutation generation may be
 // applied to a superseded entry object and lost — harmless (the §5.1
 // counters are a replacement heuristic, not answers) and only possible

@@ -22,16 +22,23 @@
 // key a dense FeatureID (uint32), and PathsID enumerates a graph's path
 // features directly as (FeatureID, count) pairs.
 //
-// Paths are never rendered per occurrence. The Dict also holds a
-// label-transition table, the automaton of the path label sequences it has
-// seen: (node, label) → node, each node carrying the FeatureID of the
-// canonical key of the sequence that reaches it, so that both orientations
-// of a path end at nodes with one ID. The enumeration DFS carries a node,
-// and a path occurrence costs one table step and one counter bump. A key is
-// rendered only when a walk takes a transition the table lacks. The string
-// map stays the source of truth: snapshots and journals persist keys,
-// loaders intern keys, and the table is derived state, filled by the walks
-// that run. Indexes that share one Dict (the dataset trie and iGQ's
+// Paths are never rendered per occurrence, and path keys are not stored as
+// strings at all. The Dict is a label-transition table, the automaton of
+// the path label sequences it has seen: (node, label) → node, each node
+// carrying the FeatureID of the canonical key of the sequence that reaches
+// it, so that both orientations of a path end at nodes with one ID, and
+// each FeatureID naming its canonical node — the node its key's own label
+// sequence reaches. The enumeration DFS carries a node, and a path
+// occurrence costs one table probe and one counter bump. A walk renders a
+// key only when it takes a transition the table lacks, or reaches a node
+// whose feature is not resolved yet: it renders the path both ways (the
+// smaller rendering, byte-wise, is the canonical key) and probes the
+// canonical orientation's chain from its root. Keys are rendered from a
+// node's chain only where bytes leave the process: snapshot and journal
+// writes, Dict.Key and Dict.Keys. Loaders intern saved keys by parsing
+// them into their chains. A key that is not a path's canonical rendering
+// keeps its exact string in a small side map, which path indexes never
+// fill. Indexes that share one Dict (the dataset trie and iGQ's
 // cache-side Isub/Isuper) therefore canonicalise a query once and
 // afterwards exchange only integer IDs.
 package features

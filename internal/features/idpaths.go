@@ -1,16 +1,12 @@
 package features
 
-import (
-	"bytes"
-	"strconv"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Sentinel IDs of path-table nodes that carry no feature.
 const (
 	noFeature      = ^FeatureID(0) // roots and edge-label nodes
 	unknownFeature = noFeature - 1 // a lookup-only walk's node whose key the Dict lacks
+	absentFeature  = noFeature - 2 // a node whose feature is not resolved yet
 )
 
 // ownNode is a node a walk made because the table lacked the transition
@@ -19,6 +15,12 @@ type ownNode struct {
 	parent uint32
 	label  graph.Label
 	id     FeatureID
+}
+
+// fixNode is a table node whose ID a walk resolved.
+type fixNode struct {
+	node uint32
+	id   FeatureID
 }
 
 // Scratch holds the reusable state of an ID-based path enumeration: the DFS
@@ -30,10 +32,9 @@ type Scratch struct {
 	counts  []int32       // occurrence count per FeatureID, reset after each run
 	touched []FeatureID   // IDs with non-zero count, in first-visit order
 	out     []IDCount     // result buffer returned via IDSet.Counts
-	fwd     []byte        // forward canonical rendering
-	rev     []byte        // reverse canonical rendering
 	seq     []graph.Label // labels of the path being walked (edge labels interleaved)
 	inPath  []bool        // DFS visited marks
+	kb      keyBuf
 
 	// The walk in progress.
 	d       *Dict
@@ -46,17 +47,19 @@ type Scratch struct {
 	// node base+i is own[i].
 	base uint32
 	own  []ownNode
-	// pend holds the walk's transitions that the table lacks, packed as in
-	// Dict.next.
-	pend map[uint64]uint64
-	// idBase is len(d.keys) when the walk (or the round) began. An
-	// interning walk numbers the keys it finds new idBase, idBase+1, …
-	// (newKeys order) until they are interned.
-	idBase  FeatureID
-	newIDs  map[string]FeatureID
-	newKeys []string
-	remap   []FeatureID // provisional ID - idBase → interned ID (noFeature until interned)
-	real    []uint32    // install: own node → table node
+	// pend holds, packed as id<<32 | child, the walk's transitions that the
+	// table lacks, and those whose table node lacks the ID the walk
+	// resolved (also listed in fixes).
+	pend  map[uint64]uint64
+	fixes []fixNode
+	// idBase is d's key count when the walk (or the round) began. An
+	// interning walk numbers the features it finds new idBase, idBase+1, …
+	// until they are interned; newNodes[i] is the canonical node of
+	// feature idBase+i.
+	idBase   FeatureID
+	newNodes []uint32
+	remap    []FeatureID // provisional ID - idBase → interned ID (noFeature until interned)
+	real     []uint32    // install: own node → table node
 	// round is the Round whose overlay the scratch holds, nil outside one.
 	round *Round
 }
@@ -80,12 +83,14 @@ func NewScratch() *Scratch { return &Scratch{} }
 // unknown path: d's path keys come from whole enumerations, so every path
 // through an unknown one is unknown too, and the known counts are complete.
 //
-// The walk runs under d's read lock. Transitions missing from the path
-// table are resolved against the keys and installed after the walk: an
-// interning walk takes the write lock for that (and interns its new keys
-// in first-visit order, so a sequential build numbers features
-// deterministically), a lookup-only walk installs only if the write lock is
-// free at once.
+// The walk runs under d's read lock. A transition missing from the path
+// table, or a node whose feature is not resolved yet, is resolved by
+// rendering the path's key both ways and probing the canonical
+// orientation's chain; the walk's new nodes and resolved IDs are installed
+// after it: an interning walk takes the write lock for that (and numbers
+// its new features in first-visit order, so a sequential build numbers
+// features deterministically), a lookup-only walk installs only if the
+// write lock is free at once.
 //
 // The returned IDSet.Counts slice is owned by s and is valid only until the
 // next enumeration with the same scratch.
@@ -101,7 +106,7 @@ func PathsID(g *graph.Graph, opt PathOptions, d *Dict, s *Scratch, intern bool) 
 func PathsIDRange(g *graph.Graph, opt PathOptions, d *Dict, s *Scratch, intern bool, lo, hi int) IDSet {
 	for {
 		gen := s.walk(d, g, opt, intern, lo, hi)
-		if len(s.own) == 0 || s.install(gen) {
+		if len(s.own) == 0 && len(s.fixes) == 0 || s.install(gen) {
 			return s.finish()
 		}
 		s.discard() // a Reset raced the walk: enumerate afresh
@@ -121,13 +126,12 @@ func (s *Scratch) walk(d *Dict, g *graph.Graph, opt PathOptions, intern bool, lo
 // d's lock.
 func (s *Scratch) join(d *Dict, intern bool) {
 	s.d, s.intern = d, intern
-	s.base, s.idBase = uint32(len(d.next)+roots), FeatureID(len(d.keys))
-	if len(s.counts) < len(d.keys) {
-		s.counts = append(s.counts, make([]int32, len(d.keys)-len(s.counts))...)
+	s.base, s.idBase = uint32(len(d.at)), FeatureID(len(d.canon))
+	if len(s.counts) < len(d.canon) {
+		s.counts = append(s.counts, make([]int32, len(d.canon)-len(s.counts))...)
 	}
 	if s.pend == nil {
 		s.pend = make(map[uint64]uint64)
-		s.newIDs = make(map[string]FeatureID)
 	}
 }
 
@@ -200,94 +204,114 @@ func (s *Scratch) extend(v int, node uint32, depth int) {
 }
 
 // step follows the transition from node by the last label of s.seq: one
-// table probe when the table has it. edge marks an edge-label step of a
-// labeled walk.
+// table probe when the table has it and its node's feature is resolved.
+// edge marks an edge-label step of a labeled walk.
 func (s *Scratch) step(node uint32, edge bool) (uint32, FeatureID) {
 	l := s.seq[len(s.seq)-1]
-	k := uint64(node)<<32 | uint64(uint32(l))
 	if node < s.base {
-		if t, ok := s.d.next[k]; ok {
-			return uint32(t), FeatureID(t >> 32)
+		if c, id := s.d.get(tkey(node, l)); c != 0 && id != absentFeature {
+			return c, id
 		}
 	}
-	if t, ok := s.pend[k]; ok {
-		return uint32(t), FeatureID(t >> 32)
-	}
-	return s.miss(node, l, k, edge)
+	return s.slow(node, l, edge)
 }
 
-// miss makes the walk's own node for a transition the table lacks,
-// resolving its feature by rendering its key.
-func (s *Scratch) miss(node uint32, l graph.Label, k uint64, edge bool) (uint32, FeatureID) {
-	id := noFeature
-	if !edge {
-		key := s.render()
-		if known, ok := s.d.ids[string(key)]; ok {
-			id = known
-		} else if !s.intern {
-			id = unknownFeature
-		} else if seen, ok := s.newIDs[string(key)]; ok {
-			id = seen
-		} else {
-			id = s.idBase + FeatureID(len(s.newKeys))
-			str := string(key)
-			s.newKeys = append(s.newKeys, str)
-			s.newIDs[str] = id
-			for int(id) >= len(s.counts) {
-				s.counts = append(s.counts, 0)
-			}
-		}
+// slow is step through the overlay: it makes the walk's own node for a
+// transition the table lacks, and resolves the feature of a node that
+// lacks it.
+func (s *Scratch) slow(node uint32, l graph.Label, edge bool) (uint32, FeatureID) {
+	c, id, ok := s.look(node, l)
+	if ok && id != absentFeature {
+		return c, id
 	}
-	c := s.base + uint32(len(s.own))
-	s.own = append(s.own, ownNode{node, l, id})
-	s.pend[k] = uint64(id)<<32 | uint64(c)
+	if edge {
+		return s.add(node, l, noFeature), noFeature
+	}
+	if !ok {
+		c = s.add(node, l, absentFeature)
+	}
+	id = s.resolve(c)
+	s.setID(node, l, c, id)
 	return c, id
 }
 
-// render returns the canonical key of the path in s.seq: the smaller of
-// the forward and reverse decimal renderings of its labels, "p:"-prefixed,
-// or "p:!" with edge labels interleaved (v0.e0.v1…) when an edge label on
-// the path is non-zero. The "!" keeps labeled keys disjoint from unlabeled
-// ones (an interleaved sequence could otherwise collide with a longer
-// unlabeled path's key); a path whose edge labels are all zero takes the
-// unlabeled form, so graphs mixing labeled and unlabeled edges filter
-// correctly against each other. The comparison is over the rendered bytes
-// (lexicographic over decimals, not numeric). The key is valid until the
-// next render.
-func (s *Scratch) render() []byte {
-	seq := s.seq
-	stride, prefix := 1, "p:"
-	if s.labeled { // seq alternates vertex and edge labels
-		stride = 2
-		for i := 1; i < len(seq); i += 2 {
-			if seq[i] != 0 {
-				stride, prefix = 1, "p:!"
-				break
-			}
+// look returns the node and ID that transition (node, l) reaches in the
+// table under the overlay, ok false if neither has it.
+func (s *Scratch) look(node uint32, l graph.Label) (c uint32, id FeatureID, ok bool) {
+	k := tkey(node, l)
+	if node < s.base {
+		if c, id = s.d.get(k); c != 0 && id != absentFeature {
+			return c, id, true
 		}
 	}
-	s.fwd = appendLabels(append(s.fwd[:0], prefix...), seq, stride, false)
-	s.rev = appendLabels(append(s.rev[:0], prefix...), seq, stride, true)
-	if bytes.Compare(s.rev, s.fwd) < 0 {
-		return s.rev
+	if t, ok := s.pend[k]; ok {
+		return uint32(t), FeatureID(t >> 32), true
 	}
-	return s.fwd
+	return c, absentFeature, c != 0
 }
 
-// appendLabels renders every stride-th label of seq, '.'-separated, from
-// the front or from the back.
-func appendLabels(b []byte, seq []graph.Label, stride int, rev bool) []byte {
-	for i := 0; i < len(seq); i += stride {
-		if i > 0 {
-			b = append(b, '.')
-		}
-		l := seq[i]
-		if rev {
-			l = seq[len(seq)-1-i]
-		}
-		b = strconv.AppendInt(b, int64(l), 10)
+// add makes the walk's own node reached by (parent, l).
+func (s *Scratch) add(parent uint32, l graph.Label, id FeatureID) uint32 {
+	c := s.base + uint32(len(s.own))
+	s.own = append(s.own, ownNode{parent, l, id})
+	s.pend[tkey(parent, l)] = uint64(id)<<32 | uint64(c)
+	return c
+}
+
+// setID gives node c, reached by (parent, l), the feature id.
+func (s *Scratch) setID(parent uint32, l graph.Label, c uint32, id FeatureID) {
+	if c >= s.base {
+		s.own[c-s.base].id = id
+	} else if id != unknownFeature {
+		s.fixes = append(s.fixes, fixNode{c, id})
 	}
-	return b
+	s.pend[tkey(parent, l)] = uint64(id)<<32 | uint64(c)
+}
+
+// resolve returns the feature of the path in s.seq, whose node is self:
+// the ID its canonical node carries. When that node has none (or is
+// missing), the feature is unknown to a lookup-only walk; an interning
+// walk gives it a provisional ID, making the canonical chain's missing
+// nodes in the overlay — at most 2·MaxLen+1 probes and steps from the
+// canonical root.
+func (s *Scratch) resolve(self uint32) FeatureID {
+	root, cseq, isSelf := s.kb.canonical(s.seq, s.labeled)
+	if isSelf {
+		return s.newFeature(self)
+	}
+	n, parent, id := root, root, absentFeature
+	for i, l := range cseq {
+		c, cid, ok := s.look(n, l)
+		if !ok {
+			if !s.intern {
+				return unknownFeature
+			}
+			c, cid = s.add(n, l, chainID(root, i)), chainID(root, i)
+		}
+		n, parent, id = c, n, cid
+	}
+	if id != absentFeature {
+		return id
+	}
+	if id = s.newFeature(n); id != unknownFeature {
+		s.setID(parent, cseq[len(cseq)-1], n, id)
+	}
+	return id
+}
+
+// newFeature numbers the feature whose canonical node is n, which has no
+// ID: the next provisional ID in an interning walk, unknownFeature in a
+// lookup-only one.
+func (s *Scratch) newFeature(n uint32) FeatureID {
+	if !s.intern {
+		return unknownFeature
+	}
+	id := s.idBase + FeatureID(len(s.newNodes))
+	s.newNodes = append(s.newNodes, n)
+	for int(id) >= len(s.counts) {
+		s.counts = append(s.counts, 0)
+	}
+	return id
 }
 
 func (s *Scratch) count(id FeatureID) {
@@ -297,13 +321,14 @@ func (s *Scratch) count(id FeatureID) {
 	s.counts[id]++
 }
 
-// provisional reports whether id is one an interning walk gave a new key.
-func (s *Scratch) provisional(id FeatureID) bool { return id >= s.idBase && id < unknownFeature }
+// provisional reports whether id is one an interning walk gave a new
+// feature.
+func (s *Scratch) provisional(id FeatureID) bool { return id >= s.idBase && id < absentFeature }
 
-// install interns the walk's new keys in first-visit order and adds its
-// own nodes to the table, unless the walk is lookup-only and the write
-// lock is taken. It reports false only when an interning walk must run
-// again because a Reset came between walk and install.
+// install adds the walk's own nodes to the table and numbers its new
+// features in first-visit order, unless the walk is lookup-only and the
+// write lock is taken. It reports false only when an interning walk must
+// run again because a Reset came between walk and install.
 func (s *Scratch) install(gen uint64) bool {
 	d := s.d
 	if s.intern {
@@ -315,17 +340,18 @@ func (s *Scratch) install(gen uint64) bool {
 	if d.gen != gen {
 		return !s.intern
 	}
-	s.remap = s.remap[:0]
-	for _, key := range s.newKeys {
-		s.remap = append(s.remap, d.internLocked(key))
-	}
 	s.installNodes()
+	s.remap = s.remap[:0]
+	for i := range s.newNodes {
+		s.remap = append(s.remap, s.number(i))
+	}
+	s.installIDs()
 	return true
 }
 
 // installNodes adds the overlay's nodes that the table still lacks, with
-// their provisional IDs resolved through s.remap. The caller holds d's
-// write lock.
+// their known IDs; provisional ones wait for installIDs. The caller holds
+// d's write lock.
 func (s *Scratch) installNodes() {
 	d := s.d
 	s.real = s.real[:0]
@@ -337,13 +363,56 @@ func (s *Scratch) installNodes() {
 		if n.parent >= s.base {
 			n.parent = s.real[n.parent-s.base]
 		}
-		k := uint64(n.parent)<<32 | uint64(uint32(n.label))
-		t, ok := d.next[k]
-		if !ok { // else another walk installed it since
-			t = uint64(s.Resolve(n.id))<<32 | uint64(len(d.next)+roots)
-			d.next[k] = t
+		id := n.id
+		if s.provisional(id) {
+			id = absentFeature
 		}
-		s.real = append(s.real, uint32(t))
+		k := tkey(n.parent, n.label)
+		c, was := d.get(k)
+		if c == 0 {
+			c = d.add(k, id)
+		} else if was == absentFeature && id != absentFeature { // else another walk installed it since
+			d.setNodeID(c, id)
+		}
+		s.real = append(s.real, c)
+	}
+	for len(s.remap) < len(s.newNodes) {
+		s.remap = append(s.remap, noFeature)
+	}
+}
+
+// number interns new feature i of the walk: the ID its canonical node
+// carries if another walk interned it since, else the next dense ID. The
+// caller holds d's write lock, after installNodes.
+func (s *Scratch) number(i int) FeatureID {
+	d, c := s.d, s.newNodes[i]
+	if c >= s.base {
+		c = s.real[c-s.base]
+	}
+	if id := d.nodeID(c); id != absentFeature {
+		return id
+	}
+	id := FeatureID(len(d.canon))
+	d.canon = append(d.canon, c)
+	d.setNodeID(c, id)
+	return id
+}
+
+// installIDs gives the installed nodes that still lack an ID the one the
+// walk resolved, provisional IDs through s.remap.
+func (s *Scratch) installIDs() {
+	set := func(c uint32, id FeatureID) {
+		if s.d.nodeID(c) == absentFeature {
+			s.d.setNodeID(c, s.Resolve(id))
+		}
+	}
+	for i, n := range s.own {
+		if s.provisional(n.id) {
+			set(s.real[i], n.id)
+		}
+	}
+	for _, f := range s.fixes {
+		set(f.node, f.id)
 	}
 }
 
@@ -392,13 +461,8 @@ func (s *Scratch) discard() {
 
 func (s *Scratch) clearWalk() {
 	s.d, s.round = nil, nil
-	s.own = s.own[:0]
+	s.own, s.fixes, s.newNodes = s.own[:0], s.fixes[:0], s.newNodes[:0]
 	if len(s.pend) > 0 {
 		clear(s.pend)
-	}
-	if len(s.newKeys) > 0 {
-		clear(s.newIDs)
-		clear(s.newKeys)
-		s.newKeys = s.newKeys[:0]
 	}
 }

@@ -10,13 +10,14 @@ import "repro/internal/graph"
 // so the keys and the path table stay as they were. Workers then enumerate
 // contiguous chunks of the input (AppendPaths), each with a Scratch of its
 // own: table reads take no lock, and every transition the table lacks goes
-// to the scratch's private overlay, its key given a provisional ID if the
-// dictionary lacks it too. Commit takes the chunks in input order and
-// interns the new keys chunk by chunk, in the order their chunk first
-// visited them — which is the order a sequential enumeration of the same
-// input meets them, since a key is new to the round exactly when no earlier
-// chunk of an earlier round visited it — then installs every overlay into
-// the table. Scratch.Resolve then maps a provisional ID to the interned
+// to the scratch's private overlay, its feature given a provisional ID if
+// the dictionary lacks it too. Commit installs every overlay into the
+// table, which merges the scratches' nodes for one path into one node, and
+// then numbers the new features chunk by chunk, in the order their chunk
+// first visited them, by their canonical nodes — which is the order a
+// sequential enumeration of the same input meets them, since a feature is
+// new to the round exactly when no earlier chunk of an earlier round
+// visited it. Scratch.Resolve then maps a provisional ID to the interned
 // one.
 //
 // The round's numbering and its table are independent of how the chunks
@@ -58,35 +59,37 @@ func (r *Round) AppendPaths(s *Scratch, dst []IDCount, g *graph.Graph, opt PathO
 	return s.drain(dst, false)
 }
 
-// Commit ends the round: it interns the new keys of chunks in their order
-// and installs every scratch's overlay into the path table. chunks must
-// list every chunk of the round, in input order. Afterwards the scratches
-// resolve their provisional IDs (Scratch.Resolve) until they enumerate in
-// another round.
+// Commit ends the round: it installs every scratch's overlay into the
+// path table, then numbers the new features of chunks in their order, each
+// by its canonical node. chunks must list every chunk of the round, in
+// input order. Afterwards the scratches resolve their provisional IDs
+// (Scratch.Resolve) until they enumerate in another round.
 func (r *Round) Commit(chunks []Chunk) {
 	d := r.d
 	d.mu.RUnlock()
 	r.frozen = false
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, c := range chunks {
-		s := c.S
-		for len(s.remap) < len(s.newKeys) {
-			s.remap = append(s.remap, noFeature)
-		}
-		for _, f := range c.Counts {
-			if s.provisional(f.ID) {
-				if i := f.ID - s.idBase; s.remap[i] == noFeature {
-					s.remap[i] = d.internLocked(s.newKeys[i])
-				}
-			}
-		}
-	}
+	var ss []*Scratch
 	for _, c := range chunks {
 		if c.S.round == r { // not installed yet
 			c.S.installNodes()
 			c.S.round = nil
+			ss = append(ss, c.S)
 		}
+	}
+	for _, c := range chunks {
+		s := c.S
+		for _, f := range c.Counts {
+			if s.provisional(f.ID) {
+				if i := f.ID - s.idBase; s.remap[i] == noFeature {
+					s.remap[i] = s.number(int(i))
+				}
+			}
+		}
+	}
+	for _, s := range ss {
+		s.installIDs()
 	}
 }
 

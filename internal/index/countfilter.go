@@ -65,8 +65,9 @@ func PutCountFilterScratch(s *CountFilterScratch) { countFilterPool.Put(s) }
 //
 // Callers must handle the empty-feature case (len(qf.Counts) == 0 &&
 // qf.Unknown == 0) themselves: the matching universe (all dataset
-// positions, all cached entries, ...) differs per index. Shared by GGSX,
-// Grapes and iGQ's Isub.
+// positions, ...) differs per index. Shared by GGSX and Grapes; iGQ's
+// Isub applies the same per-feature count comparison in its own pass over
+// the cached graphs (cacheIndex.candidates in internal/core).
 func FilterCountGE(tr *trie.Trie, qf features.IDSet, s *CountFilterScratch) []int32 {
 	if qf.Unknown > 0 {
 		// Some query feature was never seen by this index's dictionary, so

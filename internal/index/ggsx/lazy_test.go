@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -165,10 +166,11 @@ func TestLoadersShareTheSegmentRule(t *testing.T) {
 	}
 }
 
-// TestLazyIndexTableEmptyBeforeFirstQuery: loaders intern the snapshot's
-// keys only, so a lazily opened (or eagerly loaded) index has no path-table
-// transitions until a query walks it.
-func TestLazyIndexTableEmptyBeforeFirstQuery(t *testing.T) {
+// TestLoadedTableHoldsCanonicalChains: loaders intern the snapshot's keys
+// as their canonical chains, so a lazily opened (or eagerly loaded) index
+// has exactly one path-table node per distinct prefix of a key's label
+// sequence until a query walks it.
+func TestLoadedTableHoldsCanonicalChains(t *testing.T) {
 	db := randomDB(40, 1)
 	buf := savedIndex(t, db)
 	lazy := New(Options{MaxPathLen: 3})
@@ -180,29 +182,50 @@ func TestLazyIndexTableEmptyBeforeFirstQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, x := range map[string]*Index{"lazy": lazy, "eager": eager} {
-		if n := x.FeatureDict().TableLen(); n != 0 {
-			t.Errorf("%s load: %d table transitions before the first query, want 0", name, n)
+		want := chainSeqs(t, x.FeatureDict().Keys())
+		if n := x.FeatureDict().TableLen(); n != len(want) {
+			t.Errorf("%s load: %d table transitions before the first query, want the %d of the keys' chains", name, n, len(want))
 		}
 	}
 }
 
+// chainSeqs returns the distinct prefixes of the label sequences of
+// unlabeled path keys, rendered ".l0.l1…".
+func chainSeqs(t *testing.T, keys []string) map[string]bool {
+	t.Helper()
+	seqs := make(map[string]bool)
+	for _, k := range keys {
+		rest, ok := strings.CutPrefix(k, "p:")
+		if !ok || strings.HasPrefix(rest, "!") {
+			t.Fatalf("key %q is not an unlabeled path key", k)
+		}
+		seq := ""
+		for _, l := range strings.Split(rest, ".") {
+			seq += "." + l
+			seqs[seq] = true
+		}
+	}
+	return seqs
+}
+
 // TestLazyIndexTableHoldsWhatOneQueryWalked: after one query over a lazily
-// opened index, the path table holds exactly the transitions that query
-// walked: one per distinct directed label sequence of its known paths (the
-// query's out-of-vocabulary vertex ends every path through it).
+// opened index, the path table holds the loaded keys' chains and exactly
+// the transitions that query walked: one per distinct directed label
+// sequence of its known paths (the query's out-of-vocabulary vertex ends
+// every path through it).
 func TestLazyIndexTableHoldsWhatOneQueryWalked(t *testing.T) {
 	db := randomDB(40, 1)
 	lazy := New(Options{MaxPathLen: 3})
 	if _, err := lazy.LoadIndexLazy(bytes.NewReader(savedIndex(t, db)), db, 0); err != nil {
 		t.Fatal(err)
 	}
+	seqs := chainSeqs(t, lazy.FeatureDict().Keys())
 	q := db[7].Clone()
 	q.AddVertex(95)
 	q.AddEdge(0, q.NumVertices()-1)
 	if got := lazy.Filter(q); len(got) != 0 {
 		t.Fatalf("a query with an unknown label matched %v", got)
 	}
-	seqs := make(map[string]bool)
 	var walk func(v int, prefix string, depth int, inPath []bool)
 	walk = func(v int, prefix string, depth int, inPath []bool) {
 		if q.Label(v) == 95 {
@@ -225,7 +248,7 @@ func TestLazyIndexTableHoldsWhatOneQueryWalked(t *testing.T) {
 		walk(v, "", 0, make([]bool, q.NumVertices()))
 	}
 	if n := lazy.FeatureDict().TableLen(); n != len(seqs) {
-		t.Errorf("table holds %d transitions after one query, want the %d it walked", n, len(seqs))
+		t.Errorf("table holds %d transitions after one query, want the %d of the chains and the walk", n, len(seqs))
 	}
 }
 
