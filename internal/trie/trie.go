@@ -379,7 +379,7 @@ func (t *Trie) LiveDictSizeBytes() int {
 	}
 	sz := t.dict.SizeBytes()
 	for id := range t.dead {
-		sz -= features.DictEntrySizeBytes(t.dict.Key(id))
+		sz -= t.dict.EntrySizeBytes(id)
 	}
 	return sz
 }
