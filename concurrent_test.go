@@ -149,8 +149,9 @@ func TestQueryBatchParallelWithCache(t *testing.T) {
 }
 
 // TestEngineSaveCacheConcurrentSnapshot verifies the consistency contract of
-// SaveCache under load: a snapshot taken while 6 goroutines are querying
-// must load cleanly into a fresh engine and answer correctly.
+// Engine.Save under load: a snapshot, cache section included, taken while 6
+// goroutines are querying must load cleanly into a fresh engine and answer
+// correctly.
 func TestEngineSaveCacheConcurrentSnapshot(t *testing.T) {
 	db := smallDB(t)
 	queries := mixedQueries(db, 60, 63)
@@ -179,7 +180,7 @@ func TestEngineSaveCacheConcurrentSnapshot(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 8; i++ {
 			var buf bytes.Buffer
-			if err := eng.SaveCache(&buf); err != nil {
+			if err := eng.Save(&buf); err != nil {
 				t.Errorf("save %d: %v", i, err)
 				return
 			}
@@ -194,11 +195,8 @@ func TestEngineSaveCacheConcurrentSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, buf := range snaps {
-		fresh, err := NewEngine(db, EngineOptions{Method: GGSX, CacheSize: 12, Window: 3})
+		fresh, _, err := LoadEngineReport(buf, db, EngineOptions{Method: GGSX, CacheSize: 12, Window: 3})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.LoadCache(buf); err != nil {
 			t.Fatalf("snapshot %d does not load: %v", i, err)
 		}
 		if fresh.CacheLen() > 12 {

@@ -448,7 +448,7 @@ func TestQueryPanicIsolation(t *testing.T) {
 	if err := eng.Save(&buf); err != nil {
 		t.Fatalf("post-panic save: %v", err)
 	}
-	clean, err := LoadEngine(bytes.NewReader(buf.Bytes()), eng.Dataset(), opt)
+	clean, _, err := LoadEngineReport(bytes.NewReader(buf.Bytes()), eng.Dataset(), opt)
 	if err != nil {
 		t.Fatalf("post-panic snapshot does not load: %v", err)
 	}

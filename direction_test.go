@@ -97,7 +97,7 @@ func TestEngineSnapshotKeepsCacheDirection(t *testing.T) {
 					t.Fatal(err)
 				}
 				opt.Supergraph = loader == SupergraphQueries
-				loaded, err := LoadEngine(bytes.NewReader(snap.Bytes()), db, opt)
+				loaded, _, err := LoadEngineReport(bytes.NewReader(snap.Bytes()), db, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,36 +119,6 @@ func TestEngineSnapshotKeepsCacheDirection(t *testing.T) {
 			})
 		}
 	}
-}
-
-// A bare cache snapshot is refused by an engine whose default direction is
-// the other one.
-func TestLoadCacheRefusesOtherDirection(t *testing.T) {
-	db, qs := directionWorkload(4)
-	ctx := context.Background()
-	sub, err := NewEngine(db, EngineOptions{CacheSize: 50, Window: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	super, err := NewEngine(db, EngineOptions{CacheSize: 50, Window: 2, Supergraph: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range qs {
-		sub.Query(ctx, q)
-		super.Query(ctx, q)
-	}
-	for _, c := range []struct{ from, into *Engine }{{sub, super}, {super, sub}} {
-		var snap bytes.Buffer
-		if err := c.from.SaveCache(&snap); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.into.LoadCache(&snap); err == nil {
-			t.Errorf("%s engine loaded a %s engine's cache", c.into.MethodName(), c.from.MethodName())
-		}
-	}
-	checkBothDirections(t, sub, qs)
-	checkBothDirections(t, super, qs)
 }
 
 // The non-default direction's cache is made on that direction's first

@@ -146,13 +146,13 @@ func FuzzLoadEngine(f *testing.F) {
 		opt := EngineOptions{Method: GGSX, MaxPathLen: 3, CacheSize: 4, Window: 1}
 
 		// Lazy leg: the mapped loader, with its deferred per-shard decodes
-		// forced back in via MaterializeIndex, must agree with the streaming
+		// forced back in as a mutation forces them, must agree with the streaming
 		// loader on accept/reject and on the recovery report — corruption it
 		// defers to fault-in has to surface by materialisation, and it must
 		// never reject bytes the streaming loader accepts.
 		leng, lrep, lerr := loadEngineLazy(bytes.NewReader(data), db, opt, 0)
 		if lerr == nil {
-			lerr = leng.MaterializeIndex()
+			lerr = leng.materialize()
 		}
 
 		// Whole-engine restore: error or success (possibly with a salvaged
@@ -237,7 +237,7 @@ func TestFuzzSeedsRoundTrip(t *testing.T) {
 		if err := eng.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadEngine(bytes.NewReader(buf.Bytes()), db, opt); err != nil {
+		if _, _, err := LoadEngineReport(bytes.NewReader(buf.Bytes()), db, opt); err != nil {
 			t.Fatalf("seed %d does not round-trip: %v", i, err)
 		}
 	}

@@ -27,8 +27,9 @@
 // # Concurrency model
 //
 // An Engine is safe for concurrent use: any number of goroutines may call
-// Query, QueryBatch, Stats, CacheLen, IndexSizeBytes and SaveCache on one
-// Engine at the same time. Concurrent serving is the default, not a mode.
+// Query, QueryStream, QueryBatchCtx, Stats, CacheLen, IndexSizeBytes and
+// Save on one Engine at the same time. Concurrent serving is the default,
+// not a mode.
 //
 //   - The answer path is lookup-only. Each query runs against an immutable
 //     cache snapshot (swapped in atomically by window flushes) and the
@@ -41,11 +42,9 @@
 //     the paper's §5.2 shadow index: the query that fills the window builds
 //     the next cache-side index beside the served one and installs it with
 //     a pointer swap, while every other query keeps reading the old one.
-//   - SaveCache takes that same mutex for the duration of the encode, so a
-//     snapshot taken mid-stream is consistent: it excludes in-flight
-//     admissions and reflects the latest completed flush. LoadCache
-//     installs the restored cache atomically; queries in flight keep the
-//     cache generation they started with.
+//   - Save encodes the cache under that same mutex, so a snapshot taken
+//     mid-stream is consistent: it excludes in-flight admissions and
+//     reflects the latest completed flush.
 //   - Under concurrency the cache-hit *rate* may differ from a sequential
 //     run of the same stream (two in-flight copies of a novel query cannot
 //     serve each other), but answers never do: every answer equals what the
@@ -58,26 +57,26 @@
 // snapshots have different lifetimes and guards:
 //
 //   - The *index* snapshot (SaveIndex/LoadIndex, or the index half of
-//     Save/LoadEngine) captures the method's dataset index: the trie's
+//     Save/LoadEngineFile) captures the method's dataset index: the trie's
 //     segments plus the feature dictionary. It is invalidated only by a
 //     change to the dataset — any edit, addition, removal or reorder flips
 //     the embedded checksum and the load fails rather than answer with
 //     wrong positions. GGSX and Grapes support it; a loaded index answers
 //     byte-identically to a freshly built one, turning cold start from
 //     O(dataset re-enumeration) into O(read).
-//   - The *cache* snapshot (SaveCache/LoadCache, or the cache half of
-//     Save/LoadEngine) captures the iGQ query cache: cached query graphs,
-//     answer sets and replacement metadata. It is guarded by the same
+//   - The *cache* snapshot (the cache half of Save/LoadEngineFile)
+//     captures the iGQ query cache: cached query graphs, answer sets and
+//     replacement metadata. It is guarded by the same
 //     dataset checksum, and additionally becomes stale (not wrong) as the
 //     workload drifts — it is knowledge about queries, not about the
 //     dataset, and its indexes are rebuilt on load.
 //
-// Engine.Save writes both in one envelope; igq.LoadEngine restores it
-// without ever enumerating the dataset. Save flushes any pending window
-// admissions into the cache first, so queries served since the last flush
-// are knowledge the snapshot keeps, not work the restart repeats. The
-// cmd/igqquery and cmd/igqbench tools expose this as
-// -save-index/-load-index, and the "coldstart" experiment measures
+// Engine.Save writes both in one envelope; LoadEngineFile (LoadEngineReport
+// over a stream) restores it without ever enumerating the dataset. Save
+// flushes any pending window admissions into the cache first, so queries
+// served since the last flush are knowledge the snapshot keeps, not work
+// the restart repeats. The cmd/igqquery and cmd/igqbench tools expose this
+// as -save-index/-load-index, and the "coldstart" experiment measures
 // load-vs-rebuild wall-clock.
 //
 // # Posting containers
@@ -123,7 +122,7 @@
 // since the last SaveIndex (or previous delta append) to the snapshot file
 // as a CRC-guarded journal, instead of rewriting the whole index; once
 // accumulated journals outgrow the base, the file is compacted back into a
-// fresh full snapshot automatically. LoadIndex/LoadEngine replay journals
+// fresh full snapshot automatically. LoadIndex/LoadEngineFile replay journals
 // transparently, and the dataset checksum guard follows the mutations: a
 // journaled snapshot loads only against the exact post-mutation dataset
 // (ErrDatasetMismatch otherwise). cmd/igqquery exposes live mutation as
@@ -191,9 +190,8 @@
 // Laziness is observationally invisible: answers, statistics and re-saved
 // bytes are identical to an eager load's — only latency and residency
 // move. The differences that do show: the snapshot file must stay intact
-// behind the engine (Engine.Close releases it; MaterializeIndex decodes
-// everything first so serving can continue without the file), mutations
-// force full materialisation before applying, and corruption confined to
+// behind the engine (Engine.Close releases it), mutations force full
+// materialisation before applying, and corruption confined to
 // one snapshot segment surfaces on that segment's first probe — as a
 // contained *PanicError carrying trie.ErrCorrupt on the queries routed to
 // it — instead of failing the load, leaving every other segment serving; a
@@ -210,9 +208,9 @@
 // The streaming primitive is Engine.QueryStream: feed query graphs on a
 // channel, receive BatchResults on another, with a bounded worker pool in
 // between — close the input and drain the output, and backpressure
-// propagates to the producer through the channel. QueryBatch and
-// QueryBatchCtx are thin wrappers that feed a slice through the same
-// pipeline, so batch and stream answers are identical by construction;
+// propagates to the producer through the channel. QueryBatchCtx is a thin
+// wrapper that feeds a slice through the same pipeline, so batch and
+// stream answers are identical by construction;
 // StreamQueries is that pool for any query function, and a partition
 // group streams through it.
 //
@@ -253,8 +251,7 @@
 // are observable. Persistence reuses the engine machinery per partition
 // (one snapshot + delta lineage each, base.p0, base.p1, ...), and
 // igqserve -partitions N serves a group over the wire with per-partition
-// /metrics gauges. Rebalance resplits the live group to a new partition
-// count between queries.
+// /metrics gauges.
 package igq
 
 import (
@@ -292,13 +289,6 @@ type Label = graph.Label
 // NewGraph returns an empty graph with capacity for n vertices.
 func NewGraph(n int) *Graph { return graph.New(n) }
 
-// ReadGraphs parses a stream of graphs in the text codec (see package
-// documentation for the format).
-func ReadGraphs(r io.Reader) ([]*Graph, error) { return graph.ReadAll(r) }
-
-// WriteGraphs serialises graphs to w in the text codec.
-func WriteGraphs(w io.Writer, gs []*Graph) error { return graph.WriteAll(w, gs) }
-
 // LoadGraphs reads all graphs from a file.
 func LoadGraphs(path string) ([]*Graph, error) { return graph.LoadFile(path) }
 
@@ -308,9 +298,6 @@ func SaveGraphs(path string, gs []*Graph) error { return graph.SaveFile(path, gs
 // IsSubgraph reports whether pattern ⊆ target (labeled subgraph
 // isomorphism).
 func IsSubgraph(pattern, target *Graph) bool { return iso.Subgraph(pattern, target) }
-
-// Isomorphic reports whether two labeled graphs are isomorphic.
-func Isomorphic(a, b *Graph) bool { return iso.Isomorphic(a, b) }
 
 // MethodKind selects the underlying filter-then-verify method.
 type MethodKind int
@@ -384,7 +371,7 @@ type EngineOptions struct {
 	// wrapper must embed or delegate to the original so the optional
 	// capabilities it relies on (mutation, persistence) stay visible, and
 	// a return value that is not a method index fails NewEngine. Only
-	// NewEngine consults it; engines restored by LoadEngine are unwrapped.
+	// NewEngine consults it; engines restored from a snapshot are unwrapped.
 	// Subgraph queries go through the wrapper; supergraph queries read the
 	// index it wraps.
 	WrapMethod func(m any) any
@@ -427,7 +414,7 @@ type Engine struct {
 	mutMu sync.Mutex
 
 	// lazySrc is the snapshot mapping backing a lazily loaded index (nil
-	// otherwise); guarded by mutMu, released by Close/MaterializeIndex.
+	// otherwise); guarded by mutMu, released by Close.
 	lazySrc io.Closer
 
 	// modes holds each query direction's cache and counters, indexed by
@@ -437,10 +424,10 @@ type Engine struct {
 
 // modeState is one query direction of an engine.
 type modeState struct {
-	// ig is the cache generation currently serving the direction;
-	// LoadCache swaps the default direction's atomically. A nil pointer
-	// means the cache is disabled, the index cannot answer the direction,
-	// or the direction has not been queried yet (Engine.cache).
+	// ig is the direction's cache, stored once when it is made or
+	// restored and read atomically. A nil pointer means the cache is
+	// disabled, the index cannot answer the direction, or the direction
+	// has not been queried yet (Engine.cache).
 	ig atomic.Pointer[core.IGQ]
 
 	// Engine-lifetime aggregate counters (Stats).
@@ -833,46 +820,6 @@ func (e *Engine) StatsOf(mode Mode) EngineStats {
 	return st
 }
 
-// SaveCache serialises the engine's accumulated query cache of its default
-// direction (cached query graphs, answers, replacement metadata) so a later
-// process can resume with warm knowledge. Returns an error if the cache is
-// disabled. Safe to call while queries are in flight: the snapshot is
-// consistent, excluding admissions that had not yet committed.
-func (e *Engine) SaveCache(w io.Writer) error {
-	ig := e.modes[e.opt.mode()].ig.Load()
-	if ig == nil {
-		return errors.New("igq: cache disabled")
-	}
-	return ig.Save(w)
-}
-
-// LoadCache replaces the engine's cache with a snapshot previously written
-// by SaveCache. The snapshot must have been taken against the same dataset
-// by an engine with the same default direction (a cache of the other
-// direction is refused); entries beyond the engine's cache size are
-// dropped lowest-utility first.
-// The restored cache is installed atomically: concurrent queries finish on
-// the generation they started with and later queries use the new one.
-func (e *Engine) LoadCache(r io.Reader) error {
-	// mutMu keeps the restored cache bound to the generation actually being
-	// served: without it a racing AddGraphs/RemoveGraphs could install a
-	// new view while this cache is wired to the old (db, method) pair.
-	e.mutMu.Lock()
-	defer e.mutMu.Unlock()
-	mode := e.opt.mode()
-	ms := &e.modes[mode]
-	if ms.ig.Load() == nil {
-		return errors.New("igq: cache disabled")
-	}
-	v := e.view.Load()
-	ig, err := core.Load(r, v.method(mode), v.db, e.coreOptions(mode))
-	if err != nil {
-		return err
-	}
-	ms.ig.Store(ig)
-	return nil
-}
-
 // SaveIndex serialises the engine's built dataset index (the method's trie,
 // postings and feature dictionary) so a later process can skip the
 // O(dataset) re-enumeration entirely — cold start becomes O(read). Returns
@@ -937,8 +884,8 @@ func tailRecoveryFrom(rec *trie.TailRecovery, base int64) *TailRecovery {
 // checksum guard rejects anything else). The cache-side indexes are rebuilt
 // against the restored dictionary. Unlike Query, LoadIndex is exclusive: it
 // must not run concurrently with queries — it exists to re-synchronise a
-// freshly constructed engine; pure cold starts should use LoadEngine, which
-// never builds in the first place.
+// freshly constructed engine; pure cold starts should use LoadEngineFile,
+// which never builds in the first place.
 //
 // A snapshot whose trailing delta journal is torn (crash mid-append) is
 // self-healed: the committed prefix loads and the damage is reported in
@@ -1099,8 +1046,8 @@ func (e *Engine) RemoveGraphs(ctx context.Context, positions []int) error {
 // accumulated journals outgrow the base snapshot, the file is instead
 // compacted back into a fresh full snapshot (f must support truncation for
 // that, as *os.File does). The file must be a pure index snapshot
-// (SaveIndex), not a combined engine snapshot (Save). LoadIndex and
-// LoadEngine replay journals transparently; a journaled snapshot still
+// (SaveIndex), not a combined engine snapshot (Save). LoadIndex replays
+// journals transparently; a journaled snapshot still
 // refuses to load against any dataset other than the one it was appended
 // for (index.ErrDatasetMismatch).
 func (e *Engine) AppendIndexDelta(f io.ReadWriteSeeker) error {
@@ -1148,14 +1095,13 @@ const (
 
 // Save writes one combined snapshot of everything the engine has earned:
 // the dataset index (as SaveIndex) and, when the cache is enabled, the iGQ
-// query cache of the default direction (as SaveCache), marked with its
-// direction; the other direction's cache restarts empty. LoadEngine
-// restores both in one call, the cache into the direction it was saved
-// from, whatever the loader's default. Safe while queries are in flight —
-// the cache section is cut at a consistent generation, exactly like
-// SaveCache. Both sections stream to w section by
-// section (the trie writer buffers one encoded segment at a time, never
-// the whole index).
+// query cache of the default direction, marked with its direction; the
+// other direction's cache restarts empty. LoadEngineFile restores both in
+// one call, the cache into the direction it was saved from, whatever the
+// loader's default. Safe while queries are in flight — the cache section
+// is cut at a consistent generation, excluding admissions that had not yet
+// committed. Both sections stream to w section by section (the trie writer
+// buffers one encoded segment at a time, never the whole index).
 func (e *Engine) Save(w io.Writer) error {
 	e.mutMu.Lock()
 	defer e.mutMu.Unlock()
@@ -1189,30 +1135,21 @@ func (e *Engine) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadEngine constructs an engine over db from a combined snapshot written
-// by Engine.Save, without enumerating the dataset: the index is decoded
-// from its segments (across opt.BuildWorkers goroutines) and the
+// LoadEngineReport constructs an engine over db from a combined snapshot
+// written by Engine.Save, without enumerating the dataset: the index is
+// decoded from its segments (across opt.BuildWorkers goroutines) and the
 // cache — if the snapshot carries one and opt does not disable it — is
-// restored on top. The snapshot must match db (checksum-guarded) and
-// opt.Method must match the saved index's method. The loaded engine
-// answers byte-identically to one freshly built by NewEngine.
+// restored on top, into the direction it was saved from. The snapshot must
+// match db (checksum-guarded) and opt.Method must match the saved index's
+// method. The loaded engine answers byte-identically to one freshly built
+// by NewEngine.
 //
 // A snapshot whose trailing delta journal is torn (crash mid-append) is
-// self-healed to the state of the last committed append; LoadEngineReport
-// exposes the recovery details, and LoadEngineFile additionally repairs
-// the file on disk.
-func LoadEngine(r io.Reader, db []*Graph, opt EngineOptions) (*Engine, error) {
-	e, _, err := LoadEngineReport(r, db, opt)
-	return e, err
-}
-
-// LoadEngineReport is LoadEngine plus a report of what the load found: a
-// non-nil LoadReport.RecoveredTail means the snapshot's trailing delta
-// journal was torn and the committed prefix was loaded instead (with the
-// cache section, which follows the tear in a combined snapshot, discarded
-// and rebuilt empty). The offsets in the report are absolute within r, so
-// a caller owning the underlying file can repair it — or use
-// LoadEngineFile, which does.
+// self-healed to the state of the last committed append: a non-nil
+// LoadReport.RecoveredTail reports it, and the cache section, which
+// follows the tear in a combined snapshot, is discarded and rebuilt empty.
+// The offsets in the report are absolute within r, so a caller owning the
+// underlying file can repair it — or use LoadEngineFile, which does.
 func LoadEngineReport(r io.Reader, db []*Graph, opt EngineOptions) (*Engine, LoadReport, error) {
 	if len(db) == 0 {
 		return nil, LoadReport{}, errors.New("igq: empty dataset")
@@ -1371,9 +1308,9 @@ type BatchResult struct {
 // QueryStream answers a continuous stream of queries: queries are accepted
 // from in as they arrive and outcomes are emitted on the returned channel
 // as they finish — the channel-fed core of the serving front-end, and the
-// primitive QueryBatch and QueryBatchCtx are built on. BatchResult.Index is
-// the arrival order (0 for the first query received); results are emitted
-// in completion order, which under concurrency is not arrival order.
+// primitive QueryBatchCtx is built on. BatchResult.Index is the arrival
+// order (0 for the first query received); results are emitted in
+// completion order, which under concurrency is not arrival order.
 //
 // Up to workers queries (0 → one per runtime.GOMAXPROCS(0)) are in flight
 // at once, each through the same snapshot-isolated Query path any other
@@ -1447,12 +1384,6 @@ func StreamQueries(ctx context.Context, in <-chan *Graph, workers int, query fun
 		wg.Wait()
 	}()
 	return out
-}
-
-// QueryBatch answers many queries, returning results in input order.
-// Equivalent to QueryBatchCtx with a background context.
-func (e *Engine) QueryBatch(queries []*Graph, workers int) []BatchResult {
-	return e.QueryBatchCtx(context.Background(), queries, workers)
 }
 
 // QueryBatchCtx answers the batch through the QueryStream pipeline across
@@ -1534,10 +1465,8 @@ type DatasetSpec = dataset.Spec
 
 // Dataset families matching the paper's Table 1 (full scale); use
 // Scaled(countFrac, sizeFrac) for tractable derivatives.
-func AIDSSpec() DatasetSpec      { return dataset.AIDS() }
-func PDBSSpec() DatasetSpec      { return dataset.PDBS() }
-func PPISpec() DatasetSpec       { return dataset.PPI() }
-func SyntheticSpec() DatasetSpec { return dataset.Synthetic() }
+func AIDSSpec() DatasetSpec { return dataset.AIDS() }
+func PPISpec() DatasetSpec  { return dataset.PPI() }
 
 // GenerateDataset produces a synthetic dataset from a spec.
 func GenerateDataset(spec DatasetSpec) []*Graph { return dataset.Generate(spec) }

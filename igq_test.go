@@ -1,11 +1,13 @@
 package igq
 
 import (
-	"bytes"
 	"context"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/iso"
 )
 
 func smallDB(t *testing.T) []*Graph {
@@ -165,11 +167,11 @@ func TestMethodKindString(t *testing.T) {
 
 func TestGraphCodecRoundTripViaAPI(t *testing.T) {
 	db := smallDB(t)[:5]
-	var buf bytes.Buffer
-	if err := WriteGraphs(&buf, db); err != nil {
+	path := filepath.Join(t.TempDir(), "graphs.db")
+	if err := SaveGraphs(path, db); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadGraphs(&buf)
+	back, err := LoadGraphs(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,7 @@ func TestGraphCodecRoundTripViaAPI(t *testing.T) {
 		t.Fatalf("round trip lost graphs: %d", len(back))
 	}
 	for i := range back {
-		if !Isomorphic(db[i], back[i]) {
+		if !iso.Isomorphic(db[i], back[i]) {
 			t.Errorf("graph %d changed in round trip", i)
 		}
 	}

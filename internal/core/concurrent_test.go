@@ -83,8 +83,8 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 		}
 	}
 	// No lost updates on the shared counters: every query was counted.
-	if ig.Queries() != int64(len(queries)) {
-		t.Errorf("Queries() = %d, want %d", ig.Queries(), len(queries))
+	if n := ig.seq.Load(); n != int64(len(queries)) {
+		t.Errorf("seq = %d, want %d", n, len(queries))
 	}
 	if ig.CacheLen()+ig.WindowLen() == 0 {
 		t.Error("nothing admitted under concurrency")
@@ -121,8 +121,8 @@ func TestConcurrentNoAdmitNeverFlushes(t *testing.T) {
 		t.Errorf("QueryNoAdmit mutated the cache: len=%d window=%d flushes=%d",
 			ig.CacheLen(), ig.WindowLen(), ig.Flushes())
 	}
-	if ig.Queries() != int64(len(queries)) {
-		t.Errorf("Queries() = %d, want %d", ig.Queries(), len(queries))
+	if n := ig.seq.Load(); n != int64(len(queries)) {
+		t.Errorf("seq = %d, want %d", n, len(queries))
 	}
 }
 

@@ -76,12 +76,12 @@ func TestContainmentEmptyIndexedGraph(t *testing.T) {
 
 func TestContainmentLenAndSize(t *testing.T) {
 	x := contain.New(contain.DefaultOptions())
-	if len(x.Dataset()) != 0 {
-		t.Error("fresh index non-empty")
+	if cs := x.Filter(tinyGraph()); len(cs) != 0 {
+		t.Errorf("fresh index answers %v", cs)
 	}
 	x.Build([]*graph.Graph{tinyGraph(), tinyGraph()})
-	if len(x.Dataset()) != 2 {
-		t.Errorf("Len = %d", len(x.Dataset()))
+	if cs := x.Filter(tinyGraph()); !slices.Equal(cs, []int32{0, 1}) {
+		t.Errorf("Filter over two copies of the query = %v, want both", cs)
 	}
 	if x.SizeBytes() <= 0 {
 		t.Error("SizeBytes not positive")

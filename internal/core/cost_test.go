@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// creditHit records a hit that pruned the given candidate dataset graphs
+// for a query with queryNodes vertices. targetSizes lists the vertex counts
+// of the pruned graphs; labels is the label-domain size for the cost model.
+func (e *entry) creditHit(queryNodes int, targetSizes []int, labels int) {
+	delta := math.Inf(-1)
+	for _, ni := range targetSizes {
+		delta = LogSumExp(delta, LogIsoCost(queryNodes, ni, labels))
+	}
+	e.applyCredit(delta)
+}
+
 func TestLogIsoCostSmallValuesMatchDirect(t *testing.T) {
 	// for small Ni the closed form is computable directly:
 	// c = Ni * Ni! / (L^(n+1) * (Ni-n)!)

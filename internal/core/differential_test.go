@@ -219,7 +219,7 @@ func TestDifferentialVsStringPipelineGGSX(t *testing.T) {
 }
 
 func TestDifferentialVsStringPipelineGrapes(t *testing.T) {
-	runDifferential(t, grapes.New(grapes.DefaultOptions()), SubgraphQueries, 2)
+	runDifferential(t, grapes.New(grapes.Options{MaxPathLen: 4, Threads: 1}), SubgraphQueries, 2)
 }
 
 func TestDifferentialVsStringPipelineSupergraph(t *testing.T) {

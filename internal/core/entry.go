@@ -147,17 +147,6 @@ func (e *entry) logUtility(seq int64) float64 {
 	return e.loadLogCost() - math.Log(float64(m))
 }
 
-// creditHit records a hit that pruned the given candidate dataset graphs
-// for a query with queryNodes vertices. targetSizes lists the vertex counts
-// of the pruned graphs; labels is the label-domain size for the cost model.
-func (e *entry) creditHit(queryNodes int, targetSizes []int, labels int) {
-	delta := math.Inf(-1)
-	for _, ni := range targetSizes {
-		delta = LogSumExp(delta, LogIsoCost(queryNodes, ni, labels))
-	}
-	e.applyCredit(delta)
-}
-
 // applyCredit folds one buffered hit into the entry's §5.1 credit cell: the
 // pre-combined log-sum-exp cost delta. Lock-free and safe from any number
 // of goroutines — a CAS fold (LogSumExp is commutative, so any

@@ -334,10 +334,6 @@ func (q *IGQ) putScratch(sc *queryScratch) {
 	q.scratchMu.Unlock()
 }
 
-// Method returns the wrapped method of the current snapshot generation
-// (dataset mutations install new method generations).
-func (q *IGQ) Method() index.Method { return q.snap.Load().m }
-
 // CacheLen returns the number of active cached queries (excluding the
 // pending window).
 func (q *IGQ) CacheLen() int { return len(q.snap.Load().entries) }
@@ -359,15 +355,6 @@ func (q *IGQ) Flushes() int {
 // MemoRenewals returns how many identical hits ran the dataset filter to
 // renew their entry's base memo.
 func (q *IGQ) MemoRenewals() int64 { return q.memoRenewals.Load() }
-
-// Queries returns the number of queries processed.
-func (q *IGQ) Queries() int64 { return q.seq.Load() }
-
-// CacheSize returns the configured capacity C.
-func (q *IGQ) CacheSize() int { return q.opt.CacheSize }
-
-// WindowSize returns the configured batch window W.
-func (q *IGQ) WindowSize() int { return q.opt.Window }
 
 // SizeBytes reports the iGQ space overhead: the cache-side index, the stored
 // query graphs with their programs and features, their answer sets, metadata

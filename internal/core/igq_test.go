@@ -102,7 +102,7 @@ func TestTheorem1And2(t *testing.T) {
 			got := ig.Query(q.Clone())
 			if !reflect.DeepEqual(got.Answer, want) {
 				t.Fatalf("query %d (C=%d): iGQ answer %v != method answer %v\nshort=%v subhits=%d superhits=%d",
-					i, ig.CacheSize(), got.Answer, want, got.Short, got.SubHits, got.SuperHits)
+					i, ig.opt.CacheSize, got.Answer, want, got.Short, got.SubHits, got.SuperHits)
 			}
 		}
 	}
@@ -349,10 +349,7 @@ func TestQueriesCounter(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		igq.Query(randomGraph(rng, 3, 0.5, 4))
 	}
-	if igq.Queries() != 7 {
-		t.Errorf("Queries() = %d", igq.Queries())
-	}
-	if igq.Method() != m {
-		t.Error("Method() identity lost")
+	if n := igq.seq.Load(); n != 7 {
+		t.Errorf("seq = %d, want 7", n)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/index/contain"
 	"repro/internal/index/ggsx"
 )
 
@@ -36,7 +37,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if restored.CacheLen() != ig.CacheLen() {
 		t.Fatalf("cache length %d != %d after restore", restored.CacheLen(), ig.CacheLen())
 	}
-	if restored.Queries() != ig.Queries() || restored.Flushes() != ig.Flushes() {
+	if restored.seq.Load() != ig.seq.Load() || restored.Flushes() != ig.Flushes() {
 		t.Error("counters not restored")
 	}
 
@@ -149,6 +150,35 @@ func TestLoadShrinksToCacheSize(t *testing.T) {
 	got := ig.Query(q.Clone()).Answer
 	if !reflect.DeepEqual(want, got) {
 		t.Error("answers diverge after shrinking restore")
+	}
+}
+
+// A snapshot of one direction's cache is refused by a load into the other
+// direction: a cache earned by supergraph queries must never answer
+// subgraph queries, nor the reverse.
+func TestLoadRefusesOtherDirection(t *testing.T) {
+	rng := rand.New(rand.NewSource(96))
+	db := buildDB(rng, 15)
+	store := ggsx.New(ggsx.DefaultOptions())
+	store.Build(db)
+	methods := map[Mode]index.Method{SubgraphQueries: store, SupergraphQueries: contain.Over(store)}
+	qs := workload(rng, db, 12)
+	for saved, m := range methods {
+		ig := New(m, db, Options{CacheSize: 10, Window: 2, Mode: saved})
+		for _, q := range qs {
+			ig.Query(q.Clone())
+		}
+		var buf bytes.Buffer
+		if err := ig.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		other := SupergraphQueries - saved
+		if _, err := Load(bytes.NewReader(buf.Bytes()), methods[other], db, Options{Mode: other}); err == nil || !strings.Contains(err.Error(), "answers, not") {
+			t.Errorf("%v snapshot loaded as %v: err = %v", saved, other, err)
+		}
+		if _, err := Load(bytes.NewReader(buf.Bytes()), m, db, Options{Mode: saved}); err != nil {
+			t.Errorf("%v snapshot refused by its own direction: %v", saved, err)
+		}
 	}
 }
 

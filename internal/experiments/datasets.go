@@ -68,12 +68,6 @@ func methodSet() []index.Method {
 	}
 }
 
-// newGrapes6 is the Grapes(6) configuration used across the
-// single-method figures.
-func newGrapes6() index.Method {
-	return grapes.New(grapes.Options{MaxPathLen: 4, Threads: 6})
-}
-
 // threeMethods are the Fig 1–3 insight methods (GGSX, Grapes, CT-Index).
 func threeMethods() []index.Method {
 	return []index.Method{

@@ -44,9 +44,6 @@ type Config struct {
 	BenchJSONPath string
 }
 
-// DefaultConfig returns the bench-scale configuration.
-func DefaultConfig() Config { return Config{Scale: 1.0, Seed: 42} }
-
 func (c Config) withDefaults() Config {
 	if c.Scale <= 0 {
 		c.Scale = 1.0

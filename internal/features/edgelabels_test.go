@@ -107,11 +107,12 @@ func TestTreeKeyLabeledInvariance(t *testing.T) {
 		g := graph.New(4)
 		labels := []graph.Label{9, 1, 2, 3}
 		elabs := []graph.Label{4, 5, 6}
-		for range perm {
-			g.AddVertex(0)
-		}
+		placed := make([]graph.Label, len(perm))
 		for i, p := range perm {
-			g.SetLabel(p, labels[i])
+			placed[p] = labels[i]
+		}
+		for _, l := range placed {
+			g.AddVertex(l)
 		}
 		for i := 1; i < 4; i++ {
 			g.AddEdgeLabeled(perm[0], perm[i], elabs[i-1])

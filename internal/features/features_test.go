@@ -132,12 +132,13 @@ func TestTreeKeyInvariance(t *testing.T) {
 			g.AddEdge(i, rng.Intn(i))
 		}
 		perm := rng.Perm(n)
-		h := graph.New(n)
-		for i := 0; i < n; i++ {
-			h.AddVertex(0)
+		labels := make([]graph.Label, n)
+		for i := range labels {
+			labels[perm[i]] = g.Label(i)
 		}
-		for i := 0; i < n; i++ {
-			h.SetLabel(perm[i], g.Label(i))
+		h := graph.New(n)
+		for _, l := range labels {
+			h.AddVertex(l)
 		}
 		g.Edges(func(u, v int) { h.AddEdge(perm[u], perm[v]) })
 

@@ -15,7 +15,7 @@ import (
 // with only db and the dictionary reachable, less the heap with db alone.
 func builtDict(db []*graph.Graph) (*features.Dict, uint64) {
 	before := liveHeap()
-	x := grapes.New(grapes.DefaultOptions())
+	x := grapes.New(grapes.Options{MaxPathLen: 4, Threads: 1})
 	x.Build(db)
 	d := x.FeatureDict()
 	x = nil

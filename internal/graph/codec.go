@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
 	"unicode/utf8"
 )
 
@@ -256,17 +255,4 @@ func LoadFile(path string) ([]*Graph, error) {
 	}
 	defer f.Close()
 	return ReadAll(f)
-}
-
-// DOT renders g in Graphviz DOT syntax (undirected), labels shown on nodes.
-// Useful for eyeballing small query graphs in the examples.
-func DOT(g *Graph) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "graph g%d {\n", g.ID)
-	for v := 0; v < g.NumVertices(); v++ {
-		fmt.Fprintf(&b, "  n%d [label=\"%d\"];\n", v, g.Label(v))
-	}
-	g.Edges(func(u, v int) { fmt.Fprintf(&b, "  n%d -- n%d;\n", u, v) })
-	b.WriteString("}\n")
-	return b.String()
 }

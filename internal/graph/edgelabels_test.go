@@ -128,8 +128,8 @@ func TestCloneAndInducedPreserveEdgeLabels(t *testing.T) {
 	if c.EdgeLabel(0, 1) != 9 || c.EdgeLabel(1, 2) != 8 {
 		t.Error("Clone dropped edge labels")
 	}
-	c.SetLabel(0, 99)
-	if g.Label(0) == 99 {
+	c.AddEdgeLabeled(0, 3, 7)
+	if g.HasEdge(0, 3) || g.EdgeLabel(0, 1) != 9 {
 		t.Error("clone shares storage")
 	}
 

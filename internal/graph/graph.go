@@ -160,12 +160,6 @@ func (g *Graph) AddVertex(l Label) int {
 // Label returns the label of vertex v.
 func (g *Graph) Label(v int) Label { return g.labels[v] }
 
-// SetLabel replaces the label of vertex v.
-func (g *Graph) SetLabel(v int, l Label) {
-	g.labels[v] = l
-	g.fp.Store(0)
-}
-
 // Degree returns the number of neighbours of vertex v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
@@ -279,14 +273,6 @@ func (g *Graph) Edges(fn func(u, v int)) {
 	}
 }
 
-// EdgeList returns all edges as (u, v) pairs with u < v, in deterministic
-// order.
-func (g *Graph) EdgeList() [][2]int {
-	out := make([][2]int, 0, g.edges)
-	g.Edges(func(u, v int) { out = append(out, [2]int{u, v}) })
-	return out
-}
-
 // CopyFrom replaces g's contents with src's (sharing src's backing storage;
 // use Clone for an independent copy). It exists because Graph carries an
 // atomic fingerprint memo and therefore cannot be copied with plain struct
@@ -360,25 +346,6 @@ func (g *Graph) LabelCounts() map[Label]int {
 		h[l]++
 	}
 	return h
-}
-
-// MaxDegree returns the maximum vertex degree (0 for the empty graph).
-func (g *Graph) MaxDegree() int {
-	m := 0
-	for _, a := range g.adj {
-		if len(a) > m {
-			m = len(a)
-		}
-	}
-	return m
-}
-
-// AvgDegree returns the average vertex degree (2|E|/|V|), 0 for empty graphs.
-func (g *Graph) AvgDegree() float64 {
-	if len(g.labels) == 0 {
-		return 0
-	}
-	return 2 * float64(g.edges) / float64(len(g.labels))
 }
 
 // InducedSubgraph returns the subgraph induced by the given vertex set,

@@ -102,9 +102,6 @@ func (x *Index) Verify(q *graph.Graph, id int32) bool {
 // The read adds nothing of its own.
 func (x *Index) SizeBytes() int { return x.store.SizeBytes() }
 
-// Dataset implements index.Mutable.
-func (x *Index) Dataset() []*graph.Graph { return x.store.Dataset() }
-
 // AppendGraphs implements index.Mutable: the read of the store's
 // copy-on-write generation over append(db, gs...).
 func (x *Index) AppendGraphs(gs []*graph.Graph) (index.Mutable, []*graph.Graph, error) {

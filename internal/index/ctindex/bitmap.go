@@ -1,9 +1,6 @@
 package ctindex
 
-import (
-	"hash/fnv"
-	"math/bits"
-)
+import "hash/fnv"
 
 // Bitmap is a fixed-width bit fingerprint (the paper's CT-Index uses
 // 4096-bit bitmaps per graph; Fig 18 also evaluates 8192).
@@ -46,15 +43,6 @@ func (b Bitmap) Saturate() {
 	for i := range b {
 		b[i] = ^uint64(0)
 	}
-}
-
-// OnesCount returns the number of set bits.
-func (b Bitmap) OnesCount() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // AddFeature hashes a canonical feature key into k bit positions

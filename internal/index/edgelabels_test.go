@@ -42,7 +42,7 @@ func TestMethodsAgreeOnBondLabeledDB(t *testing.T) {
 	oracle.Build(db)
 	ms := []index.Method{
 		ggsx.New(ggsx.DefaultOptions()),
-		grapes.New(grapes.DefaultOptions()),
+		grapes.New(grapes.Options{MaxPathLen: 4, Threads: 1}),
 		ctindex.New(ctindex.DefaultOptions()),
 	}
 	rng := rand.New(rand.NewSource(21))
@@ -68,7 +68,7 @@ func TestMethodsAgreeOnBondLabeledDB(t *testing.T) {
 
 func TestIGQCorrectOnBondLabeledDB(t *testing.T) {
 	db := bondDB(t)
-	m := grapes.New(grapes.DefaultOptions())
+	m := grapes.New(grapes.Options{MaxPathLen: 4, Threads: 1})
 	m.Build(db)
 	ig := core.New(m, db, core.Options{CacheSize: 12, Window: 3})
 	rng := rand.New(rand.NewSource(22))

@@ -21,8 +21,7 @@ var (
 // next save's segment count follows the same rule as LoadIndex. A
 // supergraph read needs NF, which is counted from every posting, so it
 // materialises the index.
-func (x *Index) LoadIndexLazy(src trie.RandomAccessFile, db []*graph.Graph, budget int64, opts ...index.LoadOption) (index.LoadReport, error) {
-	cfg := index.ResolveLoadOptions(opts)
+func (x *Index) LoadIndexLazy(src trie.RandomAccessFile, db []*graph.Graph, budget int64) (index.LoadReport, error) {
 	cr := &index.CountingScanner{R: index.AsByteScanner(io.NewSectionReader(src, 0, src.Size()))}
 	env, err := index.ReadIndexEnvelope(cr)
 	if err != nil {
@@ -43,7 +42,7 @@ func (x *Index) LoadIndexLazy(src trie.RandomAccessFile, db []*graph.Graph, budg
 	tr := trie.NewWithDict(x.dict)
 	n, rec, err := tr.OpenLazy(
 		io.NewSectionReader(src, envBytes, src.Size()-envBytes),
-		trie.LazyOptions{Workers: x.opt.BuildWorkers, Strict: cfg.Strict, BudgetBytes: budget})
+		trie.LazyOptions{Workers: x.opt.BuildWorkers, BudgetBytes: budget})
 	if err != nil {
 		rollback()
 		return index.LoadReport{Bytes: envBytes}, fmt.Errorf("%s: opening trie: %w", x.kind(), err)

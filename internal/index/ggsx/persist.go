@@ -60,12 +60,10 @@ func (x *Index) writeIndex(w io.Writer) (int64, error) {
 // leaves the live index and the shared dictionary byte-identical to their
 // pre-call state.
 //
-// By default a torn trailing journal section (the crash-mid-append
-// signature) is salvaged: the committed prefix loads and the damage is
-// reported in LoadReport.RecoveredTail with reader-absolute offsets.
-// index.StrictLoad fails on any damage instead.
-func (x *Index) LoadIndex(r io.Reader, db []*graph.Graph, opts ...index.LoadOption) (index.LoadReport, error) {
-	cfg := index.ResolveLoadOptions(opts)
+// A torn trailing journal section (the crash-mid-append signature) is
+// salvaged: the committed prefix loads and the damage is reported in
+// LoadReport.RecoveredTail with reader-absolute offsets.
+func (x *Index) LoadIndex(r io.Reader, db []*graph.Graph) (index.LoadReport, error) {
 	cr := &index.CountingScanner{R: index.AsByteScanner(r)}
 	env, err := index.ReadIndexEnvelope(cr)
 	if err != nil {
@@ -86,7 +84,7 @@ func (x *Index) LoadIndex(r io.Reader, db []*graph.Graph, opts ...index.LoadOpti
 	}
 	x.dict.Reset()
 	tr := trie.NewWithDict(x.dict)
-	n, rec, err := tr.ReadFromOptions(cr, trie.LoadOptions{Workers: x.opt.BuildWorkers, Strict: cfg.Strict})
+	n, rec, err := tr.ReadFromOptions(cr, trie.LoadOptions{Workers: x.opt.BuildWorkers})
 	if err != nil {
 		rollback()
 		return index.LoadReport{Bytes: cr.N}, fmt.Errorf("%s: reading trie: %w", x.kind(), err)

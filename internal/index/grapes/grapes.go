@@ -51,9 +51,6 @@ type Options struct {
 	BuildWorkers int
 }
 
-// DefaultOptions mirrors the paper's Grapes(1) configuration.
-func DefaultOptions() Options { return Options{MaxPathLen: 4, Threads: 1} }
-
 // Index is the Grapes method: GGSX's index type, built with threads.
 type Index = ggsx.Index
 

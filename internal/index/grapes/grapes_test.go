@@ -100,7 +100,7 @@ func TestVerifyUsesLocationsCorrectly(t *testing.T) {
 		"unknown label":             mk([]graph.Label{1, 5}, [2]int{0, 1}),
 		"empty":                     mk(nil),
 	}
-	x := New(DefaultOptions())
+	x := New(Options{MaxPathLen: 4, Threads: 1})
 	x.Build([]*graph.Graph{g})
 	positives := 0
 	for name, q := range patterns {

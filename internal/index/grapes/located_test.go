@@ -91,12 +91,12 @@ func TestLocatedSnapshotLoads(t *testing.T) {
 	wantEnv, _ := save(t, fresh)
 
 	eager := New(Options{MaxPathLen: 3, Shards: 4})
-	if _, err := eager.LoadIndex(bytes.NewReader(golden), db, index.StrictLoad()); err != nil {
-		t.Fatal(err)
+	if rep, err := eager.LoadIndex(bytes.NewReader(golden), db); err != nil || rep.RecoveredTail != nil {
+		t.Fatalf("eager load: %v, recovered tail %+v", err, rep.RecoveredTail)
 	}
 	lazy := New(Options{MaxPathLen: 3})
-	if _, err := lazy.LoadIndexLazy(bytes.NewReader(golden), db, 4<<10, index.StrictLoad()); err != nil {
-		t.Fatal(err)
+	if rep, err := lazy.LoadIndexLazy(bytes.NewReader(golden), db, 4<<10); err != nil || rep.RecoveredTail != nil {
+		t.Fatalf("lazy load: %v, recovered tail %+v", err, rep.RecoveredTail)
 	}
 	qs := randomQueries(db, 25, 53)
 	for name, x := range map[string]*Index{"eager": eager, "lazy": lazy} {

@@ -51,9 +51,10 @@ func TestVerifyAfterInPlaceMutation(t *testing.T) {
 
 	// And a mutation that makes the query unsatisfiable must not ride a
 	// stale positive either.
-	q.SetLabel(1, 9) // now edge 1-9: label 9 is nowhere in the dataset
+	q.AddVertex(9) // now the path 1-2-9: label 9 is nowhere in the dataset
+	q.AddEdge(1, 2)
 	if a, b := both(q); a || b {
-		t.Error("edge 1-9 must not embed in the triangle after relabeling")
+		t.Error("path 1-2-9 must not embed in the triangle after the mutation")
 	}
 	if !before.Verify(0) {
 		t.Error("a handle prepared before the mutation must keep its query")
@@ -70,7 +71,7 @@ func TestPreparedHandleSharedAcrossGoroutines(t *testing.T) {
 	for i := range db {
 		db[i] = randomGraph(rng, 10+rng.Intn(6), 0.3, 3)
 	}
-	x := New(DefaultOptions())
+	x := New(Options{MaxPathLen: 4, Threads: 1})
 	x.Build(db)
 	queries := make([]*graph.Graph, 6)
 	want := make([][]bool, len(queries))

@@ -23,7 +23,6 @@ package index
 
 import (
 	"context"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/iso"
@@ -178,13 +177,6 @@ func (b *BruteForce) Prepare(q *graph.Graph) Verifier { return PrepareSubgraph(b
 
 // SizeBytes implements Method: no index.
 func (b *BruteForce) SizeBytes() int { return 0 }
-
-// SortIDs sorts a candidate id slice ascending, in place, and returns it.
-// Shared helper for Method implementations.
-func SortIDs(ids []int32) []int32 {
-	slices.Sort(ids)
-	return ids
-}
 
 // IntersectSorted returns the intersection of two ascending id slices.
 func IntersectSorted(a, b []int32) []int32 {

@@ -3,6 +3,7 @@ package index
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -86,13 +87,6 @@ func TestSetOps(t *testing.T) {
 	}
 }
 
-func TestSortIDs(t *testing.T) {
-	got := SortIDs([]int32{5, 1, 3})
-	if !reflect.DeepEqual(got, []int32{1, 3, 5}) {
-		t.Errorf("SortIDs = %v", got)
-	}
-}
-
 func TestSetOpsPreserveSortedInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	sortedRand := func() []int32 {
@@ -105,7 +99,8 @@ func TestSetOpsPreserveSortedInvariant(t *testing.T) {
 		for k := range m {
 			out = append(out, k)
 		}
-		return SortIDs(out)
+		slices.Sort(out)
+		return out
 	}
 	isSorted := func(xs []int32) bool {
 		for i := 1; i < len(xs); i++ {

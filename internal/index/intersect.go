@@ -2,7 +2,6 @@ package index
 
 import (
 	"math/bits"
-	"slices"
 	"sort"
 )
 
@@ -26,9 +25,6 @@ import (
 // Trie.SetGallopProbeCost.
 const DefaultGallopProbeCost = 2
 
-// shouldGallop is shouldGallopCost at the package-default probe cost.
-func shouldGallop(la, lb int) bool { return shouldGallopCost(la, lb, DefaultGallopProbeCost) }
-
 // shouldGallopCost picks the strategy from the two list lengths instead of
 // a fixed skew ratio: galloping costs about probeCost·log2(|b|/|a|) probe
 // steps per element of the short list, the merge scans all |a|+|b|
@@ -47,23 +43,10 @@ func shouldGallopCost(la, lb, probeCost int) bool {
 	return probeCost*la*bits.Len(uint(r)) < la+lb
 }
 
-// IntersectSortedGalloping returns the intersection of two ascending id
-// slices, galloping over the longer one. Exported for benchmarking against
-// IntersectSorted; most callers want IntersectInto, which picks a strategy
-// from the length skew.
-func IntersectSortedGalloping(a, b []int32) []int32 {
-	return intersectGalloping(make([]int32, 0, min(len(a), len(b))), a, b)
-}
-
-// IntersectInto appends the intersection of a and b to dst[:0] and returns
-// it, choosing between the linear merge and the galloping search by length
-// skew. dst may alias neither a nor b.
-func IntersectInto(dst, a, b []int32) []int32 {
-	return IntersectIntoCost(dst, a, b, DefaultGallopProbeCost)
-}
-
-// IntersectIntoCost is IntersectInto with an explicit (calibrated)
-// galloping probe cost; probeCost ≤ 0 selects the package default.
+// IntersectIntoCost appends the intersection of a and b to dst[:0] and
+// returns it, choosing between the linear merge and the galloping search by
+// length skew under the (calibrated) galloping probe cost; probeCost ≤ 0
+// selects the package default. dst may alias neither a nor b.
 func IntersectIntoCost(dst, a, b []int32, probeCost int) []int32 {
 	dst = dst[:0]
 	if probeCost <= 0 {
@@ -128,31 +111,4 @@ func intersectGalloping(dst, a, b []int32) []int32 {
 		}
 	}
 	return dst
-}
-
-// IntersectMany intersects several ascending id lists, processing them in
-// ascending length order (rarest feature first) so the running candidate set
-// shrinks as early as possible; each fold step picks merge vs gallop from
-// the skew. lists is reordered in place. buf provides two reusable
-// ping-pong buffers; the result aliases one of them (or the single input
-// list) and is valid until the buffers are reused.
-func IntersectMany(lists [][]int32, buf *[2][]int32) []int32 {
-	if len(lists) == 0 {
-		return nil
-	}
-	slices.SortFunc(lists, func(a, b []int32) int { return len(a) - len(b) })
-	cur := lists[0]
-	which := 0
-	for _, l := range lists[1:] {
-		if len(cur) == 0 {
-			return nil
-		}
-		buf[which] = IntersectInto(buf[which], cur, l)
-		cur = buf[which]
-		which = 1 - which
-	}
-	if len(cur) == 0 {
-		return nil
-	}
-	return cur
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -15,29 +16,38 @@ func sortedUnique(rng *rand.Rand, n, max int) []int32 {
 	for v := range seen {
 		out = append(out, v)
 	}
-	return SortIDs(out)
+	slices.Sort(out)
+	return out
 }
 
+// TestGallopingMatchesLinear: IntersectIntoCost equals the linear merge at
+// skews on both sides of the switchover, so both of its branches run.
 func TestGallopingMatchesLinear(t *testing.T) {
+	gallops, merges := 0, 0
 	f := func(seedA, seedB uint16) bool {
 		rng := rand.New(rand.NewSource(int64(seedA)*65536 + int64(seedB)))
 		a := sortedUnique(rng, 1+rng.Intn(20), 4000)
 		b := sortedUnique(rng, 1+rng.Intn(800), 4000)
+		if shouldGallopCost(min(len(a), len(b)), max(len(a), len(b)), DefaultGallopProbeCost) {
+			gallops++
+		} else {
+			merges++
+		}
 		want := IntersectSorted(a, b)
-		if got := IntersectSortedGalloping(a, b); !equalIDs(got, want) {
-			t.Logf("gallop a=%v b=%v got=%v want=%v", a, b, got, want)
+		if got := IntersectIntoCost(nil, a, b, 0); !equalIDs(got, want) {
+			t.Logf("a=%v b=%v got=%v want=%v", a, b, got, want)
 			return false
 		}
-		if got := IntersectInto(nil, a, b); !equalIDs(got, want) {
-			return false
-		}
-		if got := IntersectInto(nil, b, a); !equalIDs(got, want) {
+		if got := IntersectIntoCost(nil, b, a, 0); !equalIDs(got, want) {
 			return false
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+	if gallops == 0 || merges == 0 {
+		t.Errorf("%d galloping and %d merging pairs, want both branches taken", gallops, merges)
 	}
 }
 
@@ -53,68 +63,18 @@ func equalIDs(a, b []int32) bool {
 	return true
 }
 
-func TestIntersectManySelectivityOrder(t *testing.T) {
-	lists := [][]int32{
-		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
-		{2, 4, 6, 8},
-		{4, 8},
-	}
-	var buf [2][]int32
-	got := IntersectMany(lists, &buf)
-	if !equalIDs(got, []int32{4, 8}) {
-		t.Errorf("IntersectMany = %v", got)
-	}
-	// disjoint lists → nil
-	if got := IntersectMany([][]int32{{1, 3}, {2, 4}}, &buf); got != nil {
-		t.Errorf("disjoint IntersectMany = %v", got)
-	}
-	// single list passes through
-	if got := IntersectMany([][]int32{{5, 9}}, &buf); !equalIDs(got, []int32{5, 9}) {
-		t.Errorf("single-list IntersectMany = %v", got)
-	}
-	if IntersectMany(nil, &buf) != nil {
-		t.Error("empty IntersectMany not nil")
-	}
-}
-
-func TestIntersectManyRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 200; trial++ {
-		k := 1 + rng.Intn(5)
-		lists := make([][]int32, k)
-		for i := range lists {
-			lists[i] = sortedUnique(rng, 1+rng.Intn(60), 120)
-		}
-		want := lists[0]
-		for _, l := range lists[1:] {
-			want = IntersectSorted(want, l)
-		}
-		var buf [2][]int32
-		got := IntersectMany(lists, &buf)
-		if len(want) == 0 {
-			if got != nil {
-				t.Fatalf("trial %d: got %v, want nil", trial, got)
-			}
-			continue
-		}
-		if !equalIDs(got, want) {
-			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
-		}
-	}
-}
-
 func TestShouldGallopModel(t *testing.T) {
 	// The calibrated model must keep the merge below the measured crossover
 	// (skew ≤ 4) and gallop above it (skew ≥ 8), at any list scale.
 	for _, la := range []int{4, 16, 64, 256, 4096} {
-		if shouldGallop(la, 2*la) || shouldGallop(la, 4*la) {
+		if shouldGallopCost(la, 2*la, DefaultGallopProbeCost) || shouldGallopCost(la, 4*la, DefaultGallopProbeCost) {
 			t.Errorf("la=%d: galloping chosen below the crossover", la)
 		}
-		if !shouldGallop(la, 8*la) || !shouldGallop(la, 512*la) {
+		if !shouldGallopCost(la, 8*la, DefaultGallopProbeCost) || !shouldGallopCost(la, 512*la, DefaultGallopProbeCost) {
 			t.Errorf("la=%d: merge chosen above the crossover", la)
 		}
 	}
-	if shouldGallop(0, 100) {
+	if shouldGallopCost(0, 100, DefaultGallopProbeCost) {
 		t.Error("empty short side must never gallop")
 	}
 }
@@ -129,7 +89,7 @@ func benchLists(nA, nB int) (a, b []int32) {
 }
 
 // BenchmarkIntersectModerateSkew sits just above the adaptive switchover
-// (skew 8): IntersectInto must track the galloping side here, where the old
+// (skew 8): IntersectIntoCost must track the galloping side here, where the old
 // fixed ratio was calibrated and the adaptive model must not regress.
 func BenchmarkIntersectModerateSkew(b *testing.B) {
 	x, y := benchLists(256, 2048)
@@ -137,7 +97,7 @@ func BenchmarkIntersectModerateSkew(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = IntersectInto(buf, x, y)
+		buf = IntersectIntoCost(buf, x, y, 0)
 	}
 }
 
@@ -156,7 +116,7 @@ func BenchmarkIntersectGallopingSkewed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = IntersectInto(buf, x, y)
+		buf = IntersectIntoCost(buf, x, y, 0)
 	}
 }
 
@@ -175,6 +135,6 @@ func BenchmarkIntersectIntoBalanced(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = IntersectInto(buf, x, y)
+		buf = IntersectIntoCost(buf, x, y, 0)
 	}
 }

@@ -37,7 +37,7 @@ type LazyLoadable interface {
 	//
 	// The next save's segment count follows LoadIndex's rule: an explicit
 	// option, else the snapshot's own count.
-	LoadIndexLazy(src trie.RandomAccessFile, db []*graph.Graph, budget int64, opts ...LoadOption) (LoadReport, error)
+	LoadIndexLazy(src trie.RandomAccessFile, db []*graph.Graph, budget int64) (LoadReport, error)
 
 	// Materialize decodes every segment whole and converts the index to
 	// the fully-resident representation LoadIndex would have produced,

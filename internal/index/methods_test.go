@@ -10,6 +10,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -19,6 +20,13 @@ import (
 	"repro/internal/index/grapes"
 	"repro/internal/iso"
 )
+
+// dump renders g in the text codec, for failure messages.
+func dump(g *graph.Graph) string {
+	var b strings.Builder
+	graph.WriteAll(&b, []*graph.Graph{g})
+	return b.String()
+}
 
 func randomGraph(rng *rand.Rand, n int, p float64, labels int) *graph.Graph {
 	g := graph.New(n)
@@ -51,7 +59,7 @@ func connectedQuery(rng *rand.Rand, g *graph.Graph, k int) *graph.Graph {
 func methodsUnderTest() []index.Method {
 	return []index.Method{
 		ggsx.New(ggsx.DefaultOptions()),
-		grapes.New(grapes.DefaultOptions()),
+		grapes.New(grapes.Options{MaxPathLen: 4, Threads: 1}),
 		grapes.New(grapes.Options{MaxPathLen: 4, Threads: 6}),
 		ctindex.New(ctindex.DefaultOptions()),
 	}
@@ -85,7 +93,7 @@ func TestMethodsAgreeWithBruteForce(t *testing.T) {
 			got := index.Answer(m, q)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s trial %d: answer %v, oracle %v\nquery:\n%s",
-					m.Name(), trial, got, want, graph.DOT(q))
+					m.Name(), trial, got, want, dump(q))
 			}
 		}
 	}
@@ -129,11 +137,11 @@ func TestMethodsPrepareVerifyOracleAgree(t *testing.T) {
 				}
 				if got := m.Verify(q, int32(id)); got != ref {
 					t.Fatalf("%s trial %d graph %d: Verify = %v, oracle %v\nquery:\n%s",
-						m.Name(), trial, id, got, ref, graph.DOT(q))
+						m.Name(), trial, id, got, ref, dump(q))
 				}
 				if got := h.Verify(int32(id)); got != ref {
 					t.Fatalf("%s trial %d graph %d: prepared Verify = %v, oracle %v\nquery:\n%s",
-						m.Name(), trial, id, got, ref, graph.DOT(q))
+						m.Name(), trial, id, got, ref, dump(q))
 				}
 			}
 			prepared, err1 := index.VerifyCandidates(context.Background(), m, q, all)
@@ -239,7 +247,7 @@ func TestGrapesDisconnectedQueryFallback(t *testing.T) {
 	// a disconnected query must still be answered correctly
 	rng := rand.New(rand.NewSource(37))
 	db := buildTestDB(rng, 10)
-	m := grapes.New(grapes.DefaultOptions())
+	m := grapes.New(grapes.Options{MaxPathLen: 4, Threads: 1})
 	m.Build(db)
 	q := graph.New(3)
 	q.AddVertex(db[0].Label(0))

@@ -38,11 +38,9 @@ var ErrNotMutable = errors.New("index: method does not support dataset mutation"
 // concurrently with the receiver's read path.
 type Mutable interface {
 	Method
-	// Dataset returns the dataset this method generation answers over.
-	// Callers must treat it as read-only.
-	Dataset() []*graph.Graph
-	// AppendGraphs returns a generation over append(Dataset(), gs...): the
-	// new graphs occupy positions len(Dataset()).. in order.
+	// AppendGraphs returns a generation over the dataset with gs appended:
+	// the new graphs occupy the positions after the existing ones, in
+	// order.
 	AppendGraphs(gs []*graph.Graph) (Mutable, []*graph.Graph, error)
 	// RemoveGraphs returns a generation with the graphs at the given
 	// positions removed under the canonical swap-removal of SwapRemove,

@@ -30,17 +30,16 @@ import (
 // method of the index may run concurrently, and structures keyed by the
 // previous dictionary IDs must be rebuilt afterwards.
 //
-// Durability contract: by default LoadIndex salvages a snapshot whose
-// trailing journal section is torn (the crash-mid-append signature),
-// loading the committed prefix and reporting the damage in
-// LoadReport.RecoveredTail; StrictLoad restores fail-on-anything.
+// Durability contract: LoadIndex salvages a snapshot whose trailing
+// journal section is torn (the crash-mid-append signature), loading the
+// committed prefix and reporting the damage in LoadReport.RecoveredTail.
 // Corruption anywhere before the journal tail always fails, and a failed
 // load leaves the index and its dictionary byte-identical to their
 // pre-call state.
 type Persistable interface {
 	Method
 	SaveIndex(w io.Writer) error
-	LoadIndex(r io.Reader, db []*graph.Graph, opts ...LoadOption) (LoadReport, error)
+	LoadIndex(r io.Reader, db []*graph.Graph) (LoadReport, error)
 }
 
 // LoadReport describes a completed LoadIndex.
@@ -50,33 +49,8 @@ type LoadReport struct {
 	Bytes int64
 	// RecoveredTail is non-nil when the load salvaged a torn journal
 	// tail; its offsets are absolute within the reader handed to
-	// LoadIndex, so a caller owning the underlying file can repair it
-	// with trie.RepairSnapshotTail.
+	// LoadIndex, so a caller owning the underlying file can repair it.
 	RecoveredTail *trie.TailRecovery
-}
-
-// LoadConfig is the resolved option set of one LoadIndex call.
-type LoadConfig struct {
-	// Strict fails the load on any structural damage instead of
-	// recovering a torn journal tail.
-	Strict bool
-}
-
-// LoadOption customises one LoadIndex call.
-type LoadOption func(*LoadConfig)
-
-// StrictLoad makes the load fail on any structural damage, including a
-// torn trailing journal section the default mode would salvage.
-func StrictLoad() LoadOption { return func(c *LoadConfig) { c.Strict = true } }
-
-// ResolveLoadOptions folds opts into a LoadConfig (for implementations
-// outside this package).
-func ResolveLoadOptions(opts []LoadOption) LoadConfig {
-	var cfg LoadConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
 }
 
 // ErrDatasetMismatch reports a snapshot loaded against a dataset other than
@@ -224,16 +198,6 @@ func ReadIndexEnvelope(r io.Reader) (IndexEnvelope, error) {
 	}
 	env.NumGraphs = int(n)
 	return env, nil
-}
-
-// ValidateEnvelope checks a decoded envelope against the loading method and
-// dataset, returning a descriptive error (wrapping ErrDatasetMismatch for
-// dataset divergence) or nil.
-func ValidateEnvelope(env IndexEnvelope, method string, db []*graph.Graph) error {
-	if err := ValidateEnvelopeMethod(env, method); err != nil {
-		return err
-	}
-	return ValidateDataset(env.DBChecksum, env.NumGraphs, db)
 }
 
 // ValidateEnvelopeMethod checks only the method identity of an envelope.

@@ -15,7 +15,7 @@ package index
 //
 // The running partial stays the global cap: views fold in ascending
 // cardinality order, so every step's work is bounded by the smallest set
-// seen so far, exactly like the flat IntersectMany fold.
+// seen so far.
 
 import (
 	"math/bits"

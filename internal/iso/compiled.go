@@ -160,7 +160,7 @@ func (pr *Program) countLabel(l graph.Label) {
 // holds a state large enough for t.
 func (pr *Program) Match(t *graph.Graph) bool {
 	s := states.Get().(*state)
-	ok := s.run(pr, t, nil)
+	ok := s.run(pr, t)
 	states.Put(s)
 	return ok
 }
@@ -169,32 +169,25 @@ func (pr *Program) Match(t *graph.Graph) bool {
 // carry nothing from one test to the next except capacity: a test that
 // panics simply never returns its state.
 type state struct {
-	pr   *Program
-	t    *graph.Graph
-	emit func([]int32) bool // nil: stop at the first embedding
+	pr *Program
+	t  *graph.Graph
 
 	mapping []int32 // pattern vertex → target vertex, valid for placed vertices
 	used    []bool  // target vertex is in the core; all false between tests
 	counts  []int32 // labelsFit scratch: uses of Program.labels[i] not yet seen in t
-	found   bool
 
 	oneShot Program // compiled in place by the uncompiled entry points
 }
 
 var states = sync.Pool{New: func() any { return new(state) }}
 
-// run searches t for embeddings of pr. With emit nil it stops at the first
-// and reports whether one exists; otherwise emit receives every embedding
-// (pattern vertex → target vertex; the slice is reused) until it returns
-// false, and run reports whether any was found.
-func (s *state) run(pr *Program, t *graph.Graph, emit func([]int32) bool) bool {
+// run searches t for an embedding of pr, stops at the first and reports
+// whether one exists; mapping then holds it (pattern vertex → target
+// vertex).
+func (s *state) run(pr *Program, t *graph.Graph) bool {
 	n, nt := len(pr.order), t.NumVertices()
 	if n == 0 {
-		// The empty pattern embeds everywhere, by the empty mapping.
-		if emit != nil {
-			emit(nil)
-		}
-		return true
+		return true // the empty pattern embeds everywhere, by the empty mapping
 	}
 	if n > nt || pr.edges > t.NumEdges() || !s.labelsFit(pr, t) {
 		return false
@@ -206,10 +199,10 @@ func (s *state) run(pr *Program, t *graph.Graph, emit func([]int32) bool) bool {
 	if len(s.used) < nt {
 		s.used = make([]bool, nt)
 	}
-	s.pr, s.t, s.emit, s.found = pr, t, emit, false
-	s.match(0)
-	s.pr, s.t, s.emit = nil, nil, nil // a pooled state pins no graph
-	return s.found
+	s.pr, s.t = pr, t
+	found := s.match(0)
+	s.pr, s.t = nil, nil // a pooled state pins no graph
+	return found
 }
 
 // labelsFit is the label-histogram cut: t must carry every pattern label at
@@ -237,13 +230,12 @@ func (s *state) labelsFit(pr *Program, t *graph.Graph) bool {
 	return missing == 0
 }
 
-// match extends the core mapping at position d and reports whether the
-// whole search should stop.
+// match extends the core mapping at position d and reports whether it
+// completed an embedding, which stops the whole search.
 func (s *state) match(d int) bool {
 	pr, t := s.pr, s.t
 	if d == len(pr.order) {
-		s.found = true
-		return s.emit == nil || !s.emit(s.mapping)
+		return true
 	}
 	u := pr.order[d]
 	par := pr.parent[d]
@@ -349,15 +341,15 @@ func indexOf(a []int32, x int32) int {
 }
 
 // matchOnce compiles p into a pooled state's own program and runs it: the
-// route of the uncompiled entry points (Subgraph, Isomorphic, the embedding
-// enumerators), allocation-free like Match once the pool is warm.
-func matchOnce(p, t *graph.Graph, emit func([]int32) bool) bool {
+// route of the uncompiled entry points (Subgraph, Isomorphic),
+// allocation-free like Match once the pool is warm.
+func matchOnce(p, t *graph.Graph) bool {
 	if p.NumVertices() > t.NumVertices() || p.NumEdges() > t.NumEdges() {
 		return false // not worth compiling
 	}
 	s := states.Get().(*state)
 	s.oneShot.compile(p)
-	ok := s.run(&s.oneShot, t, emit)
+	ok := s.run(&s.oneShot, t)
 	states.Put(s)
 	return ok
 }

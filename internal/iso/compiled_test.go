@@ -37,12 +37,12 @@ func TestProgramAndStateReuse(t *testing.T) {
 			}
 			if got := pr.Match(tgt); got != want {
 				t.Fatalf("pattern %d target %d: Match=%v oracle=%v\npat=%s\ntgt=%s",
-					pi, ti, got, want, graph.DOT(p), graph.DOT(tgt))
+					pi, ti, got, want, dump(p), dump(tgt))
 			}
-			if got := s.run(pr, tgt, nil); got != want {
+			if got := s.run(pr, tgt); got != want {
 				t.Fatalf("pattern %d target %d: shared state=%v oracle=%v", pi, ti, got, want)
 			}
-			if got := s.run(&s.oneShot, tgt, nil); got != want {
+			if got := s.run(&s.oneShot, tgt); got != want {
 				t.Fatalf("pattern %d target %d: recompiled program=%v oracle=%v", pi, ti, got, want)
 			}
 			for v, u := range s.used {
@@ -62,8 +62,8 @@ func TestProgramAndStateReuse(t *testing.T) {
 func TestCompileSnapshotsPattern(t *testing.T) {
 	p := pathGraph(1, 2)
 	pr := Compile(p)
-	p.SetLabel(1, 9)
 	p.AddVertex(9)
+	p.AddEdge(1, 2)
 	if !pr.Match(pathGraph(3, 1, 2)) {
 		t.Error("program changed with its source graph")
 	}
@@ -73,22 +73,25 @@ func TestCompileSnapshotsPattern(t *testing.T) {
 }
 
 // TestPanicMidSearchPoisonsNoLaterTest: a test that panics half-way through
-// its search (here from the enumeration callback, with vertices marked and
-// the state's fields pointing into the search) never returns its state to
-// the pool, so the tests that follow on the same goroutine — which would be
-// handed that very state — still agree with the oracle.
+// its search (here from a program whose last position names a parent out of
+// range, with vertices marked and the state's fields pointing into the
+// search) never returns its state to the pool, so the tests that follow on
+// the same goroutine — which would be handed that very state — still agree
+// with the oracle.
 func TestPanicMidSearchPoisonsNoLaterTest(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	tgt := randomGraph(rng, 9, 0.5, 2)
 	pat := randomConnectedSubgraph(rng, tgt, 4)
+	poisoned := Compile(pat)
+	poisoned.parent[len(poisoned.parent)-1] = 1 << 20
 	for round := 0; round < 20; round++ {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatal("the callback's panic did not propagate")
+					t.Fatal("the search's panic did not propagate")
 				}
 			}()
-			EnumerateEmbeddings(pat, tgt, func([]int32) bool { panic("poisoned callback") })
+			poisoned.Match(tgt)
 		}()
 		p := randomGraph(rng, 1+rng.Intn(5), 0.5, 2)
 		want := bruteForceExists(p, tgt)
@@ -177,10 +180,10 @@ func FuzzCompiledMatch(f *testing.F) {
 		}
 		want := bruteForceExists(pat, tgt)
 		if got := Compile(pat).Match(tgt); got != want {
-			t.Fatalf("Match=%v oracle=%v\npat=%s\ntgt=%s", got, want, graph.DOT(pat), graph.DOT(tgt))
+			t.Fatalf("Match=%v oracle=%v\npat=%s\ntgt=%s", got, want, dump(pat), dump(tgt))
 		}
 		if got := Subgraph(pat, tgt); got != want {
-			t.Fatalf("Subgraph=%v oracle=%v\npat=%s\ntgt=%s", got, want, graph.DOT(pat), graph.DOT(tgt))
+			t.Fatalf("Subgraph=%v oracle=%v\npat=%s\ntgt=%s", got, want, dump(pat), dump(tgt))
 		}
 	})
 }

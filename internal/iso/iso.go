@@ -23,9 +23,9 @@
 // which is why there is no second engine; bruteForceExists (Reference) is
 // the independent oracle the engine is tested against.
 //
-// All searches stop at the first embedding unless asked to enumerate, which
-// matches the paper's alteration of Grapes ("stop query processing when the
-// first match was found").
+// Every search stops at the first embedding, which matches the paper's
+// alteration of Grapes ("stop query processing when the first match was
+// found").
 package iso
 
 import (
@@ -34,40 +34,7 @@ import (
 
 // Subgraph reports whether pattern ⊆ target.
 func Subgraph(pattern, target *graph.Graph) bool {
-	return matchOnce(pattern, target, nil)
-}
-
-// FindEmbedding returns one embedding of pattern into target as a slice
-// mapping pattern vertex → target vertex, or nil if none exists.
-func FindEmbedding(pattern, target *graph.Graph) []int {
-	var out []int
-	matchOnce(pattern, target, func(m []int32) bool {
-		out = make([]int, len(m))
-		for i, v := range m {
-			out[i] = int(v)
-		}
-		return false
-	})
-	return out
-}
-
-// CountEmbeddings counts distinct embeddings (vertex mappings) of pattern
-// into target, up to limit (limit <= 0 means unlimited). Automorphic images
-// count separately, as each is a distinct injection.
-func CountEmbeddings(pattern, target *graph.Graph, limit int) int {
-	n := 0
-	matchOnce(pattern, target, func([]int32) bool {
-		n++
-		return limit <= 0 || n < limit
-	})
-	return n
-}
-
-// EnumerateEmbeddings calls fn for each embedding until fn returns false or
-// the search space is exhausted. The mapping slice is reused between calls;
-// callers must copy it if they retain it.
-func EnumerateEmbeddings(pattern, target *graph.Graph, fn func(mapping []int32) bool) {
-	matchOnce(pattern, target, fn)
+	return matchOnce(pattern, target)
 }
 
 // Isomorphic reports whether a and b are isomorphic labeled graphs.
@@ -81,5 +48,5 @@ func Isomorphic(a, b *graph.Graph) bool {
 	if !graph.SameSignature(a, b) {
 		return false
 	}
-	return matchOnce(a, b, nil)
+	return matchOnce(a, b)
 }

@@ -2,10 +2,18 @@ package iso
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
 )
+
+// dump renders g in the text codec, for failure messages.
+func dump(g *graph.Graph) string {
+	var b strings.Builder
+	graph.WriteAll(&b, []*graph.Graph{g})
+	return b.String()
+}
 
 func pathGraph(labels ...graph.Label) *graph.Graph {
 	g := graph.New(len(labels))
@@ -55,7 +63,8 @@ func randomConnectedSubgraph(rng *rand.Rand, t *graph.Graph, k int) *graph.Graph
 	}
 	sub, _ := t.InducedSubgraph(order)
 	// drop ~30% of edges while keeping the pattern connected
-	edges := sub.EdgeList()
+	var edges [][2]int
+	sub.Edges(func(u, v int) { edges = append(edges, [2]int{u, v}) })
 	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	out := graph.New(sub.NumVertices())
 	for v := 0; v < sub.NumVertices(); v++ {
@@ -70,11 +79,11 @@ func randomConnectedSubgraph(rng *rand.Rand, t *graph.Graph, k int) *graph.Graph
 			for v := 0; v < out.NumVertices(); v++ {
 				trial.AddVertex(out.Label(v))
 			}
-			for _, f := range out.EdgeList() {
-				if f != e {
-					trial.AddEdge(f[0], f[1])
+			out.Edges(func(u, v int) {
+				if [2]int{u, v} != e {
+					trial.AddEdge(u, v)
 				}
-			}
+			})
 			if trial.IsConnected() {
 				out = trial
 			}
@@ -165,65 +174,34 @@ func TestDisconnectedPattern(t *testing.T) {
 	}
 }
 
+// TestFindEmbeddingValid: the mapping a successful search stops at is an
+// embedding — injective, label-preserving and edge-preserving.
 func TestFindEmbeddingValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	s := new(state)
 	for trial := 0; trial < 40; trial++ {
 		tgt := randomGraph(rng, 8+rng.Intn(6), 0.35, 3)
 		p := randomConnectedSubgraph(rng, tgt, 2+rng.Intn(4))
-		m := FindEmbedding(p, tgt)
-		if m == nil {
+		pr := Compile(p)
+		if !s.run(pr, tgt) {
 			t.Fatalf("trial %d: planted pattern not found", trial)
 		}
-		// verify the embedding
-		seen := map[int]bool{}
+		m := s.mapping
+		seen := map[int32]bool{}
 		for u, v := range m {
 			if seen[v] {
 				t.Fatalf("trial %d: embedding not injective", trial)
 			}
 			seen[v] = true
-			if p.Label(u) != tgt.Label(v) {
+			if p.Label(u) != tgt.Label(int(v)) {
 				t.Fatalf("trial %d: label mismatch", trial)
 			}
 		}
-		bad := false
 		p.Edges(func(a, b int) {
-			if !tgt.HasEdge(m[a], m[b]) {
-				bad = true
+			if !tgt.HasEdge(int(m[a]), int(m[b])) {
+				t.Fatalf("trial %d: embedding drops edge %d-%d", trial, a, b)
 			}
 		})
-		if bad {
-			t.Fatalf("trial %d: embedding drops an edge", trial)
-		}
-	}
-}
-
-func TestCountEmbeddings(t *testing.T) {
-	// edge with two same labels into triangle of same labels:
-	// 3 edges × 2 directions = 6 embeddings
-	edge := pathGraph(1, 1)
-	tri := cycleGraph(1, 1, 1)
-	if got := CountEmbeddings(edge, tri, 0); got != 6 {
-		t.Errorf("edge->triangle embeddings = %d, want 6", got)
-	}
-	if got := CountEmbeddings(edge, tri, 4); got != 4 {
-		t.Errorf("limited count = %d, want 4", got)
-	}
-	// distinct labels kill symmetry: path(1,2) into triangle(1,2,3): 1
-	if got := CountEmbeddings(pathGraph(1, 2), cycleGraph(1, 2, 3), 0); got != 1 {
-		t.Errorf("labeled edge embeddings = %d, want 1", got)
-	}
-}
-
-func TestEnumerateEmbeddingsStops(t *testing.T) {
-	edge := pathGraph(1, 1)
-	tri := cycleGraph(1, 1, 1)
-	calls := 0
-	EnumerateEmbeddings(edge, tri, func(m []int32) bool {
-		calls++
-		return calls < 2
-	})
-	if calls != 2 {
-		t.Errorf("enumeration did not stop at 2, got %d", calls)
 	}
 }
 
@@ -235,7 +213,7 @@ func TestAgainstBruteForce(t *testing.T) {
 		want := bruteForceExists(pat, tgt)
 		if got := Subgraph(pat, tgt); got != want {
 			t.Fatalf("trial %d: engine=%v brute=%v\npat=%s\ntgt=%s",
-				trial, got, want, graph.DOT(pat), graph.DOT(tgt))
+				trial, got, want, dump(pat), dump(tgt))
 		}
 	}
 }
@@ -258,12 +236,13 @@ func TestIsomorphic(t *testing.T) {
 		g := randomGraph(rng, n, 0.4, 3)
 		// permuted copy
 		perm := rng.Perm(n)
-		h := graph.New(n)
-		for i := 0; i < n; i++ {
-			h.AddVertex(0)
+		labels := make([]graph.Label, n)
+		for i := range labels {
+			labels[perm[i]] = g.Label(i)
 		}
-		for i := 0; i < n; i++ {
-			h.SetLabel(perm[i], g.Label(i))
+		h := graph.New(n)
+		for _, l := range labels {
+			h.AddVertex(l)
 		}
 		g.Edges(func(u, v int) { h.AddEdge(perm[u], perm[v]) })
 		if !Isomorphic(g, h) {
@@ -310,7 +289,7 @@ func TestLabelHistogramPruning(t *testing.T) {
 	}
 	// ... and by the histogram cut, before any search: no state is sized.
 	s := new(state)
-	if s.run(Compile(p), tgt, nil) || s.used != nil {
+	if s.run(Compile(p), tgt) || s.used != nil {
 		t.Error("histogram cut did not refuse before the search")
 	}
 }

@@ -32,10 +32,7 @@
 // and AppendDeltas / MaintainDeltas keep one O(delta) journal lineage per
 // partition. The files are named by PartPath: a one-partition group uses
 // the base path itself, byte-identical to igq.SaveEngineFile of its
-// engine, and N > 1 partitions use base.p0, base.p1, ... Rebalance(n)
-// resplits in process by rebuilding partition engines from the
-// redistributed graphs; cross-process rebalance (shipping a partition's
-// snapshot + journal tail) is the recorded follow-up.
+// engine, and N > 1 partitions use base.p0, base.p1, ...
 package partition
 
 import (
@@ -82,16 +79,13 @@ var ErrModeNotServed = errors.New("partition: supergraph queries are not served 
 
 // Group serves one logical dataset split across N engine partitions.
 // Queries are lock-free scatter-gather over an atomic partition-set
-// pointer; mutations, persistence and Rebalance serialise on one mutex but
-// touch only the partitions they route to. All methods are safe for
+// pointer; mutations and persistence serialise on one mutex but touch
+// only the partitions they route to. All methods are safe for
 // concurrent use.
 type Group struct {
 	opt   Options
-	mu    sync.Mutex // serialises mutations, persistence, Rebalance
+	mu    sync.Mutex // serialises mutations and persistence
 	parts atomic.Pointer[[]*igq.Engine]
-	// wrapped marks a group made by Of: opt holds no engine options to
-	// rebuild partitions from, so Rebalance refuses.
-	wrapped bool
 }
 
 // PartitionOf is the routing function: the partition owning graph ID id
@@ -130,18 +124,12 @@ func New(db []*igq.Graph, opt Options) (*Group, error) {
 
 // Of serves an engine built elsewhere as a group of one partition,
 // answering Mode Super too when super is set. The engine's dataset must
-// carry unique graph IDs. Such a group refuses Rebalance: it has no
-// engine options to build new partitions with.
+// carry unique graph IDs.
 func Of(e *igq.Engine, super bool) (*Group, error) {
 	if err := checkIDs(e.Dataset()); err != nil {
 		return nil, err
 	}
-	g, err := newGroup([]*igq.Engine{e}, Options{Partitions: 1, Super: super})
-	if err != nil {
-		return nil, err
-	}
-	g.wrapped = true
-	return g, nil
+	return newGroup([]*igq.Engine{e}, Options{Partitions: 1, Super: super})
 }
 
 // newGroup installs parts, rejecting Options.Super over partition engines
@@ -248,12 +236,6 @@ func (g *Group) Dataset() []*igq.Graph {
 		all = append(all, p.Dataset()...)
 	}
 	return all
-}
-
-// Query answers a subgraph query: Engine-shaped shorthand for
-// QueryMode(ctx, Sub, q, opts...).
-func (g *Group) Query(ctx context.Context, q *igq.Graph, opts ...igq.QueryOption) (igq.Result, error) {
-	return g.QueryMode(ctx, Sub, q, opts...)
 }
 
 // QueryMode scatters q to every partition at once and gathers the union of

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	igq "repro"
+	"repro/internal/dataset"
 	"repro/internal/trie"
 )
 
@@ -60,7 +61,7 @@ func oracleIDs(t *testing.T, eng *igq.Engine, q *igq.Graph) []int32 {
 // fresh IDs that collide with nothing in the test.
 func freshGraphs(t *testing.T, n int, firstID int) []*igq.Graph {
 	t.Helper()
-	extra := igq.GenerateDataset(igq.PDBSSpec().Scaled(0.02, 0.5))
+	extra := igq.GenerateDataset(dataset.PDBS().Scaled(0.02, 0.5))
 	if len(extra) < n {
 		t.Fatalf("need %d extra graphs, got %d", n, len(extra))
 	}
@@ -375,17 +376,9 @@ func TestGroupRejections(t *testing.T) {
 		t.Fatal("RemoveGraphs emptied a partition")
 	}
 
-	// A group wrapped around an engine has no options to rebuild with.
 	eng, err := igq.NewEngine(db, igq.EngineOptions{CacheSize: 8})
 	if err != nil {
 		t.Fatal(err)
-	}
-	wg, err := Of(eng, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wg.Rebalance(2) == nil || wg.Partitions() != 1 {
-		t.Fatal("Rebalance resplit a group wrapped around an engine")
 	}
 	if _, err := Of(eng, true); err != nil {
 		t.Fatalf("Of(super) over a path index: %v", err)
@@ -400,8 +393,8 @@ func TestGroupRejections(t *testing.T) {
 }
 
 // TestGroupConcurrentQueryMutate runs 8 query goroutines (both modes,
-// plus a QueryStream consumer) concurrently with routed mutations and a
-// Rebalance, then pins the final state to a fresh oracle. Primarily a
+// plus a QueryStream consumer) concurrently with routed mutations, then
+// pins the final state to a fresh oracle. Primarily a
 // -race target: queries are lock-free over the atomic partition set while
 // mutations swap engines underneath them.
 func TestGroupConcurrentQueryMutate(t *testing.T) {
@@ -470,15 +463,6 @@ func TestGroupConcurrentQueryMutate(t *testing.T) {
 	next := 0
 	mrng := rand.New(rand.NewSource(43))
 	for step := 0; step < 6; step++ {
-		if step == 3 {
-			if err := g.Rebalance(3); err != nil {
-				t.Fatalf("Rebalance: %v", err)
-			}
-			if g.Partitions() != 3 {
-				t.Fatalf("Partitions() = %d after Rebalance(3)", g.Partitions())
-			}
-			continue
-		}
 		if step%2 == 0 {
 			gs := extra[next : next+2]
 			next += 2
@@ -516,7 +500,7 @@ func TestGroupConcurrentQueryMutate(t *testing.T) {
 	}
 	for i, q := range probes {
 		want := oracleIDs(t, oracle, q)
-		got, err := g.Query(ctx, q, igq.WithoutCache())
+		got, err := g.QueryMode(ctx, Sub, q, igq.WithoutCache())
 		if err != nil {
 			t.Fatalf("final probe %d: %v", i, err)
 		}
@@ -588,8 +572,8 @@ func TestGroupQueryStreamCancellation(t *testing.T) {
 	}
 }
 
-// TestBuildPanicReachesCaller poisons the partition builds of New and
-// Rebalance: a panic in one partition's build must reach the caller as a
+// TestBuildPanicReachesCaller poisons the partition builds of New: a panic
+// in one partition's build must reach the caller as a
 // *trie.WorkerPanic instead of killing the process.
 func TestBuildPanicReachesCaller(t *testing.T) {
 	db := testDB(t, 5)
@@ -612,13 +596,6 @@ func TestBuildPanicReachesCaller(t *testing.T) {
 	}
 	poisoned.Store(true)
 	wantWorkerPanic("New", func() { New(db, opt) })
-	poisoned.Store(false)
-	g, err := New(db, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	poisoned.Store(true)
-	wantWorkerPanic("Rebalance", func() { g.Rebalance(3) })
 }
 
 // TestScatterPanicReachesCaller poisons the scatter body itself — a nil
@@ -654,7 +631,7 @@ func TestOnePartitionFilesAreEngineFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range db[:6] {
-		if _, err := g.Query(context.Background(), q); err != nil {
+		if _, err := g.QueryMode(context.Background(), Sub, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -705,7 +682,7 @@ func TestLazyGroupStatsSumPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range db {
-		if _, err := lg.Query(context.Background(), q); err != nil {
+		if _, err := lg.QueryMode(context.Background(), Sub, q); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -49,8 +49,7 @@ func HaveAllParts(base string, n int) bool {
 // SaveAll atomically writes each partition's combined engine snapshot
 // (index + the default direction's query cache) to PartPath(base, i, n),
 // with igq.SaveEngineFile. The other direction's cache is not persisted; it
-// restarts empty over the restored index. Exclusive with mutations and
-// Rebalance.
+// restarts empty over the restored index. Exclusive with mutations.
 func (g *Group) SaveAll(base string) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -151,43 +150,4 @@ func withLineage(path string, fn func(*persistio.PathFile) error) error {
 	}
 	defer f.Close()
 	return fn(f)
-}
-
-// Rebalance resplits the dataset across n partitions: every graph is
-// re-routed by the stable hash under the new partition count and fresh
-// partition engines are built (in parallel) over the redistributed
-// datasets, then installed atomically — queries in flight finish against
-// the old partition set, later queries see the new one. Caches restart
-// cold (cached answers are partition-local and the partition contents
-// changed). Exclusive with mutations and persistence; rebalance under
-// live mutation load without the build pause is the recorded follow-up.
-// A group made by Of refuses.
-func (g *Group) Rebalance(n int) error {
-	if n <= 0 {
-		return fmt.Errorf("partition: cannot rebalance to %d partitions", n)
-	}
-	if g.wrapped {
-		return errors.New("partition: a group wrapped around an existing engine has no engine options to rebalance with")
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	parts := *g.parts.Load()
-	var all []*igq.Graph
-	for _, p := range parts {
-		all = append(all, p.Dataset()...)
-	}
-	split, err := route(all, n)
-	if err != nil {
-		return err
-	}
-	// g.opt stays as New left it (queries read Super from it without
-	// the mutex); the live partition count is len(*g.parts.Load()).
-	opt := g.opt
-	opt.Partitions = n
-	newParts, err := buildParts(split, opt)
-	if err != nil {
-		return err
-	}
-	g.parts.Store(&newParts)
-	return nil
 }

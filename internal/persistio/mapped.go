@@ -183,13 +183,6 @@ type FaultMapped struct {
 // NewFaultMapped wraps inner.
 func NewFaultMapped(inner RandomAccess) *FaultMapped { return &FaultMapped{inner: inner} }
 
-// FailNextRead arms a one-shot failure: the next ReadAt returns err.
-func (f *FaultMapped) FailNextRead(err error) {
-	f.mu.Lock()
-	f.failNext = err
-	f.mu.Unlock()
-}
-
 // FailReads arms a sticky failure: every subsequent ReadAt returns err
 // (nil disarms).
 func (f *FaultMapped) FailReads(err error) {
@@ -197,11 +190,6 @@ func (f *FaultMapped) FailReads(err error) {
 	f.failAll = err
 	f.mu.Unlock()
 }
-
-// Reads returns the number of ReadAt calls that reached the wrapper
-// (including injected failures) — how many fetches from the mapping
-// actually happened, for re-decode assertions.
-func (f *FaultMapped) Reads() int64 { return f.readCalls.Load() }
 
 func (f *FaultMapped) ReadAt(p []byte, off int64) (int, error) {
 	f.readCalls.Add(1)

@@ -145,9 +145,6 @@ func OpenFile(path string) (*PathFile, error) {
 	return &PathFile{File: f, path: path}, nil
 }
 
-// Path returns the path the file was opened with.
-func (p *PathFile) Path() string { return p.path }
-
 // AtomicRewrite implements AtomicRewriter: the new contents are written
 // and fsynced beside the file and renamed over it, then the handle is
 // re-opened onto the new inode (positioned at the start). A crash or
@@ -201,18 +198,6 @@ func NewFaultFile(f File) *FaultFile { return &FaultFile{f: f, budget: -1} }
 // CrashAfterBytes arms the simulated kill after n more written bytes.
 func (ff *FaultFile) CrashAfterBytes(n int64) { ff.budget = n }
 
-// FailNextWrite arms a one-shot write error (nil err selects ErrInjected).
-func (ff *FaultFile) FailNextWrite(err error) {
-	if err == nil {
-		err = ErrInjected
-	}
-	ff.writeErr = err
-}
-
-// ShortNextWrite arms a one-shot short write: the next Write persists only
-// half its bytes and reports ErrInjected.
-func (ff *FaultFile) ShortNextWrite() { ff.shortWrite = true }
-
 // FailNextSync arms a one-shot sync error (nil err selects ErrInjected).
 func (ff *FaultFile) FailNextSync(err error) {
 	if err == nil {
@@ -220,9 +205,6 @@ func (ff *FaultFile) FailNextSync(err error) {
 	}
 	ff.syncErr = err
 }
-
-// Crashed reports whether the simulated kill has fired.
-func (ff *FaultFile) Crashed() bool { return ff.crashed }
 
 // Written returns the content bytes persisted through this wrapper.
 func (ff *FaultFile) Written() int64 { return ff.written }

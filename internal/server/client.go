@@ -195,11 +195,6 @@ func (c *Client) Stats(ctx context.Context) (StatsReply, error) {
 	return reply, err
 }
 
-// Save asks the server to write its snapshot now.
-func (c *Client) Save(ctx context.Context) error {
-	return c.post(ctx, "/save", struct{}{}, nil)
-}
-
 // Healthz reports whether the server answers its health check.
 func (c *Client) Healthz(ctx context.Context) error {
 	return c.get(ctx, "/healthz", nil)

@@ -139,7 +139,7 @@ func servingCell(t *testing.T, db, extra, queries []*igq.Graph, parts int, lazy 
 	ref = slices.DeleteFunc(ref, func(g *igq.Graph) bool { return g.ID == removed })
 	check("mutated", client)
 
-	if err := client.Save(ctx); err != nil {
+	if err := client.post(ctx, "/save", struct{}{}, nil); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 	if !partition.HaveAllParts(snap, parts) {

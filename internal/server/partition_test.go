@@ -236,7 +236,7 @@ func TestPartitionedServer(t *testing.T) {
 
 	// Save writes one snapshot per partition; the lineage restores into a
 	// group that serves the same answers.
-	if err := client.Save(ctx); err != nil {
+	if err := client.post(ctx, "/save", struct{}{}, nil); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 	if !partition.HaveAllParts(snapPath, parts) {

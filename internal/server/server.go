@@ -73,7 +73,8 @@ type Config struct {
 // acquire execution slots per query and let TCP flow control push back on
 // the sender instead.
 type Server struct {
-	cfg Config
+	cfg     Config
+	maxBody int64 // maxRequestBytes; tests lower it
 
 	queue chan struct{} // admission slots: Workers+QueueDepth
 	run   chan struct{} // execution slots: Workers
@@ -115,6 +116,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
+		maxBody: maxRequestBytes,
 		queue:   make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		run:     make(chan struct{}, cfg.Workers),
 		mux:     http.NewServeMux(),
@@ -281,8 +283,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer func() { <-s.queue }()
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
 	mode, err := modeOf(req.Mode)
@@ -455,8 +456,7 @@ func orSub(mode string) string {
 
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	var req MutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
 	gs := make([]*igq.Graph, len(req.Graphs))
@@ -473,8 +473,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	var req MutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
 	s.mutate(w, func() error { return s.cfg.Group.RemoveGraphs(r.Context(), req.Positions) })
@@ -625,6 +624,27 @@ func writeQueryError(w http.ResponseWriter, err error) {
 		status = 499 // client closed request (nginx convention)
 	}
 	writeError(w, status, err.Error())
+}
+
+// maxRequestBytes bounds the body of a unary request (/query, /graphs/add,
+// /graphs/remove): the JSON decoder buffers a whole request, so an
+// unbounded body read from the network could take any amount of memory.
+const maxRequestBytes = 64 << 20
+
+// decodeRequest decodes the JSON body of a unary request into v, reading
+// at most s.maxBody bytes of it. On failure it writes the error reply —
+// 413 when the body is over the bound, 400 otherwise — and reports false.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, "decoding request: "+err.Error())
+	return false
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -22,6 +24,7 @@ import (
 	igq "repro"
 	"repro/internal/index"
 	"repro/internal/index/grapes"
+	"repro/internal/iso"
 )
 
 func testDB(t *testing.T) []*igq.Graph {
@@ -62,7 +65,7 @@ func TestWireGraphRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("graph %d: %v", i, err)
 		}
-		if !igq.Isomorphic(g, back) {
+		if !iso.Isomorphic(g, back) {
 			t.Fatalf("graph %d: round trip not isomorphic", i)
 		}
 		if back.NumVertices() != g.NumVertices() || back.NumEdges() != g.NumEdges() {
@@ -670,5 +673,52 @@ func TestMutationsOverWireWithDeltaLineage(t *testing.T) {
 		!strings.Contains(string(body), fmt.Sprintf("igq_engine_queries_total{mode=%q}", "sub")) ||
 		!strings.Contains(string(body), fmt.Sprintf("igq_engine_base_memo_renewals_total{mode=%q}", "super")) {
 		t.Fatalf("metrics output incomplete:\n%s", body)
+	}
+}
+
+// TestRequestBodyBounded: a unary request whose body is one byte over the
+// bound answers 413 at /query, /graphs/add and /graphs/remove and leaves
+// the dataset as it was, while the same body at the bound is served.
+func TestRequestBodyBounded(t *testing.T) {
+	db := testDB(t)
+	eng, err := igq.NewEngine(db, igq.EngineOptions{Method: igq.GGSX})
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := db[1].Clone()
+	extra.ID = 1_000_000
+	for path, req := range map[string]any{
+		"/query":         QueryRequest{Graph: EncodeGraph(igq.ExtractQuery(db[0], 0, 4))},
+		"/graphs/add":    MutateRequest{Graphs: []WireGraph{EncodeGraph(extra)}},
+		"/graphs/remove": MutateRequest{Positions: []int{db[2].ID}},
+	} {
+		body, _ := json.Marshal(req)
+		before := len(eng.Dataset())
+		for _, over := range []bool{true, false} {
+			s, err := New(Config{Engine: eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.maxBody != maxRequestBytes {
+				t.Fatalf("New bounds bodies at %d bytes, want %d", s.maxBody, maxRequestBytes)
+			}
+			s.maxBody = int64(len(body))
+			if over {
+				s.maxBody--
+			}
+			hs := httptest.NewServer(s.Handler()) // after the write to maxBody
+			t.Cleanup(hs.Close)
+			resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if want := map[bool]int{true: http.StatusRequestEntityTooLarge, false: http.StatusOK}[over]; resp.StatusCode != want {
+				t.Fatalf("%s, body over the bound %v: answered %d, want %d", path, over, resp.StatusCode, want)
+			}
+			if over && len(eng.Dataset()) != before {
+				t.Fatalf("%s: a refused request changed the dataset", path)
+			}
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestSummarize(t *testing.T) {
@@ -21,61 +20,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	s := Summarize(nil)
 	if s.N != 0 || s.Mean != 0 || s.Sum != 0 {
 		t.Errorf("empty summary = %+v", s)
-	}
-}
-
-func TestSummarizeInts(t *testing.T) {
-	s := SummarizeInts([]int{1, 2, 3})
-	if s.Mean != 2 || s.N != 3 {
-		t.Errorf("int summary = %+v", s)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 5 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := Percentile(xs, 50); got != 3 {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := Percentile(xs, 25); got != 2 {
-		t.Errorf("p25 = %v", got)
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Error("empty percentile should be NaN")
-	}
-	// percentile of an unsorted input must match sorted
-	if Percentile([]float64{5, 1, 3, 2, 4}, 50) != 3 {
-		t.Error("unsorted input mishandled")
-	}
-}
-
-func TestPercentileMonotone(t *testing.T) {
-	f := func(xs []float64) bool {
-		if len(xs) == 0 {
-			return true
-		}
-		for _, x := range xs {
-			if math.IsNaN(x) {
-				return true
-			}
-		}
-		prev := math.Inf(-1)
-		for p := 0.0; p <= 100; p += 10 {
-			v := Percentile(xs, p)
-			if v < prev {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 

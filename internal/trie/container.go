@@ -349,9 +349,6 @@ type RunContainer struct {
 	card int
 }
 
-// Runs exposes the backing intervals. Callers must not modify them.
-func (r *RunContainer) Runs() []Run { return r.runs }
-
 func (r *RunContainer) Kind() ContainerKind { return KindRuns }
 func (r *RunContainer) Len() int            { return r.card }
 

@@ -23,9 +23,7 @@ package trie
 // section. The loader never serves a half-applied delta: it either drops
 // the torn tail and reports a TailRecovery (default), or fails outright
 // (LoadOptions.Strict) — see the Durability section in persist.go.
-// RepairSnapshotTail truncates a recovered file back to its committed
-// prefix so the next append finds a well-formed snapshot; callers that
-// need the append itself durable fsync after it returns
+// Callers that need the append itself durable fsync after it returns
 // (index.AppendIndexDelta does).
 //
 // Each journal carries a JournalStamp — the dataset fingerprint *after*
@@ -57,9 +55,6 @@ type Journal struct {
 
 // Empty reports whether the journal holds no ops.
 func (j *Journal) Empty() bool { return len(j.ops) == 0 }
-
-// Ops returns the number of staged dataset operations.
-func (j *Journal) Ops() int { return len(j.ops) }
 
 // Reset drops all staged ops.
 func (j *Journal) Reset() { j.ops = nil }
@@ -358,39 +353,6 @@ func AppendJournalSection(f io.ReadWriteSeeker, j *Journal, stamp JournalStamp) 
 		return 0, fmt.Errorf("trie: appending journal: %w", err)
 	}
 	return int64(len(sec) - 1), nil
-}
-
-// RepairSnapshotTail repairs a snapshot file whose load reported a
-// TailRecovery: the file is truncated back to the committed prefix, a
-// fresh section terminator is written, and the file is fsynced, so the
-// next AppendJournalSection (and any strict load) finds a well-formed
-// snapshot holding exactly the recovered state. Truncating first keeps
-// the repair itself crash-safe: a kill between the two steps leaves a
-// terminator-less committed prefix, which is again recoverable. No-op
-// when rec is nil.
-func RepairSnapshotTail(f io.WriteSeeker, rec *TailRecovery) error {
-	if rec == nil {
-		return nil
-	}
-	t, ok := f.(interface{ Truncate(int64) error })
-	if !ok {
-		return fmt.Errorf("trie: snapshot tail repair needs truncation support")
-	}
-	if err := t.Truncate(rec.CommittedBytes); err != nil {
-		return fmt.Errorf("trie: truncating torn tail: %w", err)
-	}
-	if _, err := f.Seek(rec.CommittedBytes, io.SeekStart); err != nil {
-		return fmt.Errorf("trie: seeking committed prefix: %w", err)
-	}
-	if _, err := f.Write([]byte{sectionEnd}); err != nil {
-		return fmt.Errorf("trie: rewriting terminator: %w", err)
-	}
-	if s, ok := f.(interface{ Sync() error }); ok {
-		if err := s.Sync(); err != nil {
-			return fmt.Errorf("trie: syncing repaired snapshot: %w", err)
-		}
-	}
-	return nil
 }
 
 // journalOpCount best-effort counts the ops a discarded journal body

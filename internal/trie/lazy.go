@@ -436,7 +436,6 @@ func (t *Trie) OpenLazy(src RandomAccessFile, opt LazyOptions) (int64, *TailReco
 	t.pages = nil // filled in by Materialize
 	t.segments = k
 	t.dead = nil
-	t.recovered = rec
 	t.stamp = nil
 	if len(journals) > 0 {
 		last := journals[len(journals)-1].stamp
@@ -723,26 +722,6 @@ func (ls *lazyState) decodeInto(tb table, s int) ([]features.FeatureID, error) {
 		}
 	}
 	return d.drained, nil
-}
-
-// FaultInShard opens segment s's directory (tests and warm-up): the
-// segment is read, CRC-checked and scanned, no posting list is decoded.
-// No-op with a nil error on an eager or already-materialised trie.
-func (t *Trie) FaultInShard(s int) error {
-	ls := t.lazyLive.Load()
-	if ls == nil {
-		return nil
-	}
-	if s < 0 || s >= len(ls.segs) {
-		return fmt.Errorf("trie: segment %d out of range [0, %d)", s, len(ls.segs))
-	}
-	ls.srcMu.RLock()
-	defer ls.srcMu.RUnlock()
-	if ls.materialized.Load() {
-		return nil
-	}
-	_, err := ls.openDir(s, nil)
-	return err
 }
 
 // Materialize decodes every segment whole into the page tables and

@@ -81,9 +81,6 @@ type Mutation struct {
 // NewMutation returns an empty mutation staged against t.
 func (t *Trie) NewMutation() *Mutation { return &Mutation{base: t} }
 
-// Empty reports whether no ops were staged.
-func (m *Mutation) Empty() bool { return len(m.ops) == 0 }
-
 // AppendGraph stages the postings of a newly appended graph: id must not
 // hold any posting in the base trie (dataset positions grow monotonically
 // within one mutation batch).

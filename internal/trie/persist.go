@@ -163,9 +163,9 @@ package trie
 //     fail-on-anything behavior.
 //
 // A recovered load leaves the *file* untouched; callers that own the file
-// repair it with RepairSnapshotTail (truncate to the committed prefix,
-// re-write the terminator, fsync) so the next AppendJournalSection finds
-// a well-formed snapshot. Writers fsync after the bytes that commit an
+// repair it by rewriting it whole, atomically (igq.LoadEngineFile does),
+// so the next AppendJournalSection finds a well-formed snapshot. Writers
+// fsync after the bytes that commit an
 // operation: full saves sync before their rename (persistio), journal
 // appends sync after the new terminator lands (index.AppendIndexDelta).
 
@@ -416,7 +416,7 @@ type TailRecovery struct {
 	// base plus every fully-committed journal section, *excluding* the
 	// section terminator. A file truncated to this length plus a
 	// terminator byte is a well-formed snapshot holding exactly the
-	// loaded state (RepairSnapshotTail performs that repair).
+	// loaded state.
 	CommittedBytes int64
 	// DiscardedBytes counts the torn tail bytes dropped beyond the
 	// committed prefix.
@@ -429,15 +429,9 @@ type TailRecovery struct {
 // ReadFrom replaces the trie's contents with a snapshot previously written
 // by WriteTo, implementing io.ReaderFrom; segment decodes run on one worker
 // per CPU and a torn journal tail is recovered (see ReadFromOptions for
-// the full contract; TailRecovery reports whether one was).
+// the full contract, and for the report of a recovery).
 func (t *Trie) ReadFrom(r io.Reader) (int64, error) {
 	n, _, err := t.ReadFromOptions(r, LoadOptions{})
-	return n, err
-}
-
-// ReadFromWorkers is ReadFrom with an explicit decode parallelism.
-func (t *Trie) ReadFromWorkers(r io.Reader, workers int) (int64, error) {
-	n, _, err := t.ReadFromOptions(r, LoadOptions{Workers: workers})
 	return n, err
 }
 
@@ -454,8 +448,7 @@ func (t *Trie) ReadFromWorkers(r io.Reader, workers int) (int64, error) {
 // with ErrCorrupt. A torn *trailing* journal section — the signature of a
 // crash mid-append — is recovered unless opt.Strict: the load succeeds
 // with every fully-committed section replayed, the torn tail is consumed
-// and discarded, and the returned *TailRecovery (also available from
-// Trie.TailRecovery until the next load) describes the damage. The byte
+// and discarded, and the returned *TailRecovery describes the damage. The byte
 // count covers everything consumed, including a discarded tail.
 //
 // If r is not an io.ByteReader it is wrapped in a buffered reader, which
@@ -469,10 +462,6 @@ func (t *Trie) ReadFromOptions(r io.Reader, opt LoadOptions) (int64, *TailRecove
 	rec, err := t.readFrom(cr, opt)
 	return cr.n, rec, err
 }
-
-// TailRecovery returns the recovery report of the last ReadFrom into this
-// trie, or nil when that load was clean (or the trie was never loaded).
-func (t *Trie) TailRecovery() *TailRecovery { return t.recovered }
 
 func (t *Trie) readFrom(cr *countingScanner, opt LoadOptions) (*TailRecovery, error) {
 	workers := opt.Workers
@@ -548,7 +537,6 @@ func (t *Trie) readFrom(cr *countingScanner, opt LoadOptions) (*TailRecovery, er
 	t.segments = k
 	t.dead = nil
 	t.stamp = nil
-	t.recovered = rec
 	// Replay the journals in append order through the live mutation path
 	// (decode above already validated them; Apply itself cannot fail).
 	for _, j := range journals {

@@ -71,7 +71,7 @@ func TestTrieRoundTrip(t *testing.T) {
 					}
 
 					got := newSegmented(features.NewDict(), 1) // the snapshot's count replaces it
-					rn, err := got.ReadFromWorkers(bytes.NewReader(data), workers)
+					rn, _, err := got.ReadFromOptions(bytes.NewReader(data), LoadOptions{Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}

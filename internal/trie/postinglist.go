@@ -42,9 +42,6 @@ func (pl PostingList) Len() int {
 // IDs returns the graph-ID container (nil when the list is empty).
 func (pl PostingList) IDs() Container { return pl.ids }
 
-// NumRuns returns the number of maximal consecutive graph-ID runs.
-func (pl PostingList) NumRuns() int { return int(pl.nruns) }
-
 // UniformCounts reports whether every posting has count 1, in O(1).
 func (pl PostingList) UniformCounts() bool { return pl.counts == nil }
 
@@ -54,14 +51,6 @@ func (pl PostingList) CountAt(i int) int32 {
 		return 1
 	}
 	return pl.counts[i]
-}
-
-// Rank returns the rank of graph g and whether it is present.
-func (pl PostingList) Rank(g int32) (int, bool) {
-	if pl.ids == nil {
-		return 0, false
-	}
-	return pl.ids.Rank(g)
 }
 
 // CountOf returns graph g's occurrence count, 0 when g is not a member: a
@@ -162,14 +151,6 @@ func gallopTo(ids []int32, from int, g int32) int {
 	}
 	i, _ := slices.BinarySearch(ids[lo+1:min(lo+step, len(ids))], g)
 	return lo + 1 + i
-}
-
-// AppendIDs appends the graph IDs in ascending order.
-func (pl PostingList) AppendIDs(dst []int32) []int32 {
-	if pl.ids == nil {
-		return dst
-	}
-	return pl.ids.AppendTo(dst)
 }
 
 // Postings materialises the list as a fresh []Posting (the legacy flat

@@ -58,7 +58,7 @@ func TestRetainCountGE(t *testing.T) {
 				for want := int32(1); want <= 4; want++ {
 					var expect []int32
 					for _, g := range probe {
-						if r, ok := pl.Rank(g); ok && pl.CountAt(r) >= want {
+						if r, ok := pl.ids.Rank(g); ok && pl.CountAt(r) >= want {
 							expect = append(expect, g)
 						}
 					}

@@ -138,10 +138,6 @@ type Trie struct {
 	// journal sections); see journal.go.
 	stamp *JournalStamp
 
-	// recovered is the tail-recovery report of the last ReadFrom (nil
-	// when that load was clean); see persist.go's durability section.
-	recovered *TailRecovery
-
 	// policy selects posting container encodings (AdaptiveContainers by
 	// default; ArrayOnlyContainers forces the flat reference encoding).
 	// Set before building; inherited by COW mutation.
@@ -200,9 +196,6 @@ func (t *Trie) Segments() int { return normalizeSegments(t.segments) }
 // before inserting; an existing store is not re-encoded. The policy is
 // inherited by COW mutations (Mutation.Apply).
 func (t *Trie) SetContainerPolicy(p ContainerPolicy) { t.policy = p }
-
-// Policy returns the trie's container policy.
-func (t *Trie) Policy() ContainerPolicy { return t.policy }
 
 // SetGallopProbeCost records the calibrated galloping probe cost for this
 // dataset (see index.CalibrateGallopProbeCost); 0 restores the package
@@ -318,25 +311,6 @@ func (t *Trie) Walk(fn func(key string, postings []Posting)) {
 	}
 }
 
-// RemoveGraph deletes every posting of the given graph id across all keys.
-// Features drained to zero postings are removed outright: their table entry
-// becomes the zero list (so Walk, SizeBytes and a persisted snapshot all
-// agree with a trie never holding the key) and their dictionary ID is
-// retired to the dead set. Like the build path, RemoveGraph is exclusive —
-// no concurrent readers, pages owned; concurrent mutation goes through
-// Mutation/Apply instead.
-func (t *Trie) RemoveGraph(id int32) {
-	t.ensureMaterialized()
-	t.each(func(fid features.FeatureID, pl *PostingList) {
-		if _, drained := pl.remove(t.policy, id); drained {
-			if t.dead == nil {
-				t.dead = make(map[features.FeatureID]struct{})
-			}
-			t.dead[fid] = struct{}{}
-		}
-	})
-}
-
 // SizeBytes approximates the in-memory footprint of the trie (page tables
 // and postings), used for the paper's Fig 18 accounting.
 func (t *Trie) SizeBytes() int {
@@ -382,13 +356,6 @@ func (t *Trie) LiveDictSizeBytes() int {
 		sz -= t.dict.EntrySizeBytes(id)
 	}
 	return sz
-}
-
-// DeadLen returns the number of retired (drained) features this trie
-// tracks — diagnostics and tests.
-func (t *Trie) DeadLen() int {
-	t.ensureMaterialized()
-	return len(t.dead)
 }
 
 // ParallelFor fans n items out over up to workers goroutines (capped at n;

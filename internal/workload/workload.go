@@ -170,15 +170,6 @@ func Extract(g *graph.Graph, start, targetEdges int) *graph.Graph {
 	return q
 }
 
-// GroupBySize partitions queries by target size class, preserving order.
-func GroupBySize(qs []Query) map[int][]Query {
-	out := map[int][]Query{}
-	for _, q := range qs {
-		out[q.Target] = append(out[q.Target], q)
-	}
-	return out
-}
-
 // FourWorkloads returns the paper's four standard workloads with shared
 // parameters: uni-uni, uni-zipf, zipf-uni, zipf-zipf.
 func FourWorkloads(numQueries int, alpha float64, seed int64) []Spec {

@@ -159,24 +159,6 @@ func TestSpecNames(t *testing.T) {
 	}
 }
 
-func TestGroupBySize(t *testing.T) {
-	db := testDB(t)
-	qs := Generate(db, Spec{NumQueries: 40, GraphDist: Uniform, NodeDist: Uniform, Seed: 12})
-	groups := GroupBySize(qs)
-	total := 0
-	for size, g := range groups {
-		total += len(g)
-		for _, q := range g {
-			if q.Target != size {
-				t.Fatalf("query with target %d grouped under %d", q.Target, size)
-			}
-		}
-	}
-	if total != 40 {
-		t.Errorf("groups hold %d queries, want 40", total)
-	}
-}
-
 func TestFourWorkloads(t *testing.T) {
 	ws := FourWorkloads(10, 1.4, 99)
 	if len(ws) != 4 {

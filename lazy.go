@@ -154,7 +154,8 @@ func loadEngineFileLazy(path string, db []*Graph, opt EngineOptions, budget int6
 // whose index has been fully materialised the mapping is simply returned to
 // the OS. Closing an engine that still serves lazily invalidates every
 // later posting decode (those queries fail with a contained *PanicError);
-// call MaterializeIndex first to keep serving without the file.
+// a mutation materialises the index first, after which closing only
+// releases the mapping.
 func (e *Engine) Close() error {
 	e.mutMu.Lock()
 	defer e.mutMu.Unlock()
@@ -170,23 +171,9 @@ func (e *Engine) closeLazySrcLocked() error {
 	return src.Close()
 }
 
-// MaterializeIndex decodes the whole of a lazily loaded index and
-// releases the backing snapshot mapping, leaving the engine in
-// exactly the state an eager load would have produced. No-op (and nil) when
-// nothing is lazy. Mutating operations (AddGraphs, RemoveGraphs) call the
-// materialisation step implicitly.
-func (e *Engine) MaterializeIndex() error {
-	e.mutMu.Lock()
-	defer e.mutMu.Unlock()
-	if err := e.materializeIndexLocked(); err != nil {
-		return err
-	}
-	return e.closeLazySrcLocked()
-}
-
 // materializeIndexLocked forces the dataset index fully resident (caller
 // holds mutMu). The mapping is left open: mutation paths keep it so a
-// subsequent load can reuse it; MaterializeIndex closes it.
+// subsequent load can reuse it; Close releases it.
 func (e *Engine) materializeIndexLocked() error {
 	if lz, ok := e.view.Load().m.(index.LazyLoadable); ok {
 		if err := lz.Materialize(); err != nil {

@@ -47,8 +47,8 @@ func lazyTestQueries(db []*Graph, n int, seed int64) []*Graph {
 
 // TestLoadEngineFileLazyDifferential: WithLazyLoad must be observationally
 // invisible — identical answers under a tiny residency budget — while the
-// residency statistics actually move, and MaterializeIndex must cut the
-// engine loose from the snapshot file entirely.
+// residency statistics actually move, and materialising then closing must
+// cut the engine loose from the snapshot file entirely.
 func TestLoadEngineFileLazyDifferential(t *testing.T) {
 	db := lazyTestDB(60, 1)
 	qs := lazyTestQueries(db, 25, 2)
@@ -100,13 +100,16 @@ func TestLoadEngineFileLazyDifferential(t *testing.T) {
 		t.Errorf("resident %d bytes over budget %d", st.ResidentBytes, st.LazyBudgetBytes)
 	}
 
-	// Materialise, then delete the snapshot out from under the engine: it
-	// must keep serving from memory.
-	if err := lazy.MaterializeIndex(); err != nil {
+	// Materialise, release the mapping, then delete the snapshot out from
+	// under the engine: it must keep serving from memory.
+	if err := lazy.materialize(); err != nil {
 		t.Fatal(err)
 	}
 	if st := lazy.Stats(); st.LazyLoaded {
-		t.Errorf("still LazyLoaded after MaterializeIndex: %+v", st)
+		t.Errorf("still LazyLoaded after materialising: %+v", st)
+	}
+	if err := lazy.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
@@ -175,8 +178,8 @@ func TestLazyEngineMutationMaterializes(t *testing.T) {
 // TestLazyEngineCorruptShardIsolation: with a corrupt segment body, the
 // eager load refuses the file outright, while the lazy load binds and keeps
 // every healthy shard serving — queries routed to the corrupt shard fail as
-// contained *PanicError (wrapping trie.ErrCorrupt), and an explicit
-// MaterializeIndex surfaces the damage as an error.
+// contained *PanicError (wrapping trie.ErrCorrupt), and materialising, as
+// a mutation does first, surfaces the damage as an error.
 func TestLazyEngineCorruptShardIsolation(t *testing.T) {
 	db := lazyTestDB(60, 21)
 	qs := lazyTestQueries(db, 30, 22)
@@ -231,8 +234,8 @@ func TestLazyEngineCorruptShardIsolation(t *testing.T) {
 	if st := lazy.Stats(); int(st.Panics) != contained {
 		t.Errorf("Stats.Panics = %d, contained failures = %d", st.Panics, contained)
 	}
-	if err := lazy.MaterializeIndex(); !errors.Is(err, trie.ErrCorrupt) {
-		t.Fatalf("MaterializeIndex = %v, want trie.ErrCorrupt", err)
+	if err := lazy.materialize(); !errors.Is(err, trie.ErrCorrupt) {
+		t.Fatalf("materialize = %v, want trie.ErrCorrupt", err)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // TestMutationUnderLoadRace hammers one engine with 8 query goroutines
@@ -18,7 +20,7 @@ import (
 // counters must be monotonic throughout.
 func TestMutationUnderLoadRace(t *testing.T) {
 	base := GenerateDataset(AIDSSpec().Scaled(0.002, 1))
-	extra := GenerateDataset(PDBSSpec().Scaled(0.02, 0.3))
+	extra := GenerateDataset(dataset.PDBS().Scaled(0.02, 0.3))
 	if len(extra) < 12 {
 		t.Fatalf("need 12 extra graphs, got %d", len(extra))
 	}

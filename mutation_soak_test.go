@@ -40,7 +40,7 @@ func soakGraph(rng *rand.Rand, n int, labels int) *Graph {
 
 // TestMutationSoakDifferential is the property-based soak of the issue:
 // randomized interleavings of AddGraphs / RemoveGraphs / Query / engine
-// Save→LoadEngine / O(delta) journal appends, run across seeds × shard
+// Save→LoadEngineReport / O(delta) journal appends, run across seeds × shard
 // layouts × methods, asserting at every step that answers match the
 // brute-force oracle over a mirrored reference dataset, and periodically
 // that the engine is equivalent (answers + no-cache stats) to a
@@ -149,10 +149,10 @@ func TestMutationSoakDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						eng, err = LoadEngine(lf, refDB, opt)
+						eng, _, err = LoadEngineReport(lf, refDB, opt)
 						lf.Close()
 						if err != nil {
-							t.Fatalf("step %d: LoadEngine: %v", step, err)
+							t.Fatalf("step %d: LoadEngineReport: %v", step, err)
 						}
 					}
 

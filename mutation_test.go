@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/index"
 )
 
@@ -96,7 +97,7 @@ func TestEngineMutationDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("%v/shards=%d/workers=%d", tc.method, tc.shards, tc.workers), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(41 + tc.shards)))
 			base := GenerateDataset(AIDSSpec().Scaled(0.002, 1))
-			extra := GenerateDataset(PDBSSpec().Scaled(0.02, 0.3))
+			extra := GenerateDataset(dataset.PDBS().Scaled(0.02, 0.3))
 			if len(extra) < 8 {
 				t.Fatalf("need at least 8 extra graphs, got %d", len(extra))
 			}
@@ -178,7 +179,7 @@ func TestEngineMutationDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			restored, err := LoadEngine(lf, ref.db, opt)
+			restored, _, err := LoadEngineReport(lf, ref.db, opt)
 			lf.Close()
 			if err != nil {
 				t.Fatal(err)

@@ -1,15 +1,18 @@
 package igq
 
 import (
-	"bytes"
 	"context"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
 
+// TestEngineSaveLoadCache: the cache half of an engine snapshot file
+// restores the warm cache into a new engine.
 func TestEngineSaveLoadCache(t *testing.T) {
 	db := smallDB(t)
-	eng, err := NewEngine(db, EngineOptions{Method: GGSX, CacheSize: 20, Window: 2})
+	opt := EngineOptions{Method: GGSX, CacheSize: 20, Window: 2}
+	eng, err := NewEngine(db, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,17 +24,12 @@ func TestEngineSaveLoadCache(t *testing.T) {
 		t.Fatal("nothing cached")
 	}
 
-	var buf bytes.Buffer
-	if err := eng.SaveCache(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "engine.snap")
+	if err := SaveEngineFile(path, eng); err != nil {
 		t.Fatal(err)
 	}
-
-	// a brand-new engine restores the warm cache
-	eng2, err := NewEngine(db, EngineOptions{Method: GGSX, CacheSize: 20, Window: 2})
+	eng2, _, err := LoadEngineFile(path, db, opt)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng2.LoadCache(&buf); err != nil {
 		t.Fatal(err)
 	}
 	res, err := eng2.Query(ctx, q.Clone())
@@ -46,18 +44,6 @@ func TestEngineSaveLoadCache(t *testing.T) {
 	}
 }
 
-func TestEngineSaveCacheDisabled(t *testing.T) {
-	db := smallDB(t)
-	eng, _ := NewEngine(db, EngineOptions{Method: GGSX, DisableCache: true})
-	var buf bytes.Buffer
-	if err := eng.SaveCache(&buf); err == nil {
-		t.Error("SaveCache on disabled cache should error")
-	}
-	if err := eng.LoadCache(&buf); err == nil {
-		t.Error("LoadCache on disabled cache should error")
-	}
-}
-
 func TestQueryBatchOrderAndCorrectness(t *testing.T) {
 	db := smallDB(t)
 	cached, _ := NewEngine(db, EngineOptions{Method: GGSX, CacheSize: 20, Window: 4})
@@ -67,8 +53,8 @@ func TestQueryBatchOrderAndCorrectness(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		queries = append(queries, ExtractQuery(db[i%len(db)], 0, 4+4*(i%3)))
 	}
-	seqRes := cached.QueryBatch(queries, 1)
-	parRes := plain.QueryBatch(queries, 6)
+	seqRes := cached.QueryBatchCtx(context.Background(), queries, 1)
+	parRes := plain.QueryBatchCtx(context.Background(), queries, 6)
 	for i := range queries {
 		if seqRes[i].Err != nil || parRes[i].Err != nil {
 			t.Fatalf("query %d errored: %v / %v", i, seqRes[i].Err, parRes[i].Err)
@@ -102,7 +88,7 @@ func TestQueryBatchSupergraphDirection(t *testing.T) {
 	q.AddVertex(0)
 	q.AddEdge(0, 1)
 	q.AddEdge(1, 2)
-	res := eng.QueryBatch([]*Graph{q, q.Clone()}, 0)
+	res := eng.QueryBatchCtx(context.Background(), []*Graph{q, q.Clone()}, 0)
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("batch item %d: %v", i, r.Err)

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/index"
 )
 
@@ -42,7 +43,7 @@ func runAll(t *testing.T, eng *Engine, qs []*Graph) ([][]int32, []QueryStats) {
 	return ids, sts
 }
 
-// The acceptance criterion: an engine restored by LoadEngine answers a
+// The acceptance criterion: an engine restored by LoadEngineReport answers a
 // whole workload byte-identically (answers, stats, order) to a freshly
 // built engine, for both persistable methods and at several (shards,
 // workers) combinations.
@@ -69,7 +70,7 @@ func TestEngineSnapshotRoundTripIdentity(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				loaded, err := LoadEngine(bytes.NewReader(snap.Bytes()), db, opt)
+				loaded, _, err := LoadEngineReport(bytes.NewReader(snap.Bytes()), db, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -122,7 +123,7 @@ func TestEngineSaveCommitsPendingWindow(t *testing.T) {
 	if err := eng.Save(&snap); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadEngine(bytes.NewReader(snap.Bytes()), db, opt)
+	loaded, _, err := LoadEngineReport(bytes.NewReader(snap.Bytes()), db, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestEngineSaveCommitsPendingWindow(t *testing.T) {
 // checksum error, for both the index-only and the combined path.
 func TestEngineSnapshotRejectsWrongDataset(t *testing.T) {
 	db := smallDB(t)
-	other := GenerateDataset(PDBSSpec().Scaled(0.02, 0.2))
+	other := GenerateDataset(dataset.PDBS().Scaled(0.02, 0.2))
 	eng, err := NewEngine(db, EngineOptions{Method: GGSX})
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +168,8 @@ func TestEngineSnapshotRejectsWrongDataset(t *testing.T) {
 	if _, err := eng2.LoadIndex(bytes.NewReader(idxSnap.Bytes())); !errors.Is(err, index.ErrDatasetMismatch) {
 		t.Errorf("LoadIndex on wrong dataset: got %v, want ErrDatasetMismatch", err)
 	}
-	if _, err := LoadEngine(bytes.NewReader(engSnap.Bytes()), other, EngineOptions{Method: GGSX}); !errors.Is(err, index.ErrDatasetMismatch) {
-		t.Errorf("LoadEngine on wrong dataset: got %v, want ErrDatasetMismatch", err)
+	if _, _, err := LoadEngineReport(bytes.NewReader(engSnap.Bytes()), other, EngineOptions{Method: GGSX}); !errors.Is(err, index.ErrDatasetMismatch) {
+		t.Errorf("LoadEngineReport on wrong dataset: got %v, want ErrDatasetMismatch", err)
 	}
 }
 
@@ -226,7 +227,7 @@ func TestEngineSaveIndexUnsupportedMethod(t *testing.T) {
 }
 
 // A cache-disabled engine still round-trips its index through Save/
-// LoadEngine, and the restored engine honours the caller's cache options.
+// LoadEngineReport, and the restored engine honours the caller's cache options.
 func TestEngineSnapshotWithoutCache(t *testing.T) {
 	db := smallDB(t)
 	eng, err := NewEngine(db, EngineOptions{Method: GGSX, DisableCache: true})
@@ -239,7 +240,7 @@ func TestEngineSnapshotWithoutCache(t *testing.T) {
 	}
 	// Restore with the cache enabled: snapshot has no cache section, so the
 	// engine starts with a fresh empty cache.
-	loaded, err := LoadEngine(bytes.NewReader(snap.Bytes()), db, EngineOptions{Method: GGSX, CacheSize: 5, Window: 2})
+	loaded, _, err := LoadEngineReport(bytes.NewReader(snap.Bytes()), db, EngineOptions{Method: GGSX, CacheSize: 5, Window: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestEngineSnapshotWithoutCache(t *testing.T) {
 
 func TestLoadEngineRejectsGarbage(t *testing.T) {
 	db := smallDB(t)
-	if _, err := LoadEngine(bytes.NewReader([]byte("not a snapshot")), db, EngineOptions{Method: GGSX}); err == nil {
+	if _, _, err := LoadEngineReport(bytes.NewReader([]byte("not a snapshot")), db, EngineOptions{Method: GGSX}); err == nil {
 		t.Error("garbage snapshot loaded without error")
 	}
 }

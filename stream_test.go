@@ -63,8 +63,8 @@ func TestQueryStreamCompletesAll(t *testing.T) {
 	}
 }
 
-// The deprecate-and-delegate contract: QueryBatch (now a thin wrapper over
-// QueryStream) and a hand-rolled QueryStream consumption must produce
+// The delegate contract: QueryBatchCtx (a thin wrapper over QueryStream)
+// and a hand-rolled QueryStream consumption must produce
 // identical answers for the same query set, on both query directions.
 func TestBatchAndStreamAnswersIdentical(t *testing.T) {
 	db := smallDB(t)
@@ -85,7 +85,7 @@ func TestBatchAndStreamAnswersIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch := engBatch.QueryBatch(queries, 4)
+			batch := engBatch.QueryBatchCtx(context.Background(), queries, 4)
 
 			in := make(chan *Graph)
 			go func() {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // TestSupergraphEngineMutation pins the supergraph engine's O(delta)
@@ -14,7 +16,7 @@ import (
 func TestSupergraphEngineMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	base := GenerateDataset(AIDSSpec().Scaled(0.002, 1))
-	extra := GenerateDataset(PDBSSpec().Scaled(0.02, 0.3))
+	extra := GenerateDataset(dataset.PDBS().Scaled(0.02, 0.3))
 	if len(extra) < 8 {
 		t.Fatalf("need at least 8 extra graphs, got %d", len(extra))
 	}
